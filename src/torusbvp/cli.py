@@ -420,15 +420,14 @@ def _cmd_verify(args, cfg) -> int:
     est, sigma = _mc_boundary_area(p, 200_000, rng)
     check("boundary_area_vs_mc_3sigma", est - p.boundary_area(), 3.0 * sigma)
 
-    ops_mesh = _mesh(cfg, args.mesh)
     for k in range(3):
         coef = rng.normal(0.0, 0.35, size=6)
 
         def smooth(t, s, c=coef):
             return c[0] + c[1] * t + c[2] * s + c[3] * t * s + c[4] * (t * t - s * s) + c[5] * np.sin(t + s)
 
-        field = DiskField.from_function(ops_mesh, smooth)
-        quad = integrate_volume(ops_mesh, p_assembly, field, np.exp)
+        field = DiskField.from_function(mesh, smooth)
+        quad = integrate_volume(mesh, p_assembly, field, np.exp)
         est, sigma = _mc_volume_integral(p, lambda t, s: np.exp(smooth(t, s)), 200_000, rng)
         check("volume_reduction_identity_field%d_3sigma" % k, quad - est, 3.0 * sigma)
 
@@ -456,7 +455,7 @@ def _cmd_verify(args, cfg) -> int:
     from .inequalities import blowup_closed_forms, blowup_tube_disk_quadrature
 
     ce, cg = blowup_closed_forms(fam)
-    me, mg = blowup_tube_disk_quadrature(ops_mesh, fam)
+    me, mg = blowup_tube_disk_quadrature(mesh, fam)
     check("blowup_exp_closed_form_2pct", (me - ce) / ce, 0.02)
     check("blowup_grad_closed_form_2pct", (mg - cg) / cg, 0.02)
 

@@ -1,0 +1,76 @@
+"""The solvers' one factorization entry point against SuperLU's defaults.
+
+Each matrix kind the solvers factor is rebuilt here from the assembled
+operators.  ``_factorize`` must solve it as accurately as ``splu`` with its
+default (COLAMD) ordering.  Mesh matrices must get clearly less fill, and
+bordered ones the default factor itself; both are counts, so a changed
+ordering fails deterministically.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
+
+import torusbvp as tb
+from torusbvp.solvers import _factorize
+
+SOLVE_RTOL = 1e-12
+
+
+def _smooth(mesh):
+    return 0.3 * mesh.nodes[:, 0] - 0.2 * mesh.nodes[:, 1] ** 2
+
+
+def p1_jacobian_masked(mesh, ops):
+    """Interior block of the P1 Newton Jacobian S - diag(m f e^v)."""
+    f = 1.0 + 0.2 * mesh.nodes[:, 0]
+    jac = (ops.stiffness - sp.diags(ops.volume_mass * f * np.exp(_smooth(mesh)))).tocsr()
+    interior = mesh.interior_nodes()
+    return jac[interior, :][:, interior]
+
+
+def p2_jacobian(mesh, ops):
+    """P2 Newton Jacobian S + diag(m f e^v + mb g e^v)."""
+    f = -0.5 * math.exp(-1.0) * (1.0 + 0.1 * mesh.nodes[:, 0])
+    ev = np.exp(_smooth(mesh))
+    return ops.stiffness + sp.diags(ops.volume_mass * f * ev + ops.boundary_mass * f * ev)
+
+
+def monotone_shifted(mesh, ops):
+    """Shifted matrix of the monotone iteration, S + diag(w m + wb mb)."""
+    return ops.stiffness + sp.diags(2.5 * ops.volume_mass + 2.0 * ops.boundary_mass)
+
+
+def bordered_kkt(mesh, ops):
+    """Core S + diag(kappa w) bordered by the constraint rows w and m."""
+    m = ops.volume_mass
+    w = m * (mesh.nodes[:, 0] + 0.55) * np.exp(_smooth(mesh))
+    core = ops.stiffness + sp.diags(0.7 * w)
+    cols = sp.csc_matrix(np.stack([w, m], axis=1))
+    return sp.bmat([[core, cols], [cols.T, None]], format="csr")
+
+
+# kind -> largest allowed nnz(L+U) relative to the default ordering's;
+# minimum degree would give the bordered kind 1.4x (n_rings 16) and 1.1x (32)
+FILL_RATIO_MAX = {p1_jacobian_masked: 0.8, p2_jacobian: 0.8, monotone_shifted: 0.8,
+                  bordered_kkt: 1.0}
+
+
+@pytest.mark.parametrize("n_rings", [16, 32])
+@pytest.mark.parametrize("kind", list(FILL_RATIO_MAX), ids=lambda k: k.__name__)
+def test_factorize_against_default_splu(params, kind, n_rings):
+    mesh = tb.build_mesh(n_rings)
+    A = sp.csc_matrix(kind(mesh, tb.assemble(mesh, params)))
+    pattern = (A != 0).astype(np.int8)
+    assert (pattern != pattern.T).nnz == 0  # structurally symmetric
+    rhs = np.random.default_rng(n_rings).normal(size=A.shape[0])
+
+    lu = _factorize(A)
+    ref = splu(A)
+    x, x_ref = lu.solve(rhs), ref.solve(rhs)
+    assert np.linalg.norm(x - x_ref) <= SOLVE_RTOL * np.linalg.norm(x_ref)
+    assert lu.nnz <= FILL_RATIO_MAX[kind] * ref.nnz
+

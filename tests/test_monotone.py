@@ -17,6 +17,21 @@ def test_constant_bracket_binding_values(params, mesh16):
     assert np.all(sup.values == 0.0)
 
 
+def test_constant_bracket_ordered_for_nonconstant_data(params, mesh16):
+    # a = b = -1, f = 1 + t^2/2 in [1, 1.5], g = 1: the subsolution needs
+    # e^c <= 1/max f, the supersolution e^c >= 1/min f, so c- < c+ strictly
+    f = tb.DiskField.from_function(mesh16, lambda t, s: 1.0 + 0.5 * t * t)
+    prob = tb.ProblemP2(-1.0, -1.0, f, tb.DiskField.constant(mesh16, 1.0))
+    sub, sup = tb.find_constant_bracket(mesh16, params, prob)
+    assert np.allclose(sub.values, -math.log(1.5), rtol=0.0, atol=1e-14)
+    assert np.all(sup.values == 0.0)
+    rep = tb.solve_p2_monotone(mesh16, params, prob, sub, sup)
+    assert rep.converged
+    assert np.all(rep.field.values >= sub.values)
+    assert np.all(rep.field.values <= sup.values)
+    assert rep.residual_norm <= 1e-8
+
+
 def test_constant_bracket_rejections(params, mesh16):
     one = tb.DiskField.constant(mesh16, 1.0)
     zero = tb.DiskField.constant(mesh16, 0.0)
