@@ -45,7 +45,7 @@ from .inequalities import (
     minimal_orbit_family,
     mt_scan,
 )
-from .mesh import DiskField, DiskMesh, assemble, build_mesh, integrate_volume
+from .mesh import DiskField, DiskMesh, assemble, build_mesh, dissection_order, integrate_volume
 from .solvers import (
     SolveOptions,
     find_constant_bracket,
@@ -155,7 +155,10 @@ def _fmt(x) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """CSV with one timestamp comment line; the body is deterministic."""
+    """CSV with one timestamp comment line; the body is deterministic.
+
+    A string cell is written as it is, so a row may be one preformatted line.
+    """
     with open(path, "w", newline="") as f:
         f.write("# generated %s\n" % time.strftime("%Y-%m-%dT%H:%M:%S"))
         f.write(",".join(header) + "\n")
@@ -204,8 +207,10 @@ def write_report(path, command, cfg, p: TorusParams, body: dict) -> None:
 
 
 def _write_solution_csv(path, mesh, values) -> None:
-    rows = [(i, mesh.nodes[i, 0], mesh.nodes[i, 1], values[i]) for i in range(mesh.n_nodes)]
-    write_csv(path, ["node", "t", "s", "value"], rows)
+    # one format per row over Python floats renders each value as _fmt does
+    columns = zip(range(mesh.n_nodes), mesh.nodes[:, 0].tolist(), mesh.nodes[:, 1].tolist(),
+                  np.asarray(values, dtype=float).tolist())
+    write_csv(path, ["node", "t", "s", "value"], [("%d,%.17g,%.17g,%.17g" % row,) for row in columns])
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +336,8 @@ def _cmd_scan_gamma(args, cfg) -> int:
     f = _coefficient(cfg, mesh, "f", default="1")
     opts = _solve_options(cfg)
     out = _out_dir(cfg, args)
-    assemble(mesh, p)
+    assemble(mesh, p)  # fill the mesh cache before the workers share it
+    dissection_order(mesh)
 
     def solve_one(gamma):
         prob = ProblemP1(gamma, f)

@@ -40,7 +40,7 @@ from .functionals import (
     _bracket_and_solve,
 )
 from .geometry import TorusParams
-from .mesh import DiskField, DiskMesh, assemble
+from .mesh import DiskField, DiskMesh, assemble, dissection_order
 
 
 @dataclass
@@ -92,44 +92,70 @@ def _weighted_norm(res, weights):
     return float(out)
 
 
-def _factorize(matrix):
-    """Sparse LU of a structurally symmetric matrix, ordered for low fill.
+class _PermutedFactor:
+    """LU factor of ``A[order][:, order]`` that solves systems in ``A``."""
 
-    Every matrix the solvers factor is structurally symmetric: the weighted
-    stiffness plus a diagonal (Newton Jacobians, descent preconditioners, the
-    monotone shift), its interior block, or that matrix bordered by two dense
-    constraint rows and the matching columns.  On such a pattern, minimum
-    degree on ``A + A^T``, applied to rows and columns alike, leaves far less
-    fill than SuperLU's default COLAMD, which orders ``A^T A`` for unsymmetric
-    patterns: 0.61 times the nonzeros on a 50k-node Jacobian.  A diagonal
-    pivot threshold of 0.01 keeps that symmetric order: the diagonal stays
-    the pivot unless it is below 1% of the largest entry in its column.
+    def __init__(self, lu, order):
+        self._lu = lu
+        self._order = order
+        self.nnz = lu.nnz
 
-    Bordered matrices keep COLAMD and partial pivoting.  Their dense rows
-    make minimum degree slow to compute, and they turn SuperLU's column
-    elimination tree into a chain, so the symmetric order saves no storage:
-    at 50k nodes it took 2.6 s against COLAMD's 0.8 s for the same factor
-    size.  COLAMD sets dense rows aside and orders them last.  Their zero
-    diagonal block gives the constraint rows no diagonal pivot of their own,
-    so they pivot off the diagonal either way.
+    def solve(self, rhs):
+        x = np.empty_like(rhs)
+        x[self._order] = self._lu.solve(rhs[self._order])
+        return x
+
+
+def _factorize(matrix, order):
+    """Sparse LU of a structurally symmetric matrix in a given elimination order.
+
+    Every matrix the solvers factor is the weighted stiffness plus a diagonal
+    (Newton Jacobians, descent preconditioners, the monotone shift), its
+    interior block, or that matrix bordered by two constraint rows and the
+    matching columns.  Its graph is the mesh's, so one nested-dissection
+    order of the mesh nodes (``dissection_order``) serves them all.  A planar
+    mesh has small separators, which nested dissection orders last, so it
+    leaves less fill than minimum degree: 0.87 times the nonzeros on a
+    50k-node Jacobian.  The Dirichlet block takes the order restricted to the
+    interior nodes (``_restrict_order``); a bordered matrix takes it followed
+    by its two constraint unknowns (``_bordered_order``), so the dense border
+    is eliminated last and adds no fill to the mesh block.
+
+    Rows and columns are permuted alike and SuperLU keeps that order
+    (``NATURAL``, ``SymmetricMode``).  A diagonal pivot threshold of 0.01
+    keeps the diagonal as the pivot unless it is below 1% of the largest
+    entry in its column; the border's zero diagonal block has filled in by
+    the time its rows are reached.
     """
-    A = sp.csc_matrix(matrix)
-    bordered = np.diff(A.indptr).max() > A.shape[0] // 2
-    permc_spec = "COLAMD" if bordered else "MMD_AT_PLUS_A"
-    diag_pivot_thresh = 1.0 if bordered else 0.01
-    options = dict(SymmetricMode=not bordered)
+    A = sp.csc_matrix(matrix)[order][:, order]
     try:
-        lu = splu(A, permc_spec=permc_spec, diag_pivot_thresh=diag_pivot_thresh, options=options)
+        lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.01,
+                  options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularJacobian("sparse factorization failed: %s" % exc) from exc
-    return lu
+    return _PermutedFactor(lu, order)
 
 
-def _newton_loop(residual_fn, jacobian_fn, v0, weights, opts, trace=None, mask=None):
+def _restrict_order(order, nodes):
+    """``order`` restricted to ``nodes``, renumbered by position in ``nodes``."""
+    local = np.full(order.size, -1)
+    local[nodes] = np.arange(nodes.size)
+    local = local[order]
+    return local[local >= 0]
+
+
+def _bordered_order(order):
+    """``order`` followed by the two constraint unknowns of a bordered system."""
+    return np.append(order, [order.size, order.size + 1])
+
+
+def _newton_loop(residual_fn, jacobian_fn, v0, weights, opts, order, trace=None, mask=None):
     """Damped Newton with Armijo backtracking on the weighted residual norm.
 
-    ``mask`` restricts the update to a subset of nodes (Dirichlet problems);
-    the residual function must already vanish on the complement.
+    ``order`` is the elimination order of the unknowns (see ``_factorize``).
+    ``mask`` restricts the update, the Jacobian and the order to a subset of
+    nodes (Dirichlet problems); the residual function must already vanish on
+    the complement.
     """
     v = v0.copy()
     trace = trace if trace is not None else []
@@ -139,13 +165,15 @@ def _newton_loop(residual_fn, jacobian_fn, v0, weights, opts, trace=None, mask=N
         raise DomainError("initial iterate produces a non-finite residual")
     res0 = res
     tol = opts.tol_abs + opts.tol_rel * res0
+    if mask is not None:
+        order = _restrict_order(order, mask)
     trace.append((res, 0.0))
     iterations = 0
     while res > tol and iterations < opts.max_iter:
         J = jacobian_fn(v)
         if mask is not None:
             J = J[mask, :][:, mask]
-        lu = _factorize(J)
+        lu = _factorize(J, order)
         delta = -lu.solve(F if mask is None else F[mask])
         if not np.all(np.isfinite(delta)):
             raise SingularJacobian("Newton direction is non-finite")
@@ -221,7 +249,7 @@ def solve_p1_newton(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
 
     v, res, iterations, trace = _newton_loop(
         lambda v: _p1_residual(ops, prob, interior, v), jacobian,
-        v0, ops.volume_mass[interior], opts, mask=interior)
+        v0, ops.volume_mass[interior], opts, dissection_order(mesh), mask=interior)
     out = DiskField(mesh, v)
     return SolveReport(
         field=out,
@@ -319,7 +347,8 @@ def solve_p1_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
             v = _bump_until_sign(mesh, p, ops, prob.f, v, 0.0)
         v = v - float(m @ v) / vol_h
 
-    precond = _factorize(S + sp.diags(m))
+    order = dissection_order(mesh)
+    precond = _factorize(S + sp.diags(m), order)
     trace = []
     merit = functional_I_p1(mesh, p, DiskField(mesh, v), prob)
     iterations = 0
@@ -364,13 +393,13 @@ def solve_p1_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
         def jacobian(w):
             return (S - sp.diags(m * f * _exp_unguarded(w))).tocsr()
 
-        v, res, polish_iters, trace = _newton_loop(residual, jacobian, v, m, opts, trace=trace)
+        v, res, polish_iters, trace = _newton_loop(residual, jacobian, v, m, opts, order, trace=trace)
         out = DiskField(mesh, v)
         w_vec = m * f * _exp_unguarded(v)
         multiplier = float(w_vec @ (S @ v + gamma * m)) / float(w_vec @ w_vec)
         final_res = res
     else:
-        v, lam, polish_iters, trace = _kkt_polish_p1_zero_gamma(S, m, f, v, opts, trace)
+        v, lam, polish_iters, trace = _kkt_polish_p1_zero_gamma(S, m, f, v, opts, order, trace)
         if lam <= 0.0:
             raise NonConvergence("recovered multiplier is not positive: %g" % lam)
         v = v + math.log(lam)  # shifted minimizer solves the gamma = 0 equation
@@ -431,7 +460,7 @@ def _restore_zero_integral(ops, f_field, v):
     return None
 
 
-def _kkt_polish_p1_zero_gamma(S, m, f, v, opts, trace):
+def _kkt_polish_p1_zero_gamma(S, m, f, v, opts, order, trace):
     """Damped Newton on the bordered system of the gamma = 0 minimization.
 
     Unknowns (v, lambda, kappa); equations: S v = lambda m f e^v + kappa m,
@@ -466,7 +495,8 @@ def _kkt_polish_p1_zero_gamma(S, m, f, v, opts, trace):
 
     x0 = np.concatenate([v, [lam, kap]])
     weights = np.concatenate([m, [1.0, 1.0]])
-    x, _, iters, trace = _newton_loop(residual, jacobian, x0, weights, opts, trace=trace)
+    x, _, iters, trace = _newton_loop(residual, jacobian, x0, weights, opts, _bordered_order(order),
+                                      trace=trace)
     return x[:n], float(x[n]), iters, trace
 
 
@@ -506,7 +536,7 @@ def solve_p2_newton(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
 
     weights = ops.volume_mass + ops.boundary_mass
     v, res, iterations, trace = _newton_loop(
-        lambda v: _p2_residual(ops, prob, v), jacobian, v0, weights, opts)
+        lambda v: _p2_residual(ops, prob, v), jacobian, v0, weights, opts, dissection_order(mesh))
     out = DiskField(mesh, v)
     return SolveReport(
         field=out,
@@ -575,7 +605,8 @@ def solve_p2_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
         raise InfeasibleError("could not reach the K = 0 constraint set from the initial field")
     v = v_p
 
-    precond = _factorize(S + sp.diags(m + mb))
+    order = dissection_order(mesh)
+    precond = _factorize(S + sp.diags(m + mb), order)
     merit = functional_I_p2(mesh, p, DiskField(mesh, v), prob)
     trace = []
     iterations = 0
@@ -610,7 +641,8 @@ def solve_p2_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
 
     if case_zero:
         kappa0 = multiplier_kappa(mesh, p, DiskField(mesh, v), prob)
-        v, kappa, polish_iters, trace = _kkt_polish_p2_case1(S, m, mb, f, g, v, kappa0, opts, trace)
+        v, kappa, polish_iters, trace = _kkt_polish_p2_case1(S, m, mb, f, g, v, kappa0, opts, order,
+                                                             trace)
         if kappa <= 0.0:
             raise NonConvergence("recovered constraint multiplier is not positive: %g" % kappa)
         multiplier = multiplier_kappa(mesh, p, DiskField(mesh, v), prob)
@@ -624,7 +656,8 @@ def solve_p2_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
             ew = _exp_unguarded(w)
             return (S + sp.diags(m * f * ew + mb * g * ew)).tocsr()
 
-        v, res, polish_iters, trace = _newton_loop(residual, jacobian, v, m + mb, opts, trace=trace)
+        v, res, polish_iters, trace = _newton_loop(residual, jacobian, v, m + mb, opts, order,
+                                                   trace=trace)
         ev = _exp_unguarded(v)
         w_vec = m * f * ev + mb * g * ev
         multiplier = float(w_vec @ (S @ v + prob.a * m + prob.b * mb)) / float(w_vec @ w_vec)
@@ -641,7 +674,7 @@ def solve_p2_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
     )
 
 
-def _kkt_polish_p2_case1(S, m, mb, f, g, v, kappa0, opts, trace):
+def _kkt_polish_p2_case1(S, m, mb, f, g, v, kappa0, opts, order, trace):
     """Damped Newton on the bordered system of the a = b = 0 minimization.
 
     Unknowns (v, kappa, lambda); equations (in the Euler orientation of the
@@ -680,7 +713,8 @@ def _kkt_polish_p2_case1(S, m, mb, f, g, v, kappa0, opts, trace):
 
     x0 = np.concatenate([v, [kappa0, 0.0]])
     weights = np.concatenate([m + mb, [1.0, 1.0]])
-    x, _, iters, trace = _newton_loop(residual, jacobian, x0, weights, opts, trace=trace)
+    x, _, iters, trace = _newton_loop(residual, jacobian, x0, weights, opts, _bordered_order(order),
+                                      trace=trace)
     return x[:n], float(x[n]), iters, trace
 
 
@@ -784,7 +818,7 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
 
     w_shift = float(np.max(np.abs(f) * _exp_unguarded(np.max(hi)))) + 1.0
     wb_shift = float(np.max(np.abs(g) * _exp_unguarded(np.max(hi)))) + 1.0
-    lu = _factorize(S + sp.diags(w_shift * m + wb_shift * mb))
+    lu = _factorize(S + sp.diags(w_shift * m + wb_shift * mb), dissection_order(mesh))
 
     v = lo.copy()
     trace = []

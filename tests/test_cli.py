@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from torusbvp.cli import main
+from torusbvp import build_mesh
+from torusbvp.cli import _fmt, _write_solution_csv, main
 
 
 BASE = """
@@ -167,3 +169,16 @@ def test_verify_cli(tmp_path):
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--seed", "1"]) == 0
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "vp"), "--seed", "1",
                  "--debug-perturb-weight"]) != 0
+
+
+def test_solution_csv_matches_cell_formatting(tmp_path):
+    mesh = build_mesh(2)
+    values = np.linspace(-1.0, 1.0, mesh.n_nodes) / 3.0  # 17 significant digits
+    values[:3] = [-0.0, 1e-300, 2.0 / 3.0]
+    path = tmp_path / "solution.csv"
+    _write_solution_csv(str(path), mesh, values)
+    expected = ["node,t,s,value"] + [
+        ",".join(_fmt(x) for x in (i, mesh.nodes[i, 0], mesh.nodes[i, 1], values[i]))
+        for i in range(mesh.n_nodes)]
+    assert csv_body(path) == expected
+    assert expected[1].endswith(",-0") and expected[2].endswith(",1e-300")

@@ -1,13 +1,17 @@
 """The solvers' one factorization entry point against SuperLU's defaults.
 
 Each matrix kind the solvers factor is rebuilt here from the assembled
-operators.  ``_factorize`` must solve it as accurately as ``splu`` with its
+operators and factored in the mesh's nested-dissection order, derived for
+that kind.  ``_factorize`` must solve it as accurately as ``splu`` with its
 default (COLAMD) ordering.  Mesh matrices must get clearly less fill, and
-bordered ones the default factor itself; both are counts, so a changed
-ordering fails deterministically.
+bordered ones no more; both are counts, so a changed ordering fails
+deterministically.  The benchmark's tracer must still see one factor and
+one triangular solve per Newton step.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 import torusbvp as tb
-from torusbvp.solvers import _factorize
+from torusbvp.mesh import dissection_order
+from torusbvp.solvers import _bordered_order, _factorize, _restrict_order
 
 SOLVE_RTOL = 1e-12
 
@@ -53,8 +58,12 @@ def bordered_kkt(mesh, ops):
     return sp.bmat([[core, cols], [cols.T, None]], format="csr")
 
 
-# kind -> largest allowed nnz(L+U) relative to the default ordering's;
-# minimum degree would give the bordered kind 1.4x (n_rings 16) and 1.1x (32)
+# kind -> the elimination order of its unknowns
+ORDER = {p1_jacobian_masked: lambda mesh: _restrict_order(dissection_order(mesh), mesh.interior_nodes()),
+         p2_jacobian: dissection_order, monotone_shifted: dissection_order,
+         bordered_kkt: lambda mesh: _bordered_order(dissection_order(mesh))}
+
+# kind -> largest allowed nnz(L+U) relative to the default ordering's
 FILL_RATIO_MAX = {p1_jacobian_masked: 0.8, p2_jacobian: 0.8, monotone_shifted: 0.8,
                   bordered_kkt: 1.0}
 
@@ -68,9 +77,44 @@ def test_factorize_against_default_splu(params, kind, n_rings):
     assert (pattern != pattern.T).nnz == 0  # structurally symmetric
     rhs = np.random.default_rng(n_rings).normal(size=A.shape[0])
 
-    lu = _factorize(A)
+    lu = _factorize(A, ORDER[kind](mesh))
     ref = splu(A)
     x, x_ref = lu.solve(rhs), ref.solve(rhs)
     assert np.linalg.norm(x - x_ref) <= SOLVE_RTOL * np.linalg.norm(x_ref)
     assert lu.nnz <= FILL_RATIO_MAX[kind] * ref.nnz
 
+
+@pytest.mark.parametrize("n_rings", [2, 3, 16])
+def test_dissection_order_is_a_permutation(n_rings):
+    mesh = tb.build_mesh(n_rings)
+    order = dissection_order(mesh)
+    assert np.array_equal(np.sort(order), np.arange(mesh.n_nodes))
+
+
+def test_dissection_order_deterministic_and_cached():
+    a, b = tb.build_mesh(16), tb.build_mesh(16)
+    order = dissection_order(a)
+    assert np.array_equal(order, dissection_order(b))
+    assert dissection_order(a) is order
+    assert not order.flags.writeable
+
+
+def test_derived_orders_are_permutations(mesh16):
+    order = dissection_order(mesh16)
+    interior = mesh16.interior_nodes()
+    inner = _restrict_order(order, interior)
+    assert np.array_equal(np.sort(inner), np.arange(interior.size))
+    # the interior nodes keep their relative elimination order
+    assert np.array_equal(interior[inner], order[np.isin(order, interior)])
+    bordered = _bordered_order(order)
+    assert np.array_equal(np.sort(bordered), np.arange(mesh16.n_nodes + 2))
+    assert list(bordered[-2:]) == [mesh16.n_nodes, mesh16.n_nodes + 1]
+
+
+def test_benchmark_tracer_self_test():
+    """One ``splu`` call and one solve of its factor per Newton step (n_rings 8)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.self_test() == []
