@@ -1,5 +1,14 @@
 """Solvers for the torus problems: damped Newton, constrained descent, monotone iteration.
 
+Both model problems are one discrete equation,
+``S v + M (a + f e^v) + M_b (b + g e^v) = 0``, with ``S`` the weighted
+stiffness and ``M``, ``M_b`` the lumped volume and boundary masses.  P2 is
+this equation on all nodes.  P1 (``Delta v + gamma = f e^v``) is its case
+``a = gamma``, ``f -> -f``, ``b = g = 0``, restricted to the interior nodes
+for the Dirichlet problem.  One Newton core and one variational core solve
+the equation; the public solvers map their data onto it, check their own
+feasibility and existence windows, and fill their reports.
+
 Sign convention: the problems are stated with the geometer's positive
 Laplacian (``Delta v = -div grad v``), so weak forms use the positive
 semidefinite weighted stiffness directly.  Every residual orientation is
@@ -22,14 +31,12 @@ from .errors import (
     InfeasibleError,
     NoBracket,
     NonConvergence,
-    NoRootError,
     OrderingViolation,
     SingularJacobian,
 )
 from .functionals import (
     ProblemP1,
     ProblemP2,
-    bump_field,
     constraint_A_p1,
     constraint_K,
     construct_feasible_p2,
@@ -37,7 +44,6 @@ from .functionals import (
     functional_I_p2,
     multiplier_kappa,
     reach_exponential_target,
-    _bracket_and_solve,
 )
 from .geometry import TorusParams
 from .mesh import DiskField, DiskMesh, assemble, dissection_order
@@ -65,8 +71,10 @@ class SolveReport:
     residual of the returned field.  ``trace`` holds one
     ``(residual_or_merit, step)`` pair per accepted iteration: the Newton
     solvers record residual norms (non-increasing by the Armijo rule), the
-    descent solvers record the constrained functional value, and the monotone
-    solver records sup-norm increments.
+    descent solvers record the core energy ``0.5 |grad v|^2 + a int(v) +
+    b bint(v)`` of the problem they solve (for P1 that is half of
+    ``functional_I_p1``), and the monotone solver records sup-norm
+    increments.
     """
 
     field: DiskField
@@ -154,8 +162,8 @@ def _newton_loop(residual_fn, jacobian_fn, v0, weights, opts, order, trace=None,
 
     ``order`` is the elimination order of the unknowns (see ``_factorize``).
     ``mask`` restricts the update, the Jacobian and the order to a subset of
-    nodes (Dirichlet problems); the residual function must already vanish on
-    the complement.
+    nodes (Dirichlet problems).  Only the residual rows in ``mask`` are read,
+    so the residual function need not vanish off it.
     """
     v = v0.copy()
     trace = trace if trace is not None else []
@@ -203,179 +211,116 @@ def _newton_loop(residual_fn, jacobian_fn, v0, weights, opts, order, trace=None,
 
 
 # ---------------------------------------------------------------------------
-# P1: Delta v + gamma = f e^v in T, v = 0 on the boundary
+# The core: S v + M (a + f e^v) + M_b (b + g e^v) = 0
 # ---------------------------------------------------------------------------
 
-def _p1_residual(ops, prob, interior, v):
+def _as_p2(mesh, prob):
+    """P1 data as core data: a = gamma, f -> -f, b = g = 0."""
+    return ProblemP2(prob.gamma, 0.0, DiskField(mesh, -prob.f.values), DiskField.constant(mesh, 0.0))
+
+
+def _residual(ops, prob, v):
     ev = _exp_unguarded(v)
-    F = ops.stiffness @ v + prob.gamma * ops.volume_mass - ops.volume_mass * (prob.f.values * ev)
-    out = np.zeros_like(F)
-    out[interior] = F[interior]
-    return out
+    with np.errstate(invalid="ignore"):
+        return (ops.stiffness @ v
+                + ops.volume_mass * (prob.a + prob.f.values * ev)
+                + ops.boundary_mass * (prob.b + prob.g.values * ev))
 
 
-def p1_residual_norm(mesh: DiskMesh, p: TorusParams, prob: ProblemP1, field: DiskField,
-                     natural: bool = False) -> float:
-    """Weighted-L2 strong residual of the P1 equation.
+def _exp_terms(ops, prob, v):
+    """``M f e^v + M_b g e^v``: the Jacobian's diagonal and the constraint normal."""
+    ev = _exp_unguarded(v)
+    with np.errstate(invalid="ignore"):
+        return ops.volume_mass * prob.f.values * ev + ops.boundary_mass * prob.g.values * ev
 
-    With ``natural=False`` only interior rows count (Dirichlet boundary);
-    ``natural=True`` scores all rows (zero-flux stationarity of the
-    variational path).
+
+def _jacobian(ops, prob, v):
+    return (ops.stiffness + sp.diags(_exp_terms(ops, prob, v))).tocsr()
+
+
+def _solve_newton(mesh, p, prob, init, opts, mask=None):
+    """Damped Newton on the core equation; nodes outside ``mask`` stay at zero.
+
+    Residuals are weighted by ``M + M_b``, which on the interior nodes is
+    ``M``.  Returns ``(v, residual_norm, iterations, trace)``.
     """
     ops = assemble(mesh, p)
-    ev = _exp_unguarded(field.values)
-    F = ops.stiffness @ field.values + prob.gamma * ops.volume_mass \
-        - ops.volume_mass * (prob.f.values * ev)
-    if natural:
-        return _weighted_norm(F, ops.volume_mass)
-    interior = mesh.interior_nodes()
-    return _weighted_norm(F[interior], ops.volume_mass[interior])
-
-
-def solve_p1_newton(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
-                    init: DiskField | None = None, opts: SolveOptions | None = None) -> SolveReport:
-    """Damped Newton on the Dirichlet weak form of the P1 problem."""
-    opts = opts or SolveOptions()
-    ops = assemble(mesh, p)
-    interior = mesh.interior_nodes()
     v0 = np.zeros(mesh.n_nodes) if init is None else init.values.copy()
-    if not np.all(np.isfinite(v0)):
-        raise DomainError("initial field must be finite")
-    v0[mesh.boundary_nodes] = 0.0
-
-    def jacobian(v):
-        ev = _exp_unguarded(v)
-        return (ops.stiffness - sp.diags(ops.volume_mass * prob.f.values * ev)).tocsr()
-
-    v, res, iterations, trace = _newton_loop(
-        lambda v: _p1_residual(ops, prob, interior, v), jacobian,
-        v0, ops.volume_mass[interior], opts, dissection_order(mesh), mask=interior)
-    out = DiskField(mesh, v)
-    return SolveReport(
-        field=out,
-        converged=True,
-        iterations=iterations,
-        residual_norm=res,
-        constraint_value=constraint_A_p1(mesh, p, out, prob),
-        multiplier=None,
-        functional_value=functional_I_p1(mesh, p, out, prob),
-        trace=trace,
-    )
+    weights = ops.volume_mass + ops.boundary_mass
+    if mask is not None:
+        fixed = np.ones(mesh.n_nodes, dtype=bool)
+        fixed[mask] = False
+        v0[fixed] = 0.0
+        weights = weights[mask]
+    return _newton_loop(lambda v: _residual(ops, prob, v), lambda v: _jacobian(ops, prob, v),
+                        v0, weights, opts, dissection_order(mesh), mask=mask)
 
 
-def _warn_outside_window(condition, message):
-    if condition:
-        warnings.warn(message, ExistenceWindowWarning, stacklevel=3)
+def _solve_variational(mesh, p, prob, init, opts, weights):
+    """Minimize ``0.5 |grad v|^2 + a int(v) + b bint(v)`` over {K = 0}, then polish.
 
-
-def _project_p1(ops, prob, v, vol_h):
-    """Restore the P1 constraint by the exact exponential shift (gamma != 0)."""
-    e_int = float(ops.volume_mass @ (prob.f.values * _exp_unguarded(v)))
-    target = prob.gamma * vol_h
-    if e_int == 0.0 or np.sign(e_int) != np.sign(target):
-        return None
-    return v + math.log(target / e_int)
-
-
-def _bump_until_sign(mesh, p, ops, data_field, v, target):
-    """Add a calibrated bump so the weighted integral of f e^v hits ``target``."""
-    f = data_field.values
-    current = float(ops.volume_mass @ (f * _exp_unguarded(v)))
-    raise_integral = target > current
-    center = int(np.argmax(f)) if raise_integral else int(np.argmin(f))
-    stop = np.nonzero(f <= 0.0)[0] if raise_integral else np.nonzero(f >= 0.0)[0]
-    from .geometry import orbit_distance_disk
-
-    t_c, s_c = mesh.nodes[center]
-    orbit = (p.l + p.r * t_c, p.r * s_c)
-    if stop.size:
-        d = orbit_distance_disk(p, mesh.nodes[stop, 0], mesh.nodes[stop, 1], orbit)
-        delta = max(0.5 * float(np.min(d)), 0.75 * mesh.h * p.r)
-    else:
-        delta = 0.5 * p.r
-
-    def gap(t0):
-        w = v + bump_field(mesh, p, center, delta, t0).values
-        return float(ops.volume_mass @ (f * _exp_unguarded(w))) - target
-
-    t0 = _bracket_and_solve(gap)
-    return v + bump_field(mesh, p, center, delta, t0).values
-
-
-def solve_p1_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
-                         init: DiskField | None = None, opts: SolveOptions | None = None) -> SolveReport:
-    """Constrained minimization of the P1 energy over {int(f e^v) = gamma Vol}.
-
-    Projected preconditioned descent selects the minimizer; a damped Newton
-    polish on the stationarity system finishes to tolerance.  The descent runs
-    over the full nodal space, so the stationary field satisfies the interior
-    equation with natural (zero-flux) boundary behavior; for gamma = 0 the
-    returned field is the multiplier-shifted minimizer and the multiplier is
-    reported.
+    Projected preconditioned descent selects the minimizer and a damped
+    Newton polish on the stationarity system finishes to tolerance.
+    ``weights`` (one per node) measure residuals and descent steps and shift
+    the preconditioner ``S + diag(weights)``.  For a = b = 0 the minimizer is
+    gauge-fixed to zero mean, polished on the bordered KKT system, and
+    returned shifted by ``ln(kappa)`` together with ``kappa``; otherwise the
+    multiplier is the least-squares fit of ``S v + a M + b M_b`` to the
+    constraint normal.  Returns ``(v, multiplier, iterations,
+    residual_norm, trace)``.
     """
-    opts = opts or SolveOptions()
     ops = assemble(mesh, p)
-    S, m = ops.stiffness, ops.volume_mass
+    S, m, mb = ops.stiffness, ops.volume_mass, ops.boundary_mass
+    f, g = prob.f.values, prob.g.values
     vol_h = float(np.sum(m))
-    f = prob.f.values
-    gamma = prob.gamma
+    r_h = prob.a * vol_h + prob.b * float(np.sum(mb))
+    case_zero = prob.a == 0.0 and prob.b == 0.0
 
-    if gamma > 0 and f.max() <= 0.0:
-        raise InfeasibleError("gamma > 0 requires f to be positive somewhere")
-    if gamma < 0 and f.min() >= 0.0:
-        raise InfeasibleError("gamma < 0 requires f to be negative somewhere")
-    if gamma == 0:
-        if not (f.min() < 0.0 < f.max()) or float(m @ f) >= 0.0:
-            raise InfeasibleError("gamma = 0 requires sign-changing f with negative mean")
-    _warn_outside_window(
-        gamma > 0 and gamma >= 8.0 * (p.l - p.r) / (p.l * p.r**2),
-        "gamma=%g outside the sufficient window (0, %g); existence not guaranteed"
-        % (gamma, 8.0 * (p.l - p.r) / (p.l * p.r**2)))
+    def project(v):
+        if case_zero:
+            return _restore_zero_e_terms(ops, prob, v)
+        ev = _exp_unguarded(v)
+        e = float(m @ (f * ev)) + float(mb @ (g * ev))
+        if e == 0.0 or np.sign(e) == np.sign(r_h):
+            return None
+        return v + math.log(-r_h / e)
 
     v = np.zeros(mesh.n_nodes) if init is None else init.values.copy()
-    if gamma != 0.0:
-        projected = _project_p1(ops, prob, v, vol_h)
-        if projected is None:
-            v = _bump_until_sign(mesh, p, ops, prob.f, v, gamma * vol_h)
-            projected = _project_p1(ops, prob, v, vol_h)
-            if projected is None:
-                raise InfeasibleError("could not reach the P1 constraint set")
-        v = projected
-    else:
-        e0 = float(m @ (f * _exp_unguarded(v)))
-        if e0 != 0.0:
-            v = _bump_until_sign(mesh, p, ops, prob.f, v, 0.0)
-        v = v - float(m @ v) / vol_h
+    v_p = project(v)
+    if v_p is None:
+        # smooth projection failed: move the exponential terms by a bump first
+        if case_zero:
+            v = construct_feasible_p2(mesh, p, prob).values.copy()
+        else:
+            v = reach_exponential_target(mesh, p, prob.f, prob.g, v, -r_h)
+        v_p = project(v)
+    if v_p is None:
+        raise InfeasibleError("could not reach the K = 0 constraint set")
+    v = v_p
 
     order = dissection_order(mesh)
-    precond = _factorize(S + sp.diags(m), order)
+    precond = _factorize(S + sp.diags(weights), order)
+    merit = functional_I_p2(mesh, p, DiskField(mesh, v), prob)
     trace = []
-    merit = functional_I_p1(mesh, p, DiskField(mesh, v), prob)
     iterations = 0
     for _ in range(opts.max_descent_iter):
-        grad = 2.0 * (S @ v) + 2.0 * gamma * m
-        normals = [m * f * _exp_unguarded(v)]
-        if gamma == 0.0:
-            normals.append(m)
+        grad = S @ v + prob.a * m + prob.b * mb
+        normals = [_exp_terms(ops, prob, v)]
+        if case_zero:
+            normals.append(m)  # shift gauge: pin the mean
         d, slope = _projected_direction(precond, grad, normals)
         if not math.isfinite(slope) or slope >= 0.0:
             break
-        dnorm = _weighted_norm(d * m, m)
-        if dnorm <= 1e3 * opts.tol_abs:
-            break
+        dnorm = _weighted_norm(d * weights, weights)
         step, accepted = 1.0, False
         while step >= opts.min_step:
-            v_t = v + step * d
-            if gamma != 0.0:
-                v_p = _project_p1(ops, prob, v_t, vol_h)
-            else:
-                v_p = _restore_zero_integral(ops, prob.f, v_t)
-                if v_p is not None:
-                    v_p = v_p - float(m @ v_p) / vol_h
-            if v_p is not None:
-                merit_t = functional_I_p1(mesh, p, DiskField(mesh, v_p), prob)
+            v_t = project(v + step * d)
+            if v_t is not None:
+                if case_zero:
+                    v_t = v_t - float(m @ v_t) / vol_h
+                merit_t = functional_I_p2(mesh, p, DiskField(mesh, v_t), prob)
                 if math.isfinite(merit_t) and merit_t <= merit + opts.armijo_slope * step * slope:
-                    v, merit, accepted = v_p, merit_t, True
+                    v, merit, accepted = v_t, merit_t, True
                     break
             step *= opts.armijo_factor
         if not accepted:
@@ -385,38 +330,21 @@ def solve_p1_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
         if dnorm * step <= 10.0 * opts.tol_abs:
             break
 
-    # polish: damped Newton on the stationarity system
-    if gamma != 0.0:
-        def residual(w):
-            return S @ w + gamma * m - m * (f * _exp_unguarded(w))
-
-        def jacobian(w):
-            return (S - sp.diags(m * f * _exp_unguarded(w))).tocsr()
-
-        v, res, polish_iters, trace = _newton_loop(residual, jacobian, v, m, opts, order, trace=trace)
-        out = DiskField(mesh, v)
-        w_vec = m * f * _exp_unguarded(v)
-        multiplier = float(w_vec @ (S @ v + gamma * m)) / float(w_vec @ w_vec)
-        final_res = res
+    if case_zero:
+        kappa0 = multiplier_kappa(mesh, p, DiskField(mesh, v), prob)
+        v, multiplier, polish_iters, trace = _kkt_polish(ops, prob, v, kappa0, weights, opts, order,
+                                                         trace)
+        if multiplier <= 0.0:
+            raise NonConvergence("recovered constraint multiplier is not positive: %g" % multiplier)
+        v = v + math.log(multiplier)  # the shifted minimizer solves the equation
+        res = _weighted_norm(_residual(ops, prob, v), weights)
     else:
-        v, lam, polish_iters, trace = _kkt_polish_p1_zero_gamma(S, m, f, v, opts, order, trace)
-        if lam <= 0.0:
-            raise NonConvergence("recovered multiplier is not positive: %g" % lam)
-        v = v + math.log(lam)  # shifted minimizer solves the gamma = 0 equation
-        out = DiskField(mesh, v)
-        multiplier = lam
-        final_res = _weighted_norm(S @ v - m * (f * _exp_unguarded(v)), m)
-
-    return SolveReport(
-        field=out,
-        converged=True,
-        iterations=iterations + polish_iters,
-        residual_norm=final_res,
-        constraint_value=constraint_A_p1(mesh, p, out, prob),
-        multiplier=multiplier,
-        functional_value=functional_I_p1(mesh, p, out, prob),
-        trace=trace,
-    )
+        v, res, polish_iters, trace = _newton_loop(
+            lambda w: _residual(ops, prob, w), lambda w: _jacobian(ops, prob, w),
+            v, weights, opts, order, trace=trace)
+        w_vec = _exp_terms(ops, prob, v)
+        multiplier = float(w_vec @ (S @ v + prob.a * m + prob.b * mb)) / float(w_vec @ w_vec)
+    return v, multiplier, iterations + polish_iters, res, trace
 
 
 def _projected_direction(precond, grad, normals):
@@ -439,259 +367,20 @@ def _projected_direction(precond, grad, normals):
     return d, float(grad @ d)
 
 
-def _restore_zero_integral(ops, f_field, v):
-    """Move v along the constraint normal until int(f e^v) = 0 (or give up)."""
-    m = ops.volume_mass
-    f = f_field.values
-    for _ in range(60):
-        ev = _exp_unguarded(v)
-        g = float(m @ (f * ev))
-        scale = float(m @ np.abs(f * ev)) + 1e-300
-        if abs(g) <= 1e-13 * scale:
-            return v
-        w = m * f * ev
-        wn = w / (np.linalg.norm(w) + 1e-300)
-        deriv = float(w @ wn)
-        if deriv == 0.0 or not math.isfinite(deriv):
-            return None
-        v = v - (g / deriv) * wn
-        if not np.all(np.isfinite(v)):
-            return None
-    return None
-
-
-def _kkt_polish_p1_zero_gamma(S, m, f, v, opts, order, trace):
-    """Damped Newton on the bordered system of the gamma = 0 minimization.
-
-    Unknowns (v, lambda, kappa); equations: S v = lambda m f e^v + kappa m,
-    int(f e^v) = 0, int(v) = 0.
-    """
-    n = v.size
-    ev = _exp_unguarded(v)
-    denom = float(v @ (m * f * ev))
-    lam = float(v @ (S @ v)) / denom if denom != 0.0 else 1.0
-    kap = 0.0
-
-    def residual(x):
-        w, la, ka = x[:n], x[n], x[n + 1]
-        ew = _exp_unguarded(w)
-        F = np.empty(n + 2)
-        F[:n] = S @ w - la * m * f * ew - ka * m
-        F[n] = m @ (f * ew)
-        F[n + 1] = m @ w
-        return F
-
-    def jacobian(x):
-        w, la, _ = x[:n], x[n], x[n + 1]
-        ew = _exp_unguarded(w)
-        core = S - sp.diags(la * m * f * ew)
-        col_la = sp.csc_matrix((-m * f * ew)[:, None])
-        col_ka = sp.csc_matrix((-m)[:, None])
-        row_c = sp.csc_matrix((m * f * ew)[None, :])
-        row_m = sp.csc_matrix(m[None, :])
-        zero = sp.csc_matrix((2, 2))
-        return sp.bmat([[core, sp.hstack([col_la, col_ka])],
-                        [sp.vstack([row_c, row_m]), zero]], format="csr")
-
-    x0 = np.concatenate([v, [lam, kap]])
-    weights = np.concatenate([m, [1.0, 1.0]])
-    x, _, iters, trace = _newton_loop(residual, jacobian, x0, weights, opts, _bordered_order(order),
-                                      trace=trace)
-    return x[:n], float(x[n]), iters, trace
-
-
-# ---------------------------------------------------------------------------
-# P2: Delta v + a + f e^v = 0 in T, dv/dn + b + g e^v = 0 on the boundary
-# ---------------------------------------------------------------------------
-
-def _p2_residual(ops, prob, v):
-    ev = _exp_unguarded(v)
-    with np.errstate(invalid="ignore"):
-        return (ops.stiffness @ v
-                + ops.volume_mass * (prob.a + prob.f.values * ev)
-                + ops.boundary_mass * (prob.b + prob.g.values * ev))
-
-
-def p2_residual_norm(mesh: DiskMesh, p: TorusParams, prob: ProblemP2, field: DiskField) -> float:
-    """Weighted-L2 strong residual of both P2 equations (all rows)."""
-    ops = assemble(mesh, p)
-    F = _p2_residual(ops, prob, field.values)
-    return _weighted_norm(F, ops.volume_mass + ops.boundary_mass)
-
-
-def solve_p2_newton(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
-                    init: DiskField | None = None, opts: SolveOptions | None = None) -> SolveReport:
-    """Damped Newton on the nonlinear Neumann weak form of the P2 problem."""
-    opts = opts or SolveOptions()
-    ops = assemble(mesh, p)
-    v0 = np.zeros(mesh.n_nodes) if init is None else init.values.copy()
-    if not np.all(np.isfinite(v0)):
-        raise DomainError("initial field must be finite")
-
-    def jacobian(v):
-        ev = _exp_unguarded(v)
-        return (ops.stiffness
-                + sp.diags(ops.volume_mass * prob.f.values * ev
-                           + ops.boundary_mass * prob.g.values * ev)).tocsr()
-
-    weights = ops.volume_mass + ops.boundary_mass
-    v, res, iterations, trace = _newton_loop(
-        lambda v: _p2_residual(ops, prob, v), jacobian, v0, weights, opts, dissection_order(mesh))
-    out = DiskField(mesh, v)
-    return SolveReport(
-        field=out,
-        converged=True,
-        iterations=iterations,
-        residual_norm=res,
-        constraint_value=constraint_K(mesh, p, out, prob),
-        multiplier=None,
-        functional_value=functional_I_p2(mesh, p, out, prob),
-        trace=trace,
-    )
-
-
-def solve_p2_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
-                         init: DiskField | None = None, opts: SolveOptions | None = None) -> SolveReport:
-    """Constrained minimization of the P2 energy over {K = 0}.
-
-    For a = b = 0 the minimizer is gauge-fixed to zero mean, the constraint
-    multiplier is recovered from the e^{-v}-weighted gradient integral, and
-    the multiplier-shifted field (polished by Newton) is returned.  With
-    (a, b) != 0 the stationary point of the constrained problem satisfies the
-    P2 weak form directly.
-    """
-    opts = opts or SolveOptions()
-    ops = assemble(mesh, p)
-    S, m, mb = ops.stiffness, ops.volume_mass, ops.boundary_mass
-    f, g = prob.f.values, prob.g.values
-    if np.all(f == 0.0) and np.all(g[mesh.boundary_nodes] == 0.0):
-        raise InfeasibleError("f and g must not both vanish identically")
-    r_h = prob.a * float(np.sum(m)) + prob.b * float(np.sum(mb))
-    case_zero = prob.a == 0.0 and prob.b == 0.0
-
-    _warn_outside_window(
-        prob.a >= 0.0 and prob.b >= 0.0 and not case_zero
-        and not (0.0 < prob.R(p) < (8.0 if np.all(g[mesh.boundary_nodes] == 0.0) else 4.0) * math.pi**2 * (p.l - p.r)),
-        "R=%g outside the sufficient existence window of the a,b >= 0 regime" % prob.R(p))
-
-    def e_terms(v):
-        ev = _exp_unguarded(v)
-        return float(m @ (f * ev)) + float(mb @ (g * ev))
-
-    def project(v):
-        if case_zero:
-            return _restore_zero_e_terms(m, mb, f, g, v)
-        e = e_terms(v)
-        if e == 0.0 or np.sign(e) == np.sign(r_h):
-            return None
-        return v + math.log(-r_h / e)
-
-    if init is not None:
-        v = init.values.copy()
-    else:
-        v = np.zeros(mesh.n_nodes)
-    v_p = project(v)
-    if v_p is None and init is None:
-        # smooth projection failed: move the exponential terms by a bump first
-        if case_zero:
-            v = construct_feasible_p2(mesh, p, prob).values.copy()
-        else:
-            v = reach_exponential_target(mesh, p, prob.f, prob.g, v, -r_h)
-        v_p = project(v)
-    if v_p is None:
-        if (f.max() <= 0.0 and g[mesh.boundary_nodes].max() <= 0.0 and r_h > 0.0) or \
-           (f.min() >= 0.0 and g[mesh.boundary_nodes].min() >= 0.0 and r_h < 0.0):
-            raise InfeasibleError("signs of f, g cannot balance R=%g: constraint set empty" % r_h)
-        raise InfeasibleError("could not reach the K = 0 constraint set from the initial field")
-    v = v_p
-
-    order = dissection_order(mesh)
-    precond = _factorize(S + sp.diags(m + mb), order)
-    merit = functional_I_p2(mesh, p, DiskField(mesh, v), prob)
-    trace = []
-    iterations = 0
-    vol_h = float(np.sum(m))
-    for _ in range(opts.max_descent_iter):
-        grad = S @ v + prob.a * m + prob.b * mb
-        ev = _exp_unguarded(v)
-        normals = [m * f * ev + mb * g * ev]
-        if case_zero:
-            normals.append(m)  # shift gauge: pin the mean
-        d, slope = _projected_direction(precond, grad, normals)
-        if not math.isfinite(slope) or slope >= 0.0:
-            break
-        dnorm = _weighted_norm(d * (m + mb), m + mb)
-        step, accepted = 1.0, False
-        while step >= opts.min_step:
-            v_t = project(v + step * d)
-            if v_t is not None:
-                if case_zero:
-                    v_t = v_t - float(m @ v_t) / vol_h
-                merit_t = functional_I_p2(mesh, p, DiskField(mesh, v_t), prob)
-                if math.isfinite(merit_t) and merit_t <= merit + opts.armijo_slope * step * slope:
-                    v, merit, accepted = v_t, merit_t, True
-                    break
-            step *= opts.armijo_factor
-        if not accepted:
-            break
-        iterations += 1
-        trace.append((merit, step))
-        if dnorm * step <= 10.0 * opts.tol_abs:
-            break
-
-    if case_zero:
-        kappa0 = multiplier_kappa(mesh, p, DiskField(mesh, v), prob)
-        v, kappa, polish_iters, trace = _kkt_polish_p2_case1(S, m, mb, f, g, v, kappa0, opts, order,
-                                                             trace)
-        if kappa <= 0.0:
-            raise NonConvergence("recovered constraint multiplier is not positive: %g" % kappa)
-        multiplier = multiplier_kappa(mesh, p, DiskField(mesh, v), prob)
-        v = v + math.log(kappa)  # shifted minimizer solves the Neumann problem
-        res = _weighted_norm(_p2_residual(ops, prob, v), m + mb)
-    else:
-        def residual(w):
-            return _p2_residual(ops, prob, w)
-
-        def jacobian(w):
-            ew = _exp_unguarded(w)
-            return (S + sp.diags(m * f * ew + mb * g * ew)).tocsr()
-
-        v, res, polish_iters, trace = _newton_loop(residual, jacobian, v, m + mb, opts, order,
-                                                   trace=trace)
-        ev = _exp_unguarded(v)
-        w_vec = m * f * ev + mb * g * ev
-        multiplier = float(w_vec @ (S @ v + prob.a * m + prob.b * mb)) / float(w_vec @ w_vec)
-    out = DiskField(mesh, v)
-    return SolveReport(
-        field=out,
-        converged=True,
-        iterations=iterations + polish_iters,
-        residual_norm=res,
-        constraint_value=constraint_K(mesh, p, out, prob),
-        multiplier=multiplier,
-        functional_value=functional_I_p2(mesh, p, out, prob),
-        trace=trace,
-    )
-
-
-def _kkt_polish_p2_case1(S, m, mb, f, g, v, kappa0, opts, order, trace):
+def _kkt_polish(ops, prob, v, kappa0, weights, opts, order, trace):
     """Damped Newton on the bordered system of the a = b = 0 minimization.
 
     Unknowns (v, kappa, lambda); equations (in the Euler orientation of the
-    constrained problem): S v + kappa w(v) + lambda m = 0 with
-    w(v) = m f e^v + mb g e^v, plus sum(w(v)) = 0 and int(v) = 0.  At the
-    solution lambda vanishes and v + ln(kappa) solves the Neumann problem.
+    constrained problem): S v + kappa w(v) + lambda M = 0 with
+    w(v) = M f e^v + M_b g e^v, plus sum(w(v)) = 0 and int(v) = 0.  At the
+    solution lambda vanishes and v + ln(kappa) solves the core equation.
     """
+    S, m = ops.stiffness, ops.volume_mass
     n = v.size
-
-    def w_of(w):
-        ew = _exp_unguarded(w)
-        with np.errstate(invalid="ignore"):
-            return m * f * ew + mb * g * ew
 
     def residual(x):
         w, ka, la = x[:n], x[n], x[n + 1]
-        wv = w_of(w)
+        wv = _exp_terms(ops, prob, w)
         F = np.empty(n + 2)
         with np.errstate(invalid="ignore", over="ignore"):
             F[:n] = S @ w + ka * wv + la * m
@@ -700,29 +389,20 @@ def _kkt_polish_p2_case1(S, m, mb, f, g, v, kappa0, opts, order, trace):
         return F
 
     def jacobian(x):
-        w, ka, _ = x[:n], x[n], x[n + 1]
-        wv = w_of(w)
-        core = S + sp.diags(ka * wv)
-        col_ka = sp.csc_matrix(wv[:, None])
-        col_la = sp.csc_matrix(m[:, None])
-        row_c = sp.csc_matrix(wv[None, :])
-        row_m = sp.csc_matrix(m[None, :])
-        zero = sp.csc_matrix((2, 2))
-        return sp.bmat([[core, sp.hstack([col_ka, col_la])],
-                        [sp.vstack([row_c, row_m]), zero]], format="csr")
+        wv = _exp_terms(ops, prob, x[:n])
+        border = sp.csc_matrix(np.stack([wv, m], axis=1))
+        return sp.bmat([[S + sp.diags(x[n] * wv), border], [border.T, None]], format="csr")
 
     x0 = np.concatenate([v, [kappa0, 0.0]])
-    weights = np.concatenate([m + mb, [1.0, 1.0]])
-    x, _, iters, trace = _newton_loop(residual, jacobian, x0, weights, opts, _bordered_order(order),
-                                      trace=trace)
+    x, _, iters, trace = _newton_loop(residual, jacobian, x0, np.concatenate([weights, [1.0, 1.0]]),
+                                      opts, _bordered_order(order), trace=trace)
     return x[:n], float(x[n]), iters, trace
 
 
-def _restore_zero_e_terms(m, mb, f, g, v):
+def _restore_zero_e_terms(ops, prob, v):
     """Newton along the constraint normal until int(f e^v) + bint(g e^v) = 0."""
     for _ in range(60):
-        ev = _exp_unguarded(v)
-        w = m * f * ev + mb * g * ev
+        w = _exp_terms(ops, prob, v)
         val = float(np.sum(w))
         scale = float(np.sum(np.abs(w))) + 1e-300
         if abs(val) <= 1e-13 * scale:
@@ -735,6 +415,126 @@ def _restore_zero_e_terms(m, mb, f, g, v):
         if not np.all(np.isfinite(v)):
             return None
     return None
+
+
+def _report(mesh, p, prob, v, iterations, res, multiplier, trace):
+    """A converged field with the constraint value and energy of its own problem."""
+    out = DiskField(mesh, v)
+    p1 = isinstance(prob, ProblemP1)
+    return SolveReport(
+        field=out,
+        converged=True,
+        iterations=iterations,
+        residual_norm=res,
+        constraint_value=(constraint_A_p1 if p1 else constraint_K)(mesh, p, out, prob),
+        multiplier=multiplier,
+        functional_value=(functional_I_p1 if p1 else functional_I_p2)(mesh, p, out, prob),
+        trace=trace,
+    )
+
+
+# ---------------------------------------------------------------------------
+# P1: Delta v + gamma = f e^v in T, v = 0 on the boundary
+# ---------------------------------------------------------------------------
+
+def p1_residual_norm(mesh: DiskMesh, p: TorusParams, prob: ProblemP1, field: DiskField,
+                     natural: bool = False) -> float:
+    """Weighted-L2 strong residual of the P1 equation.
+
+    With ``natural=False`` only interior rows count (Dirichlet boundary);
+    ``natural=True`` scores all rows (zero-flux stationarity of the
+    variational path).
+    """
+    ops = assemble(mesh, p)
+    F = _residual(ops, _as_p2(mesh, prob), field.values)
+    rows = slice(None) if natural else mesh.interior_nodes()
+    return _weighted_norm(F[rows], ops.volume_mass[rows])
+
+
+def solve_p1_newton(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
+                    init: DiskField | None = None, opts: SolveOptions | None = None) -> SolveReport:
+    """Damped Newton on the Dirichlet weak form of the P1 problem."""
+    v, res, iterations, trace = _solve_newton(mesh, p, _as_p2(mesh, prob), init, opts or SolveOptions(),
+                                              mask=mesh.interior_nodes())
+    return _report(mesh, p, prob, v, iterations, res, None, trace)
+
+
+def solve_p1_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
+                         init: DiskField | None = None, opts: SolveOptions | None = None) -> SolveReport:
+    """Constrained minimization of the P1 energy over {int(f e^v) = gamma Vol}.
+
+    The core descends on half the P1 energy, ``0.5 |grad v|^2 + gamma
+    int(v)``, with residuals weighted by the volume mass.  It runs over the
+    full nodal space, so the stationary field satisfies the interior
+    equation with natural (zero-flux) boundary behavior.  For gamma = 0 the
+    returned field is the multiplier-shifted minimizer and the multiplier is
+    the KKT one; otherwise it is the fitted multiplier of ``f e^v``.
+    """
+    m = assemble(mesh, p).volume_mass
+    f, gamma = prob.f.values, prob.gamma
+    if gamma > 0 and f.max() <= 0.0:
+        raise InfeasibleError("gamma > 0 requires f to be positive somewhere")
+    if gamma < 0 and f.min() >= 0.0:
+        raise InfeasibleError("gamma < 0 requires f to be negative somewhere")
+    if gamma == 0:
+        if not (f.min() < 0.0 < f.max()) or float(m @ f) >= 0.0:
+            raise InfeasibleError("gamma = 0 requires sign-changing f with negative mean")
+    window = 8.0 * (p.l - p.r) / (p.l * p.r**2)
+    if gamma > 0 and gamma >= window:
+        warnings.warn("gamma=%g outside the sufficient window (0, %g); existence not guaranteed"
+                      % (gamma, window), ExistenceWindowWarning, stacklevel=2)
+
+    v, multiplier, iterations, res, trace = _solve_variational(
+        mesh, p, _as_p2(mesh, prob), init, opts or SolveOptions(), m)
+    if gamma != 0.0:
+        multiplier = -multiplier  # fitted against the core's f, which is -f
+    return _report(mesh, p, prob, v, iterations, res, multiplier, trace)
+
+
+# ---------------------------------------------------------------------------
+# P2: Delta v + a + f e^v = 0 in T, dv/dn + b + g e^v = 0 on the boundary
+# ---------------------------------------------------------------------------
+
+def p2_residual_norm(mesh: DiskMesh, p: TorusParams, prob: ProblemP2, field: DiskField) -> float:
+    """Weighted-L2 strong residual of both P2 equations (all rows)."""
+    ops = assemble(mesh, p)
+    F = _residual(ops, prob, field.values)
+    return _weighted_norm(F, ops.volume_mass + ops.boundary_mass)
+
+
+def solve_p2_newton(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
+                    init: DiskField | None = None, opts: SolveOptions | None = None) -> SolveReport:
+    """Damped Newton on the nonlinear Neumann weak form of the P2 problem."""
+    v, res, iterations, trace = _solve_newton(mesh, p, prob, init, opts or SolveOptions())
+    return _report(mesh, p, prob, v, iterations, res, None, trace)
+
+
+def solve_p2_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
+                         init: DiskField | None = None, opts: SolveOptions | None = None) -> SolveReport:
+    """Constrained minimization of the P2 energy over {K = 0}.
+
+    For a = b = 0 the minimizer is gauge-fixed to zero mean, the reported
+    multiplier is its ``multiplier_kappa`` (the e^{-v}-weighted gradient
+    integral), and the multiplier-shifted field (polished by Newton) is
+    returned.  With (a, b) != 0 the stationary point of the constrained
+    problem satisfies the P2 weak form directly.
+    """
+    ops = assemble(mesh, p)
+    g = prob.g.values[mesh.boundary_nodes]
+    if np.all(prob.f.values == 0.0) and np.all(g == 0.0):
+        raise InfeasibleError("f and g must not both vanish identically")
+    case_zero = prob.a == 0.0 and prob.b == 0.0
+    if prob.a >= 0.0 and prob.b >= 0.0 and not case_zero \
+            and not (0.0 < prob.R(p) < (8.0 if np.all(g == 0.0) else 4.0) * math.pi**2 * (p.l - p.r)):
+        warnings.warn("R=%g outside the sufficient existence window of the a,b >= 0 regime" % prob.R(p),
+                      ExistenceWindowWarning, stacklevel=2)
+
+    v, multiplier, iterations, res, trace = _solve_variational(
+        mesh, p, prob, init, opts or SolveOptions(), ops.volume_mass + ops.boundary_mass)
+    if case_zero:
+        # kappa times the multiplier of the shifted field is that of the minimizer
+        multiplier *= multiplier_kappa(mesh, p, DiskField(mesh, v), prob)
+    return _report(mesh, p, prob, v, iterations, res, multiplier, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -807,11 +607,11 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
     ehi = _exp_unguarded(float(np.max(hi)))
     scale = 1.0 + abs(prob.a) + abs(prob.b) + float(np.max(np.abs(f))) * ehi + float(np.max(np.abs(g))) * ehi
     tol_ineq = 1e-9 * scale
-    F_lo = _p2_residual(ops, prob, lo) / (m + mb)
+    F_lo = _residual(ops, prob, lo) / (m + mb)
     if np.any(F_lo > tol_ineq):
         raise OrderingViolation("subsolution fails the discrete inequality (max violation %g)"
                                 % float(np.max(F_lo)))
-    F_hi = _p2_residual(ops, prob, hi) / (m + mb)
+    F_hi = _residual(ops, prob, hi) / (m + mb)
     if np.any(F_hi < -tol_ineq):
         raise OrderingViolation("supersolution fails the discrete inequality (min value %g)"
                                 % float(np.min(F_hi)))

@@ -6,7 +6,7 @@ that kind.  ``_factorize`` must solve it as accurately as ``splu`` with its
 default (COLAMD) ordering.  Mesh matrices must get clearly less fill, and
 bordered ones no more; both are counts, so a changed ordering fails
 deterministically.  The benchmark's tracer must still see one factor and
-one triangular solve per Newton step.
+one triangular solve per Newton step, and one solver span per public solve.
 """
 
 import importlib.util
@@ -118,3 +118,28 @@ def test_benchmark_tracer_self_test():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     assert tracing.self_test() == []
+
+
+def test_p1_variational_is_one_solver_span(params):
+    """A P1 variational solve runs the shared core, not another public solver.
+
+    A nested public solve would open a second solver span and count its
+    iterations twice in the benchmark's ``solvers.iterations``.  The tracer
+    is loaded from its file, read-only, as in the self-test above.
+    """
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    mesh = tb.build_mesh(8)
+    prob = tb.ProblemP1(1.0, tb.DiskField(mesh, 1.0 + 0.2 * mesh.nodes[:, 0]))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracing.solvers.solve_p1_variational(mesh, params, prob)
+    finally:
+        tracer.restore()
+    names = [rec["name"] for rec in tracer.spans]
+    assert names.count("solvers.p1_variational") == 1
+    assert "solvers.p2_variational" not in names and "solvers.p1_newton" not in names
+    assert tracing.restored()

@@ -140,3 +140,26 @@ def test_variational_gamma_window_warning(params, mesh16):
             tb.solve_p1_variational(mesh16, params, prob, opts=tb.SolveOptions(max_iter=3, max_descent_iter=3))
         except tb.NonConvergence:
             pass
+
+
+@pytest.mark.parametrize("gamma, fn", [(1.0, lambda t, s: 1.0 + 0.2 * t), (0.0, lambda t, s: t - 0.3)],
+                         ids=["gamma1", "gamma0"])
+def test_variational_is_the_p2_core_case(params, mesh16, gamma, fn):
+    """P1 variational is P2 variational with a = gamma, f -> -f, b = g = 0.
+
+    The descent minimizes half the P1 energy, so its unit step is the
+    Newton-like step and it takes about 20 iterations at gamma = 1.  The
+    full P1 energy with the same preconditioner doubles every step, and the
+    descent oscillates for over a thousand iterations.
+    """
+    f = tb.DiskField.from_function(mesh16, fn)
+    prob1 = tb.ProblemP1(gamma, f)
+    prob2 = tb.ProblemP2(gamma, 0.0, tb.DiskField(mesh16, -f.values), tb.DiskField.constant(mesh16, 0.0))
+    rep1 = tb.solve_p1_variational(mesh16, params, prob1)
+    rep2 = tb.solve_p2_variational(mesh16, params, prob2)
+    assert rep1.iterations <= 100
+    assert l2_norm(mesh16, params, rep1.field.values - rep2.field.values) <= 1e-10
+    i1 = tb.functional_I_p1(mesh16, params, rep1.field, prob1)
+    assert i1 == pytest.approx(2.0 * tb.functional_I_p2(mesh16, params, rep2.field, prob2), rel=1e-10)
+    if gamma != 0.0:
+        assert rep1.multiplier * rep2.multiplier < 0.0
