@@ -45,7 +45,15 @@ from .inequalities import (
     minimal_orbit_family,
     mt_scan,
 )
-from .mesh import DiskField, DiskMesh, assemble, build_mesh, dissection_order, integrate_volume
+from .mesh import (
+    DiskField,
+    DiskMesh,
+    assemble,
+    build_mesh,
+    coarse_mesh,
+    dissection_order,
+    integrate_volume,
+)
 from .solvers import (
     SolveOptions,
     find_constant_bracket,
@@ -336,8 +344,11 @@ def _cmd_scan_gamma(args, cfg) -> int:
     f = _coefficient(cfg, mesh, "f", default="1")
     opts = _solve_options(cfg)
     out = _out_dir(cfg, args)
-    assemble(mesh, p)  # fill the mesh cache before the workers share it
-    dissection_order(mesh)
+    level = (mesh,)
+    while level is not None:  # fill the caches of every Newton level before the workers share them
+        assemble(level[0], p)
+        dissection_order(level[0])
+        level = coarse_mesh(level[0])
 
     def solve_one(gamma):
         prob = ProblemP1(gamma, f)

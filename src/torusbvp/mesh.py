@@ -88,6 +88,73 @@ def build_mesh(n_rings: int) -> DiskMesh:
     return mesh
 
 
+def _ring_layout(n_rings: int):
+    """Ring and slot of every node of ``build_mesh(n_rings)``, and each ring's first node."""
+    counts = np.maximum(1, 6 * np.arange(n_rings + 1))
+    start = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    ring = np.repeat(np.arange(n_rings + 1), counts)
+    return ring, np.arange(ring.size) - start[ring], start
+
+
+def coarse_mesh(mesh: DiskMesh):
+    """The mesh with half the rings and the index here of each of its nodes (cached).
+
+    Ring ``k`` of the coarse mesh is ring ``2k`` here and its slot ``j`` is
+    slot ``2j``, so ``mesh.nodes[fine_index]`` equals ``coarse.nodes``.
+    Returns ``(coarse, fine_index)``, or None when the ring count is odd or
+    below 4 (or the mesh is not a ring mesh).
+    """
+    if "coarse" not in mesh._cache:
+        n = round(1.0 / mesh.h)
+        level = None
+        if n % 2 == 0 and n >= 4 and mesh.n_nodes == 1 + 3 * n * (n + 1):
+            ring, slot, _ = _ring_layout(n // 2)
+            fine_index = _ring_layout(n)[2][2 * ring] + 2 * slot
+            fine_index.setflags(write=False)
+            level = (build_mesh(n // 2), fine_index)
+        mesh._cache["coarse"] = level
+    return mesh._cache["coarse"]
+
+
+def prolong(coarse: DiskMesh, values, mesh: DiskMesh) -> np.ndarray:
+    """Nodal values on ``coarse`` interpolated to ``mesh``, which has twice its rings.
+
+    The ray from the center through a fine node crosses the polygons of the
+    two coarse rings around it.  The value at each crossing is linear along
+    that polygon's edge, and the node's value is linear in the radius
+    between the two crossings.  Linear functions are reproduced, smooth ones
+    to O(h^2), and a nested node gets its coarse value exactly: its angle is
+    an integer ring/slot ratio with no remainder.
+    """
+    n = round(1.0 / coarse.h)
+    values = np.asarray(values, dtype=float)
+    ring, slot, _ = _ring_layout(2 * n)
+    if ring.size != mesh.n_nodes:
+        raise DomainError("mesh has %d nodes, not the %d of the refined coarse mesh"
+                          % (mesh.n_nodes, ring.size))
+    start = _ring_layout(n)[2]
+    denom = np.maximum(ring, 1)
+
+    def crossing(k):
+        # slot J of ring K lies at the angle of coarse slot J k / K on ring k
+        pos = slot * k
+        lo, frac = pos // denom, (pos % denom) / denom
+        size = np.maximum(6 * k, 1)
+        half = math.pi / size  # half the angle between neighbours on ring k
+        left, right = np.sin(2.0 * half * frac), np.sin(2.0 * half * (1.0 - frac))
+        with np.errstate(invalid="ignore", divide="ignore"):  # ring 0 is the center
+            along = np.where(k > 0, left / (left + right), 0.0)
+        value = (1.0 - along) * values[start[k] + lo % size] + along * values[start[k] + (lo + 1) % size]
+        radius = (k / n) * (np.cos(half) / np.cos((2.0 * frac - 1.0) * half))
+        return radius, value
+
+    inner = np.minimum(ring // 2, n - 1)
+    r0, u0 = crossing(inner)
+    r1, u1 = crossing(inner + 1)
+    w = (ring / (2 * n) - r0) / (r1 - r0)
+    return (1.0 - w) * u0 + w * u1
+
+
 def _triangle_geometry(mesh: DiskMesh):
     """Per-triangle areas, P1 basis gradients and centroid t-coordinate (cached)."""
     cached = mesh._cache.get("tri_geom")
@@ -229,7 +296,6 @@ class WeightedOperators:
     """
 
     params: TorusParams
-    mesh: DiskMesh
     stiffness: sp.csr_matrix
     volume_mass: np.ndarray
     boundary_mass: np.ndarray
@@ -243,7 +309,6 @@ def assemble(mesh: DiskMesh, p: TorusParams) -> WeightedOperators:
         stiff, vol, bnd = _assemble_core(mesh, p.l, p.r)
         ops = WeightedOperators(
             params=p,
-            mesh=mesh,
             stiffness=(TWO_PI * stiff).tocsr(),
             volume_mass=TWO_PI * p.r**2 * vol,
             boundary_mass=TWO_PI * p.r * bnd,

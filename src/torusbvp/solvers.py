@@ -46,7 +46,7 @@ from .functionals import (
     reach_exponential_target,
 )
 from .geometry import TorusParams
-from .mesh import DiskField, DiskMesh, assemble, dissection_order
+from .mesh import DiskField, DiskMesh, assemble, coarse_mesh, dissection_order, prolong
 
 
 @dataclass
@@ -68,7 +68,9 @@ class SolveReport:
     """Converged field plus diagnostics.
 
     ``residual_norm`` is the weighted-L2 norm of the discrete strong-form
-    residual of the returned field.  ``trace`` holds one
+    residual of the returned field.  A Newton solve without ``init`` first
+    solves on coarser meshes; its ``iterations`` counts the steps of every
+    level and its ``trace`` is the finest level's.  ``trace`` holds one
     ``(residual_or_merit, step)`` pair per accepted iteration: the Newton
     solvers record residual norms (non-increasing by the Armijo rule), the
     descent solvers record the core energy ``0.5 |grad v|^2 + a int(v) +
@@ -157,22 +159,27 @@ def _bordered_order(order):
     return np.append(order, [order.size, order.size + 1])
 
 
-def _newton_loop(residual_fn, jacobian_fn, v0, weights, opts, order, trace=None, mask=None):
+def _newton_loop(residual_fn, jacobian_fn, v0, weights, opts, order, trace=None, mask=None,
+                 v_ref=None):
     """Damped Newton with Armijo backtracking on the weighted residual norm.
 
     ``order`` is the elimination order of the unknowns (see ``_factorize``).
     ``mask`` restricts the update, the Jacobian and the order to a subset of
     nodes (Dirichlet problems).  Only the residual rows in ``mask`` are read,
-    so the residual function need not vanish off it.
+    so the residual function need not vanish off it.  Newton stops at the
+    residual ``tol_abs + tol_rel * r``, where ``r`` is the residual of
+    ``v_ref`` (default ``v0``).
     """
+    def norm(F):
+        return _weighted_norm(F if mask is None else F[mask], weights)
+
     v = v0.copy()
     trace = trace if trace is not None else []
     F = residual_fn(v)
-    res = _weighted_norm(F if mask is None else F[mask], weights)
+    res = norm(F)
     if not math.isfinite(res):
         raise DomainError("initial iterate produces a non-finite residual")
-    res0 = res
-    tol = opts.tol_abs + opts.tol_rel * res0
+    tol = opts.tol_abs + opts.tol_rel * (res if v_ref is None else norm(residual_fn(v_ref)))
     if mask is not None:
         order = _restrict_order(order, mask)
     trace.append((res, 0.0))
@@ -181,8 +188,8 @@ def _newton_loop(residual_fn, jacobian_fn, v0, weights, opts, order, trace=None,
         J = jacobian_fn(v)
         if mask is not None:
             J = J[mask, :][:, mask]
-        lu = _factorize(J, order)
-        delta = -lu.solve(F if mask is None else F[mask])
+        # the factor serves one solve; holding no reference frees it at once
+        delta = -_factorize(J, order).solve(F if mask is None else F[mask])
         if not np.all(np.isfinite(delta)):
             raise SingularJacobian("Newton direction is non-finite")
         step = 1.0
@@ -194,7 +201,7 @@ def _newton_loop(residual_fn, jacobian_fn, v0, weights, opts, order, trace=None,
             else:
                 v_trial[mask] += step * delta
             F_trial = residual_fn(v_trial)
-            res_trial = _weighted_norm(F_trial if mask is None else F_trial[mask], weights)
+            res_trial = norm(F_trial)
             if math.isfinite(res_trial) and res_trial <= (1.0 - opts.armijo_slope * step) * res:
                 accepted = True
                 break
@@ -238,22 +245,55 @@ def _jacobian(ops, prob, v):
     return (ops.stiffness + sp.diags(_exp_terms(ops, prob, v))).tocsr()
 
 
-def _solve_newton(mesh, p, prob, init, opts, mask=None):
-    """Damped Newton on the core equation; nodes outside ``mask`` stay at zero.
+def _solve_newton(mesh, p, prob, init, opts, dirichlet=False):
+    """Damped Newton on the core equation; boundary nodes stay at zero if ``dirichlet``.
 
-    Residuals are weighted by ``M + M_b``, which on the interior nodes is
-    ``M``.  Returns ``(v, residual_norm, iterations, trace)``.
+    Without ``init``, Newton starts from the solution of the same problem on
+    the mesh with half the rings (``coarse_mesh``), found the same way and
+    prolonged; by mesh independence it then needs a step or two.  Where
+    there is no coarser mesh, or its solve fails, it starts from zero.  The
+    stopping tolerance scales with the residual of zero either way, so it
+    stays above the float64 floor of the residual.  Residuals are weighted
+    by ``M + M_b``, which on the interior nodes is ``M``.  Returns ``(v,
+    residual_norm, iterations, trace)``: ``iterations`` counts the steps of
+    every level that converged, ``trace`` is this level's.
     """
     ops = assemble(mesh, p)
-    v0 = np.zeros(mesh.n_nodes) if init is None else init.values.copy()
+    coarse_iterations = 0
+    if init is not None:
+        v0 = init.values.copy()
+    else:
+        v0, coarse_iterations = _coarse_start(mesh, p, prob, opts, dirichlet)
     weights = ops.volume_mass + ops.boundary_mass
-    if mask is not None:
-        fixed = np.ones(mesh.n_nodes, dtype=bool)
-        fixed[mask] = False
-        v0[fixed] = 0.0
+    mask = None
+    if dirichlet:
+        mask = mesh.interior_nodes()
+        v0[mesh.boundary_nodes] = 0.0
         weights = weights[mask]
-    return _newton_loop(lambda v: _residual(ops, prob, v), lambda v: _jacobian(ops, prob, v),
-                        v0, weights, opts, dissection_order(mesh), mask=mask)
+    v, res, iterations, trace = _newton_loop(
+        lambda v: _residual(ops, prob, v), lambda v: _jacobian(ops, prob, v),
+        v0, weights, opts, dissection_order(mesh), mask=mask,
+        v_ref=None if init is not None else np.zeros(mesh.n_nodes))
+    return v, res, coarse_iterations + iterations, trace
+
+
+def _coarse_start(mesh, p, prob, opts, dirichlet):
+    """Newton start and its step count from the half-ring mesh, or zeros and 0.
+
+    The coarse problem takes the data at the nested nodes (injection).
+    """
+    level = coarse_mesh(mesh)
+    if level is not None:
+        coarse, idx = level
+        coarse_prob = ProblemP2(prob.a, prob.b, DiskField(coarse, prob.f.values[idx]),
+                                DiskField(coarse, prob.g.values[idx]))
+        try:
+            v, _, iterations, _ = _solve_newton(coarse, p, coarse_prob, None, opts, dirichlet)
+        except (NonConvergence, SingularJacobian, DomainError):
+            pass
+        else:
+            return prolong(coarse, v, mesh), iterations
+    return np.zeros(mesh.n_nodes), 0
 
 
 def _solve_variational(mesh, p, prob, init, opts, weights):
@@ -455,7 +495,7 @@ def solve_p1_newton(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
                     init: DiskField | None = None, opts: SolveOptions | None = None) -> SolveReport:
     """Damped Newton on the Dirichlet weak form of the P1 problem."""
     v, res, iterations, trace = _solve_newton(mesh, p, _as_p2(mesh, prob), init, opts or SolveOptions(),
-                                              mask=mesh.interior_nodes())
+                                              dirichlet=True)
     return _report(mesh, p, prob, v, iterations, res, None, trace)
 
 

@@ -1,10 +1,12 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import torusbvp as tb
-from torusbvp.mesh import _triangle_geometry
+from torusbvp.mesh import _triangle_geometry, coarse_mesh, prolong
 from oracles import (
     SmoothFieldBasis,
     fit_order,
@@ -142,3 +144,48 @@ def test_export_tables(tmp_path):
     tb.export_tables(m, nodes, tris)
     assert len(nodes.read_text().splitlines()) == m.n_nodes
     assert len(tris.read_text().splitlines()) == m.n_triangles
+
+
+@pytest.mark.parametrize("n", [4, 8, 64])
+def test_coarse_mesh_nodes_are_nested(n):
+    m = tb.build_mesh(n)
+    coarse, fine_index = coarse_mesh(m)
+    assert np.array_equal(m.nodes[fine_index], coarse.nodes)
+    assert coarse_mesh(m)[0] is coarse
+    assert not fine_index.flags.writeable
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_coarse_mesh_needs_an_even_ring_count_of_four_or_more(n):
+    assert coarse_mesh(tb.build_mesh(n)) is None
+
+
+def test_prolong_exact_at_nested_nodes_and_second_order():
+    rng = np.random.default_rng(3)
+    errs = []
+    for n in (8, 16, 32, 64):
+        m = tb.build_mesh(n)
+        coarse, fine_index = coarse_mesh(m)
+        vals = rng.standard_normal(coarse.n_nodes)
+        assert np.array_equal(prolong(coarse, vals, m)[fine_index], vals)
+        linear = lambda x: 0.7 - x[:, 0] + 0.3 * x[:, 1]
+        assert np.max(np.abs(prolong(coarse, linear(coarse.nodes), m) - linear(m.nodes))) <= 1e-14
+        smooth = lambda x: x[:, 0] ** 2 + 0.3 * x[:, 1]
+        errs.append(np.max(np.abs(prolong(coarse, smooth(coarse.nodes), m) - smooth(m.nodes))))
+        assert errs[-1] <= 1.2 * m.h**2
+    assert 1.9 <= fit_order(errs) <= 2.1
+
+
+def test_discarded_mesh_is_freed_without_gc(params):
+    """Nothing a solve caches on a mesh refers back to it, so refcounting frees it."""
+    gc.disable()
+    try:
+        m = tb.build_mesh(8)
+        prob = tb.ProblemP1(1.5, tb.DiskField(m, 1.0 + 0.2 * m.nodes[:, 0]))
+        tb.assemble(m, params)
+        rep = tb.solve_p1_newton(m, params, prob)
+        refs = [weakref.ref(m), weakref.ref(coarse_mesh(m)[0])]
+        del m, prob, rep
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()

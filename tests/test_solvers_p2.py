@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import torusbvp as tb
+from torusbvp import solvers
 from oracles import fit_order
 
 
@@ -155,3 +156,54 @@ def test_newton_variational_agreement_manufactured():
         rep_v = tb.solve_p2_variational(mesh, p, prob)
     diff = l2_norm(mesh, p, rep_n.field.values - rep_v.field.values)
     assert diff <= 10 * mesh.h**2
+
+
+def benchmark_p2(n, c=0.1):
+    """The benchmark's P2 Newton data: a = b = 0.5, f = g = -0.5 e^-1 (1 + c t)."""
+    mesh = tb.build_mesh(n)
+    data = tb.DiskField(mesh, -0.5 * math.exp(-1.0) * (1.0 + c * mesh.nodes[:, 0]))
+    return mesh, tb.ProblemP2(0.5, 0.5, data, data)
+
+
+def test_newton_starts_from_the_half_ring_solution(params, monkeypatch):
+    mesh, prob = benchmark_p2(32)
+    sizes = []
+    real_splu = solvers.splu
+
+    def counting_splu(A, *args, **kwargs):
+        sizes.append(A.shape[0])
+        return real_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "splu", counting_splu)
+    rep = tb.solve_p2_newton(mesh, params, prob)
+    fine = sum(1 for n in sizes if n == mesh.n_nodes)
+    assert 1 <= fine <= 2  # five from a zero start
+    assert rep.iterations == len(sizes) > fine  # every level's steps
+    assert len(rep.trace) == fine + 1  # the finest level's trace
+
+
+def test_nested_newton_matches_the_zero_start(params):
+    mesh, prob = benchmark_p2(32)
+    nested = tb.solve_p2_newton(mesh, params, prob)
+    direct = tb.solve_p2_newton(mesh, params, prob, init=tb.DiskField.constant(mesh, 0.0))
+    assert len(direct.trace) - 1 == direct.iterations == 5
+    assert l2_norm(mesh, params, nested.field.values - direct.field.values) <= 1e-10
+
+
+def test_nested_newton_still_fails_on_a_step_budget(params):
+    mesh, prob = benchmark_p2(32)
+    with pytest.raises(tb.NonConvergence):
+        tb.solve_p2_newton(mesh, params, prob, opts=tb.SolveOptions(max_iter=1))
+
+
+def test_nested_newton_tolerance_scales_with_the_zero_residual(params):
+    """A prolonged start that meets tol_rel times the residual of zero takes no step.
+
+    Scaling by the start's own, smaller residual would put the tolerance
+    below the float64 floor of the residual on fine meshes.
+    """
+    mesh, prob = benchmark_p2(32)
+    tol = 0.5 * tb.p2_residual_norm(mesh, params, prob, tb.DiskField.constant(mesh, 0.0))
+    rep = tb.solve_p2_newton(mesh, params, prob, opts=tb.SolveOptions(tol_abs=0.0, tol_rel=0.5))
+    assert len(rep.trace) == 1
+    assert rep.trace[0][0] <= tol
