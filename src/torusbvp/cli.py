@@ -287,22 +287,7 @@ def _cmd_mt_scan(args, cfg) -> int:
     elif path == "mesh":
         mesh = _mesh(cfg, args.mesh)
         fam = interior_orbit_family(p, alphas[0])
-        work = [fam.with_alpha(a) for a in alphas]
-        assemble(mesh, p)  # warm the cache before fanning out
-        with ThreadPoolExecutor(max_workers=args.threads) as ex:
-            pieces = list(ex.map(lambda f: mt_scan(mesh, p, fam, [f.alpha_blow]), work))
-        rows = []
-        prev = None
-        for piece in pieces:
-            row = piece[0]
-            if prev is not None:
-                den1 = row.log_integral - row.mean_term
-                den0 = prev.log_integral - prev.mean_term
-                row = type(row)(row.alpha_blow, row.grad_energy, row.log_integral, row.mean_term,
-                                row.ratio, (row.grad_energy - prev.grad_energy) / (den1 - den0),
-                                row.c_hat, row.resolved)
-            rows.append(row)
-            prev = row
+        rows = mt_scan(mesh, p, fam, alphas)
     else:
         raise ConfigError("unknown scan path %r (closed-form | mesh)" % path)
     write_csv(os.path.join(out, "mt_scan.csv"),
@@ -503,7 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output directory (default: config, env %s, or ./out)" % OUT_ENV_VAR)
         sp.add_argument("--mesh", type=int, default=None, help="override mesh n_rings")
         sp.add_argument("--seed", type=int, default=0, help="RNG seed (Monte Carlo oracles only)")
-        sp.add_argument("--threads", type=int, default=None, help="worker threads for parameter sweeps")
+        sp.add_argument("--threads", type=int, default=None, help="worker threads for the corollary and scan-gamma sweeps")
         if name == "verify":
             sp.add_argument("--debug-perturb-weight", action="store_true",
                             help="perturb the metric weight to force identity failures")

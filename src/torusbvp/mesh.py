@@ -52,35 +52,36 @@ def build_mesh(n_rings: int) -> DiskMesh:
     """Concentric-ring triangulation with nominal mesh size ``h = 1/n_rings``."""
     if n_rings < 2:
         raise DomainError("n_rings must be >= 2, got %r" % (n_rings,))
-    nodes = [(0.0, 0.0)]
-    ring_start = [0]
-    for k in range(1, n_rings + 1):
-        ring_start.append(len(nodes))
-        m = 6 * k
-        ang = np.arange(m) * (TWO_PI / m)
-        rad = k / n_rings
-        nodes.extend(zip(rad * np.cos(ang), rad * np.sin(ang)))
-    nodes = np.asarray(nodes)
+    ring, slot, start = _ring_layout(n_rings)
+    ang = slot * (TWO_PI / np.maximum(1, 6 * ring))
+    rad = ring / n_rings
+    nodes = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
 
-    triangles = []
-    for j in range(6):  # central fan
-        triangles.append((0, 1 + j, 1 + (j + 1) % 6))
-    for k in range(2, n_rings + 1):
-        i0, m1 = ring_start[k - 1], 6 * (k - 1)
-        o0, m2 = ring_start[k], 6 * k
-        i = j = 0
-        while i < m1 or j < m2:
-            # advance whichever ring has the smaller next angle (exact integer compare)
-            advance_inner = i < m1 and (j >= m2 or (i + 1) * m2 <= (j + 1) * m1)
-            if advance_inner:
-                triangles.append((i0 + i, o0 + j % m2, i0 + (i + 1) % m1))
-                i += 1
-            else:
-                triangles.append((o0 + j, o0 + (j + 1) % m2, i0 + i % m1))
-                j += 1
-    triangles = np.asarray(triangles, dtype=np.int64)
+    # Between rings k - 1 and k (k >= 2), walk both rings counterclockwise:
+    # each step advances the inner ring (slot i -> i + 1, of m1 = 6 (k - 1))
+    # or the outer one (j -> j + 1, of m2 = 6 k), whichever has the smaller
+    # next angle, the inner one on a tie.  Comparing (i + 1) m2 with
+    # (j + 1) m1 is exact, so one stable sort of those keys (below
+    # 36 n_rings^2) gives every walk; the inner steps are listed first.
+    inner = np.flatnonzero((ring >= 1) & (ring < n_rings))
+    outer = np.flatnonzero(ring >= 2)
+    pair = np.concatenate([ring[inner] + 1, ring[outer]])
+    step = np.concatenate([slot[inner], slot[outer]])
+    key = (step + 1) * 6 * np.concatenate([ring[inner] + 1, ring[outer] - 1])
+    walk = np.argsort(pair * (36 * n_rings**2) + key, kind="stable")
+    pair, step, is_inner = pair[walk], step[walk], walk < inner.size
+    # the walk of pair k starts after the 6 k (k - 2) steps of the pairs before it
+    other = np.arange(walk.size) - 6 * pair * (pair - 2) - step  # the other ring's steps so far
+    m1, m2 = 6 * (pair - 1), 6 * pair
+    i = np.where(is_inner, step, other)
+    j = np.where(is_inner, other, step)
+    a, a1 = start[pair - 1] + i % m1, start[pair - 1] + (i + 1) % m1
+    b, b1 = start[pair] + j % m2, start[pair] + (j + 1) % m2
+    fan = np.stack([np.zeros(6, dtype=np.int64), 1 + np.arange(6), 1 + (np.arange(1, 7) % 6)], axis=1)
+    triangles = np.concatenate([fan, np.where(is_inner[:, None], np.stack([a, b, a1], axis=1),
+                                              np.stack([b, b1, a], axis=1))])
 
-    boundary = np.arange(ring_start[n_rings], ring_start[n_rings] + 6 * n_rings)
+    boundary = np.flatnonzero(ring == n_rings)
     mesh = DiskMesh(nodes, triangles, boundary, 1.0 / n_rings)
     areas = _triangle_geometry(mesh)[0]
     if np.any(areas <= 0.0):
@@ -124,14 +125,28 @@ def prolong(coarse: DiskMesh, values, mesh: DiskMesh) -> np.ndarray:
     that polygon's edge, and the node's value is linear in the radius
     between the two crossings.  Linear functions are reproduced, smooth ones
     to O(h^2), and a nested node gets its coarse value exactly: its angle is
-    an integer ring/slot ratio with no remainder.
+    an integer ring/slot ratio with no remainder.  These weights form a
+    sparse matrix, built on the first call and cached on ``mesh``.
     """
     n = round(1.0 / coarse.h)
-    values = np.asarray(values, dtype=float)
+    key = ("prolong", n)
+    matrix = mesh._cache.get(key)
+    if matrix is None:
+        matrix = _prolongation(n, mesh.n_nodes)
+        mesh._cache[key] = matrix
+    return matrix @ np.asarray(values, dtype=float)
+
+
+def _prolongation(n: int, n_fine: int) -> sp.csr_matrix:
+    """``prolong``'s weights from ``build_mesh(n)`` to ``build_mesh(2 n)``, with ``n_fine`` nodes.
+
+    Each row has at most four entries, the two ends of the edge crossed on
+    each coarse ring; a nested node's row is a single 1.0.
+    """
     ring, slot, _ = _ring_layout(2 * n)
-    if ring.size != mesh.n_nodes:
+    if ring.size != n_fine:
         raise DomainError("mesh has %d nodes, not the %d of the refined coarse mesh"
-                          % (mesh.n_nodes, ring.size))
+                          % (n_fine, ring.size))
     start = _ring_layout(n)[2]
     denom = np.maximum(ring, 1)
 
@@ -144,15 +159,19 @@ def prolong(coarse: DiskMesh, values, mesh: DiskMesh) -> np.ndarray:
         left, right = np.sin(2.0 * half * frac), np.sin(2.0 * half * (1.0 - frac))
         with np.errstate(invalid="ignore", divide="ignore"):  # ring 0 is the center
             along = np.where(k > 0, left / (left + right), 0.0)
-        value = (1.0 - along) * values[start[k] + lo % size] + along * values[start[k] + (lo + 1) % size]
         radius = (k / n) * (np.cos(half) / np.cos((2.0 * frac - 1.0) * half))
-        return radius, value
+        return radius, start[k] + lo % size, start[k] + (lo + 1) % size, along
 
     inner = np.minimum(ring // 2, n - 1)
-    r0, u0 = crossing(inner)
-    r1, u1 = crossing(inner + 1)
+    r0, a0, b0, t0 = crossing(inner)
+    r1, a1, b1, t1 = crossing(inner + 1)
     w = (ring / (2 * n) - r0) / (r1 - r0)
-    return (1.0 - w) * u0 + w * u1
+    weights = [(1.0 - w) * (1.0 - t0), (1.0 - w) * t0, w * (1.0 - t1), w * t1]
+    matrix = sp.csr_matrix((np.concatenate(weights),
+                            (np.tile(np.arange(n_fine), 4), np.concatenate([a0, b0, a1, b1]))),
+                           shape=(n_fine, start[-1] + 6 * n))
+    matrix.eliminate_zeros()
+    return matrix
 
 
 def _triangle_geometry(mesh: DiskMesh):

@@ -69,14 +69,16 @@ class SolveReport:
 
     ``residual_norm`` is the weighted-L2 norm of the discrete strong-form
     residual of the returned field.  A Newton solve without ``init`` first
-    solves on coarser meshes; its ``iterations`` counts the steps of every
-    level and its ``trace`` is the finest level's.  ``trace`` holds one
-    ``(residual_or_merit, step)`` pair per accepted iteration: the Newton
-    solvers record residual norms (non-increasing by the Armijo rule), the
-    descent solvers record the core energy ``0.5 |grad v|^2 + a int(v) +
-    b bint(v)`` of the problem they solve (for P1 that is half of
-    ``functional_I_p1``), and the monotone solver records sup-norm
-    increments.
+    solves on the coarser meshes of the ring hierarchy, and starts each
+    level from the solution below it, Richardson-extrapolated, prolonged
+    and relaxed on the new nodes; its ``iterations`` counts the steps of
+    every level that converged and its ``trace`` is the finest level's.
+    ``trace`` holds one ``(residual_or_merit, step)`` pair per accepted
+    iteration: the Newton solvers record residual norms (non-increasing by
+    the Armijo rule), the descent solvers record the core energy ``0.5
+    |grad v|^2 + a int(v) + b bint(v)`` of the problem they solve (for P1
+    that is half of ``functional_I_p1``), and the monotone solver records
+    sup-norm increments.
     """
 
     field: DiskField
@@ -87,6 +89,10 @@ class SolveReport:
     multiplier: float | None
     functional_value: float
     trace: list = dataclass_field(repr=False, default_factory=list)
+
+
+# nonlinear Jacobi sweeps on the new nodes of each nested Newton start
+_RELAX_SWEEPS = 8
 
 
 def _exp_unguarded(x):
@@ -248,52 +254,102 @@ def _jacobian(ops, prob, v):
 def _solve_newton(mesh, p, prob, init, opts, dirichlet=False):
     """Damped Newton on the core equation; boundary nodes stay at zero if ``dirichlet``.
 
-    Without ``init``, Newton starts from the solution of the same problem on
-    the mesh with half the rings (``coarse_mesh``), found the same way and
-    prolonged; by mesh independence it then needs a step or two.  Where
-    there is no coarser mesh, or its solve fails, it starts from zero.  The
-    stopping tolerance scales with the residual of zero either way, so it
-    stays above the float64 floor of the residual.  Residuals are weighted
-    by ``M + M_b``, which on the interior nodes is ``M``.  Returns ``(v,
-    residual_norm, iterations, trace)``: ``iterations`` counts the steps of
-    every level that converged, ``trace`` is this level's.
+    Without ``init`` this is the nested iteration of full multigrid.  The
+    rings nest (``coarse_mesh``), so the same problem, with the data taken
+    at the nested nodes, is solved first on the coarsest mesh from zero and
+    then on each finer mesh from the solution of the one below
+    (``_fmg_start``).  A level whose solve fails hands zero to the next, and
+    the finest level's failure is raised.  The stopping tolerance scales
+    with the residual of zero on every level, so it stays above the float64
+    floor of the residual.  Residuals are weighted by ``M + M_b``, which on
+    the interior nodes is ``M``.  Returns ``(v, residual_norm, iterations,
+    trace)``: ``iterations`` counts the steps of every level that converged,
+    ``trace`` is the finest level's.
     """
-    ops = assemble(mesh, p)
-    coarse_iterations = 0
     if init is not None:
-        v0 = init.values.copy()
-    else:
-        v0, coarse_iterations = _coarse_start(mesh, p, prob, opts, dirichlet)
+        return _newton_level(mesh, p, prob, init.values.copy(), opts, dirichlet, v_ref=None)
+    levels = [(mesh, prob)]
+    while (level := coarse_mesh(levels[-1][0])) is not None:
+        coarse, idx = level
+        fine_prob = levels[-1][1]
+        levels.append((coarse, ProblemP2(prob.a, prob.b, DiskField(coarse, fine_prob.f.values[idx]),
+                                         DiskField(coarse, fine_prob.g.values[idx]))))
+    v_2h = v_4h = None  # converged solutions of the two levels below
+    iterations = 0
+    for level_mesh, level_prob in reversed(levels):
+        v0 = np.zeros(level_mesh.n_nodes) if v_2h is None else _fmg_start(level_mesh, v_2h, v_4h)
+        try:
+            v, res, steps, trace = _newton_level(level_mesh, p, level_prob, v0, opts, dirichlet,
+                                                 v_ref=np.zeros(level_mesh.n_nodes),
+                                                 relax=v_2h is not None)
+        except (NonConvergence, SingularJacobian, DomainError):
+            if level_mesh is mesh:
+                raise
+            v = None
+        else:
+            iterations += steps
+        v_2h, v_4h = v, v_2h
+    return v, res, iterations, trace
+
+
+def _fmg_start(mesh, v_2h, v_4h):
+    """The half-ring solution ``v_2h`` prolonged to ``mesh``, Richardson-extrapolated first.
+
+    ``v_4h``, when given, is the solution of the level below ``v_2h``.  Its
+    O(h^2) error is four times that of ``v_2h``, so the extrapolated coarse
+    solution is ``v_2h + P (v_2h[idx] - v_4h) / 3``, with ``v_2h[idx]`` its
+    values at the nodes of that level and ``P`` the prolongation to it.
+    """
+    coarse = coarse_mesh(mesh)[0]
+    if v_4h is not None:
+        coarser, idx = coarse_mesh(coarse)
+        v_2h = v_2h + prolong(coarser, v_2h[idx] - v_4h, coarse) / 3.0
+    return prolong(coarse, v_2h, mesh)
+
+
+def _newton_level(mesh, p, prob, v0, opts, dirichlet, v_ref, relax=False):
+    """``_newton_loop`` on one mesh from ``v0``, relaxed first on the new nodes if ``relax``."""
+    ops = assemble(mesh, p)
     weights = ops.volume_mass + ops.boundary_mass
     mask = None
     if dirichlet:
         mask = mesh.interior_nodes()
         v0[mesh.boundary_nodes] = 0.0
         weights = weights[mask]
-    v, res, iterations, trace = _newton_loop(
-        lambda v: _residual(ops, prob, v), lambda v: _jacobian(ops, prob, v),
-        v0, weights, opts, dissection_order(mesh), mask=mask,
-        v_ref=None if init is not None else np.zeros(mesh.n_nodes))
-    return v, res, coarse_iterations + iterations, trace
+    if relax:
+        v0 = _relax_new_nodes(mesh, ops, prob, v0, mask, weights)
+    return _newton_loop(lambda v: _residual(ops, prob, v), lambda v: _jacobian(ops, prob, v),
+                        v0, weights, opts, dissection_order(mesh), mask=mask, v_ref=v_ref)
 
 
-def _coarse_start(mesh, p, prob, opts, dirichlet):
-    """Newton start and its step count from the half-ring mesh, or zeros and 0.
+def _relax_new_nodes(mesh, ops, prob, v0, mask, weights):
+    """``v0`` after nonlinear Jacobi sweeps on the nodes the half-ring mesh lacks.
 
-    The coarse problem takes the data at the nested nodes (injection).
+    A prolonged start is exact to O(h^2) only at the nested nodes; its
+    interpolation error sits on the new ones.  ``_RELAX_SWEEPS`` undamped
+    sweeps there, with the nested and the Dirichlet nodes held, cut that
+    error.  The relaxed start is kept only if it lowers the weighted
+    residual, which a start far from the solution need not.
     """
-    level = coarse_mesh(mesh)
-    if level is not None:
-        coarse, idx = level
-        coarse_prob = ProblemP2(prob.a, prob.b, DiskField(coarse, prob.f.values[idx]),
-                                DiskField(coarse, prob.g.values[idx]))
-        try:
-            v, _, iterations, _ = _solve_newton(coarse, p, coarse_prob, None, opts, dirichlet)
-        except (NonConvergence, SingularJacobian, DomainError):
-            pass
-        else:
-            return prolong(coarse, v, mesh), iterations
-    return np.zeros(mesh.n_nodes), 0
+    new = np.ones(mesh.n_nodes, dtype=bool)
+    new[coarse_mesh(mesh)[1]] = False
+    if mask is not None:
+        new[mesh.boundary_nodes] = False
+    new = np.flatnonzero(new)
+    # the core equation's rows at the new nodes: S v + (M a + M_b b) + (M f + M_b g) e^v
+    stiffness = ops.stiffness[new]
+    diag = ops.stiffness.diagonal()[new]
+    m, mb = ops.volume_mass[new], ops.boundary_mass[new]
+    linear = m * prob.a + mb * prob.b
+    w = m * prob.f.values[new] + mb * prob.g.values[new]
+    v = v0.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_RELAX_SWEEPS):
+            wev = w * _exp_unguarded(v[new])
+            v[new] -= (stiffness @ v + linear + wev) / (diag + wev)
+    rows = slice(None) if mask is None else mask
+    before = _weighted_norm(_residual(ops, prob, v0)[rows], weights)
+    return v if _weighted_norm(_residual(ops, prob, v)[rows], weights) < before else v0
 
 
 def _solve_variational(mesh, p, prob, init, opts, weights):

@@ -120,6 +120,31 @@ def test_benchmark_tracer_self_test():
     assert tracing.self_test() == []
 
 
+def test_nested_newton_factors_once_per_step_at_n32(params):
+    """The nested start's extrapolation and relaxation factor and solve nothing.
+
+    Traced with the benchmark's tracer, loaded read-only as above, a nested
+    P1 Newton solve still makes one factor and one triangular solve per step
+    over all its levels.
+    """
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    mesh = tb.build_mesh(32)
+    prob = tb.ProblemP1(1.5, tb.DiskField(mesh, 1.0 + 0.2 * mesh.nodes[:, 0]))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracing.solvers.solve_p1_newton(mesh, params, prob)
+    finally:
+        tracer.restore()
+    counts = tracing.layer_metrics(tracer.spans, 1)
+    factors = counts["solvers.factor_count"][0]
+    assert factors == counts["solvers.iterations"][0] == counts["solvers.trisolve_count"][0] > 0
+    assert tracing.restored()
+
+
 def test_p1_variational_is_one_solver_span(params):
     """A P1 variational solve runs the shared core, not another public solver.
 

@@ -40,6 +40,41 @@ def test_mesh_invariants():
     assert np.unwrap(ang)[-1] - np.unwrap(ang)[0] == pytest.approx(2 * math.pi * (1 - 1 / len(ang)), rel=1e-12)
 
 
+def build_mesh_loop(n_rings):
+    """Nodes and triangles of ``build_mesh`` as a ring-by-ring loop: the reference."""
+    nodes = [(0.0, 0.0)]
+    ring_start = [0]
+    for k in range(1, n_rings + 1):
+        ring_start.append(len(nodes))
+        m = 6 * k
+        ang = np.arange(m) * (2.0 * math.pi / m)
+        rad = k / n_rings
+        nodes.extend(zip(rad * np.cos(ang), rad * np.sin(ang)))
+    triangles = [(0, 1 + j, 1 + (j + 1) % 6) for j in range(6)]  # central fan
+    for k in range(2, n_rings + 1):
+        i0, m1 = ring_start[k - 1], 6 * (k - 1)
+        o0, m2 = ring_start[k], 6 * k
+        i = j = 0
+        while i < m1 or j < m2:
+            # advance whichever ring has the smaller next angle (exact integer compare)
+            if i < m1 and (j >= m2 or (i + 1) * m2 <= (j + 1) * m1):
+                triangles.append((i0 + i, o0 + j % m2, i0 + (i + 1) % m1))
+                i += 1
+            else:
+                triangles.append((o0 + j, o0 + (j + 1) % m2, i0 + i % m1))
+                j += 1
+    return np.asarray(nodes), np.asarray(triangles, dtype=np.int64)
+
+
+def test_build_mesh_matches_the_ring_loop_bit_for_bit():
+    for n in range(2, 65):
+        m = tb.build_mesh(n)
+        nodes, triangles = build_mesh_loop(n)
+        assert np.array_equal(m.nodes, nodes), n
+        assert np.array_equal(m.triangles, triangles), n
+        assert np.array_equal(m.boundary_nodes, np.arange(nodes.shape[0] - 6 * n, nodes.shape[0])), n
+
+
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_triangle_area_matches_polygon_oracle(n):
     m = tb.build_mesh(n)
@@ -174,6 +209,25 @@ def test_prolong_exact_at_nested_nodes_and_second_order():
         errs.append(np.max(np.abs(prolong(coarse, smooth(coarse.nodes), m) - smooth(m.nodes))))
         assert errs[-1] <= 1.2 * m.h**2
     assert 1.9 <= fit_order(errs) <= 2.1
+
+
+def test_prolong_is_a_cached_sparse_operator():
+    """One matrix per mesh: a nested node's row is a single 1.0, other rows have four entries."""
+    rng = np.random.default_rng(5)
+    for n in (4, 8, 16, 32, 64):
+        m = tb.build_mesh(n)
+        coarse, fine_index = coarse_mesh(m)
+        vals = rng.standard_normal(coarse.n_nodes)
+        out = prolong(coarse, vals, m)
+        matrix = m._cache[("prolong", n // 2)]
+        assert np.array_equal(out[fine_index], vals)
+        assert prolong(coarse, vals, m).tobytes() == out.tobytes()
+        assert m._cache[("prolong", n // 2)] is matrix
+        row_nnz = np.diff(matrix.indptr)
+        assert np.all(row_nnz <= 4)
+        assert np.all(row_nnz[fine_index] == 1) and np.all(matrix[fine_index].data == 1.0)
+        linear = lambda x: 0.7 - x[:, 0] + 0.3 * x[:, 1]
+        assert np.max(np.abs(prolong(coarse, linear(coarse.nodes), m) - linear(m.nodes))) <= 1e-15
 
 
 def test_discarded_mesh_is_freed_without_gc(params):

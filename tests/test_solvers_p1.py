@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import torusbvp as tb
+from torusbvp import solvers
 from oracles import fit_order
 
 
@@ -163,3 +164,24 @@ def test_variational_is_the_p2_core_case(params, mesh16, gamma, fn):
     assert i1 == pytest.approx(2.0 * tb.functional_I_p2(mesh16, params, rep2.field, prob2), rel=1e-10)
     if gamma != 0.0:
         assert rep1.multiplier * rep2.multiplier < 0.0
+
+
+def test_nested_newton_takes_one_fine_step(params, monkeypatch):
+    """On the benchmark's P1 data the extrapolated, relaxed start needs one fine factor.
+
+    Linear prolongation of the half-ring solution alone needs two.
+    """
+    mesh = tb.build_mesh(64)
+    prob = tb.ProblemP1(1.5, tb.DiskField(mesh, 1.0 + 0.2 * mesh.nodes[:, 0]))
+    sizes = []
+    real_splu = solvers.splu
+
+    def counting_splu(A, *args, **kwargs):
+        sizes.append(A.shape[0])
+        return real_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "splu", counting_splu)
+    rep = tb.solve_p1_newton(mesh, params, prob)
+    assert sizes.count(mesh.interior_nodes().size) == 1
+    assert len(rep.trace) == 2
+    assert rep.iterations == len(sizes)
