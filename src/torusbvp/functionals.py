@@ -7,12 +7,13 @@ feasible nodal data (e.g. constant fields) produce exactly zero residuals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, NoRootError
-from .geometry import TorusParams, orbit_distance_disk
+from .geometry import TorusParams
 from .mesh import DiskField, DiskMesh, assemble, dirichlet_energy, grad_energy_weighted
 
 EXP_ARG_CAP = 700.0
@@ -148,113 +149,74 @@ def mean_value(mesh: DiskMesh, p: TorusParams, field: DiskField, where: str = "v
     return float(w @ field.values) / float(np.sum(w))
 
 
-def smooth_cutoff(x):
-    """C-infinity transition: 1 on [0, 1/2], 0 on [1, inf), monotone between."""
-    x = np.asarray(x, dtype=float)
-    u = np.clip(2.0 * x - 1.0, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        qa = np.where(u > 0.0, np.exp(-1.0 / np.maximum(u, 1e-300)), 0.0)
-        qb = np.where(u < 1.0, np.exp(-1.0 / np.maximum(1.0 - u, 1e-300)), 0.0)
-    out = qb / (qa + qb)
-    return float(out) if out.ndim == 0 else out
-
-
-def bump_field(mesh: DiskMesh, p: TorusParams, center_node: int, delta: float, t0: float) -> DiskField:
-    """Smooth bump ``t0 * eta(d / delta)`` around the orbit of a mesh node."""
-    t_c, s_c = mesh.nodes[center_node]
-    orbit = (p.l + p.r * t_c, p.r * s_c)
-    d = orbit_distance_disk(p, mesh.nodes[:, 0], mesh.nodes[:, 1], orbit)
-    return DiskField(mesh, t0 * smooth_cutoff(d / delta))
-
-
-def _bracket_and_solve(fn, lo=-60.0, hi=60.0, n_scan=61):
-    """Root of a continuous scalar function on [lo, hi] via scan + brentq."""
-    from scipy.optimize import brentq
-
-    ts = np.linspace(lo, hi, n_scan)
-    vals = np.array([fn(t) for t in ts])
-    sign = np.sign(vals)
-    if np.any(vals == 0.0):
-        return float(ts[np.nonzero(vals == 0.0)[0][0]])
-    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    if idx.size == 0:
-        raise NoRootError("no sign change of the bump equation on [%g, %g]" % (lo, hi))
-    a, b = ts[idx[0]], ts[idx[0] + 1]
-    return float(brentq(fn, a, b, xtol=1e-13, rtol=8.9e-16))
-
-
 def reach_exponential_target(mesh: DiskMesh, p: TorusParams, f_field: DiskField, g_field: DiskField,
                              base: np.ndarray, target: float) -> np.ndarray:
-    """Add a calibrated bump so ``int(f e^v) + bint(g e^v)`` hits ``target``.
+    """``base - s d`` with ``int(f e^v) + bint(g e^v) = target``, ``d`` the nodal density.
 
-    The bump sits on the orbit of the node where the data pull in the needed
-    direction most strongly, with radius half the distance to the set where
-    they pull the other way; the amplitude is solved by 1D root finding.
+    ``d = (M f + M_b g) / (M + M_b)``, so the value phi(s) of the shifted
+    field has ``phi'(s) = -sum (M f + M_b g)^2 e^v / (M + M_b) < 0``.  Its
+    range is the real line when ``d`` changes sign and the half line of
+    ``d``'s sign otherwise; a target outside it raises ``InfeasibleError``.
+    With ``P`` and ``N`` the positive and negative parts of ``phi - target``,
+    ``log P - log N`` is strictly decreasing, finite at every ``s`` and
+    asymptotically linear, and safeguarded Newton finds its root.
     """
     ops = assemble(mesh, p)
-    f, g = f_field.values, g_field.values
-    with np.errstate(over="ignore"):
-        ev0 = np.exp(base)
-    e0 = float(ops.volume_mass @ (f * ev0)) + float(ops.boundary_mass @ (g * ev0))
-    sgn = 1.0 if target < e0 else -1.0  # sgn*density must be negative where the bump sits
+    w = ops.volume_mass * f_field.values + ops.boundary_mass * g_field.values
+    d = w / (ops.volume_mass + ops.boundary_mass)
+    parts = []  # (log of |term| at s = 0, density) of the positive, then the negative terms
+    for sign in (1.0, -1.0):
+        side = sign * w > 0.0
+        logs, dens = np.log(sign * w[side]) + base[side], d[side]
+        if sign * target < 0.0:
+            logs, dens = np.append(logs, math.log(abs(target))), np.append(dens, 0.0)
+        if logs.size == 0:
+            raise InfeasibleError("data have no values of the sign needed to reach the target %g" % target)
+        parts.append((logs, dens))
 
-    # combined lumped density decides where amplifying e^v moves the value the
-    # right way: boundary masses dominate volume masses for boundary nodes
-    density = ops.volume_mass * f + ops.boundary_mass * g
-    helpful = sgn * density < 0.0
-    if not np.any(helpful):
-        raise InfeasibleError("data have no values of the sign needed to reach the target")
-    is_bnd = np.zeros(mesh.n_nodes, dtype=bool)
-    is_bnd[mesh.boundary_nodes] = True
-    score = sgn * f + np.where(is_bnd, sgn * g, 0.0)
-    cand = np.nonzero(helpful)[0]
-    center = int(cand[np.argmin(score[cand])])
+    def log_part(s, logs, dens):
+        x = logs - s * dens
+        top = float(np.max(x))
+        e = np.exp(x - top)
+        total = float(np.sum(e))
+        return top + math.log(total), -float(e @ dens) / total
 
-    nodes = mesh.nodes
-    t_c, s_c = nodes[center]
-    orbit = (p.l + p.r * t_c, p.r * s_c)
-    stop = np.nonzero(~helpful)[0]
-    stop = stop[stop != center]
-    if stop.size:
-        d_stop = orbit_distance_disk(p, nodes[stop, 0], nodes[stop, 1], orbit)
-        delta = 0.5 * float(np.min(d_stop))
-    else:
-        delta = 0.5 * p.r
-    delta = max(delta, 0.75 * mesh.h * p.r)  # keep at least the center node inside the plateau
-
-    def gap(t0):
-        v = base + bump_field(mesh, p, center, delta, t0).values
-        with np.errstate(over="ignore"):
-            ev = np.exp(np.minimum(v, EXP_ARG_CAP))
-        return float(ops.volume_mass @ (f * ev)) + float(ops.boundary_mass @ (g * ev)) - target
-
-    t0 = _bracket_and_solve(gap)
-    return base + bump_field(mesh, p, center, delta, t0).values
+    s, lo, hi = 0.0, -math.inf, math.inf
+    scale, eps = 1.0 / float(np.max(np.abs(d))), np.finfo(float).eps
+    for _ in range(100):
+        (lp, dp), (ln, dn) = (log_part(s, *part) for part in parts)
+        gap = lp - ln
+        if gap > 0.0:
+            lo = s
+        else:
+            hi = s
+        step = -gap / (dp - dn)
+        # gap at the roundoff of its logs, or a step at the roundoff of s: one last step
+        if abs(gap) <= 4.0 * eps * (1.0 + abs(lp) + abs(ln)) or abs(step) <= 4.0 * eps * (abs(s) + scale):
+            return base - (s + step) * d
+        s = s + step if lo < s + step < hi else 0.5 * (lo + hi)
+    raise NoRootError("density shift did not converge to the target %g" % target)
 
 
 def construct_feasible_p2(mesh: DiskMesh, p: TorusParams, prob: ProblemP2, tol_scale: float = 1e-8) -> DiskField:
-    """Feasible point of {K = 0} for a = b = 0 via a calibrated smooth bump.
+    """Feasible point of {K = 0} for a = b = 0: zero moved by the density shift.
 
-    Places a bump on the orbit where the data are most negative (volume data
-    first, boundary data otherwise) with radius half the distance to the
-    nonnegative set, then solves K(bump amplitude) = 0 by 1D root finding.
+    ``reach_exponential_target`` from zero with target 0; the constraint set
+    is empty unless the data change sign, and ``InfeasibleError`` says so.
     """
     if prob.a != 0.0 or prob.b != 0.0:
         raise DomainError("feasible-point construction requires a = b = 0")
     ops = assemble(mesh, p)
     f = prob.f.values
     g = prob.g.values
-    bidx = mesh.boundary_nodes
     total = float(ops.volume_mass @ f) + float(ops.boundary_mass @ g)
     if total <= 0.0:
         raise InfeasibleError("int(f) + bint(g) must be positive, got %g" % total)
-    if float(f.min()) >= 0.0 and float(g[bidx].min()) >= 0.0:
-        raise InfeasibleError("f and g are both nonnegative: the constraint set is empty")
 
     values = reach_exponential_target(mesh, p, prob.f, prob.g, np.zeros(mesh.n_nodes), 0.0)
     field = DiskField(mesh, values)
     k_val = constraint_K(mesh, p, field, prob)
     tol = tol_scale * (abs(float(ops.volume_mass @ f)) + abs(float(ops.boundary_mass @ g)) + 1.0)
     if abs(k_val) > tol:
-        raise NoRootError("bump calibration left |K| = %g above tolerance %g" % (abs(k_val), tol))
+        raise NoRootError("density shift left |K| = %g above tolerance %g" % (abs(k_val), tol))
     return field

@@ -39,7 +39,6 @@ from .functionals import (
     ProblemP2,
     constraint_A_p1,
     constraint_K,
-    construct_feasible_p2,
     functional_I_p1,
     functional_I_p2,
     multiplier_kappa,
@@ -174,7 +173,9 @@ def _newton_loop(residual_fn, jacobian_fn, v0, weights, opts, order, trace=None,
     nodes (Dirichlet problems).  Only the residual rows in ``mask`` are read,
     so the residual function need not vanish off it.  Newton stops at the
     residual ``tol_abs + tol_rel * r``, where ``r`` is the residual of
-    ``v_ref`` (default ``v0``).
+    ``v_ref``, or without it the smaller of the residuals of ``v0`` and of
+    zero: a start far off, such as a stalled descent's, must not loosen the
+    tolerance.
     """
     def norm(F):
         return _weighted_norm(F if mask is None else F[mask], weights)
@@ -185,7 +186,8 @@ def _newton_loop(residual_fn, jacobian_fn, v0, weights, opts, order, trace=None,
     res = norm(F)
     if not math.isfinite(res):
         raise DomainError("initial iterate produces a non-finite residual")
-    tol = opts.tol_abs + opts.tol_rel * (res if v_ref is None else norm(residual_fn(v_ref)))
+    r_ref = norm(residual_fn(np.zeros_like(v) if v_ref is None else v_ref))
+    tol = opts.tol_abs + opts.tol_rel * (min(res, r_ref) if v_ref is None else r_ref)
     if mask is not None:
         order = _restrict_order(order, mask)
     trace.append((res, 0.0))
@@ -358,12 +360,17 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
     Projected preconditioned descent selects the minimizer and a damped
     Newton polish on the stationarity system finishes to tolerance.
     ``weights`` (one per node) measure residuals and descent steps and shift
-    the preconditioner ``S + diag(weights)``.  For a = b = 0 the minimizer is
-    gauge-fixed to zero mean, polished on the bordered KKT system, and
-    returned shifted by ``ln(kappa)`` together with ``kappa``; otherwise the
-    multiplier is the least-squares fit of ``S v + a M + b M_b`` to the
-    constraint normal.  Returns ``(v, multiplier, iterations,
-    residual_norm, trace)``.
+    the preconditioner ``S + diag(weights)``.  Every iterate lies on
+    {K = 0}.  With (a, b) != 0 the constant shift ``v + ln(-R / e)`` puts it
+    there, ``e`` the exponential terms, when ``e`` and ``R`` have opposite
+    signs; otherwise the start takes the density shift of
+    ``reach_exponential_target`` and a descent trial is rejected.  With
+    a = b = 0 every point takes the density shift.  For a = b = 0 the
+    minimizer is gauge-fixed to zero mean, polished on the bordered KKT
+    system, and returned shifted by ``ln(kappa)`` together with the KKT
+    ``kappa``; otherwise the multiplier is the least-squares fit of ``S v +
+    a M + b M_b`` to the constraint normal.  Returns ``(v, multiplier,
+    iterations, residual_norm, trace)``.
     """
     ops = assemble(mesh, p)
     S, m, mb = ops.stiffness, ops.volume_mass, ops.boundary_mass
@@ -374,7 +381,7 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
 
     def project(v):
         if case_zero:
-            return _restore_zero_e_terms(ops, prob, v)
+            return reach_exponential_target(mesh, p, prob.f, prob.g, v, 0.0)
         ev = _exp_unguarded(v)
         e = float(m @ (f * ev)) + float(mb @ (g * ev))
         if e == 0.0 or np.sign(e) == np.sign(r_h):
@@ -383,16 +390,8 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
 
     v = np.zeros(mesh.n_nodes) if init is None else init.values.copy()
     v_p = project(v)
-    if v_p is None:
-        # smooth projection failed: move the exponential terms by a bump first
-        if case_zero:
-            v = construct_feasible_p2(mesh, p, prob).values.copy()
-        else:
-            v = reach_exponential_target(mesh, p, prob.f, prob.g, v, -r_h)
-        v_p = project(v)
-    if v_p is None:
-        raise InfeasibleError("could not reach the K = 0 constraint set")
-    v = v_p
+    # no constant shift has the sign needed: shift along the density instead
+    v = reach_exponential_target(mesh, p, prob.f, prob.g, v, -r_h) if v_p is None else v_p
 
     order = dissection_order(mesh)
     precond = _factorize(S + sp.diags(weights), order)
@@ -495,24 +494,6 @@ def _kkt_polish(ops, prob, v, kappa0, weights, opts, order, trace):
     return x[:n], float(x[n]), iters, trace
 
 
-def _restore_zero_e_terms(ops, prob, v):
-    """Newton along the constraint normal until int(f e^v) + bint(g e^v) = 0."""
-    for _ in range(60):
-        w = _exp_terms(ops, prob, v)
-        val = float(np.sum(w))
-        scale = float(np.sum(np.abs(w))) + 1e-300
-        if abs(val) <= 1e-13 * scale:
-            return v
-        wn = w / (np.linalg.norm(w) + 1e-300)
-        deriv = float(w @ wn)
-        if deriv == 0.0 or not math.isfinite(deriv):
-            return None
-        v = v - (val / deriv) * wn
-        if not np.all(np.isfinite(v)):
-            return None
-    return None
-
-
 def _report(mesh, p, prob, v, iterations, res, multiplier, trace):
     """A converged field with the constraint value and energy of its own problem."""
     out = DiskField(mesh, v)
@@ -609,27 +590,23 @@ def solve_p2_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
                          init: DiskField | None = None, opts: SolveOptions | None = None) -> SolveReport:
     """Constrained minimization of the P2 energy over {K = 0}.
 
-    For a = b = 0 the minimizer is gauge-fixed to zero mean, the reported
-    multiplier is its ``multiplier_kappa`` (the e^{-v}-weighted gradient
-    integral), and the multiplier-shifted field (polished by Newton) is
-    returned.  With (a, b) != 0 the stationary point of the constrained
+    For a = b = 0 the minimizer is gauge-fixed to zero mean, and the
+    field returned is that minimizer shifted by ``ln(kappa)``, ``kappa`` the
+    multiplier of the bordered KKT system, which is reported (as for P1 with
+    gamma = 0).  With (a, b) != 0 the stationary point of the constrained
     problem satisfies the P2 weak form directly.
     """
     ops = assemble(mesh, p)
     g = prob.g.values[mesh.boundary_nodes]
     if np.all(prob.f.values == 0.0) and np.all(g == 0.0):
         raise InfeasibleError("f and g must not both vanish identically")
-    case_zero = prob.a == 0.0 and prob.b == 0.0
-    if prob.a >= 0.0 and prob.b >= 0.0 and not case_zero \
+    if prob.a >= 0.0 and prob.b >= 0.0 and (prob.a, prob.b) != (0.0, 0.0) \
             and not (0.0 < prob.R(p) < (8.0 if np.all(g == 0.0) else 4.0) * math.pi**2 * (p.l - p.r)):
         warnings.warn("R=%g outside the sufficient existence window of the a,b >= 0 regime" % prob.R(p),
                       ExistenceWindowWarning, stacklevel=2)
 
     v, multiplier, iterations, res, trace = _solve_variational(
         mesh, p, prob, init, opts or SolveOptions(), ops.volume_mass + ops.boundary_mass)
-    if case_zero:
-        # kappa times the multiplier of the shifted field is that of the minimizer
-        multiplier *= multiplier_kappa(mesh, p, DiskField(mesh, v), prob)
     return _report(mesh, p, prob, v, iterations, res, multiplier, trace)
 
 

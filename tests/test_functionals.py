@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import torusbvp as tb
-from torusbvp.functionals import smooth_cutoff
 from oracles import SmoothFieldBasis
 
 
@@ -143,15 +142,6 @@ def test_exp_capped():
         tb.exp_capped(np.array([0.0, 800.0]))
 
 
-def test_smooth_cutoff_plateaus():
-    x = np.linspace(0, 2, 401)
-    eta = smooth_cutoff(x)
-    assert np.all(eta[x <= 0.5] == 1.0)
-    assert np.all(eta[x >= 1.0] == 0.0)
-    assert np.all(np.diff(eta) <= 1e-12)
-    assert np.all((eta >= 0.0) & (eta <= 1.0))
-
-
 def test_construct_feasible_volume_case(params, mesh16):
     f = tb.DiskField.from_function(mesh16, lambda t, s: t + 0.3)
     g = tb.DiskField.constant(mesh16, 0.0)
@@ -170,6 +160,24 @@ def test_construct_feasible_boundary_case(params, mesh16):
     ops = tb.assemble(mesh16, params)
     tol = 1e-8 * (abs(float(ops.boundary_mass @ g.values)) + 1.0)
     assert abs(tb.constraint_K(mesh16, params, field, prob)) <= tol
+
+
+@pytest.mark.parametrize("fn_f, fn_g", [
+    (lambda t, s: t + 0.55, lambda t, s: 0.0 * t),
+    (lambda t, s: 0.0 * t, lambda t, s: t + 0.8),
+    (lambda t, s: 0.3 - t, lambda t, s: 0.0 * t),
+    (lambda t, s: t + 0.5, lambda t, s: t + 0.5),
+], ids=["f=t+0.55", "g=t+0.8", "f=0.3-t", "f=g=t+0.5"])
+def test_construct_feasible_reaches_roundoff(params, mesh16, fn_f, fn_g):
+    """The density shift puts K at the roundoff of its own terms."""
+    f = tb.DiskField.from_function(mesh16, fn_f)
+    g = tb.DiskField.from_function(mesh16, fn_g)
+    prob = tb.ProblemP2(0.0, 0.0, f, g)
+    field = tb.construct_feasible_p2(mesh16, params, prob)
+    ops = tb.assemble(mesh16, params)
+    ev = np.exp(field.values)
+    scale = float(ops.volume_mass @ (np.abs(f.values) * ev)) + float(ops.boundary_mass @ (np.abs(g.values) * ev))
+    assert abs(tb.constraint_K(mesh16, params, field, prob)) <= 8.0 * np.finfo(float).eps * scale
 
 
 def test_construct_feasible_rejects(params, mesh16):

@@ -1,7 +1,9 @@
 """Every name a library module imports is used in that module.
 
 ``__init__.py`` re-exports by importing, and ``from __future__`` imports
-switch language features, so both are exempt.
+switch language features, so both are exempt.  Every private module-level
+function or class of the library is referenced somewhere in it, so a helper
+whose last caller goes is deleted with it.
 """
 
 import ast
@@ -29,3 +31,12 @@ def unused_imports(tree):
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_every_private_helper_is_referenced():
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))]
+    private = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")}
+    referenced = {node.id if isinstance(node, ast.Name) else node.attr
+                  for tree in trees for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    assert sorted(private - referenced) == []

@@ -164,6 +164,20 @@ def test_variational_is_the_p2_core_case(params, mesh16, gamma, fn):
     assert i1 == pytest.approx(2.0 * tb.functional_I_p2(mesh16, params, rep2.field, prob2), rel=1e-10)
     if gamma != 0.0:
         assert rep1.multiplier * rep2.multiplier < 0.0
+    else:
+        # both report the KKT kappa, the shift of the returned field
+        assert rep1.multiplier == pytest.approx(rep2.multiplier, rel=1e-10)
+
+
+def test_variational_polish_that_diverges_is_not_converged(params, mesh16):
+    """A polish started where the descent stopped must not scale its tolerance by that start.
+
+    Here the polish leaves a residual of order 1e8; measured against the
+    residual of its start that once passed as convergence.
+    """
+    prob = tb.ProblemP1(-1.0, tb.DiskField.from_function(mesh16, lambda t, s: t - 0.5))
+    with pytest.raises(tb.NonConvergence):
+        tb.solve_p1_variational(mesh16, params, prob)
 
 
 def test_nested_newton_takes_one_fine_step(params, monkeypatch):
