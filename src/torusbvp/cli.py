@@ -17,7 +17,10 @@ makes every admissible datum rotation-invariant by construction.  Reports are
 JSON; scan tables are CSV with 17-significant-digit values, a newline line
 ending and one timestamp header line (bodies are byte-identical across runs).
 
-Exit codes: 0 success, 2 solver non-convergence, 3 configuration error.
+Exit codes: 0 success; 1 a failed verify check, or a library error
+other than non-convergence (infeasible or out-of-domain data, a singular
+Jacobian, a broken sub/supersolution ordering); 2 solver non-convergence;
+3 configuration error.
 """
 
 from __future__ import annotations

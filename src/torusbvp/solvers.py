@@ -57,9 +57,6 @@ class SolveOptions:
     max_iter: int = 50
     max_descent_iter: int = 5000
     max_monotone_iter: int = 500
-    armijo_factor: float = 0.5
-    armijo_slope: float = 1e-4
-    min_step: float = 2.0**-20
 
 
 @dataclass
@@ -92,6 +89,11 @@ class SolveReport:
 
 # nonlinear Jacobi sweeps on the new nodes of each nested Newton start
 _RELAX_SWEEPS = 8
+# Armijo backtracking of the Newton and descent line searches: the step
+# factor, the sufficient-decrease slope and the smallest step tried
+_ARMIJO_FACTOR = 0.5
+_ARMIJO_SLOPE = 1e-4
+_MIN_STEP = 2.0**-20
 
 
 def _exp_unguarded(x):
@@ -125,22 +127,18 @@ def _factorize(matrix, order):
     """Sparse LU of a structurally symmetric matrix in a given elimination order.
 
     Every matrix the solvers factor is the weighted stiffness plus a diagonal
-    (Newton Jacobians, descent preconditioners, the monotone shift), its
-    interior block, or that matrix bordered by two constraint rows and the
-    matching columns.  Its graph is the mesh's, so one nested-dissection
-    order of the mesh nodes (``dissection_order``) serves them all.  A planar
-    mesh has small separators, which nested dissection orders last, so it
-    leaves less fill than minimum degree: 0.87 times the nonzeros on a
-    50k-node Jacobian.  The Dirichlet block takes the order restricted to the
-    interior nodes (``_restrict_order``); a bordered matrix takes it followed
-    by its two constraint unknowns (``_bordered_order``), so the dense border
-    is eliminated last and adds no fill to the mesh block.
+    (Newton Jacobians, descent preconditioners, the monotone shift) or its
+    interior block.  Its graph is the mesh's, so one nested-dissection order
+    of the mesh nodes (``dissection_order``) serves them all.  A planar mesh
+    has small separators, which nested dissection orders last, so it leaves
+    less fill than minimum degree: 0.87 times the nonzeros on a 50k-node
+    Jacobian.  The Dirichlet block takes the order restricted to the interior
+    nodes (``_restrict_order``).
 
     Rows and columns are permuted alike and SuperLU keeps that order
     (``NATURAL``, ``SymmetricMode``).  A diagonal pivot threshold of 0.01
     keeps the diagonal as the pivot unless it is below 1% of the largest
-    entry in its column; the border's zero diagonal block has filled in by
-    the time its rows are reached.
+    entry in its column.
     """
     A = sp.csc_matrix(matrix)[order][:, order]
     try:
@@ -159,61 +157,52 @@ def _restrict_order(order, nodes):
     return local[local >= 0]
 
 
-def _bordered_order(order):
-    """``order`` followed by the two constraint unknowns of a bordered system."""
-    return np.append(order, [order.size, order.size + 1])
+def _newton_loop(ops, prob, v0, weights, opts, order, trace=None, mask=None):
+    """Damped Newton on the core equation, Armijo backtracking on its weighted residual norm.
 
-
-def _newton_loop(residual_fn, jacobian_fn, v0, weights, opts, order, trace=None, mask=None,
-                 v_ref=None):
-    """Damped Newton with Armijo backtracking on the weighted residual norm.
-
-    ``order`` is the elimination order of the unknowns (see ``_factorize``).
-    ``mask`` restricts the update, the Jacobian and the order to a subset of
-    nodes (Dirichlet problems).  Only the residual rows in ``mask`` are read,
-    so the residual function need not vanish off it.  Newton stops at the
-    residual ``tol_abs + tol_rel * r``, where ``r`` is the residual of
-    ``v_ref``, or without it the smaller of the residuals of ``v0`` and of
-    zero: a start far off, such as a stalled descent's, must not loosen the
-    tolerance.
+    ``order`` is the elimination order of the nodes (see ``_factorize``).
+    ``mask`` restricts the update, the residual rows, the Jacobian and the
+    order to a subset of nodes (Dirichlet problems); ``weights`` are given
+    on those rows.  Newton stops at the residual ``tol_abs + tol_rel * r0``,
+    ``r0`` the residual of the zero field.  That reference depends on the
+    data alone, so no start moves the tolerance: a start far off, such as a
+    stalled descent's, cannot loosen it, and a start near the solution
+    cannot push it below the float64 floor of the residual.
     """
-    def norm(F):
-        return _weighted_norm(F if mask is None else F[mask], weights)
+    rows = slice(None) if mask is None else mask
+
+    def residual(v):
+        F = _residual(ops, prob, v)[rows]
+        return F, _weighted_norm(F, weights)
 
     v = v0.copy()
     trace = trace if trace is not None else []
-    F = residual_fn(v)
-    res = norm(F)
+    F, res = residual(v)
     if not math.isfinite(res):
         raise DomainError("initial iterate produces a non-finite residual")
-    r_ref = norm(residual_fn(np.zeros_like(v) if v_ref is None else v_ref))
-    tol = opts.tol_abs + opts.tol_rel * (min(res, r_ref) if v_ref is None else r_ref)
+    tol = opts.tol_abs + opts.tol_rel * residual(np.zeros_like(v))[1]
     if mask is not None:
         order = _restrict_order(order, mask)
     trace.append((res, 0.0))
     iterations = 0
     while res > tol and iterations < opts.max_iter:
-        J = jacobian_fn(v)
+        J = _jacobian(ops, prob, v)
         if mask is not None:
             J = J[mask, :][:, mask]
         # the factor serves one solve; holding no reference frees it at once
-        delta = -_factorize(J, order).solve(F if mask is None else F[mask])
+        delta = -_factorize(J, order).solve(F)
         if not np.all(np.isfinite(delta)):
             raise SingularJacobian("Newton direction is non-finite")
         step = 1.0
         accepted = False
-        while step >= opts.min_step:
+        while step >= _MIN_STEP:
             v_trial = v.copy()
-            if mask is None:
-                v_trial += step * delta
-            else:
-                v_trial[mask] += step * delta
-            F_trial = residual_fn(v_trial)
-            res_trial = norm(F_trial)
-            if math.isfinite(res_trial) and res_trial <= (1.0 - opts.armijo_slope * step) * res:
+            v_trial[rows] += step * delta
+            F_trial, res_trial = residual(v_trial)
+            if math.isfinite(res_trial) and res_trial <= (1.0 - _ARMIJO_SLOPE * step) * res:
                 accepted = True
                 break
-            step *= opts.armijo_factor
+            step *= _ARMIJO_FACTOR
         if not accepted:
             raise NonConvergence("Newton line search stalled at residual %g" % res)
         v, F, res = v_trial, F_trial, res_trial
@@ -261,15 +250,16 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False):
     at the nested nodes, is solved first on the coarsest mesh from zero and
     then on each finer mesh from the solution of the one below
     (``_fmg_start``).  A level whose solve fails hands zero to the next, and
-    the finest level's failure is raised.  The stopping tolerance scales
-    with the residual of zero on every level, so it stays above the float64
-    floor of the residual.  Residuals are weighted by ``M + M_b``, which on
-    the interior nodes is ``M``.  Returns ``(v, residual_norm, iterations,
-    trace)``: ``iterations`` counts the steps of every level that converged,
+    the finest level's failure is raised.  Every level, like a solve from
+    ``init``, stops at ``_newton_loop``'s tolerance, which scales with the
+    residual of zero and so stays above the float64 floor of the residual.
+    Residuals are weighted by ``M + M_b``, which on the interior nodes is
+    ``M``.  Returns ``(v, residual_norm, iterations, trace)``:
+    ``iterations`` counts the steps of every level that converged,
     ``trace`` is the finest level's.
     """
     if init is not None:
-        return _newton_level(mesh, p, prob, init.values.copy(), opts, dirichlet, v_ref=None)
+        return _newton_level(mesh, p, prob, init.values.copy(), opts, dirichlet)
     levels = [(mesh, prob)]
     while (level := coarse_mesh(levels[-1][0])) is not None:
         coarse, idx = level
@@ -282,7 +272,6 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False):
         v0 = np.zeros(level_mesh.n_nodes) if v_2h is None else _fmg_start(level_mesh, v_2h, v_4h)
         try:
             v, res, steps, trace = _newton_level(level_mesh, p, level_prob, v0, opts, dirichlet,
-                                                 v_ref=np.zeros(level_mesh.n_nodes),
                                                  relax=v_2h is not None)
         except (NonConvergence, SingularJacobian, DomainError):
             if level_mesh is mesh:
@@ -309,7 +298,7 @@ def _fmg_start(mesh, v_2h, v_4h):
     return prolong(coarse, v_2h, mesh)
 
 
-def _newton_level(mesh, p, prob, v0, opts, dirichlet, v_ref, relax=False):
+def _newton_level(mesh, p, prob, v0, opts, dirichlet, relax=False):
     """``_newton_loop`` on one mesh from ``v0``, relaxed first on the new nodes if ``relax``."""
     ops = assemble(mesh, p)
     weights = ops.volume_mass + ops.boundary_mass
@@ -320,8 +309,7 @@ def _newton_level(mesh, p, prob, v0, opts, dirichlet, v_ref, relax=False):
         weights = weights[mask]
     if relax:
         v0 = _relax_new_nodes(mesh, ops, prob, v0, mask, weights)
-    return _newton_loop(lambda v: _residual(ops, prob, v), lambda v: _jacobian(ops, prob, v),
-                        v0, weights, opts, dissection_order(mesh), mask=mask, v_ref=v_ref)
+    return _newton_loop(ops, prob, v0, weights, opts, dissection_order(mesh), mask=mask)
 
 
 def _relax_new_nodes(mesh, ops, prob, v0, mask, weights):
@@ -357,8 +345,8 @@ def _relax_new_nodes(mesh, ops, prob, v0, mask, weights):
 def _solve_variational(mesh, p, prob, init, opts, weights):
     """Minimize ``0.5 |grad v|^2 + a int(v) + b bint(v)`` over {K = 0}, then polish.
 
-    Projected preconditioned descent selects the minimizer and a damped
-    Newton polish on the stationarity system finishes to tolerance.
+    Projected preconditioned descent selects the minimizer and
+    ``_newton_loop`` on the core equation polishes it to tolerance.
     ``weights`` (one per node) measure residuals and descent steps and shift
     the preconditioner ``S + diag(weights)``.  Every iterate lies on
     {K = 0}.  With (a, b) != 0 the constant shift ``v + ln(-R / e)`` puts it
@@ -366,11 +354,12 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
     signs; otherwise the start takes the density shift of
     ``reach_exponential_target`` and a descent trial is rejected.  With
     a = b = 0 every point takes the density shift.  For a = b = 0 the
-    minimizer is gauge-fixed to zero mean, polished on the bordered KKT
-    system, and returned shifted by ``ln(kappa)`` together with the KKT
-    ``kappa``; otherwise the multiplier is the least-squares fit of ``S v +
-    a M + b M_b`` to the constraint normal.  Returns ``(v, multiplier,
-    iterations, residual_norm, trace)``.
+    minimizer is gauge-fixed to zero mean, and shifted by the logarithm of
+    its ``multiplier_kappa`` it solves the core equation; the polish starts
+    there, and the multiplier reported is ``kappa``, ``exp`` of the polished
+    field's ``M``-weighted mean.  Otherwise the multiplier is the
+    least-squares fit of ``S v + a M + b M_b`` to the constraint normal.
+    Returns ``(v, multiplier, iterations, residual_norm, trace)``.
     """
     ops = assemble(mesh, p)
     S, m, mb = ops.stiffness, ops.volume_mass, ops.boundary_mass
@@ -408,16 +397,16 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
             break
         dnorm = _weighted_norm(d * weights, weights)
         step, accepted = 1.0, False
-        while step >= opts.min_step:
+        while step >= _MIN_STEP:
             v_t = project(v + step * d)
             if v_t is not None:
                 if case_zero:
                     v_t = v_t - float(m @ v_t) / vol_h
                 merit_t = functional_I_p2(mesh, p, DiskField(mesh, v_t), prob)
-                if math.isfinite(merit_t) and merit_t <= merit + opts.armijo_slope * step * slope:
+                if math.isfinite(merit_t) and merit_t <= merit + _ARMIJO_SLOPE * step * slope:
                     v, merit, accepted = v_t, merit_t, True
                     break
-            step *= opts.armijo_factor
+            step *= _ARMIJO_FACTOR
         if not accepted:
             break
         iterations += 1
@@ -425,18 +414,12 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
         if dnorm * step <= 10.0 * opts.tol_abs:
             break
 
+    if case_zero:  # the shifted minimizer solves the equation
+        v = v + math.log(multiplier_kappa(mesh, p, DiskField(mesh, v), prob))
+    v, res, polish_iters, trace = _newton_loop(ops, prob, v, weights, opts, order, trace=trace)
     if case_zero:
-        kappa0 = multiplier_kappa(mesh, p, DiskField(mesh, v), prob)
-        v, multiplier, polish_iters, trace = _kkt_polish(ops, prob, v, kappa0, weights, opts, order,
-                                                         trace)
-        if multiplier <= 0.0:
-            raise NonConvergence("recovered constraint multiplier is not positive: %g" % multiplier)
-        v = v + math.log(multiplier)  # the shifted minimizer solves the equation
-        res = _weighted_norm(_residual(ops, prob, v), weights)
+        multiplier = math.exp(float(m @ v) / vol_h)
     else:
-        v, res, polish_iters, trace = _newton_loop(
-            lambda w: _residual(ops, prob, w), lambda w: _jacobian(ops, prob, w),
-            v, weights, opts, order, trace=trace)
         w_vec = _exp_terms(ops, prob, v)
         multiplier = float(w_vec @ (S @ v + prob.a * m + prob.b * mb)) / float(w_vec @ w_vec)
     return v, multiplier, iterations + polish_iters, res, trace
@@ -460,38 +443,6 @@ def _projected_direction(precond, grad, normals):
         mu = np.linalg.lstsq(a, rhs, rcond=None)[0]
     d = -(pg - pw @ mu)
     return d, float(grad @ d)
-
-
-def _kkt_polish(ops, prob, v, kappa0, weights, opts, order, trace):
-    """Damped Newton on the bordered system of the a = b = 0 minimization.
-
-    Unknowns (v, kappa, lambda); equations (in the Euler orientation of the
-    constrained problem): S v + kappa w(v) + lambda M = 0 with
-    w(v) = M f e^v + M_b g e^v, plus sum(w(v)) = 0 and int(v) = 0.  At the
-    solution lambda vanishes and v + ln(kappa) solves the core equation.
-    """
-    S, m = ops.stiffness, ops.volume_mass
-    n = v.size
-
-    def residual(x):
-        w, ka, la = x[:n], x[n], x[n + 1]
-        wv = _exp_terms(ops, prob, w)
-        F = np.empty(n + 2)
-        with np.errstate(invalid="ignore", over="ignore"):
-            F[:n] = S @ w + ka * wv + la * m
-        F[n] = np.sum(wv)
-        F[n + 1] = m @ w
-        return F
-
-    def jacobian(x):
-        wv = _exp_terms(ops, prob, x[:n])
-        border = sp.csc_matrix(np.stack([wv, m], axis=1))
-        return sp.bmat([[S + sp.diags(x[n] * wv), border], [border.T, None]], format="csr")
-
-    x0 = np.concatenate([v, [kappa0, 0.0]])
-    x, _, iters, trace = _newton_loop(residual, jacobian, x0, np.concatenate([weights, [1.0, 1.0]]),
-                                      opts, _bordered_order(order), trace=trace)
-    return x[:n], float(x[n]), iters, trace
 
 
 def _report(mesh, p, prob, v, iterations, res, multiplier, trace):
@@ -544,8 +495,9 @@ def solve_p1_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
     int(v)``, with residuals weighted by the volume mass.  It runs over the
     full nodal space, so the stationary field satisfies the interior
     equation with natural (zero-flux) boundary behavior.  For gamma = 0 the
-    returned field is the multiplier-shifted minimizer and the multiplier is
-    the KKT one; otherwise it is the fitted multiplier of ``f e^v``.
+    returned field is the minimizer shifted by ``ln(kappa)`` and polished,
+    and the multiplier is ``kappa``, ``exp`` of its mean; otherwise it is the
+    fitted multiplier of ``f e^v``.
     """
     m = assemble(mesh, p).volume_mass
     f, gamma = prob.f.values, prob.gamma
@@ -591,15 +543,21 @@ def solve_p2_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
     """Constrained minimization of the P2 energy over {K = 0}.
 
     For a = b = 0 the minimizer is gauge-fixed to zero mean, and the
-    field returned is that minimizer shifted by ``ln(kappa)``, ``kappa`` the
-    multiplier of the bordered KKT system, which is reported (as for P1 with
-    gamma = 0).  With (a, b) != 0 the stationary point of the constrained
-    problem satisfies the P2 weak form directly.
+    field returned is that minimizer shifted by ``ln(kappa)`` and polished
+    on the P2 equation; ``kappa``, ``exp`` of the returned field's volume
+    mean, is reported (as for P1 with gamma = 0).  Those data need
+    ``int(f) + bint(g) > 0``: at every solution that sum equals ``int(e^-v
+    |grad v|^2)`` (``identity_6_14_residual``).  With (a, b) != 0 the
+    stationary point of the constrained problem satisfies the P2 weak form
+    directly.
     """
     ops = assemble(mesh, p)
     g = prob.g.values[mesh.boundary_nodes]
     if np.all(prob.f.values == 0.0) and np.all(g == 0.0):
         raise InfeasibleError("f and g must not both vanish identically")
+    if (prob.a, prob.b) == (0.0, 0.0) \
+            and float(ops.volume_mass @ prob.f.values) + float(ops.boundary_mass @ prob.g.values) <= 0.0:
+        raise InfeasibleError("a = b = 0 requires int(f) + bint(g) > 0")
     if prob.a >= 0.0 and prob.b >= 0.0 and (prob.a, prob.b) != (0.0, 0.0) \
             and not (0.0 < prob.R(p) < (8.0 if np.all(g == 0.0) else 4.0) * math.pi**2 * (p.l - p.r)):
         warnings.warn("R=%g outside the sufficient existence window of the a,b >= 0 regime" % prob.R(p),
@@ -717,14 +675,5 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
     if not converged:
         raise NonConvergence("monotone iteration did not contract below %g in %d steps"
                              % (tol, opts.max_monotone_iter))
-    out = DiskField(mesh, v)
-    return SolveReport(
-        field=out,
-        converged=True,
-        iterations=iterations,
-        residual_norm=p2_residual_norm(mesh, p, prob, out),
-        constraint_value=constraint_K(mesh, p, out, prob),
-        multiplier=None,
-        functional_value=functional_I_p2(mesh, p, out, prob),
-        trace=trace,
-    )
+    return _report(mesh, p, prob, v, iterations, p2_residual_norm(mesh, p, prob, DiskField(mesh, v)),
+                   None, trace)

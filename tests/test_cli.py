@@ -129,6 +129,26 @@ max_iter = 1
     assert main(["solve-p2", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_solve_p2_infeasible_data_exit(tmp_path, capsys):
+    text = """
+[geometry]
+l = 2.0
+r = 1.0
+[mesh]
+n_rings = 16
+[problem]
+a = 0
+b = 0
+f = t - 0.5
+g = 0
+[solver]
+method = variational
+"""
+    cfg = write_cfg(tmp_path, text)
+    assert main(["solve-p2", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "int(f) + bint(g) > 0" in capsys.readouterr().err
+
+
 def test_mt_scan_deterministic_csv(tmp_path):
     cfg = write_cfg(tmp_path, BASE)
     out1, out2 = tmp_path / "a", tmp_path / "b"

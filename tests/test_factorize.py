@@ -1,10 +1,10 @@
 """The solvers' one factorization entry point against SuperLU's defaults.
 
 Each matrix kind the solvers factor is rebuilt here from the assembled
-operators and factored in the mesh's nested-dissection order, derived for
-that kind.  ``_factorize`` must solve it as accurately as ``splu`` with its
-default (COLAMD) ordering.  Mesh matrices must get clearly less fill, and
-bordered ones no more; both are counts, so a changed ordering fails
+operators and factored in the mesh's nested-dissection order, restricted
+to the interior nodes for the Dirichlet block.  ``_factorize`` must solve
+it as accurately as ``splu`` with its default (COLAMD) ordering, and with
+clearly less fill; fill is a count, so a changed ordering fails
 deterministically.  The benchmark's tracer must still see one factor and
 one triangular solve per Newton step, and one solver span per public solve.
 """
@@ -20,7 +20,7 @@ from scipy.sparse.linalg import splu
 
 import torusbvp as tb
 from torusbvp.mesh import dissection_order
-from torusbvp.solvers import _bordered_order, _factorize, _restrict_order
+from torusbvp.solvers import _factorize, _restrict_order
 
 SOLVE_RTOL = 1e-12
 
@@ -49,23 +49,12 @@ def monotone_shifted(mesh, ops):
     return ops.stiffness + sp.diags(2.5 * ops.volume_mass + 2.0 * ops.boundary_mass)
 
 
-def bordered_kkt(mesh, ops):
-    """Core S + diag(kappa w) bordered by the constraint rows w and m."""
-    m = ops.volume_mass
-    w = m * (mesh.nodes[:, 0] + 0.55) * np.exp(_smooth(mesh))
-    core = ops.stiffness + sp.diags(0.7 * w)
-    cols = sp.csc_matrix(np.stack([w, m], axis=1))
-    return sp.bmat([[core, cols], [cols.T, None]], format="csr")
-
-
 # kind -> the elimination order of its unknowns
 ORDER = {p1_jacobian_masked: lambda mesh: _restrict_order(dissection_order(mesh), mesh.interior_nodes()),
-         p2_jacobian: dissection_order, monotone_shifted: dissection_order,
-         bordered_kkt: lambda mesh: _bordered_order(dissection_order(mesh))}
+         p2_jacobian: dissection_order, monotone_shifted: dissection_order}
 
 # kind -> largest allowed nnz(L+U) relative to the default ordering's
-FILL_RATIO_MAX = {p1_jacobian_masked: 0.8, p2_jacobian: 0.8, monotone_shifted: 0.8,
-                  bordered_kkt: 1.0}
+FILL_RATIO_MAX = {p1_jacobian_masked: 0.8, p2_jacobian: 0.8, monotone_shifted: 0.8}
 
 
 @pytest.mark.parametrize("n_rings", [16, 32])
@@ -106,9 +95,6 @@ def test_derived_orders_are_permutations(mesh16):
     assert np.array_equal(np.sort(inner), np.arange(interior.size))
     # the interior nodes keep their relative elimination order
     assert np.array_equal(interior[inner], order[np.isin(order, interior)])
-    bordered = _bordered_order(order)
-    assert np.array_equal(np.sort(bordered), np.arange(mesh16.n_nodes + 2))
-    assert list(bordered[-2:]) == [mesh16.n_nodes, mesh16.n_nodes + 1]
 
 
 def test_benchmark_tracer_self_test():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import torusbvp as tb
-from torusbvp import solvers
 from oracles import fit_order
 
 
@@ -165,20 +164,12 @@ def benchmark_p2(n, c=0.1):
     return mesh, tb.ProblemP2(0.5, 0.5, data, data)
 
 
-def test_newton_starts_from_the_half_ring_solution(params, monkeypatch):
+def test_newton_starts_from_the_half_ring_solution(params, splu_sizes):
     mesh, prob = benchmark_p2(32)
-    sizes = []
-    real_splu = solvers.splu
-
-    def counting_splu(A, *args, **kwargs):
-        sizes.append(A.shape[0])
-        return real_splu(A, *args, **kwargs)
-
-    monkeypatch.setattr(solvers, "splu", counting_splu)
     rep = tb.solve_p2_newton(mesh, params, prob)
-    fine = sum(1 for n in sizes if n == mesh.n_nodes)
+    fine = sum(1 for n in splu_sizes if n == mesh.n_nodes)
     assert 1 <= fine <= 2  # five from a zero start
-    assert rep.iterations == len(sizes) > fine  # every level's steps
+    assert rep.iterations == len(splu_sizes) > fine  # every level's steps
     assert len(rep.trace) == fine + 1  # the finest level's trace
 
 
@@ -207,3 +198,55 @@ def test_nested_newton_tolerance_scales_with_the_zero_residual(params):
     rep = tb.solve_p2_newton(mesh, params, prob, opts=tb.SolveOptions(tol_abs=0.0, tol_rel=0.5))
     assert len(rep.trace) == 1
     assert rep.trace[0][0] <= tol
+
+
+def test_newton_restart_from_its_own_solution_takes_no_step(params):
+    """The tolerance scales with the residual of zero, not with that of the start.
+
+    Scaled by the converged start's own residual, 1e-13 plus 1e-10 of it
+    would lie below the float64 floor of the residual, and the line search
+    would stall.
+    """
+    mesh, prob = benchmark_p2(16)
+    rep = tb.solve_p2_newton(mesh, params, prob)
+    again = tb.solve_p2_newton(mesh, params, prob, init=rep.field, opts=tb.SolveOptions(tol_abs=1e-13))
+    assert again.iterations == 0 and len(again.trace) == 1
+    assert np.array_equal(again.field.values, rep.field.values)
+
+
+def test_zero_linear_part_polish_factors_mesh_matrices_only(params, mesh16, splu_sizes):
+    """The a = b = 0 polish is Newton on the P2 equation: every factor has the mesh's nodes."""
+    f = tb.DiskField.from_function(mesh16, lambda t, s: t + 0.55)
+    tb.solve_p2_variational(mesh16, params, tb.ProblemP2(0.0, 0.0, f, tb.DiskField.constant(mesh16, 0.0)))
+    assert len(splu_sizes) >= 2  # the descent preconditioner and a polish step
+    assert set(splu_sizes) == {mesh16.n_nodes}
+
+
+@pytest.mark.parametrize("case", ["zero_linear_part", "a=b=0.5"])
+def test_variational_polish_reaches_a_tight_absolute_tolerance(params, case):
+    """With tol_abs = 1e-13, the polish's tolerance stays above the residual's floor.
+
+    A tolerance scaled by the residual of the polish's start, which the
+    descent has already brought near the solution, would lie below that
+    floor (about 4.5e-13 at n_rings 16), and the line search would stall.
+    """
+    mesh, prob = benchmark_p2(16)
+    if case == "zero_linear_part":
+        f = tb.DiskField.from_function(mesh, lambda t, s: t + 0.55)
+        prob = tb.ProblemP2(0.0, 0.0, f, tb.DiskField.constant(mesh, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", tb.ExistenceWindowWarning)
+        rep = tb.solve_p2_variational(mesh, params, prob, opts=tb.SolveOptions(tol_abs=1e-13))
+    tol = 1e-13 + 1e-10 * tb.p2_residual_norm(mesh, params, prob, tb.DiskField.constant(mesh, 0.0))
+    assert rep.converged and rep.residual_norm <= tol
+
+
+@pytest.mark.parametrize("f_fn, g_fn", [(lambda t, s: t - 0.5, lambda t, s: 0.0 * t),
+                                        (lambda t, s: 0.0 * t, lambda t, s: t - 0.3)],
+                         ids=["f=t-0.5", "g=t-0.3"])
+def test_variational_zero_linear_part_needs_positive_total_data(params, mesh16, f_fn, g_fn):
+    """With a = b = 0, identity 6.14 gives int(f) + bint(g) = int(e^-v |grad v|^2) > 0."""
+    prob = tb.ProblemP2(0.0, 0.0, tb.DiskField.from_function(mesh16, f_fn),
+                        tb.DiskField.from_function(mesh16, g_fn))
+    with pytest.raises(tb.InfeasibleError):
+        tb.solve_p2_variational(mesh16, params, prob)
