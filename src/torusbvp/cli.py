@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import os
@@ -137,11 +138,9 @@ def _coefficient(cfg, mesh, option, default="0") -> DiskField:
 
 def _solve_options(cfg) -> SolveOptions:
     opts = SolveOptions()
-    opts.tol_abs = _get(cfg, "solver", "tol_abs", float, default=opts.tol_abs)
-    opts.tol_rel = _get(cfg, "solver", "tol_rel", float, default=opts.tol_rel)
-    opts.max_iter = _get(cfg, "solver", "max_iter", int, default=opts.max_iter)
-    opts.max_descent_iter = _get(cfg, "solver", "max_descent_iter", int, default=opts.max_descent_iter)
-    opts.max_monotone_iter = _get(cfg, "solver", "max_monotone_iter", int, default=opts.max_monotone_iter)
+    for field in dataclasses.fields(opts):
+        default = getattr(opts, field.name)
+        setattr(opts, field.name, _get(cfg, "solver", field.name, type(default), default=default))
     return opts
 
 
@@ -189,13 +188,7 @@ def _report_dict(rep, mesh: DiskMesh, opts: SolveOptions) -> dict:
         "field_max": float(np.max(rep.field.values)),
         "trace": [[float(a), float(b)] for a, b in rep.trace],
         "n_nodes": mesh.n_nodes,
-        "options": {  # effective values, defaults resolved
-            "tol_abs": opts.tol_abs,
-            "tol_rel": opts.tol_rel,
-            "max_iter": opts.max_iter,
-            "max_descent_iter": opts.max_descent_iter,
-            "max_monotone_iter": opts.max_monotone_iter,
-        },
+        "options": dataclasses.asdict(opts),  # effective values, defaults resolved
     }
 
 
@@ -312,12 +305,8 @@ def _cmd_corollary(args, cfg) -> int:
     rhos = _get(cfg, "scan", "rhos", _float_list, default=[0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4])
     alpha_exps = _get(cfg, "scan", "alpha_exps", _float_list, default=[4.0 * math.pi, 8.0 * math.pi])
     out = _out_dir(cfg, args)
-    rows = []
-    with ThreadPoolExecutor(max_workers=args.threads) as ex:
-        scans = list(ex.map(lambda a: corollary_scan(p, rhos, a), alpha_exps))
-    for alpha_exp, scan in zip(alpha_exps, scans):
-        for rho, value in scan:
-            rows.append((alpha_exp, rho, value))
+    rows = [(alpha_exp, rho, value) for alpha_exp in alpha_exps
+            for rho, value in corollary_scan(p, rhos, alpha_exp)]
     write_csv(os.path.join(out, "corollary.csv"), ["alpha_exp", "rho", "value"], rows)
     write_report(os.path.join(out, "report.json"), "corollary", cfg, p,
                  {"volume": p.volume(), "rhos": rhos, "alpha_exps": alpha_exps})
@@ -491,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output directory (default: config, env %s, or ./out)" % OUT_ENV_VAR)
         sp.add_argument("--mesh", type=int, default=None, help="override mesh n_rings")
         sp.add_argument("--seed", type=int, default=0, help="RNG seed (Monte Carlo oracles only)")
-        sp.add_argument("--threads", type=int, default=None, help="worker threads for the corollary and scan-gamma sweeps")
+        sp.add_argument("--threads", type=int, default=None, help="worker threads for the scan-gamma sweep")
         if name == "verify":
             sp.add_argument("--debug-perturb-weight", action="store_true",
                             help="perturb the metric weight to force identity failures")

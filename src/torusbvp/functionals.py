@@ -39,6 +39,11 @@ class ProblemP1:
     gamma: float
     f: DiskField
 
+    def as_p2(self) -> ProblemP2:
+        """The same equation as Neumann data: a = gamma, f -> -f, b = g = 0."""
+        mesh = self.f.mesh
+        return ProblemP2(self.gamma, 0.0, DiskField(mesh, -self.f.values), DiskField.constant(mesh, 0.0))
+
 
 @dataclass(frozen=True)
 class ProblemP2:
@@ -59,20 +64,17 @@ class ProblemP2:
 
 
 def functional_I_p1(mesh: DiskMesh, p: TorusParams, field: DiskField, prob: ProblemP1) -> float:
-    """Energy ``|grad v|^2 + 2 gamma * integral(v)`` over the torus."""
-    ops = assemble(mesh, p)
-    return dirichlet_energy(mesh, p, field) + 2.0 * prob.gamma * float(ops.volume_mass @ field.values)
+    """Energy ``|grad v|^2 + 2 gamma * integral(v)``: twice the core energy of ``prob.as_p2()``."""
+    return 2.0 * functional_I_p2(mesh, p, field, prob.as_p2())
 
 
 def constraint_A_p1(mesh: DiskMesh, p: TorusParams, field: DiskField, prob: ProblemP1) -> float:
-    """Residual ``integral(f e^v) - gamma * Vol(T)`` of the P1 constraint set.
+    """Residual ``integral(f e^v) - gamma * Vol(T)``: ``-constraint_K`` of ``prob.as_p2()``.
 
     The volume is the discrete one (sum of the lumped mass), so constant
     feasible data are exactly feasible.
     """
-    ops = assemble(mesh, p)
-    ev = exp_capped(field.values)
-    return float(ops.volume_mass @ (prob.f.values * ev)) - prob.gamma * float(np.sum(ops.volume_mass))
+    return -constraint_K(mesh, p, field, prob.as_p2())
 
 
 def functional_I_p2(mesh: DiskMesh, p: TorusParams, field: DiskField, prob: ProblemP2) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +30,15 @@ from .mesh import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n_quad: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order and read-only."""
+    x, w = np.polynomial.legendre.leggauss(n_quad)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def mu_best(p: TorusParams, mode: str) -> float:
@@ -125,7 +135,7 @@ def blowup_profile_mean_integral(fam: BlowupFamily) -> float:
 def blowup_profile_l2_integral(fam: BlowupFamily, n_quad: int = 200) -> float:
     """Squared-profile integral over the unit disk (Gauss-Legendre in radius)."""
     a, d2 = fam.alpha_blow, fam.delta**2
-    x, w = np.polynomial.legendre.leggauss(n_quad)
+    x, w = _gauss_legendre(n_quad)
     rho = 0.5 * (x + 1.0)
     phi = 2.0 * np.log((a + d2) / (a + d2 * rho**2))
     return float(TWO_PI * 0.5 * np.sum(w * phi**2 * rho))
@@ -330,7 +340,7 @@ def corollary_scan(p: TorusParams, rhos, alpha_exp: float, delta: float | None =
     if l_p - delta <= 0.0:
         raise DomainError("tube must stay away from the axis")
     c2 = (p.l + p.r) / l_p
-    x, w = np.polynomial.legendre.leggauss(n_quad)
+    x, w = _gauss_legendre(n_quad)
     vol = p.volume()
     rows = []
     for rho in rhos:

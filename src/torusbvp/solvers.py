@@ -218,11 +218,6 @@ def _newton_loop(ops, prob, v0, weights, opts, order, trace=None, mask=None):
 # The core: S v + M (a + f e^v) + M_b (b + g e^v) = 0
 # ---------------------------------------------------------------------------
 
-def _as_p2(mesh, prob):
-    """P1 data as core data: a = gamma, f -> -f, b = g = 0."""
-    return ProblemP2(prob.gamma, 0.0, DiskField(mesh, -prob.f.values), DiskField.constant(mesh, 0.0))
-
-
 def _residual(ops, prob, v):
     ev = _exp_unguarded(v)
     with np.errstate(invalid="ignore"):
@@ -345,20 +340,30 @@ def _relax_new_nodes(mesh, ops, prob, v0, mask, weights):
 def _solve_variational(mesh, p, prob, init, opts, weights):
     """Minimize ``0.5 |grad v|^2 + a int(v) + b bint(v)`` over {K = 0}, then polish.
 
+    Every data decision of the variational route is made here, in terms of
+    the linear part ``r_h = a Vol_h + b Vol_b,h`` and the exponential
+    weights ``w = M f + M_b g``, so ``K(v) = r_h + sum(w e^v)``.  {K = 0} is
+    empty, and ``InfeasibleError`` is raised, unless some ``w_i`` has the
+    sign opposite to ``r_h``; with a = b = 0 it also needs ``sum(w) =
+    int(f) + bint(g) > 0``, which equals ``int(e^-v |grad v|^2)`` at every
+    solution.  For ``r_h < 0`` and ``w`` of both signs the energy is
+    unbounded below on {K = 0}: it falls like ``r_h c`` along ``c + psi``
+    with ``sum(w e^psi) = -r_h e^-c``.  An ``ExistenceWindowWarning`` says so.
+
     Projected preconditioned descent selects the minimizer and
     ``_newton_loop`` on the core equation polishes it to tolerance.
     ``weights`` (one per node) measure residuals and descent steps and shift
     the preconditioner ``S + diag(weights)``.  Every iterate lies on
-    {K = 0}.  With (a, b) != 0 the constant shift ``v + ln(-R / e)`` puts it
-    there, ``e`` the exponential terms, when ``e`` and ``R`` have opposite
-    signs; otherwise the start takes the density shift of
+    {K = 0}.  With (a, b) != 0 the constant shift ``v + ln(-r_h / e)``, ``e``
+    the exponential terms, puts it there when ``e`` and ``r_h`` have
+    opposite signs; otherwise the start takes the density shift of
     ``reach_exponential_target`` and a descent trial is rejected.  With
-    a = b = 0 every point takes the density shift.  For a = b = 0 the
-    minimizer is gauge-fixed to zero mean, and shifted by the logarithm of
-    its ``multiplier_kappa`` it solves the core equation; the polish starts
-    there, and the multiplier reported is ``kappa``, ``exp`` of the polished
-    field's ``M``-weighted mean.  Otherwise the multiplier is the
-    least-squares fit of ``S v + a M + b M_b`` to the constraint normal.
+    a = b = 0 every point takes the density shift, the minimizer is
+    gauge-fixed to zero mean, and shifted by the logarithm of its
+    ``multiplier_kappa`` it solves the core equation.  The polish starts
+    there, and the multiplier is ``kappa``, ``exp`` of the polished field's
+    ``M``-weighted mean.  Otherwise the polished field solves ``S v + a M +
+    b M_b + w e^v = 0``: stationarity on {K = 0} with multiplier exactly -1.
     Returns ``(v, multiplier, iterations, residual_norm, trace)``.
     """
     ops = assemble(mesh, p)
@@ -367,6 +372,16 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
     vol_h = float(np.sum(m))
     r_h = prob.a * vol_h + prob.b * float(np.sum(mb))
     case_zero = prob.a == 0.0 and prob.b == 0.0
+    w = m * f + mb * g
+    both_signs = w.min() < 0.0 < w.max()
+    if case_zero and (not both_signs or float(m @ f) + float(mb @ g) <= 0.0):
+        raise InfeasibleError("a zero linear part needs exponential terms of both signs and positive total, "
+                              "int(f) + bint(g) > 0 (for P1 with gamma = 0: int(f) < 0)")
+    if not case_zero and not np.any(r_h * w < 0.0):
+        raise InfeasibleError("a linear part of %g needs exponential terms of the opposite sign" % r_h)
+    if r_h < 0.0 and both_signs:
+        warnings.warn("linear part %g < 0 and exponential terms of both signs: the energy is unbounded below "
+                      "on {K = 0}, so it has no global minimum" % r_h, ExistenceWindowWarning, stacklevel=3)
 
     def project(v):
         if case_zero:
@@ -417,11 +432,7 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
     if case_zero:  # the shifted minimizer solves the equation
         v = v + math.log(multiplier_kappa(mesh, p, DiskField(mesh, v), prob))
     v, res, polish_iters, trace = _newton_loop(ops, prob, v, weights, opts, order, trace=trace)
-    if case_zero:
-        multiplier = math.exp(float(m @ v) / vol_h)
-    else:
-        w_vec = _exp_terms(ops, prob, v)
-        multiplier = float(w_vec @ (S @ v + prob.a * m + prob.b * mb)) / float(w_vec @ w_vec)
+    multiplier = math.exp(float(m @ v) / vol_h) if case_zero else -1.0
     return v, multiplier, iterations + polish_iters, res, trace
 
 
@@ -474,7 +485,7 @@ def p1_residual_norm(mesh: DiskMesh, p: TorusParams, prob: ProblemP1, field: Dis
     variational path).
     """
     ops = assemble(mesh, p)
-    F = _residual(ops, _as_p2(mesh, prob), field.values)
+    F = _residual(ops, prob.as_p2(), field.values)
     rows = slice(None) if natural else mesh.interior_nodes()
     return _weighted_norm(F[rows], ops.volume_mass[rows])
 
@@ -482,7 +493,7 @@ def p1_residual_norm(mesh: DiskMesh, p: TorusParams, prob: ProblemP1, field: Dis
 def solve_p1_newton(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
                     init: DiskField | None = None, opts: SolveOptions | None = None) -> SolveReport:
     """Damped Newton on the Dirichlet weak form of the P1 problem."""
-    v, res, iterations, trace = _solve_newton(mesh, p, _as_p2(mesh, prob), init, opts or SolveOptions(),
+    v, res, iterations, trace = _solve_newton(mesh, p, prob.as_p2(), init, opts or SolveOptions(),
                                               dirichlet=True)
     return _report(mesh, p, prob, v, iterations, res, None, trace)
 
@@ -492,31 +503,23 @@ def solve_p1_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
     """Constrained minimization of the P1 energy over {int(f e^v) = gamma Vol}.
 
     The core descends on half the P1 energy, ``0.5 |grad v|^2 + gamma
-    int(v)``, with residuals weighted by the volume mass.  It runs over the
-    full nodal space, so the stationary field satisfies the interior
-    equation with natural (zero-flux) boundary behavior.  For gamma = 0 the
-    returned field is the minimizer shifted by ``ln(kappa)`` and polished,
-    and the multiplier is ``kappa``, ``exp`` of its mean; otherwise it is the
-    fitted multiplier of ``f e^v``.
+    int(v)``, with residuals weighted by the volume mass, and decides
+    feasibility (``_solve_variational``).  It runs over the full nodal
+    space, so the stationary field satisfies the interior equation with
+    natural (zero-flux) boundary behavior.  For gamma = 0 the returned field
+    is the minimizer shifted by ``ln(kappa)`` and polished, and the
+    multiplier is ``kappa``, ``exp`` of its mean; otherwise the multiplier
+    of ``f e^v`` is exactly 1.
     """
-    m = assemble(mesh, p).volume_mass
-    f, gamma = prob.f.values, prob.gamma
-    if gamma > 0 and f.max() <= 0.0:
-        raise InfeasibleError("gamma > 0 requires f to be positive somewhere")
-    if gamma < 0 and f.min() >= 0.0:
-        raise InfeasibleError("gamma < 0 requires f to be negative somewhere")
-    if gamma == 0:
-        if not (f.min() < 0.0 < f.max()) or float(m @ f) >= 0.0:
-            raise InfeasibleError("gamma = 0 requires sign-changing f with negative mean")
     window = 8.0 * (p.l - p.r) / (p.l * p.r**2)
-    if gamma > 0 and gamma >= window:
+    if prob.gamma >= window:
         warnings.warn("gamma=%g outside the sufficient window (0, %g); existence not guaranteed"
-                      % (gamma, window), ExistenceWindowWarning, stacklevel=2)
+                      % (prob.gamma, window), ExistenceWindowWarning, stacklevel=2)
 
     v, multiplier, iterations, res, trace = _solve_variational(
-        mesh, p, _as_p2(mesh, prob), init, opts or SolveOptions(), m)
-    if gamma != 0.0:
-        multiplier = -multiplier  # fitted against the core's f, which is -f
+        mesh, p, prob.as_p2(), init, opts or SolveOptions(), assemble(mesh, p).volume_mass)
+    if prob.gamma != 0.0:
+        multiplier = -multiplier  # the core's multiplier of -f e^v
     return _report(mesh, p, prob, v, iterations, res, multiplier, trace)
 
 
@@ -542,22 +545,16 @@ def solve_p2_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
                          init: DiskField | None = None, opts: SolveOptions | None = None) -> SolveReport:
     """Constrained minimization of the P2 energy over {K = 0}.
 
-    For a = b = 0 the minimizer is gauge-fixed to zero mean, and the
-    field returned is that minimizer shifted by ``ln(kappa)`` and polished
-    on the P2 equation; ``kappa``, ``exp`` of the returned field's volume
-    mean, is reported (as for P1 with gamma = 0).  Those data need
-    ``int(f) + bint(g) > 0``: at every solution that sum equals ``int(e^-v
-    |grad v|^2)`` (``identity_6_14_residual``).  With (a, b) != 0 the
-    stationary point of the constrained problem satisfies the P2 weak form
-    directly.
+    The core decides feasibility (``_solve_variational``).  For a = b = 0
+    the minimizer is gauge-fixed to zero mean, and the field returned is
+    that minimizer shifted by ``ln(kappa)`` and polished on the P2 equation;
+    ``kappa``, ``exp`` of the returned field's volume mean, is reported (as
+    for P1 with gamma = 0).  With (a, b) != 0 the stationary point of the
+    constrained problem satisfies the P2 weak form directly, and the
+    multiplier reported is exactly -1.
     """
     ops = assemble(mesh, p)
     g = prob.g.values[mesh.boundary_nodes]
-    if np.all(prob.f.values == 0.0) and np.all(g == 0.0):
-        raise InfeasibleError("f and g must not both vanish identically")
-    if (prob.a, prob.b) == (0.0, 0.0) \
-            and float(ops.volume_mass @ prob.f.values) + float(ops.boundary_mass @ prob.g.values) <= 0.0:
-        raise InfeasibleError("a = b = 0 requires int(f) + bint(g) > 0")
     if prob.a >= 0.0 and prob.b >= 0.0 and (prob.a, prob.b) != (0.0, 0.0) \
             and not (0.0 < prob.R(p) < (8.0 if np.all(g == 0.0) else 4.0) * math.pi**2 * (p.l - p.r)):
         warnings.warn("R=%g outside the sufficient existence window of the a,b >= 0 regime" % prob.R(p),

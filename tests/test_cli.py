@@ -149,14 +149,36 @@ method = variational
     assert "int(f) + bint(g) > 0" in capsys.readouterr().err
 
 
-def test_mt_scan_deterministic_csv(tmp_path):
-    cfg = write_cfg(tmp_path, BASE)
+_P2_DATA = "[problem]\na = 0.5\nb = 0.5\nf = -0.5*exp(-1)*(1 + 0.1*t)\ng = -0.5*exp(-1)*(1 + 0.1*t)\n"
+_MONOTONE_DATA = "[problem]\na = -1\nb = -1\nf = 1 + 0.3*t*t\ng = 1\n"
+_GEOMETRY = "[geometry]\nl = 2.0\nr = 1.0\n[mesh]\nn_rings = 16\n"
+_P1_DATA = "[problem]\ngamma = 1.5\nf = 1 + 0.2*t\n"
+
+
+@pytest.mark.parametrize("command, config, extra, csv_name, header", [
+    ("solve-p1", _P1_DATA + "[solver]\nmethod = newton\n", [], "solution.csv", "node,t,s,value"),
+    ("solve-p1", _P1_DATA + "[solver]\nmethod = variational\n", [], "solution.csv", "node,t,s,value"),
+    ("solve-p2", _P2_DATA + "[solver]\nmethod = newton\n", [], "solution.csv", "node,t,s,value"),
+    ("solve-p2", _P2_DATA + "[solver]\nmethod = variational\n", [], "solution.csv", "node,t,s,value"),
+    ("solve-p2", _MONOTONE_DATA + "[solver]\nmethod = monotone\n", [], "solution.csv", "node,t,s,value"),
+    ("mt-scan", "", [], "mt_scan.csv",
+     "alpha,grad_energy,log_integral,mean_term,ratio,C_hat,resolved_flag"),
+    ("mt-scan", "[scan]\npath = mesh\nalphas = 1e-2, 1e-3, 1e-4\n", [], "mt_scan.csv",
+     "alpha,grad_energy,log_integral,mean_term,ratio,C_hat,resolved_flag"),
+    ("corollary", "", [], "corollary.csv", "alpha_exp,rho,value"),
+    ("scan-gamma", "[problem]\nf = 1 + 0.2*t\n[scan]\ngammas = 0.5, 1.0, 1.5\n", ["--threads", "2"],
+     "gamma_scan.csv", "gamma,converged,iterations,residual_norm,functional,v_min,v_max"),
+    ("verify", "", ["--seed", "0"], "verify.csv", "check,measured,tolerance,passed"),
+], ids=["solve-p1-newton", "solve-p1-variational", "solve-p2-newton", "solve-p2-variational",
+        "solve-p2-monotone", "mt-scan-closed-form", "mt-scan-mesh", "corollary", "scan-gamma", "verify"])
+def test_csv_bodies_are_deterministic(tmp_path, command, config, extra, csv_name, header):
+    """Every CSV-writing run, made twice, writes the same body: only the timestamp line differs."""
+    cfg = write_cfg(tmp_path, _GEOMETRY + config)
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["mt-scan", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["mt-scan", "--config", cfg, "--out", str(out2)]) == 0
-    assert csv_body(out1 / "mt_scan.csv") == csv_body(out2 / "mt_scan.csv")
-    header = csv_body(out1 / "mt_scan.csv")[0]
-    assert header == "alpha,grad_energy,log_integral,mean_term,ratio,C_hat,resolved_flag"
+    assert main([command, "--config", cfg, "--out", str(out1)] + extra) == 0
+    assert main([command, "--config", cfg, "--out", str(out2)] + extra) == 0
+    assert csv_body(out1 / csv_name) == csv_body(out2 / csv_name)
+    assert csv_body(out1 / csv_name)[0] == header
 
 
 def test_corollary_cli(tmp_path):

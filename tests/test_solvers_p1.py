@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,10 +112,15 @@ def test_variational_gamma_zero(params, mesh16):
 
 
 def test_variational_gamma_negative_mean_bound(params, mesh16):
-    """A-posteriori bound: int(v) <= Vol * ln(gamma / sup f) on the constraint set."""
+    """A-posteriori bound: int(v) <= Vol * ln(gamma / sup f) on the constraint set.
+
+    f < 0 everywhere, so the energy is bounded below and no warning is raised.
+    """
     f = tb.DiskField.from_function(mesh16, lambda t, s: -2.0 + 0.5 * t)
     prob = tb.ProblemP1(-1.0, f)
-    rep = tb.solve_p1_variational(mesh16, params, prob)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = tb.solve_p1_variational(mesh16, params, prob)
     assert rep.converged
     int_v = tb.integrate_volume(mesh16, params, rep.field)
     bound = params.volume() * math.log(-1.0 / f.values.max())
@@ -130,6 +136,10 @@ def test_variational_infeasible(params, mesh16):
         tb.solve_p1_variational(mesh16, params, tb.ProblemP1(-1.0, pos))
     with pytest.raises(tb.InfeasibleError):
         tb.solve_p1_variational(mesh16, params, tb.ProblemP1(0.0, pos))
+    # sign-changing f whose mean is not negative: int(e^-v |grad v|^2) = -int(f) has no solution
+    tilted = tb.DiskField.from_function(mesh16, lambda t, s: t)
+    with pytest.raises(tb.InfeasibleError):
+        tb.solve_p1_variational(mesh16, params, tb.ProblemP1(0.0, tilted))
 
 
 def test_variational_gamma_window_warning(params, mesh16):
@@ -163,6 +173,7 @@ def test_variational_is_the_p2_core_case(params, mesh16, gamma, fn):
     assert i1 == pytest.approx(2.0 * tb.functional_I_p2(mesh16, params, rep2.field, prob2), rel=1e-10)
     if gamma != 0.0:
         assert rep1.multiplier * rep2.multiplier < 0.0
+        assert rep1.multiplier == 1.0
     else:
         # both report kappa, the shift of the returned field: exp of its mean
         assert rep1.multiplier == pytest.approx(rep2.multiplier, rel=1e-10)
@@ -179,6 +190,23 @@ def test_variational_polish_that_diverges_is_not_converged(params, mesh16):
     prob = tb.ProblemP1(-1.0, tb.DiskField.from_function(mesh16, lambda t, s: t - 0.5))
     with pytest.raises(tb.NonConvergence):
         tb.solve_p1_variational(mesh16, params, prob)
+
+
+@pytest.mark.parametrize("p1", [True, False], ids=["p1", "p2"])
+def test_variational_unbounded_energy_warns(params, mesh16, p1):
+    """A negative linear part with exponential terms of both signs leaves the energy unbounded below.
+
+    Along ``c + psi`` on {K = 0} it falls like ``(a Vol + b Vol_b) c``; the
+    descent runs off and the polish fails, and a warning says why.
+    """
+    f = tb.DiskField.from_function(mesh16, lambda t, s: t - 0.5)
+    if p1:
+        solve, prob = tb.solve_p1_variational, tb.ProblemP1(-1.0, f)
+    else:
+        solve, prob = tb.solve_p2_variational, tb.ProblemP2(-1.0, 0.0, f, tb.DiskField.constant(mesh16, 0.0))
+    with pytest.warns(tb.ExistenceWindowWarning, match="unbounded below"):
+        with pytest.raises(tb.NonConvergence):
+            solve(mesh16, params, prob)
 
 
 def test_nested_newton_takes_one_fine_step(params, splu_sizes):

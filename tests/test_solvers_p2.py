@@ -114,14 +114,14 @@ def test_variational_case1_boundary_data(params, mesh16):
 
 
 def test_variational_constant_case_multiplier_orientation(params, mesh16):
-    """With (a,b) != 0 the fitted stationarity multiplier is -1 in the strong-form
+    """With (a,b) != 0 the stationarity multiplier is exactly -1 in the strong-form
     orientation (the K-gradient enters the weak form with a plus sign)."""
     f, g = fields(mesh16, -math.exp(-1.0), 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", tb.ExistenceWindowWarning)
         rep = tb.solve_p2_variational(mesh16, params, tb.ProblemP2(1.0, 0.0, f, g))
     assert np.abs(rep.field.values - 1.0).max() <= 1e-9
-    assert rep.multiplier == pytest.approx(-1.0, abs=1e-8)
+    assert rep.multiplier == -1.0
 
 
 def test_variational_rejects_degenerate_and_unbalanced(params, mesh16):
