@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleError, NoRootError
 from .geometry import TorusParams
-from .mesh import DiskField, DiskMesh, assemble, dirichlet_energy, grad_energy_weighted
+from .mesh import DiskField, DiskMesh, assemble, dirichlet_energy, grad_energy_weighted, weighted_sum
 
 EXP_ARG_CAP = 700.0
 
@@ -83,8 +83,8 @@ def functional_I_p2(mesh: DiskMesh, p: TorusParams, field: DiskField, prob: Prob
     v = field.values
     return (
         0.5 * dirichlet_energy(mesh, p, field)
-        + prob.a * float(ops.volume_mass @ v)
-        + prob.b * float(ops.boundary_mass @ v)
+        + prob.a * weighted_sum(ops.volume_mass, v)
+        + prob.b * weighted_sum(ops.boundary_mass, v)
     )
 
 
@@ -99,8 +99,8 @@ def constraint_K(mesh: DiskMesh, p: TorusParams, field: DiskField, prob: Problem
     return (
         prob.a * float(np.sum(ops.volume_mass))
         + prob.b * float(np.sum(ops.boundary_mass))
-        + float(ops.volume_mass @ (prob.f.values * ev))
-        + float(ops.boundary_mass @ (prob.g.values * ev))
+        + weighted_sum(ops.volume_mass, prob.f.values * ev)
+        + weighted_sum(ops.boundary_mass, prob.g.values * ev)
     )
 
 
@@ -116,12 +116,27 @@ def identity_6_14_residual(mesh: DiskMesh, p: TorusParams, field: DiskField, pro
     emv = exp_capped(-field.values)
     grad_term = grad_energy_weighted(mesh, p, field, lambda vc: exp_capped(-vc))
     return (
-        prob.a * float(ops.volume_mass @ emv)
-        + prob.b * float(ops.boundary_mass @ emv)
-        + float(ops.volume_mass @ prob.f.values)
-        + float(ops.boundary_mass @ prob.g.values)
+        prob.a * weighted_sum(ops.volume_mass, emv)
+        + prob.b * weighted_sum(ops.boundary_mass, emv)
+        + weighted_sum(ops.volume_mass, prob.f.values)
+        + weighted_sum(ops.boundary_mass, prob.g.values)
         - grad_term
     )
+
+
+def data_total(mesh: DiskMesh, p: TorusParams, prob: ProblemP2) -> float:
+    """``int(f) + bint(g)``, or 0.0 where roundoff alone could set its sign.
+
+    A total of at most ``8 eps (int|f| + bint|g|)`` in size lies at the
+    roundoff of its own lumped sums, so its sign means nothing and it counts
+    as zero.
+    """
+    ops = assemble(mesh, p)
+    f, g = prob.f.values, prob.g.values
+    total = weighted_sum(ops.volume_mass, f) + weighted_sum(ops.boundary_mass, g)
+    bound = 8.0 * np.finfo(float).eps * (weighted_sum(ops.volume_mass, np.abs(f))
+                                         + weighted_sum(ops.boundary_mass, np.abs(g)))
+    return total if abs(total) > bound else 0.0
 
 
 def multiplier_kappa(mesh: DiskMesh, p: TorusParams, field: DiskField, prob: ProblemP2) -> float:
@@ -131,8 +146,7 @@ def multiplier_kappa(mesh: DiskMesh, p: TorusParams, field: DiskField, prob: Pro
     data admit the problem.  The solution of the Neumann problem is the
     shifted field ``v + ln(kappa)`` (calibrated against exact solutions).
     """
-    ops = assemble(mesh, p)
-    denom = float(ops.volume_mass @ prob.f.values) + float(ops.boundary_mass @ prob.g.values)
+    denom = data_total(mesh, p, prob)
     if denom == 0.0:
         raise DomainError("multiplier undefined: int(f) + bint(g) vanishes")
     num = grad_energy_weighted(mesh, p, field, lambda vc: exp_capped(-vc))
@@ -148,7 +162,7 @@ def mean_value(mesh: DiskMesh, p: TorusParams, field: DiskField, where: str = "v
         w = ops.boundary_mass
     else:
         raise DomainError("where must be 'volume' or 'boundary', got %r" % (where,))
-    return float(w @ field.values) / float(np.sum(w))
+    return weighted_sum(w, field.values) / float(np.sum(w))
 
 
 def reach_exponential_target(mesh: DiskMesh, p: TorusParams, f_field: DiskField, g_field: DiskField,
@@ -181,7 +195,7 @@ def reach_exponential_target(mesh: DiskMesh, p: TorusParams, f_field: DiskField,
         top = float(np.max(x))
         e = np.exp(x - top)
         total = float(np.sum(e))
-        return top + math.log(total), -float(e @ dens) / total
+        return top + math.log(total), -weighted_sum(e, dens) / total
 
     s, lo, hi = 0.0, -math.inf, math.inf
     scale, eps = 1.0 / float(np.max(np.abs(d))), np.finfo(float).eps
@@ -208,17 +222,16 @@ def construct_feasible_p2(mesh: DiskMesh, p: TorusParams, prob: ProblemP2, tol_s
     """
     if prob.a != 0.0 or prob.b != 0.0:
         raise DomainError("feasible-point construction requires a = b = 0")
-    ops = assemble(mesh, p)
-    f = prob.f.values
-    g = prob.g.values
-    total = float(ops.volume_mass @ f) + float(ops.boundary_mass @ g)
+    total = data_total(mesh, p, prob)
     if total <= 0.0:
         raise InfeasibleError("int(f) + bint(g) must be positive, got %g" % total)
 
     values = reach_exponential_target(mesh, p, prob.f, prob.g, np.zeros(mesh.n_nodes), 0.0)
     field = DiskField(mesh, values)
     k_val = constraint_K(mesh, p, field, prob)
-    tol = tol_scale * (abs(float(ops.volume_mass @ f)) + abs(float(ops.boundary_mass @ g)) + 1.0)
+    ops = assemble(mesh, p)
+    tol = tol_scale * (abs(weighted_sum(ops.volume_mass, prob.f.values))
+                       + abs(weighted_sum(ops.boundary_mass, prob.g.values)) + 1.0)
     if abs(k_val) > tol:
         raise NoRootError("density shift left |K| = %g above tolerance %g" % (abs(k_val), tol))
     return field

@@ -27,6 +27,7 @@ from .mesh import (
     disk_operators,
     integrate_boundary,
     integrate_volume,
+    weighted_sum,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -157,8 +158,8 @@ def blowup_tube_disk_quadrature(mesh: DiskMesh, fam: BlowupFamily):
     """
     stiff, mass, _ = disk_operators(mesh)
     phi = blowup_tube_disk_values(mesh, fam).values
-    exp_integral = float(mass @ np.exp(phi))
-    grad_integral = float(phi @ (stiff @ phi))
+    exp_integral = weighted_sum(mass, np.exp(phi))
+    grad_integral = weighted_sum(phi, stiff @ phi)
     return exp_integral, grad_integral
 
 

@@ -392,23 +392,33 @@ def _transformed_values(field: DiskField, transform):
     return vals
 
 
+def weighted_sum(w, x) -> float:
+    """``sum(w * x)`` over the nodes: the one reduction of every nodal integral.
+
+    numpy's pairwise summation calls no BLAS, so the result has the same bits
+    at any BLAS thread count, and it sums in the order of ``np.sum(w)``, so
+    constant feasible data cancel exactly against the discrete volumes.
+    """
+    return float(np.sum(w * x))
+
+
 def integrate_volume(mesh: DiskMesh, p: TorusParams, field: DiskField, transform=None) -> float:
     """Torus volume integral of ``transform(v)`` via the lumped weighted mass."""
     ops = assemble(mesh, p)
-    return float(ops.volume_mass @ _transformed_values(field, transform))
+    return weighted_sum(ops.volume_mass, _transformed_values(field, transform))
 
 
 def integrate_boundary(mesh: DiskMesh, p: TorusParams, field: DiskField, transform=None) -> float:
     """Boundary-torus integral of ``transform(v)`` over the trace of the field."""
     ops = assemble(mesh, p)
-    return float(ops.boundary_mass @ _transformed_values(field, transform))
+    return weighted_sum(ops.boundary_mass, _transformed_values(field, transform))
 
 
 def dirichlet_energy(mesh: DiskMesh, p: TorusParams, field: DiskField) -> float:
     """Squared gradient norm of the lifted field over the torus, v' S v."""
     ops = assemble(mesh, p)
     v = field.values
-    return float(v @ (ops.stiffness @ v))
+    return weighted_sum(v, ops.stiffness @ v)
 
 
 def grad_energy_weighted(mesh: DiskMesh, p: TorusParams, field: DiskField, centroid_transform=None) -> float:

@@ -39,13 +39,14 @@ from .functionals import (
     ProblemP2,
     constraint_A_p1,
     constraint_K,
+    data_total,
     functional_I_p1,
     functional_I_p2,
     multiplier_kappa,
     reach_exponential_target,
 )
 from .geometry import TorusParams
-from .mesh import DiskField, DiskMesh, assemble, coarse_mesh, dissection_order, prolong
+from .mesh import DiskField, DiskMesh, assemble, coarse_mesh, dissection_order, prolong, weighted_sum
 
 
 @dataclass
@@ -157,10 +158,11 @@ def _restrict_order(order, nodes):
     return local[local >= 0]
 
 
-def _newton_loop(ops, prob, v0, weights, opts, order, trace=None, mask=None):
+def _newton_loop(ops, prob, v0, weights, opts, mesh, trace=None, mask=None):
     """Damped Newton on the core equation, Armijo backtracking on its weighted residual norm.
 
-    ``order`` is the elimination order of the nodes (see ``_factorize``).
+    The first factorization takes the elimination order of ``mesh``'s nodes
+    (see ``_factorize``), so a loop that takes no step computes none.
     ``mask`` restricts the update, the residual rows, the Jacobian and the
     order to a subset of nodes (Dirichlet problems); ``weights`` are given
     on those rows.  Newton stops at the residual ``tol_abs + tol_rel * r0``,
@@ -181,14 +183,17 @@ def _newton_loop(ops, prob, v0, weights, opts, order, trace=None, mask=None):
     if not math.isfinite(res):
         raise DomainError("initial iterate produces a non-finite residual")
     tol = opts.tol_abs + opts.tol_rel * residual(np.zeros_like(v))[1]
-    if mask is not None:
-        order = _restrict_order(order, mask)
+    order = None
     trace.append((res, 0.0))
     iterations = 0
     while res > tol and iterations < opts.max_iter:
         J = _jacobian(ops, prob, v)
         if mask is not None:
             J = J[mask, :][:, mask]
+        if order is None:
+            order = dissection_order(mesh)
+            if mask is not None:
+                order = _restrict_order(order, mask)
         # the factor serves one solve; holding no reference frees it at once
         delta = -_factorize(J, order).solve(F)
         if not np.all(np.isfinite(delta)):
@@ -304,7 +309,7 @@ def _newton_level(mesh, p, prob, v0, opts, dirichlet, relax=False):
         weights = weights[mask]
     if relax:
         v0 = _relax_new_nodes(mesh, ops, prob, v0, mask, weights)
-    return _newton_loop(ops, prob, v0, weights, opts, dissection_order(mesh), mask=mask)
+    return _newton_loop(ops, prob, v0, weights, opts, mesh, mask=mask)
 
 
 def _relax_new_nodes(mesh, ops, prob, v0, mask, weights):
@@ -374,7 +379,7 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
     case_zero = prob.a == 0.0 and prob.b == 0.0
     w = m * f + mb * g
     both_signs = w.min() < 0.0 < w.max()
-    if case_zero and (not both_signs or float(m @ f) + float(mb @ g) <= 0.0):
+    if case_zero and (not both_signs or data_total(mesh, p, prob) <= 0.0):
         raise InfeasibleError("a zero linear part needs exponential terms of both signs and positive total, "
                               "int(f) + bint(g) > 0 (for P1 with gamma = 0: int(f) < 0)")
     if not case_zero and not np.any(r_h * w < 0.0):
@@ -387,7 +392,7 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
         if case_zero:
             return reach_exponential_target(mesh, p, prob.f, prob.g, v, 0.0)
         ev = _exp_unguarded(v)
-        e = float(m @ (f * ev)) + float(mb @ (g * ev))
+        e = weighted_sum(m, f * ev) + weighted_sum(mb, g * ev)
         if e == 0.0 or np.sign(e) == np.sign(r_h):
             return None
         return v + math.log(-r_h / e)
@@ -397,8 +402,7 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
     # no constant shift has the sign needed: shift along the density instead
     v = reach_exponential_target(mesh, p, prob.f, prob.g, v, -r_h) if v_p is None else v_p
 
-    order = dissection_order(mesh)
-    precond = _factorize(S + sp.diags(weights), order)
+    precond = _factorize(S + sp.diags(weights), dissection_order(mesh))
     merit = functional_I_p2(mesh, p, DiskField(mesh, v), prob)
     trace = []
     iterations = 0
@@ -416,7 +420,7 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
             v_t = project(v + step * d)
             if v_t is not None:
                 if case_zero:
-                    v_t = v_t - float(m @ v_t) / vol_h
+                    v_t = v_t - weighted_sum(m, v_t) / vol_h
                 merit_t = functional_I_p2(mesh, p, DiskField(mesh, v_t), prob)
                 if math.isfinite(merit_t) and merit_t <= merit + _ARMIJO_SLOPE * step * slope:
                     v, merit, accepted = v_t, merit_t, True
@@ -431,8 +435,8 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
 
     if case_zero:  # the shifted minimizer solves the equation
         v = v + math.log(multiplier_kappa(mesh, p, DiskField(mesh, v), prob))
-    v, res, polish_iters, trace = _newton_loop(ops, prob, v, weights, opts, order, trace=trace)
-    multiplier = math.exp(float(m @ v) / vol_h) if case_zero else -1.0
+    v, res, polish_iters, trace = _newton_loop(ops, prob, v, weights, opts, mesh, trace=trace)
+    multiplier = math.exp(weighted_sum(m, v) / vol_h) if case_zero else -1.0
     return v, multiplier, iterations + polish_iters, res, trace
 
 
@@ -444,16 +448,15 @@ def _projected_direction(precond, grad, normals):
     ``grad @ d <= 0`` (zero only at constrained stationarity).
     """
     pg = precond.solve(grad)
-    pw = np.stack([precond.solve(w) for w in normals], axis=1)
-    wmat = np.stack(normals, axis=1)
-    a = wmat.T @ pw
-    rhs = wmat.T @ pg
+    pw = [precond.solve(w) for w in normals]
+    a = np.array([[weighted_sum(w, x) for x in pw] for w in normals])
+    rhs = np.array([weighted_sum(w, pg) for w in normals])
     try:
         mu = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
         mu = np.linalg.lstsq(a, rhs, rcond=None)[0]
-    d = -(pg - pw @ mu)
-    return d, float(grad @ d)
+    d = -(pg - sum(c * x for c, x in zip(mu, pw)))
+    return d, weighted_sum(grad, d)
 
 
 def _report(mesh, p, prob, v, iterations, res, multiplier, trace):
