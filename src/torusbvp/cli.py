@@ -44,6 +44,7 @@ from .expressions import compile_expression
 from .functionals import ProblemP1, ProblemP2, identity_6_14_residual
 from .geometry import TorusParams
 from .inequalities import (
+    _gauss_legendre,
     corollary_scan,
     interior_orbit_family,
     minimal_orbit_family,
@@ -57,6 +58,7 @@ from .mesh import (
     coarse_mesh,
     dissection_order,
     integrate_volume,
+    weighted_sum,
 )
 from .solvers import (
     SolveOptions,
@@ -167,13 +169,12 @@ def _fmt(x) -> str:
 def write_csv(path, header, rows) -> None:
     """CSV with one timestamp comment line; the body is deterministic.
 
-    A string cell is written as it is, so a row may be one preformatted line.
+    A row that is a string is one preformatted line and is written as it is.
     """
+    lines = ["# generated %s" % time.strftime("%Y-%m-%dT%H:%M:%S"), ",".join(header)]
+    lines += [row if isinstance(row, str) else ",".join(map(_fmt, row)) for row in rows]
     with open(path, "w", newline="") as f:
-        f.write("# generated %s\n" % time.strftime("%Y-%m-%dT%H:%M:%S"))
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(x) for x in row) + "\n")
+        f.write("\n".join(lines) + "\n")
 
 
 def _report_dict(rep, mesh: DiskMesh, opts: SolveOptions) -> dict:
@@ -214,7 +215,7 @@ def _write_solution_csv(path, mesh, values) -> None:
     # one format per row over Python floats renders each value as _fmt does
     columns = zip(range(mesh.n_nodes), mesh.nodes[:, 0].tolist(), mesh.nodes[:, 1].tolist(),
                   np.asarray(values, dtype=float).tolist())
-    write_csv(path, ["node", "t", "s", "value"], [("%d,%.17g,%.17g,%.17g" % row,) for row in columns])
+    write_csv(path, ["node", "t", "s", "value"], ["%d,%.17g,%.17g,%.17g" % row for row in columns])
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +291,14 @@ def _cmd_mt_scan(args, cfg) -> int:
               ["alpha", "grad_energy", "log_integral", "mean_term", "ratio", "C_hat", "resolved_flag"],
               [(r.alpha_blow, r.grad_energy, r.log_integral, r.mean_term, r.ratio, r.c_hat, r.resolved)
                for r in rows])
+    limit = 32.0 * math.pi**2 * fam.orbit[0]  # the ratio's limit for the family's orbit radius
     write_report(os.path.join(out, "report.json"), "mt-scan", cfg, p,
-                 {"path": path, "limit": 32.0 * math.pi**2 * (p.l - p.r),
+                 {"path": path, "limit": limit,
                   "band_halfwidth": fam.delta / fam.orbit[0],
                   "final_ratio_slope": rows[-1].ratio_slope if len(rows) > 1 else None})
     print("mt-scan [%s]: %d points, final ratio/limit %.4f, final slope/limit %s"
-          % (path, len(rows), rows[-1].ratio / (32.0 * math.pi**2 * (p.l - p.r)),
-             "%.6f" % (rows[-1].ratio_slope / (32.0 * math.pi**2 * (p.l - p.r))) if len(rows) > 1 else "n/a"))
+          % (path, len(rows), rows[-1].ratio / limit,
+             "%.6f" % (rows[-1].ratio_slope / limit) if len(rows) > 1 else "n/a"))
     return 0
 
 
@@ -354,46 +356,37 @@ def _cmd_scan_gamma(args, cfg) -> int:
 # verify: identity suite
 # ---------------------------------------------------------------------------
 
-def _mc_volume(p: TorusParams, n: int, rng) -> tuple:
-    box = np.array([p.l + p.r, p.l + p.r, p.r])
-    pts = rng.uniform(-1.0, 1.0, size=(n, 3)) * box
-    inside = (np.hypot(pts[:, 0], pts[:, 1]) - p.l) ** 2 + pts[:, 2] ** 2 <= p.r**2
-    box_vol = 8.0 * box.prod()
-    frac = inside.mean()
-    est = box_vol * frac
-    sigma = box_vol * math.sqrt(max(frac * (1 - frac), 1e-30) / n)
-    return est, sigma
+def _volume_rule(p: TorusParams, fn, n: int) -> float:
+    """Torus integral of ``fn(t, s)`` by n x n Gauss-Legendre in cylindrical coordinates:
+    ``z = r sin(theta)`` keeps square roots out of the chord ``l -+ r cos(theta)`` that
+    ``rho`` runs over; the Jacobian is ``rho`` and the azimuth gives 2 pi."""
+    x, w = _gauss_legendre(n)
+    theta = 0.5 * math.pi * x
+    half = p.r * np.cos(theta)  # half chord at height z = r sin(theta)
+    rho = p.l + np.outer(half, x)
+    # 2 pi (azimuth) * (pi/2) w_i r cos(theta_i) (dz) * half_i w_j (drho) * rho
+    weights = math.pi**2 * np.outer(w * half**2, w) * rho
+    values = fn((rho - p.l) / p.r, np.sin(theta)[:, None])
+    return weighted_sum(weights.ravel(), np.broadcast_to(values, rho.shape).ravel())
 
 
-def _mc_boundary_area(p: TorusParams, n: int, rng) -> tuple:
-    om = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    u = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    s_om = np.stack([-np.sin(om) * (p.l + p.r * np.cos(u)),
-                     np.cos(om) * (p.l + p.r * np.cos(u)),
-                     np.zeros(n)], axis=1)
-    s_u = np.stack([-p.r * np.sin(u) * np.cos(om),
-                    -p.r * np.sin(u) * np.sin(om),
-                    p.r * np.cos(u)], axis=1)
+def _boundary_area_rule(p: TorusParams, n: int) -> float:
+    """Boundary area: periodic trapezoid rule in (omega, u) over the embedding's area element."""
+    angles = np.arange(n) * (2.0 * math.pi / n)
+    om, u = (a.ravel() for a in np.meshgrid(angles, angles))
+    ring = p.l + p.r * np.cos(u)
+    s_om = np.stack([-np.sin(om) * ring, np.cos(om) * ring, np.zeros(om.size)], axis=1)
+    s_u = p.r * np.stack([-np.sin(u) * np.cos(om), -np.sin(u) * np.sin(om), np.cos(u)], axis=1)
     elem = np.linalg.norm(np.cross(s_om, s_u), axis=1)
-    area = (2.0 * math.pi) ** 2
-    est = area * elem.mean()
-    sigma = area * elem.std(ddof=1) / math.sqrt(n)
-    return est, sigma
+    return weighted_sum(np.full(om.size, (2.0 * math.pi / n) ** 2), elem)
 
 
-def _mc_volume_integral(p: TorusParams, fn, n: int, rng) -> tuple:
-    box = np.array([p.l + p.r, p.l + p.r, p.r])
-    pts = rng.uniform(-1.0, 1.0, size=(n, 3)) * box
-    rho = np.hypot(pts[:, 0], pts[:, 1])
-    inside = (rho - p.l) ** 2 + pts[:, 2] ** 2 <= p.r**2
-    t = (rho[inside] - p.l) / p.r
-    s = pts[inside, 2] / p.r
-    vals = np.zeros(n)
-    vals[inside] = fn(t, s)
-    box_vol = 8.0 * box.prod()
-    est = box_vol * vals.mean()
-    sigma = box_vol * vals.std(ddof=1) / math.sqrt(n)
-    return est, sigma
+def _rule_estimate(rule, *args) -> tuple:
+    """``rule(*args, 48)`` and a bound on its error: the difference from order 32, as both
+    converge exponentially, plus ``64 eps`` of the value for the roundoff of numpy's nodes
+    and weights and of the sum (measured: at most 20 eps on verify's integrands)."""
+    coarse, fine = rule(*args, 32), rule(*args, 48)
+    return fine, abs(fine - coarse) + 64.0 * np.finfo(float).eps * abs(fine)
 
 
 def _cmd_verify(args, cfg) -> int:
@@ -403,16 +396,23 @@ def _cmd_verify(args, cfg) -> int:
     out = _out_dir(cfg, args)
     perturb = getattr(args, "debug_perturb_weight", False)
     p_assembly = TorusParams(p.l, p.r * 1.05) if perturb else p
+    # ring counts of h, 2h and 4h (coarser when n is odd); the order rows share these meshes
+    n = round(1.0 / mesh.h)
+    levels = (n, max(2, n // 2), max(2, n // 4))
+    meshes = {k: mesh if k == n else build_mesh(k) for k in {*levels, 8, 16, 32, 64}}
+
+    def exp_integral(k, fn):  # the weighted volume quadrature of exp(fn) on ring count k
+        return integrate_volume(meshes[k], p_assembly, DiskField.from_function(meshes[k], fn), np.exp)
 
     checks = []
 
     def check(name, measured, tol):
         checks.append((name, float(measured), float(tol), abs(measured) <= tol))
 
-    est, sigma = _mc_volume(p, 200_000, rng)
-    check("volume_vs_mc_3sigma", est - p.volume(), 3.0 * sigma)
-    est, sigma = _mc_boundary_area(p, 200_000, rng)
-    check("boundary_area_vs_mc_3sigma", est - p.boundary_area(), 3.0 * sigma)
+    volume, err = _rule_estimate(_volume_rule, p, lambda t, s: 1.0)
+    check("volume_vs_gauss_rule", volume - p.volume(), err)
+    area, err = _rule_estimate(_boundary_area_rule, p)
+    check("boundary_area_vs_trapezoid_rule", area - p.boundary_area(), err)
 
     for k in range(3):
         coef = rng.normal(0.0, 0.35, size=6)
@@ -420,19 +420,16 @@ def _cmd_verify(args, cfg) -> int:
         def smooth(t, s, c=coef):
             return c[0] + c[1] * t + c[2] * s + c[3] * t * s + c[4] * (t * t - s * s) + c[5] * np.sin(t + s)
 
-        field = DiskField.from_function(mesh, smooth)
-        quad = integrate_volume(mesh, p_assembly, field, np.exp)
-        est, sigma = _mc_volume_integral(p, lambda t, s: np.exp(smooth(t, s)), 200_000, rng)
-        check("volume_reduction_identity_field%d_3sigma" % k, quad - est, 3.0 * sigma)
+        q_h, q_2h, q_4h = (exp_integral(j, smooth) for j in levels)
+        exact, err = _rule_estimate(_volume_rule, p, lambda t, s: np.exp(smooth(t, s)))
+        # |Q_h - Q_2h| is three times Richardson's estimate of Q_h's O(h^2) error; the next
+        # difference over 4 covers a mesh where the h^2 term cancels against higher ones
+        mesh_err = max(abs(q_h - q_2h), abs(q_2h - q_4h) / 4.0)
+        check("volume_reduction_identity_field%d" % k, q_h - exact, mesh_err + err)
 
     # mesh-refinement convergence of the weighted volume quadrature
     # (Richardson: order from ratios of consecutive level differences)
-    def exp_integral(n):
-        m = build_mesh(n)
-        fld = DiskField.from_function(m, lambda t, s: t + 0.3 * s * s)
-        return integrate_volume(m, p_assembly, fld, np.exp)
-
-    vals = [exp_integral(n) for n in (8, 16, 32, 64)]
+    vals = [exp_integral(k, lambda t, s: t + 0.3 * s * s) for k in (8, 16, 32, 64)]
     diffs = [abs(a - b) for a, b in zip(vals, vals[1:])]
     orders = [math.log2(diffs[i] / diffs[i + 1]) for i in range(len(diffs) - 1)]
     for i, order in enumerate(orders):
@@ -479,7 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="INI config path")
         sp.add_argument("--out", default=None, help="output directory (default: config, env %s, or ./out)" % OUT_ENV_VAR)
         sp.add_argument("--mesh", type=int, default=None, help="override mesh n_rings")
-        sp.add_argument("--seed", type=int, default=0, help="RNG seed (Monte Carlo oracles only)")
+        sp.add_argument("--seed", type=int, default=0, help="seed of verify's random smooth test fields")
         sp.add_argument("--threads", type=int, default=None, help="worker threads for the scan-gamma sweep")
         if name == "verify":
             sp.add_argument("--debug-perturb-weight", action="store_true",

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from torusbvp import build_mesh
-from torusbvp.cli import _fmt, _write_solution_csv, main
+from torusbvp.cli import _boundary_area_rule, _fmt, _rule_estimate, _volume_rule, _write_solution_csv, main
+from torusbvp.geometry import TorusParams
 
 
 BASE = """
@@ -211,6 +212,52 @@ def test_verify_cli(tmp_path):
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--seed", "1"]) == 0
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "vp"), "--seed", "1",
                  "--debug-perturb-weight"]) != 0
+    failed = [row.split(",")[0] for row in csv_body(tmp_path / "vp" / "verify.csv")[1:] if row.endswith(",0")]
+    assert failed == ["volume_reduction_identity_field%d" % k for k in range(3)]
+
+
+@pytest.mark.parametrize("seed", [0, 99, 107, 124, 149])
+def test_verify_passes_at_every_seed(tmp_path, seed):
+    """Seeds 99, 107, 124 and 149 failed the 3-sigma bands of the Monte Carlo oracles by chance."""
+    cfg = write_cfg(tmp_path, _GEOMETRY)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path), "--mesh", "64", "--seed", str(seed)]) == 0
+
+
+def test_verify_rows_without_random_fields_are_unchanged(tmp_path):
+    """The rows that draw no random numbers, as the Monte Carlo version of verify wrote them.
+
+    The two p2_constant rows measure roundoff (README, Outputs), so a change of
+    elimination or summation order moves their digits here, with a stated reason.
+    """
+    cfg = write_cfg(tmp_path, _GEOMETRY)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path), "--seed", "0"]) == 0
+    assert csv_body(tmp_path / "verify.csv")[6:] == [
+        "quadrature_order_minus2_step0,0.046212102920078824,0.29999999999999999,1",
+        "quadrature_order_minus2_step1,0.012704140931751873,0.29999999999999999,1",
+        "p2_constant_solution_K,-2.8421709430404007e-14,3.9478417604357434e-07,1",
+        "p2_constant_identity_614,-7.1054273576012843e-15,3.9478417604357434e-07,1",
+        "blowup_exp_closed_form_2pct,-0.0009171155806712443,0.02,1",
+        "blowup_grad_closed_form_2pct,-0.0019410460285511687,0.02,1",
+    ]
+
+
+@pytest.mark.parametrize("l, r", [(2.0, 1.0), (3.0, 0.5)])
+def test_verify_rules_give_the_closed_form_measures(l, r):
+    p = TorusParams(l, r)
+    volume, volume_err = _rule_estimate(_volume_rule, p, lambda t, s: 1.0)
+    area, area_err = _rule_estimate(_boundary_area_rule, p)
+    assert abs(volume - p.volume()) <= min(volume_err, 1e-13 * p.volume())
+    assert abs(area - p.boundary_area()) <= min(area_err, 1e-13 * p.boundary_area())
+
+
+def test_mt_scan_reports_the_limit_of_the_family_it_scans(tmp_path):
+    """Closed form: the orbit (l - r, 0), limit 32 pi^2 (l - r); mesh: the orbit (l, 0), limit 32 pi^2 l."""
+    limits = {}
+    for path in ("closed-form", "mesh"):
+        cfg = write_cfg(tmp_path, BASE + "[scan]\npath = %s\nalphas = 1e-2, 1e-3\n" % path, name=path + ".ini")
+        assert main(["mt-scan", "--config", cfg, "--out", str(tmp_path / path)]) == 0
+        limits[path] = json.loads((tmp_path / path / "report.json").read_text())["limit"]
+    assert limits == pytest.approx({"closed-form": 32.0 * math.pi**2, "mesh": 64.0 * math.pi**2}, rel=1e-15)
 
 
 def test_solution_csv_matches_cell_formatting(tmp_path):
