@@ -8,7 +8,6 @@ constants with explicit concentration families.
 """
 
 from .errors import (
-    ChartDomainError,
     ConfigError,
     DomainError,
     ExistenceWindowWarning,
@@ -24,16 +23,9 @@ from .errors import (
     TorusBVPError,
 )
 from .geometry import (
-    ChartCoords,
     TorusParams,
-    TorusPoint,
     boundary_area,
-    chart_forward,
-    chart_inverse,
-    disk_point_to_torus,
     make_params,
-    metric_weight,
-    orbit_distance,
     orbit_distance_disk,
     volume,
 )
@@ -45,7 +37,6 @@ from .mesh import (
     build_mesh,
     dirichlet_energy,
     disk_operators,
-    export_tables,
     grad_energy_weighted,
     integrate_boundary,
     integrate_volume,

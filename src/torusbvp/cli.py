@@ -58,6 +58,7 @@ from .mesh import (
     coarse_mesh,
     dissection_order,
     integrate_volume,
+    transfer_pair,
     weighted_sum,
 )
 from .solvers import (
@@ -188,6 +189,8 @@ def _report_dict(rep, mesh: DiskMesh, opts: SolveOptions) -> dict:
         "field_min": float(np.min(rep.field.values)),
         "field_max": float(np.max(rep.field.values)),
         "trace": [[float(a), float(b)] for a, b in rep.trace],
+        "factorizations": rep.factorizations,
+        "two_grid_cycles": rep.two_grid_cycles,
         "n_nodes": mesh.n_nodes,
         "options": dataclasses.asdict(opts),  # effective values, defaults resolved
     }
@@ -326,8 +329,12 @@ def _cmd_scan_gamma(args, cfg) -> int:
     level = (mesh,)
     while level is not None:  # fill the caches of every Newton level before the workers share them
         assemble(level[0], p)
-        dissection_order(level[0])
-        level = coarse_mesh(level[0])
+        coarse = coarse_mesh(level[0])
+        if level[0] is not mesh:
+            dissection_order(level[0])
+        elif coarse is not None:  # the finest level's two-grid solves factor nothing
+            transfer_pair(coarse[0], mesh, interior=True)
+        level = coarse
 
     def solve_one(gamma):
         prob = ProblemP1(gamma, f)

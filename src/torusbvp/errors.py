@@ -9,10 +9,6 @@ class DomainError(TorusBVPError):
     """Input violates a documented precondition or invariant."""
 
 
-class ChartDomainError(DomainError):
-    """Point lies on the excluded half-plane of the requested chart."""
-
-
 class ModeError(TorusBVPError):
     """Field is incompatible with the requested evaluation mode."""
 

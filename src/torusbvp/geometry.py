@@ -1,4 +1,4 @@
-"""Solid torus geometry: charts, metric weight, orbit distances, exact measures.
+"""Solid torus geometry: validated radii, exact measures, orbit distances.
 
 The solid torus with major radius ``l`` and minor radius ``r`` (``l > r > 0``)
 is the set ``(sqrt(x^2+y^2) - l)^2 + z^2 <= r^2``.  Rotation-invariant data
@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartDomainError, DomainError
-
-TWO_PI = 2.0 * math.pi
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -53,95 +51,11 @@ def boundary_area(p: TorusParams) -> float:
     return p.boundary_area()
 
 
-@dataclass(frozen=True)
-class TorusPoint:
-    """Cartesian point, with containment test against a torus."""
-
-    x: float
-    y: float
-    z: float
-
-    def inside(self, p: TorusParams, tol_scale: float = 1e-12) -> bool:
-        rho = math.hypot(self.x, self.y)
-        return math.hypot(rho - p.l, self.z) <= p.r * (1.0 + tol_scale)
-
-
-@dataclass(frozen=True)
-class ChartCoords:
-    """Chart image (omega, t, s); the disk part satisfies t^2 + s^2 <= 1."""
-
-    omega: float
-    t: float
-    s: float
-
-    def __post_init__(self):
-        if self.t**2 + self.s**2 > 1.0 + 1e-12:
-            raise DomainError("disk coordinates outside closed unit disk: t=%r s=%r" % (self.t, self.s))
-
-
-def chart_forward(p: TorusParams, q: TorusPoint, chart: int) -> ChartCoords:
-    """Map a torus point to chart coordinates (omega, t, s).
-
-    Chart 1 covers the torus minus the half-plane {x>0, y=0} with
-    omega in (0, 2*pi); chart 2 excludes {x<0, y=0} with omega in (-pi, pi).
-    Points exactly on the excluded half-plane raise ``ChartDomainError``:
-    callers choose the other chart explicitly.
-    """
-    if chart not in (1, 2):
-        raise DomainError("chart must be 1 or 2, got %r" % (chart,))
-    if not q.inside(p):
-        raise DomainError("point %r lies outside the closed torus" % (q,))
-    if q.y == 0.0:
-        if chart == 1 and q.x > 0.0:
-            raise ChartDomainError("point on excluded half-plane {x>0, y=0} of chart 1")
-        if chart == 2 and q.x < 0.0:
-            raise ChartDomainError("point on excluded half-plane {x<0, y=0} of chart 2")
-    rho = math.hypot(q.x, q.y)
-    omega = math.atan2(q.y, q.x)  # in (-pi, pi]
-    if chart == 1 and omega <= 0.0:
-        omega += TWO_PI
-    t = (rho - p.l) / p.r
-    s = q.z / p.r
-    # clip roundoff just outside the closed disk
-    rr = t * t + s * s
-    if 1.0 < rr <= 1.0 + 1e-12:
-        scale = 1.0 / math.sqrt(rr)
-        t, s = t * scale, s * scale
-    return ChartCoords(omega, t, s)
-
-
-def chart_inverse(p: TorusParams, c: ChartCoords, chart: int) -> TorusPoint:
-    """Inverse chart map; composes with ``chart_forward`` to the identity."""
-    if chart not in (1, 2):
-        raise DomainError("chart must be 1 or 2, got %r" % (chart,))
-    rho = p.l + p.r * c.t
-    return TorusPoint(rho * math.cos(c.omega), rho * math.sin(c.omega), p.r * c.s)
-
-
-def metric_weight(p: TorusParams, t):
-    """Jacobian factor r^2 (l + r t) of the chart; strictly positive on [-1, 1]."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < -1.0 - 1e-12) or np.any(t > 1.0 + 1e-12):
-        raise DomainError("metric weight requested outside t in [-1, 1]")
-    w = p.r**2 * (p.l + p.r * t)
-    return float(w) if np.ndim(t) == 0 else w
-
-
-def orbit_distance(p: TorusParams, q: TorusPoint, orbit: tuple) -> float:
-    """Distance from ``q`` to the circular orbit {sqrt(x^2+y^2)=l_P, z=z_P}."""
-    l_p, z_p = orbit
-    if l_p <= 0.0:
-        raise DomainError("orbit horizontal radius must be positive, got %r" % (l_p,))
-    rho = math.hypot(q.x, q.y)
-    return math.hypot(rho - l_p, q.z - z_p)
-
-
 def orbit_distance_disk(p: TorusParams, t, s, orbit: tuple):
-    """Orbit distance evaluated from disk coordinates (vectorized).
+    """Distance to the circular orbit {sqrt(x^2+y^2) = l_P, z = z_P} from disk coordinates (vectorized).
 
-    Equals ``orbit_distance`` of the lifted point at any azimuth; in
-    particular for the inner-equator orbit (l-r, 0) this is
-    ``r*sqrt((t+1)^2 + s^2)``.
+    The lifted point ``(l + r t, r s)`` at any azimuth has this distance; for
+    the inner-equator orbit (l-r, 0) it is ``r*sqrt((t+1)^2 + s^2)``.
     """
     l_p, z_p = orbit
     if l_p <= 0.0:
@@ -150,9 +64,3 @@ def orbit_distance_disk(p: TorusParams, t, s, orbit: tuple):
     s = np.asarray(s, dtype=float)
     d = np.hypot(p.l + p.r * t - l_p, p.r * s - z_p)
     return float(d) if d.ndim == 0 else d
-
-
-def disk_point_to_torus(p: TorusParams, t: float, s: float, omega: float = 0.0) -> TorusPoint:
-    """Lift disk coordinates to the torus at azimuth ``omega``."""
-    rho = p.l + p.r * t
-    return TorusPoint(rho * math.cos(omega), rho * math.sin(omega), p.r * s)

@@ -128,21 +128,35 @@ def prolong(coarse: DiskMesh, values, mesh: DiskMesh) -> np.ndarray:
     an integer ring/slot ratio with no remainder.  These weights form a
     sparse matrix, built on the first call and cached on ``mesh``.
     """
-    n = round(1.0 / coarse.h)
-    key = ("prolong", n)
-    matrix = mesh._cache.get(key)
-    if matrix is None:
-        matrix = _prolongation(n, mesh.n_nodes)
-        mesh._cache[key] = matrix
+    matrix = _prolongation(coarse, mesh)
     return matrix @ np.asarray(values, dtype=float)
 
 
-def _prolongation(n: int, n_fine: int) -> sp.csr_matrix:
-    """``prolong``'s weights from ``build_mesh(n)`` to ``build_mesh(2 n)``, with ``n_fine`` nodes.
+def transfer_pair(coarse: DiskMesh, mesh: DiskMesh, interior: bool = False):
+    """``prolong``'s matrix ``P`` from ``coarse`` to ``mesh`` and its transpose (cached on ``mesh``).
+
+    With ``interior`` both keep only the interior nodes, of ``mesh`` in the
+    rows of ``P`` and of ``coarse`` in its columns: the unknowns of a
+    Dirichlet problem.
+    """
+    key = ("transfer", round(1.0 / coarse.h), interior)
+    if key not in mesh._cache:
+        matrix = _prolongation(coarse, mesh)
+        if interior:
+            matrix = matrix[mesh.interior_nodes()][:, coarse.interior_nodes()]
+        mesh._cache[key] = (matrix, matrix.T.tocsr())
+    return mesh._cache[key]
+
+
+def _prolongation(coarse: DiskMesh, mesh: DiskMesh) -> sp.csr_matrix:
+    """``prolong``'s weights from ``coarse`` to ``mesh``, which has twice its rings (cached on ``mesh``).
 
     Each row has at most four entries, the two ends of the edge crossed on
     each coarse ring; a nested node's row is a single 1.0.
     """
+    n, n_fine = round(1.0 / coarse.h), mesh.n_nodes
+    if ("prolong", n) in mesh._cache:
+        return mesh._cache[("prolong", n)]
     ring, slot, _ = _ring_layout(2 * n)
     if ring.size != n_fine:
         raise DomainError("mesh has %d nodes, not the %d of the refined coarse mesh"
@@ -171,6 +185,7 @@ def _prolongation(n: int, n_fine: int) -> sp.csr_matrix:
                             (np.tile(np.arange(n_fine), 4), np.concatenate([a0, b0, a1, b1]))),
                            shape=(n_fine, start[-1] + 6 * n))
     matrix.eliminate_zeros()
+    mesh._cache[("prolong", n)] = matrix
     return matrix
 
 
@@ -440,12 +455,3 @@ def grad_energy_weighted(mesh: DiskMesh, p: TorusParams, field: DiskField, centr
         g2 = g2 * weights
     return float(TWO_PI * np.sum(areas * (p.l + p.r * t_cent) * g2))
 
-
-def export_tables(mesh: DiskMesh, node_path, triangle_path) -> None:
-    """Write plain-text node and triangle tables, one record per line."""
-    with open(node_path, "w") as f:
-        for i, (t, s) in enumerate(mesh.nodes):
-            f.write("%d %.17g %.17g\n" % (i, t, s))
-    with open(triangle_path, "w") as f:
-        for i, (a, b, c) in enumerate(mesh.triangles):
-            f.write("%d %d %d %d\n" % (i, a, b, c))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -46,7 +47,8 @@ from .functionals import (
     reach_exponential_target,
 )
 from .geometry import TorusParams
-from .mesh import DiskField, DiskMesh, assemble, coarse_mesh, dissection_order, prolong, weighted_sum
+from .mesh import (DiskField, DiskMesh, assemble, coarse_mesh, dissection_order, prolong, transfer_pair,
+                   weighted_sum)
 
 
 @dataclass
@@ -75,7 +77,9 @@ class SolveReport:
     the Armijo rule), the descent solvers record the core energy ``0.5
     |grad v|^2 + a int(v) + b bint(v)`` of the problem they solve (for P1
     that is half of ``functional_I_p1``), and the monotone solver records
-    sup-norm increments.
+    sup-norm increments.  ``factorizations`` counts the sparse LU factors
+    and ``two_grid_cycles`` the cycles of the finest nested level's linear
+    solves, both over every level.
     """
 
     field: DiskField
@@ -86,10 +90,22 @@ class SolveReport:
     multiplier: float | None
     functional_value: float
     trace: list = dataclass_field(repr=False, default_factory=list)
+    factorizations: int = 0
+    two_grid_cycles: int = 0
 
 
 # nonlinear Jacobi sweeps on the new nodes of each nested Newton start
 _RELAX_SWEEPS = 8
+# the finest nested level solves its Newton systems by two-grid cycles from
+# this many rings on: damped Jacobi sweeps (count and damping) before and
+# after each coarse correction, at most _TWO_GRID_MAX_CYCLES cycles per
+# system, each to a weighted residual of _TWO_GRID_FRACTION times Newton's
+# tolerance
+_TWO_GRID_MIN_RINGS = 16
+_TWO_GRID_SWEEPS = 2
+_TWO_GRID_DAMPING = 0.6
+_TWO_GRID_MAX_CYCLES = 25
+_TWO_GRID_FRACTION = 0.1
 # Armijo backtracking of the Newton and descent line searches: the step
 # factor, the sufficient-decrease slope and the smallest step tried
 _ARMIJO_FACTOR = 0.5
@@ -158,18 +174,26 @@ def _restrict_order(order, nodes):
     return local[local >= 0]
 
 
-def _newton_loop(ops, prob, v0, weights, opts, mesh, trace=None, mask=None):
+def _newton_loop(ops, prob, v0, weights, opts, mesh, counts, trace=None, mask=None, coarse=None,
+                 keep_factor=False):
     """Damped Newton on the core equation, Armijo backtracking on its weighted residual norm.
 
+    Each step solves ``J delta = -F``.  With ``coarse``, the level below's
+    last factor and the ``transfer_pair`` to it, two-grid cycles solve it
+    (``_two_grid``) and ``J`` is factored only if they miss their target.
     The first factorization takes the elimination order of ``mesh``'s nodes
-    (see ``_factorize``), so a loop that takes no step computes none.
+    (see ``_factorize``), so a loop that factors nothing computes none.
     ``mask`` restricts the update, the residual rows, the Jacobian and the
     order to a subset of nodes (Dirichlet problems); ``weights`` are given
     on those rows.  Newton stops at the residual ``tol_abs + tol_rel * r0``,
     ``r0`` the residual of the zero field.  That reference depends on the
     data alone, so no start moves the tolerance: a start far off, such as a
     stalled descent's, cannot loosen it, and a start near the solution
-    cannot push it below the float64 floor of the residual.
+    cannot push it below the float64 floor of the residual.  ``counts``, a
+    ``Counter`` of ``SolveReport``'s count fields, gains the loop's.  Returns ``(v, res,
+    iterations, trace, lu)``: with ``keep_factor``, ``lu`` is the last
+    factor made; otherwise, or if none was made, it is None, and each factor
+    is freed after its one solve.
     """
     rows = slice(None) if mask is None else mask
 
@@ -183,19 +207,28 @@ def _newton_loop(ops, prob, v0, weights, opts, mesh, trace=None, mask=None):
     if not math.isfinite(res):
         raise DomainError("initial iterate produces a non-finite residual")
     tol = opts.tol_abs + opts.tol_rel * residual(np.zeros_like(v))[1]
-    order = None
+    order = lu = None
     trace.append((res, 0.0))
     iterations = 0
     while res > tol and iterations < opts.max_iter:
+        lu = None  # a kept factor is the last step's only
         J = _jacobian(ops, prob, v)
         if mask is not None:
             J = J[mask, :][:, mask]
-        if order is None:
-            order = dissection_order(mesh)
-            if mask is not None:
-                order = _restrict_order(order, mask)
-        # the factor serves one solve; holding no reference frees it at once
-        delta = -_factorize(J, order).solve(F)
+        delta = None
+        if coarse is not None:
+            delta, cycles = _two_grid(J, -F, *coarse, weights, _TWO_GRID_FRACTION * tol)
+            counts["two_grid_cycles"] += cycles
+        if delta is None:
+            if order is None:
+                order = dissection_order(mesh)
+                if mask is not None:
+                    order = _restrict_order(order, mask)
+            lu = _factorize(J, order)
+            counts["factorizations"] += 1
+            delta = -lu.solve(F)
+            if not keep_factor:
+                lu = None  # it served its one solve
         if not np.all(np.isfinite(delta)):
             raise SingularJacobian("Newton direction is non-finite")
         step = 1.0
@@ -216,7 +249,37 @@ def _newton_loop(ops, prob, v0, weights, opts, mesh, trace=None, mask=None):
     if res > tol:
         raise NonConvergence("Newton did not reach tolerance %g in %d iterations (residual %g)"
                              % (tol, opts.max_iter, res))
-    return v, res, iterations, trace
+    return v, res, iterations, trace, lu
+
+
+def _two_grid(matrix, rhs, lu, transfer, weights, target):
+    """``matrix x = rhs`` solved by two-grid cycles to the weighted residual ``target``.
+
+    A cycle is ``_TWO_GRID_SWEEPS`` damped Jacobi sweeps, the coarse
+    correction ``x += P lu^-1 R r``, with ``(P, R)`` the ``transfer`` and
+    ``lu`` a factor of the level below's Jacobian, and as many sweeps again.
+    The sweeps damp the error that oscillates on this mesh; the rest is
+    smooth, and the level below resolves it.  Returns ``(x, cycles)``, with
+    ``x`` None if ``_TWO_GRID_MAX_CYCLES`` cycles miss the target.
+    """
+    P, R = transfer
+    jacobi = _TWO_GRID_DAMPING / matrix.diagonal()
+    x, r, update = np.zeros_like(rhs), rhs.copy(), np.empty_like(rhs)  # reused by every sweep
+    for cycle in range(1, _TWO_GRID_MAX_CYCLES + 1):
+        for sweep in range(2 * _TWO_GRID_SWEEPS + 1):
+            if sweep == _TWO_GRID_SWEEPS:
+                x += _sparse_product(P, lu.solve(_sparse_product(R, r)))
+            else:
+                x += np.multiply(jacobi, r, out=update)
+            np.subtract(rhs, matrix @ x, out=r)
+        if _weighted_norm(r, weights) <= target:
+            return x, cycle
+    return None, _TWO_GRID_MAX_CYCLES
+
+
+def _sparse_product(matrix, x):
+    # scipy multiplies a sparse matrix by a vector without BLAS
+    return matrix @ x
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +317,18 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False):
     ``init``, stops at ``_newton_loop``'s tolerance, which scales with the
     residual of zero and so stays above the float64 floor of the residual.
     Residuals are weighted by ``M + M_b``, which on the interior nodes is
-    ``M``.  Returns ``(v, residual_norm, iterations, trace)``:
-    ``iterations`` counts the steps of every level that converged,
-    ``trace`` is the finest level's.
+    ``M``.  From ``_TWO_GRID_MIN_RINGS`` rings on, the finest level factors
+    nothing: two-grid cycles on the last factor of the level below solve its
+    Newton systems.  Returns ``(v, residual_norm, iterations, trace,
+    counts)``: ``iterations`` counts the steps of every level that
+    converged, ``trace`` is the finest level's, and ``counts`` sums the
+    linear solves of every level.
     """
+    counts = Counter()
     if init is not None:
-        return _newton_level(mesh, p, prob, init.values.copy(), opts, dirichlet)
+        v, res, iterations, trace, _ = _newton_level(mesh, p, prob, init.values.copy(), opts, dirichlet,
+                                                     counts)
+        return v, res, iterations, trace, counts
     levels = [(mesh, prob)]
     while (level := coarse_mesh(levels[-1][0])) is not None:
         coarse, idx = level
@@ -268,11 +337,19 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False):
                                          DiskField(coarse, fine_prob.g.values[idx]))))
     v_2h = v_4h = None  # converged solutions of the two levels below
     iterations = 0
+    # only the level below the finest keeps its last factor, for the finest's
+    # two-grid solves; their transfer is built before any level's transient arrays
+    below = transfer = lu = None
+    if len(levels) > 1 and round(1.0 / mesh.h) >= _TWO_GRID_MIN_RINGS:
+        below = levels[1][0]
+        transfer = transfer_pair(below, mesh, interior=dirichlet)
     for level_mesh, level_prob in reversed(levels):
         v0 = np.zeros(level_mesh.n_nodes) if v_2h is None else _fmg_start(level_mesh, v_2h, v_4h)
         try:
-            v, res, steps, trace = _newton_level(level_mesh, p, level_prob, v0, opts, dirichlet,
-                                                 relax=v_2h is not None)
+            v, res, steps, trace, lu = _newton_level(level_mesh, p, level_prob, v0, opts, dirichlet, counts,
+                                                     relax=v_2h is not None,
+                                                     coarse=None if lu is None else (lu, transfer),
+                                                     keep_factor=level_mesh is below)
         except (NonConvergence, SingularJacobian, DomainError):
             if level_mesh is mesh:
                 raise
@@ -280,7 +357,7 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False):
         else:
             iterations += steps
         v_2h, v_4h = v, v_2h
-    return v, res, iterations, trace
+    return v, res, iterations, trace, counts
 
 
 def _fmg_start(mesh, v_2h, v_4h):
@@ -298,7 +375,8 @@ def _fmg_start(mesh, v_2h, v_4h):
     return prolong(coarse, v_2h, mesh)
 
 
-def _newton_level(mesh, p, prob, v0, opts, dirichlet, relax=False):
+def _newton_level(mesh, p, prob, v0, opts, dirichlet, counts, relax=False, coarse=None,
+                  keep_factor=False):
     """``_newton_loop`` on one mesh from ``v0``, relaxed first on the new nodes if ``relax``."""
     ops = assemble(mesh, p)
     weights = ops.volume_mass + ops.boundary_mass
@@ -309,7 +387,8 @@ def _newton_level(mesh, p, prob, v0, opts, dirichlet, relax=False):
         weights = weights[mask]
     if relax:
         v0 = _relax_new_nodes(mesh, ops, prob, v0, mask, weights)
-    return _newton_loop(ops, prob, v0, weights, opts, mesh, mask=mask)
+    return _newton_loop(ops, prob, v0, weights, opts, mesh, counts, mask=mask, coarse=coarse,
+                        keep_factor=keep_factor)
 
 
 def _relax_new_nodes(mesh, ops, prob, v0, mask, weights):
@@ -369,7 +448,8 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
     there, and the multiplier is ``kappa``, ``exp`` of the polished field's
     ``M``-weighted mean.  Otherwise the polished field solves ``S v + a M +
     b M_b + w e^v = 0``: stationarity on {K = 0} with multiplier exactly -1.
-    Returns ``(v, multiplier, iterations, residual_norm, trace)``.
+    Returns ``(v, multiplier, iterations, residual_norm, trace, counts)``,
+    ``counts`` the factorizations of the preconditioner and the polish.
     """
     ops = assemble(mesh, p)
     S, m, mb = ops.stiffness, ops.volume_mass, ops.boundary_mass
@@ -403,6 +483,7 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
     v = reach_exponential_target(mesh, p, prob.f, prob.g, v, -r_h) if v_p is None else v_p
 
     precond = _factorize(S + sp.diags(weights), dissection_order(mesh))
+    counts = Counter(factorizations=1)
     merit = functional_I_p2(mesh, p, DiskField(mesh, v), prob)
     trace = []
     iterations = 0
@@ -435,9 +516,9 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
 
     if case_zero:  # the shifted minimizer solves the equation
         v = v + math.log(multiplier_kappa(mesh, p, DiskField(mesh, v), prob))
-    v, res, polish_iters, trace = _newton_loop(ops, prob, v, weights, opts, mesh, trace=trace)
+    v, res, polish_iters, trace, _ = _newton_loop(ops, prob, v, weights, opts, mesh, counts, trace=trace)
     multiplier = math.exp(weighted_sum(m, v) / vol_h) if case_zero else -1.0
-    return v, multiplier, iterations + polish_iters, res, trace
+    return v, multiplier, iterations + polish_iters, res, trace, counts
 
 
 def _projected_direction(precond, grad, normals):
@@ -459,7 +540,7 @@ def _projected_direction(precond, grad, normals):
     return d, weighted_sum(grad, d)
 
 
-def _report(mesh, p, prob, v, iterations, res, multiplier, trace):
+def _report(mesh, p, prob, v, iterations, res, multiplier, trace, counts):
     """A converged field with the constraint value and energy of its own problem."""
     out = DiskField(mesh, v)
     p1 = isinstance(prob, ProblemP1)
@@ -472,6 +553,7 @@ def _report(mesh, p, prob, v, iterations, res, multiplier, trace):
         multiplier=multiplier,
         functional_value=(functional_I_p1 if p1 else functional_I_p2)(mesh, p, out, prob),
         trace=trace,
+        **counts,
     )
 
 
@@ -496,9 +578,9 @@ def p1_residual_norm(mesh: DiskMesh, p: TorusParams, prob: ProblemP1, field: Dis
 def solve_p1_newton(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
                     init: DiskField | None = None, opts: SolveOptions | None = None) -> SolveReport:
     """Damped Newton on the Dirichlet weak form of the P1 problem."""
-    v, res, iterations, trace = _solve_newton(mesh, p, prob.as_p2(), init, opts or SolveOptions(),
-                                              dirichlet=True)
-    return _report(mesh, p, prob, v, iterations, res, None, trace)
+    v, res, iterations, trace, counts = _solve_newton(mesh, p, prob.as_p2(), init, opts or SolveOptions(),
+                                                      dirichlet=True)
+    return _report(mesh, p, prob, v, iterations, res, None, trace, counts)
 
 
 def solve_p1_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
@@ -519,11 +601,11 @@ def solve_p1_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
         warnings.warn("gamma=%g outside the sufficient window (0, %g); existence not guaranteed"
                       % (prob.gamma, window), ExistenceWindowWarning, stacklevel=2)
 
-    v, multiplier, iterations, res, trace = _solve_variational(
+    v, multiplier, iterations, res, trace, counts = _solve_variational(
         mesh, p, prob.as_p2(), init, opts or SolveOptions(), assemble(mesh, p).volume_mass)
     if prob.gamma != 0.0:
         multiplier = -multiplier  # the core's multiplier of -f e^v
-    return _report(mesh, p, prob, v, iterations, res, multiplier, trace)
+    return _report(mesh, p, prob, v, iterations, res, multiplier, trace, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +622,8 @@ def p2_residual_norm(mesh: DiskMesh, p: TorusParams, prob: ProblemP2, field: Dis
 def solve_p2_newton(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
                     init: DiskField | None = None, opts: SolveOptions | None = None) -> SolveReport:
     """Damped Newton on the nonlinear Neumann weak form of the P2 problem."""
-    v, res, iterations, trace = _solve_newton(mesh, p, prob, init, opts or SolveOptions())
-    return _report(mesh, p, prob, v, iterations, res, None, trace)
+    v, res, iterations, trace, counts = _solve_newton(mesh, p, prob, init, opts or SolveOptions())
+    return _report(mesh, p, prob, v, iterations, res, None, trace, counts)
 
 
 def solve_p2_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
@@ -563,9 +645,9 @@ def solve_p2_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
         warnings.warn("R=%g outside the sufficient existence window of the a,b >= 0 regime" % prob.R(p),
                       ExistenceWindowWarning, stacklevel=2)
 
-    v, multiplier, iterations, res, trace = _solve_variational(
+    v, multiplier, iterations, res, trace, counts = _solve_variational(
         mesh, p, prob, init, opts or SolveOptions(), ops.volume_mass + ops.boundary_mass)
-    return _report(mesh, p, prob, v, iterations, res, multiplier, trace)
+    return _report(mesh, p, prob, v, iterations, res, multiplier, trace, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -676,4 +758,4 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
         raise NonConvergence("monotone iteration did not contract below %g in %d steps"
                              % (tol, opts.max_monotone_iter))
     return _report(mesh, p, prob, v, iterations, p2_residual_norm(mesh, p, prob, DiskField(mesh, v)),
-                   None, trace)
+                   None, trace, Counter(factorizations=1))

@@ -50,6 +50,17 @@ def test_solve_p1_trivial(tmp_path):
     assert (out / "solution.csv").exists()
 
 
+def test_report_counts_factorizations_and_two_grid_cycles(tmp_path):
+    cfg = write_cfg(tmp_path, BASE.replace("n_rings = 10", "n_rings = 16").replace("f = 1", "f = 1 + 0.2*t")
+                    .replace("gamma = 1.0", "gamma = 1.5"))
+    out = tmp_path / "out"
+    assert main(["solve-p1", "--config", cfg, "--out", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text())["report"]
+    fine_steps = len(rep["trace"]) - 1
+    assert rep["factorizations"] == rep["iterations"] - fine_steps > 0
+    assert rep["two_grid_cycles"] >= fine_steps >= 1
+
+
 def test_invalid_geometry_exit_code(tmp_path):
     cfg = write_cfg(tmp_path, BASE.replace("l = 2.0", "l = 1.0").replace("r = 1.0", "r = 2.0"))
     assert main(["solve-p1", "--config", cfg, "--out", str(tmp_path / "o")]) == 3

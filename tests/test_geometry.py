@@ -42,68 +42,25 @@ def test_measures_against_monte_carlo():
         assert abs(est - p.boundary_area()) <= 3 * sigma
 
 
-def test_chart_forward_examples():
-    p = tb.make_params(2, 1)
-    c = tb.chart_forward(p, tb.TorusPoint(3, 0, 0), chart=2)
-    assert (c.omega, c.t, c.s) == pytest.approx((0.0, 1.0, 0.0), abs=1e-14)
-    c = tb.chart_forward(p, tb.TorusPoint(0, 2, 1), chart=1)
-    assert (c.omega, c.t, c.s) == pytest.approx((math.pi / 2, 0.0, 1.0), abs=1e-14)
+def lift(p, t, s, omega):
+    """Cartesian point of the torus with disk coordinates (t, s) at azimuth ``omega``."""
+    rho = p.l + p.r * t
+    return rho * math.cos(omega), rho * math.sin(omega), p.r * s
 
 
-def test_chart_excluded_half_planes():
-    p = tb.make_params(2, 1)
-    with pytest.raises(tb.ChartDomainError):
-        tb.chart_forward(p, tb.TorusPoint(3, 0, 0), chart=1)
-    with pytest.raises(tb.ChartDomainError):
-        tb.chart_forward(p, tb.TorusPoint(-2, 0, 0.5), chart=2)
-    with pytest.raises(tb.DomainError):
-        tb.chart_forward(p, tb.TorusPoint(10, 0, 0), chart=1)
-
-
-def test_chart_roundtrip_random_points():
-    p = tb.make_params(2, 1)
-    rng = np.random.default_rng(11)
-    n_done = 0
-    while n_done < 1000:
-        omega = rng.uniform(0, 2 * math.pi)
-        rad = math.sqrt(rng.uniform(0, 1))
-        ang = rng.uniform(0, 2 * math.pi)
-        t, s = rad * math.cos(ang), rad * math.sin(ang)
-        q = tb.disk_point_to_torus(p, t, s, omega)
-        for chart in (1, 2):
-            try:
-                c = tb.chart_forward(p, q, chart)
-            except tb.ChartDomainError:
-                continue
-            q2 = tb.chart_inverse(p, c, chart)
-            assert math.dist((q.x, q.y, q.z), (q2.x, q2.y, q2.z)) <= 1e-10 * p.r
-            n_done += 1
-
-
-def test_metric_weight_examples_and_positivity():
-    p = tb.make_params(2, 1)
-    assert tb.metric_weight(p, 0.0) == pytest.approx(2.0)
-    assert tb.metric_weight(p, -1.0) == pytest.approx(1.0)
-    assert tb.metric_weight(p, 1.0) == pytest.approx(3.0)
-    with pytest.raises(tb.DomainError):
-        tb.metric_weight(p, 1.5)
-
-
-@settings(max_examples=60, derandomize=True)
-@given(
-    r=st.floats(0.1, 5.0),
-    gap=st.floats(0.01, 5.0),
-    t=st.floats(-1.0, 1.0),
-)
-def test_metric_weight_positive_property(r, gap, t):
-    p = tb.make_params(r + gap, r)
-    assert tb.metric_weight(p, t) > 0.0
+def distance_to_orbit(x, y, z, orbit):
+    """Euclidean distance from (x, y, z) to the circle of radius l_P at height z_P."""
+    l_p, z_p = orbit
+    return math.hypot(math.hypot(x, y) - l_p, z - z_p)
 
 
 def test_orbit_distance_examples():
     p = tb.make_params(2, 1)
-    assert tb.orbit_distance(p, tb.TorusPoint(2, 0, 0), (1.0, 0.0)) == pytest.approx(1.0)
-    assert tb.orbit_distance(p, tb.TorusPoint(0, 1.5, -0.2), (1.5, -0.2)) == pytest.approx(0.0)
+    # the points (2, 0, 0) and (0, 1.5, -0.2) of the torus
+    assert tb.orbit_distance_disk(p, 0.0, 0.0, (1.0, 0.0)) == pytest.approx(1.0)
+    assert tb.orbit_distance_disk(p, -0.5, -0.2, (1.5, -0.2)) == pytest.approx(0.0)
+    with pytest.raises(tb.DomainError):
+        tb.orbit_distance_disk(p, 0.0, 0.0, (0.0, 0.0))
 
 
 def test_orbit_distance_disk_identity():
@@ -113,8 +70,7 @@ def test_orbit_distance_disk_identity():
         rad = math.sqrt(rng.uniform(0, 1))
         ang = rng.uniform(0, 2 * math.pi)
         t, s = rad * math.cos(ang), rad * math.sin(ang)
-        q = tb.disk_point_to_torus(p, t, s, rng.uniform(0, 2 * math.pi))
-        d3 = tb.orbit_distance(p, q, (p.l - p.r, 0.0))
+        d3 = distance_to_orbit(*lift(p, t, s, rng.uniform(0, 2 * math.pi)), (p.l - p.r, 0.0))
         d2 = tb.orbit_distance_disk(p, t, s, (p.l - p.r, 0.0))
         assert d3 == pytest.approx(d2, abs=1e-12)
         assert d2 == pytest.approx(p.r * math.hypot(t + 1.0, s), abs=1e-12)
@@ -131,15 +87,7 @@ def test_orbit_distance_disk_identity():
 def test_orbit_distance_rotation_invariant(omega, phi, rad, lp, zp):
     p = tb.make_params(2, 1)
     t, s = rad * math.cos(phi), rad * math.sin(phi)
-    q1 = tb.disk_point_to_torus(p, t, s, omega)
-    q2 = tb.disk_point_to_torus(p, t, s, omega + 1.234)
-    d1 = tb.orbit_distance(p, q1, (lp, zp))
-    d2 = tb.orbit_distance(p, q2, (lp, zp))
+    d1 = distance_to_orbit(*lift(p, t, s, omega), (lp, zp))
+    d2 = distance_to_orbit(*lift(p, t, s, omega + 1.234), (lp, zp))
     assert d1 == pytest.approx(d2, abs=1e-12)
-
-
-def test_torus_point_inside():
-    p = tb.make_params(2, 1)
-    assert tb.TorusPoint(3, 0, 0).inside(p)
-    assert not tb.TorusPoint(3.1, 0, 0).inside(p)
-    assert tb.TorusPoint(0, 2, 0.999).inside(p)
+    assert tb.orbit_distance_disk(p, t, s, (lp, zp)) == pytest.approx(d1, abs=1e-12)

@@ -172,15 +172,6 @@ def test_field_validation(mesh16):
         tb.DiskField(mesh16, bad)
 
 
-def test_export_tables(tmp_path):
-    m = tb.build_mesh(3)
-    nodes = tmp_path / "nodes.txt"
-    tris = tmp_path / "triangles.txt"
-    tb.export_tables(m, nodes, tris)
-    assert len(nodes.read_text().splitlines()) == m.n_nodes
-    assert len(tris.read_text().splitlines()) == m.n_triangles
-
-
 @pytest.mark.parametrize("n", [4, 8, 64])
 def test_coarse_mesh_nodes_are_nested(n):
     m = tb.build_mesh(n)
