@@ -56,7 +56,6 @@ from .mesh import (
     assemble,
     build_mesh,
     coarse_mesh,
-    dissection_order,
     integrate_volume,
     transfer_pair,
     weighted_sum,
@@ -326,15 +325,15 @@ def _cmd_scan_gamma(args, cfg) -> int:
     f = _coefficient(cfg, mesh, "f", default="1")
     opts = _solve_options(cfg)
     out = _out_dir(cfg, args)
+    # the worker threads share the mesh caches, so fill them first: the
+    # finest level's two-grid transfer and every Newton level's operators
+    level = coarse_mesh(mesh)
+    if level is not None:
+        transfer_pair(level[0], mesh, interior=True)
     level = (mesh,)
-    while level is not None:  # fill the caches of every Newton level before the workers share them
+    while level is not None:
         assemble(level[0], p)
-        coarse = coarse_mesh(level[0])
-        if level[0] is not mesh:
-            dissection_order(level[0])
-        elif coarse is not None:  # the finest level's two-grid solves factor nothing
-            transfer_pair(coarse[0], mesh, interior=True)
-        level = coarse
+        level = coarse_mesh(level[0])
 
     def solve_one(gamma):
         prob = ProblemP1(gamma, f)

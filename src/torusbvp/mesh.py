@@ -212,79 +212,6 @@ def _triangle_geometry(mesh: DiskMesh):
     return areas, grads, t_cent
 
 
-def dissection_order(mesh: DiskMesh) -> np.ndarray:
-    """Nested-dissection elimination order of the mesh nodes (cached, read-only).
-
-    ``order[k]`` is the node eliminated k-th.  Every part of a level is split
-    at once: at the median node along the longer side of its bounding box.
-    The endpoints of the cut edges on one side, whichever side has fewer,
-    form a vertex separator that is ordered after both halves, so the two
-    halves eliminate independently.  Parts of at most 4 nodes are leaves.
-    """
-    cached = mesh._cache.get("nd_order")
-    if cached is not None:
-        return cached
-    n = mesh.n_nodes
-    tri = mesh.triangles
-    nxt = np.roll(tri, -1, axis=1)
-    edge = np.sort((np.minimum(tri, nxt) * n + np.maximum(tri, nxt)).ravel())
-    edge = edge[np.append(True, edge[1:] != edge[:-1])]  # each undirected edge once
-    ea, eb = edge // n, edge % n
-    coords = np.ascontiguousarray(mesh.nodes.T)
-    rank = np.empty((2, n), dtype=np.int64)  # rank of each node along t and along s
-    for axis in range(2):
-        rank[axis, np.argsort(coords[axis], kind="stable")] = np.arange(n)
-
-    order = np.empty(n, dtype=np.int64)
-    label = np.zeros(n, dtype=np.int64)  # part of each unplaced node, -1 once placed
-    side = np.zeros(n, dtype=bool)       # True on the upper half of its part's cut
-    nodes = np.arange(n)                 # unplaced nodes, grouped by part
-    first = np.zeros(1, dtype=np.int64)  # index into ``nodes`` where each part starts
-    start = np.zeros(1, dtype=np.int64)  # first position in ``order`` of each part
-    while nodes.size:
-        lab = label[nodes]
-        size = np.diff(np.append(first, nodes.size))
-        pts = coords[:, nodes]
-        extent = np.maximum.reduceat(pts, first, axis=1) - np.minimum.reduceat(pts, first, axis=1)
-        axis = (extent[1] > extent[0]).astype(np.int64)
-        nodes = nodes[np.argsort(lab * n + rank[axis[lab], nodes], kind="stable")]
-        i = np.arange(nodes.size) - first[lab]
-        leaf = size[lab] <= 4
-        order[start[lab[leaf]] + i[leaf]] = nodes[leaf]
-        label[nodes[leaf]] = -1
-        upper = i >= size[lab] // 2
-        side[nodes] = upper
-
-        la = label[ea]
-        inside = (la >= 0) & (la == label[eb])
-        ea, eb = ea[inside], eb[inside]
-        cut = side[ea] != side[eb]
-        ca, cb = ea[cut], eb[cut]
-        on_cut = np.zeros((2, n), dtype=bool)  # lower / upper endpoint of a cut edge
-        on_cut[0, np.where(side[ca], cb, ca)] = True
-        on_cut[1, np.where(side[ca], ca, cb)] = True
-        n_cut = [np.bincount(lab[on_cut[k, nodes]], minlength=size.size) for k in range(2)]
-        sep_side = (n_cut[1] <= n_cut[0]).astype(np.int64)  # the upper one on a tie
-        sep = on_cut[sep_side[lab], nodes]
-        sep_lab = lab[sep]
-        n_sep = np.bincount(sep_lab, minlength=size.size)
-        rank_in_sep = np.arange(sep_lab.size) - np.searchsorted(sep_lab, sep_lab)
-        order[(start + size - n_sep)[sep_lab] + rank_in_sep] = nodes[sep]
-        label[nodes[sep]] = -1
-
-        keep = ~leaf & ~sep
-        n_lower = np.bincount(lab[keep & ~upper], minlength=size.size)
-        child = (2 * lab + upper)[keep]  # non-decreasing: parts stay grouped
-        new = child != np.append(-1, child[:-1])
-        nodes, lab, upper = nodes[keep], lab[keep], upper[keep]
-        label[nodes] = np.cumsum(new) - 1
-        first = np.flatnonzero(new)
-        start = (start[lab] + upper * n_lower[lab])[first]
-    order.setflags(write=False)
-    mesh._cache["nd_order"] = order
-    return order
-
-
 def _assemble_core(mesh: DiskMesh, w0: float, w1: float):
     """Raw operators for the affine weight ``w0 + w1 t`` (no 2*pi factors).
 

@@ -47,8 +47,7 @@ from .functionals import (
     reach_exponential_target,
 )
 from .geometry import TorusParams
-from .mesh import (DiskField, DiskMesh, assemble, coarse_mesh, dissection_order, prolong, transfer_pair,
-                   weighted_sum)
+from .mesh import DiskField, DiskMesh, assemble, coarse_mesh, prolong, transfer_pair, weighted_sum
 
 
 @dataclass
@@ -126,74 +125,44 @@ def _weighted_norm(res, weights):
     return float(out)
 
 
-class _PermutedFactor:
-    """LU factor of ``A[order][:, order]`` that solves systems in ``A``."""
-
-    def __init__(self, lu, order):
-        self._lu = lu
-        self._order = order
-        self.nnz = lu.nnz
-
-    def solve(self, rhs):
-        x = np.empty_like(rhs)
-        x[self._order] = self._lu.solve(rhs[self._order])
-        return x
-
-
-def _factorize(matrix, order):
-    """Sparse LU of a structurally symmetric matrix in a given elimination order.
+def _factorize(matrix):
+    """SuperLU factor of a structurally symmetric matrix.
 
     Every matrix the solvers factor is the weighted stiffness plus a diagonal
     (Newton Jacobians, descent preconditioners, the monotone shift) or its
-    interior block.  Its graph is the mesh's, so one nested-dissection order
-    of the mesh nodes (``dissection_order``) serves them all.  A planar mesh
-    has small separators, which nested dissection orders last, so it leaves
-    less fill than minimum degree: 0.87 times the nonzeros on a 50k-node
-    Jacobian.  The Dirichlet block takes the order restricted to the interior
-    nodes (``_restrict_order``).
-
-    Rows and columns are permuted alike and SuperLU keeps that order
-    (``NATURAL``, ``SymmetricMode``).  A diagonal pivot threshold of 0.01
-    keeps the diagonal as the pivot unless it is below 1% of the largest
-    entry in its column.
+    interior block, so its pattern is symmetric: the graph of the mesh
+    nodes.  SuperLU orders such a pattern by minimum degree on ``A + A^T``
+    (``MMD_AT_PLUS_A``), which leaves about two thirds of the fill of its
+    default COLAMD, an order for the columns of an unsymmetric matrix.
+    ``SymmetricMode`` applies that one order to the rows and the columns,
+    and a diagonal pivot threshold of 0.01 keeps the diagonal as the pivot
+    unless it is below 1% of the largest entry in its column, so the
+    elimination follows the order chosen.
     """
-    A = sp.csc_matrix(matrix)[order][:, order]
     try:
-        lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.01,
-                  options=dict(SymmetricMode=True))
+        return splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+                    options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularJacobian("sparse factorization failed: %s" % exc) from exc
-    return _PermutedFactor(lu, order)
 
 
-def _restrict_order(order, nodes):
-    """``order`` restricted to ``nodes``, renumbered by position in ``nodes``."""
-    local = np.full(order.size, -1)
-    local[nodes] = np.arange(nodes.size)
-    local = local[order]
-    return local[local >= 0]
-
-
-def _newton_loop(ops, prob, v0, weights, opts, mesh, counts, trace=None, mask=None, coarse=None,
-                 keep_factor=False):
+def _newton_loop(ops, prob, v0, weights, opts, counts, trace=None, mask=None, coarse=None, keep_factor=False):
     """Damped Newton on the core equation, Armijo backtracking on its weighted residual norm.
 
     Each step solves ``J delta = -F``.  With ``coarse``, the level below's
     last factor and the ``transfer_pair`` to it, two-grid cycles solve it
     (``_two_grid``) and ``J`` is factored only if they miss their target.
-    The first factorization takes the elimination order of ``mesh``'s nodes
-    (see ``_factorize``), so a loop that factors nothing computes none.
-    ``mask`` restricts the update, the residual rows, the Jacobian and the
-    order to a subset of nodes (Dirichlet problems); ``weights`` are given
-    on those rows.  Newton stops at the residual ``tol_abs + tol_rel * r0``,
-    ``r0`` the residual of the zero field.  That reference depends on the
-    data alone, so no start moves the tolerance: a start far off, such as a
+    ``mask`` restricts the update, the residual rows and the Jacobian to a
+    subset of nodes (Dirichlet problems); ``weights`` are given on those
+    rows.  Newton stops at the residual ``tol_abs + tol_rel * r0``, ``r0``
+    the residual of the zero field.  That reference depends on the data
+    alone, so no start moves the tolerance: a start far off, such as a
     stalled descent's, cannot loosen it, and a start near the solution
     cannot push it below the float64 floor of the residual.  ``counts``, a
-    ``Counter`` of ``SolveReport``'s count fields, gains the loop's.  Returns ``(v, res,
-    iterations, trace, lu)``: with ``keep_factor``, ``lu`` is the last
-    factor made; otherwise, or if none was made, it is None, and each factor
-    is freed after its one solve.
+    ``Counter`` of ``SolveReport``'s count fields, gains the loop's.  Returns
+    ``(v, res, iterations, trace, lu)``: with ``keep_factor``, ``lu`` is the
+    last factor made; otherwise, or if none was made, it is None, and each
+    factor is freed after its one solve.
     """
     rows = slice(None) if mask is None else mask
 
@@ -207,7 +176,7 @@ def _newton_loop(ops, prob, v0, weights, opts, mesh, counts, trace=None, mask=No
     if not math.isfinite(res):
         raise DomainError("initial iterate produces a non-finite residual")
     tol = opts.tol_abs + opts.tol_rel * residual(np.zeros_like(v))[1]
-    order = lu = None
+    lu = None
     trace.append((res, 0.0))
     iterations = 0
     while res > tol and iterations < opts.max_iter:
@@ -220,11 +189,7 @@ def _newton_loop(ops, prob, v0, weights, opts, mesh, counts, trace=None, mask=No
             delta, cycles = _two_grid(J, -F, *coarse, weights, _TWO_GRID_FRACTION * tol)
             counts["two_grid_cycles"] += cycles
         if delta is None:
-            if order is None:
-                order = dissection_order(mesh)
-                if mask is not None:
-                    order = _restrict_order(order, mask)
-            lu = _factorize(J, order)
+            lu = _factorize(J)
             counts["factorizations"] += 1
             delta = -lu.solve(F)
             if not keep_factor:
@@ -387,8 +352,7 @@ def _newton_level(mesh, p, prob, v0, opts, dirichlet, counts, relax=False, coars
         weights = weights[mask]
     if relax:
         v0 = _relax_new_nodes(mesh, ops, prob, v0, mask, weights)
-    return _newton_loop(ops, prob, v0, weights, opts, mesh, counts, mask=mask, coarse=coarse,
-                        keep_factor=keep_factor)
+    return _newton_loop(ops, prob, v0, weights, opts, counts, mask=mask, coarse=coarse, keep_factor=keep_factor)
 
 
 def _relax_new_nodes(mesh, ops, prob, v0, mask, weights):
@@ -482,7 +446,7 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
     # no constant shift has the sign needed: shift along the density instead
     v = reach_exponential_target(mesh, p, prob.f, prob.g, v, -r_h) if v_p is None else v_p
 
-    precond = _factorize(S + sp.diags(weights), dissection_order(mesh))
+    precond = _factorize(S + sp.diags(weights))
     counts = Counter(factorizations=1)
     merit = functional_I_p2(mesh, p, DiskField(mesh, v), prob)
     trace = []
@@ -514,9 +478,10 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
         if dnorm * step <= 10.0 * opts.tol_abs:
             break
 
+    precond = None  # freed before the polish factors
     if case_zero:  # the shifted minimizer solves the equation
         v = v + math.log(multiplier_kappa(mesh, p, DiskField(mesh, v), prob))
-    v, res, polish_iters, trace, _ = _newton_loop(ops, prob, v, weights, opts, mesh, counts, trace=trace)
+    v, res, polish_iters, trace, _ = _newton_loop(ops, prob, v, weights, opts, counts, trace=trace)
     multiplier = math.exp(weighted_sum(m, v) / vol_h) if case_zero else -1.0
     return v, multiplier, iterations + polish_iters, res, trace, counts
 
@@ -731,7 +696,7 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
 
     w_shift = float(np.max(np.abs(f) * _exp_unguarded(np.max(hi)))) + 1.0
     wb_shift = float(np.max(np.abs(g) * _exp_unguarded(np.max(hi)))) + 1.0
-    lu = _factorize(S + sp.diags(w_shift * m + wb_shift * mb), dissection_order(mesh))
+    lu = _factorize(S + sp.diags(w_shift * m + wb_shift * mb))
 
     v = lo.copy()
     trace = []

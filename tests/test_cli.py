@@ -245,8 +245,8 @@ def test_verify_rows_without_random_fields_are_unchanged(tmp_path):
     assert csv_body(tmp_path / "verify.csv")[6:] == [
         "quadrature_order_minus2_step0,0.046212102920078824,0.29999999999999999,1",
         "quadrature_order_minus2_step1,0.012704140931751873,0.29999999999999999,1",
-        "p2_constant_solution_K,-2.8421709430404007e-14,3.9478417604357434e-07,1",
-        "p2_constant_identity_614,-7.1054273576012843e-15,3.9478417604357434e-07,1",
+        "p2_constant_solution_K,-1.4210854715202004e-14,3.9478417604357434e-07,1",
+        "p2_constant_identity_614,-5.3290705182010283e-15,3.9478417604357434e-07,1",
         "blowup_exp_closed_form_2pct,-0.0009171155806712443,0.02,1",
         "blowup_grad_closed_form_2pct,-0.0019410460285511687,0.02,1",
     ]

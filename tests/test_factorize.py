@@ -1,10 +1,10 @@
 """The solvers' one factorization entry point against SuperLU's defaults.
 
 Each matrix kind the solvers factor is rebuilt here from the assembled
-operators and factored in the mesh's nested-dissection order, restricted
-to the interior nodes for the Dirichlet block.  ``_factorize`` must solve
-it as accurately as ``splu`` with its default (COLAMD) ordering, and with
-clearly less fill; fill is a count, so a changed ordering fails
+operators, the interior block for the Dirichlet Jacobian.  ``_factorize``,
+which lets SuperLU order the symmetric pattern by minimum degree, must
+solve it as accurately as ``splu`` with its default (COLAMD) ordering, and
+with clearly less fill; fill is a count, so a changed ordering fails
 deterministically.  The benchmark's tracer must see one factor and one
 triangular solve per Newton step of a direct solve; a nested solve factors
 only below its finest level, whose two-grid cycles solve once each.  Every
@@ -21,8 +21,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 import torusbvp as tb
-from torusbvp.mesh import dissection_order
-from torusbvp.solvers import _factorize, _restrict_order
+from torusbvp.solvers import _factorize
 
 SOLVE_RTOL = 1e-12
 
@@ -51,15 +50,11 @@ def monotone_shifted(mesh, ops):
     return ops.stiffness + sp.diags(2.5 * ops.volume_mass + 2.0 * ops.boundary_mass)
 
 
-# kind -> the elimination order of its unknowns
-ORDER = {p1_jacobian_masked: lambda mesh: _restrict_order(dissection_order(mesh), mesh.interior_nodes()),
-         p2_jacobian: dissection_order, monotone_shifted: dissection_order}
-
 # kind -> largest allowed nnz(L+U) relative to the default ordering's
 FILL_RATIO_MAX = {p1_jacobian_masked: 0.8, p2_jacobian: 0.8, monotone_shifted: 0.8}
 
 
-@pytest.mark.parametrize("n_rings", [16, 32])
+@pytest.mark.parametrize("n_rings", [16, 32, 64])
 @pytest.mark.parametrize("kind", list(FILL_RATIO_MAX), ids=lambda k: k.__name__)
 def test_factorize_against_default_splu(params, kind, n_rings):
     mesh = tb.build_mesh(n_rings)
@@ -68,35 +63,11 @@ def test_factorize_against_default_splu(params, kind, n_rings):
     assert (pattern != pattern.T).nnz == 0  # structurally symmetric
     rhs = np.random.default_rng(n_rings).normal(size=A.shape[0])
 
-    lu = _factorize(A, ORDER[kind](mesh))
+    lu = _factorize(A)
     ref = splu(A)
     x, x_ref = lu.solve(rhs), ref.solve(rhs)
     assert np.linalg.norm(x - x_ref) <= SOLVE_RTOL * np.linalg.norm(x_ref)
     assert lu.nnz <= FILL_RATIO_MAX[kind] * ref.nnz
-
-
-@pytest.mark.parametrize("n_rings", [2, 3, 16])
-def test_dissection_order_is_a_permutation(n_rings):
-    mesh = tb.build_mesh(n_rings)
-    order = dissection_order(mesh)
-    assert np.array_equal(np.sort(order), np.arange(mesh.n_nodes))
-
-
-def test_dissection_order_deterministic_and_cached():
-    a, b = tb.build_mesh(16), tb.build_mesh(16)
-    order = dissection_order(a)
-    assert np.array_equal(order, dissection_order(b))
-    assert dissection_order(a) is order
-    assert not order.flags.writeable
-
-
-def test_derived_orders_are_permutations(mesh16):
-    order = dissection_order(mesh16)
-    interior = mesh16.interior_nodes()
-    inner = _restrict_order(order, interior)
-    assert np.array_equal(np.sort(inner), np.arange(interior.size))
-    # the interior nodes keep their relative elimination order
-    assert np.array_equal(interior[inner], order[np.isin(order, interior)])
 
 
 def test_benchmark_tracer_self_test():

@@ -266,29 +266,22 @@ def test_variational_zero_linear_part_roundoff_total_is_infeasible(params, n):
 
 
 @pytest.mark.parametrize("p1", [False, True], ids=["p2", "p1"])
-def test_newton_restart_computes_no_elimination_order(params, p1):
-    """A start that meets the tolerance factors nothing, so it orders no nodes."""
-    def solve(values=None):
-        mesh, prob = benchmark_p2(16)  # a fresh mesh on every call
-        init = None if values is None else tb.DiskField(mesh, values)
-        if p1:
-            prob = tb.ProblemP1(1.5, tb.DiskField.from_function(mesh, lambda t, s: 1.0 + 0.2 * t))
-            return mesh, tb.solve_p1_newton(mesh, params, prob, init=init)
-        return mesh, tb.solve_p2_newton(mesh, params, prob, init=init)
-
-    fresh, again = solve(solve()[1].field.values)
+def test_newton_restart_factors_nothing(params, p1):
+    """A start that meets the tolerance takes no step, so it factors no matrix."""
+    mesh, prob = benchmark_p2(16)
+    if p1:
+        prob = tb.ProblemP1(1.5, tb.DiskField.from_function(mesh, lambda t, s: 1.0 + 0.2 * t))
+    solve = tb.solve_p1_newton if p1 else tb.solve_p2_newton
+    again = solve(mesh, params, prob, init=solve(mesh, params, prob).field)
     assert again.iterations == 0
-    assert "nd_order" not in fresh._cache
+    assert again.factorizations == 0
 
 
 def test_nested_newton_orders_only_the_levels_it_factors(params, splu_sizes):
     """Constant data: the coarsest level takes the steps, every finer one starts at the solution."""
     mesh, prob = benchmark_p2(16, c=0.0)
     tb.solve_p2_newton(mesh, params, prob)
-    ordered, level = [], (mesh,)
-    while level is not None:
-        if "nd_order" in level[0]._cache:
-            ordered.append(level[0].n_nodes)
-        level = tb.mesh.coarse_mesh(level[0])
-    assert len(ordered) == 1
-    assert set(splu_sizes) == set(ordered)
+    coarsest = (mesh,)
+    while (level := tb.mesh.coarse_mesh(coarsest[0])) is not None:
+        coarsest = level
+    assert splu_sizes and set(splu_sizes) == {coarsest[0].n_nodes}
