@@ -503,6 +503,10 @@ _DISPATCH = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError("--threads must be at least 1, got %d" % args.threads)
+        if args.seed < 0:
+            raise ConfigError("--seed must be nonnegative, got %d" % args.seed)
         cfg = _load_config(args.config)
         with warnings.catch_warnings():
             warnings.simplefilter("default")

@@ -1,8 +1,11 @@
 """Variational functionals, constraint values and integral identities.
 
-Problem data live on mesh nodes as ``DiskField``s.  Constraint values are
-computed with the same lumped quadrature as the operators, so exactly
-feasible nodal data (e.g. constant fields) produce exactly zero residuals.
+Problem data live on mesh nodes as ``DiskField``s.  ``ProblemP2.terms`` is
+the one place where the lumped masses meet the data: it returns the linear
+terms ``c = M a + M_b b`` and the exponential weights ``w = M f + M_b g``
+of the discrete equation ``S v + c + w e^v = 0``.  The constraint, the
+energy, the identities and the density shift are sums over those two
+arrays, so the constraint value is the sum of the equation's rows.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleError, NoRootError
 from .geometry import TorusParams
-from .mesh import DiskField, DiskMesh, assemble, dirichlet_energy, grad_energy_weighted, weighted_sum
+from .mesh import (DiskField, DiskMesh, WeightedOperators, assemble, dirichlet_energy, grad_energy_weighted,
+                   weighted_sum)
 
 EXP_ARG_CAP = 700.0
 
@@ -62,6 +66,14 @@ class ProblemP2:
         """Linear part a*Vol(T) + b*Vol(boundary) of the compatibility value."""
         return self.a * p.volume() + self.b * p.boundary_area()
 
+    def terms(self, ops: WeightedOperators):
+        """``(c, w)``: the linear terms ``M a + M_b b`` and exponential weights ``M f + M_b g``.
+
+        The one product of the masses with the data; built per solve, not cached.
+        """
+        m, mb = ops.volume_mass, ops.boundary_mass
+        return m * self.a + mb * self.b, m * self.f.values + mb * self.g.values
+
 
 def functional_I_p1(mesh: DiskMesh, p: TorusParams, field: DiskField, prob: ProblemP1) -> float:
     """Energy ``|grad v|^2 + 2 gamma * integral(v)``: twice the core energy of ``prob.as_p2()``."""
@@ -78,65 +90,44 @@ def constraint_A_p1(mesh: DiskMesh, p: TorusParams, field: DiskField, prob: Prob
 
 
 def functional_I_p2(mesh: DiskMesh, p: TorusParams, field: DiskField, prob: ProblemP2) -> float:
-    """Energy ``0.5 |grad v|^2 + a integral(v) + b boundary-integral(v)``."""
-    ops = assemble(mesh, p)
-    v = field.values
-    return (
-        0.5 * dirichlet_energy(mesh, p, field)
-        + prob.a * weighted_sum(ops.volume_mass, v)
-        + prob.b * weighted_sum(ops.boundary_mass, v)
-    )
+    """Energy ``0.5 |grad v|^2 + a integral(v) + b boundary-integral(v)``: ``0.5 v'Sv + sum(c v)``."""
+    c, _ = prob.terms(assemble(mesh, p))
+    return 0.5 * dirichlet_energy(mesh, p, field) + weighted_sum(c, field.values)
 
 
 def constraint_K(mesh: DiskMesh, p: TorusParams, field: DiskField, prob: ProblemP2) -> float:
-    """Compatibility value K(v) = a Vol + b Vol_b + int(f e^v) + bint(g e^v).
+    """Compatibility value K(v) = a Vol + b Vol_b + int(f e^v) + bint(g e^v): ``sum(c) + sum(w e^v)``.
 
-    Vanishes on every solution of the Neumann problem; discrete volumes keep
-    constant cancellation exact.
+    The sum of the rows of ``S v + c + w e^v``, as the stiffness rows sum to
+    zero, so it vanishes on every solution of the Neumann problem.
     """
-    ops = assemble(mesh, p)
-    ev = exp_capped(field.values)
-    return (
-        prob.a * float(np.sum(ops.volume_mass))
-        + prob.b * float(np.sum(ops.boundary_mass))
-        + weighted_sum(ops.volume_mass, prob.f.values * ev)
-        + weighted_sum(ops.boundary_mass, prob.g.values * ev)
-    )
+    c, w = prob.terms(assemble(mesh, p))
+    return float(np.sum(c)) + weighted_sum(w, exp_capped(field.values))
 
 
 def identity_6_14_residual(mesh: DiskMesh, p: TorusParams, field: DiskField, prob: ProblemP2) -> float:
     """Residual of the e^{-v}-weighted compatibility identity.
 
-    ``a int(e^-v) + b bint(e^-v) + int(f) + bint(g) - int(e^-v |grad v|^2)``
-    is zero (to quadrature accuracy) exactly when the field solves the
-    Neumann problem.  The gradient term uses piecewise-constant gradients and
-    centroid values of e^{-v}.
+    ``a int(e^-v) + b bint(e^-v) + int(f) + bint(g) - int(e^-v |grad v|^2)``,
+    the sums ``sum(c e^-v) + sum(w)`` less the gradient term, is zero (to
+    quadrature accuracy) exactly when the field solves the Neumann problem.
+    The gradient term uses piecewise-constant gradients and centroid values
+    of e^{-v}.
     """
-    ops = assemble(mesh, p)
-    emv = exp_capped(-field.values)
+    c, w = prob.terms(assemble(mesh, p))
     grad_term = grad_energy_weighted(mesh, p, field, lambda vc: exp_capped(-vc))
-    return (
-        prob.a * weighted_sum(ops.volume_mass, emv)
-        + prob.b * weighted_sum(ops.boundary_mass, emv)
-        + weighted_sum(ops.volume_mass, prob.f.values)
-        + weighted_sum(ops.boundary_mass, prob.g.values)
-        - grad_term
-    )
+    return weighted_sum(c, exp_capped(-field.values)) + float(np.sum(w)) - grad_term
 
 
 def data_total(mesh: DiskMesh, p: TorusParams, prob: ProblemP2) -> float:
-    """``int(f) + bint(g)``, or 0.0 where roundoff alone could set its sign.
+    """``int(f) + bint(g)``, the sum of the weights ``w``, or 0.0 where roundoff alone could set its sign.
 
-    A total of at most ``8 eps (int|f| + bint|g|)`` in size lies at the
-    roundoff of its own lumped sums, so its sign means nothing and it counts
-    as zero.
+    A total of at most ``8 eps sum(|w|)`` in size lies at the roundoff of
+    its own sum, so its sign means nothing and it counts as zero.
     """
-    ops = assemble(mesh, p)
-    f, g = prob.f.values, prob.g.values
-    total = weighted_sum(ops.volume_mass, f) + weighted_sum(ops.boundary_mass, g)
-    bound = 8.0 * np.finfo(float).eps * (weighted_sum(ops.volume_mass, np.abs(f))
-                                         + weighted_sum(ops.boundary_mass, np.abs(g)))
-    return total if abs(total) > bound else 0.0
+    _, w = prob.terms(assemble(mesh, p))
+    total = float(np.sum(w))
+    return total if abs(total) > 8.0 * np.finfo(float).eps * float(np.sum(np.abs(w))) else 0.0
 
 
 def multiplier_kappa(mesh: DiskMesh, p: TorusParams, field: DiskField, prob: ProblemP2) -> float:
@@ -165,20 +156,20 @@ def mean_value(mesh: DiskMesh, p: TorusParams, field: DiskField, where: str = "v
     return weighted_sum(w, field.values) / float(np.sum(w))
 
 
-def reach_exponential_target(mesh: DiskMesh, p: TorusParams, f_field: DiskField, g_field: DiskField,
+def reach_exponential_target(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
                              base: np.ndarray, target: float) -> np.ndarray:
-    """``base - s d`` with ``int(f e^v) + bint(g e^v) = target``, ``d`` the nodal density.
+    """``base - s d`` with ``sum(w e^v) = int(f e^v) + bint(g e^v) = target``, ``d`` the nodal density.
 
-    ``d = (M f + M_b g) / (M + M_b)``, so the value phi(s) of the shifted
-    field has ``phi'(s) = -sum (M f + M_b g)^2 e^v / (M + M_b) < 0``.  Its
-    range is the real line when ``d`` changes sign and the half line of
-    ``d``'s sign otherwise; a target outside it raises ``InfeasibleError``.
+    ``d = w / (M + M_b)``, with ``w`` the weights of ``prob.terms``, so the
+    value phi(s) of the shifted field has ``phi'(s) = -sum w^2 e^v / (M +
+    M_b) < 0``.  Its range is the real line when ``d`` changes sign and the
+    half line of ``d``'s sign otherwise; a target outside it raises ``InfeasibleError``.
     With ``P`` and ``N`` the positive and negative parts of ``phi - target``,
     ``log P - log N`` is strictly decreasing, finite at every ``s`` and
     asymptotically linear, and safeguarded Newton finds its root.
     """
     ops = assemble(mesh, p)
-    w = ops.volume_mass * f_field.values + ops.boundary_mass * g_field.values
+    _, w = prob.terms(ops)
     d = w / (ops.volume_mass + ops.boundary_mass)
     parts = []  # (log of |term| at s = 0, density) of the positive, then the negative terms
     for sign in (1.0, -1.0):
@@ -226,12 +217,9 @@ def construct_feasible_p2(mesh: DiskMesh, p: TorusParams, prob: ProblemP2, tol_s
     if total <= 0.0:
         raise InfeasibleError("int(f) + bint(g) must be positive, got %g" % total)
 
-    values = reach_exponential_target(mesh, p, prob.f, prob.g, np.zeros(mesh.n_nodes), 0.0)
-    field = DiskField(mesh, values)
+    field = DiskField(mesh, reach_exponential_target(mesh, p, prob, np.zeros(mesh.n_nodes), 0.0))
     k_val = constraint_K(mesh, p, field, prob)
-    ops = assemble(mesh, p)
-    tol = tol_scale * (abs(weighted_sum(ops.volume_mass, prob.f.values))
-                       + abs(weighted_sum(ops.boundary_mass, prob.g.values)) + 1.0)
+    tol = tol_scale * (total + 1.0)
     if abs(k_val) > tol:
         raise NoRootError("density shift left |K| = %g above tolerance %g" % (abs(k_val), tol))
     return field

@@ -326,9 +326,7 @@ def _transformed_values(field: DiskField, transform):
     if transform is None:
         return field.values
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals = np.asarray(transform(field.values), dtype=float)
-        if vals.shape != field.values.shape:
-            vals = np.array([transform(v) for v in field.values], dtype=float)
+        vals = np.broadcast_to(np.asarray(transform(field.values), dtype=float), field.values.shape)
     if not np.all(np.isfinite(vals)):
         raise OverflowError("transform produced non-finite values")
     return vals

