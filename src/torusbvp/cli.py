@@ -3,9 +3,8 @@
 Configs are INI files with sections mirroring the run setup::
 
     [geometry]          [mesh]            [problem]
-    l = 2.0             n_rings = 16      kind = p1
-    r = 1.0                               gamma = 1.0
-                                          f = 1
+    l = 2.0             n_rings = 16      gamma = 1.0
+    r = 1.0                               f = 1
 
     [solver]                              [scan]
     method = newton                       alphas = 1e-2, 1e-4, 1e-6
@@ -39,7 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, NonConvergence, TorusBVPError
+from .errors import ConfigError, DomainError, NonConvergence, TorusBVPError
 from .expressions import compile_expression
 from .functionals import ProblemP1, ProblemP2, identity_6_14_residual
 from .geometry import TorusParams
@@ -139,11 +138,12 @@ def _coefficient(cfg, mesh, option, default="0") -> DiskField:
 
 
 def _solve_options(cfg) -> SolveOptions:
-    opts = SolveOptions()
-    for field in dataclasses.fields(opts):
-        default = getattr(opts, field.name)
-        setattr(opts, field.name, _get(cfg, "solver", field.name, type(default), default=default))
-    return opts
+    values = {field.name: _get(cfg, "solver", field.name, type(field.default), default=field.default)
+              for field in dataclasses.fields(SolveOptions)}
+    try:
+        return SolveOptions(**values)
+    except DomainError as exc:
+        raise ConfigError("invalid [solver] option: %s" % exc) from exc
 
 
 def _out_dir(cfg, args) -> str:

@@ -6,8 +6,10 @@ Both model problems are one discrete equation, ``F(v) = S v + c + w e^v =
 volume and boundary masses.  P2 is this equation on all nodes.  P1
 (``Delta v + gamma = f e^v``) is its case ``a = gamma``, ``f -> -f``, ``b =
 g = 0``, restricted to the interior nodes for the Dirichlet problem.  Each
-solve builds the record ``(S, c, w)`` once (``_equation``) and every method
-reads it: Newton's residual ``F``, Jacobian ``S + diag(w e^v)`` and nested
+solve, and each level of a nested Newton solve, builds the record ``(S, c,
+w)`` once (``_equation``); a Dirichlet level's record holds only the rows
+and columns of its interior nodes, its unknowns.  Every method reads it:
+Newton's residual ``F``, Jacobian ``S + diag(w e^v)`` and nested
 relaxation, the constrained descent's gradient ``S v + c`` and projection
 sum ``sum(w e^v)``, and the monotone iteration's defect correction ``v <- v
 - (S + W)^-1 F(v)``.  The public solvers map their data onto the equation,
@@ -56,13 +58,18 @@ from .mesh import DiskField, DiskMesh, assemble, coarse_mesh, prolong, transfer_
 
 @dataclass
 class SolveOptions:
-    """Iteration controls; defaults are the desk-scale settings."""
+    """Iteration controls, each finite and nonnegative; defaults are the desk-scale settings."""
 
     tol_abs: float = 1e-10
     tol_rel: float = 1e-10
     max_iter: int = 50
     max_descent_iter: int = 5000
     max_monotone_iter: int = 500
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not 0 <= value < math.inf:
+                raise DomainError("SolveOptions.%s must be finite and nonnegative, got %r" % (name, value))
 
 
 @dataclass
@@ -150,14 +157,13 @@ def _factorize(matrix):
         raise SingularJacobian("sparse factorization failed: %s" % exc) from exc
 
 
-def _newton_loop(eq, v0, weights, opts, counts, trace=None, mask=None, coarse=None, keep_factor=False):
+def _newton_loop(eq, v0, weights, opts, counts, trace=None, coarse=None, keep_factor=False):
     """Damped Newton on the core equation ``eq``, Armijo backtracking on its weighted residual norm.
 
     Each step solves ``J delta = -F``.  With ``coarse``, the level below's
     last factor and the ``transfer_pair`` to it, two-grid cycles solve it
     (``_two_grid``) and ``J`` is factored only if they miss their target.
-    ``mask`` restricts the update, the residual rows and the Jacobian to a
-    subset of nodes (Dirichlet problems); ``weights`` are given on those
+    ``v0``, ``weights`` and every update live on the unknowns of ``eq``, its
     rows.  Newton stops at the residual ``tol_abs + tol_rel * r0``, ``r0``
     the residual of the zero field.  That reference depends on the data
     alone, so no start moves the tolerance: a start far off, such as a
@@ -168,10 +174,8 @@ def _newton_loop(eq, v0, weights, opts, counts, trace=None, mask=None, coarse=No
     last factor made; otherwise, or if none was made, it is None, and each
     factor is freed after its one solve.
     """
-    rows = slice(None) if mask is None else mask
-
     def residual(v):
-        F = _residual(eq, v)[rows]
+        F = _residual(eq, v)
         return F, _weighted_norm(F, weights)
 
     v = v0.copy()
@@ -186,8 +190,6 @@ def _newton_loop(eq, v0, weights, opts, counts, trace=None, mask=None, coarse=No
     while res > tol and iterations < opts.max_iter:
         lu = None  # a kept factor is the last step's only
         J = _jacobian(eq, v)
-        if mask is not None:
-            J = J[mask, :][:, mask]
         delta = None
         if coarse is not None:
             delta, cycles = _two_grid(J, -F, *coarse, weights, _TWO_GRID_FRACTION * tol)
@@ -203,8 +205,7 @@ def _newton_loop(eq, v0, weights, opts, counts, trace=None, mask=None, coarse=No
         step = 1.0
         accepted = False
         while step >= _MIN_STEP:
-            v_trial = v.copy()
-            v_trial[rows] += step * delta
+            v_trial = v + step * delta
             F_trial, res_trial = residual(v_trial)
             if math.isfinite(res_trial) and res_trial <= (1.0 - _ARMIJO_SLOPE * step) * res:
                 accepted = True
@@ -255,9 +256,16 @@ def _sparse_product(matrix, x):
 # The core: S v + c + w e^v = 0
 # ---------------------------------------------------------------------------
 
-def _equation(ops, prob):
-    """``(S, c, w)``: the stiffness and ``prob.terms``, built once per nested level or solve."""
-    return (ops.stiffness, *prob.terms(ops))
+def _equation(ops, prob, free=slice(None)):
+    """``(S, c, w)``: the stiffness and ``prob.terms`` on the ``free`` nodes, built once per nested level or solve.
+
+    A Dirichlet problem's unknowns are its interior nodes, and its record
+    holds only their rows and columns; by default it holds every node.
+    """
+    S, (c, w) = ops.stiffness, prob.terms(ops)
+    if not isinstance(free, slice):  # indexing a sparse matrix copies it
+        S = S[free][:, free]
+    return S, c[free], w[free]
 
 
 def _exp_terms(eq, v):
@@ -277,35 +285,33 @@ def _jacobian(eq, v):
 
 
 def _solve_newton(mesh, p, prob, init, opts, dirichlet=False):
-    """Damped Newton on the core equation; boundary nodes stay at zero if ``dirichlet``.
+    """Damped Newton on the core equation; its unknowns are the interior nodes if ``dirichlet``.
 
     Without ``init`` this is the nested iteration of full multigrid.  The
     rings nest (``coarse_mesh``), so the same problem, with the data taken
     at the nested nodes, is solved first on the coarsest mesh from zero and
     then on each finer mesh from the solution of the one below
-    (``_fmg_start``).  A level whose solve fails hands zero to the next, and
-    the finest level's failure is raised.  Every level, like a solve from
-    ``init``, stops at ``_newton_loop``'s tolerance, which scales with the
-    residual of zero and so stays above the float64 floor of the residual.
-    Residuals are weighted by ``M + M_b``, which on the interior nodes is
-    ``M``.  From ``_TWO_GRID_MIN_RINGS`` rings on, the finest level factors
-    nothing: two-grid cycles on the last factor of the level below solve its
-    Newton systems.  Returns ``(v, residual_norm, iterations, trace,
-    counts)``: ``iterations`` counts the steps of every level that
-    converged, ``trace`` is the finest level's, and ``counts`` sums the
-    linear solves of every level.
+    (``_fmg_start``), relaxed on the new nodes; from ``init`` the finest
+    level is the only one.  Each level builds its record (``_equation``) on
+    its unknowns and its residual weights ``M + M_b``, which on the interior
+    nodes are ``M``.  A level whose solve fails hands zero to the next, and
+    the finest level's failure is raised.  Every level stops at
+    ``_newton_loop``'s tolerance, which scales with the residual of zero and
+    so stays above the float64 floor of the residual.  From
+    ``_TWO_GRID_MIN_RINGS`` rings on, the finest level factors nothing:
+    two-grid cycles on the last factor of the level below solve its Newton
+    systems.  Returns ``(v, residual_norm, iterations, trace, counts)``:
+    ``iterations`` counts the steps of every level that converged, ``trace``
+    is the finest level's, and ``counts`` sums the linear solves of every
+    level.
     """
-    counts = Counter()
-    if init is not None:
-        v, res, iterations, trace, _ = _newton_level(mesh, p, prob, init.values.copy(), opts, dirichlet,
-                                                     counts)
-        return v, res, iterations, trace, counts
     levels = [(mesh, prob)]
-    while (level := coarse_mesh(levels[-1][0])) is not None:
+    while init is None and (level := coarse_mesh(levels[-1][0])) is not None:
         coarse, idx = level
         fine_prob = levels[-1][1]
         levels.append((coarse, ProblemP2(prob.a, prob.b, DiskField(coarse, fine_prob.f.values[idx]),
                                          DiskField(coarse, fine_prob.g.values[idx]))))
+    counts = Counter()
     v_2h = v_4h = None  # converged solutions of the two levels below
     iterations = 0
     # only the level below the finest keeps its last factor, for the finest's
@@ -315,18 +321,29 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False):
         below = levels[1][0]
         transfer = transfer_pair(below, mesh, interior=dirichlet)
     for level_mesh, level_prob in reversed(levels):
-        v0 = np.zeros(level_mesh.n_nodes) if v_2h is None else _fmg_start(level_mesh, v_2h, v_4h)
+        ops = assemble(level_mesh, p)
+        free = level_mesh.interior_nodes() if dirichlet else slice(None)
+        eq = _equation(ops, level_prob, free)
+        weights = (ops.volume_mass + ops.boundary_mass)[free]
+        if v_2h is None:
+            x0 = (np.zeros(level_mesh.n_nodes) if init is None else init.values)[free]
+        else:
+            new = np.ones(level_mesh.n_nodes, dtype=bool)
+            new[coarse_mesh(level_mesh)[1]] = False
+            x0 = _relax_new_nodes(eq, _fmg_start(level_mesh, v_2h, v_4h)[free], np.flatnonzero(new[free]),
+                                  weights)
         try:
-            v, res, steps, trace, lu = _newton_level(level_mesh, p, level_prob, v0, opts, dirichlet, counts,
-                                                     relax=v_2h is not None,
-                                                     coarse=None if lu is None else (lu, transfer),
-                                                     keep_factor=level_mesh is below)
+            x, res, steps, trace, lu = _newton_loop(eq, x0, weights, opts, counts,
+                                                    coarse=None if lu is None else (lu, transfer),
+                                                    keep_factor=level_mesh is below)
         except (NonConvergence, SingularJacobian, DomainError):
             if level_mesh is mesh:
                 raise
             v = None
         else:
             iterations += steps
+            v = np.zeros(level_mesh.n_nodes)
+            v[free] = x
         v_2h, v_4h = v, v_2h
     return v, res, iterations, trace, counts
 
@@ -346,36 +363,15 @@ def _fmg_start(mesh, v_2h, v_4h):
     return prolong(coarse, v_2h, mesh)
 
 
-def _newton_level(mesh, p, prob, v0, opts, dirichlet, counts, relax=False, coarse=None,
-                  keep_factor=False):
-    """``_newton_loop`` on one mesh from ``v0``, relaxed first on the new nodes if ``relax``."""
-    ops = assemble(mesh, p)
-    eq = _equation(ops, prob)
-    weights = ops.volume_mass + ops.boundary_mass
-    mask = None
-    if dirichlet:
-        mask = mesh.interior_nodes()
-        v0[mesh.boundary_nodes] = 0.0
-        weights = weights[mask]
-    if relax:
-        v0 = _relax_new_nodes(mesh, eq, v0, mask, weights)
-    return _newton_loop(eq, v0, weights, opts, counts, mask=mask, coarse=coarse, keep_factor=keep_factor)
-
-
-def _relax_new_nodes(mesh, eq, v0, mask, weights):
-    """``v0`` after nonlinear Jacobi sweeps on the nodes the half-ring mesh lacks.
+def _relax_new_nodes(eq, v0, new, weights):
+    """``v0`` after nonlinear Jacobi sweeps on the unknowns ``new``, those the half-ring mesh lacks.
 
     A prolonged start is exact to O(h^2) only at the nested nodes; its
     interpolation error sits on the new ones.  ``_RELAX_SWEEPS`` undamped
-    sweeps there, with the nested and the Dirichlet nodes held, cut that
-    error.  The relaxed start is kept only if it lowers the weighted
-    residual, which a start far from the solution need not.
+    sweeps there, with the nested nodes held, cut that error.  The relaxed
+    start is kept only if it lowers the weighted residual, which a start far
+    from the solution need not.
     """
-    new = np.ones(mesh.n_nodes, dtype=bool)
-    new[coarse_mesh(mesh)[1]] = False
-    if mask is not None:
-        new[mesh.boundary_nodes] = False
-    new = np.flatnonzero(new)
     # the core equation's rows at the new nodes
     S, c, w = eq
     stiffness, diag, c, w = S[new], S.diagonal()[new], c[new], w[new]
@@ -384,9 +380,8 @@ def _relax_new_nodes(mesh, eq, v0, mask, weights):
         for _ in range(_RELAX_SWEEPS):
             wev = w * _exp_unguarded(v[new])
             v[new] -= (stiffness @ v + c + wev) / (diag + wev)
-    rows = slice(None) if mask is None else mask
-    before = _weighted_norm(_residual(eq, v0)[rows], weights)
-    return v if _weighted_norm(_residual(eq, v)[rows], weights) < before else v0
+    before = _weighted_norm(_residual(eq, v0), weights)
+    return v if _weighted_norm(_residual(eq, v), weights) < before else v0
 
 
 def _solve_variational(mesh, p, prob, init, opts, weights):

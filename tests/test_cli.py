@@ -294,3 +294,18 @@ def test_solution_csv_matches_cell_formatting(tmp_path):
         for i in range(mesh.n_nodes)]
     assert csv_body(path) == expected
     assert expected[1].endswith(",-0") and expected[2].endswith(",1e-300")
+
+
+@pytest.mark.parametrize("command, option", [
+    ("solve-p1", "tol_abs = nan"),
+    ("solve-p2", "tol_rel = nan"),
+    ("solve-p1", "max_iter = -1"),
+    ("scan-gamma", "tol_abs = nan"),
+])
+def test_solver_option_that_stops_no_loop_is_a_config_error(tmp_path, capsys, command, option):
+    """A NaN tolerance would print "converged in 0 iterations" for the zero field; rejected before any output."""
+    cfg = write_cfg(tmp_path, BASE.replace("kind = p1\n", "a = 0.5\nb = 0.5\n") + option + "\n"
+                    + "[scan]\ngammas = 0.5, 1.0\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert option.split()[0] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -222,3 +222,18 @@ def test_nested_newton_takes_one_fine_step(params, splu_sizes):
     assert splu_sizes.count(mesh.interior_nodes().size) == 0
     assert len(rep.trace) == 2
     assert rep.iterations == len(splu_sizes) + 1 == rep.factorizations + 1
+
+
+def test_newton_init_with_a_nonzero_trace_solves_with_that_trace_zeroed(params, mesh16):
+    """The Dirichlet unknowns are the interior nodes: an ``init``'s boundary values never enter."""
+    t = mesh16.nodes[:, 0]
+    prob = tb.ProblemP1(1.5, tb.DiskField(mesh16, 1.0 + 0.2 * t))
+    init = tb.DiskField(mesh16, 0.1 + 0.1 * t)
+    assert np.any(init.values[mesh16.boundary_nodes] != 0.0)
+    rep = tb.solve_p1_newton(mesh16, params, prob, init=init)
+    assert np.all(rep.field.values[mesh16.boundary_nodes] == 0.0)
+    zeroed = init.values.copy()
+    zeroed[mesh16.boundary_nodes] = 0.0
+    zeroed = tb.solve_p1_newton(mesh16, params, prob, init=tb.DiskField(mesh16, zeroed))
+    assert np.array_equal(rep.field.values, zeroed.field.values)
+    assert rep.iterations == zeroed.iterations >= 1

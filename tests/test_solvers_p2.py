@@ -285,3 +285,17 @@ def test_nested_newton_orders_only_the_levels_it_factors(params, splu_sizes):
     while (level := tb.mesh.coarse_mesh(coarsest[0])) is not None:
         coarsest = level
     assert splu_sizes and set(splu_sizes) == {coarsest[0].n_nodes}
+
+
+@pytest.mark.parametrize("options", [dict(tol_abs=math.nan), dict(tol_rel=math.nan), dict(tol_abs=math.inf),
+                                     dict(tol_rel=-1e-10), dict(max_iter=-1), dict(max_descent_iter=-1),
+                                     dict(max_monotone_iter=-1)])
+def test_solve_options_reject_a_control_that_stops_no_loop(options):
+    """A NaN tolerance fails every comparison, so a loop would report success at its start."""
+    with pytest.raises(tb.DomainError, match=next(iter(options))):
+        tb.SolveOptions(**options)
+
+
+def test_solve_options_accept_zero_tolerances_and_small_caps():
+    opts = tb.SolveOptions(tol_abs=0.0, tol_rel=0, max_iter=1, max_descent_iter=0)
+    assert (opts.tol_abs, opts.tol_rel, opts.max_iter, opts.max_descent_iter) == (0.0, 0, 1, 0)
