@@ -48,6 +48,7 @@ from .inequalities import (
     interior_orbit_family,
     minimal_orbit_family,
     mt_scan,
+    mu_best,
 )
 from .mesh import (
     DiskField,
@@ -349,7 +350,7 @@ def _cmd_scan_gamma(args, cfg) -> int:
     write_csv(os.path.join(out, "gamma_scan.csv"),
               ["gamma", "converged", "iterations", "residual_norm", "functional", "v_min", "v_max"],
               rows)
-    window = 8.0 * (p.l - p.r) / (p.l * p.r**2)
+    window = 1.0 / (2.0 * mu_best(p, "interior_dirichlet")) / p.volume()  # _admit's P1 bound on R, as a gamma
     write_report(os.path.join(out, "report.json"), "scan-gamma", cfg, p,
                  {"gamma_window_upper": window, "n_converged": sum(1 for r in rows if r[1])})
     failed = [r[0] for r in rows if not r[1]]

@@ -12,8 +12,8 @@ and columns of its interior nodes, its unknowns.  Every method reads it:
 Newton's residual ``F``, Jacobian ``S + diag(w e^v)`` and nested
 relaxation, the constrained descent's gradient ``S v + c`` and projection
 sum ``sum(w e^v)``, and the monotone iteration's defect correction ``v <- v
-- (S + W)^-1 F(v)``.  The public solvers map their data onto the equation,
-check their own feasibility and existence windows, and fill their reports.
+- (S + W)^-1 F(v)``.  Every public solver first admits its data (``_admit``),
+then maps them onto the equation and fills its report.
 
 Sign convention: the problems are stated with the geometer's positive
 Laplacian (``Delta v = -div grad v``), so weak forms use the positive
@@ -53,12 +53,16 @@ from .functionals import (
     reach_exponential_target,
 )
 from .geometry import TorusParams
+from .inequalities import mu_best
 from .mesh import DiskField, DiskMesh, assemble, coarse_mesh, prolong, transfer_pair, weighted_sum
 
 
 @dataclass
 class SolveOptions:
-    """Iteration controls, each finite and nonnegative; defaults are the desk-scale settings."""
+    """Iteration controls, each finite and nonnegative; defaults are the desk-scale settings.
+
+    ``max_iter`` caps the Newton steps of each nested level, not of the whole solve.
+    """
 
     tol_abs: float = 1e-10
     tol_rel: float = 1e-10
@@ -284,6 +288,45 @@ def _jacobian(eq, v):
     return (eq[0] + sp.diags(_exp_terms(eq, v))).tocsr()
 
 
+def _admit(mesh, p, prob, compatibility=True):
+    """Decide the data of a public solve once: warn outside the existence window, raise if no field exists.
+
+    P1 enters as ``prob.as_p2()``.  For a, b >= 0, not both zero, a field
+    exists if ``0 < R < 1 / (2 mu_best)`` in the mode ``interior_dirichlet``
+    (P1), ``interior_full`` (P2 with zero boundary data) or
+    ``boundary_trace``.  A Neumann record's rows sum to ``K(v) = r_h +
+    sum(w e^v)``, ``r_h = sum(c)``, so with ``compatibility`` some ``w_i``
+    must have the sign opposite to ``r_h``; with a = b = 0, ``w`` needs both
+    signs and ``sum(w) = int(f) + bint(g) > 0``, its value ``int(e^-v |grad
+    v|^2)`` at every solution.  With ``r_h < 0`` and ``w`` of both signs the
+    energy is unbounded below on {K = 0}.  P1 Newton's Dirichlet record has
+    no row-sum condition.
+    """
+    p1 = isinstance(prob, ProblemP1)
+    prob = prob.as_p2() if p1 else prob
+    if prob.a >= 0.0 and prob.b >= 0.0 and (prob.a, prob.b) != (0.0, 0.0):
+        mode = "interior_dirichlet" if p1 else (
+            "interior_full" if np.all(prob.g.values[mesh.boundary_nodes] == 0.0) else "boundary_trace")
+        bound = 1.0 / (2.0 * mu_best(p, mode))
+        if not 0.0 < prob.R(p) < bound:
+            warnings.warn("R=%g outside the sufficient existence window (0, %g) of the a, b >= 0 regime"
+                          % (prob.R(p), bound), ExistenceWindowWarning, stacklevel=3)
+    if not compatibility:
+        return
+    c, w = prob.terms(assemble(mesh, p))
+    r_h = float(np.sum(c))
+    both_signs = w.min() < 0.0 < w.max()
+    case_zero = prob.a == 0.0 and prob.b == 0.0
+    if case_zero and (not both_signs or data_total(mesh, p, prob) <= 0.0):
+        raise InfeasibleError("a zero linear part needs exponential terms of both signs and positive total, "
+                              "int(f) + bint(g) > 0 (for P1 with gamma = 0: int(f) < 0)")
+    if not case_zero and not np.any(r_h * w < 0.0):
+        raise InfeasibleError("a linear part of %g needs exponential terms of the opposite sign" % r_h)
+    if r_h < 0.0 and both_signs:
+        warnings.warn("linear part %g < 0 and exponential terms of both signs: the energy is unbounded below "
+                      "on {K = 0}, so it has no global minimum" % r_h, ExistenceWindowWarning, stacklevel=3)
+
+
 def _solve_newton(mesh, p, prob, init, opts, dirichlet=False):
     """Damped Newton on the core equation; its unknowns are the interior nodes if ``dirichlet``.
 
@@ -387,32 +430,22 @@ def _relax_new_nodes(eq, v0, new, weights):
 def _solve_variational(mesh, p, prob, init, opts, weights):
     """Minimize ``0.5 |grad v|^2 + a int(v) + b bint(v)`` over {K = 0}, then polish.
 
-    Every data decision of the variational route is made here, in terms of
-    the equation's linear part ``r_h = sum(c) = a Vol_h + b Vol_b,h`` and
-    exponential weights ``w``, so ``K(v) = r_h + sum(w e^v)``.  {K = 0} is
-    empty, and ``InfeasibleError`` is raised, unless some ``w_i`` has the
-    sign opposite to ``r_h``; with a = b = 0 it also needs ``sum(w) =
-    int(f) + bint(g) > 0``, which equals ``int(e^-v |grad v|^2)`` at every
-    solution.  For ``r_h < 0`` and ``w`` of both signs the energy is
-    unbounded below on {K = 0}: it falls like ``r_h k`` along ``k + psi``
-    with ``sum(w e^psi) = -r_h e^-k``.  An ``ExistenceWindowWarning`` says so.
-
-    Projected preconditioned descent selects the minimizer and
-    ``_newton_loop`` on the core equation polishes it to tolerance.
-    ``weights`` (one per node) measure residuals and descent steps and shift
-    the preconditioner ``S + diag(weights)``.  Every iterate lies on
-    {K = 0}.  With (a, b) != 0 the constant shift ``v + ln(-r_h / e)``, ``e
-    = sum(w e^v)``, puts it there when ``e`` and ``r_h`` have opposite
-    signs; otherwise the start takes the density shift of
-    ``reach_exponential_target`` and a descent trial is rejected.  With
-    a = b = 0 every point takes the density shift, the minimizer is
-    gauge-fixed to zero mean, and shifted by the logarithm of its
-    ``multiplier_kappa`` it solves the core equation.  The polish starts
-    there, and the multiplier is ``kappa``, ``exp`` of the polished field's
-    ``M``-weighted mean.  Otherwise the polished field solves ``S v + c + w
-    e^v = 0``, whose part ``S v + c`` is the descent's gradient: stationarity
-    on {K = 0} with multiplier exactly -1.  Returns ``(v, multiplier,
-    iterations, residual_norm, trace, counts)``, ``counts`` the
+    On data ``_admit`` has admitted, projected preconditioned descent
+    selects the minimizer and ``_newton_loop`` on the core equation polishes
+    it.  ``weights`` (one per node) measure residuals and descent steps and
+    shift the preconditioner ``S + diag(weights)``.  Every iterate lies on
+    {K = 0}, ``K(v) = r_h + sum(w e^v)``, ``r_h = sum(c)``.  With (a, b) !=
+    0 the constant shift ``v + ln(-r_h / e)``, ``e = sum(w e^v)``, puts it
+    there when ``e`` and ``r_h`` have opposite signs; otherwise the start
+    takes the density shift of ``reach_exponential_target`` and a descent
+    trial is rejected.  With a = b = 0 every point takes the density shift,
+    the minimizer is gauge-fixed to zero mean, and shifted by the logarithm
+    of its ``multiplier_kappa`` it solves the core equation.  The polish
+    starts there, and the multiplier is ``kappa``, ``exp`` of the polished
+    field's ``M``-weighted mean.  Otherwise the polished field solves ``S v
+    + c + w e^v = 0``, whose part ``S v + c`` is the descent's gradient:
+    stationarity on {K = 0} with multiplier exactly -1.  Returns ``(v,
+    multiplier, iterations, residual_norm, trace, counts)``, ``counts`` the
     factorizations of the preconditioner and the polish.
     """
     ops = assemble(mesh, p)
@@ -421,15 +454,6 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
     vol_h = float(np.sum(m))
     r_h = float(np.sum(c))
     case_zero = prob.a == 0.0 and prob.b == 0.0
-    both_signs = w.min() < 0.0 < w.max()
-    if case_zero and (not both_signs or data_total(mesh, p, prob) <= 0.0):
-        raise InfeasibleError("a zero linear part needs exponential terms of both signs and positive total, "
-                              "int(f) + bint(g) > 0 (for P1 with gamma = 0: int(f) < 0)")
-    if not case_zero and not np.any(r_h * w < 0.0):
-        raise InfeasibleError("a linear part of %g needs exponential terms of the opposite sign" % r_h)
-    if r_h < 0.0 and both_signs:
-        warnings.warn("linear part %g < 0 and exponential terms of both signs: the energy is unbounded below "
-                      "on {K = 0}, so it has no global minimum" % r_h, ExistenceWindowWarning, stacklevel=3)
 
     def project(v):
         if case_zero:
@@ -495,10 +519,7 @@ def _projected_direction(precond, grad, normals):
     pw = [precond.solve(w) for w in normals]
     a = np.array([[weighted_sum(w, x) for x in pw] for w in normals])
     rhs = np.array([weighted_sum(w, pg) for w in normals])
-    try:
-        mu = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        mu = np.linalg.lstsq(a, rhs, rcond=None)[0]
+    mu = np.linalg.solve(a, rhs)
     d = -(pg - sum(c * x for c, x in zip(mu, pw)))
     return d, weighted_sum(grad, d)
 
@@ -541,6 +562,7 @@ def p1_residual_norm(mesh: DiskMesh, p: TorusParams, prob: ProblemP1, field: Dis
 def solve_p1_newton(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
                     init: DiskField | None = None, opts: SolveOptions | None = None) -> SolveReport:
     """Damped Newton on the Dirichlet weak form of the P1 problem."""
+    _admit(mesh, p, prob, compatibility=False)
     v, res, iterations, trace, counts = _solve_newton(mesh, p, prob.as_p2(), init, opts or SolveOptions(),
                                                       dirichlet=True)
     return _report(mesh, p, prob, v, iterations, res, None, trace, counts)
@@ -551,19 +573,14 @@ def solve_p1_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
     """Constrained minimization of the P1 energy over {int(f e^v) = gamma Vol}.
 
     The core descends on half the P1 energy, ``0.5 |grad v|^2 + gamma
-    int(v)``, with residuals weighted by the volume mass, and decides
-    feasibility (``_solve_variational``).  It runs over the full nodal
-    space, so the stationary field satisfies the interior equation with
-    natural (zero-flux) boundary behavior.  For gamma = 0 the returned field
-    is the minimizer shifted by ``ln(kappa)`` and polished, and the
-    multiplier is ``kappa``, ``exp`` of its mean; otherwise the multiplier
-    of ``f e^v`` is exactly 1.
+    int(v)``, with residuals weighted by the volume mass.  It runs over the
+    full nodal space, so the stationary field satisfies the interior
+    equation with natural (zero-flux) boundary behavior.  For gamma = 0 the
+    returned field is the minimizer shifted by ``ln(kappa)`` and polished,
+    and the multiplier is ``kappa``, ``exp`` of its mean; otherwise the
+    multiplier of ``f e^v`` is exactly 1.
     """
-    window = 8.0 * (p.l - p.r) / (p.l * p.r**2)
-    if prob.gamma >= window:
-        warnings.warn("gamma=%g outside the sufficient window (0, %g); existence not guaranteed"
-                      % (prob.gamma, window), ExistenceWindowWarning, stacklevel=2)
-
+    _admit(mesh, p, prob)
     v, multiplier, iterations, res, trace, counts = _solve_variational(
         mesh, p, prob.as_p2(), init, opts or SolveOptions(), assemble(mesh, p).volume_mass)
     if prob.gamma != 0.0:
@@ -585,6 +602,7 @@ def p2_residual_norm(mesh: DiskMesh, p: TorusParams, prob: ProblemP2, field: Dis
 def solve_p2_newton(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
                     init: DiskField | None = None, opts: SolveOptions | None = None) -> SolveReport:
     """Damped Newton on the nonlinear Neumann weak form of the P2 problem."""
+    _admit(mesh, p, prob)
     v, res, iterations, trace, counts = _solve_newton(mesh, p, prob, init, opts or SolveOptions())
     return _report(mesh, p, prob, v, iterations, res, None, trace, counts)
 
@@ -593,21 +611,15 @@ def solve_p2_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
                          init: DiskField | None = None, opts: SolveOptions | None = None) -> SolveReport:
     """Constrained minimization of the P2 energy over {K = 0}.
 
-    The core decides feasibility (``_solve_variational``).  For a = b = 0
-    the minimizer is gauge-fixed to zero mean, and the field returned is
-    that minimizer shifted by ``ln(kappa)`` and polished on the P2 equation;
-    ``kappa``, ``exp`` of the returned field's volume mean, is reported (as
-    for P1 with gamma = 0).  With (a, b) != 0 the stationary point of the
-    constrained problem satisfies the P2 weak form directly, and the
-    multiplier reported is exactly -1.
+    For a = b = 0 the minimizer is gauge-fixed to zero mean, and the field
+    returned is that minimizer shifted by ``ln(kappa)`` and polished on the
+    P2 equation; ``kappa``, ``exp`` of the returned field's volume mean, is
+    reported (as for P1 with gamma = 0).  With (a, b) != 0 the stationary
+    point of the constrained problem satisfies the P2 weak form directly,
+    and the multiplier reported is exactly -1.
     """
+    _admit(mesh, p, prob)
     ops = assemble(mesh, p)
-    g = prob.g.values[mesh.boundary_nodes]
-    if prob.a >= 0.0 and prob.b >= 0.0 and (prob.a, prob.b) != (0.0, 0.0) \
-            and not (0.0 < prob.R(p) < (8.0 if np.all(g == 0.0) else 4.0) * math.pi**2 * (p.l - p.r)):
-        warnings.warn("R=%g outside the sufficient existence window of the a,b >= 0 regime" % prob.R(p),
-                      ExistenceWindowWarning, stacklevel=2)
-
     v, multiplier, iterations, res, trace, counts = _solve_variational(
         mesh, p, prob, init, opts or SolveOptions(), ops.volume_mass + ops.boundary_mass)
     return _report(mesh, p, prob, v, iterations, res, multiplier, trace, counts)
@@ -621,41 +633,29 @@ def find_constant_bracket(mesh: DiskMesh, p: TorusParams, prob: ProblemP2):
     """Constant sub/supersolution pair for the a, b <= 0 regime.
 
     The subsolution needs ``a + f e^c <= 0`` and ``b + g e^c <= 0`` at every
-    node; the supersolution reverses both.  Returns the binding constants or
-    raises ``NoBracket`` when no constants work (constant family only).
+    node; the supersolution reverses both.  Past the checks a zero constant
+    has zero data and a negative one positive data, so the pair is the log
+    of the min and the max of ``-const / coeff``; else ``NoBracket``.
     """
     if not (prob.a <= 0.0 and prob.b <= 0.0) or (prob.a == 0.0 and prob.b == 0.0):
         raise DomainError("constant brackets require a <= 0, b <= 0, not both zero")
     f = prob.f.values
     g = prob.g.values[mesh.boundary_nodes]
-
-    upper_bounds = []  # e^c <= bound  (subsolution side)
+    ratios = []
     for coeff, const in ((f, prob.a), (g, prob.b)):
-        pos = coeff[coeff > 0.0]
-        if pos.size:
-            if const == 0.0:
-                raise NoBracket("positive data with zero linear part admit no constant subsolution")
-            upper_bounds.append(float(np.min(-const / pos)))
-    lower_bounds = []  # e^c >= bound  (supersolution side)
-    for coeff, const in ((f, prob.a), (g, prob.b)):
+        if const == 0.0 and np.any(coeff > 0.0):
+            raise NoBracket("positive data with zero linear part admit no constant subsolution")
         if const < 0.0:
             if float(coeff.min()) <= 0.0:
                 raise NoBracket("nonpositive data cannot dominate a negative linear part")
-            lower_bounds.append(float(np.max(-const / coeff)))
-        # const == 0 requires coeff >= 0 everywhere, checked via the sub side
+            ratios.append(-const / coeff)
     if prob.a == 0.0 and float(f.min()) < 0.0:
         raise NoBracket("a = 0 with sign-changing f admits no constant supersolution")
     if prob.b == 0.0 and float(g.min()) < 0.0:
         raise NoBracket("b = 0 with negative boundary data admits no constant supersolution")
-
-    c_plus = math.log(max(lower_bounds)) if lower_bounds else 0.0
-    c_minus = math.log(min(upper_bounds)) if upper_bounds else min(0.0, c_plus)
-    if upper_bounds and lower_bounds and c_minus > c_plus + 1e-14 * (1 + abs(c_plus)):
-        # c- <= c+ is the ordered bracket; the binding constants cross only
-        # for inconsistent data
-        raise NoBracket("constant inequalities are inconsistent: c-=%g > c+=%g" % (c_minus, c_plus))
-    c_minus = min(c_minus, c_plus)
-    return (DiskField.constant(mesh, c_minus), DiskField.constant(mesh, c_plus))
+    ratios = np.concatenate(ratios)
+    return (DiskField.constant(mesh, math.log(float(ratios.min()))),
+            DiskField.constant(mesh, math.log(float(ratios.max()))))
 
 
 def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
@@ -670,6 +670,7 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
     supersolution (asserted every iteration).  Terminates when the sup-norm
     increment drops below tolerance.
     """
+    _admit(mesh, p, prob)
     opts = opts or SolveOptions()
     ops = assemble(mesh, p)
     eq = _equation(ops, prob)
@@ -701,8 +702,6 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
 
     v = lo.copy()
     trace = []
-    converged = False
-    iterations = 0
     tol = opts.tol_abs + opts.tol_rel * float(np.max(hi - lo))
     for iterations in range(1, opts.max_monotone_iter + 1):
         v_new = v - lu.solve(_residual(eq, v))
@@ -716,9 +715,8 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
         trace.append((inc, 1.0))
         v = v_new
         if inc <= tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise NonConvergence("monotone iteration did not contract below %g in %d steps"
                              % (tol, opts.max_monotone_iter))
     return _report(mesh, p, prob, v, iterations, p2_residual_norm(mesh, p, prob, DiskField(mesh, v)),

@@ -70,6 +70,12 @@ def test_factorize_against_default_splu(params, kind, n_rings):
     assert lu.nnz <= FILL_RATIO_MAX[kind] * ref.nnz
 
 
+def test_exactly_singular_matrix_is_a_singular_jacobian():
+    """SuperLU's "Factor is exactly singular" reaches the caller as ``SingularJacobian``."""
+    with pytest.raises(tb.SingularJacobian, match="exactly singular"):
+        _factorize(sp.diags([1.0, 0.0, 2.0]))
+
+
 def test_benchmark_tracer_self_test():
     """One ``splu`` call and one solve of its factor per Newton step (n_rings 8)."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
