@@ -326,34 +326,41 @@ def _cmd_scan_gamma(args, cfg) -> int:
     f = _coefficient(cfg, mesh, "f", default="1")
     opts = _solve_options(cfg)
     out = _out_dir(cfg, args)
-    # the worker threads share the mesh caches, so fill them first: the
-    # finest level's two-grid transfer and every Newton level's operators
-    level = coarse_mesh(mesh)
-    if level is not None:
-        transfer_pair(level[0], mesh, interior=True)
+    # the worker threads share the mesh caches, so fill them first: every
+    # Newton level's operators and its interior transfer to the level below,
+    # which its cycles read from 16 rings on
     level = (mesh,)
     while level is not None:
         assemble(level[0], p)
-        level = coarse_mesh(level[0])
+        below = coarse_mesh(level[0])
+        if below is not None:
+            transfer_pair(below[0], level[0], interior=True)
+        level = below
 
     def solve_one(gamma):
         prob = ProblemP1(gamma, f)
         try:
             rep = solve_p1_newton(mesh, p, prob, opts=opts)
             return (gamma, True, rep.iterations, rep.residual_norm,
-                    rep.functional_value, float(rep.field.values.min()), float(rep.field.values.max()))
-        except (NonConvergence, TorusBVPError):
-            return (gamma, False, opts.max_iter, math.nan, math.nan, math.nan, math.nan)
+                    rep.functional_value, float(rep.field.values.min()), float(rep.field.values.max())), None
+        except TorusBVPError as exc:
+            # the Newton steps taken, which only a NonConvergence counts
+            steps = exc.iterations if isinstance(exc, NonConvergence) else None
+            failure = {"gamma": gamma, "class": type(exc).__name__, "message": str(exc), "iterations": steps}
+            return (gamma, False, math.nan if steps is None else steps,
+                    math.nan, math.nan, math.nan, math.nan), failure
 
     with ThreadPoolExecutor(max_workers=args.threads) as ex:
-        rows = list(ex.map(solve_one, gammas))
+        rows, failures = zip(*ex.map(solve_one, gammas))
+    failures = [f for f in failures if f is not None]
     write_csv(os.path.join(out, "gamma_scan.csv"),
               ["gamma", "converged", "iterations", "residual_norm", "functional", "v_min", "v_max"],
               rows)
     window = 1.0 / (2.0 * mu_best(p, "interior_dirichlet")) / p.volume()  # _admit's P1 bound on R, as a gamma
     write_report(os.path.join(out, "report.json"), "scan-gamma", cfg, p,
-                 {"gamma_window_upper": window, "n_converged": sum(1 for r in rows if r[1])})
-    failed = [r[0] for r in rows if not r[1]]
+                 {"gamma_window_upper": window, "n_converged": len(rows) - len(failures),
+                  "failures": failures})
+    failed = [r["gamma"] for r in failures]
     print("scan-gamma: %d/%d converged%s" % (len(rows) - len(failed), len(rows),
           "" if not failed else " (failed: %s)" % failed))
     return 0 if not failed else 2

@@ -92,8 +92,9 @@ class SolveReport:
     |grad v|^2 + a int(v) + b bint(v)`` of the problem they solve (for P1
     that is half of ``functional_I_p1``), and the monotone solver records
     sup-norm increments.  ``factorizations`` counts the sparse LU factors
-    and ``two_grid_cycles`` the cycles of the finest nested level's linear
-    solves, both over every level.
+    and ``two_grid_cycles`` the V-cycles that solve Newton systems, both over
+    every level; the one cycle on a level's frozen Jacobian inside each
+    cycle of the level above is not counted again.
     """
 
     field: DiskField
@@ -110,11 +111,10 @@ class SolveReport:
 
 # nonlinear Jacobi sweeps on the new nodes of each nested Newton start
 _RELAX_SWEEPS = 8
-# the finest nested level solves its Newton systems by two-grid cycles from
-# this many rings on: damped Jacobi sweeps (count and damping) before and
-# after each coarse correction, at most _TWO_GRID_MAX_CYCLES cycles per
-# system, each to a weighted residual of _TWO_GRID_FRACTION times Newton's
-# tolerance
+# a nested level solves its Newton systems by V-cycles from this many rings
+# on: damped Jacobi sweeps (count and damping) before and after each coarse
+# correction, at most _TWO_GRID_MAX_CYCLES cycles per system, each to a
+# weighted residual of _TWO_GRID_FRACTION times Newton's tolerance
 _TWO_GRID_MIN_RINGS = 16
 _TWO_GRID_SWEEPS = 2
 _TWO_GRID_DAMPING = 0.6
@@ -161,22 +161,22 @@ def _factorize(matrix):
         raise SingularJacobian("sparse factorization failed: %s" % exc) from exc
 
 
-def _newton_loop(eq, v0, weights, opts, counts, trace=None, coarse=None, keep_factor=False):
+def _newton_loop(eq, v0, weights, opts, counts, trace=None, coarse=None):
     """Damped Newton on the core equation ``eq``, Armijo backtracking on its weighted residual norm.
 
-    Each step solves ``J delta = -F``.  With ``coarse``, the level below's
-    last factor and the ``transfer_pair`` to it, two-grid cycles solve it
-    (``_two_grid``) and ``J`` is factored only if they miss their target.
-    ``v0``, ``weights`` and every update live on the unknowns of ``eq``, its
-    rows.  Newton stops at the residual ``tol_abs + tol_rel * r0``, ``r0``
-    the residual of the zero field.  That reference depends on the data
-    alone, so no start moves the tolerance: a start far off, such as a
-    stalled descent's, cannot loosen it, and a start near the solution
-    cannot push it below the float64 floor of the residual.  ``counts``, a
-    ``Counter`` of ``SolveReport``'s count fields, gains the loop's.  Returns
-    ``(v, res, iterations, trace, lu)``: with ``keep_factor``, ``lu`` is the
-    last factor made; otherwise, or if none was made, it is None, and each
-    factor is freed after its one solve.
+    Each step solves ``J delta = -F``.  With ``coarse``, the ``transfer_pair``
+    to the level below and that level's coarse solve, cycles on ``J``
+    (``_cycle``) solve it (``_cycled_solve``), and ``J`` is factored only if
+    they miss their target.  ``v0``, ``weights`` and every update live on the
+    unknowns of ``eq``, its rows.  Newton stops at the residual ``tol_abs +
+    tol_rel * r0``, ``r0`` the residual of the zero field.  That reference
+    depends on the data alone, so no start moves the tolerance: a start far
+    off, such as a stalled descent's, cannot loosen it, and a start near the
+    solution cannot push it below the float64 floor of the residual.
+    ``counts``, a ``Counter`` of ``SolveReport``'s count fields, gains the
+    loop's.  A ``NonConvergence`` carries the loop's steps.  Returns ``(v,
+    res, iterations, trace, lu)``, ``lu`` the last step's factor, or None if
+    that step cycled or no step was taken.
     """
     def residual(v):
         F = _residual(eq, v)
@@ -192,18 +192,16 @@ def _newton_loop(eq, v0, weights, opts, counts, trace=None, coarse=None, keep_fa
     trace.append((res, 0.0))
     iterations = 0
     while res > tol and iterations < opts.max_iter:
-        lu = None  # a kept factor is the last step's only
+        lu = None  # freed before the next factor
         J = _jacobian(eq, v)
         delta = None
         if coarse is not None:
-            delta, cycles = _two_grid(J, -F, *coarse, weights, _TWO_GRID_FRACTION * tol)
+            delta, cycles = _cycled_solve(J, -F, _cycle(J, *coarse), weights, _TWO_GRID_FRACTION * tol)
             counts["two_grid_cycles"] += cycles
         if delta is None:
             lu = _factorize(J)
             counts["factorizations"] += 1
             delta = -lu.solve(F)
-            if not keep_factor:
-                lu = None  # it served its one solve
         if not np.all(np.isfinite(delta)):
             raise SingularJacobian("Newton direction is non-finite")
         step = 1.0
@@ -216,38 +214,56 @@ def _newton_loop(eq, v0, weights, opts, counts, trace=None, coarse=None, keep_fa
                 break
             step *= _ARMIJO_FACTOR
         if not accepted:
-            raise NonConvergence("Newton line search stalled at residual %g" % res)
+            raise NonConvergence("Newton line search stalled at residual %g" % res, iterations=iterations)
         v, F, res = v_trial, F_trial, res_trial
         iterations += 1
         trace.append((res, step))
     if res > tol:
         raise NonConvergence("Newton did not reach tolerance %g in %d iterations (residual %g)"
-                             % (tol, opts.max_iter, res))
+                             % (tol, opts.max_iter, res), iterations=iterations)
     return v, res, iterations, trace, lu
 
 
-def _two_grid(matrix, rhs, lu, transfer, weights, target):
-    """``matrix x = rhs`` solved by two-grid cycles to the weighted residual ``target``.
+def _cycle(matrix, transfer, coarse_solve):
+    """One cycle on ``matrix``: the map from a residual ``r`` to a correction ``x``.
 
-    A cycle is ``_TWO_GRID_SWEEPS`` damped Jacobi sweeps, the coarse
-    correction ``x += P lu^-1 R r``, with ``(P, R)`` the ``transfer`` and
-    ``lu`` a factor of the level below's Jacobian, and as many sweeps again.
-    The sweeps damp the error that oscillates on this mesh; the rest is
-    smooth, and the level below resolves it.  Returns ``(x, cycles)``, with
-    ``x`` None if ``_TWO_GRID_MAX_CYCLES`` cycles miss the target.
+    From ``x = 0``, ``_TWO_GRID_SWEEPS`` damped Jacobi sweeps, the coarse
+    correction ``x += P coarse_solve(R r)``, with ``(P, R)`` the ``transfer``
+    to the level below, and as many sweeps again, each on the residual ``r
+    - matrix x``.  The sweeps damp the error that oscillates on this mesh;
+    the rest is smooth, and the level below resolves it with the
+    ``coarse_solve`` it hands up (``_solve_newton``).  When that is itself
+    a cycle, the recursion is a V-cycle.
     """
     P, R = transfer
     jacobi = _TWO_GRID_DAMPING / matrix.diagonal()
-    x, r, update = np.zeros_like(rhs), rhs.copy(), np.empty_like(rhs)  # reused by every sweep
-    for cycle in range(1, _TWO_GRID_MAX_CYCLES + 1):
+
+    def cycle(r):
+        x, res = np.zeros_like(r), r
         for sweep in range(2 * _TWO_GRID_SWEEPS + 1):
+            if sweep:
+                res = r - matrix @ x
             if sweep == _TWO_GRID_SWEEPS:
-                x += _sparse_product(P, lu.solve(_sparse_product(R, r)))
+                x += _sparse_product(P, coarse_solve(_sparse_product(R, res)))
             else:
-                x += np.multiply(jacobi, r, out=update)
-            np.subtract(rhs, matrix @ x, out=r)
+                x += jacobi * res
+        return x
+
+    return cycle
+
+
+def _cycled_solve(matrix, rhs, cycle, weights, target):
+    """``matrix x = rhs`` by ``x += cycle(rhs - matrix x)`` to the weighted residual ``target``.
+
+    Returns ``(x, cycles)``, with ``x`` None if ``_TWO_GRID_MAX_CYCLES``
+    cycles miss the target.
+    """
+    x, r = np.zeros_like(rhs), rhs
+    for cycles in range(1, _TWO_GRID_MAX_CYCLES + 1):
+        x += cycle(r)
+        r = rhs - matrix @ x
         if _weighted_norm(r, weights) <= target:
-            return x, cycle
+            return x, cycles
     return None, _TWO_GRID_MAX_CYCLES
 
 
@@ -288,30 +304,30 @@ def _jacobian(eq, v):
     return (eq[0] + sp.diags(_exp_terms(eq, v))).tocsr()
 
 
-def _admit(mesh, p, prob, compatibility=True):
+def _admit(mesh, p, prob, dirichlet=False):
     """Decide the data of a public solve once: warn outside the existence window, raise if no field exists.
 
     P1 enters as ``prob.as_p2()``.  For a, b >= 0, not both zero, a field
-    exists if ``0 < R < 1 / (2 mu_best)`` in the mode ``interior_dirichlet``
-    (P1), ``interior_full`` (P2 with zero boundary data) or
-    ``boundary_trace``.  A Neumann record's rows sum to ``K(v) = r_h +
-    sum(w e^v)``, ``r_h = sum(c)``, so with ``compatibility`` some ``w_i``
-    must have the sign opposite to ``r_h``; with a = b = 0, ``w`` needs both
-    signs and ``sum(w) = int(f) + bint(g) > 0``, its value ``int(e^-v |grad
-    v|^2)`` at every solution.  With ``r_h < 0`` and ``w`` of both signs the
-    energy is unbounded below on {K = 0}.  P1 Newton's Dirichlet record has
-    no row-sum condition.
+    exists if ``0 < R < 1 / (2 mu_best)`` in the mode of the problem the
+    method solves: ``interior_dirichlet`` if ``dirichlet`` (P1 Newton),
+    else ``interior_full`` with zero boundary data (P2 so, and P1 solved
+    over every node by the variational route) or ``boundary_trace``.  A
+    Neumann record's rows sum to ``K(v) = r_h + sum(w e^v)``, ``r_h =
+    sum(c)``, so some ``w_i`` must have the sign opposite to ``r_h``; with a
+    = b = 0, ``w`` needs both signs and ``sum(w) = int(f) + bint(g) > 0``,
+    its value ``int(e^-v |grad v|^2)`` at every solution.  With ``r_h < 0``
+    and ``w`` of both signs the energy is unbounded below on {K = 0}.  A
+    Dirichlet record has no row-sum condition.
     """
-    p1 = isinstance(prob, ProblemP1)
-    prob = prob.as_p2() if p1 else prob
+    prob = prob.as_p2() if isinstance(prob, ProblemP1) else prob
     if prob.a >= 0.0 and prob.b >= 0.0 and (prob.a, prob.b) != (0.0, 0.0):
-        mode = "interior_dirichlet" if p1 else (
+        mode = "interior_dirichlet" if dirichlet else (
             "interior_full" if np.all(prob.g.values[mesh.boundary_nodes] == 0.0) else "boundary_trace")
         bound = 1.0 / (2.0 * mu_best(p, mode))
         if not 0.0 < prob.R(p) < bound:
             warnings.warn("R=%g outside the sufficient existence window (0, %g) of the a, b >= 0 regime"
                           % (prob.R(p), bound), ExistenceWindowWarning, stacklevel=3)
-    if not compatibility:
+    if dirichlet:
         return
     c, w = prob.terms(assemble(mesh, p))
     r_h = float(np.sum(c))
@@ -338,15 +354,19 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False):
     level is the only one.  Each level builds its record (``_equation``) on
     its unknowns and its residual weights ``M + M_b``, which on the interior
     nodes are ``M``.  A level whose solve fails hands zero to the next, and
-    the finest level's failure is raised.  Every level stops at
-    ``_newton_loop``'s tolerance, which scales with the residual of zero and
-    so stays above the float64 floor of the residual.  From
-    ``_TWO_GRID_MIN_RINGS`` rings on, the finest level factors nothing:
-    two-grid cycles on the last factor of the level below solve its Newton
-    systems.  Returns ``(v, residual_norm, iterations, trace, counts)``:
-    ``iterations`` counts the steps of every level that converged, ``trace``
-    is the finest level's, and ``counts`` sums the linear solves of every
-    level.
+    the finest level's failure is raised, a ``NonConvergence`` with the
+    steps of every level.  Every level stops at ``_newton_loop``'s
+    tolerance, which scales with the residual of zero and so stays above the
+    float64 floor of the residual.  Each level hands the next its coarse
+    solve.  A level of ``_TWO_GRID_MIN_RINGS`` rings or more that has one
+    from below factors nothing: cycles on it solve its Newton systems, and
+    it hands up one cycle on its Jacobian frozen at its solution.  Any other
+    level factors each step and hands up its last factor.  So only meshes
+    under ``_TWO_GRID_MIN_RINGS`` rings are factored, unless cycles miss
+    their target or a level fails.  Returns ``(v, residual_norm,
+    iterations, trace, counts)``: ``iterations`` counts the steps of every
+    level that converged, ``trace`` is the finest level's, and ``counts``
+    sums the linear solves of every level.
     """
     levels = [(mesh, prob)]
     while init is None and (level := coarse_mesh(levels[-1][0])) is not None:
@@ -356,18 +376,16 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False):
                                          DiskField(coarse, fine_prob.g.values[idx]))))
     counts = Counter()
     v_2h = v_4h = None  # converged solutions of the two levels below
+    coarse_solve = None  # the level below's
     iterations = 0
-    # only the level below the finest keeps its last factor, for the finest's
-    # two-grid solves; their transfer is built before any level's transient arrays
-    below = transfer = lu = None
-    if len(levels) > 1 and round(1.0 / mesh.h) >= _TWO_GRID_MIN_RINGS:
-        below = levels[1][0]
-        transfer = transfer_pair(below, mesh, interior=dirichlet)
     for level_mesh, level_prob in reversed(levels):
         ops = assemble(level_mesh, p)
         free = level_mesh.interior_nodes() if dirichlet else slice(None)
         eq = _equation(ops, level_prob, free)
         weights = (ops.volume_mass + ops.boundary_mass)[free]
+        coarse = None
+        if coarse_solve is not None and round(1.0 / level_mesh.h) >= _TWO_GRID_MIN_RINGS:
+            coarse = (transfer_pair(coarse_mesh(level_mesh)[0], level_mesh, interior=dirichlet), coarse_solve)
         if v_2h is None:
             x0 = (np.zeros(level_mesh.n_nodes) if init is None else init.values)[free]
         else:
@@ -376,17 +394,19 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False):
             x0 = _relax_new_nodes(eq, _fmg_start(level_mesh, v_2h, v_4h)[free], np.flatnonzero(new[free]),
                                   weights)
         try:
-            x, res, steps, trace, lu = _newton_loop(eq, x0, weights, opts, counts,
-                                                    coarse=None if lu is None else (lu, transfer),
-                                                    keep_factor=level_mesh is below)
-        except (NonConvergence, SingularJacobian, DomainError):
+            x, res, steps, trace, lu = _newton_loop(eq, x0, weights, opts, counts, coarse=coarse)
+        except (NonConvergence, SingularJacobian, DomainError) as exc:
             if level_mesh is mesh:
+                if isinstance(exc, NonConvergence):
+                    exc.iterations += iterations
                 raise
-            v = None
+            v = coarse_solve = None
         else:
             iterations += steps
             v = np.zeros(level_mesh.n_nodes)
             v[free] = x
+            coarse_solve = (_cycle(_jacobian(eq, x), *coarse) if coarse is not None
+                            else None if lu is None else lu.solve)
         v_2h, v_4h = v, v_2h
     return v, res, iterations, trace, counts
 
@@ -562,7 +582,7 @@ def p1_residual_norm(mesh: DiskMesh, p: TorusParams, prob: ProblemP1, field: Dis
 def solve_p1_newton(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
                     init: DiskField | None = None, opts: SolveOptions | None = None) -> SolveReport:
     """Damped Newton on the Dirichlet weak form of the P1 problem."""
-    _admit(mesh, p, prob, compatibility=False)
+    _admit(mesh, p, prob, dirichlet=True)
     v, res, iterations, trace, counts = _solve_newton(mesh, p, prob.as_p2(), init, opts or SolveOptions(),
                                                       dirichlet=True)
     return _report(mesh, p, prob, v, iterations, res, None, trace, counts)

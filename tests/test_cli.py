@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from torusbvp import build_mesh
+from torusbvp import build_mesh, cli
 from torusbvp.cli import _boundary_area_rule, _fmt, _rule_estimate, _volume_rule, _write_solution_csv, main
 from torusbvp.geometry import TorusParams
+from torusbvp.mesh import coarse_mesh
 
 
 BASE = """
@@ -220,6 +221,45 @@ def test_scan_gamma_cli(tmp_path):
     assert main(["scan-gamma", "--config", cfg, "--out", str(out), "--threads", "2"]) == 0
     body = csv_body(out / "gamma_scan.csv")
     assert len(body) == 3
+
+
+def test_scan_gamma_fills_every_level_cache_before_its_threads(tmp_path, monkeypatch):
+    """Every level of a nested solve, the cycled ones included, finds its operators and transfer built."""
+    real_solve, seen = cli.solve_p1_newton, {}
+
+    def cache_keys(mesh):
+        keys, level = [], (mesh,)
+        while level is not None:
+            keys.append(set(level[0]._cache))
+            level = coarse_mesh(level[0])
+        return keys
+
+    def solve(mesh, *args, **kwargs):
+        seen.setdefault("before", cache_keys(mesh))  # the first solve starts after the prefill
+        out = real_solve(mesh, *args, **kwargs)
+        seen["mesh"] = mesh
+        return out
+
+    monkeypatch.setattr(cli, "solve_p1_newton", solve)
+    cfg = write_cfg(tmp_path, BASE.replace("n_rings = 10", "n_rings = 32") + "\n[scan]\ngammas = 0.5, 1.0, 1.5\n")
+    assert main(["scan-gamma", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "2"]) == 0
+    assert len(seen["before"]) == 5  # 32, 16, 8, 4 and 2 rings
+    assert cache_keys(seen["mesh"]) == seen["before"]
+
+
+def test_scan_gamma_failed_rows_count_the_steps_taken(tmp_path):
+    """gamma = -40, f = 1 + 0.2 t stalls in the line search after 10 steps: the row says 10, not max_iter."""
+    text = BASE.replace("n_rings = 10", "n_rings = 16").replace("f = 1\n", "f = 1 + 0.2*t\n")
+    cfg = write_cfg(tmp_path, text + "\n[scan]\ngammas = -40, 1.0\n")
+    out = tmp_path / "out"
+    assert main(["scan-gamma", "--config", cfg, "--out", str(out), "--threads", "2"]) == 2
+    rows = [row.split(",") for row in csv_body(out / "gamma_scan.csv")[1:]]
+    assert [row[:3] for row in rows][0] == ["-40", "0", "10"] and rows[1][1] == "1"
+    report = json.loads((out / "report.json").read_text())
+    assert report["n_converged"] == 1
+    [failure] = report["failures"]
+    assert failure["gamma"] == -40 and failure["class"] == "NonConvergence" and failure["iterations"] == 10
+    assert "line search stalled" in failure["message"]
 
 
 def test_output_dir_from_environment(tmp_path, monkeypatch):

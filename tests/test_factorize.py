@@ -7,8 +7,9 @@ solve it as accurately as ``splu`` with its default (COLAMD) ordering, and
 with clearly less fill; fill is a count, so a changed ordering fails
 deterministically.  The benchmark's tracer must see one factor and one
 triangular solve per Newton step of a direct solve; a nested solve factors
-only below its finest level, whose two-grid cycles solve once each.  Every
-public solve is one solver span.
+only its levels under 16 rings, and each cycle of a level above ends in one
+triangular solve at the bottom of its V-cycle.  Every public solve is one
+solver span.
 """
 
 import importlib.util
@@ -86,13 +87,14 @@ def test_benchmark_tracer_self_test():
 
 
 def test_nested_newton_factors_once_per_step_at_n32(params):
-    """Every step below the finest level factors once; the finest level factors nothing.
+    """Every step of a level under 16 rings factors once; the levels of 16 and 32 rings factor nothing.
 
     The nested start's extrapolation and relaxation factor and solve
     nothing.  Traced with the benchmark's tracer, loaded read-only as above,
-    a nested P1 Newton solve makes one factor per coarse step, and one
-    triangular solve per factor and per two-grid cycle; the report's counts
-    are the tracer's.
+    a nested P1 Newton solve makes one factor per step of its levels under
+    16 rings, which take the steps of the same solve on the 8-ring mesh, and
+    one triangular solve per factor and per cycle; the report's counts are
+    the tracer's.
     """
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
@@ -107,9 +109,11 @@ def test_nested_newton_factors_once_per_step_at_n32(params):
     finally:
         tracer.restore()
     counts = tracing.layer_metrics(tracer.spans, 1)
-    coarse_steps = rep.iterations - (len(rep.trace) - 1)
-    assert counts["solvers.iterations"][0] == rep.iterations > coarse_steps
-    assert counts["solvers.factor_count"][0] == rep.factorizations == coarse_steps > 0
+    small = tb.build_mesh(8)
+    factored_steps = tb.solve_p1_newton(small, params, tb.ProblemP1(1.5, tb.DiskField(
+        small, 1.0 + 0.2 * small.nodes[:, 0]))).iterations
+    assert counts["solvers.iterations"][0] == rep.iterations > factored_steps + len(rep.trace) - 1
+    assert counts["solvers.factor_count"][0] == rep.factorizations == factored_steps > 0
     assert rep.two_grid_cycles > 0
     assert counts["solvers.trisolve_count"][0] == rep.factorizations + rep.two_grid_cycles
     assert tracing.restored()

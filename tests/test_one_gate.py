@@ -132,3 +132,25 @@ def test_p2_window_bound_follows_the_boundary_data(params, mesh16, g, bound):
         tb.solve_p2_newton(mesh16, params, prob)
     warned = [w for w in caught if issubclass(w.category, tb.ExistenceWindowWarning)]
     assert len(warned) == (bound < 8.0)
+
+
+def test_p1_variational_warns_in_the_window_of_the_problem_it_solves(params, mesh16):
+    """gamma = 3, f = 1 at l = 2, r = 1: R = 118.4 lies between 8 pi^2 and 16 pi^2.
+
+    The variational route solves over every node with natural boundary
+    behavior, the ``interior_full`` problem, so it warns as its P2 form
+    does; the Dirichlet problem of P1 Newton has the wider window.
+    """
+    prob = tb.ProblemP1(3.0, tb.DiskField.constant(mesh16, 1.0))
+    assert 8.0 < prob.as_p2().R(params) / (math.pi**2 * (params.l - params.r)) < 16.0
+    for solve, data in [(tb.solve_p1_variational, prob), (tb.solve_p2_variational, prob.as_p2()),
+                        (tb.solve_p1_newton, prob)]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                solve(mesh16, params, data, opts=tb.SolveOptions(max_iter=3, max_descent_iter=3))
+            except tb.NonConvergence:
+                pass
+        warned = [w for w in caught if issubclass(w.category, tb.ExistenceWindowWarning)
+                  and "existence window" in str(w.message)]
+        assert len(warned) == (solve is not tb.solve_p1_newton), solve.__name__

@@ -213,15 +213,22 @@ def test_nested_newton_takes_one_fine_step(params, splu_sizes):
     """On the benchmark's P1 data the extrapolated, relaxed start needs one fine step.
 
     Linear prolongation of the half-ring solution alone needs two.  The
-    fine step factors nothing (two-grid cycles solve it); every coarse step
-    factors once.
+    fine step factors nothing (V-cycles solve it), nor does any step of the
+    levels of 16 and 32 rings; every step of a level under 16 rings factors
+    once.  The levels below the finest take the steps of the same solve on
+    32 rings, and those under 16 rings the steps of the solve on 8 rings.
     """
-    mesh = tb.build_mesh(64)
-    prob = tb.ProblemP1(1.5, tb.DiskField(mesh, 1.0 + 0.2 * mesh.nodes[:, 0]))
-    rep = tb.solve_p1_newton(mesh, params, prob)
-    assert splu_sizes.count(mesh.interior_nodes().size) == 0
+    def solve(n):
+        mesh = tb.build_mesh(n)
+        return tb.solve_p1_newton(mesh, params, tb.ProblemP1(1.5, tb.DiskField(mesh, 1.0 + 0.2 * mesh.nodes[:, 0])))
+
+    rep = solve(64)
+    factored = list(splu_sizes)
+    half, small = solve(32), solve(8)
+    assert not {tb.build_mesh(n).interior_nodes().size for n in (16, 32, 64)} & set(factored)
     assert len(rep.trace) == 2
-    assert rep.iterations == len(splu_sizes) + 1 == rep.factorizations + 1
+    assert rep.iterations == half.iterations + 1 > small.iterations + 1
+    assert len(factored) == rep.factorizations == small.iterations
 
 
 def test_newton_init_with_a_nonzero_trace_solves_with_that_trace_zeroed(params, mesh16):

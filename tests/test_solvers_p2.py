@@ -169,9 +169,13 @@ def test_newton_starts_from_the_half_ring_solution(params, splu_sizes):
     rep = tb.solve_p2_newton(mesh, params, prob)
     fine = len(rep.trace) - 1  # the finest level's trace
     assert 1 <= fine <= 2  # five from a zero start
-    assert mesh.n_nodes not in splu_sizes  # two-grid cycles solve the fine steps
-    assert rep.iterations == len(splu_sizes) + fine  # every level's steps
-    assert len(splu_sizes) > fine
+    factored = list(splu_sizes)
+    assert not {mesh.n_nodes, tb.build_mesh(16).n_nodes} & set(factored)  # V-cycles solve their steps
+    mesh_16, prob_16 = benchmark_p2(16)
+    below = tb.solve_p2_newton(mesh_16, params, prob_16)  # the levels of the solve under 32 rings
+    steps_16 = len(below.trace) - 1
+    assert rep.iterations == below.iterations + fine  # every level's steps
+    assert len(factored) == rep.factorizations == below.iterations - steps_16 > fine
 
 
 def test_nested_newton_matches_the_zero_start(params):
@@ -278,8 +282,12 @@ def test_newton_restart_factors_nothing(params, p1):
 
 
 def test_nested_newton_orders_only_the_levels_it_factors(params, splu_sizes):
-    """Constant data: the coarsest level takes the steps, every finer one starts at the solution."""
-    mesh, prob = benchmark_p2(16, c=0.0)
+    """Constant data: the coarsest level takes the steps, every finer one starts at the solution.
+
+    A level that takes no step neither factors nor cycles, and hands no
+    factor up.
+    """
+    mesh, prob = benchmark_p2(32, c=0.0)
     tb.solve_p2_newton(mesh, params, prob)
     coarsest = (mesh,)
     while (level := tb.mesh.coarse_mesh(coarsest[0])) is not None:
