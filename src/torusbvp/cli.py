@@ -57,6 +57,7 @@ from .mesh import (
     build_mesh,
     coarse_mesh,
     integrate_volume,
+    stiffness_block,
     transfer_pair,
     weighted_sum,
 )
@@ -326,12 +327,13 @@ def _cmd_scan_gamma(args, cfg) -> int:
     f = _coefficient(cfg, mesh, "f", default="1")
     opts = _solve_options(cfg)
     out = _out_dir(cfg, args)
-    # the worker threads share the mesh caches, so fill them first: every
-    # Newton level's operators and its interior transfer to the level below,
-    # which its cycles read from 16 rings on
+    # worker threads share the mesh caches, so fill them first: every Newton
+    # level's operators, its interior stiffness and its interior transfer to
+    # the level below, which its cycles read from 16 rings on
     level = (mesh,)
     while level is not None:
         assemble(level[0], p)
+        stiffness_block(level[0], p, interior=True)
         below = coarse_mesh(level[0])
         if below is not None:
             transfer_pair(below[0], level[0], interior=True)
@@ -350,8 +352,11 @@ def _cmd_scan_gamma(args, cfg) -> int:
             return (gamma, False, math.nan if steps is None else steps,
                     math.nan, math.nan, math.nan, math.nan), failure
 
-    with ThreadPoolExecutor(max_workers=args.threads) as ex:
-        rows, failures = zip(*ex.map(solve_one, gammas))
+    if args.threads == 1:  # on 2 cores a pool of 2 was slower (six gammas at n = 64: 0.22 s against 0.17 s)
+        rows, failures = zip(*map(solve_one, gammas))
+    else:
+        with ThreadPoolExecutor(max_workers=args.threads) as ex:
+            rows, failures = zip(*ex.map(solve_one, gammas))
     failures = [f for f in failures if f is not None]
     write_csv(os.path.join(out, "gamma_scan.csv"),
               ["gamma", "converged", "iterations", "residual_norm", "functional", "v_min", "v_max"],
@@ -491,7 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output directory (default: config, env %s, or ./out)" % OUT_ENV_VAR)
         sp.add_argument("--mesh", type=int, default=None, help="override mesh n_rings")
         sp.add_argument("--seed", type=int, default=0, help="seed of verify's random smooth test fields")
-        sp.add_argument("--threads", type=int, default=None, help="worker threads for the scan-gamma sweep")
+        sp.add_argument("--threads", type=int, default=1, help="worker threads for the scan-gamma sweep")
         if name == "verify":
             sp.add_argument("--debug-perturb-weight", action="store_true",
                             help="perturb the metric weight to force identity failures")
@@ -511,7 +516,7 @@ _DISPATCH = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.threads is not None and args.threads < 1:
+        if args.threads < 1:
             raise ConfigError("--threads must be at least 1, got %d" % args.threads)
         if args.seed < 0:
             raise ConfigError("--seed must be nonnegative, got %d" % args.seed)

@@ -280,6 +280,29 @@ def assemble(mesh: DiskMesh, p: TorusParams) -> WeightedOperators:
     return ops
 
 
+def stiffness_block(mesh: DiskMesh, p: TorusParams, interior: bool = False):
+    """``assemble``'s stiffness and the index in its ``data`` of each diagonal entry (cached on ``mesh``).
+
+    With ``interior`` the stiffness keeps only the rows and columns of the
+    interior nodes: the unknowns of a Dirichlet problem.  Every row of the
+    stiffness stores its diagonal entry, so a Jacobian ``S + diag(d)`` is a
+    copy of ``data`` with ``d`` added at those positions.
+    """
+    key = ("stiffness", p.l, p.r, interior)
+    if key not in mesh._cache:
+        matrix = assemble(mesh, p).stiffness
+        if interior:
+            free = mesh.interior_nodes()
+            matrix = matrix[free][:, free]
+        rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+        diagonal = np.flatnonzero(matrix.indices == rows)
+        if diagonal.size != matrix.shape[0]:
+            raise DomainError("the stiffness stores %d of its %d diagonal entries" % (diagonal.size, matrix.shape[0]))
+        diagonal.setflags(write=False)
+        mesh._cache[key] = (matrix, diagonal)
+    return mesh._cache[key]
+
+
 def disk_operators(mesh: DiskMesh):
     """Unweighted unit-disk operators (stiffness, lumped mass, boundary mass)."""
     key = ("ops_plain",)

@@ -7,8 +7,9 @@ volume and boundary masses.  P2 is this equation on all nodes.  P1
 (``Delta v + gamma = f e^v``) is its case ``a = gamma``, ``f -> -f``, ``b =
 g = 0``, restricted to the interior nodes for the Dirichlet problem.  Each
 solve, and each level of a nested Newton solve, builds the record ``(S, c,
-w)`` once (``_equation``); a Dirichlet level's record holds only the rows
-and columns of its interior nodes, its unknowns.  Every method reads it:
+w)`` once (``_equation``), with the index of ``S``'s diagonal in its data; a
+Dirichlet level's record holds only the rows and columns of its interior
+nodes, its unknowns.  Every method reads it:
 Newton's residual ``F``, Jacobian ``S + diag(w e^v)`` and nested
 relaxation, the constrained descent's gradient ``S v + c`` and projection
 sum ``sum(w e^v)``, and the monotone iteration's defect correction ``v <- v
@@ -54,7 +55,8 @@ from .functionals import (
 )
 from .geometry import TorusParams
 from .inequalities import mu_best
-from .mesh import DiskField, DiskMesh, assemble, coarse_mesh, prolong, transfer_pair, weighted_sum
+from .mesh import (DiskField, DiskMesh, assemble, coarse_mesh, prolong, stiffness_block, transfer_pair,
+                   weighted_sum)
 
 
 @dataclass
@@ -92,9 +94,10 @@ class SolveReport:
     |grad v|^2 + a int(v) + b bint(v)`` of the problem they solve (for P1
     that is half of ``functional_I_p1``), and the monotone solver records
     sup-norm increments.  ``factorizations`` counts the sparse LU factors
-    and ``two_grid_cycles`` the V-cycles that solve Newton systems, both over
-    every level; the one cycle on a level's frozen Jacobian inside each
-    cycle of the level above is not counted again.
+    and ``two_grid_cycles`` the conjugate-gradient iterations that solve
+    Newton systems, one V-cycle each, both over every level; the one cycle
+    on a level's frozen Jacobian inside each cycle of the level above is not
+    counted again.
     """
 
     field: DiskField
@@ -111,10 +114,16 @@ class SolveReport:
 
 # nonlinear Jacobi sweeps on the new nodes of each nested Newton start
 _RELAX_SWEEPS = 8
-# a nested level solves its Newton systems by V-cycles from this many rings
-# on: damped Jacobi sweeps (count and damping) before and after each coarse
-# correction, at most _TWO_GRID_MAX_CYCLES cycles per system, each to a
-# weighted residual of _TWO_GRID_FRACTION times Newton's tolerance
+# a nested level below the finest with this many rings or more stops at
+# this fraction of its start's residual when that is above Newton's
+# tolerance: the level above starts further off than that anyway
+_COARSE_STOP_MIN_RINGS = 16
+_COARSE_STOP_FRACTION = 1e-3
+# a nested level solves its Newton systems by conjugate gradients, one
+# V-cycle per iteration, from this many rings on: damped Jacobi sweeps
+# (count and damping) before and after each coarse correction, at most
+# _TWO_GRID_MAX_CYCLES iterations per system, each to a weighted residual of
+# _TWO_GRID_FRACTION times the level's Newton tolerance
 _TWO_GRID_MIN_RINGS = 16
 _TWO_GRID_SWEEPS = 2
 _TWO_GRID_DAMPING = 0.6
@@ -161,22 +170,28 @@ def _factorize(matrix):
         raise SingularJacobian("sparse factorization failed: %s" % exc) from exc
 
 
-def _newton_loop(eq, v0, weights, opts, counts, trace=None, coarse=None):
+def _newton_loop(eq, v0, weights, opts, counts, trace=None, coarse=None, stop_fraction=0.0):
     """Damped Newton on the core equation ``eq``, Armijo backtracking on its weighted residual norm.
 
     Each step solves ``J delta = -F``.  With ``coarse``, the ``transfer_pair``
-    to the level below and that level's coarse solve, cycles on ``J``
-    (``_cycle``) solve it (``_cycled_solve``), and ``J`` is factored only if
-    they miss their target.  ``v0``, ``weights`` and every update live on the
-    unknowns of ``eq``, its rows.  Newton stops at the residual ``tol_abs +
-    tol_rel * r0``, ``r0`` the residual of the zero field.  That reference
-    depends on the data alone, so no start moves the tolerance: a start far
-    off, such as a stalled descent's, cannot loosen it, and a start near the
-    solution cannot push it below the float64 floor of the residual.
-    ``counts``, a ``Counter`` of ``SolveReport``'s count fields, gains the
-    loop's.  A ``NonConvergence`` carries the loop's steps.  Returns ``(v,
-    res, iterations, trace, lu)``, ``lu`` the last step's factor, or None if
-    that step cycled or no step was taken.
+    to the level below and that level's coarse solve, conjugate gradients
+    preconditioned by cycles on ``J`` (``_cycle``) solve it
+    (``_cycled_solve``), and ``J`` is factored only if they miss their
+    target.  ``v0``, ``weights`` and every update live on the unknowns of
+    ``eq``, its rows.  Newton stops at the residual ``tol_abs + tol_rel *
+    r0``, ``r0`` the residual of the zero field.  That reference depends on
+    the data alone, so no start moves the tolerance: a start far off, such
+    as a stalled descent's, cannot loosen it, and a start near the solution
+    cannot push it below the float64 floor of the residual.  A coarse level
+    of a nested solve (``_solve_newton``) passes ``stop_fraction`` and stops
+    at that fraction of its start's residual if that is larger: the level
+    above needs the coarse field only to well within the distance its own
+    start lies from its solution, and the stop can only rise above the
+    data-only one, never below the floor.  ``counts``, a ``Counter`` of
+    ``SolveReport``'s count fields, gains the loop's.  A ``NonConvergence``
+    carries the loop's steps.  Returns ``(v, res, iterations, trace, lu)``,
+    ``lu`` the last step's factor, or None if that step cycled or no step
+    was taken.
     """
     def residual(v):
         F = _residual(eq, v)
@@ -187,7 +202,7 @@ def _newton_loop(eq, v0, weights, opts, counts, trace=None, coarse=None):
     F, res = residual(v)
     if not math.isfinite(res):
         raise DomainError("initial iterate produces a non-finite residual")
-    tol = opts.tol_abs + opts.tol_rel * residual(np.zeros_like(v))[1]
+    tol = max(opts.tol_abs + opts.tol_rel * residual(np.zeros_like(v))[1], stop_fraction * res)
     lu = None
     trace.append((res, 0.0))
     iterations = 0
@@ -196,7 +211,7 @@ def _newton_loop(eq, v0, weights, opts, counts, trace=None, coarse=None):
         J = _jacobian(eq, v)
         delta = None
         if coarse is not None:
-            delta, cycles = _cycled_solve(J, -F, _cycle(J, *coarse), weights, _TWO_GRID_FRACTION * tol)
+            delta, cycles = _cycled_solve(J, -F, _cycle(J, eq[3], *coarse), weights, _TWO_GRID_FRACTION * tol)
             counts["two_grid_cycles"] += cycles
         if delta is None:
             lu = _factorize(J)
@@ -224,7 +239,7 @@ def _newton_loop(eq, v0, weights, opts, counts, trace=None, coarse=None):
     return v, res, iterations, trace, lu
 
 
-def _cycle(matrix, transfer, coarse_solve):
+def _cycle(matrix, diagonal, transfer, coarse_solve):
     """One cycle on ``matrix``: the map from a residual ``r`` to a correction ``x``.
 
     From ``x = 0``, ``_TWO_GRID_SWEEPS`` damped Jacobi sweeps, the coarse
@@ -233,10 +248,14 @@ def _cycle(matrix, transfer, coarse_solve):
     - matrix x``.  The sweeps damp the error that oscillates on this mesh;
     the rest is smooth, and the level below resolves it with the
     ``coarse_solve`` it hands up (``_solve_newton``).  When that is itself
-    a cycle, the recursion is a V-cycle.
+    a cycle, the recursion is a V-cycle.  Jacobi reads the diagonal of
+    ``matrix`` at ``diagonal``, its index in ``matrix.data``.  ``R`` is
+    ``P``'s transpose, the sweeps after the correction mirror those before
+    it, and a symmetric ``matrix`` has a symmetric coarse solve, so the
+    cycle is a symmetric map: a preconditioner for conjugate gradients.
     """
     P, R = transfer
-    jacobi = _TWO_GRID_DAMPING / matrix.diagonal()
+    jacobi = _TWO_GRID_DAMPING / matrix.data[diagonal]
 
     def cycle(r):
         x, res = np.zeros_like(r), r
@@ -253,17 +272,40 @@ def _cycle(matrix, transfer, coarse_solve):
 
 
 def _cycled_solve(matrix, rhs, cycle, weights, target):
-    """``matrix x = rhs`` by ``x += cycle(rhs - matrix x)`` to the weighted residual ``target``.
+    """``matrix x = rhs`` by conjugate gradients, preconditioned with one ``cycle`` per iteration.
 
-    Returns ``(x, cycles)``, with ``x`` None if ``_TWO_GRID_MAX_CYCLES``
-    cycles miss the target.
+    A V-cycle preconditioning a Krylov method takes fewer cycles to a
+    target than the cycles iterated alone.  The Newton Jacobian can be
+    indefinite (P2's is on some data), so a negative curvature ``d' matrix
+    d`` goes on; only a breakdown, a zero or non-finite curvature or a zero
+    ``r' cycle(r)``, gives up.  A result is accepted only once the true
+    residual ``rhs - matrix x`` meets the weighted ``target``; the
+    recursive one only says when to compute it, and it replaces the
+    recursive one if it misses.  ``_newton_loop`` sets the target at a tenth
+    of its own stop, so on a coarse level that has left the data-only
+    reference for a fraction of its start's residual (``_solve_newton``),
+    the target is as loose: a linear solve finer than the Newton step
+    needs would buy the level above nothing.  Inner products are
+    ``weighted_sum``s.  Returns ``(x, iterations)``, with ``x`` None on a
+    breakdown or if ``_TWO_GRID_MAX_CYCLES`` iterations miss the target.
     """
     x, r = np.zeros_like(rhs), rhs
-    for cycles in range(1, _TWO_GRID_MAX_CYCLES + 1):
-        x += cycle(r)
-        r = rhs - matrix @ x
+    d = rz = None
+    for iterations in range(1, _TWO_GRID_MAX_CYCLES + 1):
+        z = cycle(r)
+        rz, rz_old = weighted_sum(r, z), rz
+        d = z if d is None else z + (rz / rz_old) * d
+        q = matrix @ d
+        curvature = weighted_sum(d, q)
+        if rz == 0.0 or curvature == 0.0 or not math.isfinite(curvature):
+            return None, iterations
+        alpha = rz / curvature
+        x += alpha * d
+        r = r - alpha * q
         if _weighted_norm(r, weights) <= target:
-            return x, cycles
+            r = rhs - matrix @ x
+            if _weighted_norm(r, weights) <= target:
+                return x, iterations
     return None, _TWO_GRID_MAX_CYCLES
 
 
@@ -276,16 +318,18 @@ def _sparse_product(matrix, x):
 # The core: S v + c + w e^v = 0
 # ---------------------------------------------------------------------------
 
-def _equation(ops, prob, free=slice(None)):
-    """``(S, c, w)``: the stiffness and ``prob.terms`` on the ``free`` nodes, built once per nested level or solve.
+def _equation(mesh, p, prob, dirichlet=False):
+    """``(S, c, w, diagonal)``: the stiffness and ``prob.terms`` on the unknowns, built once per nested level or solve.
 
     A Dirichlet problem's unknowns are its interior nodes, and its record
-    holds only their rows and columns; by default it holds every node.
+    holds only their rows and columns; otherwise it holds every node.
+    ``S`` and ``diagonal``, the index of each diagonal entry in ``S.data``,
+    depend on the mesh and the geometry alone (``stiffness_block``).
     """
-    S, (c, w) = ops.stiffness, prob.terms(ops)
-    if not isinstance(free, slice):  # indexing a sparse matrix copies it
-        S = S[free][:, free]
-    return S, c[free], w[free]
+    S, diagonal = stiffness_block(mesh, p, interior=dirichlet)
+    c, w = prob.terms(assemble(mesh, p))
+    free = mesh.interior_nodes() if dirichlet else slice(None)
+    return S, c[free], w[free], diagonal
 
 
 def _exp_terms(eq, v):
@@ -296,12 +340,16 @@ def _exp_terms(eq, v):
 
 def _residual(eq, v):
     """``F(v) = S v + c + w e^v``."""
-    S, c, _ = eq
+    S, c = eq[:2]
     return S @ v + c + _exp_terms(eq, v)
 
 
 def _jacobian(eq, v):
-    return (eq[0] + sp.diags(_exp_terms(eq, v))).tocsr()
+    """``S + diag(w e^v)``: ``S``'s data with ``w e^v`` added at its stored diagonal, on ``S``'s structure."""
+    S, diagonal = eq[0], eq[3]
+    data = S.data.copy()
+    data[diagonal] += _exp_terms(eq, v)
+    return sp.csr_matrix((data, S.indices, S.indptr), shape=S.shape)
 
 
 def _admit(mesh, p, prob, dirichlet=False):
@@ -355,18 +403,24 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False):
     its unknowns and its residual weights ``M + M_b``, which on the interior
     nodes are ``M``.  A level whose solve fails hands zero to the next, and
     the finest level's failure is raised, a ``NonConvergence`` with the
-    steps of every level.  Every level stops at ``_newton_loop``'s
-    tolerance, which scales with the residual of zero and so stays above the
-    float64 floor of the residual.  Each level hands the next its coarse
-    solve.  A level of ``_TWO_GRID_MIN_RINGS`` rings or more that has one
-    from below factors nothing: cycles on it solve its Newton systems, and
-    it hands up one cycle on its Jacobian frozen at its solution.  Any other
-    level factors each step and hands up its last factor.  So only meshes
-    under ``_TWO_GRID_MIN_RINGS`` rings are factored, unless cycles miss
-    their target or a level fails.  Returns ``(v, residual_norm,
-    iterations, trace, counts)``: ``iterations`` counts the steps of every
-    level that converged, ``trace`` is the finest level's, and ``counts``
-    sums the linear solves of every level.
+    steps of every level.  The finest level, and every level under
+    ``_COARSE_STOP_MIN_RINGS`` rings, stops at ``_newton_loop``'s data-only
+    tolerance.  Every other level leaves that reference for
+    ``_COARSE_STOP_FRACTION`` of its own start's residual when that is
+    larger: full multigrid needs a coarse solution only to well within the
+    distance between the next level's start and its solution (about 1e-1 of
+    P1's residual, 2e-2 of P2's), not to Newton's tolerance.  The levels
+    under that threshold stay tight, so the coarsest solves constant data
+    exactly.  Each level hands the next its coarse solve.  A level of
+    ``_TWO_GRID_MIN_RINGS`` rings or more that has one from below factors
+    nothing: conjugate gradients preconditioned by cycles solve its Newton
+    systems, and it hands up one cycle on its Jacobian frozen at its
+    solution.  Any other level factors each step and hands up its last
+    factor.  So only meshes under ``_TWO_GRID_MIN_RINGS`` rings are
+    factored, unless cycles miss their target or a level fails.  Returns
+    ``(v, residual_norm, iterations, trace, counts)``: ``iterations`` counts
+    the steps of every level that converged, ``trace`` is the finest
+    level's, and ``counts`` sums the linear solves of every level.
     """
     levels = [(mesh, prob)]
     while init is None and (level := coarse_mesh(levels[-1][0])) is not None:
@@ -380,12 +434,14 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False):
     iterations = 0
     for level_mesh, level_prob in reversed(levels):
         ops = assemble(level_mesh, p)
+        eq = _equation(level_mesh, p, level_prob, dirichlet)
         free = level_mesh.interior_nodes() if dirichlet else slice(None)
-        eq = _equation(ops, level_prob, free)
         weights = (ops.volume_mass + ops.boundary_mass)[free]
+        rings = round(1.0 / level_mesh.h)
         coarse = None
-        if coarse_solve is not None and round(1.0 / level_mesh.h) >= _TWO_GRID_MIN_RINGS:
+        if coarse_solve is not None and rings >= _TWO_GRID_MIN_RINGS:
             coarse = (transfer_pair(coarse_mesh(level_mesh)[0], level_mesh, interior=dirichlet), coarse_solve)
+        stop_fraction = _COARSE_STOP_FRACTION if level_mesh is not mesh and rings >= _COARSE_STOP_MIN_RINGS else 0.0
         if v_2h is None:
             x0 = (np.zeros(level_mesh.n_nodes) if init is None else init.values)[free]
         else:
@@ -394,7 +450,8 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False):
             x0 = _relax_new_nodes(eq, _fmg_start(level_mesh, v_2h, v_4h)[free], np.flatnonzero(new[free]),
                                   weights)
         try:
-            x, res, steps, trace, lu = _newton_loop(eq, x0, weights, opts, counts, coarse=coarse)
+            x, res, steps, trace, lu = _newton_loop(eq, x0, weights, opts, counts, coarse=coarse,
+                                                    stop_fraction=stop_fraction)
         except (NonConvergence, SingularJacobian, DomainError) as exc:
             if level_mesh is mesh:
                 if isinstance(exc, NonConvergence):
@@ -405,7 +462,7 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False):
             iterations += steps
             v = np.zeros(level_mesh.n_nodes)
             v[free] = x
-            coarse_solve = (_cycle(_jacobian(eq, x), *coarse) if coarse is not None
+            coarse_solve = (_cycle(_jacobian(eq, x), eq[3], *coarse) if coarse is not None
                             else None if lu is None else lu.solve)
         v_2h, v_4h = v, v_2h
     return v, res, iterations, trace, counts
@@ -436,13 +493,13 @@ def _relax_new_nodes(eq, v0, new, weights):
     from the solution need not.
     """
     # the core equation's rows at the new nodes
-    S, c, w = eq
-    stiffness, diag, c, w = S[new], S.diagonal()[new], c[new], w[new]
+    S, c, w, diagonal = eq
+    diag, c, w = S.data[diagonal][new], c[new], w[new]
     v = v0.copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_RELAX_SWEEPS):
             wev = w * _exp_unguarded(v[new])
-            v[new] -= (stiffness @ v + c + wev) / (diag + wev)
+            v[new] -= ((S @ v)[new] + c + wev) / (diag + wev)
     before = _weighted_norm(_residual(eq, v0), weights)
     return v if _weighted_norm(_residual(eq, v), weights) < before else v0
 
@@ -469,7 +526,8 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
     factorizations of the preconditioner and the polish.
     """
     ops = assemble(mesh, p)
-    eq = S, c, w = _equation(ops, prob)
+    eq = _equation(mesh, p, prob)
+    S, c, w = eq[:3]
     m = ops.volume_mass
     vol_h = float(np.sum(m))
     r_h = float(np.sum(c))
@@ -574,7 +632,7 @@ def p1_residual_norm(mesh: DiskMesh, p: TorusParams, prob: ProblemP1, field: Dis
     variational path).
     """
     ops = assemble(mesh, p)
-    F = _residual(_equation(ops, prob.as_p2()), field.values)
+    F = _residual(_equation(mesh, p, prob.as_p2()), field.values)
     rows = slice(None) if natural else mesh.interior_nodes()
     return _weighted_norm(F[rows], ops.volume_mass[rows])
 
@@ -615,7 +673,7 @@ def solve_p1_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
 def p2_residual_norm(mesh: DiskMesh, p: TorusParams, prob: ProblemP2, field: DiskField) -> float:
     """Weighted-L2 strong residual of both P2 equations (all rows)."""
     ops = assemble(mesh, p)
-    F = _residual(_equation(ops, prob), field.values)
+    F = _residual(_equation(mesh, p, prob), field.values)
     return _weighted_norm(F, ops.volume_mass + ops.boundary_mass)
 
 
@@ -693,7 +751,7 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
     _admit(mesh, p, prob)
     opts = opts or SolveOptions()
     ops = assemble(mesh, p)
-    eq = _equation(ops, prob)
+    eq = _equation(mesh, p, prob)
     m, mb = ops.volume_mass, ops.boundary_mass
     f, g = prob.f.values, prob.g.values
     lo, hi = sub.values, super.values

@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -35,3 +36,25 @@ def splu_sizes(monkeypatch):
 
     monkeypatch.setattr(solvers, "splu", counting_splu)
     return sizes
+
+
+@pytest.fixture
+def newton_levels(monkeypatch):
+    """``(unknowns, residuals, tol)`` of every Newton loop the solvers run from here on, in call order.
+
+    ``residuals`` are the loop's own, from its start to where it stopped,
+    and ``tol`` is Newton's tolerance on its record, ``tol_abs + tol_rel
+    r0`` with ``r0`` the weighted residual of zero.
+    """
+    levels = []
+    real_loop = solvers._newton_loop
+
+    def recording_loop(eq, v0, weights, opts, *args, **kwargs):
+        out = real_loop(eq, v0, weights, opts, *args, **kwargs)
+        r0 = solvers._weighted_norm(solvers._residual(eq, np.zeros_like(v0)), weights)
+        residuals = [res for res, _ in out[3][-(out[2] + 1):]]
+        levels.append((eq[0].shape[0], residuals, opts.tol_abs + opts.tol_rel * r0))
+        return out
+
+    monkeypatch.setattr(solvers, "_newton_loop", recording_loop)
+    return levels

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -221,6 +222,22 @@ def test_scan_gamma_cli(tmp_path):
     assert main(["scan-gamma", "--config", cfg, "--out", str(out), "--threads", "2"]) == 0
     body = csv_body(out / "gamma_scan.csv")
     assert len(body) == 3
+
+
+def test_scan_gamma_starts_no_worker_thread_by_default(tmp_path, monkeypatch):
+    """Without ``--threads`` every gamma is solved in the calling thread, and no pool is built."""
+    real_solve, threads = cli.solve_p1_newton, set()
+
+    def solve(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_p1_newton", solve)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", None)  # a pool would raise TypeError
+    cfg = write_cfg(tmp_path, BASE + "\n[scan]\ngammas = 0.5, 1.0\n")
+    assert main(["scan-gamma", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert threads == {threading.get_ident()}
+    assert len(csv_body(tmp_path / "out" / "gamma_scan.csv")) == 3  # the header and two rows
 
 
 def test_scan_gamma_fills_every_level_cache_before_its_threads(tmp_path, monkeypatch):

@@ -131,9 +131,9 @@ def test_constraint_is_the_sum_of_the_residual_rows(params, n_rings):
     for _ in range(20):
         v = tb.DiskField(mesh, rng.normal(size=mesh.n_nodes))
         for prob in _random_problems(rng, mesh):
-            eq = solvers._equation(ops, prob)
+            eq = solvers._equation(mesh, params, prob)
             rows = solvers._residual(eq, v.values)
-            S, c, w = eq
+            S, c, w, _ = eq
             scale = np.sum(abs(S) @ np.abs(v.values)) + np.sum(np.abs(c)) + np.sum(np.abs(w * np.exp(v.values)))
             assert abs(tb.constraint_K(mesh, params, v, prob) - np.sum(rows)) <= 1e-13 * scale
 

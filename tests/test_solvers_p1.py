@@ -209,14 +209,15 @@ def test_variational_unbounded_energy_warns(params, mesh16, p1):
             solve(mesh16, params, prob)
 
 
-def test_nested_newton_takes_one_fine_step(params, splu_sizes):
+def test_nested_newton_takes_one_fine_step(params, splu_sizes, newton_levels):
     """On the benchmark's P1 data the extrapolated, relaxed start needs one fine step.
 
     Linear prolongation of the half-ring solution alone needs two.  The
     fine step factors nothing (V-cycles solve it), nor does any step of the
     levels of 16 and 32 rings; every step of a level under 16 rings factors
-    once.  The levels below the finest take the steps of the same solve on
-    32 rings, and those under 16 rings the steps of the solve on 8 rings.
+    once.  The reported count is the steps of every level of the same
+    solve, and the levels under 16 rings take the steps of the solve on 8
+    rings.
     """
     def solve(n):
         mesh = tb.build_mesh(n)
@@ -224,10 +225,12 @@ def test_nested_newton_takes_one_fine_step(params, splu_sizes):
 
     rep = solve(64)
     factored = list(splu_sizes)
-    half, small = solve(32), solve(8)
+    steps = [len(residuals) - 1 for _, residuals, _ in newton_levels]  # 2, 4, 8, 16, 32 and 64 rings
+    small = solve(8)
     assert not {tb.build_mesh(n).interior_nodes().size for n in (16, 32, 64)} & set(factored)
-    assert len(rep.trace) == 2
-    assert rep.iterations == half.iterations + 1 > small.iterations + 1
+    assert len(rep.trace) == 2 and len(steps) == 6
+    assert rep.iterations == sum(steps[:-1]) + 1 > small.iterations + 1
+    assert sum(steps[:3]) == small.iterations
     assert len(factored) == rep.factorizations == small.iterations
 
 

@@ -164,17 +164,18 @@ def benchmark_p2(n, c=0.1):
     return mesh, tb.ProblemP2(0.5, 0.5, data, data)
 
 
-def test_newton_starts_from_the_half_ring_solution(params, splu_sizes):
+def test_newton_starts_from_the_half_ring_solution(params, splu_sizes, newton_levels):
     mesh, prob = benchmark_p2(32)
     rep = tb.solve_p2_newton(mesh, params, prob)
     fine = len(rep.trace) - 1  # the finest level's trace
     assert 1 <= fine <= 2  # five from a zero start
     factored = list(splu_sizes)
+    below_steps = [len(residuals) - 1 for _, residuals, _ in newton_levels[:-1]]  # 2, 4, 8 and 16 rings
     assert not {mesh.n_nodes, tb.build_mesh(16).n_nodes} & set(factored)  # V-cycles solve their steps
     mesh_16, prob_16 = benchmark_p2(16)
     below = tb.solve_p2_newton(mesh_16, params, prob_16)  # the levels of the solve under 32 rings
     steps_16 = len(below.trace) - 1
-    assert rep.iterations == below.iterations + fine  # every level's steps
+    assert len(below_steps) == 4 and rep.iterations == sum(below_steps) + fine  # every level's steps
     assert len(factored) == rep.factorizations == below.iterations - steps_16 > fine
 
 

@@ -1,21 +1,27 @@
 """Nested Newton levels of 16 rings or more solve by V-cycles, not by a factor.
 
 From ``_TWO_GRID_MIN_RINGS`` rings on, each Newton system of a nested level
-is solved by damped Jacobi sweeps around a coarse correction, to a tenth of
-Newton's tolerance.  The coarse correction is one cycle on the Jacobian of
-the level below, frozen at its solution, down to the last factor of the
+is solved by conjugate gradients preconditioned with one cycle per
+iteration, to a tenth of the level's Newton tolerance.  A cycle is damped
+Jacobi sweeps around a coarse correction, which is one cycle on the Jacobian
+of the level below, frozen at its solution, down to the last factor of the
 finest level under the threshold.  Raising the threshold above the mesh puts
 a solve back on the direct path, which must take the same steps to the same
-field.
+field.  Below the finest, a level of ``_COARSE_STOP_MIN_RINGS`` rings or more
+stops at 1e-3 of its start's residual on either path.  The Jacobian, the
+cycle's diagonal and the relaxation of a nested start read the stiffness of
+each mesh as it was built once, never a slice or a sum of it.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import torusbvp as tb
 from torusbvp import solvers
+from torusbvp.mesh import coarse_mesh
 
 
 def p1_case(mesh, gamma, c):
@@ -142,3 +148,120 @@ def test_a_failed_coarse_level_leaves_the_level_above_direct(params, monkeypatch
     assert rep.two_grid_cycles >= fine >= 1
     ref = solve(mesh, params, prob, init=tb.DiskField.constant(mesh, 0.0))
     assert np.linalg.norm(rep.field.values - ref.field.values) <= 1e-9 * np.linalg.norm(ref.field.values)
+
+
+def unknowns(n, p1):
+    mesh = tb.build_mesh(n)
+    return mesh.interior_nodes().size if p1 else mesh.n_nodes
+
+
+@pytest.mark.parametrize("path", ["cycled", "direct"])
+@pytest.mark.parametrize("case", ["p1 gamma=1.5 c=0.3", "p2 c=0.2"])
+def test_coarse_levels_from_16_rings_stop_early(params, monkeypatch, newton_levels, case, path):
+    """Below the finest, 16 and 32 rings stop at 1e-3 of their start's residual; the rest at Newton's tolerance."""
+    mesh = tb.build_mesh(64)
+    solve, prob = CASES[case](mesh)
+    if path == "direct":
+        monkeypatch.setattr(solvers, "_TWO_GRID_MIN_RINGS", 10**9)
+    solve(mesh, params, prob)
+    rings = [2, 4, 8, 16, 32, 64]
+    p1 = isinstance(prob, tb.ProblemP1)
+    assert [level[0] for level in newton_levels] == [unknowns(n, p1) for n in rings]
+    for n, (_, residuals, tol) in zip(rings, newton_levels):
+        start, stop = residuals[0], residuals[-1]
+        assert len(residuals) >= 2
+        if n in (16, 32):
+            assert tol < 1e-3 * start < residuals[-2] and stop <= 1e-3 * start
+        else:
+            assert stop <= tol < residuals[-2]
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_the_cycle_is_symmetric(params, monkeypatch, n):
+    """``u' B v = v' B u`` to roundoff for every cycle ``B`` that preconditions conjugate gradients."""
+    real_solve, cycles = solvers._cycled_solve, []
+
+    def spy(matrix, rhs, cycle, *args):
+        cycles.append((matrix.shape[0], cycle))
+        return real_solve(matrix, rhs, cycle, *args)
+
+    monkeypatch.setattr(solvers, "_cycled_solve", spy)
+    mesh = tb.build_mesh(n)
+    for case in ("p1 gamma=1.5 c=0.3", "p2 c=0.2"):
+        solve, prob = CASES[case](mesh)
+        solve(mesh, params, prob)
+    assert cycles
+    rng = np.random.default_rng(n)
+    for size, cycle in cycles:
+        u, v = rng.normal(size=size), rng.normal(size=size)
+        Bu, Bv = cycle(u), cycle(v)
+        assert abs(np.sum(u * Bv) - np.sum(v * Bu)) <= 2e-15 * np.linalg.norm(u) * np.linalg.norm(Bv)
+
+
+@pytest.mark.parametrize("broken", [np.zeros_like, lambda r: np.full_like(r, np.nan)], ids=["zero", "nan"])
+def test_a_conjugate_gradient_breakdown_falls_back_to_the_factor(params, monkeypatch, broken):
+    """A cycle giving zero or non-finite curvature ends each cycled solve at once, and the step factors."""
+    mesh = tb.build_mesh(32)
+    solve, prob = p2_case(mesh, 0.2)
+    ref = direct(monkeypatch, solve, mesh, params, prob)
+    below = factored_levels(params, "p2 c=0.2", 32)
+    monkeypatch.setattr(solvers, "_cycle", lambda *args: broken)
+    rep = solve(mesh, params, prob)
+    assert rep.factorizations == rep.iterations == ref.iterations
+    assert rep.two_grid_cycles == rep.iterations - below.iterations >= 1
+    assert np.array_equal(rep.field.values, ref.field.values)
+
+
+def test_a_negative_curvature_goes_on():
+    """On an indefinite matrix conjugate gradients carry on past ``d' A d < 0``; the exact inverse takes one step."""
+    matrix = sp.diags([2.0, -1.0, 3.0]).tocsr()
+    rhs = np.array([1.0, 2.0, 0.5])
+    x, iterations = solvers._cycled_solve(matrix, rhs, lambda r: r / matrix.diagonal(), np.ones(3), 1e-12)
+    assert iterations == 1 and np.allclose(x, rhs / matrix.diagonal(), rtol=1e-15)
+
+
+@pytest.mark.parametrize("dirichlet", [True, False], ids=["dirichlet", "neumann"])
+def test_jacobian_adds_onto_the_stored_diagonal(params, dirichlet):
+    """``_jacobian`` is ``(S + diag(w e^v)).tocsr()`` bit for bit, on the record's stiffness, built once per mesh."""
+    mesh = tb.build_mesh(16)
+    prob = p1_case(mesh, 1.5, 0.3)[1].as_p2() if dirichlet else p2_case(mesh, 0.2)[1]
+    eq = solvers._equation(mesh, params, prob, dirichlet)
+    assert solvers._equation(mesh, params, prob, dirichlet)[0] is eq[0]
+    v = np.random.default_rng(16).normal(size=eq[0].shape[0])
+    J = solvers._jacobian(eq, v)
+    ref = (eq[0] + sp.diags(solvers._exp_terms(eq, v))).tocsr()
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(J, part), getattr(ref, part))
+    assert np.array_equal(J.data[eq[3]], ref.diagonal())
+
+
+def sliced_relaxation(eq, v0, new, weights):
+    """The relaxation of a nested start on ``S``'s rows at the new nodes, sliced out: the reference."""
+    S, c, w = eq[:3]
+    stiffness, diag, c, w = S[new], S.diagonal()[new], c[new], w[new]
+    v = v0.copy()
+    for _ in range(solvers._RELAX_SWEEPS):
+        wev = w * np.exp(v[new])
+        v[new] -= (stiffness @ v + c + wev) / (diag + wev)
+    before = solvers._weighted_norm(solvers._residual(eq, v0), weights)
+    return v if solvers._weighted_norm(solvers._residual(eq, v), weights) < before else v0
+
+
+@pytest.mark.parametrize("case", ["p1 gamma=1.5 c=0.3", "p2 c=0.2"])
+def test_relaxed_start_equals_the_sliced_rows(params, case):
+    mesh = tb.build_mesh(32)
+    coarse, nested = coarse_mesh(mesh)
+    solve, prob = CASES[case](mesh)
+    half = solve(coarse, params, CASES[case](coarse)[1])
+    p1 = isinstance(prob, tb.ProblemP1)
+    eq = solvers._equation(mesh, params, prob.as_p2() if p1 else prob, p1)
+    ops = tb.assemble(mesh, params)
+    free = mesh.interior_nodes() if p1 else slice(None)
+    new = np.ones(mesh.n_nodes, dtype=bool)
+    new[nested] = False
+    new = np.flatnonzero(new[free])
+    weights = (ops.volume_mass + ops.boundary_mass)[free]
+    v0 = solvers._fmg_start(mesh, half.field.values, None)[free]
+    relaxed = solvers._relax_new_nodes(eq, v0, new, weights)
+    assert not np.array_equal(relaxed, v0)
+    assert np.array_equal(relaxed, sliced_relaxation(eq, v0, new, weights))
