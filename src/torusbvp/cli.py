@@ -416,7 +416,7 @@ def _cmd_verify(args, cfg) -> int:
     perturb = getattr(args, "debug_perturb_weight", False)
     p_assembly = TorusParams(p.l, p.r * 1.05) if perturb else p
     # ring counts of h, 2h and 4h (coarser when n is odd); the order rows share these meshes
-    n = round(1.0 / mesh.h)
+    n = mesh.n_rings
     levels = (n, max(2, n // 2), max(2, n // 4))
     meshes = {k: mesh if k == n else build_mesh(k) for k in {*levels, 8, 16, 32, 64}}
 

@@ -23,13 +23,21 @@ TWO_PI = 2.0 * math.pi
 
 
 class DiskMesh:
-    """Immutable triangulation of the closed unit disk."""
+    """Immutable ring triangulation of the closed unit disk (``build_mesh``), numbered ring by ring.
 
-    def __init__(self, nodes, triangles, boundary_nodes, h):
+    The ``6 n_rings`` boundary nodes come last, so the interior nodes, the
+    unknowns of a Dirichlet problem, are the leading ``n_interior``.
+    """
+
+    def __init__(self, nodes, triangles, n_rings):
         self.nodes = np.ascontiguousarray(nodes, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-        self.boundary_nodes = np.ascontiguousarray(boundary_nodes, dtype=np.int64)
-        self.h = float(h)
+        self.n_rings = int(n_rings)
+        if self.n_nodes != 1 + 3 * self.n_rings * (self.n_rings + 1):
+            raise DomainError("%d nodes do not form a mesh of %d rings" % (self.n_nodes, self.n_rings))
+        self.h = 1.0 / self.n_rings
+        self.n_interior = self.n_nodes - 6 * self.n_rings
+        self.boundary_nodes = np.arange(self.n_interior, self.n_nodes)
         for a in (self.nodes, self.triangles, self.boundary_nodes):
             a.setflags(write=False)
         self._cache = {}
@@ -41,11 +49,6 @@ class DiskMesh:
     @property
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
-
-    def interior_nodes(self):
-        mask = np.ones(self.n_nodes, dtype=bool)
-        mask[self.boundary_nodes] = False
-        return np.nonzero(mask)[0]
 
 
 def build_mesh(n_rings: int) -> DiskMesh:
@@ -81,12 +84,7 @@ def build_mesh(n_rings: int) -> DiskMesh:
     triangles = np.concatenate([fan, np.where(is_inner[:, None], np.stack([a, b, a1], axis=1),
                                               np.stack([b, b1, a], axis=1))])
 
-    boundary = np.flatnonzero(ring == n_rings)
-    mesh = DiskMesh(nodes, triangles, boundary, 1.0 / n_rings)
-    areas = _triangle_geometry(mesh)[0]
-    if np.any(areas <= 0.0):
-        raise DomainError("mesh construction produced a non-positively-oriented triangle")
-    return mesh
+    return DiskMesh(nodes, triangles, n_rings)
 
 
 def _ring_layout(n_rings: int):
@@ -103,12 +101,12 @@ def coarse_mesh(mesh: DiskMesh):
     Ring ``k`` of the coarse mesh is ring ``2k`` here and its slot ``j`` is
     slot ``2j``, so ``mesh.nodes[fine_index]`` equals ``coarse.nodes``.
     Returns ``(coarse, fine_index)``, or None when the ring count is odd or
-    below 4 (or the mesh is not a ring mesh).
+    below 4.
     """
     if "coarse" not in mesh._cache:
-        n = round(1.0 / mesh.h)
+        n = mesh.n_rings
         level = None
-        if n % 2 == 0 and n >= 4 and mesh.n_nodes == 1 + 3 * n * (n + 1):
+        if n % 2 == 0 and n >= 4:
             ring, slot, _ = _ring_layout(n // 2)
             fine_index = _ring_layout(n)[2][2 * ring] + 2 * slot
             fine_index.setflags(write=False)
@@ -137,13 +135,13 @@ def transfer_pair(coarse: DiskMesh, mesh: DiskMesh, interior: bool = False):
 
     With ``interior`` both keep only the interior nodes, of ``mesh`` in the
     rows of ``P`` and of ``coarse`` in its columns: the unknowns of a
-    Dirichlet problem.
+    Dirichlet problem, each mesh's leading ``n_interior`` nodes.
     """
-    key = ("transfer", round(1.0 / coarse.h), interior)
+    key = ("transfer", coarse.n_rings, interior)
     if key not in mesh._cache:
         matrix = _prolongation(coarse, mesh)
         if interior:
-            matrix = matrix[mesh.interior_nodes()][:, coarse.interior_nodes()]
+            matrix = matrix[:mesh.n_interior, :coarse.n_interior]
         mesh._cache[key] = (matrix, matrix.T.tocsr())
     return mesh._cache[key]
 
@@ -154,13 +152,12 @@ def _prolongation(coarse: DiskMesh, mesh: DiskMesh) -> sp.csr_matrix:
     Each row has at most four entries, the two ends of the edge crossed on
     each coarse ring; a nested node's row is a single 1.0.
     """
-    n, n_fine = round(1.0 / coarse.h), mesh.n_nodes
+    n, n_fine = coarse.n_rings, mesh.n_nodes
+    if mesh.n_rings != 2 * n:
+        raise DomainError("mesh has %d rings, not the %d of the refined coarse mesh" % (mesh.n_rings, 2 * n))
     if ("prolong", n) in mesh._cache:
         return mesh._cache[("prolong", n)]
     ring, slot, _ = _ring_layout(2 * n)
-    if ring.size != n_fine:
-        raise DomainError("mesh has %d nodes, not the %d of the refined coarse mesh"
-                          % (n_fine, ring.size))
     start = _ring_layout(n)[2]
     denom = np.maximum(ring, 1)
 
@@ -190,14 +187,13 @@ def _prolongation(coarse: DiskMesh, mesh: DiskMesh) -> sp.csr_matrix:
 
 
 def _triangle_geometry(mesh: DiskMesh):
-    """Per-triangle areas, P1 basis gradients and centroid t-coordinate (cached)."""
-    cached = mesh._cache.get("tri_geom")
-    if cached is not None:
-        return cached
+    """Per-triangle areas, P1 basis gradients and centroid t-coordinate; every area must be positive."""
     pts = mesh.nodes
     tri = mesh.triangles
     p1, p2, p3 = pts[tri[:, 0]], pts[tri[:, 1]], pts[tri[:, 2]]
     det = (p2[:, 0] - p1[:, 0]) * (p3[:, 1] - p1[:, 1]) - (p3[:, 0] - p1[:, 0]) * (p2[:, 1] - p1[:, 1])
+    if np.any(det <= 0.0):
+        raise DomainError("mesh construction produced a non-positively-oriented triangle")
     areas = 0.5 * det
     grads = np.empty((tri.shape[0], 3, 2))
     grads[:, 0, 0] = p2[:, 1] - p3[:, 1]
@@ -208,7 +204,6 @@ def _triangle_geometry(mesh: DiskMesh):
     grads[:, 2, 1] = p2[:, 0] - p1[:, 0]
     grads /= det[:, None, None]
     t_cent = (p1[:, 0] + p2[:, 0] + p3[:, 0]) / 3.0
-    mesh._cache["tri_geom"] = (areas, grads, t_cent)
     return areas, grads, t_cent
 
 
@@ -283,17 +278,17 @@ def assemble(mesh: DiskMesh, p: TorusParams) -> WeightedOperators:
 def stiffness_block(mesh: DiskMesh, p: TorusParams, interior: bool = False):
     """``assemble``'s stiffness and the index in its ``data`` of each diagonal entry (cached on ``mesh``).
 
-    With ``interior`` the stiffness keeps only the rows and columns of the
-    interior nodes: the unknowns of a Dirichlet problem.  Every row of the
-    stiffness stores its diagonal entry, so a Jacobian ``S + diag(d)`` is a
-    copy of ``data`` with ``d`` added at those positions.
+    With ``interior`` the stiffness keeps only its leading ``n_interior``
+    rows and columns, those of the interior nodes: the unknowns of a
+    Dirichlet problem.  Every row of the stiffness stores its diagonal
+    entry, so a Jacobian ``S + diag(d)`` is a copy of ``data`` with ``d``
+    added at those positions.
     """
     key = ("stiffness", p.l, p.r, interior)
     if key not in mesh._cache:
         matrix = assemble(mesh, p).stiffness
         if interior:
-            free = mesh.interior_nodes()
-            matrix = matrix[free][:, free]
+            matrix = matrix[:mesh.n_interior, :mesh.n_interior]
         rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
         diagonal = np.flatnonzero(matrix.indices == rows)
         if diagonal.size != matrix.shape[0]:

@@ -321,15 +321,16 @@ def _sparse_product(matrix, x):
 def _equation(mesh, p, prob, dirichlet=False):
     """``(S, c, w, diagonal)``: the stiffness and ``prob.terms`` on the unknowns, built once per nested level or solve.
 
-    A Dirichlet problem's unknowns are its interior nodes, and its record
-    holds only their rows and columns; otherwise it holds every node.
-    ``S`` and ``diagonal``, the index of each diagonal entry in ``S.data``,
-    depend on the mesh and the geometry alone (``stiffness_block``).
+    A Dirichlet problem's unknowns are its interior nodes, the mesh's
+    leading ``n_interior``, and its record holds only their rows and
+    columns; otherwise it holds every node.  ``S`` and ``diagonal``, the
+    index of each diagonal entry in ``S.data``, depend on the mesh and the
+    geometry alone (``stiffness_block``).
     """
     S, diagonal = stiffness_block(mesh, p, interior=dirichlet)
     c, w = prob.terms(assemble(mesh, p))
-    free = mesh.interior_nodes() if dirichlet else slice(None)
-    return S, c[free], w[free], diagonal
+    k = S.shape[0]
+    return S, c[:k], w[:k], diagonal
 
 
 def _exp_terms(eq, v):
@@ -435,9 +436,9 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False):
     for level_mesh, level_prob in reversed(levels):
         ops = assemble(level_mesh, p)
         eq = _equation(level_mesh, p, level_prob, dirichlet)
-        free = level_mesh.interior_nodes() if dirichlet else slice(None)
+        free = slice(0, eq[0].shape[0])
         weights = (ops.volume_mass + ops.boundary_mass)[free]
-        rings = round(1.0 / level_mesh.h)
+        rings = level_mesh.n_rings
         coarse = None
         if coarse_solve is not None and rings >= _TWO_GRID_MIN_RINGS:
             coarse = (transfer_pair(coarse_mesh(level_mesh)[0], level_mesh, interior=dirichlet), coarse_solve)
@@ -633,7 +634,7 @@ def p1_residual_norm(mesh: DiskMesh, p: TorusParams, prob: ProblemP1, field: Dis
     """
     ops = assemble(mesh, p)
     F = _residual(_equation(mesh, p, prob.as_p2()), field.values)
-    rows = slice(None) if natural else mesh.interior_nodes()
+    rows = slice(0, mesh.n_nodes if natural else mesh.n_interior)
     return _weighted_norm(F[rows], ops.volume_mass[rows])
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import torusbvp as tb
-from torusbvp.mesh import _triangle_geometry, coarse_mesh, prolong
+from torusbvp.mesh import _prolongation, _triangle_geometry, coarse_mesh, prolong, stiffness_block, transfer_pair
 from oracles import (
     SmoothFieldBasis,
     fit_order,
@@ -73,6 +73,40 @@ def test_build_mesh_matches_the_ring_loop_bit_for_bit():
         assert np.array_equal(m.nodes, nodes), n
         assert np.array_equal(m.triangles, triangles), n
         assert np.array_equal(m.boundary_nodes, np.arange(nodes.shape[0] - 6 * n, nodes.shape[0])), n
+        # the mesh states its ring numbering: the interior nodes are the leading n_interior
+        assert m.n_rings == n and m.h == 1.0 / n, n
+        assert np.array_equal(m.boundary_nodes, np.arange(m.n_interior, m.n_nodes)), n
+
+
+def test_a_mesh_rejects_nodes_not_of_its_rings(params):
+    m = tb.build_mesh(4)
+    for nodes, n_rings in ((m.nodes[:-1], 4), (m.nodes, 3), (m.nodes, 5)):
+        with pytest.raises(tb.DomainError):
+            tb.DiskMesh(nodes, m.triangles, n_rings)
+    with pytest.raises(tb.DomainError):  # 4 rings are not twice 3
+        prolong(tb.build_mesh(3), np.zeros(37), m)
+    with pytest.raises(tb.DomainError):  # clockwise triangles have no assembly
+        tb.assemble(tb.DiskMesh(m.nodes, m.triangles[:, ::-1], 4), params)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_leading_blocks_equal_the_masked_interior(params, n):
+    """The Dirichlet stiffness block and interior transfer equal the node-mask restriction bit for bit."""
+    m = tb.build_mesh(n)
+    coarse = coarse_mesh(m)[0]
+
+    def masked(mesh):
+        mask = np.ones(mesh.n_nodes, dtype=bool)
+        mask[mesh.boundary_nodes] = False
+        return np.nonzero(mask)[0]
+
+    free, coarse_free = masked(m), masked(coarse)
+    pairs = [(tb.assemble(m, params).stiffness[free][:, free], stiffness_block(m, params, interior=True)[0]),
+             (_prolongation(coarse, m)[free][:, coarse_free], transfer_pair(coarse, m, interior=True)[0])]
+    for ref, block in pairs:
+        assert block.shape == ref.shape
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(block, attr), getattr(ref, attr)), attr
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
@@ -109,7 +143,7 @@ def test_mass_sums(params):
     ops = tb.assemble(m, params)
     assert ops.volume_mass.sum() == pytest.approx(params.volume(), rel=0.01)
     assert ops.boundary_mass.sum() == pytest.approx(params.boundary_area(), rel=0.01)
-    assert np.all(ops.boundary_mass[m.interior_nodes()] == 0.0)
+    assert np.all(ops.boundary_mass[:m.n_interior] == 0.0)
 
 
 def test_integrate_volume_examples(params, mesh32):

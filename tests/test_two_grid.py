@@ -79,7 +79,7 @@ def test_only_meshes_under_the_threshold_are_factored(params, splu_sizes, case):
     solve, prob = CASES[case](mesh)
     rep = solve(mesh, params, prob)
     p1 = isinstance(prob, tb.ProblemP1)
-    sizes = {n: (level.interior_nodes().size if p1 else level.n_nodes)
+    sizes = {n: (level.n_interior if p1 else level.n_nodes)
              for n, level in ((n, tb.build_mesh(n)) for n in (2, 4, 8, 16, 32, 64))}
     assert splu_sizes and len(splu_sizes) == rep.factorizations
     assert set(splu_sizes) <= {size for n, size in sizes.items() if n < solvers._TWO_GRID_MIN_RINGS}
@@ -152,7 +152,7 @@ def test_a_failed_coarse_level_leaves_the_level_above_direct(params, monkeypatch
 
 def unknowns(n, p1):
     mesh = tb.build_mesh(n)
-    return mesh.interior_nodes().size if p1 else mesh.n_nodes
+    return mesh.n_interior if p1 else mesh.n_nodes
 
 
 @pytest.mark.parametrize("path", ["cycled", "direct"])
@@ -256,7 +256,7 @@ def test_relaxed_start_equals_the_sliced_rows(params, case):
     p1 = isinstance(prob, tb.ProblemP1)
     eq = solvers._equation(mesh, params, prob.as_p2() if p1 else prob, p1)
     ops = tb.assemble(mesh, params)
-    free = mesh.interior_nodes() if p1 else slice(None)
+    free = slice(0, mesh.n_interior if p1 else mesh.n_nodes)
     new = np.ones(mesh.n_nodes, dtype=bool)
     new[nested] = False
     new = np.flatnonzero(new[free])
