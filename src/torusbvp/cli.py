@@ -418,7 +418,10 @@ def _cmd_verify(args, cfg) -> int:
     # ring counts of h, 2h and 4h (coarser when n is odd); the order rows share these meshes
     n = mesh.n_rings
     levels = (n, max(2, n // 2), max(2, n // 4))
-    meshes = {k: mesh if k == n else build_mesh(k) for k in {*levels, 8, 16, 32, 64}}
+    chain = {n: mesh}  # the coarse_mesh levels, whose operators the P2 solve below assembles too
+    while (level := coarse_mesh(chain[min(chain)])) is not None:
+        chain[level[0].n_rings] = level[0]
+    meshes = {k: chain.get(k) or build_mesh(k) for k in {*levels, 8, 16, 32, 64}}
 
     def exp_integral(k, fn):  # the weighted volume quadrature of exp(fn) on ring count k
         return integrate_volume(meshes[k], p_assembly, DiskField.from_function(meshes[k], fn), np.exp)

@@ -9,12 +9,12 @@ g = 0``, restricted to the interior nodes for the Dirichlet problem.  Each
 solve, and each level of a nested Newton solve, builds the record ``(S, c,
 w)`` once (``_equation``), with the index of ``S``'s diagonal in its data; a
 Dirichlet level's record holds only the rows and columns of its interior
-nodes, its unknowns.  Every method reads it:
-Newton's residual ``F``, Jacobian ``S + diag(w e^v)`` and nested
-relaxation, the constrained descent's gradient ``S v + c`` and projection
-sum ``sum(w e^v)``, and the monotone iteration's defect correction ``v <- v
-- (S + W)^-1 F(v)``.  Every public solver first admits its data (``_admit``),
-then maps them onto the equation and fills its report.
+nodes, its unknowns.  Every method reads it: Newton's residual ``F``,
+Jacobian ``S + diag(w e^v)`` and nested relaxation, the gradient ``S v +
+c`` and projection sum ``sum(w e^v)`` of the constrained descent that
+starts the coarsest level, and the monotone iteration's defect correction
+``v <- v - (S + W)^-1 F(v)``.  Every public solver first admits its data
+(``_admit``), then maps them onto the equation and fills its report.
 
 Sign convention: the problems are stated with the geometer's positive
 Laplacian (``Delta v = -div grad v``), so weak forms use the positive
@@ -41,6 +41,7 @@ from .errors import (
     NonConvergence,
     OrderingViolation,
     SingularJacobian,
+    TorusBVPError,
 )
 from .functionals import (
     ProblemP1,
@@ -50,20 +51,24 @@ from .functionals import (
     data_total,
     functional_I_p1,
     functional_I_p2,
+    identity_6_14_residual,
+    mean_value,
     multiplier_kappa,
     reach_exponential_target,
 )
 from .geometry import TorusParams
 from .inequalities import mu_best
-from .mesh import (DiskField, DiskMesh, assemble, coarse_mesh, prolong, stiffness_block, transfer_pair,
-                   weighted_sum)
+from .mesh import (DiskField, DiskMesh, assemble, coarse_mesh, grad_energy_weighted, integrate_boundary,
+                   integrate_volume, prolong, stiffness_block, transfer_pair, weighted_sum)
 
 
 @dataclass
 class SolveOptions:
     """Iteration controls, each finite and nonnegative; defaults are the desk-scale settings.
 
-    ``max_iter`` caps the Newton steps of each nested level, not of the whole solve.
+    ``max_iter`` caps the Newton steps of each nested level, not of the whole
+    solve; ``max_descent_iter`` caps the constrained descent, which runs on
+    the coarsest level only.
     """
 
     tol_abs: float = 1e-10
@@ -83,21 +88,19 @@ class SolveReport:
     """Converged field plus diagnostics.
 
     ``residual_norm`` is the weighted-L2 norm of the discrete strong-form
-    residual of the returned field.  A Newton solve without ``init`` first
-    solves on the coarser meshes of the ring hierarchy, and starts each
-    level from the solution below it, Richardson-extrapolated, prolonged
-    and relaxed on the new nodes; its ``iterations`` counts the steps of
-    every level that converged and its ``trace`` is the finest level's.
-    ``trace`` holds one ``(residual_or_merit, step)`` pair per accepted
-    iteration: the Newton solvers record residual norms (non-increasing by
-    the Armijo rule), the descent solvers record the core energy ``0.5
-    |grad v|^2 + a int(v) + b bint(v)`` of the problem they solve (for P1
-    that is half of ``functional_I_p1``), and the monotone solver records
-    sup-norm increments.  ``factorizations`` counts the sparse LU factors
-    and ``two_grid_cycles`` the conjugate-gradient iterations that solve
-    Newton systems, one V-cycle each, both over every level; the one cycle
-    on a level's frozen Jacobian inside each cycle of the level above is not
-    counted again.
+    residual of the returned field.  A Newton or variational solve without
+    ``init`` solves on the coarser meshes of the ring hierarchy first; the
+    variational solvers, and Newton on a = b = 0 data, start the coarsest
+    level (with ``init`` the only one) from a constrained descent.
+    ``iterations`` counts that descent's steps plus every converged level's
+    Newton steps.  ``trace`` holds one ``(residual, step)`` pair per
+    accepted step: the finest level's Newton residual norms
+    (non-increasing by the Armijo rule), or the monotone solver's sup-norm
+    increments.  ``factorizations`` counts the sparse LU factors (the
+    coarse levels' Jacobians and the descent's one preconditioner) and
+    ``two_grid_cycles`` the conjugate-gradient iterations that solve Newton
+    systems, one V-cycle each, over every level (cycles within a cycle are
+    not counted again).
     """
 
     field: DiskField
@@ -114,6 +117,9 @@ class SolveReport:
 
 # nonlinear Jacobi sweeps on the new nodes of each nested Newton start
 _RELAX_SWEEPS = 8
+# a descent starts on this many rings or more: beyond the existence window a
+# coarser minimizer can lead up to another, higher critical point
+_DESCENT_MIN_RINGS = 8
 # a nested level below the finest with this many rings or more stops at
 # this fraction of its start's residual when that is above Newton's
 # tolerance: the level above starts further off than that anyway
@@ -170,7 +176,7 @@ def _factorize(matrix):
         raise SingularJacobian("sparse factorization failed: %s" % exc) from exc
 
 
-def _newton_loop(eq, v0, weights, opts, counts, trace=None, coarse=None, stop_fraction=0.0):
+def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0):
     """Damped Newton on the core equation ``eq``, Armijo backtracking on its weighted residual norm.
 
     Each step solves ``J delta = -F``.  With ``coarse``, the ``transfer_pair``
@@ -180,14 +186,11 @@ def _newton_loop(eq, v0, weights, opts, counts, trace=None, coarse=None, stop_fr
     target.  ``v0``, ``weights`` and every update live on the unknowns of
     ``eq``, its rows.  Newton stops at the residual ``tol_abs + tol_rel *
     r0``, ``r0`` the residual of the zero field.  That reference depends on
-    the data alone, so no start moves the tolerance: a start far off, such
-    as a stalled descent's, cannot loosen it, and a start near the solution
-    cannot push it below the float64 floor of the residual.  A coarse level
-    of a nested solve (``_solve_newton``) passes ``stop_fraction`` and stops
-    at that fraction of its start's residual if that is larger: the level
-    above needs the coarse field only to well within the distance its own
-    start lies from its solution, and the stop can only rise above the
-    data-only one, never below the floor.  ``counts``, a ``Counter`` of
+    the data alone, so no start moves the tolerance: a start far off cannot
+    loosen it, and a start near the solution cannot push it below the
+    float64 floor of the residual.  A coarse level of a nested solve
+    (``_solve_newton``) passes ``stop_fraction`` and stops at that fraction
+    of its start's residual if that is larger.  ``counts``, a ``Counter`` of
     ``SolveReport``'s count fields, gains the loop's.  A ``NonConvergence``
     carries the loop's steps.  Returns ``(v, res, iterations, trace, lu)``,
     ``lu`` the last step's factor, or None if that step cycled or no step
@@ -198,13 +201,12 @@ def _newton_loop(eq, v0, weights, opts, counts, trace=None, coarse=None, stop_fr
         return F, _weighted_norm(F, weights)
 
     v = v0.copy()
-    trace = trace if trace is not None else []
     F, res = residual(v)
     if not math.isfinite(res):
         raise DomainError("initial iterate produces a non-finite residual")
     tol = max(opts.tol_abs + opts.tol_rel * residual(np.zeros_like(v))[1], stop_fraction * res)
     lu = None
-    trace.append((res, 0.0))
+    trace = [(res, 0.0)]
     iterations = 0
     while res > tol and iterations < opts.max_iter:
         lu = None  # freed before the next factor
@@ -392,41 +394,38 @@ def _admit(mesh, p, prob, dirichlet=False):
                       "on {K = 0}, so it has no global minimum" % r_h, ExistenceWindowWarning, stacklevel=3)
 
 
-def _solve_newton(mesh, p, prob, init, opts, dirichlet=False):
-    """Damped Newton on the core equation; its unknowns are the interior nodes if ``dirichlet``.
+def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
+    """Damped Newton on the core equation of ``prob``; its unknowns are the interior nodes if ``dirichlet``.
 
-    Without ``init`` this is the nested iteration of full multigrid.  The
-    rings nest (``coarse_mesh``), so the same problem, with the data taken
-    at the nested nodes, is solved first on the coarsest mesh from zero and
-    then on each finer mesh from the solution of the one below
-    (``_fmg_start``), relaxed on the new nodes; from ``init`` the finest
-    level is the only one.  Each level builds its record (``_equation``) on
-    its unknowns and its residual weights ``M + M_b``, which on the interior
-    nodes are ``M``.  A level whose solve fails hands zero to the next, and
-    the finest level's failure is raised, a ``NonConvergence`` with the
-    steps of every level.  The finest level, and every level under
-    ``_COARSE_STOP_MIN_RINGS`` rings, stops at ``_newton_loop``'s data-only
-    tolerance.  Every other level leaves that reference for
-    ``_COARSE_STOP_FRACTION`` of its own start's residual when that is
-    larger: full multigrid needs a coarse solution only to well within the
-    distance between the next level's start and its solution (about 1e-1 of
-    P1's residual, 2e-2 of P2's), not to Newton's tolerance.  The levels
-    under that threshold stay tight, so the coarsest solves constant data
-    exactly.  Each level hands the next its coarse solve.  A level of
-    ``_TWO_GRID_MIN_RINGS`` rings or more that has one from below factors
-    nothing: conjugate gradients preconditioned by cycles solve its Newton
-    systems, and it hands up one cycle on its Jacobian frozen at its
-    solution.  Any other level factors each step and hands up its last
-    factor.  So only meshes under ``_TWO_GRID_MIN_RINGS`` rings are
-    factored, unless cycles miss their target or a level fails.  Returns
-    ``(v, residual_norm, iterations, trace, counts)``: ``iterations`` counts
-    the steps of every level that converged, ``trace`` is the finest
-    level's, and ``counts`` sums the linear solves of every level.
+    Without ``init`` this is the nested iteration of full multigrid: the
+    rings nest (``coarse_mesh``), so the problem, with its data at the
+    nested nodes, is solved on the coarsest mesh first and then on each
+    finer mesh from the solution below (``_fmg_start``), relaxed on the new
+    nodes; from ``init`` the finest level is the only one.  The coarsest
+    level starts from zero or ``init``, or with ``descent`` (Neumann only;
+    no level then has fewer than ``_DESCENT_MIN_RINGS`` rings but the mesh)
+    where the constrained descent from there ends (``_descend``).  Residual
+    weights are ``M`` for P1, ``M + M_b`` for P2.  A level whose solve fails
+    hands nothing up, and the next starts as the coarsest does; the finest
+    level's failure is raised, a ``NonConvergence`` with every level's
+    steps.  A level below the finest with ``_COARSE_STOP_MIN_RINGS`` rings
+    or more stops at ``_COARSE_STOP_FRACTION`` of its start's residual if
+    that is above Newton's tolerance: the next level's start lies further
+    off.  A level of ``_TWO_GRID_MIN_RINGS`` rings or more with a coarse
+    solve from below solves its Newton systems by cycled conjugate
+    gradients and hands up a cycle on its Jacobian frozen at its solution;
+    any other level factors each step and hands up its last factor.  A
+    Neumann a = b = 0 field must pass identity (6.14)
+    (``_check_identity_6_14``).  Returns ``(v, residual_norm, iterations,
+    trace, counts)``: the descent's and every converged level's steps, the
+    finest level's trace, every level's counts.
     """
+    p1 = isinstance(prob, ProblemP1)
+    prob = prob.as_p2() if p1 else prob
     levels = [(mesh, prob)]
-    while init is None and (level := coarse_mesh(levels[-1][0])) is not None:
-        coarse, idx = level
-        fine_prob = levels[-1][1]
+    min_rings = _DESCENT_MIN_RINGS if descent else 0
+    while init is None and (level := coarse_mesh(levels[-1][0])) is not None and level[0].n_rings >= min_rings:
+        (coarse, idx), fine_prob = level, levels[-1][1]
         levels.append((coarse, ProblemP2(prob.a, prob.b, DiskField(coarse, fine_prob.f.values[idx]),
                                          DiskField(coarse, fine_prob.g.values[idx]))))
     counts = Counter()
@@ -437,23 +436,26 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False):
         ops = assemble(level_mesh, p)
         eq = _equation(level_mesh, p, level_prob, dirichlet)
         free = slice(0, eq[0].shape[0])
-        weights = (ops.volume_mass + ops.boundary_mass)[free]
+        weights = (ops.volume_mass if p1 else ops.volume_mass + ops.boundary_mass)[free]
         rings = level_mesh.n_rings
         coarse = None
         if coarse_solve is not None and rings >= _TWO_GRID_MIN_RINGS:
             coarse = (transfer_pair(coarse_mesh(level_mesh)[0], level_mesh, interior=dirichlet), coarse_solve)
         stop_fraction = _COARSE_STOP_FRACTION if level_mesh is not mesh and rings >= _COARSE_STOP_MIN_RINGS else 0.0
-        if v_2h is None:
-            x0 = (np.zeros(level_mesh.n_nodes) if init is None else init.values)[free]
-        else:
-            new = np.ones(level_mesh.n_nodes, dtype=bool)
-            new[coarse_mesh(level_mesh)[1]] = False
-            x0 = _relax_new_nodes(eq, _fmg_start(level_mesh, v_2h, v_4h)[free], np.flatnonzero(new[free]),
-                                  weights)
         try:
+            if v_2h is not None:
+                new = np.ones(level_mesh.n_nodes, dtype=bool)
+                new[coarse_mesh(level_mesh)[1]] = False
+                x0 = _relax_new_nodes(eq, _fmg_start(level_mesh, v_2h, v_4h)[free], np.flatnonzero(new[free]),
+                                      weights)
+            else:
+                x0 = (np.zeros(level_mesh.n_nodes) if init is None else init.values)[free]
+                if descent:
+                    x0, descended = _descend(level_mesh, p, level_prob, eq, weights, x0, opts, counts)
+                    iterations += descended
             x, res, steps, trace, lu = _newton_loop(eq, x0, weights, opts, counts, coarse=coarse,
                                                     stop_fraction=stop_fraction)
-        except (NonConvergence, SingularJacobian, DomainError) as exc:
+        except TorusBVPError as exc:
             if level_mesh is mesh:
                 if isinstance(exc, NonConvergence):
                     exc.iterations += iterations
@@ -466,7 +468,26 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False):
             coarse_solve = (_cycle(_jacobian(eq, x), eq[3], *coarse) if coarse is not None
                             else None if lu is None else lu.solve)
         v_2h, v_4h = v, v_2h
+    if not dirichlet and prob.a == prob.b == 0.0:
+        _check_identity_6_14(mesh, p, prob, v, res, iterations)
     return v, res, iterations, trace, counts
+
+
+def _check_identity_6_14(mesh, p, prob, v, res, iterations):
+    """Raise ``NonConvergence`` unless an a = b = 0 field passes identity (6.14) within ``10 h^2`` of its scale.
+
+    ``S v + w e^v`` tends to zero along the constant fields ``v -> -inf``;
+    the scale-free identity ``int(f) + bint(g) = int(e^-v |grad v|^2)`` reads
+    ``int(f) + bint(g) > 0`` there.  Scale: ``|int(f)| + |bint(g)| + int(e^-v |grad v|^2) + 1``.
+    """
+    field = DiskField(mesh, v)
+    scale = (abs(integrate_volume(mesh, p, prob.f)) + abs(integrate_boundary(mesh, p, prob.g))
+             + grad_energy_weighted(mesh, p, field, lambda vc: np.exp(-vc)) + 1.0)
+    residual, budget = identity_6_14_residual(mesh, p, field, prob), 10.0 * mesh.h**2 * scale
+    if not abs(residual) <= budget:
+        raise NonConvergence("Newton reached residual %g, but with a = b = 0 the field misses identity (6.14) by "
+                             "%g, above its O(h^2) budget %g: it is no solution" % (res, residual, budget),
+                             iterations=iterations)
 
 
 def _fmg_start(mesh, v_2h, v_4h):
@@ -505,32 +526,20 @@ def _relax_new_nodes(eq, v0, new, weights):
     return v if _weighted_norm(_residual(eq, v), weights) < before else v0
 
 
-def _solve_variational(mesh, p, prob, init, opts, weights):
-    """Minimize ``0.5 |grad v|^2 + a int(v) + b bint(v)`` over {K = 0}, then polish.
+def _descend(mesh, p, prob, eq, weights, v, opts, counts):
+    """The coarsest level's start: ``v`` moved onto {K = 0} and down the energy ``0.5 v'Sv + sum(c v)``.
 
-    On data ``_admit`` has admitted, projected preconditioned descent
-    selects the minimizer and ``_newton_loop`` on the core equation polishes
-    it.  ``weights`` (one per node) measure residuals and descent steps and
-    shift the preconditioner ``S + diag(weights)``.  Every iterate lies on
-    {K = 0}, ``K(v) = r_h + sum(w e^v)``, ``r_h = sum(c)``.  With (a, b) !=
-    0 the constant shift ``v + ln(-r_h / e)``, ``e = sum(w e^v)``, puts it
-    there when ``e`` and ``r_h`` have opposite signs; otherwise the start
-    takes the density shift of ``reach_exponential_target`` and a descent
-    trial is rejected.  With a = b = 0 every point takes the density shift,
-    the minimizer is gauge-fixed to zero mean, and shifted by the logarithm
-    of its ``multiplier_kappa`` it solves the core equation.  The polish
-    starts there, and the multiplier is ``kappa``, ``exp`` of the polished
-    field's ``M``-weighted mean.  Otherwise the polished field solves ``S v
-    + c + w e^v = 0``, whose part ``S v + c`` is the descent's gradient:
-    stationarity on {K = 0} with multiplier exactly -1.  Returns ``(v,
-    multiplier, iterations, residual_norm, trace, counts)``, ``counts`` the
-    factorizations of the preconditioner and the polish.
+    Projected descent, preconditioned by ``S + diag(weights)`` (one factor),
+    takes at most ``max_descent_iter`` steps.  Iterates stay on {K = 0},
+    ``K(v) = r_h + sum(w e^v)``, ``r_h = sum(c)``: with (a, b) != 0 by the
+    shift ``v + ln(-r_h / sum(w e^v))`` (a trial the signs refuse is
+    rejected; a start takes ``reach_exponential_target``'s density shift).
+    With a = b = 0 every point takes the density shift, the mean is pinned
+    to zero, and the minimizer shifted by ``ln(kappa)`` solves the equation.
+    Returns ``(v, iterations)``.
     """
-    ops = assemble(mesh, p)
-    eq = _equation(mesh, p, prob)
-    S, c, w = eq[:3]
-    m = ops.volume_mass
-    vol_h = float(np.sum(m))
+    S, c = eq[:2]
+    m = assemble(mesh, p).volume_mass
     r_h = float(np.sum(c))
     case_zero = prob.a == 0.0 and prob.b == 0.0
 
@@ -542,22 +551,24 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
             return None
         return v + math.log(-r_h / e)
 
-    v = np.zeros(mesh.n_nodes) if init is None else init.values.copy()
-    v_p = project(v)
-    # no constant shift has the sign needed: shift along the density instead
+    v_p = project(v)  # else no constant shift has the sign needed: shift along the density
     v = reach_exponential_target(mesh, p, prob, v, -r_h) if v_p is None else v_p
 
     precond = _factorize(S + sp.diags(weights))
-    counts = Counter(factorizations=1)
+    counts["factorizations"] += 1
     merit = functional_I_p2(mesh, p, DiskField(mesh, v), prob)
-    trace = []
     iterations = 0
     for _ in range(opts.max_descent_iter):
         grad = S @ v + c
         normals = [_exp_terms(eq, v)]
         if case_zero:
             normals.append(m)  # shift gauge: pin the mean
-        d, slope = _projected_direction(precond, grad, normals)
+        # preconditioned steepest descent made tangent to every normal x: x'd = 0
+        pg, px = precond.solve(grad), [precond.solve(x) for x in normals]
+        mu = np.linalg.solve(np.array([[weighted_sum(x, y) for y in px] for x in normals]),
+                             np.array([weighted_sum(x, pg) for x in normals]))
+        d = -(pg - sum(k * y for k, y in zip(mu, px)))
+        slope = weighted_sum(grad, d)
         if not math.isfinite(slope) or slope >= 0.0:
             break
         dnorm = _weighted_norm(d * weights, weights)
@@ -566,7 +577,7 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
             v_t = project(v + step * d)
             if v_t is not None:
                 if case_zero:
-                    v_t = v_t - weighted_sum(m, v_t) / vol_h
+                    v_t = v_t - mean_value(mesh, p, DiskField(mesh, v_t))
                 merit_t = functional_I_p2(mesh, p, DiskField(mesh, v_t), prob)
                 if math.isfinite(merit_t) and merit_t <= merit + _ARMIJO_SLOPE * step * slope:
                     v, merit, accepted = v_t, merit_t, True
@@ -575,32 +586,14 @@ def _solve_variational(mesh, p, prob, init, opts, weights):
         if not accepted:
             break
         iterations += 1
-        trace.append((merit, step))
         if dnorm * step <= 10.0 * opts.tol_abs:
             break
-
-    precond = None  # freed before the polish factors
     if case_zero:  # the shifted minimizer solves the equation
-        v = v + math.log(multiplier_kappa(mesh, p, DiskField(mesh, v), prob))
-    v, res, polish_iters, trace, _ = _newton_loop(eq, v, weights, opts, counts, trace=trace)
-    multiplier = math.exp(weighted_sum(m, v) / vol_h) if case_zero else -1.0
-    return v, multiplier, iterations + polish_iters, res, trace, counts
-
-
-def _projected_direction(precond, grad, normals):
-    """Preconditioned steepest-descent direction tangent to the constraints.
-
-    Solves the small normal system so that the returned ``d`` satisfies
-    ``w @ d = 0`` for every constraint gradient ``w`` while keeping
-    ``grad @ d <= 0`` (zero only at constrained stationarity).
-    """
-    pg = precond.solve(grad)
-    pw = [precond.solve(w) for w in normals]
-    a = np.array([[weighted_sum(w, x) for x in pw] for w in normals])
-    rhs = np.array([weighted_sum(w, pg) for w in normals])
-    mu = np.linalg.solve(a, rhs)
-    d = -(pg - sum(c * x for c, x in zip(mu, pw)))
-    return d, weighted_sum(grad, d)
+        kappa = multiplier_kappa(mesh, p, DiskField(mesh, v), prob)
+        if not kappa > 0.0:
+            raise DomainError("multiplier %g is not positive: int(f) + bint(g) <= 0 on this level" % kappa)
+        v = v + math.log(kappa)
+    return v, iterations
 
 
 def _report(mesh, p, prob, v, iterations, res, multiplier, trace, counts):
@@ -642,8 +635,7 @@ def solve_p1_newton(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
                     init: DiskField | None = None, opts: SolveOptions | None = None) -> SolveReport:
     """Damped Newton on the Dirichlet weak form of the P1 problem."""
     _admit(mesh, p, prob, dirichlet=True)
-    v, res, iterations, trace, counts = _solve_newton(mesh, p, prob.as_p2(), init, opts or SolveOptions(),
-                                                      dirichlet=True)
+    v, res, iterations, trace, counts = _solve_newton(mesh, p, prob, init, opts or SolveOptions(), dirichlet=True)
     return _report(mesh, p, prob, v, iterations, res, None, trace, counts)
 
 
@@ -651,19 +643,19 @@ def solve_p1_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
                          init: DiskField | None = None, opts: SolveOptions | None = None) -> SolveReport:
     """Constrained minimization of the P1 energy over {int(f e^v) = gamma Vol}.
 
-    The core descends on half the P1 energy, ``0.5 |grad v|^2 + gamma
-    int(v)``, with residuals weighted by the volume mass.  It runs over the
+    The coarsest level descends on half the P1 energy, ``0.5 |grad v|^2 +
+    gamma int(v)``, and nested Newton takes its minimizer to the finest
+    level, with residuals weighted by the volume mass.  It runs over the
     full nodal space, so the stationary field satisfies the interior
     equation with natural (zero-flux) boundary behavior.  For gamma = 0 the
-    returned field is the minimizer shifted by ``ln(kappa)`` and polished,
-    and the multiplier is ``kappa``, ``exp`` of its mean; otherwise the
+    coarsest minimizer is shifted by ``ln(kappa)``, and the multiplier is
+    ``kappa``, ``exp`` of the returned field's mean; otherwise the
     multiplier of ``f e^v`` is exactly 1.
     """
     _admit(mesh, p, prob)
-    v, multiplier, iterations, res, trace, counts = _solve_variational(
-        mesh, p, prob.as_p2(), init, opts or SolveOptions(), assemble(mesh, p).volume_mass)
-    if prob.gamma != 0.0:
-        multiplier = -multiplier  # the core's multiplier of -f e^v
+    v, res, iterations, trace, counts = _solve_newton(mesh, p, prob, init, opts or SolveOptions(), descent=True)
+    # kappa, or the core's -1 times the sign of -f e^v
+    multiplier = math.exp(mean_value(mesh, p, DiskField(mesh, v))) if prob.gamma == 0.0 else 1.0
     return _report(mesh, p, prob, v, iterations, res, multiplier, trace, counts)
 
 
@@ -680,9 +672,14 @@ def p2_residual_norm(mesh: DiskMesh, p: TorusParams, prob: ProblemP2, field: Dis
 
 def solve_p2_newton(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
                     init: DiskField | None = None, opts: SolveOptions | None = None) -> SolveReport:
-    """Damped Newton on the nonlinear Neumann weak form of the P2 problem."""
+    """Damped Newton on the nonlinear Neumann weak form of the P2 problem.
+
+    With a = b = 0 and no ``init`` the coarsest level starts from the
+    descent: from zero it would walk down the constant valley to ``v = -23``.
+    """
     _admit(mesh, p, prob)
-    v, res, iterations, trace, counts = _solve_newton(mesh, p, prob, init, opts or SolveOptions())
+    v, res, iterations, trace, counts = _solve_newton(mesh, p, prob, init, opts or SolveOptions(),
+                                                      descent=init is None and prob.a == prob.b == 0.0)
     return _report(mesh, p, prob, v, iterations, res, None, trace, counts)
 
 
@@ -690,17 +687,16 @@ def solve_p2_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
                          init: DiskField | None = None, opts: SolveOptions | None = None) -> SolveReport:
     """Constrained minimization of the P2 energy over {K = 0}.
 
-    For a = b = 0 the minimizer is gauge-fixed to zero mean, and the field
-    returned is that minimizer shifted by ``ln(kappa)`` and polished on the
-    P2 equation; ``kappa``, ``exp`` of the returned field's volume mean, is
-    reported (as for P1 with gamma = 0).  With (a, b) != 0 the stationary
-    point of the constrained problem satisfies the P2 weak form directly,
-    and the multiplier reported is exactly -1.
+    The coarsest level's minimizer (``_descend``) starts nested Newton on
+    the P2 equation.  For a = b = 0 it is gauge-fixed to zero mean and
+    shifted by ``ln(kappa)``, and ``kappa``, ``exp`` of the returned
+    field's volume mean, is reported (as for P1 with gamma = 0).  With (a,
+    b) != 0 the stationary point of the constrained problem satisfies the
+    P2 weak form directly, and the multiplier reported is exactly -1.
     """
     _admit(mesh, p, prob)
-    ops = assemble(mesh, p)
-    v, multiplier, iterations, res, trace, counts = _solve_variational(
-        mesh, p, prob, init, opts or SolveOptions(), ops.volume_mass + ops.boundary_mass)
+    v, res, iterations, trace, counts = _solve_newton(mesh, p, prob, init, opts or SolveOptions(), descent=True)
+    multiplier = math.exp(mean_value(mesh, p, DiskField(mesh, v))) if prob.a == prob.b == 0.0 else -1.0
     return _report(mesh, p, prob, v, iterations, res, multiplier, trace, counts)
 
 

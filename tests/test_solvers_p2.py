@@ -221,11 +221,20 @@ def test_newton_restart_from_its_own_solution_takes_no_step(params):
 
 
 def test_zero_linear_part_polish_factors_mesh_matrices_only(params, mesh16, splu_sizes):
-    """The a = b = 0 polish is Newton on the P2 equation: every factor has the mesh's nodes."""
+    """The a = b = 0 polish is Newton on the P2 equation: every factor has a mesh's nodes.
+
+    From ``init`` the finest level is the only one, so the descent
+    preconditioner and the polish factor 16-ring matrices.  Without it the
+    descent runs on the coarsest level, and the 16-ring level cycles.
+    """
     f = tb.DiskField.from_function(mesh16, lambda t, s: t + 0.55)
-    tb.solve_p2_variational(mesh16, params, tb.ProblemP2(0.0, 0.0, f, tb.DiskField.constant(mesh16, 0.0)))
+    prob = tb.ProblemP2(0.0, 0.0, f, tb.DiskField.constant(mesh16, 0.0))
+    tb.solve_p2_variational(mesh16, params, prob, init=tb.DiskField.constant(mesh16, 0.0))
     assert len(splu_sizes) >= 2  # the descent preconditioner and a polish step
     assert set(splu_sizes) == {mesh16.n_nodes}
+    splu_sizes.clear()
+    tb.solve_p2_variational(mesh16, params, prob)
+    assert splu_sizes and max(splu_sizes) < mesh16.n_nodes
 
 
 @pytest.mark.parametrize("case", ["zero_linear_part", "a=b=0.5"])
