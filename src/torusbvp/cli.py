@@ -226,52 +226,36 @@ def _write_solution_csv(path, mesh, values) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_solve_p1(args, cfg) -> int:
+def _cmd_solve(args, cfg) -> int:
+    p1 = args.command == "solve-p1"
     p = _geometry(cfg)
     mesh = _mesh(cfg, args.mesh)
-    gamma = _get(cfg, "problem", "gamma", float, required=True)
-    prob = ProblemP1(gamma, _coefficient(cfg, mesh, "f", default="1"))
+    if p1:
+        gamma = _get(cfg, "problem", "gamma", float, required=True)
+        prob = ProblemP1(gamma, _coefficient(cfg, mesh, "f", default="1"))
+    else:
+        a = _get(cfg, "problem", "a", float, default=0.0)
+        b = _get(cfg, "problem", "b", float, default=0.0)
+        prob = ProblemP2(a, b, _coefficient(cfg, mesh, "f"), _coefficient(cfg, mesh, "g"))
     method = _get(cfg, "solver", "method", str, default="newton")
     opts = _solve_options(cfg)
     out = _out_dir(cfg, args)
-    if method == "newton":
-        rep = solve_p1_newton(mesh, p, prob, opts=opts)
-    elif method == "variational":
-        rep = solve_p1_variational(mesh, p, prob, opts=opts)
-    else:
-        raise ConfigError("unknown p1 method %r (newton | variational)" % method)
+    # looked up per call, so a patched module name is the one that runs
+    methods = ({"newton": solve_p1_newton, "variational": solve_p1_variational} if p1 else
+               {"newton": solve_p2_newton, "variational": solve_p2_variational,
+                "monotone": lambda *data, opts: solve_p2_monotone(*data, *find_constant_bracket(*data), opts=opts)})
+    if method not in methods:
+        raise ConfigError("unknown %s method %r (%s)" % (args.command[6:], method, " | ".join(methods)))
+    rep = methods[method](mesh, p, prob, opts=opts)
     _write_solution_csv(os.path.join(out, "solution.csv"), mesh, rep.field.values)
-    write_report(os.path.join(out, "report.json"), "solve-p1", cfg, p,
-                 {"report": _report_dict(rep, mesh, opts), "method": method})
-    print("solve-p1 [%s]: converged in %d iterations, residual %.3e"
-          % (method, rep.iterations, rep.residual_norm))
-    return 0
-
-
-def _cmd_solve_p2(args, cfg) -> int:
-    p = _geometry(cfg)
-    mesh = _mesh(cfg, args.mesh)
-    a = _get(cfg, "problem", "a", float, default=0.0)
-    b = _get(cfg, "problem", "b", float, default=0.0)
-    prob = ProblemP2(a, b, _coefficient(cfg, mesh, "f"), _coefficient(cfg, mesh, "g"))
-    method = _get(cfg, "solver", "method", str, default="newton")
-    opts = _solve_options(cfg)
-    out = _out_dir(cfg, args)
-    if method == "newton":
-        rep = solve_p2_newton(mesh, p, prob, opts=opts)
-    elif method == "variational":
-        rep = solve_p2_variational(mesh, p, prob, opts=opts)
-    elif method == "monotone":
-        sub, sup = find_constant_bracket(mesh, p, prob)
-        rep = solve_p2_monotone(mesh, p, prob, sub, sup, opts=opts)
-    else:
-        raise ConfigError("unknown p2 method %r (newton | variational | monotone)" % method)
-    _write_solution_csv(os.path.join(out, "solution.csv"), mesh, rep.field.values)
-    write_report(os.path.join(out, "report.json"), "solve-p2", cfg, p,
-                 {"report": _report_dict(rep, mesh, opts), "method": method,
-                  "identity_614_residual": identity_6_14_residual(mesh, p, rep.field, prob)})
-    print("solve-p2 [%s]: converged in %d iterations, residual %.3e, K %.3e"
-          % (method, rep.iterations, rep.residual_norm, rep.constraint_value))
+    body = {"report": _report_dict(rep, mesh, opts), "method": method}
+    line = "%s [%s]: converged in %d iterations, residual %.3e" % (args.command, method, rep.iterations,
+                                                                   rep.residual_norm)
+    if not p1:
+        body["identity_614_residual"] = identity_6_14_residual(mesh, p, rep.field, prob)
+        line += ", K %.3e" % rep.constraint_value
+    write_report(os.path.join(out, "report.json"), args.command, cfg, p, body)
+    print(line)
     return 0
 
 
@@ -507,8 +491,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _DISPATCH = {
-    "solve-p1": _cmd_solve_p1,
-    "solve-p2": _cmd_solve_p2,
+    "solve-p1": _cmd_solve,
+    "solve-p2": _cmd_solve,
     "mt-scan": _cmd_mt_scan,
     "corollary": _cmd_corollary,
     "verify": _cmd_verify,

@@ -10,6 +10,11 @@ Grammar (usual precedence, ``^`` right-associative)::
             | ('exp' | 'ln' | 'sin' | 'cos') '(' expr ')'
             | '(' expr ')'
 
+Each rule parses to a function of ``(t, s)``.  Constants are float64, as
+``t`` and ``s`` are, so every operation follows float64 arithmetic: a
+division by zero, an overflow or a fractional power of a negative base
+gives inf or nan, never an exception or a complex value.
+
 Coefficients written in the disk coordinates are rotation-invariant by
 construction, which is exactly the admissible data class.
 """
@@ -17,6 +22,7 @@ construction, which is exactly the admissible data class.
 from __future__ import annotations
 
 import math
+import operator
 import re
 
 import numpy as np
@@ -28,6 +34,7 @@ _TOKEN = re.compile(r"\s*(?:(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d
 
 _FUNCS = {"exp": np.exp, "ln": np.log, "sin": np.sin, "cos": np.cos}
 _CONSTS = {"pi": math.pi, "e": math.e}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow}
 
 
 def _tokenize(text: str):
@@ -51,6 +58,11 @@ def _tokenize(text: str):
     return tokens
 
 
+def _binary(op, left, right):
+    fn = _BINARY[op]
+    return lambda t, s: fn(left(t, s), right(t, s))
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -71,94 +83,67 @@ class _Parser:
             raise ConfigError("expected %r in expression %r" % (op, self.text))
 
     def parse(self):
-        node = self.expr()
+        fn = self.expr()
         if self.peek()[0] != "end":
             raise ConfigError("trailing tokens in expression %r" % self.text)
-        return node
+        return fn
 
     def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            node = (op, node, self.term())
-        return node
+        fn = self.term()
+        while self.peek() in (("op", "+"), ("op", "-")):
+            fn = _binary(self.take()[1], fn, self.term())
+        return fn
 
     def term(self):
-        node = self.factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.take()
-            node = (op, node, self.factor())
-        return node
+        fn = self.factor()
+        while self.peek() in (("op", "*"), ("op", "/")):
+            fn = _binary(self.take()[1], fn, self.factor())
+        return fn
 
     def factor(self):
-        node = self.unary()
+        fn = self.unary()
         if self.peek() == ("op", "^"):
             self.take()
-            node = ("^", node, self.factor())
-        return node
+            fn = _binary("^", fn, self.factor())
+        return fn
 
     def unary(self):
         if self.peek() == ("op", "-"):
             self.take()
-            return ("neg", self.unary())
+            arg = self.unary()
+            return lambda t, s: -arg(t, s)
         return self.atom()
 
     def atom(self):
         kind, val = self.take()
-        if kind == "num":
-            return ("const", val)
+        if kind == "num" or (kind == "name" and val in _CONSTS):
+            const = np.float64(val if kind == "num" else _CONSTS[val])
+            return lambda t, s: const
         if kind == "name":
-            if val in _CONSTS:
-                return ("const", _CONSTS[val])
-            if val in ("t", "s"):
-                return ("var", val)
+            if val == "t":
+                return lambda t, s: t
+            if val == "s":
+                return lambda t, s: s
             if val in _FUNCS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg, func = self.expr(), _FUNCS[val]
                 self.expect_op(")")
-                return ("call", val, arg)
+                return lambda t, s: func(arg(t, s))
             raise ConfigError("unknown name %r in expression %r" % (val, self.text))
         if kind == "op" and val == "(":
-            node = self.expr()
+            fn = self.expr()
             self.expect_op(")")
-            return node
+            return fn
         raise ConfigError("unexpected token %r in expression %r" % (val, self.text))
 
 
-def _eval(node, t, s):
-    tag = node[0]
-    if tag == "const":
-        return node[1]
-    if tag == "var":
-        return t if node[1] == "t" else s
-    if tag == "neg":
-        return -_eval(node[1], t, s)
-    if tag == "call":
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return _FUNCS[node[1]](_eval(node[2], t, s))
-    a = _eval(node[1], t, s)
-    b = _eval(node[2], t, s)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if tag == "+":
-            return a + b
-        if tag == "-":
-            return a - b
-        if tag == "*":
-            return a * b
-        if tag == "/":
-            return a / b
-        if tag == "^":
-            return a**b
-    raise ConfigError("unknown node %r" % (tag,))
-
-
 def compile_expression(text: str):
-    """Parse an expression in (t, s) and return a vectorized evaluator."""
-    node = _Parser(str(text)).parse()
+    """Parse an expression in (t, s) and return a vectorized float64 evaluator."""
+    tree = _Parser(str(text)).parse()
 
     def fn(t, s):
-        out = _eval(node, np.asarray(t, dtype=float), np.asarray(s, dtype=float))
-        return np.broadcast_to(np.asarray(out, dtype=float), np.broadcast(t, s).shape).copy()
+        with np.errstate(all="ignore"):
+            out = tree(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+        return np.broadcast_to(out, np.broadcast(t, s).shape).copy()
 
-    fn.source = text
     return fn

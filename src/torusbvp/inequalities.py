@@ -248,10 +248,8 @@ def mt_inequality_check(mesh: DiskMesh, p: TorusParams, field: DiskField, mode: 
     ``lhs / exp(exponent_rhs)``; the inequality asserts it stays bounded over
     any family of fields.
     """
-    if mu is None:
-        mu = mu_best(p, mode)
-    else:
-        mu_best(p, mode)  # validates the mode string
+    best = mu_best(p, mode)  # validates the mode string
+    mu = best if mu is None else mu
     if mode == "interior_dirichlet":
         bvals = field.values[mesh.boundary_nodes]
         if float(np.max(np.abs(bvals))) > 1e-10:

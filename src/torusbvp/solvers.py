@@ -120,10 +120,9 @@ _RELAX_SWEEPS = 8
 # a descent starts on this many rings or more: beyond the existence window a
 # coarser minimizer can lead up to another, higher critical point
 _DESCENT_MIN_RINGS = 8
-# a nested level below the finest with this many rings or more stops at
-# this fraction of its start's residual when that is above Newton's
-# tolerance: the level above starts further off than that anyway
-_COARSE_STOP_MIN_RINGS = 16
+# a nested level below the finest with _TWO_GRID_MIN_RINGS rings or more
+# stops at this fraction of its start's residual when that is above
+# Newton's tolerance: the level above starts further off than that anyway
 _COARSE_STOP_FRACTION = 1e-3
 # a nested level solves its Newton systems by conjugate gradients, one
 # V-cycle per iteration, from this many rings on: damped Jacobi sweeps
@@ -408,7 +407,7 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     weights are ``M`` for P1, ``M + M_b`` for P2.  A level whose solve fails
     hands nothing up, and the next starts as the coarsest does; the finest
     level's failure is raised, a ``NonConvergence`` with every level's
-    steps.  A level below the finest with ``_COARSE_STOP_MIN_RINGS`` rings
+    steps.  A level below the finest with ``_TWO_GRID_MIN_RINGS`` rings
     or more stops at ``_COARSE_STOP_FRACTION`` of its start's residual if
     that is above Newton's tolerance: the next level's start lies further
     off.  A level of ``_TWO_GRID_MIN_RINGS`` rings or more with a coarse
@@ -441,7 +440,7 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
         coarse = None
         if coarse_solve is not None and rings >= _TWO_GRID_MIN_RINGS:
             coarse = (transfer_pair(coarse_mesh(level_mesh)[0], level_mesh, interior=dirichlet), coarse_solve)
-        stop_fraction = _COARSE_STOP_FRACTION if level_mesh is not mesh and rings >= _COARSE_STOP_MIN_RINGS else 0.0
+        stop_fraction = _COARSE_STOP_FRACTION if level_mesh is not mesh and rings >= _TWO_GRID_MIN_RINGS else 0.0
         try:
             if v_2h is not None:
                 new = np.ones(level_mesh.n_nodes, dtype=bool)

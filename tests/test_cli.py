@@ -95,6 +95,26 @@ def test_nonfinite_coefficient_rejected(tmp_path):
     assert main(["solve-p1", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("expression", ["1/0", "0^(-1)", "10^400", "(-8)^(1/3)", "(-8)^(1/3) + 0*t"])
+def test_constant_subexpression_that_is_not_finite_is_rejected(tmp_path, capsys, expression):
+    """Constants follow float64 arithmetic, so these are inf or nan at the nodes: a config error, no traceback."""
+    cfg = write_cfg(tmp_path, BASE.replace("f = 1", "f = " + expression))
+    assert main(["solve-p1", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "non-finite at mesh nodes" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    ("solve-p1", "unknown p1 method 'x' (newton | variational)"),
+    ("solve-p2", "unknown p2 method 'x' (newton | variational | monotone)"),
+])
+def test_unknown_solver_method_is_a_config_error(tmp_path, capsys, command, message):
+    cfg = write_cfg(tmp_path, BASE.replace("method = newton", "method = x"))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "config error: %s\n" % message
+    assert not (tmp_path / "o" / "solution.csv").exists()
+
+
 def test_solve_p1_expression_coefficient(tmp_path):
     cfg = write_cfg(tmp_path, BASE.replace("f = 1", "f = 1 + t/5").replace("gamma = 1.0", "gamma = 2.0"))
     out = tmp_path / "out"

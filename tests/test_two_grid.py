@@ -5,10 +5,11 @@ is solved by conjugate gradients preconditioned with one cycle per
 iteration, to a tenth of the level's Newton tolerance.  A cycle is damped
 Jacobi sweeps around a coarse correction, which is one cycle on the Jacobian
 of the level below, frozen at its solution, down to the last factor of the
-finest level under the threshold.  Raising the threshold above the mesh puts
-a solve back on the direct path, which must take the same steps to the same
-field.  Below the finest, a level of ``_COARSE_STOP_MIN_RINGS`` rings or more
-stops at 1e-3 of its start's residual on either path.  The Jacobian, the
+finest level under the threshold.  A cycled solve that returns no step puts
+every step back on the factor, the direct path, which must take the same
+steps to the same field.  Below the finest, a level of
+``_TWO_GRID_MIN_RINGS`` rings or more stops at 1e-3 of its start's residual
+on either path.  The Jacobian, the
 cycle's diagonal and the relaxation of a nested start read the stiffness of
 each mesh as it was built once, never a slice or a sum of it.
 """
@@ -43,7 +44,7 @@ CASES = {"p1 gamma=1.5 c=-0.3": lambda m: p1_case(m, 1.5, -0.3),
 
 def direct(monkeypatch, solve, *args):
     with monkeypatch.context() as patch:
-        patch.setattr(solvers, "_TWO_GRID_MIN_RINGS", 10**9)
+        patch.setattr(solvers, "_cycled_solve", lambda *args: (None, 0))
         return solve(*args)
 
 
@@ -162,7 +163,7 @@ def test_coarse_levels_from_16_rings_stop_early(params, monkeypatch, newton_leve
     mesh = tb.build_mesh(64)
     solve, prob = CASES[case](mesh)
     if path == "direct":
-        monkeypatch.setattr(solvers, "_TWO_GRID_MIN_RINGS", 10**9)
+        monkeypatch.setattr(solvers, "_cycled_solve", lambda *args: (None, 0))
     solve(mesh, params, prob)
     rings = [2, 4, 8, 16, 32, 64]
     p1 = isinstance(prob, tb.ProblemP1)
