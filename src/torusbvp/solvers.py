@@ -13,8 +13,10 @@ nodes, its unknowns.  Every method reads it: Newton's residual ``F``,
 Jacobian ``S + diag(w e^v)`` and nested relaxation, the gradient ``S v +
 c`` and projection sum ``sum(w e^v)`` of the constrained descent that
 starts the coarsest level, and the monotone iteration's defect correction
-``v <- v - (S + W)^-1 F(v)``.  Every public solver first admits its data
-(``_admit``), then maps them onto the equation and fills its report.
+``v <- v - (S + diag(|w| e^super))^-1 F(v)``.  Every matrix a solver
+factors is ``S`` plus a diagonal, built one way (``_shifted``).  Every
+public solver first admits its data (``_admit``), then maps them onto the
+equation and fills its report.
 
 Sign convention: the problems are stated with the geometer's positive
 Laplacian (``Delta v = -div grad v``), so weak forms use the positive
@@ -157,9 +159,9 @@ def _weighted_norm(res, weights):
 def _factorize(matrix):
     """SuperLU factor of a structurally symmetric matrix.
 
-    Every matrix the solvers factor is the weighted stiffness plus a diagonal
-    (Newton Jacobians, descent preconditioners, the monotone shift) or its
-    interior block, so its pattern is symmetric: the graph of the mesh
+    Every matrix the solvers factor is a record's stiffness plus a diagonal
+    (``_shifted``: Newton Jacobians, the descent preconditioner, the
+    monotone shift), so its pattern is symmetric: the graph of the mesh
     nodes.  SuperLU orders such a pattern by minimum degree on ``A + A^T``
     (``MMD_AT_PLUS_A``), which leaves about two thirds of the fill of its
     default COLAMD, an order for the columns of an unsymmetric matrix.
@@ -209,7 +211,7 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0):
     iterations = 0
     while res > tol and iterations < opts.max_iter:
         lu = None  # freed before the next factor
-        J = _jacobian(eq, v)
+        J = _shifted(eq, _exp_terms(eq, v))
         delta = None
         if coarse is not None:
             delta, cycles = _cycled_solve(J, -F, _cycle(J, eq[3], *coarse), weights, _TWO_GRID_FRACTION * tol)
@@ -346,11 +348,16 @@ def _residual(eq, v):
     return S @ v + c + _exp_terms(eq, v)
 
 
-def _jacobian(eq, v):
-    """``S + diag(w e^v)``: ``S``'s data with ``w e^v`` added at its stored diagonal, on ``S``'s structure."""
-    S, diagonal = eq[0], eq[3]
+def _shifted(eq, diagonal):
+    """``S + diag(diagonal)``: ``S``'s data with ``diagonal`` added at its stored diagonal, on ``S``'s structure.
+
+    The one builder of every matrix the solvers factor: Newton's Jacobian
+    (``w e^v``), the descent's preconditioner (its residual weights) and the
+    monotone shift (``|w| e^super``).  Bit for bit ``S + sp.diags(diagonal)``.
+    """
+    S, stored = eq[0], eq[3]
     data = S.data.copy()
-    data[diagonal] += _exp_terms(eq, v)
+    data[stored] += diagonal
     return sp.csr_matrix((data, S.indices, S.indptr), shape=S.shape)
 
 
@@ -464,7 +471,7 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
             iterations += steps
             v = np.zeros(level_mesh.n_nodes)
             v[free] = x
-            coarse_solve = (_cycle(_jacobian(eq, x), eq[3], *coarse) if coarse is not None
+            coarse_solve = (_cycle(_shifted(eq, _exp_terms(eq, x)), eq[3], *coarse) if coarse is not None
                             else None if lu is None else lu.solve)
         v_2h, v_4h = v, v_2h
     if not dirichlet and prob.a == prob.b == 0.0:
@@ -528,7 +535,7 @@ def _relax_new_nodes(eq, v0, new, weights):
 def _descend(mesh, p, prob, eq, weights, v, opts, counts):
     """The coarsest level's start: ``v`` moved onto {K = 0} and down the energy ``0.5 v'Sv + sum(c v)``.
 
-    Projected descent, preconditioned by ``S + diag(weights)`` (one factor),
+    Projected descent, preconditioned by ``S + diag(weights)`` (one factor, ``_shifted``),
     takes at most ``max_descent_iter`` steps.  Iterates stay on {K = 0},
     ``K(v) = r_h + sum(w e^v)``, ``r_h = sum(c)``: with (a, b) != 0 by the
     shift ``v + ln(-r_h / sum(w e^v))`` (a trial the signs refuse is
@@ -553,7 +560,7 @@ def _descend(mesh, p, prob, eq, weights, v, opts, counts):
     v_p = project(v)  # else no constant shift has the sign needed: shift along the density
     v = reach_exponential_target(mesh, p, prob, v, -r_h) if v_p is None else v_p
 
-    precond = _factorize(S + sp.diags(weights))
+    precond = _factorize(_shifted(eq, weights))
     counts["factorizations"] += 1
     merit = functional_I_p2(mesh, p, DiskField(mesh, v), prob)
     iterations = 0
@@ -738,17 +745,20 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
     """Monotone iteration between an ordered sub/supersolution pair.
 
     Each step is the defect correction ``v <- v - (S + W)^-1 F(v)`` on the
-    core residual ``F``, with the shift ``W = diag(w_shift M + wb_shift
-    M_b)`` above the exponential terms' slope on the bracket; iterates from
-    the subsolution are nodewise non-decreasing and stay below the
-    supersolution (asserted every iteration).  Terminates when the sup-norm
-    increment drops below tolerance.
+    core residual ``F``, with the shift ``W = diag(|w| e^super)`` read from
+    the record: at each node it bounds the slope ``w e^v`` of the
+    exponential term for ``v <= super``, so ``W v - w e^v`` is
+    non-decreasing on the bracket, and ``S + W``, with ``S``'s nonpositive
+    off-diagonal, has a nonnegative inverse.  Iterates from the subsolution
+    are nodewise non-decreasing and stay below the supersolution (asserted
+    every iteration).  Terminates when the sup-norm increment drops below
+    tolerance.
     """
     _admit(mesh, p, prob)
     opts = opts or SolveOptions()
     ops = assemble(mesh, p)
     eq = _equation(mesh, p, prob)
-    m, mb = ops.volume_mass, ops.boundary_mass
+    weights = ops.volume_mass + ops.boundary_mass
     f, g = prob.f.values, prob.g.values
     lo, hi = sub.values, super.values
     slack = 1e-12 * (1.0 + float(np.max(np.abs(hi))) + float(np.max(np.abs(lo))))
@@ -761,18 +771,16 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
     ehi = _exp_unguarded(float(np.max(hi)))
     scale = 1.0 + abs(prob.a) + abs(prob.b) + float(np.max(np.abs(f))) * ehi + float(np.max(np.abs(g))) * ehi
     tol_ineq = 1e-9 * scale
-    F_lo = _residual(eq, lo) / (m + mb)
+    F_lo = _residual(eq, lo) / weights
     if np.any(F_lo > tol_ineq):
         raise OrderingViolation("subsolution fails the discrete inequality (max violation %g)"
                                 % float(np.max(F_lo)))
-    F_hi = _residual(eq, hi) / (m + mb)
+    F_hi = _residual(eq, hi) / weights
     if np.any(F_hi < -tol_ineq):
         raise OrderingViolation("supersolution fails the discrete inequality (min value %g)"
                                 % float(np.min(F_hi)))
 
-    w_shift = float(np.max(np.abs(f) * _exp_unguarded(np.max(hi)))) + 1.0
-    wb_shift = float(np.max(np.abs(g) * _exp_unguarded(np.max(hi)))) + 1.0
-    lu = _factorize(ops.stiffness + sp.diags(w_shift * m + wb_shift * mb))
+    lu = _factorize(_shifted(eq, abs(_exp_terms(eq, hi))))
 
     v = lo.copy()
     trace = []

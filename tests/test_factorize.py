@@ -47,8 +47,13 @@ def p2_jacobian(mesh, ops):
 
 
 def monotone_shifted(mesh, ops):
-    """Shifted matrix of the monotone iteration, S + diag(w m + wb mb)."""
-    return ops.stiffness + sp.diags(2.5 * ops.volume_mass + 2.0 * ops.boundary_mass)
+    """Shifted matrix of the monotone iteration, S + diag(|m f + mb g| e^super).
+
+    The data are a = b = -1, f = 1 + t^2/2, g = 1, whose constant
+    supersolution is zero, so the shift is |m f + mb g|.
+    """
+    w = ops.volume_mass * (1.0 + 0.5 * mesh.nodes[:, 0] ** 2) + ops.boundary_mass
+    return ops.stiffness + sp.diags(np.abs(w))
 
 
 # kind -> largest allowed nnz(L+U) relative to the default ordering's

@@ -32,16 +32,27 @@ def test_constant_bracket_ordered_for_nonconstant_data(params, mesh16):
     assert rep.residual_norm <= 1e-8
 
 
+# (a, b, f, g, most monotone steps): with the nodewise shift |w| e^super the
+# counts are 9, 20 and 22 at every mesh; the shift is zero at every interior
+# node of the third row, where f = 0
+MONOTONE_ROWS = [
+    (-1.0, -1.0, lambda t, s: 1.0 + 0.5 * t * t, lambda t, s: 1.0, 12),
+    (-1.0, 0.0, lambda t, s: 1.0 + 0.3 * t, lambda t, s: 0.0, 25),
+    (0.0, -1.0, lambda t, s: 0.0, lambda t, s: 1.0 + 0.3 * t, 25),
+]
+
+
 @pytest.mark.parametrize("n_rings", [16, 32])
 def test_monotone_iteration_and_newton_reach_the_same_solution(params, n_rings):
-    """``a = b = -1``, ``f = 1 + 0.5 t^2``, ``g = 1``: the defect correction and Newton agree."""
+    """On each row's data the defect correction takes at most the row's steps and agrees with Newton."""
     mesh = tb.build_mesh(n_rings)
-    prob = tb.ProblemP2(-1.0, -1.0, tb.DiskField.from_function(mesh, lambda t, s: 1.0 + 0.5 * t * t),
-                        tb.DiskField.constant(mesh, 1.0))
-    sub, sup = tb.find_constant_bracket(mesh, params, prob)
-    monotone = tb.solve_p2_monotone(mesh, params, prob, sub, sup)
-    newton = tb.solve_p2_newton(mesh, params, prob)
-    assert np.max(np.abs(monotone.field.values - newton.field.values)) <= 1e-8
+    for a, b, f, g, most_steps in MONOTONE_ROWS:
+        prob = tb.ProblemP2(a, b, tb.DiskField.from_function(mesh, f), tb.DiskField.from_function(mesh, g))
+        sub, sup = tb.find_constant_bracket(mesh, params, prob)
+        monotone = tb.solve_p2_monotone(mesh, params, prob, sub, sup)
+        newton = tb.solve_p2_newton(mesh, params, prob)
+        assert monotone.iterations <= most_steps
+        assert np.max(np.abs(monotone.field.values - newton.field.values)) <= 1e-8
 
 
 def test_constant_bracket_rejections(params, mesh16):
@@ -100,3 +111,11 @@ def test_monotone_rejects_invalid_subsolution(params, mesh16):
     hi = tb.DiskField.constant(mesh16, 2.0)
     with pytest.raises(tb.OrderingViolation):
         tb.solve_p2_monotone(mesh16, params, prob, bad_sub, hi)
+
+
+@pytest.mark.parametrize("l, r", [(2.0, 1.0), (3.0, 0.5), (1.2, 1.0)])
+def test_stiffness_has_no_positive_off_diagonal_entry(l, r):
+    """The monotone iteration's ``(S + W)^-1 >= 0`` rests on ``S``'s off-diagonal entries being at most zero."""
+    for n_rings in (8, 16, 32, 64):
+        S = tb.assemble(tb.build_mesh(n_rings), tb.TorusParams(l, r)).stiffness.tocoo()
+        assert np.max(S.data[S.row != S.col]) < 0.0

@@ -223,17 +223,24 @@ def test_a_negative_curvature_goes_on():
 
 @pytest.mark.parametrize("dirichlet", [True, False], ids=["dirichlet", "neumann"])
 def test_jacobian_adds_onto_the_stored_diagonal(params, dirichlet):
-    """``_jacobian`` is ``(S + diag(w e^v)).tocsr()`` bit for bit, on the record's stiffness, built once per mesh."""
-    mesh = tb.build_mesh(16)
-    prob = p1_case(mesh, 1.5, 0.3)[1].as_p2() if dirichlet else p2_case(mesh, 0.2)[1]
-    eq = solvers._equation(mesh, params, prob, dirichlet)
-    assert solvers._equation(mesh, params, prob, dirichlet)[0] is eq[0]
-    v = np.random.default_rng(16).normal(size=eq[0].shape[0])
-    J = solvers._jacobian(eq, v)
-    ref = (eq[0] + sp.diags(solvers._exp_terms(eq, v))).tocsr()
-    for part in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(J, part), getattr(ref, part))
-    assert np.array_equal(J.data[eq[3]], ref.diagonal())
+    """``_shifted`` is ``(S + diag(d)).tocsr()`` bit for bit, on the record's stiffness, built once per mesh.
+
+    ``d`` is Newton's ``w e^v`` and the descent's residual weights, at 8 to 64 rings.
+    """
+    for n in (8, 16, 32, 64):
+        mesh = tb.build_mesh(n)
+        prob = p1_case(mesh, 1.5, 0.3)[1].as_p2() if dirichlet else p2_case(mesh, 0.2)[1]
+        eq = solvers._equation(mesh, params, prob, dirichlet)
+        assert solvers._equation(mesh, params, prob, dirichlet)[0] is eq[0]
+        v = np.random.default_rng(n).normal(size=eq[0].shape[0])
+        ops = tb.assemble(mesh, params)
+        weights = (ops.volume_mass if dirichlet else ops.volume_mass + ops.boundary_mass)[:eq[0].shape[0]]
+        for diagonal in (solvers._exp_terms(eq, v), weights):
+            J = solvers._shifted(eq, diagonal)
+            ref = (eq[0] + sp.diags(diagonal)).tocsr()
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(J, part), getattr(ref, part))
+            assert np.array_equal(J.data[eq[3]], ref.diagonal())
 
 
 def sliced_relaxation(eq, v0, new, weights):
