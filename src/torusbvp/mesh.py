@@ -115,48 +115,47 @@ def coarse_mesh(mesh: DiskMesh):
     return mesh._cache["coarse"]
 
 
-def prolong(coarse: DiskMesh, values, mesh: DiskMesh) -> np.ndarray:
-    """Nodal values on ``coarse`` interpolated to ``mesh``, which has twice its rings.
+def prolong(values, mesh: DiskMesh) -> np.ndarray:
+    """Nodal values on ``mesh``'s half-ring mesh (``coarse_mesh``) interpolated to ``mesh``.
 
     The ray from the center through a fine node crosses the polygons of the
     two coarse rings around it.  The value at each crossing is linear along
     that polygon's edge, and the node's value is linear in the radius
     between the two crossings.  Linear functions are reproduced, smooth ones
     to O(h^2), and a nested node gets its coarse value exactly: its angle is
-    an integer ring/slot ratio with no remainder.  These weights form a
-    sparse matrix, built on the first call and cached on ``mesh``.
+    an integer ring/slot ratio with no remainder.  These weights form the
+    sparse matrix of ``transfer_pair(mesh)``.
     """
-    matrix = _prolongation(coarse, mesh)
+    matrix = transfer_pair(mesh)[0]
     return matrix @ np.asarray(values, dtype=float)
 
 
-def transfer_pair(coarse: DiskMesh, mesh: DiskMesh, interior: bool = False):
-    """``prolong``'s matrix ``P`` from ``coarse`` to ``mesh`` and its transpose (cached on ``mesh``).
+def transfer_pair(mesh: DiskMesh, interior: bool = False):
+    """``prolong``'s matrix ``P`` to ``mesh`` from its half-ring mesh and its transpose (cached on ``mesh``).
 
     With ``interior`` both keep only the interior nodes, of ``mesh`` in the
-    rows of ``P`` and of ``coarse`` in its columns: the unknowns of a
-    Dirichlet problem, each mesh's leading ``n_interior`` nodes.
+    rows of ``P`` and of the half-ring mesh in its columns: the unknowns of
+    a Dirichlet problem, each mesh's leading ``n_interior`` nodes.
     """
-    key = ("transfer", coarse.n_rings, interior)
+    key = ("transfer", interior)
     if key not in mesh._cache:
-        matrix = _prolongation(coarse, mesh)
         if interior:
-            matrix = matrix[:mesh.n_interior, :coarse.n_interior]
+            matrix = transfer_pair(mesh)[0][:mesh.n_interior, :coarse_mesh(mesh)[0].n_interior]
+        else:
+            matrix = _prolongation(mesh)
         mesh._cache[key] = (matrix, matrix.T.tocsr())
     return mesh._cache[key]
 
 
-def _prolongation(coarse: DiskMesh, mesh: DiskMesh) -> sp.csr_matrix:
-    """``prolong``'s weights from ``coarse`` to ``mesh``, which has twice its rings (cached on ``mesh``).
+def _prolongation(mesh: DiskMesh) -> sp.csr_matrix:
+    """``prolong``'s weights to ``mesh`` from its half-ring mesh.
 
     Each row has at most four entries, the two ends of the edge crossed on
     each coarse ring; a nested node's row is a single 1.0.
     """
-    n, n_fine = coarse.n_rings, mesh.n_nodes
-    if mesh.n_rings != 2 * n:
-        raise DomainError("mesh has %d rings, not the %d of the refined coarse mesh" % (mesh.n_rings, 2 * n))
-    if ("prolong", n) in mesh._cache:
-        return mesh._cache[("prolong", n)]
+    if coarse_mesh(mesh) is None:
+        raise DomainError("a mesh of %d rings has no half-ring mesh" % mesh.n_rings)
+    n, n_fine = mesh.n_rings // 2, mesh.n_nodes
     ring, slot, _ = _ring_layout(2 * n)
     start = _ring_layout(n)[2]
     denom = np.maximum(ring, 1)
@@ -182,7 +181,6 @@ def _prolongation(coarse: DiskMesh, mesh: DiskMesh) -> sp.csr_matrix:
                             (np.tile(np.arange(n_fine), 4), np.concatenate([a0, b0, a1, b1]))),
                            shape=(n_fine, start[-1] + 6 * n))
     matrix.eliminate_zeros()
-    mesh._cache[("prolong", n)] = matrix
     return matrix
 
 
@@ -251,7 +249,6 @@ class WeightedOperators:
     sums approximate the torus volume and boundary area.
     """
 
-    params: TorusParams
     stiffness: sp.csr_matrix
     volume_mass: np.ndarray
     boundary_mass: np.ndarray
@@ -264,7 +261,6 @@ def assemble(mesh: DiskMesh, p: TorusParams) -> WeightedOperators:
     if ops is None:
         stiff, vol, bnd = _assemble_core(mesh, p.l, p.r)
         ops = WeightedOperators(
-            params=p,
             stiffness=(TWO_PI * stiff).tocsr(),
             volume_mass=TWO_PI * p.r**2 * vol,
             boundary_mass=TWO_PI * p.r * bnd,

@@ -446,7 +446,7 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
         rings = level_mesh.n_rings
         coarse = None
         if coarse_solve is not None and rings >= _TWO_GRID_MIN_RINGS:
-            coarse = (transfer_pair(coarse_mesh(level_mesh)[0], level_mesh, interior=dirichlet), coarse_solve)
+            coarse = (transfer_pair(level_mesh, interior=dirichlet), coarse_solve)
         stop_fraction = _COARSE_STOP_FRACTION if level_mesh is not mesh and rings >= _TWO_GRID_MIN_RINGS else 0.0
         try:
             if v_2h is not None:
@@ -504,11 +504,10 @@ def _fmg_start(mesh, v_2h, v_4h):
     solution is ``v_2h + P (v_2h[idx] - v_4h) / 3``, with ``v_2h[idx]`` its
     values at the nodes of that level and ``P`` the prolongation to it.
     """
-    coarse = coarse_mesh(mesh)[0]
     if v_4h is not None:
-        coarser, idx = coarse_mesh(coarse)
-        v_2h = v_2h + prolong(coarser, v_2h[idx] - v_4h, coarse) / 3.0
-    return prolong(coarse, v_2h, mesh)
+        coarse = coarse_mesh(mesh)[0]
+        v_2h = v_2h + prolong(v_2h[coarse_mesh(coarse)[1]] - v_4h, coarse) / 3.0
+    return prolong(v_2h, mesh)
 
 
 def _relax_new_nodes(eq, v0, new, weights):

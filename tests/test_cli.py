@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import threading
@@ -9,6 +10,7 @@ from torusbvp import build_mesh, cli
 from torusbvp.cli import _boundary_area_rule, _fmt, _rule_estimate, _volume_rule, _write_solution_csv, main
 from torusbvp.geometry import TorusParams
 from torusbvp.mesh import coarse_mesh
+from torusbvp.solvers import SolveReport
 
 
 BASE = """
@@ -61,6 +63,15 @@ def test_report_counts_factorizations_and_two_grid_cycles(tmp_path):
     fine_steps = len(rep["trace"]) - 1
     assert rep["factorizations"] == rep["iterations"] - fine_steps > 0
     assert rep["two_grid_cycles"] >= fine_steps >= 1
+
+
+def test_report_body_is_the_solve_report(tmp_path):
+    """report.json's report holds every SolveReport field but the field, plus its range, n_nodes and options."""
+    cfg = write_cfg(tmp_path, _GEOMETRY + _P2_DATA + "[solver]\nmethod = newton\n")
+    assert main(["solve-p2", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())["report"]
+    fields = {f.name for f in dataclasses.fields(SolveReport)} - {"field"}
+    assert set(rep) == fields | {"field_min", "field_max", "n_nodes", "options"}
 
 
 def test_invalid_geometry_exit_code(tmp_path):
@@ -328,17 +339,28 @@ def test_verify_rows_without_random_fields_are_unchanged(tmp_path):
 
     The two p2_constant rows measure roundoff (README, Outputs), so a change of
     elimination or summation order moves their digits here, with a stated reason.
+    The order rows integrate exp(-t + 0.3 s^2), which replaced exp(t + 0.3 s^2)
+    when that one failed at l/r = 1.2.
     """
     cfg = write_cfg(tmp_path, _GEOMETRY)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path), "--seed", "0"]) == 0
     assert csv_body(tmp_path / "verify.csv")[6:] == [
-        "quadrature_order_minus2_step0,0.046212102920078824,0.29999999999999999,1",
-        "quadrature_order_minus2_step1,0.012704140931751873,0.29999999999999999,1",
+        "quadrature_order_minus2_step0,0.00098058031327186157,0.29999999999999999,1",
+        "quadrature_order_minus2_step1,0.00029814366282376881,0.29999999999999999,1",
         "p2_constant_solution_K,-1.4210854715202004e-14,3.9478417604357434e-07,1",
         "p2_constant_identity_614,-5.3290705182010338e-15,3.9478417604357434e-07,1",
         "blowup_exp_closed_form_2pct,-0.0009171155806712443,0.02,1",
         "blowup_grad_closed_form_2pct,-0.0019410460285511687,0.02,1",
     ]
+
+
+@pytest.mark.parametrize("l, r", [(1.2, 1.0), (1.05, 1.0), (2.0, 1.0), (3.0, 0.5)])
+def test_verify_order_rows_pass_at_thin_gaps(tmp_path, l, r):
+    """The quadrature order rows read 2 within 0.3 at any l/r; exp(t + 0.3 s^2) read 2.67 and 1.24 at 1.2."""
+    cfg = write_cfg(tmp_path, "[geometry]\nl = %r\nr = %r\n[mesh]\nn_rings = 16\n" % (l, r))
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path), "--seed", "0"]) == 0
+    rows = [row.split(",") for row in csv_body(tmp_path / "verify.csv")[1:] if row.startswith("quadrature_order")]
+    assert [(row[0], row[-1]) for row in rows] == [("quadrature_order_minus2_step%d" % k, "1") for k in range(2)]
 
 
 @pytest.mark.parametrize("l, r", [(2.0, 1.0), (3.0, 0.5)])

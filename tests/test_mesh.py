@@ -83,10 +83,17 @@ def test_a_mesh_rejects_nodes_not_of_its_rings(params):
     for nodes, n_rings in ((m.nodes[:-1], 4), (m.nodes, 3), (m.nodes, 5)):
         with pytest.raises(tb.DomainError):
             tb.DiskMesh(nodes, m.triangles, n_rings)
-    with pytest.raises(tb.DomainError):  # 4 rings are not twice 3
-        prolong(tb.build_mesh(3), np.zeros(37), m)
     with pytest.raises(tb.DomainError):  # clockwise triangles have no assembly
         tb.assemble(tb.DiskMesh(m.nodes, m.triangles[:, ::-1], 4), params)
+
+
+def test_a_mesh_without_a_half_ring_mesh_has_no_transfer():
+    """3 rings do not halve: there is no coarse mesh to prolong from."""
+    m = tb.build_mesh(3)
+    for transfer in (lambda: prolong(np.zeros(19), m), lambda: transfer_pair(m),
+                     lambda: transfer_pair(m, interior=True)):
+        with pytest.raises(tb.DomainError, match="no half-ring mesh"):
+            transfer()
 
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128])
@@ -102,7 +109,7 @@ def test_leading_blocks_equal_the_masked_interior(params, n):
 
     free, coarse_free = masked(m), masked(coarse)
     pairs = [(tb.assemble(m, params).stiffness[free][:, free], stiffness_block(m, params, interior=True)[0]),
-             (_prolongation(coarse, m)[free][:, coarse_free], transfer_pair(coarse, m, interior=True)[0])]
+             (_prolongation(m)[free][:, coarse_free], transfer_pair(m, interior=True)[0])]
     for ref, block in pairs:
         assert block.shape == ref.shape
         for attr in ("data", "indices", "indptr"):
@@ -232,11 +239,11 @@ def test_prolong_exact_at_nested_nodes_and_second_order():
         m = tb.build_mesh(n)
         coarse, fine_index = coarse_mesh(m)
         vals = rng.standard_normal(coarse.n_nodes)
-        assert np.array_equal(prolong(coarse, vals, m)[fine_index], vals)
+        assert np.array_equal(prolong(vals, m)[fine_index], vals)
         linear = lambda x: 0.7 - x[:, 0] + 0.3 * x[:, 1]
-        assert np.max(np.abs(prolong(coarse, linear(coarse.nodes), m) - linear(m.nodes))) <= 1e-14
+        assert np.max(np.abs(prolong(linear(coarse.nodes), m) - linear(m.nodes))) <= 1e-14
         smooth = lambda x: x[:, 0] ** 2 + 0.3 * x[:, 1]
-        errs.append(np.max(np.abs(prolong(coarse, smooth(coarse.nodes), m) - smooth(m.nodes))))
+        errs.append(np.max(np.abs(prolong(smooth(coarse.nodes), m) - smooth(m.nodes))))
         assert errs[-1] <= 1.2 * m.h**2
     assert 1.9 <= fit_order(errs) <= 2.1
 
@@ -248,16 +255,19 @@ def test_prolong_is_a_cached_sparse_operator():
         m = tb.build_mesh(n)
         coarse, fine_index = coarse_mesh(m)
         vals = rng.standard_normal(coarse.n_nodes)
-        out = prolong(coarse, vals, m)
-        matrix = m._cache[("prolong", n // 2)]
+        out = prolong(vals, m)
+        cached = set(m._cache)
+        matrix = transfer_pair(m)[0]  # prolong's own: the call caches nothing new
+        assert set(m._cache) == cached
         assert np.array_equal(out[fine_index], vals)
-        assert prolong(coarse, vals, m).tobytes() == out.tobytes()
-        assert m._cache[("prolong", n // 2)] is matrix
+        assert prolong(vals, m).tobytes() == out.tobytes()
+        assert transfer_pair(m)[0] is matrix
+        assert (matrix @ vals).tobytes() == out.tobytes()
         row_nnz = np.diff(matrix.indptr)
         assert np.all(row_nnz <= 4)
         assert np.all(row_nnz[fine_index] == 1) and np.all(matrix[fine_index].data == 1.0)
         linear = lambda x: 0.7 - x[:, 0] + 0.3 * x[:, 1]
-        assert np.max(np.abs(prolong(coarse, linear(coarse.nodes), m) - linear(m.nodes))) <= 1e-15
+        assert np.max(np.abs(prolong(linear(coarse.nodes), m) - linear(m.nodes))) <= 1e-15
 
 
 def test_discarded_mesh_is_freed_without_gc(params):
