@@ -19,7 +19,7 @@ ending and one timestamp header line (bodies are byte-identical across runs).
 Exit codes: 0 success; 1 a failed verify check, or a library error
 other than non-convergence (infeasible or out-of-domain data, a singular
 Jacobian, a broken sub/supersolution ordering); 2 solver non-convergence;
-3 configuration error.
+3 configuration or usage error.
 """
 
 from __future__ import annotations
@@ -38,12 +38,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DomainError, NonConvergence, TorusBVPError
+from .errors import ConfigError, DomainError, ExistenceWindowWarning, NonConvergence, TorusBVPError
 from .expressions import compile_expression
 from .functionals import ProblemP1, ProblemP2, identity_6_14_residual
 from .geometry import TorusParams
 from .inequalities import (
     _gauss_legendre,
+    blowup_closed_forms,
+    blowup_tube_disk_quadrature,
     corollary_scan,
     interior_orbit_family,
     minimal_orbit_family,
@@ -205,20 +207,20 @@ def write_report(path, command, cfg, p: TorusParams, body: dict) -> None:
         f.write("\n")
 
 
-def _write_solution_csv(path, mesh, values) -> None:
+def _solution_rows(mesh, values) -> list:
     # one format per row over Python floats renders each value as _fmt does
     columns = zip(range(mesh.n_nodes), mesh.nodes[:, 0].tolist(), mesh.nodes[:, 1].tolist(),
                   np.asarray(values, dtype=float).tolist())
-    write_csv(path, ["node", "t", "s", "value"], ["%d,%.17g,%.17g,%.17g" % row for row in columns])
+    return ["%d,%.17g,%.17g,%.17g" % row for row in columns]
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (csv_name, header, rows, report body, summary, exit status)
+# and writes nothing; main writes the outputs
 # ---------------------------------------------------------------------------
 
-def _cmd_solve(args, cfg) -> int:
+def _cmd_solve(args, cfg, p) -> tuple:
     p1 = args.command == "solve-p1"
-    p = _geometry(cfg)
     mesh = _mesh(cfg, args.mesh)
     if p1:
         gamma = _get(cfg, "problem", "gamma", float, required=True)
@@ -229,7 +231,6 @@ def _cmd_solve(args, cfg) -> int:
         prob = ProblemP2(a, b, _coefficient(cfg, mesh, "f"), _coefficient(cfg, mesh, "g"))
     method = _get(cfg, "solver", "method", str, default="newton")
     opts = _solve_options(cfg)
-    out = _out_dir(cfg, args)
     # looked up per call, so a patched module name is the one that runs
     methods = ({"newton": solve_p1_newton, "variational": solve_p1_variational} if p1 else
                {"newton": solve_p2_newton, "variational": solve_p2_variational,
@@ -237,25 +238,20 @@ def _cmd_solve(args, cfg) -> int:
     if method not in methods:
         raise ConfigError("unknown %s method %r (%s)" % (args.command[6:], method, " | ".join(methods)))
     rep = methods[method](mesh, p, prob, opts=opts)
-    _write_solution_csv(os.path.join(out, "solution.csv"), mesh, rep.field.values)
     body = {"report": _report_dict(rep, mesh, opts), "method": method}
     line = "%s [%s]: converged in %d iterations, residual %.3e" % (args.command, method, rep.iterations,
                                                                    rep.residual_norm)
     if not p1:
         body["identity_614_residual"] = identity_6_14_residual(mesh, p, rep.field, prob)
         line += ", K %.3e" % rep.constraint_value
-    write_report(os.path.join(out, "report.json"), args.command, cfg, p, body)
-    print(line)
-    return 0
+    return "solution.csv", ["node", "t", "s", "value"], _solution_rows(mesh, rep.field.values), body, line, 0
 
 
-def _cmd_mt_scan(args, cfg) -> int:
-    p = _geometry(cfg)
+def _cmd_mt_scan(args, cfg, p) -> tuple:
     alphas = _get(cfg, "scan", "alphas", _float_list,
                   default=[10.0 ** (-k) for k in range(2, 19)])
     path = _get(cfg, "scan", "path", str, default="closed-form")
     delta_frac = _get(cfg, "scan", "delta_frac", float, default=0.15)
-    out = _out_dir(cfg, args)
     if path == "closed-form":
         fam = minimal_orbit_family(p, alphas[0], eps0=delta_frac)
         rows = mt_scan(None, p, fam, alphas)
@@ -265,42 +261,32 @@ def _cmd_mt_scan(args, cfg) -> int:
         rows = mt_scan(mesh, p, fam, alphas)
     else:
         raise ConfigError("unknown scan path %r (closed-form | mesh)" % path)
-    write_csv(os.path.join(out, "mt_scan.csv"),
-              ["alpha", "grad_energy", "log_integral", "mean_term", "ratio", "C_hat", "resolved_flag"],
-              [(r.alpha_blow, r.grad_energy, r.log_integral, r.mean_term, r.ratio, r.c_hat, r.resolved)
-               for r in rows])
     limit = 32.0 * math.pi**2 * fam.orbit[0]  # the ratio's limit for the family's orbit radius
-    write_report(os.path.join(out, "report.json"), "mt-scan", cfg, p,
-                 {"path": path, "limit": limit,
-                  "band_halfwidth": fam.delta / fam.orbit[0],
-                  "final_ratio_slope": rows[-1].ratio_slope if len(rows) > 1 else None})
-    print("mt-scan [%s]: %d points, final ratio/limit %.4f, final slope/limit %s"
-          % (path, len(rows), rows[-1].ratio / limit,
-             "%.6f" % (rows[-1].ratio_slope / limit) if len(rows) > 1 else "n/a"))
-    return 0
+    body = {"path": path, "limit": limit, "band_halfwidth": fam.delta / fam.orbit[0],
+            "final_ratio_slope": rows[-1].ratio_slope if len(rows) > 1 else None}
+    summary = ("mt-scan [%s]: %d points, final ratio/limit %.4f, final slope/limit %s"
+               % (path, len(rows), rows[-1].ratio / limit,
+                  "%.6f" % (rows[-1].ratio_slope / limit) if len(rows) > 1 else "n/a"))
+    return ("mt_scan.csv", ["alpha", "grad_energy", "log_integral", "mean_term", "ratio", "C_hat", "resolved_flag"],
+            [(r.alpha_blow, r.grad_energy, r.log_integral, r.mean_term, r.ratio, r.c_hat, r.resolved)
+             for r in rows], body, summary, 0)
 
 
-def _cmd_corollary(args, cfg) -> int:
-    p = _geometry(cfg)
+def _cmd_corollary(args, cfg, p) -> tuple:
     rhos = _get(cfg, "scan", "rhos", _float_list, default=[0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4])
     alpha_exps = _get(cfg, "scan", "alpha_exps", _float_list, default=[4.0 * math.pi, 8.0 * math.pi])
-    out = _out_dir(cfg, args)
     rows = [(alpha_exp, rho, value) for alpha_exp in alpha_exps
             for rho, value in corollary_scan(p, rhos, alpha_exp)]
-    write_csv(os.path.join(out, "corollary.csv"), ["alpha_exp", "rho", "value"], rows)
-    write_report(os.path.join(out, "report.json"), "corollary", cfg, p,
-                 {"volume": p.volume(), "rhos": rhos, "alpha_exps": alpha_exps})
-    print("corollary: %d points over %d exponents" % (len(rows), len(alpha_exps)))
-    return 0
+    return ("corollary.csv", ["alpha_exp", "rho", "value"], rows,
+            {"volume": p.volume(), "rhos": rhos, "alpha_exps": alpha_exps},
+            "corollary: %d points over %d exponents" % (len(rows), len(alpha_exps)), 0)
 
 
-def _cmd_scan_gamma(args, cfg) -> int:
-    p = _geometry(cfg)
+def _cmd_scan_gamma(args, cfg, p) -> tuple:
     mesh = _mesh(cfg, args.mesh)
     gammas = _get(cfg, "scan", "gammas", _float_list, required=True)
     f = _coefficient(cfg, mesh, "f", default="1")
     opts = _solve_options(cfg)
-    out = _out_dir(cfg, args)
     # worker threads share the mesh caches, so fill them first: every Newton
     # level's operators, its interior stiffness and its interior transfer to
     # the level below, which its cycles read from 16 rings on
@@ -332,17 +318,13 @@ def _cmd_scan_gamma(args, cfg) -> int:
         with ThreadPoolExecutor(max_workers=args.threads) as ex:
             rows, failures = zip(*ex.map(solve_one, gammas))
     failures = [f for f in failures if f is not None]
-    write_csv(os.path.join(out, "gamma_scan.csv"),
-              ["gamma", "converged", "iterations", "residual_norm", "functional", "v_min", "v_max"],
-              rows)
     window = 1.0 / (2.0 * mu_best(p, "interior_dirichlet")) / p.volume()  # _admit's P1 bound on R, as a gamma
-    write_report(os.path.join(out, "report.json"), "scan-gamma", cfg, p,
-                 {"gamma_window_upper": window, "n_converged": len(rows) - len(failures),
-                  "failures": failures})
+    body = {"gamma_window_upper": window, "n_converged": len(rows) - len(failures), "failures": failures}
     failed = [r["gamma"] for r in failures]
-    print("scan-gamma: %d/%d converged%s" % (len(rows) - len(failed), len(rows),
-          "" if not failed else " (failed: %s)" % failed))
-    return 0 if not failed else 2
+    summary = "scan-gamma: %d/%d converged%s" % (len(rows) - len(failed), len(rows),
+                                                 "" if not failed else " (failed: %s)" % failed)
+    return ("gamma_scan.csv", ["gamma", "converged", "iterations", "residual_norm", "functional", "v_min", "v_max"],
+            rows, body, summary, 0 if not failed else 2)
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +364,10 @@ def _rule_estimate(rule, *args) -> tuple:
     return fine, abs(fine - coarse) + 64.0 * np.finfo(float).eps * abs(fine)
 
 
-def _cmd_verify(args, cfg) -> int:
-    p = _geometry(cfg)
+def _cmd_verify(args, cfg, p) -> tuple:
     mesh = _mesh(cfg, args.mesh)
     rng = np.random.default_rng(args.seed)
-    out = _out_dir(cfg, args)
-    perturb = getattr(args, "debug_perturb_weight", False)
+    perturb = args.debug_perturb_weight
     p_assembly = TorusParams(p.l, p.r * 1.05) if perturb else p
     # ring counts of h, 2h and 4h (coarser when n is odd); the order rows share these meshes
     n = mesh.n_rings
@@ -433,43 +413,58 @@ def _cmd_verify(args, cfg) -> int:
     for i, order in enumerate(orders):
         check("quadrature_order_minus2_step%d" % i, order - 2.0, 0.3)
 
-    # compatibility identities on an exactly solvable Neumann problem
+    # compatibility identities on an exactly solvable Neumann problem (v = 1); at thin gaps
+    # its R lies outside the sufficient window, a warning about data the user never gave
     prob = ProblemP2(1.0, 0.0, DiskField.constant(mesh, -math.exp(-1.0)), DiskField.constant(mesh, 0.0))
-    rep = solve_p2_newton(mesh, p_assembly, prob)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExistenceWindowWarning)
+        rep = solve_p2_newton(mesh, p_assembly, prob)
     scale = p.volume()
     check("p2_constant_solution_K", rep.constraint_value, 1e-8 * scale)
     check("p2_constant_identity_614", identity_6_14_residual(mesh, p_assembly, rep.field, prob), 1e-8 * scale)
 
     fam = minimal_orbit_family(p, (0.05 * (p.l - p.r)) ** 2)
-    from .inequalities import blowup_closed_forms, blowup_tube_disk_quadrature
-
     ce, cg = blowup_closed_forms(fam)
     me, mg = blowup_tube_disk_quadrature(mesh, fam)
     check("blowup_exp_closed_form_2pct", (me - ce) / ce, 0.02)
     check("blowup_grad_closed_form_2pct", (mg - cg) / cg, 0.02)
 
-    write_csv(os.path.join(out, "verify.csv"), ["check", "measured", "tolerance", "passed"], checks)
-    write_report(os.path.join(out, "report.json"), "verify", cfg, p,
-                 {"checks": [{"name": n, "measured": m, "tolerance": t, "passed": bool(ok)}
-                             for n, m, t, ok in checks],
-                  "seed": args.seed, "perturbed": bool(perturb)})
+    body = {"checks": [{"name": n, "measured": m, "tolerance": t, "passed": bool(ok)} for n, m, t, ok in checks],
+            "seed": args.seed, "perturbed": perturb}
     n_fail = sum(1 for *_, ok in checks if not ok)
-    for name, measured, tol, ok in checks:
-        print("%-42s %12.4e (tol %10.4e)  %s" % (name, measured, tol, "PASS" if ok else "FAIL"))
-    print("verify: %d/%d checks passed" % (len(checks) - n_fail, len(checks)))
-    return 0 if n_fail == 0 else 1
+    lines = ["%-42s %12.4e (tol %10.4e)  %s" % (name, measured, tol, "PASS" if ok else "FAIL")
+             for name, measured, tol, ok in checks]
+    lines.append("verify: %d/%d checks passed" % (len(checks) - n_fail, len(checks)))
+    return ("verify.csv", ["check", "measured", "tolerance", "passed"], checks, body, "\n".join(lines),
+            0 if n_fail == 0 else 1)
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
+_DISPATCH = {
+    "solve-p1": _cmd_solve,
+    "solve-p2": _cmd_solve,
+    "mt-scan": _cmd_mt_scan,
+    "corollary": _cmd_corollary,
+    "verify": _cmd_verify,
+    "scan-gamma": _cmd_scan_gamma,
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error: argparse's own exit 2 is non-convergence here."""
+
+    def error(self, message):
+        raise ConfigError("%s: %s" % (self.prog, message))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="torusbvp", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = _Parser(prog="torusbvp", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--version", action="version", version="torusbvp %s" % __version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("solve-p1", "solve-p2", "mt-scan", "corollary", "verify", "scan-gamma"):
+    for name in _DISPATCH:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="INI config path")
         sp.add_argument("--out", default=None, help="output directory (default: config, env %s, or ./out)" % OUT_ENV_VAR)
@@ -482,27 +477,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_DISPATCH = {
-    "solve-p1": _cmd_solve,
-    "solve-p2": _cmd_solve,
-    "mt-scan": _cmd_mt_scan,
-    "corollary": _cmd_corollary,
-    "verify": _cmd_verify,
-    "scan-gamma": _cmd_scan_gamma,
-}
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.threads < 1:
             raise ConfigError("--threads must be at least 1, got %d" % args.threads)
         if args.seed < 0:
             raise ConfigError("--seed must be nonnegative, got %d" % args.seed)
         cfg = _load_config(args.config)
+        p = _geometry(cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("default")
-            return _DISPATCH[args.command](args, cfg)
+            csv_name, header, rows, body, summary, status = _DISPATCH[args.command](args, cfg, p)
+        out = _out_dir(cfg, args)
+        write_csv(os.path.join(out, csv_name), header, rows)
+        write_report(os.path.join(out, "report.json"), args.command, cfg, p, body)
+        print(summary)
+        return status
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 3
