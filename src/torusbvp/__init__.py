@@ -24,10 +24,8 @@ from .errors import (
 )
 from .geometry import (
     TorusParams,
-    boundary_area,
     make_params,
     orbit_distance_disk,
-    volume,
 )
 from .mesh import (
     DiskField,
@@ -36,7 +34,6 @@ from .mesh import (
     assemble,
     build_mesh,
     dirichlet_energy,
-    disk_operators,
     grad_energy_weighted,
     integrate_boundary,
     integrate_volume,
@@ -46,7 +43,6 @@ from .functionals import (
     ProblemP2,
     constraint_A_p1,
     constraint_K,
-    construct_feasible_p2,
     exp_capped,
     functional_I_p1,
     functional_I_p2,
@@ -72,15 +68,11 @@ from .inequalities import (
     blowup_closed_forms,
     blowup_field,
     blowup_tube_disk_quadrature,
-    corollary_check,
     corollary_scan,
     interior_orbit_family,
     minimal_orbit_family,
-    moser_field,
-    mt_inequality_check,
     mt_scan,
     mu_best,
-    rescale_to_gradient_bound,
 )
 from .expressions import compile_expression
 

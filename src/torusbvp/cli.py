@@ -82,7 +82,8 @@ OUT_ENV_VAR = "TORUSBVP_OUT"
 # ---------------------------------------------------------------------------
 
 def _load_config(path: str) -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are read verbatim: a "%" is a character, not an interpolation
+    cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path) as f:
             cfg.read_file(f)

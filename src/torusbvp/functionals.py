@@ -203,23 +203,3 @@ def reach_exponential_target(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
             return base - (s + step) * d
         s = s + step if lo < s + step < hi else 0.5 * (lo + hi)
     raise NoRootError("density shift did not converge to the target %g" % target)
-
-
-def construct_feasible_p2(mesh: DiskMesh, p: TorusParams, prob: ProblemP2, tol_scale: float = 1e-8) -> DiskField:
-    """Feasible point of {K = 0} for a = b = 0: zero moved by the density shift.
-
-    ``reach_exponential_target`` from zero with target 0; the constraint set
-    is empty unless the data change sign, and ``InfeasibleError`` says so.
-    """
-    if prob.a != 0.0 or prob.b != 0.0:
-        raise DomainError("feasible-point construction requires a = b = 0")
-    total = data_total(mesh, p, prob)
-    if total <= 0.0:
-        raise InfeasibleError("int(f) + bint(g) must be positive, got %g" % total)
-
-    field = DiskField(mesh, reach_exponential_target(mesh, p, prob, np.zeros(mesh.n_nodes), 0.0))
-    k_val = constraint_K(mesh, p, field, prob)
-    tol = tol_scale * (total + 1.0)
-    if abs(k_val) > tol:
-        raise NoRootError("density shift left |K| = %g above tolerance %g" % (abs(k_val), tol))
-    return field

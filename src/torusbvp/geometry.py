@@ -43,14 +43,6 @@ def make_params(l: float, r: float) -> TorusParams:
     return TorusParams(float(l), float(r))
 
 
-def volume(p: TorusParams) -> float:
-    return p.volume()
-
-
-def boundary_area(p: TorusParams) -> float:
-    return p.boundary_area()
-
-
 def orbit_distance_disk(p: TorusParams, t, s, orbit: tuple):
     """Distance to the circular orbit {sqrt(x^2+y^2) = l_P, z = z_P} from disk coordinates (vectorized).
 

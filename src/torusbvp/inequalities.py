@@ -17,18 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, GradientBoundError, MeshResolutionWarning, ModeError
+from .errors import DomainError, MeshResolutionWarning
 from .functionals import exp_capped, mean_value
 from .geometry import TorusParams, orbit_distance_disk
-from .mesh import (
-    DiskField,
-    DiskMesh,
-    dirichlet_energy,
-    disk_operators,
-    integrate_boundary,
-    integrate_volume,
-    weighted_sum,
-)
+from .mesh import DiskField, DiskMesh, _assemble_core, dirichlet_energy, integrate_volume, weighted_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -133,15 +125,6 @@ def blowup_profile_mean_integral(fam: BlowupFamily) -> float:
     return TWO_PI * (math.log(a + d2) - ((a + d2) * math.log(a + d2) - a * math.log(a)) / d2 + 1.0)
 
 
-def blowup_profile_l2_integral(fam: BlowupFamily, n_quad: int = 200) -> float:
-    """Squared-profile integral over the unit disk (Gauss-Legendre in radius)."""
-    a, d2 = fam.alpha_blow, fam.delta**2
-    x, w = _gauss_legendre(n_quad)
-    rho = 0.5 * (x + 1.0)
-    phi = 2.0 * np.log((a + d2) / (a + d2 * rho**2))
-    return float(TWO_PI * 0.5 * np.sum(w * phi**2 * rho))
-
-
 def blowup_tube_disk_values(mesh: DiskMesh, fam: BlowupFamily) -> DiskField:
     """Rescaled tube profile sampled on a unit-disk mesh (mesh = the tube disk)."""
     a, d2 = fam.alpha_blow, fam.delta**2
@@ -150,13 +133,13 @@ def blowup_tube_disk_values(mesh: DiskMesh, fam: BlowupFamily) -> DiskField:
 
 
 def blowup_tube_disk_quadrature(mesh: DiskMesh, fam: BlowupFamily):
-    """Unweighted mesh quadrature of the two tube-disk integrals.
+    """Unweighted mesh quadrature of the two tube-disk integrals, on the operators of the weight 1.
 
     Counterpart of ``blowup_closed_forms`` with the unit-disk mesh standing
     for the rescaled tube cross-section; agreement within a few percent
     requires a resolved core (``h <= sqrt(alpha)/(2 delta)``).
     """
-    stiff, mass, _ = disk_operators(mesh)
+    stiff, mass, _ = _assemble_core(mesh, 1.0, 0.0)
     phi = blowup_tube_disk_values(mesh, fam).values
     exp_integral = weighted_sum(mass, np.exp(phi))
     grad_integral = weighted_sum(phi, stiff @ phi)
@@ -239,55 +222,6 @@ def mt_scan(mesh: DiskMesh | None, p: TorusParams, fam_base: BlowupFamily, alpha
     return rows
 
 
-def mt_inequality_check(mesh: DiskMesh, p: TorusParams, field: DiskField, mode: str,
-                        mu: float | None = None):
-    """Evaluate both sides of the exponential inequality for one field.
-
-    Returns ``(lhs, exponent_rhs)``: the volume (or boundary) integral of
-    ``e^v`` and ``mu * |grad v|^2 + mean term``.  The empirical constant is
-    ``lhs / exp(exponent_rhs)``; the inequality asserts it stays bounded over
-    any family of fields.
-    """
-    best = mu_best(p, mode)  # validates the mode string
-    mu = best if mu is None else mu
-    if mode == "interior_dirichlet":
-        bvals = field.values[mesh.boundary_nodes]
-        if float(np.max(np.abs(bvals))) > 1e-10:
-            raise ModeError("interior_dirichlet mode requires zero boundary values")
-    energy = dirichlet_energy(mesh, p, field)
-    if mode == "boundary_trace":
-        lhs = integrate_boundary(mesh, p, field, exp_capped)
-        mean = mean_value(mesh, p, field, "boundary")
-    else:
-        lhs = integrate_volume(mesh, p, field, exp_capped)
-        mean = mean_value(mesh, p, field, "volume")
-    return lhs, mu * energy + mean
-
-
-def rescale_to_gradient_bound(mesh: DiskMesh, p: TorusParams, field: DiskField) -> DiskField:
-    """Scale the field so its gradient energy saturates ``2 pi (l + r)``."""
-    energy = dirichlet_energy(mesh, p, field)
-    if energy == 0.0:
-        return field
-    return field.replace(field.values * math.sqrt(TWO_PI * (p.l + p.r) / energy))
-
-
-def corollary_check(mesh: DiskMesh, p: TorusParams, field: DiskField, alpha_exp: float) -> float:
-    """Volume integral of ``e^{alpha v^2}`` under the gradient-energy bound.
-
-    Requires a Dirichlet field (zero trace) with
-    ``|grad v|^2 <= 2 pi (l + r)``; raises ``GradientBoundError`` otherwise.
-    """
-    bvals = field.values[mesh.boundary_nodes]
-    if float(np.max(np.abs(bvals))) > 1e-10:
-        raise ModeError("corollary check requires a Dirichlet (zero-trace) field")
-    energy = dirichlet_energy(mesh, p, field)
-    bound = TWO_PI * (p.l + p.r)
-    if energy > bound * (1.0 + 1e-8):
-        raise GradientBoundError("gradient energy %g exceeds the bound %g" % (energy, bound))
-    return integrate_volume(mesh, p, field, lambda v: exp_capped(alpha_exp * v * v))
-
-
 # ---------------------------------------------------------------------------
 # Truncated-logarithm sharpness family for the e^{alpha v^2} inequality
 # ---------------------------------------------------------------------------
@@ -297,39 +231,16 @@ def default_moser_orbit(p: TorusParams, delta: float):
     return (p.l + p.r - 2.0 * delta, 0.0)
 
 
-def moser_profile(d, delta: float, rho: float):
-    """Radial truncated-log profile with unit 2D gradient energy.
-
-    ``w = ln(delta/d)/sqrt(2 pi ln(1/rho))`` capped at its d = delta*rho value
-    and cut to zero at d >= delta.
-    """
-    if not (0.0 < rho < 1.0):
-        raise DomainError("truncation rho must lie in (0, 1), got %r" % (rho,))
-    d = np.asarray(d, dtype=float)
-    denom = math.sqrt(TWO_PI * math.log(1.0 / rho))
-    cap = math.log(1.0 / rho) / denom
-    with np.errstate(divide="ignore"):
-        w = np.log(delta / np.maximum(d, 1e-300)) / denom
-    out = np.where(d >= delta, 0.0, np.minimum(w, cap))
-    return float(out) if out.ndim == 0 else out
-
-
-def moser_field(mesh: DiskMesh, p: TorusParams, rho: float, delta: float | None = None,
-                orbit: tuple | None = None) -> DiskField:
-    """Truncated-log family sampled at mesh nodes (zero trace by construction)."""
-    delta = p.r / 8.0 if delta is None else delta
-    orbit = default_moser_orbit(p, delta) if orbit is None else orbit
-    d = orbit_distance_disk(p, mesh.nodes[:, 0], mesh.nodes[:, 1], orbit)
-    return DiskField(mesh, moser_profile(d, delta, rho))
-
-
 def corollary_scan(p: TorusParams, rhos, alpha_exp: float, delta: float | None = None,
                    orbit: tuple | None = None, n_quad: int = 400) -> list:
     """Semi-analytic scan of ``int e^{alpha v^2}`` over the rescaled family.
 
-    The family is radial in the tube distance, so the torus integral reduces
-    exactly to a 1D radial quadrature times ``2 pi l_P`` (the odd part of the
-    cylindrical weight cancels).  The rescale saturates the gradient bound:
+    The family is the truncated logarithm ``ln(delta/d) / sqrt(2 pi
+    ln(1/rho))`` of the distance d to the orbit, capped at its d = delta rho
+    value and zero for d >= delta, so its trace vanishes.  It is radial in
+    the tube distance, so the torus integral reduces exactly to a 1D radial
+    quadrature times ``2 pi l_P`` (the odd part of the cylindrical weight
+    cancels).  The rescale saturates the gradient bound:
     the profile's 2D gradient energy is exactly 1, hence the scale factor is
     ``sqrt((l + r)/l_P)``.  Returns ``(rho, integral)`` pairs.
     """

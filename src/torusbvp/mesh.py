@@ -126,7 +126,7 @@ def prolong(values, mesh: DiskMesh) -> np.ndarray:
     an integer ring/slot ratio with no remainder.  These weights form the
     sparse matrix of ``transfer_pair(mesh)``.
     """
-    matrix = transfer_pair(mesh)[0]
+    matrix = _transfer(mesh)[0]
     return matrix @ np.asarray(values, dtype=float)
 
 
@@ -135,15 +135,23 @@ def transfer_pair(mesh: DiskMesh, interior: bool = False):
 
     With ``interior`` both keep only the interior nodes, of ``mesh`` in the
     rows of ``P`` and of the half-ring mesh in its columns: the unknowns of
-    a Dirichlet problem, each mesh's leading ``n_interior`` nodes.
+    a Dirichlet problem, each mesh's leading ``n_interior`` nodes.  A
+    transpose is built the first time its pair is asked for, so ``prolong``
+    builds none, and a Dirichlet solve no full one.
     """
+    pair = _transfer(mesh, interior)
+    if pair[1] is None:
+        pair[1] = pair[0].T.tocsr()
+    return tuple(pair)
+
+
+def _transfer(mesh: DiskMesh, interior: bool = False) -> list:
+    """``[P, P^T or None]``, the cache entry of ``transfer_pair(mesh, interior)``; ``P`` is built once per mesh."""
     key = ("transfer", interior)
     if key not in mesh._cache:
-        if interior:
-            matrix = transfer_pair(mesh)[0][:mesh.n_interior, :coarse_mesh(mesh)[0].n_interior]
-        else:
-            matrix = _prolongation(mesh)
-        mesh._cache[key] = (matrix, matrix.T.tocsr())
+        matrix = (_transfer(mesh)[0][:mesh.n_interior, :coarse_mesh(mesh)[0].n_interior] if interior
+                  else _prolongation(mesh))
+        mesh._cache[key] = [matrix, None]
     return mesh._cache[key]
 
 
@@ -185,24 +193,18 @@ def _prolongation(mesh: DiskMesh) -> sp.csr_matrix:
 
 
 def _triangle_geometry(mesh: DiskMesh):
-    """Per-triangle areas, P1 basis gradients and centroid t-coordinate; every area must be positive."""
-    pts = mesh.nodes
-    tri = mesh.triangles
-    p1, p2, p3 = pts[tri[:, 0]], pts[tri[:, 1]], pts[tri[:, 2]]
-    det = (p2[:, 0] - p1[:, 0]) * (p3[:, 1] - p1[:, 1]) - (p3[:, 0] - p1[:, 0]) * (p2[:, 1] - p1[:, 1])
+    """Per-triangle areas, the x and y parts of the P1 basis gradients, and the centroid t-coordinate.
+
+    Row ``i`` of each gradient part, shape ``(3, n_triangles)``, belongs to
+    the triangle's vertex ``i``.  Every area must be positive.
+    """
+    x, y = mesh.nodes[mesh.triangles.T].transpose(2, 0, 1)  # (3, n_triangles) each
+    det = (x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0])
     if np.any(det <= 0.0):
         raise DomainError("mesh construction produced a non-positively-oriented triangle")
-    areas = 0.5 * det
-    grads = np.empty((tri.shape[0], 3, 2))
-    grads[:, 0, 0] = p2[:, 1] - p3[:, 1]
-    grads[:, 0, 1] = p3[:, 0] - p2[:, 0]
-    grads[:, 1, 0] = p3[:, 1] - p1[:, 1]
-    grads[:, 1, 1] = p1[:, 0] - p3[:, 0]
-    grads[:, 2, 0] = p1[:, 1] - p2[:, 1]
-    grads[:, 2, 1] = p2[:, 0] - p1[:, 0]
-    grads /= det[:, None, None]
-    t_cent = (p1[:, 0] + p2[:, 0] + p3[:, 0]) / 3.0
-    return areas, grads, t_cent
+    gx = np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]]) / det
+    gy = np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]]) / det
+    return 0.5 * det, gx, gy, (x[0] + x[1] + x[2]) / 3.0
 
 
 def _assemble_core(mesh: DiskMesh, w0: float, w1: float):
@@ -211,19 +213,20 @@ def _assemble_core(mesh: DiskMesh, w0: float, w1: float):
     Stiffness uses centroid quadrature, exact for constant gradients against
     an affine weight; masses are vertex-lumped.
     """
-    areas, grads, t_cent = _triangle_geometry(mesh)
+    areas, gx, gy, t_cent = _triangle_geometry(mesh)
     tri = mesh.triangles
-    w_tri = w0 + w1 * t_cent
+    weight = areas * (w0 + w1 * t_cent)
     n = mesh.n_nodes
 
-    rows, cols, data = [], [], []
+    # the element matrix is symmetric: six distinct products, entries listed row by row
+    entry = {}
     for i in range(3):
-        for j in range(3):
-            rows.append(tri[:, i])
-            cols.append(tri[:, j])
-            data.append(areas * w_tri * np.einsum("kd,kd->k", grads[:, i, :], grads[:, j, :]))
+        for j in range(i, 3):
+            entry[i, j] = entry[j, i] = weight * (gx[i] * gx[j] + gy[i] * gy[j])
+    index = tri.T.astype(np.int32)
     stiffness = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+        (np.concatenate([entry[i, j] for i in range(3) for j in range(3)]),
+         (np.repeat(index, 3, axis=0).ravel(), np.tile(index, (3, 1)).ravel())), shape=(n, n)
     ).tocsr()
 
     vol_mass = np.zeros(n)
@@ -292,16 +295,6 @@ def stiffness_block(mesh: DiskMesh, p: TorusParams, interior: bool = False):
         diagonal.setflags(write=False)
         mesh._cache[key] = (matrix, diagonal)
     return mesh._cache[key]
-
-
-def disk_operators(mesh: DiskMesh):
-    """Unweighted unit-disk operators (stiffness, lumped mass, boundary mass)."""
-    key = ("ops_plain",)
-    ops = mesh._cache.get(key)
-    if ops is None:
-        ops = _assemble_core(mesh, 1.0, 0.0)
-        mesh._cache[key] = ops
-    return ops
 
 
 @dataclass(frozen=True)
@@ -381,11 +374,12 @@ def grad_energy_weighted(mesh: DiskMesh, p: TorusParams, field: DiskField, centr
     With ``centroid_transform=None`` this reduces to ``dirichlet_energy`` up to
     roundoff; the transform is used for e^{-v}-weighted gradient integrals.
     """
-    areas, grads, t_cent = _triangle_geometry(mesh)
+    areas, gx, gy, t_cent = _triangle_geometry(mesh)
     tri = mesh.triangles
     v = field.values
-    gvec = np.einsum("kid,ki->kd", grads, v[tri])
-    g2 = np.einsum("kd,kd->k", gvec, gvec)
+    vt = v[tri.T]
+    dx, dy = gx[0] * vt[0] + gx[1] * vt[1] + gx[2] * vt[2], gy[0] * vt[0] + gy[1] * vt[1] + gy[2] * vt[2]
+    g2 = dx * dx + dy * dy
     if centroid_transform is not None:
         v_cent = v[tri].mean(axis=1)
         weights = np.asarray(centroid_transform(v_cent), dtype=float)

@@ -186,7 +186,7 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0):
     (``_cycled_solve``), and ``J`` is factored only if they miss their
     target.  ``v0``, ``weights`` and every update live on the unknowns of
     ``eq``, its rows.  Newton stops at the residual ``tol_abs + tol_rel *
-    r0``, ``r0`` the residual of the zero field.  That reference depends on
+    r0``, ``r0`` the residual of the zero field, ``c + w``.  That reference depends on
     the data alone, so no start moves the tolerance: a start far off cannot
     loosen it, and a start near the solution cannot push it below the
     float64 floor of the residual.  A coarse level of a nested solve
@@ -205,7 +205,7 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0):
     F, res = residual(v)
     if not math.isfinite(res):
         raise DomainError("initial iterate produces a non-finite residual")
-    tol = max(opts.tol_abs + opts.tol_rel * residual(np.zeros_like(v))[1], stop_fraction * res)
+    tol = max(opts.tol_abs + opts.tol_rel * _weighted_norm(eq[1] + eq[2], weights), stop_fraction * res)
     lu = None
     trace = [(res, 0.0)]
     iterations = 0

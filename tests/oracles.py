@@ -1,13 +1,20 @@
-"""Independent oracles used by the tests: Monte Carlo and high-order quadrature.
+"""Independent oracles used by the tests: Monte Carlo, high-order quadrature, mesh routes.
 
-Everything here is deliberately written against the raw 3D definitions (or
+Most of this is deliberately written against the raw 3D definitions (or
 1D/2D reference quadrature), not against the package's mesh machinery, so the
-two routes stay independent.
+two routes stay independent.  The corollary's mesh route is the exception:
+it samples the truncated-log family on the mesh and integrates it there, the
+independent route to the semi-analytic ``corollary_scan``.
 """
 
 import math
 
 import numpy as np
+
+import torusbvp as tb
+from torusbvp.inequalities import default_moser_orbit
+
+TWO_PI = 2.0 * math.pi
 
 
 def mc_volume(l, r, n, rng):
@@ -120,3 +127,65 @@ def fit_order(errors):
     """Median dyadic convergence order from a list of errors at h, h/2, h/4, ..."""
     orders = [math.log2(a / b) for a, b in zip(errors, errors[1:]) if b > 0]
     return float(np.median(orders))
+
+
+def blowup_profile_l2_integral(fam, n_quad=200):
+    """Squared-profile integral of the blow-up family over the unit tube disk (Gauss-Legendre in radius)."""
+    a, d2 = fam.alpha_blow, fam.delta**2
+    x, w = np.polynomial.legendre.leggauss(n_quad)
+    rho = 0.5 * (x + 1.0)
+    phi = 2.0 * np.log((a + d2) / (a + d2 * rho**2))
+    return float(TWO_PI * 0.5 * np.sum(w * phi**2 * rho))
+
+
+# ---------------------------------------------------------------------------
+# The corollary's mesh route: sample, rescale to the gradient bound, integrate
+# ---------------------------------------------------------------------------
+
+def moser_profile(d, delta, rho):
+    """Radial truncated-log profile with unit 2D gradient energy.
+
+    ``w = ln(delta/d)/sqrt(2 pi ln(1/rho))`` capped at its d = delta*rho value
+    and cut to zero at d >= delta.
+    """
+    if not (0.0 < rho < 1.0):
+        raise tb.DomainError("truncation rho must lie in (0, 1), got %r" % (rho,))
+    d = np.asarray(d, dtype=float)
+    denom = math.sqrt(TWO_PI * math.log(1.0 / rho))
+    cap = math.log(1.0 / rho) / denom
+    with np.errstate(divide="ignore"):
+        w = np.log(delta / np.maximum(d, 1e-300)) / denom
+    out = np.where(d >= delta, 0.0, np.minimum(w, cap))
+    return float(out) if out.ndim == 0 else out
+
+
+def moser_field(mesh, p, rho, delta=None, orbit=None):
+    """Truncated-log family sampled at mesh nodes (zero trace by construction)."""
+    delta = p.r / 8.0 if delta is None else delta
+    orbit = default_moser_orbit(p, delta) if orbit is None else orbit
+    d = tb.orbit_distance_disk(p, mesh.nodes[:, 0], mesh.nodes[:, 1], orbit)
+    return tb.DiskField(mesh, moser_profile(d, delta, rho))
+
+
+def rescale_to_gradient_bound(mesh, p, field):
+    """Scale the field so its gradient energy saturates ``2 pi (l + r)``."""
+    energy = tb.dirichlet_energy(mesh, p, field)
+    if energy == 0.0:
+        return field
+    return field.replace(field.values * math.sqrt(TWO_PI * (p.l + p.r) / energy))
+
+
+def corollary_check(mesh, p, field, alpha_exp):
+    """Volume integral of ``e^{alpha v^2}`` under the gradient-energy bound.
+
+    Requires a Dirichlet field (zero trace) with
+    ``|grad v|^2 <= 2 pi (l + r)``; raises ``GradientBoundError`` otherwise.
+    """
+    bvals = field.values[mesh.boundary_nodes]
+    if float(np.max(np.abs(bvals))) > 1e-10:
+        raise tb.ModeError("corollary check requires a Dirichlet (zero-trace) field")
+    energy = tb.dirichlet_energy(mesh, p, field)
+    bound = TWO_PI * (p.l + p.r)
+    if energy > bound * (1.0 + 1e-8):
+        raise tb.GradientBoundError("gradient energy %g exceeds the bound %g" % (energy, bound))
+    return tb.integrate_volume(mesh, p, field, lambda v: tb.exp_capped(alpha_exp * v * v))

@@ -332,6 +332,20 @@ def test_output_dir_from_environment(tmp_path, monkeypatch):
     assert (env_out / "report.json").exists()
 
 
+@pytest.mark.parametrize("section, option, value", [("output", "dir", "run%1"), ("problem", "note", "5% off")],
+                         ids=["output-dir", "unused-note"])
+def test_percent_sign_in_a_config_value_is_kept_verbatim(tmp_path, monkeypatch, section, option, value):
+    """A ``%`` is no interpolation: the run exits 0, writes its report and keeps the value as written."""
+    header, line = "[%s]\n" % section, "%s = %s\n" % (option, value)
+    cfg = write_cfg(tmp_path, BASE.replace(header, header + line) if header in BASE else BASE + "\n" + header + line)
+    monkeypatch.chdir(tmp_path)  # a relative output dir lands here
+    monkeypatch.delenv("TORUSBVP_OUT", raising=False)
+    assert main(["solve-p1", "--config", cfg]) == 0
+    out = tmp_path / ("run%1" if section == "output" else "out")
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"][section][option] == value
+
+
 def test_verify_cli(tmp_path):
     cfg = write_cfg(tmp_path, BASE)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--seed", "1"]) == 0

@@ -28,8 +28,6 @@ def test_exact_measures(l, r, vol, area):
     p = tb.make_params(l, r)
     assert p.volume() == pytest.approx(vol, rel=1e-15)
     assert p.boundary_area() == pytest.approx(area, rel=1e-15)
-    assert tb.volume(p) == p.volume()
-    assert tb.boundary_area(p) == p.boundary_area()
 
 
 def test_measures_against_monte_carlo():

@@ -4,9 +4,11 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import torusbvp as tb
-from torusbvp.mesh import _prolongation, _triangle_geometry, coarse_mesh, prolong, stiffness_block, transfer_pair
+from torusbvp.mesh import (_assemble_core, _prolongation, _triangle_geometry, coarse_mesh, prolong, stiffness_block,
+                           transfer_pair)
 from oracles import (
     SmoothFieldBasis,
     fit_order,
@@ -114,6 +116,41 @@ def test_leading_blocks_equal_the_masked_interior(params, n):
         assert block.shape == ref.shape
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(block, attr), getattr(ref, attr)), attr
+
+
+def element_loop_stiffness(mesh, w0, w1):
+    """The stiffness looped over the nine entries of each element matrix, and the (T, 3, 2) gradients: the reference."""
+    tri = mesh.triangles
+    p1, p2, p3 = (mesh.nodes[tri[:, k]] for k in range(3))
+    det = (p2[:, 0] - p1[:, 0]) * (p3[:, 1] - p1[:, 1]) - (p3[:, 0] - p1[:, 0]) * (p2[:, 1] - p1[:, 1])
+    grads = np.stack([np.stack([p2[:, 1] - p3[:, 1], p3[:, 0] - p2[:, 0]], axis=1),
+                      np.stack([p3[:, 1] - p1[:, 1], p1[:, 0] - p3[:, 0]], axis=1),
+                      np.stack([p1[:, 1] - p2[:, 1], p2[:, 0] - p1[:, 0]], axis=1)], axis=1) / det[:, None, None]
+    weight = 0.5 * det * (w0 + w1 * (p1[:, 0] + p2[:, 0] + p3[:, 0]) / 3.0)
+    rows, cols, data = [], [], []
+    for i in range(3):
+        for j in range(3):
+            rows.append(tri[:, i])
+            cols.append(tri[:, j])
+            data.append(weight * np.einsum("kd,kd->k", grads[:, i], grads[:, j]))
+    entries = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
+    return sp.coo_matrix(entries, shape=(mesh.n_nodes, mesh.n_nodes)).tocsr(), grads
+
+
+@pytest.mark.parametrize("l, r", [(2.0, 1.0), (3.0, 0.5), (1.2, 1.0)])
+@pytest.mark.parametrize("n", [16, 64])
+def test_assembly_matches_the_element_loop_bit_for_bit(l, r, n):
+    """The stiffness of six products per element, and the gradient energy, equal the nine-entry einsum loop."""
+    m, params = tb.build_mesh(n), tb.TorusParams(l, r)
+    ref, grads = element_loop_stiffness(m, l, r)
+    stiffness = _assemble_core(m, l, r)[0]
+    for attr in ("data", "indices", "indptr"):
+        assert getattr(stiffness, attr).tobytes() == getattr(ref, attr).tobytes(), attr
+    v = np.sin(m.nodes[:, 0] + 2.0 * m.nodes[:, 1])
+    gvec = np.einsum("kid,ki->kd", grads, v[m.triangles])
+    areas, _, _, t_cent = _triangle_geometry(m)
+    energy = float(2.0 * math.pi * np.sum(areas * (l + r * t_cent) * np.einsum("kd,kd->k", gvec, gvec)))
+    assert tb.grad_energy_weighted(m, params, tb.DiskField(m, v)) == energy
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])

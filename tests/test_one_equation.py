@@ -137,3 +137,20 @@ def test_constraint_is_the_sum_of_the_residual_rows(params, n_rings):
             scale = np.sum(abs(S) @ np.abs(v.values)) + np.sum(np.abs(c)) + np.sum(np.abs(w * np.exp(v.values)))
             assert abs(tb.constraint_K(mesh, params, v, prob) - np.sum(rows)) <= 1e-13 * scale
 
+
+
+@pytest.mark.parametrize("l, r", [(2.0, 1.0), (3.0, 0.5), (1.2, 1.0)])
+@pytest.mark.parametrize("n_rings", [8, 32, 128])
+def test_zero_field_residual_is_c_plus_w(l, r, n_rings):
+    """Newton's reference residual ``F(0)`` is ``c + w`` bit for bit, signed zeros included, on every record."""
+    params, mesh = tb.TorusParams(l, r), tb.build_mesh(n_rings)
+    f = tb.DiskField.from_function(mesh, lambda t, s: t + 0.55)
+    zero = tb.DiskField.constant(mesh, 0.0)
+    records = [(tb.ProblemP1(1.5, tb.DiskField.from_function(mesh, lambda t, s: 1.0 + 0.2 * t)).as_p2(), True),
+               (tb.ProblemP1(0.0, f).as_p2(), False),
+               (tb.ProblemP2(0.5, -0.5, f, tb.DiskField.from_function(mesh, lambda t, s: s - 0.1)), False),
+               (tb.ProblemP2(0.0, 0.0, f, zero), False)]
+    for prob, dirichlet in records:
+        eq = solvers._equation(mesh, params, prob, dirichlet)
+        F0 = solvers._residual(eq, np.zeros(eq[0].shape[0]))
+        assert F0.tobytes() == (eq[1] + eq[2]).tobytes()

@@ -275,8 +275,6 @@ def test_variational_zero_linear_part_roundoff_total_is_infeasible(params, n):
                         tb.DiskField.constant(mesh, 0.0))
     with pytest.raises(tb.InfeasibleError):
         tb.solve_p2_variational(mesh, params, prob)
-    with pytest.raises(tb.InfeasibleError):
-        tb.construct_feasible_p2(mesh, params, prob)
 
 
 @pytest.mark.parametrize("p1", [False, True], ids=["p2", "p1"])
