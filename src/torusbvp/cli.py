@@ -12,9 +12,13 @@ Configs are INI files with sections mirroring the run setup::
     max_iter = 50                         alpha_exps = 12.566, 25.133
 
 Coefficients are analytic expressions in the disk coordinates (t, s), which
-makes every admissible datum rotation-invariant by construction.  Reports are
-JSON; scan tables are CSV with 17-significant-digit values, a newline line
-ending and one timestamp header line (bodies are byte-identical across runs).
+makes every admissible datum rotation-invariant by construction.  They use
+Python's arithmetic and precedence over numbers, t, s, pi, e and
+exp/ln/sin/cos, with ``^`` for ``**``: ``-t^2`` is ``-(t^2)``.  An
+expression outside that grammar, or nested too deeply to parse, exits 3.
+Reports are JSON; scan tables are CSV with 17-significant-digit values, a
+newline line ending and one timestamp header line (bodies are
+byte-identical across runs).
 
 Exit codes: 0 success; 1 a failed verify check, or a library error
 other than non-convergence (infeasible or out-of-domain data, a singular

@@ -1,16 +1,20 @@
-"""Tiny analytic-expression grammar for coefficient definitions in (t, s).
+"""Analytic-expression grammar for coefficient definitions in (t, s).
 
-Grammar (usual precedence, ``^`` right-associative)::
+An expression is Python arithmetic over a closed vocabulary, read by
+Python's own parser (``ast``) and never evaluated by it::
 
-    expr   := term (('+' | '-') term)*
-    term   := factor (('*' | '/') factor)*
-    factor := unary ('^' factor)?          # '**' is accepted as an alias
-    unary  := '-' unary | atom
-    atom   := NUMBER | 'pi' | 'e' | 't' | 's'
-            | ('exp' | 'ln' | 'sin' | 'cos') '(' expr ')'
-            | '(' expr ')'
+    numbers   decimal literals: 2, 0.5, .5, 1e-3 (no 0x10, 1_0, 1j or True)
+    names     t, s, pi, e
+    calls     exp(x), ln(x), sin(x), cos(x), one argument each
+    operators + - * / and ^ (an alias of **), unary minus, parentheses
 
-Each rule parses to a function of ``(t, s)``.  Constants are float64, as
+Precedence is Python's: ``^`` binds tighter than unary minus, so ``-t^2``
+is ``-(t^2)``, ``-2^2`` is -4 and ``t^-s^2`` is ``t^(-(s^2))``; ``^`` is
+right-associative.  Only letters, digits, ``. + - * / ^ ( )`` and
+whitespace may appear; line breaks count as spaces.  Anything else, or an
+expression nested too deeply for the parser, is a ``ConfigError``.
+
+Each node becomes a function of ``(t, s)``.  Constants are float64, as
 ``t`` and ``s`` are, so every operation follows float64 arithmetic: a
 division by zero, an overflow or a fractional power of a negative base
 gives inf or nan, never an exception or a complex value.
@@ -21,6 +25,7 @@ construction, which is exactly the admissible data class.
 
 from __future__ import annotations
 
+import ast
 import math
 import operator
 import re
@@ -29,121 +34,55 @@ import numpy as np
 
 from .errors import ConfigError
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-                    r"|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[-+*/^()]))")
-
+_ALLOWED = re.compile(r"[A-Za-z0-9.+\-*/^()\s]*")
 _FUNCS = {"exp": np.exp, "ln": np.log, "sin": np.sin, "cos": np.cos}
-_CONSTS = {"pi": math.pi, "e": math.e}
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow}
+_NAMES = {"t": lambda t, s: t, "s": lambda t, s: s,
+          "pi": lambda t, s: np.float64(math.pi), "e": lambda t, s: np.float64(math.e)}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ConfigError("cannot tokenize expression at %r" % text[pos:pos + 12])
-        num, name, op = m.groups()
-        if num is not None:
-            tokens.append(("num", float(num)))
-        elif name is not None:
-            tokens.append(("name", name))
-        else:
-            tokens.append(("op", "^" if op == "**" else op))
-        pos = m.end()
-    tokens.append(("end", None))
-    return tokens
-
-
-def _binary(op, left, right):
-    fn = _BINARY[op]
-    return lambda t, s: fn(left(t, s), right(t, s))
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ConfigError("expected %r in expression %r" % (op, self.text))
-
-    def parse(self):
-        fn = self.expr()
-        if self.peek()[0] != "end":
-            raise ConfigError("trailing tokens in expression %r" % self.text)
-        return fn
-
-    def expr(self):
-        fn = self.term()
-        while self.peek() in (("op", "+"), ("op", "-")):
-            fn = _binary(self.take()[1], fn, self.term())
-        return fn
-
-    def term(self):
-        fn = self.factor()
-        while self.peek() in (("op", "*"), ("op", "/")):
-            fn = _binary(self.take()[1], fn, self.factor())
-        return fn
-
-    def factor(self):
-        fn = self.unary()
-        if self.peek() == ("op", "^"):
-            self.take()
-            fn = _binary("^", fn, self.factor())
-        return fn
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            arg = self.unary()
-            return lambda t, s: -arg(t, s)
-        return self.atom()
-
-    def atom(self):
-        kind, val = self.take()
-        if kind == "num" or (kind == "name" and val in _CONSTS):
-            const = np.float64(val if kind == "num" else _CONSTS[val])
-            return lambda t, s: const
-        if kind == "name":
-            if val == "t":
-                return lambda t, s: t
-            if val == "s":
-                return lambda t, s: s
-            if val in _FUNCS:
-                self.expect_op("(")
-                arg, func = self.expr(), _FUNCS[val]
-                self.expect_op(")")
-                return lambda t, s: func(arg(t, s))
-            raise ConfigError("unknown name %r in expression %r" % (val, self.text))
-        if kind == "op" and val == "(":
-            fn = self.expr()
-            self.expect_op(")")
-            return fn
-        raise ConfigError("unexpected token %r in expression %r" % (val, self.text))
+def _walk(node, source: str):
+    """The ``(t, s)`` function of one node parsed from ``source``; ValueError if it is outside the grammar."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        fn, left, right = _BINARY[type(node.op)], _walk(node.left, source), _walk(node.right, source)
+        return lambda t, s: fn(left(t, s), right(t, s))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        arg = _walk(node.operand, source)
+        return lambda t, s: -arg(t, s)
+    if isinstance(node, ast.Name) and node.id in _NAMES:
+        return _NAMES[node.id]
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in _FUNCS
+            and len(node.args) == 1 and not node.keywords):
+        func, arg = _FUNCS[node.func.id], _walk(node.args[0], source)
+        return lambda t, s: func(arg(t, s))
+    if isinstance(node, ast.Constant):
+        # the literal's text, so 1e400 and 400-digit integers are inf and 0x10, 1j and True are refused
+        value = np.float64(float(ast.get_source_segment(source, node)))
+        return lambda t, s: value
+    raise ValueError("unsupported %r" % ast.get_source_segment(source, node))
 
 
 def compile_expression(text: str):
     """Parse an expression in (t, s) and return a vectorized float64 evaluator."""
-    tree = _Parser(str(text)).parse()
+    text = str(text)
+    if not _ALLOWED.fullmatch(text):
+        raise ConfigError("expression %r may use only letters, digits, whitespace and . + - * / ^ ( )" % text)
+    source = " ".join(text.split()).replace("^", "**")
+    too_deep = "expression %r is nested too deeply" % text
+    try:
+        tree = _walk(ast.parse(source, "expression", "eval").body, source)
+    except (SyntaxError, ValueError) as exc:
+        raise ConfigError("cannot parse expression %r: %s" % (text, exc)) from exc
+    except (RecursionError, MemoryError) as exc:  # CPython's parser reports a too-deep tree as MemoryError
+        raise ConfigError(too_deep) from exc
 
     def fn(t, s):
         with np.errstate(all="ignore"):
-            out = tree(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+            try:
+                out = tree(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+            except RecursionError as exc:
+                raise ConfigError(too_deep) from exc
         return np.broadcast_to(out, np.broadcast(t, s).shape).copy()
 
     return fn

@@ -144,15 +144,9 @@ def multiplier_kappa(mesh: DiskMesh, p: TorusParams, field: DiskField, prob: Pro
     return num / denom
 
 
-def mean_value(mesh: DiskMesh, p: TorusParams, field: DiskField, where: str = "volume") -> float:
-    """Weighted mean of the field over the torus volume or its boundary."""
-    ops = assemble(mesh, p)
-    if where == "volume":
-        w = ops.volume_mass
-    elif where == "boundary":
-        w = ops.boundary_mass
-    else:
-        raise DomainError("where must be 'volume' or 'boundary', got %r" % (where,))
+def mean_value(mesh: DiskMesh, p: TorusParams, field: DiskField) -> float:
+    """Weighted mean of the field over the torus volume."""
+    w = assemble(mesh, p).volume_mass
     return weighted_sum(w, field.values) / float(np.sum(w))
 
 

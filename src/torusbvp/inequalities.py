@@ -169,23 +169,21 @@ class MTScanRow:
     resolved: bool
 
 
-def mt_scan(mesh: DiskMesh | None, p: TorusParams, fam_base: BlowupFamily, alphas,
-            mu: float | None = None) -> list:
+def mt_scan(mesh: DiskMesh | None, p: TorusParams, fam_base: BlowupFamily, alphas) -> list:
     """Evaluate the volume-inequality scan along decreasing ``alphas``.
 
     With ``mesh=None`` the tube-local closed forms are used (the family's
     orbit weight stands in for the affine factor, exact up to ``1 +- delta/l_P``);
     otherwise the fields are sampled and integrated on the mesh.
     ``c_hat = exp(log_integral - mu*grad_energy - mean_term)`` is the
-    empirical inequality constant at the supplied (or best) ``mu``.
+    empirical inequality constant at ``mu = mu_best(p, "interior_dirichlet")``.
     """
     alphas = [float(a) for a in alphas]
     if any(a <= 0.0 for a in alphas):
         raise DomainError("scan alphas must be positive")
     if any(a2 >= a1 for a1, a2 in zip(alphas, alphas[1:])):
         raise DomainError("scan alphas must be strictly decreasing")
-    if mu is None:
-        mu = mu_best(p, "interior_dirichlet")
+    mu = mu_best(p, "interior_dirichlet")
     l_p = fam_base.orbit[0]
     vol = p.volume()
 
@@ -208,7 +206,7 @@ def mt_scan(mesh: DiskMesh | None, p: TorusParams, fam_base: BlowupFamily, alpha
                 field = blowup_field(mesh, fam)
             grad_energy = dirichlet_energy(mesh, p, field)
             log_integral = math.log(integrate_volume(mesh, p, field, exp_capped))
-            mean_term = mean_value(mesh, p, field, "volume")
+            mean_term = mean_value(mesh, p, field)
             resolved = core_resolved(mesh.h, alpha, p.r)
         denom = log_integral - mean_term
         ratio = grad_energy / denom

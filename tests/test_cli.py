@@ -129,6 +129,16 @@ def test_constant_subexpression_that_is_not_finite_is_rejected(tmp_path, capsys,
     assert not (tmp_path / "o" / "solution.csv").exists()
 
 
+@pytest.mark.parametrize("expression", ["(" * 300 + "t" + ")" * 300, " + ".join(["t"] * 1000)],
+                         ids=["nested-300", "sum-1000"])
+def test_too_deep_expression_is_a_config_error(tmp_path, capsys, expression):
+    """A 300-deep nesting or a 1,000-term sum: exit 3 with a message, no traceback and no output directory."""
+    cfg = write_cfg(tmp_path, BASE.replace("f = 1", "f = " + expression))
+    assert main(["solve-p1", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command, message", [
     ("solve-p1", "unknown p1 method 'x' (newton | variational)"),
     ("solve-p2", "unknown p2 method 'x' (newton | variational | monotone)"),

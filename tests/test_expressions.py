@@ -1,5 +1,7 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,11 @@ from torusbvp.expressions import compile_expression
     ("2^3^1", (0.0, 0.0), 8.0),
     ("(t + 1)*(s - 1)", (1.0, 0.0), -2.0),
     ("exp(t)*cos(s)", (0.0, 0.0), 1.0),
+    ("-t^2", (0.5, 0.0), -0.25),
+    ("-2^2", (0.0, 0.0), -4.0),
+    ("t^-s^2", (2.0, 1.0), 0.5),
+    ("2^-1", (0.0, 0.0), 0.5),
+    ("1 +\n t", (0.5, 0.0), 1.5),
 ])
 def test_expression_values(text, point, expected):
     fn = compile_expression(text)
@@ -41,10 +48,21 @@ def test_precedence():
     assert fn(0.0, 0.0) == 19.0
 
 
-@pytest.mark.parametrize("text", ["t +", "(t", "foo(t)", "t $ s", "x + 1", "exp t"])
+@pytest.mark.parametrize("text", ["t +", "(t", "foo(t)", "t $ s", "x + 1", "exp t", "0x10", "1_0", "1j", "True",
+                                  "t.real", "+t", "exp(t, s)", "t if s else 1", "", "t # c"])
 def test_parse_errors(text):
     with pytest.raises(tb.ConfigError):
         compile_expression(text)
+
+
+def test_no_module_calls_eval_or_exec():
+    """Expressions are walked node by node; nothing in the package hands text to Python to run."""
+    src = Path(tb.__file__).parent
+    calls = [(path.name, node.func.id) for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("eval", "exec", "compile")]
+    assert calls == []
 
 
 def test_division_yields_inf_not_crash():

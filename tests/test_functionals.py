@@ -94,20 +94,17 @@ def test_identity_614_on_converged_solution(params, mesh16):
 
 def test_mean_value(params, mesh32):
     c = tb.DiskField.constant(mesh32, 2.5)
-    assert tb.mean_value(mesh32, params, c, "volume") == pytest.approx(2.5, abs=1e-12)
-    assert tb.mean_value(mesh32, params, c, "boundary") == pytest.approx(2.5, abs=1e-12)
+    assert tb.mean_value(mesh32, params, c) == pytest.approx(2.5, abs=1e-12)
     ft = tb.DiskField.from_function(mesh32, lambda t, s: t)
-    assert tb.mean_value(mesh32, params, ft, "volume") == pytest.approx(0.125, rel=0.01)
+    assert tb.mean_value(mesh32, params, ft) == pytest.approx(0.125, rel=0.01)
     fs = tb.DiskField.from_function(mesh32, lambda t, s: s)
-    assert abs(tb.mean_value(mesh32, params, fs, "volume")) <= 1e-10
-    with pytest.raises(tb.DomainError):
-        tb.mean_value(mesh32, params, c, "edge")
+    assert abs(tb.mean_value(mesh32, params, fs)) <= 1e-10
 
 
 def test_mean_shift_normalization(params, mesh16):
     field = tb.DiskField.from_function(mesh16, SmoothFieldBasis(8))
-    shifted = field.replace(field.values - tb.mean_value(mesh16, params, field, "volume"))
-    assert abs(tb.mean_value(mesh16, params, shifted, "volume")) <= 1e-12
+    shifted = field.replace(field.values - tb.mean_value(mesh16, params, field))
+    assert abs(tb.mean_value(mesh16, params, shifted)) <= 1e-12
 
 
 @settings(max_examples=40, derandomize=True)
