@@ -11,20 +11,16 @@ from .errors import (
     ConfigError,
     DomainError,
     ExistenceWindowWarning,
-    GradientBoundError,
     InfeasibleError,
-    MeshResolutionWarning,
     NoBracket,
     NonConvergence,
     NoRootError,
-    ModeError,
     OrderingViolation,
     SingularJacobian,
     TorusBVPError,
 )
 from .geometry import (
     TorusParams,
-    make_params,
     orbit_distance_disk,
 )
 from .mesh import (

@@ -15,7 +15,8 @@ Coefficients are analytic expressions in the disk coordinates (t, s), which
 makes every admissible datum rotation-invariant by construction.  They use
 Python's arithmetic and precedence over numbers, t, s, pi, e and
 exp/ln/sin/cos, with ``^`` for ``**``: ``-t^2`` is ``-(t^2)``.  An
-expression outside that grammar, or nested too deeply to parse, exits 3.
+expression outside that grammar, or nested too deeply to parse, exits 3,
+as does a number in [problem] or [scan] that is not finite.
 Reports are JSON; scan tables are CSV with 17-significant-digit values, a
 newline line ending and one timestamp header line (bodies are
 byte-identical across runs).
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DomainError, ExistenceWindowWarning, NonConvergence, TorusBVPError
-from .expressions import compile_expression
+from .expressions import compile_expression, excerpt
 from .functionals import ProblemP1, ProblemP2, identity_6_14_residual
 from .geometry import TorusParams
 from .inequalities import (
@@ -107,14 +108,23 @@ def _get(cfg, section, option, cast, default=None, required=False):
     try:
         return cast(raw)
     except (ValueError, ConfigError) as exc:
-        raise ConfigError("bad value for [%s] %s: %r (%s)" % (section, option, raw, exc)) from exc
+        # float() and int() repeat the whole text after a colon; the excerpt quotes it
+        raise ConfigError("bad value for [%s] %s: %s (%s)" % (section, option, excerpt(raw),
+                                                             str(exc).split(":")[0])) from exc
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not finite")
+    return value
 
 
 def _float_list(raw: str):
     items = [x.strip() for x in raw.split(",") if x.strip()]
     if not items:
         raise ValueError("empty list")
-    return [float(x) for x in items]
+    return [_finite(x) for x in items]
 
 
 def _effective_config(cfg) -> dict:
@@ -142,7 +152,7 @@ def _coefficient(cfg, mesh, option, default="0") -> DiskField:
     fn = compile_expression(text)
     vals = fn(mesh.nodes[:, 0], mesh.nodes[:, 1])
     if not np.all(np.isfinite(vals)):
-        raise ConfigError("coefficient [problem] %s = %r is non-finite at mesh nodes" % (option, text))
+        raise ConfigError("coefficient [problem] %s = %s is non-finite at mesh nodes" % (option, excerpt(text)))
     return DiskField(mesh, vals)
 
 
@@ -228,11 +238,11 @@ def _cmd_solve(args, cfg, p) -> tuple:
     p1 = args.command == "solve-p1"
     mesh = _mesh(cfg, args.mesh)
     if p1:
-        gamma = _get(cfg, "problem", "gamma", float, required=True)
+        gamma = _get(cfg, "problem", "gamma", _finite, required=True)
         prob = ProblemP1(gamma, _coefficient(cfg, mesh, "f", default="1"))
     else:
-        a = _get(cfg, "problem", "a", float, default=0.0)
-        b = _get(cfg, "problem", "b", float, default=0.0)
+        a = _get(cfg, "problem", "a", _finite, default=0.0)
+        b = _get(cfg, "problem", "b", _finite, default=0.0)
         prob = ProblemP2(a, b, _coefficient(cfg, mesh, "f"), _coefficient(cfg, mesh, "g"))
     method = _get(cfg, "solver", "method", str, default="newton")
     opts = _solve_options(cfg)
@@ -241,7 +251,7 @@ def _cmd_solve(args, cfg, p) -> tuple:
                {"newton": solve_p2_newton, "variational": solve_p2_variational,
                 "monotone": lambda *data, opts: solve_p2_monotone(*data, *find_constant_bracket(*data), opts=opts)})
     if method not in methods:
-        raise ConfigError("unknown %s method %r (%s)" % (args.command[6:], method, " | ".join(methods)))
+        raise ConfigError("unknown %s method %s (%s)" % (args.command[6:], excerpt(method), " | ".join(methods)))
     rep = methods[method](mesh, p, prob, opts=opts)
     body = {"report": _report_dict(rep, mesh, opts), "method": method}
     line = "%s [%s]: converged in %d iterations, residual %.3e" % (args.command, method, rep.iterations,
@@ -256,7 +266,7 @@ def _cmd_mt_scan(args, cfg, p) -> tuple:
     alphas = _get(cfg, "scan", "alphas", _float_list,
                   default=[10.0 ** (-k) for k in range(2, 19)])
     path = _get(cfg, "scan", "path", str, default="closed-form")
-    delta_frac = _get(cfg, "scan", "delta_frac", float, default=0.15)
+    delta_frac = _get(cfg, "scan", "delta_frac", _finite, default=0.15)
     if path == "closed-form":
         fam = minimal_orbit_family(p, alphas[0], eps0=delta_frac)
         rows = mt_scan(None, p, fam, alphas)
@@ -265,7 +275,7 @@ def _cmd_mt_scan(args, cfg, p) -> tuple:
         fam = interior_orbit_family(p, alphas[0])
         rows = mt_scan(mesh, p, fam, alphas)
     else:
-        raise ConfigError("unknown scan path %r (closed-form | mesh)" % path)
+        raise ConfigError("unknown scan path %s (closed-form | mesh)" % excerpt(path))
     limit = 32.0 * math.pi**2 * fam.orbit[0]  # the ratio's limit for the family's orbit radius
     body = {"path": path, "limit": limit, "band_halfwidth": fam.delta / fam.orbit[0],
             "final_ratio_slope": rows[-1].ratio_slope if len(rows) > 1 else None}

@@ -9,14 +9,6 @@ class DomainError(TorusBVPError):
     """Input violates a documented precondition or invariant."""
 
 
-class ModeError(TorusBVPError):
-    """Field is incompatible with the requested evaluation mode."""
-
-
-class GradientBoundError(TorusBVPError):
-    """Field violates the gradient-energy bound required by the check."""
-
-
 class InfeasibleError(TorusBVPError):
     """The constraint set of the requested problem is (detectably) empty."""
 
@@ -56,7 +48,3 @@ class ConfigError(TorusBVPError):
 
 class ExistenceWindowWarning(UserWarning):
     """Problem data lie outside a sufficient existence window (advisory only)."""
-
-
-class MeshResolutionWarning(UserWarning):
-    """Mesh too coarse to resolve the concentration core of a field."""

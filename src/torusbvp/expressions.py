@@ -42,6 +42,12 @@ _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
            ast.Div: operator.truediv, ast.Pow: operator.pow}
 
 
+def excerpt(text: str) -> str:
+    """``repr(text)`` for a message; past 60 characters it is cut there and followed by the text's length."""
+    quoted = repr(text)
+    return quoted if len(quoted) <= 60 else "%s... (%d characters)" % (quoted[:60], len(text))
+
+
 def _walk(node, source: str):
     """The ``(t, s)`` function of one node parsed from ``source``; ValueError if it is outside the grammar."""
     if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
@@ -60,20 +66,20 @@ def _walk(node, source: str):
         # the literal's text, so 1e400 and 400-digit integers are inf and 0x10, 1j and True are refused
         value = np.float64(float(ast.get_source_segment(source, node)))
         return lambda t, s: value
-    raise ValueError("unsupported %r" % ast.get_source_segment(source, node))
+    raise ValueError("unsupported %s" % excerpt(ast.get_source_segment(source, node)))
 
 
 def compile_expression(text: str):
     """Parse an expression in (t, s) and return a vectorized float64 evaluator."""
     text = str(text)
     if not _ALLOWED.fullmatch(text):
-        raise ConfigError("expression %r may use only letters, digits, whitespace and . + - * / ^ ( )" % text)
+        raise ConfigError("expression %s may use only letters, digits, whitespace and . + - * / ^ ( )" % excerpt(text))
     source = " ".join(text.split()).replace("^", "**")
-    too_deep = "expression %r is nested too deeply" % text
+    too_deep = "expression %s is nested too deeply" % excerpt(text)
     try:
         tree = _walk(ast.parse(source, "expression", "eval").body, source)
     except (SyntaxError, ValueError) as exc:
-        raise ConfigError("cannot parse expression %r: %s" % (text, exc)) from exc
+        raise ConfigError("cannot parse expression %s: %s" % (excerpt(text), exc)) from exc
     except (RecursionError, MemoryError) as exc:  # CPython's parser reports a too-deep tree as MemoryError
         raise ConfigError(too_deep) from exc
 

@@ -38,11 +38,6 @@ class TorusParams:
         return 4.0 * math.pi**2 * self.r * self.l
 
 
-def make_params(l: float, r: float) -> TorusParams:
-    """Construct validated ``TorusParams`` (raises ``DomainError`` unless l > r > 0)."""
-    return TorusParams(float(l), float(r))
-
-
 def orbit_distance_disk(p: TorusParams, t, s, orbit: tuple):
     """Distance to the circular orbit {sqrt(x^2+y^2) = l_P, z = z_P} from disk coordinates (vectorized).
 

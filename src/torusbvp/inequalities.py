@@ -11,14 +11,13 @@ once the core is resolved.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, MeshResolutionWarning
-from .functionals import exp_capped, mean_value
+from .errors import DomainError
+from .functionals import EXP_ARG_CAP, exp_capped, mean_value
 from .geometry import TorusParams, orbit_distance_disk
 from .mesh import DiskField, DiskMesh, _assemble_core, dirichlet_energy, integrate_volume, weighted_sum
 
@@ -73,23 +72,19 @@ class BlowupFamily:
 
 
 def minimal_orbit_family(p: TorusParams, alpha: float, eps0: float = 0.05) -> BlowupFamily:
-    """Family at the shortest orbit (l-r, 0) with tube radius eps0*(l-r)."""
+    """Family at the shortest orbit (l-r, 0) with tube radius eps0*(l-r).
+
+    That orbit is the disk point (-1, 0), which lies on the boundary of T, so
+    half of the tube lies outside T; ``mt_scan(None, ...)`` integrates the
+    closed forms over the whole tube all the same.  The mesh path of
+    ``mt-scan`` scans another family, ``interior_orbit_family`` at (l, 0).
+    """
     return BlowupFamily(p, alpha, eps0 * (p.l - p.r), (p.l - p.r, 0.0))
 
 
-def interior_orbit_family(p: TorusParams, alpha: float, delta: float | None = None) -> BlowupFamily:
-    """Family at the central orbit (l, 0); default tube radius r/2 keeps it interior."""
-    return BlowupFamily(p, alpha, p.r / 2.0 if delta is None else delta, (p.l, 0.0))
-
-
-def core_resolved(h: float, alpha: float, length_scale: float) -> bool:
-    """True when the mesh size is at most half the concentration core radius.
-
-    ``length_scale`` converts the physical core radius sqrt(alpha) to the
-    coordinates of the mesh: the minor radius r for main-disk fields, the
-    tube radius delta for rescaled tube-disk evaluation.
-    """
-    return h <= math.sqrt(alpha) / (2.0 * length_scale)
+def interior_orbit_family(p: TorusParams, alpha: float) -> BlowupFamily:
+    """Family at the central orbit (l, 0); the tube radius r/2 keeps it interior."""
+    return BlowupFamily(p, alpha, p.r / 2.0, (p.l, 0.0))
 
 
 def blowup_field(mesh: DiskMesh, fam: BlowupFamily) -> DiskField:
@@ -98,11 +93,6 @@ def blowup_field(mesh: DiskMesh, fam: BlowupFamily) -> DiskField:
     alpha, delta = fam.alpha_blow, fam.delta
     d = orbit_distance_disk(p, mesh.nodes[:, 0], mesh.nodes[:, 1], fam.orbit)
     vals = np.where(d < delta, -2.0 * np.log(alpha + d * d) + 2.0 * math.log(alpha + delta * delta), 0.0)
-    if not core_resolved(mesh.h, alpha, p.r):
-        warnings.warn(
-            "mesh size h=%g does not resolve the blow-up core sqrt(alpha)/r=%g"
-            % (mesh.h, math.sqrt(alpha) / p.r),
-            MeshResolutionWarning, stacklevel=2)
     return DiskField(mesh, vals)
 
 
@@ -156,7 +146,9 @@ class MTScanRow:
     O(1/ln(1/alpha)) offsets whose size scales like ``|2 ln delta|``: for
     tube radii around a tenth of the orbit radius both estimators sit inside
     the ``(1 +- delta/l_P)`` weight band by ``alpha ~ 1e-6``, while very thin
-    tubes approach the band only at extreme concentrations.
+    tubes approach the band only at extreme concentrations.  ``resolved``
+    says the mesh size is at most half the core radius ``sqrt(alpha)/r`` (in
+    disk units); closed-form rows are always resolved.
     """
 
     alpha_blow: float
@@ -201,13 +193,11 @@ def mt_scan(mesh: DiskMesh | None, p: TorusParams, fam_base: BlowupFamily, alpha
             mean_term = tube * blowup_profile_mean_integral(fam) / vol
             resolved = True
         else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", MeshResolutionWarning)
-                field = blowup_field(mesh, fam)
+            field = blowup_field(mesh, fam)
             grad_energy = dirichlet_energy(mesh, p, field)
             log_integral = math.log(integrate_volume(mesh, p, field, exp_capped))
             mean_term = mean_value(mesh, p, field)
-            resolved = core_resolved(mesh.h, alpha, p.r)
+            resolved = mesh.h <= math.sqrt(alpha) / (2.0 * p.r)
         denom = log_integral - mean_term
         ratio = grad_energy / denom
         if prev is None:
@@ -229,8 +219,7 @@ def default_moser_orbit(p: TorusParams, delta: float):
     return (p.l + p.r - 2.0 * delta, 0.0)
 
 
-def corollary_scan(p: TorusParams, rhos, alpha_exp: float, delta: float | None = None,
-                   orbit: tuple | None = None, n_quad: int = 400) -> list:
+def corollary_scan(p: TorusParams, rhos, alpha_exp: float) -> list:
     """Semi-analytic scan of ``int e^{alpha v^2}`` over the rescaled family.
 
     The family is the truncated logarithm ``ln(delta/d) / sqrt(2 pi
@@ -240,15 +229,14 @@ def corollary_scan(p: TorusParams, rhos, alpha_exp: float, delta: float | None =
     quadrature times ``2 pi l_P`` (the odd part of the cylindrical weight
     cancels).  The rescale saturates the gradient bound:
     the profile's 2D gradient energy is exactly 1, hence the scale factor is
-    ``sqrt((l + r)/l_P)``.  Returns ``(rho, integral)`` pairs.
+    ``sqrt((l + r)/l_P)``.  The tube radius is ``delta = r/8``, the orbit
+    ``default_moser_orbit(p, delta)`` and the radial rule has 400 Gauss
+    nodes.  Returns ``(rho, integral)`` pairs.
     """
-    delta = p.r / 8.0 if delta is None else delta
-    orbit = default_moser_orbit(p, delta) if orbit is None else orbit
-    l_p = orbit[0]
-    if l_p - delta <= 0.0:
-        raise DomainError("tube must stay away from the axis")
+    delta = p.r / 8.0
+    l_p = default_moser_orbit(p, delta)[0]
     c2 = (p.l + p.r) / l_p
-    x, w = _gauss_legendre(n_quad)
+    x, w = _gauss_legendre(400)
     vol = p.volume()
     rows = []
     for rho in rhos:
@@ -256,8 +244,8 @@ def corollary_scan(p: TorusParams, rhos, alpha_exp: float, delta: float | None =
             raise DomainError("truncation rho must lie in (0, 1), got %r" % (rho,))
         cap2 = math.log(1.0 / rho) / TWO_PI  # squared plateau value
         arg_plateau = alpha_exp * c2 * cap2
-        if arg_plateau > 700.0:
-            raise OverflowError("plateau exponent %g exceeds cap 700" % arg_plateau)
+        if arg_plateau > EXP_ARG_CAP:
+            raise OverflowError("plateau exponent %g exceeds cap %g" % (arg_plateau, EXP_ARG_CAP))
         plateau = (math.exp(arg_plateau) - 1.0) * 0.5 * (delta * rho) ** 2
         # annulus: substitute u = ln(delta/d), d = delta e^{-u}
         big_l = math.log(1.0 / rho)

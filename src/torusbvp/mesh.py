@@ -46,10 +46,6 @@ class DiskMesh:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
-    @property
-    def n_triangles(self) -> int:
-        return self.triangles.shape[0]
-
 
 def build_mesh(n_rings: int) -> DiskMesh:
     """Concentric-ring triangulation with nominal mesh size ``h = 1/n_rings``."""
@@ -325,9 +321,6 @@ class DiskField:
     def constant(cls, mesh: DiskMesh, c: float) -> "DiskField":
         return cls(mesh, np.full(mesh.n_nodes, float(c)))
 
-    def replace(self, values) -> "DiskField":
-        return DiskField(self.mesh, np.asarray(values, dtype=float))
-
 
 def _transformed_values(field: DiskField, transform):
     if transform is None:
@@ -368,23 +361,18 @@ def dirichlet_energy(mesh: DiskMesh, p: TorusParams, field: DiskField) -> float:
     return weighted_sum(v, ops.stiffness @ v)
 
 
-def grad_energy_weighted(mesh: DiskMesh, p: TorusParams, field: DiskField, centroid_transform=None) -> float:
-    """Integral of ``|grad v|^2 * w(v)`` with w evaluated at triangle centroids.
+def grad_energy_weighted(mesh: DiskMesh, p: TorusParams, field: DiskField, centroid_transform) -> float:
+    """Integral of ``|grad v|^2 * w(v)`` with ``w = centroid_transform`` evaluated at triangle centroids.
 
-    With ``centroid_transform=None`` this reduces to ``dirichlet_energy`` up to
-    roundoff; the transform is used for e^{-v}-weighted gradient integrals.
+    Every caller weights by e^{-v}; the unweighted integral is ``dirichlet_energy``.
     """
     areas, gx, gy, t_cent = _triangle_geometry(mesh)
     tri = mesh.triangles
     v = field.values
     vt = v[tri.T]
     dx, dy = gx[0] * vt[0] + gx[1] * vt[1] + gx[2] * vt[2], gy[0] * vt[0] + gy[1] * vt[1] + gy[2] * vt[2]
-    g2 = dx * dx + dy * dy
-    if centroid_transform is not None:
-        v_cent = v[tri].mean(axis=1)
-        weights = np.asarray(centroid_transform(v_cent), dtype=float)
-        if not np.all(np.isfinite(weights)):
-            raise OverflowError("centroid transform produced non-finite values")
-        g2 = g2 * weights
-    return float(TWO_PI * np.sum(areas * (p.l + p.r * t_cent) * g2))
+    weights = np.asarray(centroid_transform(v[tri].mean(axis=1)), dtype=float)
+    if not np.all(np.isfinite(weights)):
+        raise OverflowError("centroid transform produced non-finite values")
+    return float(TWO_PI * np.sum(areas * (p.l + p.r * t_cent) * ((dx * dx + dy * dy) * weights)))
 

@@ -172,20 +172,20 @@ def rescale_to_gradient_bound(mesh, p, field):
     energy = tb.dirichlet_energy(mesh, p, field)
     if energy == 0.0:
         return field
-    return field.replace(field.values * math.sqrt(TWO_PI * (p.l + p.r) / energy))
+    return tb.DiskField(mesh, field.values * math.sqrt(TWO_PI * (p.l + p.r) / energy))
 
 
 def corollary_check(mesh, p, field, alpha_exp):
     """Volume integral of ``e^{alpha v^2}`` under the gradient-energy bound.
 
     Requires a Dirichlet field (zero trace) with
-    ``|grad v|^2 <= 2 pi (l + r)``; raises ``GradientBoundError`` otherwise.
+    ``|grad v|^2 <= 2 pi (l + r)``; raises ``DomainError`` otherwise.
     """
     bvals = field.values[mesh.boundary_nodes]
     if float(np.max(np.abs(bvals))) > 1e-10:
-        raise tb.ModeError("corollary check requires a Dirichlet (zero-trace) field")
+        raise tb.DomainError("corollary check requires a Dirichlet (zero-trace) field")
     energy = tb.dirichlet_energy(mesh, p, field)
     bound = TWO_PI * (p.l + p.r)
     if energy > bound * (1.0 + 1e-8):
-        raise tb.GradientBoundError("gradient energy %g exceeds the bound %g" % (energy, bound))
+        raise tb.DomainError("gradient energy %g exceeds the bound %g" % (energy, bound))
     return tb.integrate_volume(mesh, p, field, lambda v: tb.exp_capped(alpha_exp * v * v))

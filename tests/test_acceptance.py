@@ -42,7 +42,7 @@ def test_criterion_1_geometry_exactness():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for l, r in [(2.0, 1.0), (3.0, 1.0), (3.0, 2.0)]:
-        p = tb.make_params(l, r)
+        p = tb.TorusParams(l, r)
         est, sigma = mc_volume(l, r, 1_000_000, rng)
         worst = max(worst, abs(est - p.volume()) / (3 * sigma))
         est, sigma = mc_boundary_area(l, r, 1_000_000, rng)
@@ -53,7 +53,7 @@ def test_criterion_1_geometry_exactness():
 # -- 2 ----------------------------------------------------------------------
 
 def test_criterion_2_reduction_identities():
-    p = tb.make_params(2.0, 1.0)
+    p = tb.TorusParams(2.0, 1.0)
     rng = np.random.default_rng(7)
     meshes = {n: tb.build_mesh(n) for n in (8, 16, 32, 64)}
     n_mc = 250_000
@@ -96,7 +96,7 @@ def test_criterion_2_reduction_identities():
 # -- 3 ----------------------------------------------------------------------
 
 def test_criterion_3_blowup_closed_forms():
-    p = tb.make_params(2.0, 1.0)
+    p = tb.TorusParams(2.0, 1.0)
     mesh = tb.build_mesh(64)
     delta = 0.05 * (p.l - p.r)
     worst = 0.0
@@ -118,7 +118,7 @@ def test_criterion_3_blowup_closed_forms():
 # -- 4 ----------------------------------------------------------------------
 
 def test_criterion_4_best_constant_asymptotics():
-    p = tb.make_params(2.0, 1.0)
+    p = tb.TorusParams(2.0, 1.0)
     fam = tb.minimal_orbit_family(p, 1e-2, eps0=0.15)
     alphas = [10.0 ** (-k) for k in range(2, 19)]
     rows = tb.mt_scan(None, p, fam, alphas)
@@ -141,7 +141,7 @@ def test_criterion_4_best_constant_asymptotics():
 # -- 5 ----------------------------------------------------------------------
 
 def _manufactured_p1(n, c=0.5, gamma=1.0, l=2.0, r=1.0):
-    p = tb.make_params(l, r)
+    p = tb.TorusParams(l, r)
     mesh = tb.build_mesh(n)
     t, s = mesh.nodes[:, 0], mesh.nodes[:, 1]
     vstar = c * (1.0 - t * t - s * s)
@@ -151,7 +151,7 @@ def _manufactured_p1(n, c=0.5, gamma=1.0, l=2.0, r=1.0):
 
 
 def test_criterion_5_p1_solver():
-    p = tb.make_params(2.0, 1.0)
+    p = tb.TorusParams(2.0, 1.0)
     mesh = tb.build_mesh(16)
     rep = tb.solve_p1_newton(mesh, p, tb.ProblemP1(1.0, tb.DiskField.constant(mesh, 1.0)))
     trivial_ok = rep.residual_norm <= 1e-10 and np.all(rep.field.values == 0.0)
@@ -178,7 +178,7 @@ def test_criterion_5_p1_solver():
 # -- 6 ----------------------------------------------------------------------
 
 def _manufactured_p2(n, c=0.3, a=0.5, b=-0.2, l=2.0, r=1.0):
-    p = tb.make_params(l, r)
+    p = tb.TorusParams(l, r)
     mesh = tb.build_mesh(n)
     t, s = mesh.nodes[:, 0], mesh.nodes[:, 1]
     vstar = c * (2.0 - t * t - s * s)
@@ -205,7 +205,7 @@ def _id614_scale(mesh, p, prob, field):
 
 
 def test_criterion_6_p2_solver():
-    p = tb.make_params(2.0, 1.0)
+    p = tb.TorusParams(2.0, 1.0)
     mesh = tb.build_mesh(16)
     zero = tb.DiskField.constant(mesh, 0.0)
 
@@ -253,7 +253,7 @@ def test_criterion_6_p2_solver():
 # -- 7 ----------------------------------------------------------------------
 
 def test_criterion_7_monotone_iteration():
-    p = tb.make_params(2.0, 1.0)
+    p = tb.TorusParams(2.0, 1.0)
     mesh = tb.build_mesh(16)
     one = tb.DiskField.constant(mesh, 1.0)
     prob = tb.ProblemP2(-1.0, -1.0, one, one)
@@ -272,7 +272,7 @@ def test_criterion_7_monotone_iteration():
 # -- 8 ----------------------------------------------------------------------
 
 def test_criterion_8_corollary_sharpness():
-    p = tb.make_params(2.0, 1.0)
+    p = tb.TorusParams(2.0, 1.0)
     rhos = [0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4]
     vals4 = [v for _, v in tb.corollary_scan(p, rhos, 4.0 * math.pi)]
     vals8 = [v for _, v in tb.corollary_scan(p, rhos, 8.0 * math.pi)]
@@ -288,7 +288,7 @@ def test_criterion_8_corollary_sharpness():
 def _shared_p1(n, c, gamma, l=2.0, r=1.0):
     """Manufactured solution with zero trace and zero normal derivative:
     admissible for both the Dirichlet and the natural-boundary path."""
-    p = tb.make_params(l, r)
+    p = tb.TorusParams(l, r)
     mesh = tb.build_mesh(n)
     t, s = mesh.nodes[:, 0], mesh.nodes[:, 1]
     rho2 = t * t + s * s
@@ -305,7 +305,7 @@ def test_criterion_9_cross_method_agreement():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", tb.ExistenceWindowWarning)
         # P1: trivial constant + two flat-normal manufactured problems
-        p = tb.make_params(2.0, 1.0)
+        p = tb.TorusParams(2.0, 1.0)
         mesh = tb.build_mesh(16)
         budget = 10 * mesh.h**2
         prob = tb.ProblemP1(1.0, tb.DiskField.constant(mesh, 1.0))

@@ -110,9 +110,13 @@ def test_missing_config_flag_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_bad_expression_rejected(tmp_path):
-    cfg = write_cfg(tmp_path, BASE.replace("f = 1", "f = frob(t)"))
-    assert main(["solve-p1", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+def test_bad_expression_rejected(tmp_path, capsys):
+    """An unknown call exits 3; the message quotes a bounded excerpt, also of a 300-term sum."""
+    for expression in ("frob(t)", " + ".join(["t"] * 300) + " + frob(t)"):
+        cfg = write_cfg(tmp_path, BASE.replace("f = 1", "f = " + expression))
+        assert main(["solve-p1", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and len(err.splitlines()[0]) < 200
 
 
 def test_nonfinite_coefficient_rejected(tmp_path):
@@ -135,7 +139,26 @@ def test_too_deep_expression_is_a_config_error(tmp_path, capsys, expression):
     """A 300-deep nesting or a 1,000-term sum: exit 3 with a message, no traceback and no output directory."""
     cfg = write_cfg(tmp_path, BASE.replace("f = 1", "f = " + expression))
     assert main(["solve-p1", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()[0]) < 200
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, old, new, option", [
+    ("corollary", "", "[scan]\nalpha_exps = nan\n", "[scan] alpha_exps"),
+    ("scan-gamma", "", "[scan]\ngammas = 1, nan\n", "[scan] gammas"),
+    ("solve-p1", "gamma = 1.0", "gamma = nan", "[problem] gamma"),
+    ("solve-p1", "gamma = 1.0", "gamma = inf", "[problem] gamma"),
+    ("solve-p2", "kind = p1", "a = nan", "[problem] a"),
+    ("mt-scan", "", "[scan]\ndelta_frac = 1e400\n", "[scan] delta_frac"),
+], ids=["corollary-nan", "scan-gamma-nan", "p1-nan", "p1-inf", "p2-nan", "mt-scan-1e400"])
+def test_non_finite_config_number_is_a_config_error(tmp_path, capsys, command, old, new, option):
+    """A nan, inf or overflowing number in [problem] or [scan] exits 3 naming its option, and writes nothing."""
+    text = BASE.replace("n_rings = 10", "n_rings = 8")
+    cfg = write_cfg(tmp_path, text.replace(old, new) if old else text + new)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad value for %s: " % option) and "not finite" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -103,7 +103,7 @@ def test_mean_value(params, mesh32):
 
 def test_mean_shift_normalization(params, mesh16):
     field = tb.DiskField.from_function(mesh16, SmoothFieldBasis(8))
-    shifted = field.replace(field.values - tb.mean_value(mesh16, params, field))
+    shifted = tb.DiskField(mesh16, field.values - tb.mean_value(mesh16, params, field))
     assert abs(tb.mean_value(mesh16, params, shifted)) <= 1e-12
 
 

@@ -8,15 +8,15 @@ import torusbvp as tb
 from oracles import mc_boundary_area, mc_volume
 
 
-def test_make_params_examples():
-    p = tb.make_params(2, 1)
+def test_torus_params_examples():
+    p = tb.TorusParams(2, 1)
     assert (p.l, p.r) == (2.0, 1.0)
     with pytest.raises(tb.DomainError):
-        tb.make_params(1, 1)
+        tb.TorusParams(1, 1)
     with pytest.raises(tb.DomainError):
-        tb.make_params(2, -1)
+        tb.TorusParams(2, -1)
     with pytest.raises(tb.DomainError):
-        tb.make_params(float("inf"), 1)
+        tb.TorusParams(float("inf"), 1)
 
 
 @pytest.mark.parametrize("l,r,vol,area", [
@@ -25,7 +25,7 @@ def test_make_params_examples():
     (3.0, 2.0, 24 * math.pi**2, 24 * math.pi**2),
 ])
 def test_exact_measures(l, r, vol, area):
-    p = tb.make_params(l, r)
+    p = tb.TorusParams(l, r)
     assert p.volume() == pytest.approx(vol, rel=1e-15)
     assert p.boundary_area() == pytest.approx(area, rel=1e-15)
 
@@ -33,7 +33,7 @@ def test_exact_measures(l, r, vol, area):
 def test_measures_against_monte_carlo():
     rng = np.random.default_rng(7)
     for l, r in [(2.0, 1.0), (3.0, 2.0)]:
-        p = tb.make_params(l, r)
+        p = tb.TorusParams(l, r)
         est, sigma = mc_volume(l, r, 200_000, rng)
         assert abs(est - p.volume()) <= 3 * sigma
         est, sigma = mc_boundary_area(l, r, 200_000, rng)
@@ -53,7 +53,7 @@ def distance_to_orbit(x, y, z, orbit):
 
 
 def test_orbit_distance_examples():
-    p = tb.make_params(2, 1)
+    p = tb.TorusParams(2, 1)
     # the points (2, 0, 0) and (0, 1.5, -0.2) of the torus
     assert tb.orbit_distance_disk(p, 0.0, 0.0, (1.0, 0.0)) == pytest.approx(1.0)
     assert tb.orbit_distance_disk(p, -0.5, -0.2, (1.5, -0.2)) == pytest.approx(0.0)
@@ -62,7 +62,7 @@ def test_orbit_distance_examples():
 
 
 def test_orbit_distance_disk_identity():
-    p = tb.make_params(2, 1)
+    p = tb.TorusParams(2, 1)
     rng = np.random.default_rng(3)
     for _ in range(200):
         rad = math.sqrt(rng.uniform(0, 1))
@@ -83,7 +83,7 @@ def test_orbit_distance_disk_identity():
     zp=st.floats(-1.0, 1.0),
 )
 def test_orbit_distance_rotation_invariant(omega, phi, rad, lp, zp):
-    p = tb.make_params(2, 1)
+    p = tb.TorusParams(2, 1)
     t, s = rad * math.cos(phi), rad * math.sin(phi)
     d1 = distance_to_orbit(*lift(p, t, s, omega), (lp, zp))
     d2 = distance_to_orbit(*lift(p, t, s, omega + 1.234), (lp, zp))

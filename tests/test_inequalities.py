@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -20,9 +19,7 @@ def test_blowup_field_node_values(params):
     mesh = tb.build_mesh(16)
     delta = 0.5
     fam = tb.BlowupFamily(params, 0.04, delta, (params.l, 0.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", tb.MeshResolutionWarning)
-        field = tb.blowup_field(mesh, fam)
+    field = tb.blowup_field(mesh, fam)
     d = tb.orbit_distance_disk(params, mesh.nodes[:, 0], mesh.nodes[:, 1], fam.orbit)
     center = int(np.argmin(d))
     assert d[center] <= 1e-12
@@ -31,13 +28,6 @@ def test_blowup_field_node_values(params):
     assert np.all(field.values[outside] == 0.0)
     near_edge = -2.0 * math.log(0.04 + delta**2) + 2.0 * math.log(0.04 + delta**2)
     assert near_edge == 0.0
-
-
-def test_blowup_field_warns_when_unresolved(params):
-    mesh = tb.build_mesh(8)
-    fam = tb.BlowupFamily(params, 1e-8, 0.5, (params.l, 0.0))
-    with pytest.warns(tb.MeshResolutionWarning):
-        tb.blowup_field(mesh, fam)
 
 
 def test_closed_forms_against_quadrature_oracle(params):
@@ -114,9 +104,7 @@ def test_mt_scan_mesh_path_matches_closed_forms(params):
     l_p = fam.orbit[0]
     vol = params.volume()
     alphas = [0.04, 0.01, 2.5e-3]  # cores resolved: sqrt(alpha)/r >= 2h
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", tb.MeshResolutionWarning)
-        rows = tb.mt_scan(mesh, params, fam, alphas)
+    rows = tb.mt_scan(mesh, params, fam, alphas)
     for row in rows:
         assert row.resolved
         f = fam.with_alpha(row.alpha_blow)
@@ -160,10 +148,10 @@ def test_corollary_check_basics(params, mesh16):
     zero = tb.DiskField.constant(mesh16, 0.0)
     assert corollary_check(mesh16, params, zero, 4 * math.pi) == pytest.approx(params.volume(), rel=1e-3)
     nonzero = tb.DiskField.constant(mesh16, 0.5)
-    with pytest.raises(tb.ModeError):
+    with pytest.raises(tb.DomainError, match="requires a Dirichlet"):
         corollary_check(mesh16, params, nonzero, 4 * math.pi)
     hot = tb.DiskField.from_function(mesh16, lambda t, s: 40.0 * (1 - t * t - s * s))
-    with pytest.raises(tb.GradientBoundError):
+    with pytest.raises(tb.DomainError, match="gradient energy .* exceeds the bound"):
         corollary_check(mesh16, params, hot, 4 * math.pi)
 
 

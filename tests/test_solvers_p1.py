@@ -15,7 +15,7 @@ def p1_trivial(mesh):
 
 def manufactured_p1(n, c=0.5, gamma=1.0, l=2.0, r=1.0):
     """Quadratic bubble solution; data built from the analytic operator action."""
-    p = tb.make_params(l, r)
+    p = tb.TorusParams(l, r)
     mesh = tb.build_mesh(n)
     t, s = mesh.nodes[:, 0], mesh.nodes[:, 1]
     vstar = c * (1.0 - t * t - s * s)

@@ -14,7 +14,7 @@ def fields(mesh, fval, gval):
 
 def manufactured_p2(n, c=0.3, a=0.5, b=-0.2, l=2.0, r=1.0):
     """Radial solution c(2 - t^2 - s^2) with matched volume and boundary data."""
-    p = tb.make_params(l, r)
+    p = tb.TorusParams(l, r)
     mesh = tb.build_mesh(n)
     t, s = mesh.nodes[:, 0], mesh.nodes[:, 1]
     vstar = c * (2.0 - t * t - s * s)
