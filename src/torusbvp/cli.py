@@ -91,11 +91,14 @@ def _load_config(path: str) -> configparser.ConfigParser:
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path) as f:
-            cfg.read_file(f)
-    except OSError as exc:
-        raise ConfigError("cannot read config %s: %s" % (path, exc)) from exc
+            cfg.read_string(text := f.read())
+    except (OSError, UnicodeError) as exc:  # an OSError's text repeats the path
+        raise ConfigError("cannot read config %s: %s" % (excerpt(path), getattr(exc, "strerror", exc))) from exc
     except configparser.Error as exc:
-        raise ConfigError("config parse error in %s: %s" % (path, exc)) from exc
+        # configparser quotes the path and every bad line whole, over several lines: name the first
+        lineno = getattr(exc, "lineno", None) or exc.errors[0][0]
+        raise ConfigError("cannot parse config: %s at line %d, %s" % (
+            type(exc).__name__, lineno, excerpt(text.split("\n")[lineno - 1]))) from exc
     return cfg
 
 

@@ -231,8 +231,11 @@ def corollary_scan(p: TorusParams, rhos, alpha_exp: float) -> list:
     the profile's 2D gradient energy is exactly 1, hence the scale factor is
     ``sqrt((l + r)/l_P)``.  The tube radius is ``delta = r/8``, the orbit
     ``default_moser_orbit(p, delta)`` and the radial rule has 400 Gauss
-    nodes.  Returns ``(rho, integral)`` pairs.
+    nodes.  A non-finite ``alpha_exp`` raises ``DomainError`` before any
+    row.  Returns ``(rho, integral)`` pairs.
     """
+    if not math.isfinite(alpha_exp):
+        raise DomainError("exponent alpha_exp must be finite, got %r" % (alpha_exp,))
     delta = p.r / 8.0
     l_p = default_moser_orbit(p, delta)[0]
     c2 = (p.l + p.r) / l_p

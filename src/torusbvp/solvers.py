@@ -136,11 +136,10 @@ _TWO_GRID_SWEEPS = 2
 _TWO_GRID_DAMPING = 0.6
 _TWO_GRID_MAX_CYCLES = 25
 _TWO_GRID_FRACTION = 0.1
-# Armijo backtracking of the Newton and descent line searches: the step
-# factor, the sufficient-decrease slope and the smallest step tried
-_ARMIJO_FACTOR = 0.5
+# Armijo backtracking of the Newton and descent line searches: the
+# sufficient-decrease slope and the steps tried, 1, 1/2, ..., 2^-20
 _ARMIJO_SLOPE = 1e-4
-_MIN_STEP = 2.0**-20
+_STEPS = tuple(0.5**k for k in range(21))
 
 
 def _exp_unguarded(x):
@@ -180,22 +179,26 @@ def _factorize(matrix):
 def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0):
     """Damped Newton on the core equation ``eq``, Armijo backtracking on its weighted residual norm.
 
-    Each step solves ``J delta = -F``.  With ``coarse``, the ``transfer_pair``
-    to the level below and that level's coarse solve, conjugate gradients
-    preconditioned by cycles on ``J`` (``_cycle``) solve it
-    (``_cycled_solve``), and ``J`` is factored only if they miss their
-    target.  ``v0``, ``weights`` and every update live on the unknowns of
-    ``eq``, its rows.  Newton stops at the residual ``tol_abs + tol_rel *
-    r0``, ``r0`` the residual of the zero field, ``c + w``.  That reference depends on
-    the data alone, so no start moves the tolerance: a start far off cannot
-    loosen it, and a start near the solution cannot push it below the
-    float64 floor of the residual.  A coarse level of a nested solve
+    Each step solves ``J delta = -F`` and takes the first of the steps
+    ``_STEPS``, 1, 1/2, ..., 2^-20, whose trial residual passes the Armijo
+    test; a trial whose residual overflows to inf or nan fails it and is
+    backtracked, and a step with no passing trial stalls the loop.  With
+    ``coarse``, the ``transfer_pair`` to the level below and that level's
+    coarse solve, conjugate gradients preconditioned by cycles on ``J``
+    (``_cycle``) solve ``J delta = -F`` (``_cycled_solve``), and ``J`` is
+    factored only if they miss their target.  ``v0``, ``weights`` and every
+    update live on the unknowns of ``eq``, its rows.  Newton stops at the
+    residual ``tol_abs + tol_rel * r0``, ``r0`` the residual of the zero
+    field, ``c + w``.  That reference depends on the data alone, so no
+    start moves the tolerance: a start far off cannot loosen it, and a
+    start near the solution cannot push it below the float64 floor of the
+    residual.  A coarse level of a nested solve
     (``_solve_newton``) passes ``stop_fraction`` and stops at that fraction
     of its start's residual if that is larger.  ``counts``, a ``Counter`` of
     ``SolveReport``'s count fields, gains the loop's.  A ``NonConvergence``
     carries the loop's steps.  Returns ``(v, res, iterations, trace, lu)``,
-    ``lu`` the last step's factor, or None if that step cycled or no step
-    was taken.
+    ``iterations`` the steps taken (``len(trace) - 1``), ``lu`` the last
+    step's factor, or None if that step cycled or no step was taken.
     """
     def residual(v):
         F = _residual(eq, v)
@@ -207,9 +210,8 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0):
         raise DomainError("initial iterate produces a non-finite residual")
     tol = max(opts.tol_abs + opts.tol_rel * _weighted_norm(eq[1] + eq[2], weights), stop_fraction * res)
     lu = None
-    trace = [(res, 0.0)]
-    iterations = 0
-    while res > tol and iterations < opts.max_iter:
+    trace = [(res, 0.0)]  # one entry more than the steps taken
+    while res > tol and len(trace) <= opts.max_iter:
         lu = None  # freed before the next factor
         J = _shifted(eq, _exp_terms(eq, v))
         delta = None
@@ -222,24 +224,20 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0):
             delta = -lu.solve(F)
         if not np.all(np.isfinite(delta)):
             raise SingularJacobian("Newton direction is non-finite")
-        step = 1.0
-        accepted = False
-        while step >= _MIN_STEP:
+        for step in _STEPS:
             v_trial = v + step * delta
             F_trial, res_trial = residual(v_trial)
-            if math.isfinite(res_trial) and res_trial <= (1.0 - _ARMIJO_SLOPE * step) * res:
-                accepted = True
+            # a trial residual of inf or nan fails the comparison
+            if res_trial <= (1.0 - _ARMIJO_SLOPE * step) * res:
                 break
-            step *= _ARMIJO_FACTOR
-        if not accepted:
-            raise NonConvergence("Newton line search stalled at residual %g" % res, iterations=iterations)
+        else:
+            raise NonConvergence("Newton line search stalled at residual %g" % res, iterations=len(trace) - 1)
         v, F, res = v_trial, F_trial, res_trial
-        iterations += 1
         trace.append((res, step))
     if res > tol:
         raise NonConvergence("Newton did not reach tolerance %g in %d iterations (residual %g)"
-                             % (tol, opts.max_iter, res), iterations=iterations)
-    return v, res, iterations, trace, lu
+                             % (tol, opts.max_iter, res), iterations=len(trace) - 1)
+    return v, res, len(trace) - 1, trace, lu
 
 
 def _cycle(matrix, diagonal, transfer, coarse_solve):
@@ -535,10 +533,14 @@ def _descend(mesh, p, prob, eq, weights, v, opts, counts):
     """The coarsest level's start: ``v`` moved onto {K = 0} and down the energy ``0.5 v'Sv + sum(c v)``.
 
     Projected descent, preconditioned by ``S + diag(weights)`` (one factor, ``_shifted``),
-    takes at most ``max_descent_iter`` steps.  Iterates stay on {K = 0},
+    takes at most ``max_descent_iter`` steps, each the first of ``_STEPS``,
+    1, 1/2, ..., 2^-20, whose projected trial passes the Armijo test on the
+    energy; a trial energy of inf or nan fails it, and a step with no
+    passing trial ends the descent.  Iterates stay on {K = 0},
     ``K(v) = r_h + sum(w e^v)``, ``r_h = sum(c)``: with (a, b) != 0 by the
-    shift ``v + ln(-r_h / sum(w e^v))`` (a trial the signs refuse is
-    rejected; a start takes ``reach_exponential_target``'s density shift).
+    shift ``v + ln(-r_h / sum(w e^v))``.  The projection refuses a sum
+    that is zero, not finite or of the sign of ``r_h``: such a trial is
+    rejected, and a start takes ``reach_exponential_target``'s density shift.
     With a = b = 0 every point takes the density shift, the mean is pinned
     to zero, and the minimizer shifted by ``ln(kappa)`` solves the equation.
     Returns ``(v, iterations)``.
@@ -552,7 +554,7 @@ def _descend(mesh, p, prob, eq, weights, v, opts, counts):
         if case_zero:
             return reach_exponential_target(mesh, p, prob, v, 0.0)
         e = float(np.sum(_exp_terms(eq, v)))
-        if e == 0.0 or np.sign(e) == np.sign(r_h):
+        if not math.isfinite(e) or e == 0.0 or np.sign(e) == np.sign(r_h):
             return None
         return v + math.log(-r_h / e)
 
@@ -577,18 +579,17 @@ def _descend(mesh, p, prob, eq, weights, v, opts, counts):
         if not math.isfinite(slope) or slope >= 0.0:
             break
         dnorm = _weighted_norm(d * weights, weights)
-        step, accepted = 1.0, False
-        while step >= _MIN_STEP:
+        for step in _STEPS:
             v_t = project(v + step * d)
             if v_t is not None:
                 if case_zero:
                     v_t = v_t - mean_value(mesh, p, DiskField(mesh, v_t))
                 merit_t = functional_I_p2(mesh, p, DiskField(mesh, v_t), prob)
-                if math.isfinite(merit_t) and merit_t <= merit + _ARMIJO_SLOPE * step * slope:
-                    v, merit, accepted = v_t, merit_t, True
+                # a trial energy of inf or nan fails the comparison
+                if merit_t <= merit + _ARMIJO_SLOPE * step * slope:
+                    v, merit = v_t, merit_t
                     break
-            step *= _ARMIJO_FACTOR
-        if not accepted:
+        else:
             break
         iterations += 1
         if dnorm * step <= 10.0 * opts.tol_abs:
@@ -730,7 +731,7 @@ def find_constant_bracket(mesh: DiskMesh, p: TorusParams, prob: ProblemP2):
                 raise NoBracket("nonpositive data cannot dominate a negative linear part")
             ratios.append(-const / coeff)
     if prob.a == 0.0 and float(f.min()) < 0.0:
-        raise NoBracket("a = 0 with sign-changing f admits no constant supersolution")
+        raise NoBracket("a = 0 with negative f admits no constant supersolution")
     if prob.b == 0.0 and float(g.min()) < 0.0:
         raise NoBracket("b = 0 with negative boundary data admits no constant supersolution")
     ratios = np.concatenate(ratios)

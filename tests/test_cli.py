@@ -162,6 +162,39 @@ def test_non_finite_config_number_is_a_config_error(tmp_path, capsys, command, o
     assert not (tmp_path / "o").exists()
 
 
+_LONG_LINE = "x" * 5000
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("solve-p1", _LONG_LINE + "\n", "MissingSectionHeaderError at line 1, 'xxx"),
+    ("solve-p1", "[geometry]\n" + _LONG_LINE + "\n", "ParsingError at line 2, 'xxx"),
+    ("solve-p1", None, ": No such file or directory"),
+    ("solve-p1", b"[geometry]\nl = 2\xff\n", "codec can't decode byte 0xff"),
+    ("solve-p1", "[geometry\nl = 2.0\n", "MissingSectionHeaderError at line 1, '[geometry'"),
+    ("scan-gamma", BASE + "[scan]\ngammas = ,\n", "bad value for [scan] gammas: ',' (empty list)"),
+    ("solve-p1", BASE.replace("n_rings = 10", "n_rings = 1"), "mesh n_rings must be >= 2, got 1"),
+    ("mt-scan", BASE + "[scan]\npath = meshy\n", "unknown scan path 'meshy' (closed-form | mesh)"),
+], ids=["long-line-no-section", "long-line-no-equals", "unreadable", "undecodable", "unclosed-section",
+        "empty-list", "one-ring", "unknown-scan-path"])
+def test_config_error_is_one_bounded_line(tmp_path, capsys, command, text, message):
+    """Exit 3 with one stderr line under 200 characters, the path quoted at most once, and no output directory.
+
+    The parse errors quote the bad line's excerpt and its number, not
+    configparser's message, which quotes the path and every bad line whole.
+    """
+    path = tmp_path / "run.ini"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
+        path.write_text(text)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert err.count("\n") == 1 and len(err) < 200
+    assert err.count(str(path)[:30]) <= 1
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command, message", [
     ("solve-p1", "unknown p1 method 'x' (newton | variational)"),
     ("solve-p2", "unknown p2 method 'x' (newton | variational | monotone)"),
@@ -189,6 +222,18 @@ def test_solve_p1_variational_expression(tmp_path):
     assert main(["solve-p1", "--config", cfg, "--out", str(out)]) == 0
     rep = json.loads((out / "report.json").read_text())
     assert rep["report"]["residual_norm"] <= 1e-8
+
+
+def test_variational_overflowing_descent_trial_prints_no_traceback(tmp_path, capsys):
+    """gamma = 5000, f = exp(3t) on 8 rings: a descent trial's exponential sum overflows, and is backtracked.
+
+    Once the infinite sum reached ``math.log`` and a bare ``ValueError``
+    escaped ``main``; only a library error's exit code may end the run.
+    """
+    cfg = write_cfg(tmp_path, BASE.replace("n_rings = 10", "n_rings = 8").replace("gamma = 1.0", "gamma = 5000")
+                    .replace("f = 1", "f = exp(3*t)").replace("method = newton", "method = variational"))
+    assert main(["solve-p1", "--config", cfg, "--out", str(tmp_path / "o")]) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_solve_p2_monotone_cli(tmp_path):

@@ -205,6 +205,13 @@ def test_corollary_mesh_route_converges_to_the_scan(params, rho, alpha_exp):
     assert all(0.7 <= order <= 1.5 for order in orders), orders
 
 
+@pytest.mark.parametrize("alpha_exp", [math.nan, math.inf], ids=["nan", "inf"])
+def test_corollary_scan_rejects_a_non_finite_exponent(params, alpha_exp):
+    """A nan exponent once gave a nan row and an infinite one an ``OverflowError``."""
+    with pytest.raises(tb.DomainError, match="exponent alpha_exp must be finite"):
+        tb.corollary_scan(params, [0.1], alpha_exp)
+
+
 def test_corollary_scan_bounded_then_divergent(params):
     rhos = [0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4]
     vals4 = [v for _, v in tb.corollary_scan(params, rhos, 4 * math.pi)]

@@ -58,12 +58,18 @@ def test_monotone_iteration_and_newton_reach_the_same_solution(params, n_rings):
 def test_constant_bracket_rejections(params, mesh16):
     one = tb.DiskField.constant(mesh16, 1.0)
     zero = tb.DiskField.constant(mesh16, 0.0)
+    minus = tb.DiskField.constant(mesh16, -1.0)
     # a=0 with strictly positive f: the subsolution inequality cannot hold
     with pytest.raises(tb.NoBracket):
         tb.find_constant_bracket(mesh16, params, tb.ProblemP2(0.0, -1.0, one, one))
     # boundary data positive with b=0: same obstruction on the boundary
     with pytest.raises(tb.NoBracket):
         tb.find_constant_bracket(mesh16, params, tb.ProblemP2(-1.0, 0.0, zero, one))
+    # a zero linear part with negative data admits no constant supersolution; the message names that data
+    with pytest.raises(tb.NoBracket, match="a = 0 with negative f"):
+        tb.find_constant_bracket(mesh16, params, tb.ProblemP2(0.0, -1.0, minus, one))
+    with pytest.raises(tb.NoBracket, match="b = 0 with negative boundary data"):
+        tb.find_constant_bracket(mesh16, params, tb.ProblemP2(-1.0, 0.0, one, minus))
     # regime precondition
     with pytest.raises(tb.DomainError):
         tb.find_constant_bracket(mesh16, params, tb.ProblemP2(1.0, -1.0, one, one))

@@ -209,6 +209,25 @@ def test_variational_unbounded_energy_warns(params, mesh16, p1):
             solve(mesh16, params, prob)
 
 
+@pytest.mark.parametrize("n_rings", [8, 16])
+def test_variational_overflowing_descent_trial_is_backtracked(params, n_rings):
+    """gamma = 5000, f = exp(3t): a descent trial's exponential sum ``sum(w e^v)`` overflows to -inf.
+
+    The projection refuses a non-finite sum as it refuses one of the wrong
+    sign, so the line search backtracks; only a library error may end the
+    solve.  Passed to ``math.log`` the sum raised a bare ``ValueError``.
+    """
+    mesh = tb.build_mesh(n_rings)
+    prob = tb.ProblemP1(5000.0, tb.DiskField.from_function(mesh, lambda t, s: np.exp(3.0 * t)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", tb.ExistenceWindowWarning)
+        try:
+            rep = tb.solve_p1_variational(mesh, params, prob)
+        except tb.TorusBVPError:
+            return
+    assert rep.converged and math.isfinite(rep.residual_norm)
+
+
 def test_nested_newton_takes_one_fine_step(params, splu_sizes, newton_levels):
     """On the benchmark's P1 data the extrapolated, relaxed start needs one fine step.
 
