@@ -31,7 +31,6 @@ from .mesh import (
     build_mesh,
     dirichlet_energy,
     grad_energy_weighted,
-    integrate_boundary,
     integrate_volume,
 )
 from .functionals import (

@@ -160,8 +160,11 @@ def _coefficient(cfg, mesh, option, default="0") -> DiskField:
 
 
 def _solve_options(cfg) -> SolveOptions:
-    values = {field.name: _get(cfg, "solver", field.name, type(field.default), default=field.default)
-              for field in dataclasses.fields(SolveOptions)}
+    defaults = {field.name: field.default for field in dataclasses.fields(SolveOptions)}
+    for option in cfg.options("solver") if cfg.has_section("solver") else ():
+        if option != "method" and option not in defaults:
+            raise ConfigError("unknown [solver] option %s (method | %s)" % (excerpt(option), " | ".join(defaults)))
+    values = {name: _get(cfg, "solver", name, type(default), default=default) for name, default in defaults.items()}
     try:
         return SolveOptions(**values)
     except DomainError as exc:

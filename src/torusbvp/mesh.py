@@ -348,12 +348,6 @@ def integrate_volume(mesh: DiskMesh, p: TorusParams, field: DiskField, transform
     return weighted_sum(ops.volume_mass, _transformed_values(field, transform))
 
 
-def integrate_boundary(mesh: DiskMesh, p: TorusParams, field: DiskField, transform=None) -> float:
-    """Boundary-torus integral of ``transform(v)`` over the trace of the field."""
-    ops = assemble(mesh, p)
-    return weighted_sum(ops.boundary_mass, _transformed_values(field, transform))
-
-
 def dirichlet_energy(mesh: DiskMesh, p: TorusParams, field: DiskField) -> float:
     """Squared gradient norm of the lifted field over the torus, v' S v."""
     ops = assemble(mesh, p)

@@ -53,15 +53,13 @@ from .functionals import (
     data_total,
     functional_I_p1,
     functional_I_p2,
-    identity_6_14_residual,
     mean_value,
     multiplier_kappa,
     reach_exponential_target,
 )
 from .geometry import TorusParams
 from .inequalities import mu_best
-from .mesh import (DiskField, DiskMesh, assemble, coarse_mesh, grad_energy_weighted, integrate_boundary,
-                   integrate_volume, prolong, stiffness_block, transfer_pair, weighted_sum)
+from .mesh import DiskField, DiskMesh, assemble, coarse_mesh, prolong, stiffness_block, transfer_pair, weighted_sum
 
 
 @dataclass
@@ -102,7 +100,12 @@ class SolveReport:
     coarse levels' Jacobians and the descent's one preconditioner) and
     ``two_grid_cycles`` the conjugate-gradient iterations that solve Newton
     systems, one V-cycle each, over every level (cycles within a cycle are
-    not counted again).
+    not counted again).  After a restart of an a = b = 0 finest level from
+    its own descent (``_solve_newton``), ``iterations`` also counts the
+    rejected attempt's Newton steps (unless it raised without a count, as
+    ``SingularJacobian`` does) and the second descent's steps, the counts
+    include both attempts' factors and cycles, and ``trace`` is the
+    restart's.
     """
 
     field: DiskField
@@ -140,6 +143,9 @@ _TWO_GRID_FRACTION = 0.1
 # sufficient-decrease slope and the steps tried, 1, 1/2, ..., 2^-20
 _ARMIJO_SLOPE = 1e-4
 _STEPS = tuple(0.5**k for k in range(21))
+# an a = b = 0 field is accepted only if its residual, relative to Newton's
+# reference and stop, is at most this many times its exponential term
+_VALLEY_RATIO = 1e3
 
 
 def _exp_unguarded(x):
@@ -196,8 +202,9 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0):
     (``_solve_newton``) passes ``stop_fraction`` and stops at that fraction
     of its start's residual if that is larger.  ``counts``, a ``Counter`` of
     ``SolveReport``'s count fields, gains the loop's.  A ``NonConvergence``
-    carries the loop's steps.  Returns ``(v, res, iterations, trace, lu)``,
-    ``iterations`` the steps taken (``len(trace) - 1``), ``lu`` the last
+    carries the loop's steps.  Returns ``(v, res, tol, trace, lu)``: ``tol``
+    the stop it met (the a = b = 0 valley test of ``_solve_newton`` reads
+    it), ``trace`` one entry more than the steps taken, ``lu`` the last
     step's factor, or None if that step cycled or no step was taken.
     """
     def residual(v):
@@ -237,7 +244,7 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0):
     if res > tol:
         raise NonConvergence("Newton did not reach tolerance %g in %d iterations (residual %g)"
                              % (tol, opts.max_iter, res), iterations=len(trace) - 1)
-    return v, res, len(trace) - 1, trace, lu
+    return v, res, tol, trace, lu
 
 
 def _cycle(matrix, diagonal, transfer, coarse_solve):
@@ -410,22 +417,34 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     no level then has fewer than ``_DESCENT_MIN_RINGS`` rings but the mesh)
     where the constrained descent from there ends (``_descend``).  Residual
     weights are ``M`` for P1, ``M + M_b`` for P2.  A level whose solve fails
-    hands nothing up, and the next starts as the coarsest does; the finest
-    level's failure is raised, a ``NonConvergence`` with every level's
-    steps.  A level below the finest with ``_TWO_GRID_MIN_RINGS`` rings
-    or more stops at ``_COARSE_STOP_FRACTION`` of its start's residual if
-    that is above Newton's tolerance: the next level's start lies further
-    off.  A level of ``_TWO_GRID_MIN_RINGS`` rings or more with a coarse
-    solve from below solves its Newton systems by cycled conjugate
-    gradients and hands up a cycle on its Jacobian frozen at its solution;
-    any other level factors each step and hands up its last factor.  A
-    Neumann a = b = 0 field must pass identity (6.14)
-    (``_check_identity_6_14``).  Returns ``(v, residual_norm, iterations,
-    trace, counts)``: the descent's and every converged level's steps, the
-    finest level's trace, every level's counts.
+    hands nothing up, and the next starts as the coarsest does.  A level
+    below the finest with ``_TWO_GRID_MIN_RINGS`` rings or more stops at
+    ``_COARSE_STOP_FRACTION`` of its start's residual if that is above
+    Newton's tolerance: the next level's start lies further off.  A level
+    of ``_TWO_GRID_MIN_RINGS`` rings or more with a coarse solve from below
+    solves its Newton systems by cycled conjugate gradients and hands up a
+    cycle on its Jacobian frozen at its solution; any other level factors
+    each step and hands up its last factor.
+
+    With a = b = 0 on a Neumann record, ``S v + w e^v`` tends to zero along
+    the constant fields ``v -> -inf``, where no solution lies.  The finest
+    level's field ``v`` is accepted only if ``res * r0 <= _VALLEY_RATIO *
+    tol * |w e^v|``, with ``res``, ``tol`` and ``r0 = |c + w|`` Newton's
+    residual, stop and reference, all weighted norms: a scale-free test, as
+    a true field has ``|w e^v| = |S v|`` of the order of ``r0``, and a
+    valley field has a collapsed exponential term.  If the finest level
+    fails that test or raises after starting from the field handed up from
+    below, on a route with ``descent``, it runs once more as the coarsest
+    level runs: from zero, through the descent, factoring each step.  Any
+    other failure of the finest level is raised, a ``NonConvergence`` with
+    the steps of every level and attempt.  Returns ``(v, residual_norm, iterations,
+    trace, counts)``: the descents' and every converged level's steps, and
+    after a restart the rejected attempt's too; the finest level's trace;
+    every level's and attempt's counts.
     """
     p1 = isinstance(prob, ProblemP1)
     prob = prob.as_p2() if p1 else prob
+    valley = not dirichlet and prob.a == prob.b == 0.0
     levels = [(mesh, prob)]
     min_rings = _DESCENT_MIN_RINGS if descent else 0
     while init is None and (level := coarse_mesh(levels[-1][0])) is not None and level[0].n_rings >= min_rings:
@@ -436,7 +455,8 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     v_2h = v_4h = None  # converged solutions of the two levels below
     coarse_solve = None  # the level below's
     iterations = 0
-    for level_mesh, level_prob in reversed(levels):
+    schedule = levels[::-1]
+    for level_mesh, level_prob in schedule:
         ops = assemble(level_mesh, p)
         eq = _equation(level_mesh, p, level_prob, dirichlet)
         free = slice(0, eq[0].shape[0])
@@ -457,41 +477,30 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
                 if descent:
                     x0, descended = _descend(level_mesh, p, level_prob, eq, weights, x0, opts, counts)
                     iterations += descended
-            x, res, steps, trace, lu = _newton_loop(eq, x0, weights, opts, counts, coarse=coarse,
-                                                    stop_fraction=stop_fraction)
+            x, res, tol, trace, lu = _newton_loop(eq, x0, weights, opts, counts, coarse=coarse,
+                                                  stop_fraction=stop_fraction)
+            if level_mesh is mesh and valley:
+                wev = _weighted_norm(_exp_terms(eq, x), weights)
+                if not res * _weighted_norm(eq[1] + eq[2], weights) <= _VALLEY_RATIO * tol * wev:
+                    raise NonConvergence("Newton reached residual %g, but with a = b = 0 its exponential term w e^v "
+                                         "has collapsed to %g: a field down the constant valley, no solution"
+                                         % (res, wev), iterations=len(trace) - 1)
         except TorusBVPError as exc:
             if level_mesh is mesh:
                 if isinstance(exc, NonConvergence):
-                    exc.iterations += iterations
-                raise
+                    iterations = exc.iterations = exc.iterations + iterations
+                if v_2h is None or not descent:
+                    raise
+                schedule.append(schedule[-1])  # the finest level once more, started as the coarsest is
             v = coarse_solve = None
         else:
-            iterations += steps
+            iterations += len(trace) - 1
             v = np.zeros(level_mesh.n_nodes)
             v[free] = x
             coarse_solve = (_cycle(_shifted(eq, _exp_terms(eq, x)), eq[3], *coarse) if coarse is not None
                             else None if lu is None else lu.solve)
         v_2h, v_4h = v, v_2h
-    if not dirichlet and prob.a == prob.b == 0.0:
-        _check_identity_6_14(mesh, p, prob, v, res, iterations)
     return v, res, iterations, trace, counts
-
-
-def _check_identity_6_14(mesh, p, prob, v, res, iterations):
-    """Raise ``NonConvergence`` unless an a = b = 0 field passes identity (6.14) within ``10 h^2`` of its scale.
-
-    ``S v + w e^v`` tends to zero along the constant fields ``v -> -inf``;
-    the scale-free identity ``int(f) + bint(g) = int(e^-v |grad v|^2)`` reads
-    ``int(f) + bint(g) > 0`` there.  Scale: ``|int(f)| + |bint(g)| + int(e^-v |grad v|^2) + 1``.
-    """
-    field = DiskField(mesh, v)
-    scale = (abs(integrate_volume(mesh, p, prob.f)) + abs(integrate_boundary(mesh, p, prob.g))
-             + grad_energy_weighted(mesh, p, field, lambda vc: np.exp(-vc)) + 1.0)
-    residual, budget = identity_6_14_residual(mesh, p, field, prob), 10.0 * mesh.h**2 * scale
-    if not abs(residual) <= budget:
-        raise NonConvergence("Newton reached residual %g, but with a = b = 0 the field misses identity (6.14) by "
-                             "%g, above its O(h^2) budget %g: it is no solution" % (res, residual, budget),
-                             iterations=iterations)
 
 
 def _fmg_start(mesh, v_2h, v_4h):
@@ -682,6 +691,11 @@ def solve_p2_newton(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
 
     With a = b = 0 and no ``init`` the coarsest level starts from the
     descent: from zero it would walk down the constant valley to ``v = -23``.
+    With a = b = 0 the returned field must also pass the valley test of
+    ``_solve_newton``, a residual small against its own exponential term;
+    a finest level that fails it from the field handed up from below is
+    solved once more from its own descent, and a field from ``init`` that
+    fails it raises ``NonConvergence``.
     """
     _admit(mesh, p, prob)
     v, res, iterations, trace, counts = _solve_newton(mesh, p, prob, init, opts or SolveOptions(),

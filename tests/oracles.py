@@ -13,6 +13,7 @@ import numpy as np
 
 import torusbvp as tb
 from torusbvp.inequalities import default_moser_orbit
+from torusbvp.mesh import weighted_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -93,6 +94,12 @@ def gauss_boundary_weighted(fn, l, r, n_ang=512):
     return float(np.sum(fn(tt, ss) * (l + r * tt)) * (2.0 * math.pi / n_ang))
 
 
+def integrate_boundary(mesh, p, field, transform=None):
+    """Boundary-torus integral of ``transform(v)`` on the mesh: the lumped boundary mass summed against the trace."""
+    values = field.values if transform is None else transform(field.values)
+    return weighted_sum(tb.assemble(mesh, p).boundary_mass, values)
+
+
 def inscribed_polygon_area(m_sides):
     return 0.5 * m_sides * math.sin(2.0 * math.pi / m_sides)
 
@@ -159,11 +166,10 @@ def moser_profile(d, delta, rho):
     return float(out) if out.ndim == 0 else out
 
 
-def moser_field(mesh, p, rho, delta=None, orbit=None):
-    """Truncated-log family sampled at mesh nodes (zero trace by construction)."""
-    delta = p.r / 8.0 if delta is None else delta
-    orbit = default_moser_orbit(p, delta) if orbit is None else orbit
-    d = tb.orbit_distance_disk(p, mesh.nodes[:, 0], mesh.nodes[:, 1], orbit)
+def moser_field(mesh, p, rho):
+    """Truncated-log family of radius ``r/8`` about ``default_moser_orbit``, sampled at mesh nodes (zero trace)."""
+    delta = p.r / 8.0
+    d = tb.orbit_distance_disk(p, mesh.nodes[:, 0], mesh.nodes[:, 1], default_moser_orbit(p, delta))
     return tb.DiskField(mesh, moser_profile(d, delta, rho))
 
 

@@ -18,6 +18,7 @@ from oracles import (
     fit_order,
     gauss_boundary_weighted,
     gauss_disk_weighted,
+    integrate_boundary,
     mc_boundary_area,
     mc_gradient_integral,
     mc_volume,
@@ -82,7 +83,7 @@ def test_criterion_2_reduction_identities():
             field = tb.DiskField.from_function(meshes[n], basis)
             ev.append(abs(tb.integrate_volume(meshes[n], p, field, np.exp) - exact_vol))
             ee.append(abs(tb.dirichlet_energy(meshes[n], p, field) - exact_energy))
-            eb.append(abs(tb.integrate_boundary(meshes[n], p, field, np.exp) - exact_bnd))
+            eb.append(abs(integrate_boundary(meshes[n], p, field, np.exp) - exact_bnd))
         orders_vol.append(fit_order(ev))
         orders_energy.append(fit_order(ee))
         orders_bnd.append(fit_order(eb))

@@ -521,3 +521,18 @@ def test_solver_option_that_stops_no_loop_is_a_config_error(tmp_path, capsys, co
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert option.split()[0] in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, option", [
+    ("solve-p2", "max_iters = 1"),
+    ("solve-p2", "tolabs = 1e-3"),
+    ("scan-gamma", "max_iters = 1"),
+])
+def test_unknown_solver_option_is_a_config_error(tmp_path, capsys, command, option):
+    """A misspelt option was ignored: ``max_iters = 1`` exited 0 where ``max_iter = 1`` exits 2."""
+    cfg = write_cfg(tmp_path, _GEOMETRY + _P2_DATA + "[scan]\ngammas = 0.5, 1.0\n[solver]\nmethod = newton\n"
+                    + option + "\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("config error: unknown [solver] option %r (method | tol_abs | "
+                                              % option.split()[0])
+    assert not (tmp_path / "o").exists()

@@ -76,8 +76,9 @@ def test_a_level_without_a_solution_leaves_the_descent_to_the_next(params, mesh1
     """f = 0.2505 - t^2 has totals -0.050 and +0.002 at 8 and 16 rings, so the 8-ring level has no solution.
 
     The 16-ring level then starts as the coarsest does, from the descent.
-    From zero it would walk down the constant valley, and at a total this
-    small identity (6.14) could not reject the field it stops at.
+    From zero it would walk down the constant valley, where the field's
+    exponential term collapses and the valley test of ``_solve_newton``
+    refuses it; identity (6.14) alone could not, at a total this small.
     """
     f = tb.DiskField.from_function(mesh16, lambda t, s: 0.2505 - t * t)
     prob = tb.ProblemP2(0.0, 0.0, f, tb.DiskField.constant(mesh16, 0.0))
