@@ -144,7 +144,8 @@ _TWO_GRID_FRACTION = 0.1
 _ARMIJO_SLOPE = 1e-4
 _STEPS = tuple(0.5**k for k in range(21))
 # an a = b = 0 field is accepted only if its residual, relative to Newton's
-# reference and stop, is at most this many times its exponential term
+# reference and stop, is at most this many times its exponential term; its
+# Newton stops at r0 / _VALLEY_RATIO**2 or below, whatever the options
 _VALLEY_RATIO = 1e3
 
 
@@ -182,7 +183,7 @@ def _factorize(matrix):
         raise SingularJacobian("sparse factorization failed: %s" % exc) from exc
 
 
-def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0):
+def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, max_tol=math.inf):
     """Damped Newton on the core equation ``eq``, Armijo backtracking on its weighted residual norm.
 
     Each step solves ``J delta = -F`` and takes the first of the steps
@@ -194,13 +195,14 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0):
     (``_cycle``) solve ``J delta = -F`` (``_cycled_solve``), and ``J`` is
     factored only if they miss their target.  ``v0``, ``weights`` and every
     update live on the unknowns of ``eq``, its rows.  Newton stops at the
-    residual ``tol_abs + tol_rel * r0``, ``r0`` the residual of the zero
-    field, ``c + w``.  That reference depends on the data alone, so no
-    start moves the tolerance: a start far off cannot loosen it, and a
-    start near the solution cannot push it below the float64 floor of the
-    residual.  A coarse level of a nested solve
-    (``_solve_newton``) passes ``stop_fraction`` and stops at that fraction
-    of its start's residual if that is larger.  ``counts``, a ``Counter`` of
+    residual ``tol_abs + tol_rel * r0``, or at ``max_tol`` if that is
+    smaller, ``r0`` the residual of the zero field, ``c + w``.  That
+    reference depends on the data alone, so no start moves the tolerance: a
+    start far off cannot loosen it, and a start near the solution cannot
+    push it below the float64 floor of the residual.  A coarse level of a
+    nested solve (``_solve_newton``) passes ``stop_fraction`` and stops at
+    that fraction of its start's residual if that is larger; its finest a =
+    b = 0 level passes ``max_tol``.  ``counts``, a ``Counter`` of
     ``SolveReport``'s count fields, gains the loop's.  A ``NonConvergence``
     carries the loop's steps.  Returns ``(v, res, tol, trace, lu)``: ``tol``
     the stop it met (the a = b = 0 valley test of ``_solve_newton`` reads
@@ -215,7 +217,7 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0):
     F, res = residual(v)
     if not math.isfinite(res):
         raise DomainError("initial iterate produces a non-finite residual")
-    tol = max(opts.tol_abs + opts.tol_rel * _weighted_norm(eq[1] + eq[2], weights), stop_fraction * res)
+    tol = max(min(opts.tol_abs + opts.tol_rel * _weighted_norm(eq[1] + eq[2], weights), max_tol), stop_fraction * res)
     lu = None
     trace = [(res, 0.0)]  # one entry more than the steps taken
     while res > tol and len(trace) <= opts.max_iter:
@@ -432,15 +434,19 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     tol * |w e^v|``, with ``res``, ``tol`` and ``r0 = |c + w|`` Newton's
     residual, stop and reference, all weighted norms: a scale-free test, as
     a true field has ``|w e^v| = |S v|`` of the order of ``r0``, and a
-    valley field has a collapsed exponential term.  If the finest level
-    fails that test or raises after starting from the field handed up from
-    below, on a route with ``descent``, it runs once more as the coarsest
-    level runs: from zero, through the descent, factoring each step.  Any
-    other failure of the finest level is raised, a ``NonConvergence`` with
-    the steps of every level and attempt.  Returns ``(v, residual_norm, iterations,
-    trace, counts)``: the descents' and every converged level's steps, and
-    after a restart the rejected attempt's too; the finest level's trace;
-    every level's and attempt's counts.
+    valley field has a collapsed exponential term.  That level's stop is at
+    most ``r0 / _VALLEY_RATIO**2``, however loose the options: on a constant
+    field ``res = |w e^v|``, so a valley field that meets the stop reads
+    ``r0 / tol >= _VALLEY_RATIO**2`` and fails.  If the finest level fails
+    the test or raises after starting from the field handed up from below,
+    on an a = b = 0 route with ``descent``, it runs once more as the
+    coarsest level runs: from zero, through the descent, factoring each
+    step.  Any other failure of the finest level is raised, a
+    ``NonConvergence`` with the steps of every level and attempt.  Returns
+    ``(v, residual_norm, iterations, trace, counts)``: the descents' and
+    every converged level's steps, and after a restart the rejected
+    attempt's too; the finest level's trace; every level's and attempt's
+    counts.
     """
     p1 = isinstance(prob, ProblemP1)
     prob = prob.as_p2() if p1 else prob
@@ -477,11 +483,13 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
                 if descent:
                     x0, descended = _descend(level_mesh, p, level_prob, eq, weights, x0, opts, counts)
                     iterations += descended
+            r0 = _weighted_norm(eq[1] + eq[2], weights) if level_mesh is mesh and valley else None
             x, res, tol, trace, lu = _newton_loop(eq, x0, weights, opts, counts, coarse=coarse,
-                                                  stop_fraction=stop_fraction)
-            if level_mesh is mesh and valley:
+                                                  stop_fraction=stop_fraction,
+                                                  max_tol=math.inf if r0 is None else r0 / _VALLEY_RATIO**2)
+            if r0 is not None:
                 wev = _weighted_norm(_exp_terms(eq, x), weights)
-                if not res * _weighted_norm(eq[1] + eq[2], weights) <= _VALLEY_RATIO * tol * wev:
+                if not res * r0 <= _VALLEY_RATIO * tol * wev:
                     raise NonConvergence("Newton reached residual %g, but with a = b = 0 its exponential term w e^v "
                                          "has collapsed to %g: a field down the constant valley, no solution"
                                          % (res, wev), iterations=len(trace) - 1)
@@ -489,7 +497,7 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
             if level_mesh is mesh:
                 if isinstance(exc, NonConvergence):
                     iterations = exc.iterations = exc.iterations + iterations
-                if v_2h is None or not descent:
+                if v_2h is None or not (descent and valley):
                     raise
                 schedule.append(schedule[-1])  # the finest level once more, started as the coarsest is
             v = coarse_solve = None

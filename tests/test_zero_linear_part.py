@@ -6,10 +6,12 @@ zero once walked down that valley and reported ``v = -23`` as converged;
 now it starts the coarsest level from the constrained descent, as the
 variational route does.  A finest field is accepted only if its residual,
 relative to Newton's reference and stop, is small against its own
-exponential term ``w e^v``, which collapses down the valley.  A finest
-level that fails that test, or raises, after starting from the field
-handed up from below is solved once more as the coarsest level is: from
-zero, through the descent.
+exponential term ``w e^v``, which collapses down the valley; that level
+stops at ``r0 * 1e-6`` or below whatever the options, so a loose
+tolerance cannot let a valley field meet the test.  A finest level that
+fails that test, or raises, after starting from the field handed up from
+below is solved once more as the coarsest level is: from zero, through
+the descent.  Only an a = b = 0 level restarts.
 
 On these data ``solve_p2_newton`` and ``solve_p2_variational`` run the same
 code, ``_solve_newton(..., descent=True)`` with the same arguments, so the
@@ -105,6 +107,19 @@ def test_a_start_on_the_constant_valley_is_not_converged(params, mesh32):
         tb.solve_p2_newton(mesh32, params, prob, init=tb.DiskField.constant(mesh32, -23.0))
 
 
+@pytest.mark.parametrize("tol_abs, tol_rel", [(1e-10, 1e-3), (1e-10, 1e-2), (1.0, 0.5)])
+def test_loose_tolerances_do_not_admit_the_valley(params, mesh32, tol_abs, tol_rel):
+    """At v = -23 the ratio is r0 / tol, below 1e3 for tol_rel >= 1e-3; the valley stop, r0 * 1e-6, keeps it at 1e6."""
+    prob = zero_linear_part(mesh32, "readme")
+    opts = tb.SolveOptions(tol_abs=tol_abs, tol_rel=tol_rel)
+    with pytest.raises(tb.NonConvergence, match=r"exponential term w e\^v has collapsed"):
+        tb.solve_p2_newton(mesh32, params, prob, init=tb.DiskField.constant(mesh32, -23.0), opts=opts)
+    rep = tb.solve_p2_newton(mesh32, params, prob, opts=opts)
+    r0 = tb.p2_residual_norm(mesh32, params, prob, tb.DiskField.constant(mesh32, 0.0))
+    assert rep.converged and rep.residual_norm <= 1e-6 * r0
+    assert np.allclose(rep.field.values, tb.solve_p2_newton(mesh32, params, prob).field.values, rtol=0, atol=1e-6)
+
+
 def small_total(mesh):
     """f = 0.2505 - t^2, g = 0: totals -0.050, +0.002 and +0.015 at 8, 16 and 32 rings on l, r = 2, 1."""
     return tb.ProblemP2(0.0, 0.0, tb.DiskField.from_function(mesh, lambda t, s: 0.2505 - t * t),
@@ -143,7 +158,7 @@ def test_the_cli_writes_the_single_level_field_where_the_valley_was_taken(tmp_pa
 
 
 def test_the_valley_test_is_tied_to_newtons_tolerance(params):
-    """At tolerances of 1e-4 the field handed up misses identity (6.14)'s budget; the restart's field passes."""
+    """At tolerances of 1e-4 the field handed up walks down the valley and is refused; the restart's field passes."""
     mesh = ring_mesh(32)
     rep = tb.solve_p2_newton(mesh, params, small_total(mesh), opts=tb.SolveOptions(tol_abs=1e-4, tol_rel=1e-4))
     assert np.array_equal(rep.field.values, single_level(2.0, 1.0, 1e-4))
@@ -157,3 +172,16 @@ def test_readme_data_converge_at_64_rings_on_a_thick_torus():
     assert rep.converged and rep.residual_norm <= 1e-9
     res614 = tb.identity_6_14_residual(mesh, p, rep.field, prob)
     assert abs(res614) <= 10 * mesh.h**2 * id614_scale(mesh, p, prob, rep.field)
+
+
+def test_a_nonzero_linear_part_does_not_restart(params):
+    """Only an a = b = 0 finest level restarts from its descent: with a = 1 a stall at max_iter = 1 raises.
+
+    Restarted, this level would converge (the descent ends near the
+    solution), so the row tells the gated restart from an ungated one.
+    """
+    mesh = ring_mesh(32)
+    prob = tb.ProblemP2(1.0, 0.0, tb.DiskField.from_function(mesh, lambda t, s: -(1.0 + 3.0 * t)),
+                        tb.DiskField.constant(mesh, 0.0))
+    with pytest.raises(tb.NonConvergence, match="in 1 iterations"):
+        tb.solve_p2_variational(mesh, params, prob, opts=tb.SolveOptions(max_iter=1))
