@@ -74,11 +74,17 @@ def build_mesh(n_rings: int) -> DiskMesh:
     m1, m2 = 6 * (pair - 1), 6 * pair
     i = np.where(is_inner, step, other)
     j = np.where(is_inner, other, step)
-    a, a1 = start[pair - 1] + i % m1, start[pair - 1] + (i + 1) % m1
-    b, b1 = start[pair] + j % m2, start[pair] + (j + 1) % m2
-    fan = np.stack([np.zeros(6, dtype=np.int64), 1 + np.arange(6), 1 + (np.arange(1, 7) % 6)], axis=1)
-    triangles = np.concatenate([fan, np.where(is_inner[:, None], np.stack([a, b, a1], axis=1),
-                                              np.stack([b, b1, a], axis=1))])
+
+    def wrap(k, m):  # k % m: a slot is at most one past its ring's last, so k < 2 m
+        return k - m * (k >= m)
+
+    a, a1 = start[pair - 1] + wrap(i, m1), start[pair - 1] + wrap(i + 1, m1)
+    b, b1 = start[pair] + wrap(j, m2), start[pair] + wrap(j + 1, m2)
+    triangles = np.empty((6 + walk.size, 3), dtype=np.int64)
+    triangles[:6] = np.stack([np.zeros(6, dtype=np.int64), 1 + np.arange(6), 1 + (np.arange(1, 7) % 6)], axis=1)
+    # an inner step's triangle is (a, b, a1), an outer step's (b, b1, a)
+    for column, (if_inner, if_outer) in enumerate(((a, b), (b, b1), (a1, a))):
+        triangles[6:, column] = np.where(is_inner, if_inner, if_outer)
 
     return DiskMesh(nodes, triangles, n_rings)
 
@@ -194,7 +200,8 @@ def _triangle_geometry(mesh: DiskMesh):
     Row ``i`` of each gradient part, shape ``(3, n_triangles)``, belongs to
     the triangle's vertex ``i``.  Every area must be positive.
     """
-    x, y = mesh.nodes[mesh.triangles.T].transpose(2, 0, 1)  # (3, n_triangles) each
+    corners = mesh.triangles.T
+    x, y = mesh.nodes[:, 0][corners], mesh.nodes[:, 1][corners]  # (3, n_triangles) each
     det = (x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0])
     if np.any(det <= 0.0):
         raise DomainError("mesh construction produced a non-positively-oriented triangle")
@@ -259,8 +266,9 @@ def assemble(mesh: DiskMesh, p: TorusParams) -> WeightedOperators:
     ops = mesh._cache.get(key)
     if ops is None:
         stiff, vol, bnd = _assemble_core(mesh, p.l, p.r)
+        stiff.data *= TWO_PI
         ops = WeightedOperators(
-            stiffness=(TWO_PI * stiff).tocsr(),
+            stiffness=stiff,
             volume_mass=TWO_PI * p.r**2 * vol,
             boundary_mass=TWO_PI * p.r * bnd,
         )

@@ -199,6 +199,22 @@ def test_the_cycle_is_symmetric(params, monkeypatch, n):
         assert abs(np.sum(u * Bv) - np.sum(v * Bu)) <= 2e-15 * np.linalg.norm(u) * np.linalg.norm(Bv)
 
 
+def test_the_finest_level_hands_up_no_cycle(params, monkeypatch):
+    """The finest level builds a cycle for each of its Newton steps and none on its solution: nothing reads it."""
+    real_cycle, sizes = solvers._cycle, []
+
+    def spy(matrix, *args):
+        sizes.append(matrix.shape[0])
+        return real_cycle(matrix, *args)
+
+    monkeypatch.setattr(solvers, "_cycle", spy)
+    mesh = tb.build_mesh(32)
+    solve, prob = p2_case(mesh, 0.2)
+    rep = solve(mesh, params, prob)
+    assert sizes.count(mesh.n_nodes) == len(rep.trace) - 1 >= 1
+    assert sizes.count(coarse_mesh(mesh)[0].n_nodes) >= 1
+
+
 @pytest.mark.parametrize("broken", [np.zeros_like, lambda r: np.full_like(r, np.nan)], ids=["zero", "nan"])
 def test_a_conjugate_gradient_breakdown_falls_back_to_the_factor(params, monkeypatch, broken):
     """A cycle giving zero or non-finite curvature ends each cycled solve at once, and the step factors."""
