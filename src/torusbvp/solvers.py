@@ -14,14 +14,8 @@ Jacobian ``S + diag(w e^v)`` and nested relaxation, the gradient ``S v +
 c`` and projection sum ``sum(w e^v)`` of the constrained descent that
 starts the coarsest level, and the monotone iteration's defect correction
 ``v <- v - (S + diag(|w| e^super))^-1 F(v)``.  Every matrix a solver
-factors is ``S`` plus a diagonal, built one way (``_shifted``).  Newton and
-the monotone iteration share one level hierarchy (``_levels``): a level
-of ``_TWO_GRID_MIN_RINGS`` rings or more with a level below solves by
-conjugate gradients preconditioned with V-cycles (``_cycle``,
-``_cycled_solve``) and factors only where they do not settle, so the
-meshes factored are those under ``_TWO_GRID_MIN_RINGS`` rings and a
-coarsest level where halving stops at an odd ring count.  Every public
-solver first admits its data (``_admit``), then maps them onto the
+factors is ``S`` plus a diagonal, built one way (``_shifted``).  Every
+public solver first admits its data (``_admit``), then maps them onto the
 equation and fills its report.
 
 Sign convention: the problems are stated with the geometer's positive
@@ -104,10 +98,9 @@ class SolveReport:
     (non-increasing by the Armijo rule), or the monotone solver's sup-norm
     increments.  ``factorizations`` counts the sparse LU factors (the
     coarse levels' Jacobians and the descent's one preconditioner; the
-    monotone solver's coarsest shift, plus the finest shift if conjugate
-    gradients did not settle) and ``two_grid_cycles`` the
-    conjugate-gradient iterations that solve Newton systems or monotone
-    steps, one V-cycle each, over every level (cycles within a cycle are
+    monotone shift, unless the subsolution is an exact fixed point) and
+    ``two_grid_cycles`` the conjugate-gradient iterations that solve Newton
+    systems, one V-cycle each, over every level (cycles within a cycle are
     not counted again).  After a restart of an a = b = 0 finest level from
     its own descent (``_solve_newton``), ``iterations`` also counts the
     rejected attempt's Newton steps (unless it raised without a count, as
@@ -175,9 +168,8 @@ def _factorize(matrix):
 
     Every matrix the solvers factor is a record's stiffness plus a diagonal
     (``_shifted``: Newton Jacobians, the descent preconditioner, the
-    monotone shift of the coarsest level, or of the finest where conjugate
-    gradients do not settle), so its pattern is symmetric: the graph of the
-    mesh nodes.  SuperLU orders such a pattern by minimum degree on ``A + A^T``
+    monotone shift), so its pattern is symmetric: the graph of the mesh
+    nodes.  SuperLU orders such a pattern by minimum degree on ``A + A^T``
     (``MMD_AT_PLUS_A``), which leaves about two thirds of the fill of its
     default COLAMD, an order for the columns of an unsymmetric matrix.
     ``SymmetricMode`` applies that one order to the rows and the columns,
@@ -290,32 +282,25 @@ def _cycle(matrix, diagonal, transfer, coarse_solve):
     return cycle
 
 
-def _cycled_solve(matrix, rhs, cycle, weights=None, target=None, x=None, step_target=None):
-    """``matrix x = rhs`` by conjugate gradients from ``x``, preconditioned with one ``cycle`` per iteration.
+def _cycled_solve(matrix, rhs, cycle, weights, target):
+    """``matrix x = rhs`` by conjugate gradients, preconditioned with one ``cycle`` per iteration.
 
     A V-cycle preconditioning a Krylov method takes fewer cycles to a
     target than the cycles iterated alone.  The Newton Jacobian can be
     indefinite (P2's is on some data), so a negative curvature ``d' matrix
     d`` goes on; only a breakdown, a zero or non-finite curvature or a zero
-    ``r' cycle(r)``, gives up.  Newton's result is accepted only once the
-    true residual ``rhs - matrix x`` meets the weighted ``target``; the
+    ``r' cycle(r)``, gives up.  A result is accepted only once the true
+    residual ``rhs - matrix x`` meets the weighted ``target``; the
     recursive one only says when to compute it, and it replaces the
-    recursive one if it misses.  ``_newton_loop`` sets the target at a
-    tenth of its own stop, so on a coarse level that has left the data-only
+    recursive one if it misses.  ``_newton_loop`` sets the target at a tenth
+    of its own stop, so on a coarse level that has left the data-only
     reference for a fraction of its start's residual (``_solve_newton``),
     the target is as loose: a linear solve finer than the Newton step
-    needs would buy the level above nothing.  The monotone iteration, whose
-    checks are in field units, passes ``step_target`` instead: the result
-    is accepted once an iteration's update has a sup norm of at most that.
-    The start ``x`` (updated in place) is zero if None, and a zero ``rhs``
-    returns zero without a cycle: its ``r' cycle(r)`` would read as a
-    breakdown.  Inner products are ``weighted_sum``s.  Returns ``(x,
-    iterations)``, with ``x`` None on a breakdown or if
-    ``_TWO_GRID_MAX_CYCLES`` iterations miss the target.
+    needs would buy the level above nothing.  Inner products are
+    ``weighted_sum``s.  Returns ``(x, iterations)``, with ``x`` None on a
+    breakdown or if ``_TWO_GRID_MAX_CYCLES`` iterations miss the target.
     """
-    if not np.any(rhs):
-        return np.zeros_like(rhs), 0
-    x, r = (np.zeros_like(rhs), rhs) if x is None else (x, rhs - matrix @ x)
+    x, r = np.zeros_like(rhs), rhs
     d = rz = None
     for iterations in range(1, _TWO_GRID_MAX_CYCLES + 1):
         z = cycle(r)
@@ -328,10 +313,7 @@ def _cycled_solve(matrix, rhs, cycle, weights=None, target=None, x=None, step_ta
         alpha = rz / curvature
         x += alpha * d
         r = r - alpha * q
-        if step_target is not None:
-            if abs(alpha) * np.max(np.abs(d)) <= step_target:  # the sup norm of the update, alpha d
-                return x, iterations
-        elif _weighted_norm(r, weights) <= target:
+        if _weighted_norm(r, weights) <= target:
             r = rhs - matrix @ x
             if _weighted_norm(r, weights) <= target:
                 return x, iterations
@@ -470,7 +452,12 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     p1 = isinstance(prob, ProblemP1)
     prob = prob.as_p2() if p1 else prob
     valley = not dirichlet and prob.a == prob.b == 0.0
-    levels = [(mesh, prob)] if init is not None else _levels(mesh, prob, _DESCENT_MIN_RINGS if descent else 0)
+    levels = [(mesh, prob)]
+    min_rings = _DESCENT_MIN_RINGS if descent else 0
+    while init is None and (level := coarse_mesh(levels[-1][0])) is not None and level[0].n_rings >= min_rings:
+        (coarse, idx), fine_prob = level, levels[-1][1]
+        levels.append((coarse, ProblemP2(prob.a, prob.b, DiskField(coarse, fine_prob.f.values[idx]),
+                                         DiskField(coarse, fine_prob.g.values[idx]))))
     counts = Counter()
     v_2h = v_4h = None  # converged solutions of the two levels below
     coarse_solve = None  # the level below's
@@ -524,23 +511,6 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
                 coarse_solve = _cycle(_shifted(eq, _exp_terms(eq, x)), eq[3], *coarse)
         v_2h, v_4h = v, v_2h
     return v, res, iterations, trace, counts
-
-
-def _levels(mesh, prob, min_rings, *values):
-    """The nested meshes of ``mesh``, from ``mesh`` down, each as ``(mesh, problem, *values)``.
-
-    Each coarser mesh is ``coarse_mesh`` of the one before; halving stops
-    at 2 rings, at an odd ring count, or before a mesh of fewer than
-    ``min_rings`` rings.  A level's problem has ``prob``'s data at its
-    nodes, and so do its ``values``, nodal arrays given on ``mesh``.
-    """
-    levels = [(mesh, prob, *values)]
-    while (level := coarse_mesh(levels[-1][0])) is not None and level[0].n_rings >= min_rings:
-        (coarse, index), (_, fine_prob, *fine_values) = level, levels[-1]
-        levels.append((coarse, ProblemP2(prob.a, prob.b, DiskField(coarse, fine_prob.f.values[index]),
-                                         DiskField(coarse, fine_prob.g.values[index])),
-                       *(x[index] for x in fine_values)))
-    return levels
 
 
 def _fmg_start(mesh, v_2h, v_4h):
@@ -805,22 +775,11 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
     non-decreasing on the bracket, and ``S + W``, with ``S``'s nonpositive
     off-diagonal, has a nonnegative inverse.  Iterates from the subsolution
     are nodewise non-decreasing and stay below the supersolution (asserted
-    every iteration, to a ``slack`` of 1e-12 times the bracket's size).
-    Terminates when the sup-norm increment drops below tolerance.
-
-    The shift is solved on Newton's level hierarchy (``_levels``), with the
-    data and ``super`` at each level's nodes, halved down to the first mesh
-    under ``_TWO_GRID_MIN_RINGS`` rings (or to an odd ring count): the
-    coarsest level factors its shift, and each finer one hands up a cycle
-    on its own (``_cycle``).  Each step solves on the finest shift by
-    conjugate gradients, one cycle per iteration (``_cycled_solve``), from
-    the last step's solution scaled by the last contraction of the
-    increments, until an update is at most a tenth of ``slack``.  If they
-    do not settle, the finest shift is factored, once, and solves every
-    step from there.  A mesh with no half-ring level of
-    ``_TWO_GRID_MIN_RINGS // 2`` rings or more, so every mesh under
-    ``_TWO_GRID_MIN_RINGS`` rings, is its own coarsest level and factors
-    its shift.
+    every iteration).  Terminates when the sup-norm increment drops below
+    tolerance.  The shift is factored once, at the first step whose
+    residual is not exactly zero: a subsolution that solves the discrete
+    equation exactly, as ``sub = super = 0`` does on ``a = b = -1``, ``f =
+    g = 1``, returns in one step without a factor.
     """
     _admit(mesh, p, prob)
     opts = opts or SolveOptions()
@@ -848,34 +807,15 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
         raise OrderingViolation("supersolution fails the discrete inequality (min value %g)"
                                 % float(np.min(F_hi)))
 
-    counts = Counter()
-    levels = _levels(mesh, prob, _TWO_GRID_MIN_RINGS // 2, hi)
-    solve = None  # from the coarsest level up: its factor's solve, then a cycle on each finer shift
-    for level_mesh, level_prob, level_hi in levels[::-1]:
-        level_eq = _equation(level_mesh, p, level_prob)
-        shift = _shifted(level_eq, abs(_exp_terms(level_eq, level_hi)))
-        if solve is None:
-            solve = _factorize(shift).solve
-            counts["factorizations"] += 1
-        else:
-            solve = _cycle(shift, level_eq[3], transfer_pair(level_mesh), solve)
-    cycled = len(levels) > 1  # then solve is a cycle on the finest shift, the loop's last
-
+    lu = None  # factored at the first nonzero residual, so an exact fixed point factors nothing
     v = lo.copy()
     trace = []
     tol = opts.tol_abs + opts.tol_rel * float(np.max(hi - lo))
     for iterations in range(1, opts.max_monotone_iter + 1):
         F = _residual(eq, v)
-        if cycled:  # from x, the last step's solution of (S + W) x = F(v), times the last contraction
-            start = (trace[-1][0] / trace[-2][0]) * x if len(trace) >= 2 else None
-            x, cycles = _cycled_solve(shift, F, solve, x=start, step_target=0.1 * slack)
-            counts["two_grid_cycles"] += cycles
-            if x is None:  # conjugate gradients did not settle: factor the finest shift once
-                solve, cycled = _factorize(shift).solve, False
-                counts["factorizations"] += 1
-        if not cycled:
-            x = solve(F)
-        v_new = v - x
+        if lu is None and np.any(F):
+            lu = _factorize(_shifted(eq, abs(_exp_terms(eq, hi))))
+        v_new = v if lu is None else v - lu.solve(F)
         if np.any(v_new < v - slack):
             raise OrderingViolation("iterate decreased at %d nodes (shift too small?)"
                                     % int(np.sum(v_new < v - slack)))
@@ -891,4 +831,4 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
         raise NonConvergence("monotone iteration did not contract below %g in %d steps"
                              % (tol, opts.max_monotone_iter))
     return _report(mesh, p, prob, v, iterations, p2_residual_norm(mesh, p, prob, DiskField(mesh, v)),
-                   None, trace, counts)
+                   None, trace, Counter(factorizations=int(lu is not None)))

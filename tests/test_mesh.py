@@ -7,8 +7,8 @@ import pytest
 import scipy.sparse as sp
 
 import torusbvp as tb
-from torusbvp.mesh import (TWO_PI, _assemble_core, _prolongation, _ring_layout, _triangle_geometry, coarse_mesh,
-                           prolong, stiffness_block, transfer_pair)
+from torusbvp.mesh import (TWO_PI, _assemble_core, _prolongation, _triangle_geometry, coarse_mesh, prolong,
+                           stiffness_block, transfer_pair)
 from oracles import (
     SmoothFieldBasis,
     fit_order,
@@ -69,6 +69,15 @@ def build_mesh_loop(n_rings):
     return np.asarray(nodes), np.asarray(triangles, dtype=np.int64)
 
 
+def triangle_geometry_gathered(mesh):
+    """``_triangle_geometry`` from one (3, T, 2) gather of the corners: the reference."""
+    x, y = mesh.nodes[mesh.triangles.T].transpose(2, 0, 1)
+    det = (x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0])
+    gx = np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]]) / det
+    gy = np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]]) / det
+    return 0.5 * det, gx, gy, (x[0] + x[1] + x[2]) / 3.0
+
+
 def test_build_mesh_matches_the_ring_loop_bit_for_bit():
     for n in range(2, 65):
         m = tb.build_mesh(n)
@@ -79,46 +88,6 @@ def test_build_mesh_matches_the_ring_loop_bit_for_bit():
         # the mesh states its ring numbering: the interior nodes are the leading n_interior
         assert m.n_rings == n and m.h == 1.0 / n, n
         assert np.array_equal(m.boundary_nodes, np.arange(m.n_interior, m.n_nodes)), n
-
-
-def build_mesh_modulo(n_rings):
-    """Nodes and triangles of the vectorized walk with a ``%`` per index and stacked rows: the reference."""
-    ring, slot, start = _ring_layout(n_rings)
-    ang = slot * (TWO_PI / np.maximum(1, 6 * ring))
-    rad = ring / n_rings
-    nodes = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
-    inner = np.flatnonzero((ring >= 1) & (ring < n_rings))
-    outer = np.flatnonzero(ring >= 2)
-    pair = np.concatenate([ring[inner] + 1, ring[outer]])
-    step = np.concatenate([slot[inner], slot[outer]])
-    key = (step + 1) * 6 * np.concatenate([ring[inner] + 1, ring[outer] - 1])
-    walk = np.argsort(pair * (36 * n_rings**2) + key, kind="stable")
-    pair, step, is_inner = pair[walk], step[walk], walk < inner.size
-    other = np.arange(walk.size) - 6 * pair * (pair - 2) - step
-    m1, m2 = 6 * (pair - 1), 6 * pair
-    i = np.where(is_inner, step, other)
-    j = np.where(is_inner, other, step)
-    a, a1 = start[pair - 1] + i % m1, start[pair - 1] + (i + 1) % m1
-    b, b1 = start[pair] + j % m2, start[pair] + (j + 1) % m2
-    fan = np.stack([np.zeros(6, dtype=np.int64), 1 + np.arange(6), 1 + (np.arange(1, 7) % 6)], axis=1)
-    return nodes, np.concatenate([fan, np.where(is_inner[:, None], np.stack([a, b, a1], axis=1),
-                                                np.stack([b, b1, a], axis=1))])
-
-
-def triangle_geometry_gathered(mesh):
-    """``_triangle_geometry`` from one (3, T, 2) gather of the corners: the reference."""
-    x, y = mesh.nodes[mesh.triangles.T].transpose(2, 0, 1)
-    det = (x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0])
-    gx = np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]]) / det
-    gy = np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]]) / det
-    return 0.5 * det, gx, gy, (x[0] + x[1] + x[2]) / 3.0
-
-
-def test_mesh_and_geometry_match_the_modulo_and_gather_formulas_bit_for_bit():
-    for n in range(2, 65):
-        m = tb.build_mesh(n)
-        nodes, triangles = build_mesh_modulo(n)
-        assert np.array_equal(m.nodes, nodes) and np.array_equal(m.triangles, triangles), n
         for part, ref in zip(_triangle_geometry(m), triangle_geometry_gathered(m)):
             assert np.array_equal(part, ref), n
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import torusbvp as tb
-from torusbvp import solvers
 
 
 def regime_problem(mesh):
@@ -56,63 +55,6 @@ def test_monotone_iteration_and_newton_reach_the_same_solution(params, n_rings):
         assert np.max(np.abs(monotone.field.values - newton.field.values)) <= 1e-8
 
 
-def row_problem(mesh, row):
-    a, b, f, g, _ = row
-    return tb.ProblemP2(a, b, tb.DiskField.from_function(mesh, f), tb.DiskField.from_function(mesh, g))
-
-
-def factored_monotone(mesh, params, prob, sub, sup, opts=tb.SolveOptions()):
-    """The monotone iteration on one factor of the finest shift ``S + diag(|w| e^super)``: the reference.
-
-    Returns the field and the steps taken.
-    """
-    eq = solvers._equation(mesh, params, prob)
-    lu = solvers._factorize(solvers._shifted(eq, abs(solvers._exp_terms(eq, sup.values))))
-    v = sub.values.copy()
-    tol = opts.tol_abs + opts.tol_rel * float(np.max(sup.values - sub.values))
-    for steps in range(1, opts.max_monotone_iter + 1):
-        v_new = v - lu.solve(solvers._residual(eq, v))
-        inc, v = float(np.max(np.abs(v_new - v))), v_new
-        if inc <= tol:
-            return v, steps
-    raise AssertionError("the reference did not converge")
-
-
-@pytest.mark.parametrize("n_rings", [32, 64])
-def test_cycled_monotone_matches_the_factored_iteration(params, n_rings):
-    """From 16 rings on the shift is solved by cycles: the same steps, and the field within 1e-13 of one factor's."""
-    mesh = tb.build_mesh(n_rings)
-    for row in MONOTONE_ROWS:
-        prob = row_problem(mesh, row)
-        sub, sup = tb.find_constant_bracket(mesh, params, prob)
-        rep = tb.solve_p2_monotone(mesh, params, prob, sub, sup)
-        ref, steps = factored_monotone(mesh, params, prob, sub, sup)
-        assert rep.iterations == steps
-        assert rep.factorizations == 1 and rep.two_grid_cycles >= steps
-        assert np.max(np.abs(rep.field.values - ref)) <= 1e-13
-
-
-def test_monotone_factors_only_the_levels_under_16_rings(params, splu_sizes):
-    mesh = tb.build_mesh(64)
-    prob = row_problem(mesh, MONOTONE_ROWS[0])
-    rep = tb.solve_p2_monotone(mesh, params, prob, *tb.find_constant_bracket(mesh, params, prob))
-    assert rep.iterations == 9
-    assert splu_sizes == [tb.build_mesh(8).n_nodes]
-
-
-def test_unsettled_conjugate_gradients_factor_the_finest_shift_once(params, monkeypatch):
-    """Cycles that never settle put every step on one factor of the finest shift, the reference's path."""
-    mesh = tb.build_mesh(32)
-    prob = row_problem(mesh, MONOTONE_ROWS[1])
-    sub, sup = tb.find_constant_bracket(mesh, params, prob)
-    monkeypatch.setattr(solvers, "_cycled_solve", lambda *args, **kwargs: (None, solvers._TWO_GRID_MAX_CYCLES))
-    rep = tb.solve_p2_monotone(mesh, params, prob, sub, sup)
-    ref, steps = factored_monotone(mesh, params, prob, sub, sup)
-    assert rep.iterations == steps
-    assert rep.factorizations == 2 and rep.two_grid_cycles == solvers._TWO_GRID_MAX_CYCLES
-    assert np.array_equal(rep.field.values, ref)
-
-
 def test_constant_bracket_rejections(params, mesh16):
     one = tb.DiskField.constant(mesh16, 1.0)
     zero = tb.DiskField.constant(mesh16, 0.0)
@@ -160,13 +102,17 @@ def test_monotone_exact_fixed_point(params, mesh16):
     assert np.abs(rep.field.values).max() <= 1e-12
 
 
-def test_cycled_monotone_exact_fixed_point(params, mesh32):
-    """``F(sub) = 0`` exactly: the cycled route takes one step without a cycle and returns exact zeros."""
-    prob = regime_problem(mesh32)
-    zero = tb.DiskField.constant(mesh32, 0.0)
-    rep = tb.solve_p2_monotone(mesh32, params, prob, zero, zero)
-    assert rep.iterations == 1 and rep.two_grid_cycles == 0
+def test_monotone_factors_only_a_nonzero_residual(params, splu_sizes):
+    """The exact fixed point ``F(sub) = 0`` returns exact zeros without a factor; other data factor once."""
+    mesh = tb.build_mesh(32)
+    zero = tb.DiskField.constant(mesh, 0.0)
+    rep = tb.solve_p2_monotone(mesh, params, regime_problem(mesh), zero, zero)
+    assert rep.iterations == 1 and rep.factorizations == 0 and splu_sizes == []
     assert np.all(rep.field.values == 0.0)
+    a, b, f, g, _ = MONOTONE_ROWS[0]
+    prob = tb.ProblemP2(a, b, tb.DiskField.from_function(mesh, f), tb.DiskField.from_function(mesh, g))
+    rep = tb.solve_p2_monotone(mesh, params, prob, *tb.find_constant_bracket(mesh, params, prob))
+    assert rep.iterations == 9 and rep.factorizations == 1 and splu_sizes == [mesh.n_nodes]
 
 
 def test_monotone_rejects_disordered_pair(params, mesh16):
