@@ -64,7 +64,7 @@ from .mesh import DiskField, DiskMesh, assemble, coarse_mesh, prolong, stiffness
 
 @dataclass
 class SolveOptions:
-    """Iteration controls, each finite and nonnegative; defaults are the desk-scale settings.
+    """Iteration controls, each finite and nonnegative, the caps ``int``; defaults are the desk-scale settings.
 
     ``max_iter`` caps the Newton steps of each nested level, not of the whole
     solve; ``max_descent_iter`` caps the constrained descent, which runs on
@@ -81,6 +81,8 @@ class SolveOptions:
         for name, value in vars(self).items():
             if not 0 <= value < math.inf:
                 raise DomainError("SolveOptions.%s must be finite and nonnegative, got %r" % (name, value))
+            if name.startswith("max_") and not isinstance(value, int):
+                raise DomainError("SolveOptions.%s must be an integer, got %r" % (name, value))
 
 
 @dataclass
@@ -101,12 +103,13 @@ class SolveReport:
     monotone shift, unless the subsolution is an exact fixed point) and
     ``two_grid_cycles`` the conjugate-gradient iterations that solve Newton
     systems, one V-cycle each, over every level (cycles within a cycle are
-    not counted again).  After a restart of an a = b = 0 finest level from
-    its own descent (``_solve_newton``), ``iterations`` also counts the
-    rejected attempt's Newton steps (unless it raised without a count, as
-    ``SingularJacobian`` does) and the second descent's steps, the counts
-    include both attempts' factors and cycles, and ``trace`` is the
-    restart's.
+    not counted again).  Every level of an a = b = 0 Neumann solve passes
+    the valley test (``_newton_loop``) or hands nothing up.  After a
+    restart of an a = b = 0 finest level from its own descent
+    (``_solve_newton``), ``iterations`` also counts the rejected attempt's
+    Newton steps (unless it raised without a count, as ``SingularJacobian``
+    does) and the second descent's steps, the counts include both
+    attempts' factors and cycles, and ``trace`` is the restart's.
     """
 
     field: DiskField
@@ -144,9 +147,10 @@ _TWO_GRID_FRACTION = 0.1
 # sufficient-decrease slope and the steps tried, 1, 1/2, ..., 2^-20
 _ARMIJO_SLOPE = 1e-4
 _STEPS = tuple(0.5**k for k in range(21))
-# an a = b = 0 field is accepted only if its residual, relative to Newton's
-# reference and stop, is at most this many times its exponential term; its
-# Newton stops at r0 / _VALLEY_RATIO**2 or below, whatever the options
+# an a = b = 0 field, on every nested level, is accepted only if its
+# residual, relative to Newton's reference and stop, is at most this many
+# times its exponential term; its Newton stops at r0 / _VALLEY_RATIO**2 or
+# below, whatever the options
 _VALLEY_RATIO = 1e3
 
 
@@ -184,7 +188,7 @@ def _factorize(matrix):
         raise SingularJacobian("sparse factorization failed: %s" % exc) from exc
 
 
-def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, max_tol=math.inf):
+def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, valley=False):
     """Damped Newton on the core equation ``eq``, Armijo backtracking on its weighted residual norm.
 
     Each step solves ``J delta = -F`` and takes the first of the steps
@@ -196,19 +200,31 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, 
     (``_cycle``) solve ``J delta = -F`` (``_cycled_solve``), and ``J`` is
     factored only if they miss their target.  ``v0``, ``weights`` and every
     update live on the unknowns of ``eq``, its rows.  Newton stops at the
-    residual ``tol_abs + tol_rel * r0``, or at ``max_tol`` if that is
-    smaller, ``r0`` the residual of the zero field, ``c + w``.  That
-    reference depends on the data alone, so no start moves the tolerance: a
-    start far off cannot loosen it, and a start near the solution cannot
-    push it below the float64 floor of the residual.  A coarse level of a
-    nested solve (``_solve_newton``) passes ``stop_fraction`` and stops at
-    that fraction of its start's residual if that is larger; its finest a =
-    b = 0 level passes ``max_tol``.  ``counts``, a ``Counter`` of
-    ``SolveReport``'s count fields, gains the loop's.  A ``NonConvergence``
-    carries the loop's steps.  Returns ``(v, res, tol, trace, lu)``: ``tol``
-    the stop it met (the a = b = 0 valley test of ``_solve_newton`` reads
-    it), ``trace`` one entry more than the steps taken, ``lu`` the last
-    step's factor, or None if that step cycled or no step was taken.
+    residual ``tol_abs + tol_rel * r0``, ``r0`` the residual of the zero
+    field, ``c + w``.  That reference depends on the data alone, so no
+    start moves the tolerance: a start far off cannot loosen it, and a
+    start near the solution cannot push it below the float64 floor of the
+    residual.  A coarse level of a nested solve (``_solve_newton``) passes
+    ``stop_fraction`` and stops at that fraction of its start's residual if
+    that is larger.
+
+    ``valley`` marks an a = b = 0 Neumann record, where ``S v + w e^v``
+    tends to zero along the constant fields ``v -> -inf`` and no solution
+    lies there.  Its stop is at most ``r0 / _VALLEY_RATIO**2``, however
+    loose the options (``stop_fraction`` can still raise it), and its field
+    ``v`` is returned only if ``res * r0 <= _VALLEY_RATIO * tol * |w
+    e^v|``, with ``tol`` the stop met and all norms weighted: a scale-free
+    test, as a true field has ``|w e^v| = |S v|`` of the order of ``r0``,
+    and a valley field has a collapsed exponential term.  On a constant
+    field ``res = |w e^v|``, so a valley field that meets the stop reads
+    ``r0 / tol >= _VALLEY_RATIO**2`` and fails; it raises
+    ``NonConvergence``.
+
+    ``counts``, a ``Counter`` of ``SolveReport``'s count fields, gains the
+    loop's.  A ``NonConvergence`` carries the loop's steps.  Returns ``(v,
+    res, trace, lu)``: ``trace`` one entry more than the steps taken,
+    ``lu`` the last step's factor, or None if that step cycled or no step
+    was taken.
     """
     def residual(v):
         F = _residual(eq, v)
@@ -218,7 +234,8 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, 
     F, res = residual(v)
     if not math.isfinite(res):
         raise DomainError("initial iterate produces a non-finite residual")
-    tol = max(min(opts.tol_abs + opts.tol_rel * _weighted_norm(eq[1] + eq[2], weights), max_tol), stop_fraction * res)
+    r0 = _weighted_norm(eq[1] + eq[2], weights)
+    tol = max(min(opts.tol_abs + opts.tol_rel * r0, r0 / _VALLEY_RATIO**2 if valley else math.inf), stop_fraction * res)
     lu = None
     trace = [(res, 0.0)]  # one entry more than the steps taken
     while res > tol and len(trace) <= opts.max_iter:
@@ -247,7 +264,11 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, 
     if res > tol:
         raise NonConvergence("Newton did not reach tolerance %g in %d iterations (residual %g)"
                              % (tol, opts.max_iter, res), iterations=len(trace) - 1)
-    return v, res, tol, trace, lu
+    if valley and not res * r0 <= _VALLEY_RATIO * tol * (wev := _weighted_norm(_exp_terms(eq, v), weights)):
+        raise NonConvergence("Newton reached residual %g, but with a = b = 0 its exponential term w e^v "
+                             "has collapsed to %g: a field down the constant valley, no solution"
+                             % (res, wev), iterations=len(trace) - 1)
+    return v, res, trace, lu
 
 
 def _cycle(matrix, diagonal, transfer, coarse_solve):
@@ -420,30 +441,24 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     no level then has fewer than ``_DESCENT_MIN_RINGS`` rings but the mesh)
     where the constrained descent from there ends (``_descend``).  Residual
     weights are ``M`` for P1, ``M + M_b`` for P2.  A level whose solve fails
-    hands nothing up, and the next starts as the coarsest does.  A level
-    below the finest with ``_TWO_GRID_MIN_RINGS`` rings or more stops at
-    ``_COARSE_STOP_FRACTION`` of its start's residual if that is above
-    Newton's tolerance: the next level's start lies further off.  A level
-    of ``_TWO_GRID_MIN_RINGS`` rings or more with a coarse solve from below
-    solves its Newton systems by cycled conjugate gradients and hands up a
-    cycle on its Jacobian frozen at its solution; any other level factors
-    each step and hands up its last factor.
+    hands nothing up, and the next starts as the coarsest does.  On an a =
+    b = 0 Neumann record every level passes ``valley`` to ``_newton_loop``,
+    so a level whose field lies down the constant valley fails too, and no
+    valley field is handed up.  A level below the finest with
+    ``_TWO_GRID_MIN_RINGS`` rings or more stops at ``_COARSE_STOP_FRACTION``
+    of its start's residual if that is above Newton's tolerance: the next
+    level's start lies further off.  A level of ``_TWO_GRID_MIN_RINGS``
+    rings or more with a coarse solve from below solves its Newton systems
+    by cycled conjugate gradients and hands up a cycle on its Jacobian
+    frozen at its solution; any other level factors each step and hands up
+    its last factor.
 
-    With a = b = 0 on a Neumann record, ``S v + w e^v`` tends to zero along
-    the constant fields ``v -> -inf``, where no solution lies.  The finest
-    level's field ``v`` is accepted only if ``res * r0 <= _VALLEY_RATIO *
-    tol * |w e^v|``, with ``res``, ``tol`` and ``r0 = |c + w|`` Newton's
-    residual, stop and reference, all weighted norms: a scale-free test, as
-    a true field has ``|w e^v| = |S v|`` of the order of ``r0``, and a
-    valley field has a collapsed exponential term.  That level's stop is at
-    most ``r0 / _VALLEY_RATIO**2``, however loose the options: on a constant
-    field ``res = |w e^v|``, so a valley field that meets the stop reads
-    ``r0 / tol >= _VALLEY_RATIO**2`` and fails.  If the finest level fails
-    the test or raises after starting from the field handed up from below,
-    on an a = b = 0 route with ``descent``, it runs once more as the
-    coarsest level runs: from zero, through the descent, factoring each
-    step.  Any other failure of the finest level is raised, a
-    ``NonConvergence`` with the steps of every level and attempt.  Returns
+    If the finest level fails the valley test or raises after starting from
+    the field handed up from below, on an a = b = 0 route with ``descent``,
+    it runs once more as the coarsest level runs: from zero, through the
+    descent, factoring each step.  Any other failure of the finest level is
+    raised, a ``NonConvergence`` with the steps of every level and attempt.
+    Returns
     ``(v, residual_norm, iterations, trace, counts)``: the descents' and
     every converged level's steps, and after a restart the rejected
     attempt's too; the finest level's trace; every level's and attempt's
@@ -484,16 +499,8 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
                 if descent:
                     x0, descended = _descend(level_mesh, p, level_prob, eq, weights, x0, opts, counts)
                     iterations += descended
-            r0 = _weighted_norm(eq[1] + eq[2], weights) if level_mesh is mesh and valley else None
-            x, res, tol, trace, lu = _newton_loop(eq, x0, weights, opts, counts, coarse=coarse,
-                                                  stop_fraction=stop_fraction,
-                                                  max_tol=math.inf if r0 is None else r0 / _VALLEY_RATIO**2)
-            if r0 is not None:
-                wev = _weighted_norm(_exp_terms(eq, x), weights)
-                if not res * r0 <= _VALLEY_RATIO * tol * wev:
-                    raise NonConvergence("Newton reached residual %g, but with a = b = 0 its exponential term w e^v "
-                                         "has collapsed to %g: a field down the constant valley, no solution"
-                                         % (res, wev), iterations=len(trace) - 1)
+            x, res, trace, lu = _newton_loop(eq, x0, weights, opts, counts, coarse=coarse,
+                                             stop_fraction=stop_fraction, valley=valley)
         except TorusBVPError as exc:
             if level_mesh is mesh:
                 if isinstance(exc, NonConvergence):
@@ -701,11 +708,13 @@ def solve_p2_newton(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
 
     With a = b = 0 and no ``init`` the coarsest level starts from the
     descent: from zero it would walk down the constant valley to ``v = -23``.
-    With a = b = 0 the returned field must also pass the valley test of
-    ``_solve_newton``, a residual small against its own exponential term;
-    a finest level that fails it from the field handed up from below is
-    solved once more from its own descent, and a field from ``init`` that
-    fails it raises ``NonConvergence``.
+    With a = b = 0 the field of every nested level must also pass the
+    valley test of ``_newton_loop``, a residual small against its own
+    exponential term.  A coarse level that fails it hands nothing up, so
+    the next level starts from its own descent; a finest level that fails
+    it from the field handed up from below is solved once more from its own
+    descent, and a field from ``init`` that fails it raises
+    ``NonConvergence``.
     """
     _admit(mesh, p, prob)
     v, res, iterations, trace, counts = _solve_newton(mesh, p, prob, init, opts or SolveOptions(),

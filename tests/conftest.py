@@ -52,7 +52,7 @@ def newton_levels(monkeypatch):
     def recording_loop(eq, v0, weights, opts, *args, **kwargs):
         out = real_loop(eq, v0, weights, opts, *args, **kwargs)
         r0 = solvers._weighted_norm(solvers._residual(eq, np.zeros_like(v0)), weights)
-        residuals = [res for res, _ in out[3]]
+        residuals = [res for res, _ in out[2]]
         levels.append((eq[0].shape[0], residuals, opts.tol_abs + opts.tol_rel * r0))
         return out
 

@@ -312,6 +312,17 @@ def test_solve_options_reject_a_control_that_stops_no_loop(options):
         tb.SolveOptions(**options)
 
 
+@pytest.mark.parametrize("cap", ["max_iter", "max_descent_iter", "max_monotone_iter"])
+def test_solve_options_reject_a_cap_that_is_not_an_integer(cap):
+    """A cap of 2.5 once passed the check.
+
+    Newton then reported "in 2 iterations", and the descent and the
+    monotone iteration raised a bare ``TypeError`` from ``range``.
+    """
+    with pytest.raises(tb.DomainError, match="%s must be an integer" % cap):
+        tb.SolveOptions(**{cap: 2.5})
+
+
 def test_solve_options_accept_zero_tolerances_and_small_caps():
     opts = tb.SolveOptions(tol_abs=0.0, tol_rel=0, max_iter=1, max_descent_iter=0)
     assert (opts.tol_abs, opts.tol_rel, opts.max_iter, opts.max_descent_iter) == (0.0, 0, 1, 0)

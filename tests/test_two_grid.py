@@ -120,7 +120,7 @@ def test_a_level_below_without_a_factor_leaves_the_fine_level_direct(params, mon
     real_loop = solvers._newton_loop
 
     def loop_without_factor(*args, **kwargs):
-        return real_loop(*args, **kwargs)[:4] + (None,)
+        return real_loop(*args, **kwargs)[:3] + (None,)
 
     monkeypatch.setattr(solvers, "_newton_loop", loop_without_factor)
     rep = solve(mesh, params, prob)

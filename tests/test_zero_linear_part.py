@@ -4,14 +4,17 @@ Along the constant fields ``v = -L`` the residual ``S v + w e^v`` of
 these data tends to zero with no solution in sight.  Newton started from
 zero once walked down that valley and reported ``v = -23`` as converged;
 now it starts the coarsest level from the constrained descent, as the
-variational route does.  A finest field is accepted only if its residual,
-relative to Newton's reference and stop, is small against its own
-exponential term ``w e^v``, which collapses down the valley; that level
-stops at ``r0 * 1e-6`` or below whatever the options, so a loose
-tolerance cannot let a valley field meet the test.  A finest level that
-fails that test, or raises, after starting from the field handed up from
-below is solved once more as the coarsest level is: from zero, through
-the descent.  Only an a = b = 0 level restarts.
+variational route does.  On every level a field is accepted only if its
+residual, relative to Newton's reference and stop, is small against its
+own exponential term ``w e^v``, which collapses down the valley; Newton
+stops at ``r0 * 1e-6`` or below whatever the options (a coarse level may
+stop at its fraction of its start's residual instead), so a loose
+tolerance cannot let a valley field meet the test.  A coarse level that
+fails the test hands nothing up, and the next level starts from its own
+descent.  A finest level that fails that test, or raises, after starting
+from the field handed up from below is solved once more as the coarsest
+level is: from zero, through the descent.  Only an a = b = 0 level
+restarts.
 
 On these data ``solve_p2_newton`` and ``solve_p2_variational`` run the same
 code, ``_solve_newton(..., descent=True)`` with the same arguments, so the
@@ -185,3 +188,17 @@ def test_a_nonzero_linear_part_does_not_restart(params):
                         tb.DiskField.constant(mesh, 0.0))
     with pytest.raises(tb.NonConvergence, match="in 1 iterations"):
         tb.solve_p2_variational(mesh, params, prob, opts=tb.SolveOptions(max_iter=1))
+
+
+def test_a_valley_field_is_refused_on_a_coarse_level(params, newton_levels):
+    """The 32-ring level walks down the valley and hands nothing up; the 64-ring level starts from its own descent.
+
+    Tested only on the finest level, the 32-ring field was handed up, and
+    the 64-ring level ran twice: from that field, then restarted from its
+    descent, to the same field as now.
+    """
+    mesh = ring_mesh(64)
+    rep = tb.solve_p2_newton(mesh, params, small_total(mesh))
+    assert [n for n, _, _ in newton_levels] == [ring_mesh(16).n_nodes, mesh.n_nodes]
+    ref = tb.solve_p2_variational(mesh, params, small_total(mesh), init=tb.DiskField.constant(mesh, 0.0))
+    assert np.array_equal(rep.field.values, ref.field.values)
