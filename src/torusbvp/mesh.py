@@ -27,14 +27,28 @@ class DiskMesh:
 
     The ``6 n_rings`` boundary nodes come last, so the interior nodes, the
     unknowns of a Dirichlet problem, are the leading ``n_interior``.
+    ``nodes`` must be finite, of shape ``(N, 2)``; ``triangles`` integers of
+    shape ``(T, 3)`` in ``[0, N)``, checked before they are stored as
+    ``int32``, which holds every index of a mesh that fits in memory.
     """
 
     def __init__(self, nodes, triangles, n_rings):
         self.nodes = np.ascontiguousarray(nodes, dtype=float)
-        self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+        triangles = np.asarray(triangles)
         self.n_rings = int(n_rings)
+        if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
+            raise DomainError("nodes must have shape (N, 2), got %r" % (self.nodes.shape,))
+        if not np.all(np.isfinite(self.nodes)):
+            raise DomainError("nodes must be finite")
         if self.n_nodes != 1 + 3 * self.n_rings * (self.n_rings + 1):
             raise DomainError("%d nodes do not form a mesh of %d rings" % (self.n_nodes, self.n_rings))
+        if triangles.ndim != 2 or triangles.shape[1] != 3 or not np.issubdtype(triangles.dtype, np.integer):
+            raise DomainError("triangles must be integers of shape (T, 3), got %s of shape %r"
+                              % (triangles.dtype, triangles.shape))
+        if triangles.size and not 0 <= triangles.min() <= triangles.max() < self.n_nodes:
+            raise DomainError("triangle indices must lie in [0, %d), got [%d, %d]"
+                              % (self.n_nodes, triangles.min(), triangles.max()))
+        self.triangles = np.ascontiguousarray(triangles, dtype=np.int32)
         self.h = 1.0 / self.n_rings
         self.n_interior = self.n_nodes - 6 * self.n_rings
         self.boundary_nodes = np.arange(self.n_interior, self.n_nodes)
@@ -80,7 +94,7 @@ def build_mesh(n_rings: int) -> DiskMesh:
 
     a, a1 = start[pair - 1] + wrap(i, m1), start[pair - 1] + wrap(i + 1, m1)
     b, b1 = start[pair] + wrap(j, m2), start[pair] + wrap(j + 1, m2)
-    triangles = np.empty((6 + walk.size, 3), dtype=np.int64)
+    triangles = np.empty((6 + walk.size, 3), dtype=np.int32)
     triangles[:6] = np.stack([np.zeros(6, dtype=np.int64), 1 + np.arange(6), 1 + (np.arange(1, 7) % 6)], axis=1)
     # an inner step's triangle is (a, b, a1), an outer step's (b, b1, a)
     for column, (if_inner, if_outer) in enumerate(((a, b), (b, b1), (a1, a))):
@@ -128,32 +142,30 @@ def prolong(values, mesh: DiskMesh) -> np.ndarray:
     an integer ring/slot ratio with no remainder.  These weights form the
     sparse matrix of ``transfer_pair(mesh)``.
     """
-    matrix = _transfer(mesh)[0]
+    matrix = _transfer(mesh)
     return matrix @ np.asarray(values, dtype=float)
 
 
 def transfer_pair(mesh: DiskMesh, interior: bool = False):
-    """``prolong``'s matrix ``P`` to ``mesh`` from its half-ring mesh and its transpose (cached on ``mesh``).
+    """``prolong``'s matrix ``P`` to ``mesh`` from its half-ring mesh and its transpose ``R`` (``P`` cached on ``mesh``).
 
     With ``interior`` both keep only the interior nodes, of ``mesh`` in the
     rows of ``P`` and of the half-ring mesh in its columns: the unknowns of
-    a Dirichlet problem, each mesh's leading ``n_interior`` nodes.  A
-    transpose is built the first time its pair is asked for, so ``prolong``
-    builds none, and a Dirichlet solve no full one.
+    a Dirichlet problem, each mesh's leading ``n_interior`` nodes.  ``R`` is
+    ``P.T``, a CSC view of ``P``'s arrays, so the hierarchy holds each
+    transfer once.  ``R @ x`` adds each output's terms in the column order
+    of a CSR copy of the transpose, so it has that product's bits.
     """
-    pair = _transfer(mesh, interior)
-    if pair[1] is None:
-        pair[1] = pair[0].T.tocsr()
-    return tuple(pair)
+    matrix = _transfer(mesh, interior)
+    return matrix, matrix.T
 
 
-def _transfer(mesh: DiskMesh, interior: bool = False) -> list:
-    """``[P, P^T or None]``, the cache entry of ``transfer_pair(mesh, interior)``; ``P`` is built once per mesh."""
+def _transfer(mesh: DiskMesh, interior: bool = False) -> sp.csr_matrix:
+    """``P``, the cache entry of ``transfer_pair(mesh, interior)``, built once per mesh; the interior one slices the full one."""
     key = ("transfer", interior)
     if key not in mesh._cache:
-        matrix = (_transfer(mesh)[0][:mesh.n_interior, :coarse_mesh(mesh)[0].n_interior] if interior
-                  else _prolongation(mesh))
-        mesh._cache[key] = [matrix, None]
+        mesh._cache[key] = (_transfer(mesh)[:mesh.n_interior, :coarse_mesh(mesh)[0].n_interior] if interior
+                            else _prolongation(mesh))
     return mesh._cache[key]
 
 
@@ -214,23 +226,15 @@ def _assemble_core(mesh: DiskMesh, w0: float, w1: float):
     """Raw operators for the affine weight ``w0 + w1 t`` (no 2*pi factors).
 
     Stiffness uses centroid quadrature, exact for constant gradients against
-    an affine weight; masses are vertex-lumped.
+    an affine weight; masses are vertex-lumped.  The masses come first, and
+    the triangle geometry is dropped before scipy sums the nine entries of
+    each element matrix, held in one ``(9, T)`` array, into CSR: that
+    conversion, which holds the COO triplets and their CSR copy, sets the
+    peak memory.
     """
     areas, gx, gy, t_cent = _triangle_geometry(mesh)
     tri = mesh.triangles
-    weight = areas * (w0 + w1 * t_cent)
     n = mesh.n_nodes
-
-    # the element matrix is symmetric: six distinct products, entries listed row by row
-    entry = {}
-    for i in range(3):
-        for j in range(i, 3):
-            entry[i, j] = entry[j, i] = weight * (gx[i] * gx[j] + gy[i] * gy[j])
-    index = tri.T.astype(np.int32)
-    stiffness = sp.coo_matrix(
-        (np.concatenate([entry[i, j] for i in range(3) for j in range(3)]),
-         (np.repeat(index, 3, axis=0).ravel(), np.tile(index, (3, 1)).ravel())), shape=(n, n)
-    ).tocsr()
 
     vol_mass = np.zeros(n)
     t_node = mesh.nodes[:, 0]
@@ -243,6 +247,21 @@ def _assemble_core(mesh: DiskMesh, w0: float, w1: float):
     seg = np.linalg.norm(mesh.nodes[nxt] - mesh.nodes[b], axis=1)
     np.add.at(bnd_mass, b, 0.5 * seg * (w0 + w1 * t_node[b]))
     np.add.at(bnd_mass, nxt, 0.5 * seg * (w0 + w1 * t_node[nxt]))
+
+    weight = areas * (w0 + w1 * t_cent)
+    # the element matrix is symmetric: six distinct products, entry (i, j) in row 3 i + j
+    entries, product = np.empty((9, tri.shape[0])), np.empty(tri.shape[0])
+    for i in range(3):
+        for j in range(i, 3):
+            entry = np.multiply(gx[i], gx[j], out=entries[3 * i + j])
+            entry += np.multiply(gy[i], gy[j], out=product)
+            entry *= weight
+            entries[3 * j + i] = entry
+    del areas, gx, gy, t_cent, weight, product
+    index = tri.T
+    stiffness = sp.coo_matrix(
+        (entries.ravel(), (np.repeat(index, 3, axis=0).ravel(), np.tile(index, (3, 1)).ravel())), shape=(n, n)
+    ).tocsr()
     return stiffness, vol_mass, bnd_mass
 
 

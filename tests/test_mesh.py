@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -110,6 +111,29 @@ def test_a_mesh_rejects_nodes_not_of_its_rings(params):
             tb.DiskMesh(nodes, m.triangles, n_rings)
     with pytest.raises(tb.DomainError):  # clockwise triangles have no assembly
         tb.assemble(tb.DiskMesh(m.nodes, m.triangles[:, ::-1], 4), params)
+
+
+def _replaced(array, index, value, dtype=None):
+    out = np.array(array, dtype=dtype)
+    out[index] = value
+    return out
+
+
+@pytest.mark.parametrize("nodes, triangles, match", [
+    (lambda m: _replaced(m.nodes, (3, 0), np.nan), lambda m: m.triangles, "finite"),
+    (lambda m: _replaced(m.nodes, (5, 1), np.inf), lambda m: m.triangles, "finite"),
+    (lambda m: np.hstack([m.nodes, np.zeros((m.n_nodes, 1))]), lambda m: m.triangles, "shape"),
+    (lambda m: m.nodes, lambda m: _replaced(m.triangles, (2, 1), -1), r"in \[0, 61\)"),
+    (lambda m: m.nodes, lambda m: _replaced(m.triangles, (7, 2), 61), r"in \[0, 61\)"),
+    (lambda m: m.nodes, lambda m: m.triangles[:, :2], "shape"),
+    (lambda m: m.nodes, lambda m: _replaced(m.triangles, (0, 0), 0.5, dtype=float), "integers"),
+], ids=["nan_node", "inf_node", "three_coordinates", "index_minus_one", "index_n_nodes", "two_corners",
+        "float_index"])
+def test_a_mesh_rejects_arrays_it_cannot_assemble(nodes, triangles, match):
+    """Bad nodes or triangles are refused by name, before an index is cast to int32 and could wrap."""
+    m = tb.build_mesh(4)
+    with pytest.raises(tb.DomainError, match=match):
+        tb.DiskMesh(nodes(m), triangles(m), 4)
 
 
 def test_a_mesh_without_a_half_ring_mesh_has_no_transfer():
@@ -328,6 +352,39 @@ def test_prolong_is_a_cached_sparse_operator():
         assert np.all(row_nnz[fine_index] == 1) and np.all(matrix[fine_index].data == 1.0)
         linear = lambda x: 0.7 - x[:, 0] + 0.3 * x[:, 1]
         assert np.max(np.abs(prolong(linear(coarse.nodes), m) - linear(m.nodes))) <= 1e-15
+
+
+@pytest.mark.parametrize("interior", [False, True])
+def test_the_restriction_is_a_view_of_the_one_cached_prolongation(interior):
+    """``transfer_pair``'s ``R`` shares ``P``'s arrays, the cache holds ``P`` alone, and ``R @ x`` has a copy's bits."""
+    rng = np.random.default_rng(7)
+    for n in (4, 8, 16, 32, 64, 128):
+        m = tb.build_mesh(n)
+        P, R = transfer_pair(m, interior)
+        assert np.shares_memory(R.data, P.data) and np.shares_memory(R.indices, P.indices), n
+        assert m._cache[("transfer", interior)] is P, n
+        x = rng.standard_normal(R.shape[1])
+        assert (R @ x).tobytes() == (P.T.tocsr() @ x).tobytes(), n
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_assembly_peaks_at_the_coo_to_csr_conversion(n):
+    """``_assemble_core`` traces at most five times its nine float64 entries per triangle.
+
+    scipy's COO to CSR conversion, which holds the triplets beside their
+    CSR copy, sets the peak at about 4.2 times; the triangle geometry is
+    gone by then.
+    """
+    m = tb.build_mesh(n)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        _assemble_core(m, 2.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 72 * m.triangles.shape[0], peak / (72 * m.triangles.shape[0])
 
 
 def test_discarded_mesh_is_freed_without_gc(params):
