@@ -24,13 +24,12 @@ class NoBracket(TorusBVPError):
 class NonConvergence(TorusBVPError):
     """Iteration exhausted its budget without meeting the tolerance.
 
-    Carries the partial report (if any) in ``report`` and the Newton steps
-    taken (if counted) in ``iterations`` for diagnostics.
+    Carries the Newton steps taken (if counted) in ``iterations`` for
+    diagnostics.
     """
 
-    def __init__(self, message, report=None, iterations=None):
+    def __init__(self, message, iterations=None):
         super().__init__(message)
-        self.report = report
         self.iterations = iterations
 
 

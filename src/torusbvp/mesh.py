@@ -27,15 +27,16 @@ class DiskMesh:
 
     The ``6 n_rings`` boundary nodes come last, so the interior nodes, the
     unknowns of a Dirichlet problem, are the leading ``n_interior``.
-    ``nodes`` must be finite, of shape ``(N, 2)``; ``triangles`` integers of
-    shape ``(T, 3)`` in ``[0, N)``, checked before they are stored as
-    ``int32``, which holds every index of a mesh that fits in memory.
+    ``n_rings`` must be an integer of at least 2 (``_ring_count``);
+    ``nodes`` finite, of shape ``(N, 2)``; ``triangles`` integers of shape
+    ``(T, 3)`` in ``[0, N)``, checked before they are stored as ``int32``,
+    which holds every index of a mesh that fits in memory.
     """
 
     def __init__(self, nodes, triangles, n_rings):
         self.nodes = np.ascontiguousarray(nodes, dtype=float)
         triangles = np.asarray(triangles)
-        self.n_rings = int(n_rings)
+        self.n_rings = _ring_count(n_rings)
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
             raise DomainError("nodes must have shape (N, 2), got %r" % (self.nodes.shape,))
         if not np.all(np.isfinite(self.nodes)):
@@ -61,44 +62,47 @@ class DiskMesh:
         return self.nodes.shape[0]
 
 
+def _ring_count(n_rings) -> int:
+    """``n_rings`` as an ``int``; a ring count that is not an integer of at least 2 raises ``DomainError``."""
+    if not isinstance(n_rings, (int, np.integer)) or n_rings < 2:
+        raise DomainError("n_rings must be an integer >= 2, got %r" % (n_rings,))
+    return int(n_rings)
+
+
 def build_mesh(n_rings: int) -> DiskMesh:
-    """Concentric-ring triangulation with nominal mesh size ``h = 1/n_rings``."""
-    if n_rings < 2:
-        raise DomainError("n_rings must be >= 2, got %r" % (n_rings,))
+    """Concentric-ring triangulation with nominal mesh size ``h = 1/n_rings``.
+
+    Six triangles fan out from the center.  Between rings ``r`` and
+    ``r + 1`` a walk around both rings adds ``12 r + 6`` more, each written
+    straight into the row that its step gives in closed form: nothing is
+    sorted.
+    """
+    n_rings = _ring_count(n_rings)
     ring, slot, start = _ring_layout(n_rings)
     ang = slot * (TWO_PI / np.maximum(1, 6 * ring))
     rad = ring / n_rings
     nodes = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
 
-    # Between rings k - 1 and k (k >= 2), walk both rings counterclockwise:
-    # each step advances the inner ring (slot i -> i + 1, of m1 = 6 (k - 1))
-    # or the outer one (j -> j + 1, of m2 = 6 k), whichever has the smaller
-    # next angle, the inner one on a tie.  Comparing (i + 1) m2 with
-    # (j + 1) m1 is exact, so one stable sort of those keys (below
-    # 36 n_rings^2) gives every walk; the inner steps are listed first.
-    inner = np.flatnonzero((ring >= 1) & (ring < n_rings))
-    outer = np.flatnonzero(ring >= 2)
-    pair = np.concatenate([ring[inner] + 1, ring[outer]])
-    step = np.concatenate([slot[inner], slot[outer]])
-    key = (step + 1) * 6 * np.concatenate([ring[inner] + 1, ring[outer] - 1])
-    walk = np.argsort(pair * (36 * n_rings**2) + key, kind="stable")
-    pair, step, is_inner = pair[walk], step[walk], walk < inner.size
-    # the walk of pair k starts after the 6 k (k - 2) steps of the pairs before it
-    other = np.arange(walk.size) - 6 * pair * (pair - 2) - step  # the other ring's steps so far
-    m1, m2 = 6 * (pair - 1), 6 * pair
-    i = np.where(is_inner, step, other)
-    j = np.where(is_inner, other, step)
-
-    def wrap(k, m):  # k % m: a slot is at most one past its ring's last, so k < 2 m
-        return k - m * (k >= m)
-
-    a, a1 = start[pair - 1] + wrap(i, m1), start[pair - 1] + wrap(i + 1, m1)
-    b, b1 = start[pair] + wrap(j, m2), start[pair] + wrap(j + 1, m2)
-    triangles = np.empty((6 + walk.size, 3), dtype=np.int32)
+    triangles = np.empty((6 * n_rings**2, 3), dtype=np.int32)
     triangles[:6] = np.stack([np.zeros(6, dtype=np.int64), 1 + np.arange(6), 1 + (np.arange(1, 7) % 6)], axis=1)
-    # an inner step's triangle is (a, b, a1), an outer step's (b, b1, a)
-    for column, (if_inner, if_outer) in enumerate(((a, b), (b, b1), (a1, a))):
-        triangles[6:, column] = np.where(is_inner, if_inner, if_outer)
+    # Between rings r and r + 1 (r >= 1), walk both rings counterclockwise:
+    # each step advances the inner ring (slot i -> i + 1, of m1 = 6 r) or
+    # the outer one (j -> j + 1, of m2 = 6 (r + 1)), whichever has the
+    # smaller next angle, the inner one on a tie: inner step i when
+    # (i + 1) m2 <= (j + 1) m1.  So inner step i comes after
+    # j = i + 1 + i // r outer steps and outer step j after
+    # i = j - j // (r + 1) inner ones.  The center's six triangles and the
+    # walks inside ring r fill the first 6 r^2 rows, so the step's triangle
+    # is row 6 r^2 + i + j: (a, b, a1) for an inner step, (b, b1, a) for an
+    # outer one.
+    a = np.arange(1, start[n_rings])  # inner step i from node a, slot i of ring r
+    r, i = ring[a], slot[a]
+    j = i + 1 + i // r
+    triangles[6 * r**2 + i + j] = np.stack([a, start[r + 1] + j, start[r] + (i + 1) % (6 * r)], axis=1)
+    b = np.arange(start[2], ring.size)  # outer step j from node b, slot j of ring r + 1
+    r, j = ring[b] - 1, slot[b]
+    i = j - j // (r + 1)
+    triangles[6 * r**2 + i + j] = np.stack([b, start[r + 1] + (j + 1) % (6 * r + 6), start[r] + i % (6 * r)], axis=1)
 
     return DiskMesh(nodes, triangles, n_rings)
 

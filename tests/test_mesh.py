@@ -80,7 +80,7 @@ def triangle_geometry_gathered(mesh):
 
 
 def test_build_mesh_matches_the_ring_loop_bit_for_bit():
-    for n in range(2, 65):
+    for n in (*range(2, 65), 127, 128, 129, 256):
         m = tb.build_mesh(n)
         nodes, triangles = build_mesh_loop(n)
         assert np.array_equal(m.nodes, nodes), n
@@ -134,6 +134,26 @@ def test_a_mesh_rejects_arrays_it_cannot_assemble(nodes, triangles, match):
     m = tb.build_mesh(4)
     with pytest.raises(tb.DomainError, match=match):
         tb.DiskMesh(nodes(m), triangles(m), 4)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: tb.build_mesh(4.0), "got 4.0"),
+    (lambda: tb.build_mesh(4.5), "got 4.5"),
+    (lambda: tb.build_mesh("4"), "got '4'"),
+    (lambda: tb.DiskMesh(np.zeros((1, 2)), np.empty((0, 3), dtype=int), 0), "got 0"),
+    (lambda: tb.DiskMesh(np.zeros((1, 2)), np.empty((0, 3), dtype=int), -1), "got -1"),
+    (lambda: tb.DiskMesh(tb.build_mesh(2).nodes, tb.build_mesh(2).triangles, 2.7), "got 2.7"),
+], ids=["build_float", "build_fraction", "build_string", "mesh_zero", "mesh_negative", "mesh_fraction"])
+def test_a_ring_count_is_an_integer_of_at_least_two(build, match):
+    """Both ``build_mesh`` and ``DiskMesh`` refuse any other ring count by name, before it is cast or divided by."""
+    with pytest.raises(tb.DomainError, match=match):
+        build()
+
+
+def test_a_numpy_integer_is_a_ring_count():
+    m = tb.build_mesh(np.int64(4))
+    assert type(m.n_rings) is int and m.n_rings == 4
+    assert tb.DiskMesh(m.nodes, m.triangles, np.int32(4)).n_rings == 4
 
 
 def test_a_mesh_without_a_half_ring_mesh_has_no_transfer():
@@ -385,6 +405,21 @@ def test_assembly_peaks_at_the_coo_to_csr_conversion(n):
     finally:
         tracemalloc.stop()
     assert peak <= 5 * 72 * m.triangles.shape[0], peak / (72 * m.triangles.shape[0])
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_build_mesh_peaks_near_the_bytes_it_keeps(n):
+    """``build_mesh`` traces at most five times the mesh it returns: its walk sorts nothing and holds no per-step key."""
+    tb.build_mesh(4)  # first calls allocate lazily
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        m = tb.build_mesh(n)
+        kept, peak = (size - start for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert m.n_rings == n and peak <= 5 * kept, peak / kept
 
 
 def test_discarded_mesh_is_freed_without_gc(params):
