@@ -310,8 +310,9 @@ def _cmd_scan_gamma(args, cfg, p) -> tuple:
     opts = _solve_options(cfg)
     # worker threads share the mesh caches, so fill them first: every Newton
     # level's operators, its interior stiffness and its interior transfer to
-    # the level below, which its cycles read from 16 rings on (each call
-    # makes its own transpose view, which caches nothing)
+    # the level below, which its cycles read from 16 rings on, odd ring
+    # counts included (each call makes its own transpose view, and each
+    # solve its own data restriction below an odd level: neither is cached)
     level = (mesh,)
     while level is not None:
         assemble(level[0], p)

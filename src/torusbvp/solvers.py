@@ -59,7 +59,8 @@ from .functionals import (
 )
 from .geometry import TorusParams
 from .inequalities import mu_best
-from .mesh import DiskField, DiskMesh, assemble, coarse_mesh, prolong, stiffness_block, transfer_pair, weighted_sum
+from .mesh import (DiskField, DiskMesh, assemble, coarse_mesh, prolong, restrict, stiffness_block, transfer_pair,
+                   weighted_sum)
 
 
 @dataclass
@@ -432,11 +433,14 @@ def _admit(mesh, p, prob, dirichlet=False):
 def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     """Damped Newton on the core equation of ``prob``; its unknowns are the interior nodes if ``dirichlet``.
 
-    Without ``init`` this is the nested iteration of full multigrid: the
-    rings nest (``coarse_mesh``), so the problem, with its data at the
-    nested nodes, is solved on the coarsest mesh first and then on each
-    finer mesh from the solution below (``_fmg_start``), relaxed on the new
-    nodes; from ``init`` the finest level is the only one.  The coarsest
+    Without ``init`` this is the nested iteration of full multigrid: each
+    mesh of 4 rings or more has the half-ring mesh below it
+    (``coarse_mesh``), so the problem, with its data restricted there
+    (``restrict``: the values at the nested nodes, interpolated where an
+    odd ring count does not nest), is solved on the coarsest mesh first and
+    then on each finer mesh from the solution below (``_fmg_start``),
+    relaxed on the new nodes, every node of a level that does not nest;
+    from ``init`` the finest level is the only one.  The coarsest
     level starts from zero or ``init``, or with ``descent`` (Neumann only;
     no level then has fewer than ``_DESCENT_MIN_RINGS`` rings but the mesh)
     where the constrained descent from there ends (``_descend``).  Residual
@@ -470,9 +474,9 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     levels = [(mesh, prob)]
     min_rings = _DESCENT_MIN_RINGS if descent else 0
     while init is None and (level := coarse_mesh(levels[-1][0])) is not None and level[0].n_rings >= min_rings:
-        (coarse, idx), fine_prob = level, levels[-1][1]
-        levels.append((coarse, ProblemP2(prob.a, prob.b, DiskField(coarse, fine_prob.f.values[idx]),
-                                         DiskField(coarse, fine_prob.g.values[idx]))))
+        (fine, fine_prob), coarse = levels[-1], level[0]
+        f, g = restrict(np.stack([fine_prob.f.values, fine_prob.g.values], axis=1), fine).T
+        levels.append((coarse, ProblemP2(prob.a, prob.b, DiskField(coarse, f), DiskField(coarse, g))))
     counts = Counter()
     v_2h = v_4h = None  # converged solutions of the two levels below
     coarse_solve = None  # the level below's
@@ -490,8 +494,9 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
         stop_fraction = _COARSE_STOP_FRACTION if level_mesh is not mesh and rings >= _TWO_GRID_MIN_RINGS else 0.0
         try:
             if v_2h is not None:
-                new = np.ones(level_mesh.n_nodes, dtype=bool)
-                new[coarse_mesh(level_mesh)[1]] = False
+                new, nested = np.ones(level_mesh.n_nodes, dtype=bool), coarse_mesh(level_mesh)[1]
+                if nested is not None:
+                    new[nested] = False
                 x0 = _relax_new_nodes(eq, _fmg_start(level_mesh, v_2h, v_4h)[free], np.flatnonzero(new[free]),
                                       weights)
             else:
@@ -521,16 +526,20 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
 
 
 def _fmg_start(mesh, v_2h, v_4h):
-    """The half-ring solution ``v_2h`` prolonged to ``mesh``, Richardson-extrapolated first.
+    """The half-ring solution ``v_2h`` prolonged to ``mesh``, Richardson-extrapolated first where the rings nest.
 
-    ``v_4h``, when given, is the solution of the level below ``v_2h``.  Its
-    O(h^2) error is four times that of ``v_2h``, so the extrapolated coarse
-    solution is ``v_2h + P (v_2h[idx] - v_4h) / 3``, with ``v_2h[idx]`` its
-    values at the nodes of that level and ``P`` the prolongation to it.
+    ``v_4h``, when given, is the solution of the level below ``v_2h``.  If
+    ``mesh`` nests over the level of ``v_2h`` and that level over the one
+    of ``v_4h``, each halves the mesh size, so the O(h^2) error of ``v_4h``
+    is four times that of ``v_2h``, and the extrapolated coarse solution is
+    ``v_2h + P (v_2h[idx] - v_4h) / 3``, with ``v_2h[idx]`` its values at
+    the nodes of that level and ``P`` the prolongation to it.  An odd ring
+    count halves to a ratio other than 2, so where either pair does not
+    nest ``v_2h`` is prolonged as it is.
     """
-    if v_4h is not None:
-        coarse = coarse_mesh(mesh)[0]
-        v_2h = v_2h + prolong(v_2h[coarse_mesh(coarse)[1]] - v_4h, coarse) / 3.0
+    coarse, nested = coarse_mesh(mesh)
+    if v_4h is not None and nested is not None and (below := coarse_mesh(coarse)[1]) is not None:
+        v_2h = v_2h + prolong(v_2h[below] - v_4h, coarse) / 3.0
     return prolong(v_2h, mesh)
 
 
@@ -539,9 +548,11 @@ def _relax_new_nodes(eq, v0, new, weights):
 
     A prolonged start is exact to O(h^2) only at the nested nodes; its
     interpolation error sits on the new ones.  ``_RELAX_SWEEPS`` undamped
-    sweeps there, with the nested nodes held, cut that error.  The relaxed
-    start is kept only if it lowers the weighted residual, which a start far
-    from the solution need not.
+    sweeps there, with the nested nodes held, cut that error.  Where the
+    rings do not nest (an odd ring count) every node of a prolonged start is
+    interpolated, so ``new`` holds every unknown and all are relaxed.  The
+    relaxed start is kept only if it lowers the weighted residual, which a
+    start far from the solution need not.
     """
     # the core equation's rows at the new nodes
     S, c, w, diagonal = eq

@@ -8,8 +8,8 @@ import pytest
 import scipy.sparse as sp
 
 import torusbvp as tb
-from torusbvp.mesh import (TWO_PI, _assemble_core, _prolongation, _triangle_geometry, coarse_mesh, prolong,
-                           stiffness_block, transfer_pair)
+from torusbvp.mesh import (TWO_PI, _assemble_core, _ring_layout, _triangle_geometry, coarse_mesh, prolong, restrict,
+                           ring_interpolation, stiffness_block, transfer_pair)
 from oracles import (
     SmoothFieldBasis,
     fit_order,
@@ -68,6 +68,36 @@ def build_mesh_loop(n_rings):
                 triangles.append((o0 + j, o0 + (j + 1) % m2, i0 + i % m1))
                 j += 1
     return np.asarray(nodes), np.asarray(triangles, dtype=np.int64)
+
+
+def prolongation_coo(mesh):
+    """The weights of ``prolong`` to ``mesh`` from its half-ring mesh, summed by scipy from COO: the 2:1 reference."""
+    n, n_fine = mesh.n_rings // 2, mesh.n_nodes
+    ring, slot, _ = _ring_layout(2 * n)
+    start = _ring_layout(n)[2]
+    denom = np.maximum(ring, 1)
+
+    def crossing(k):
+        pos = slot * k
+        lo, frac = pos // denom, (pos % denom) / denom
+        size = np.maximum(6 * k, 1)
+        half = math.pi / size
+        left, right = np.sin(2.0 * half * frac), np.sin(2.0 * half * (1.0 - frac))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            along = np.where(k > 0, left / (left + right), 0.0)
+        radius = (k / n) * (np.cos(half) / np.cos((2.0 * frac - 1.0) * half))
+        return radius, start[k] + lo % size, start[k] + (lo + 1) % size, along
+
+    inner = np.minimum(ring // 2, n - 1)
+    r0, a0, b0, t0 = crossing(inner)
+    r1, a1, b1, t1 = crossing(inner + 1)
+    w = (ring / (2 * n) - r0) / (r1 - r0)
+    weights = [(1.0 - w) * (1.0 - t0), (1.0 - w) * t0, w * (1.0 - t1), w * t1]
+    matrix = sp.csr_matrix((np.concatenate(weights),
+                            (np.tile(np.arange(n_fine), 4), np.concatenate([a0, b0, a1, b1]))),
+                           shape=(n_fine, start[-1] + 6 * n))
+    matrix.eliminate_zeros()
+    return matrix
 
 
 def triangle_geometry_gathered(mesh):
@@ -178,7 +208,7 @@ def test_leading_blocks_equal_the_masked_interior(params, n):
 
     free, coarse_free = masked(m), masked(coarse)
     pairs = [(tb.assemble(m, params).stiffness[free][:, free], stiffness_block(m, params, interior=True)[0]),
-             (_prolongation(m)[free][:, coarse_free], transfer_pair(m, interior=True)[0])]
+             (prolongation_coo(m)[free][:, coarse_free], transfer_pair(m, interior=True)[0])]
     for ref, block in pairs:
         assert block.shape == ref.shape
         for attr in ("data", "indices", "indptr"):
@@ -332,8 +362,80 @@ def test_coarse_mesh_nodes_are_nested(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 7])
-def test_coarse_mesh_needs_an_even_ring_count_of_four_or_more(n):
-    assert coarse_mesh(tb.build_mesh(n)) is None
+def test_coarse_mesh_needs_four_rings_or_more(n):
+    """2 and 3 rings have no level below; 7 rings have the 3-ring mesh, whose nodes do not nest."""
+    level = coarse_mesh(tb.build_mesh(n))
+    if n < 4:
+        assert level is None
+    else:
+        coarse, fine_index = level
+        assert coarse.n_rings == n // 2 and fine_index is None
+        assert coarse_mesh(coarse) is None
+
+
+@pytest.mark.parametrize("n", [5, 9, 33, 65])
+def test_an_odd_ring_count_has_its_transfer_and_restriction(n):
+    """An odd ring count prolongs from, and restricts to, ``n // 2`` rings by the one ring interpolation."""
+    m = tb.build_mesh(n)
+    coarse, fine_index = coarse_mesh(m)
+    assert coarse.n_rings == n // 2 and fine_index is None
+    P = transfer_pair(m)[0]
+    assert P.shape == (m.n_nodes, coarse.n_nodes)
+    linear = lambda x: 0.7 - x[:, 0] + 0.3 * x[:, 1]
+    assert np.max(np.abs(prolong(linear(coarse.nodes), m) - linear(m.nodes))) <= 1e-14
+    assert np.max(np.abs(restrict(linear(m.nodes), m) - linear(coarse.nodes))) <= 1e-14
+    both = np.stack([linear(m.nodes), 2.0 * linear(m.nodes)], axis=1)
+    assert np.array_equal(restrict(both, m)[:, 0], restrict(both[:, 0], m))
+
+
+@pytest.mark.parametrize("n_to, n_from", [(129, 64), (65, 32), (33, 16), (100, 37), (64, 129), (16, 33), (37, 100),
+                                          (5, 2), (2, 5)])
+def test_ring_interpolation_is_exact_for_linear_functions_at_any_ratio(n_to, n_from):
+    """Rows sum to one and hold at most four sorted nonzero weights, which reproduce linear functions."""
+    P = ring_interpolation(n_to, n_from)
+    to, source = tb.build_mesh(n_to), tb.build_mesh(n_from)
+    assert P.shape == (to.n_nodes, source.n_nodes)
+    assert np.max(np.abs(np.asarray(P.sum(axis=1)).ravel() - 1.0)) <= 1e-15
+    row_nnz = np.diff(P.indptr)
+    assert row_nnz.max() <= 4 and P.has_sorted_indices and np.all(P.data != 0.0)
+    linear = lambda x: 0.7 - x[:, 0] + 0.3 * x[:, 1]
+    assert np.max(np.abs(P @ linear(source.nodes) - linear(to.nodes))) <= 4e-15
+    assert np.array_equal(P[0].toarray().ravel()[:1], [1.0])  # the center
+
+
+def test_ring_interpolation_is_second_order_across_odd_ring_counts():
+    """The error on a smooth function falls four times per halving of h, from an odd count to its half."""
+    smooth = lambda x: np.sin(2.0 * x[:, 0]) * np.cos(x[:, 1])
+    errs = [np.max(np.abs(ring_interpolation(n, n // 2) @ smooth(tb.build_mesh(n // 2).nodes)
+                          - smooth(tb.build_mesh(n).nodes))) for n in (17, 33, 65, 129)]
+    assert 1.9 <= fit_order(errs) <= 2.1, errs
+
+
+def test_ring_interpolation_is_the_coo_prolongation_bit_for_bit():
+    """At 2:1 the direct CSR build equals scipy's COO sum with its zeros eliminated: values, indices and pointers."""
+    for n in (*range(4, 67, 2), 128, 256):
+        ref, P = prolongation_coo(tb.build_mesh(n)), ring_interpolation(n, n // 2)
+        assert P.shape == ref.shape, n
+        for attr in ("data", "indices", "indptr"):
+            assert getattr(P, attr).dtype == getattr(ref, attr).dtype, (n, attr)
+            assert np.array_equal(getattr(P, attr), getattr(ref, attr)), (n, attr)
+
+
+def _owner(array):
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+@pytest.mark.parametrize("n", [4, 9, 64, 65])
+def test_every_cached_transfer_holds_exactly_its_nonzeros(n):
+    """No cached ``P``, full or interior, keeps a dead tail: its values and column indices own nnz entries each."""
+    m = tb.build_mesh(n)
+    for interior in (False, True):
+        P = transfer_pair(m, interior)[0]
+        assert P is m._cache[("transfer", interior)]
+        for part in (P.data, P.indices):
+            assert part.size == _owner(part).size == P.nnz, (interior, part.size, _owner(part).size, P.nnz)
 
 
 def test_prolong_exact_at_nested_nodes_and_second_order():
@@ -420,6 +522,22 @@ def test_build_mesh_peaks_near_the_bytes_it_keeps(n):
     finally:
         tracemalloc.stop()
     assert m.n_rings == n and peak <= 5 * kept, peak / kept
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_transfer_build_peaks_near_the_bytes_it_keeps(n):
+    """``ring_interpolation`` traces at most five times the CSR arrays it returns: no COO triplets, no dead tail."""
+    ring_interpolation(8, 4)  # first calls allocate lazily
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        P = ring_interpolation(n, n // 2)
+        kept, peak = (size - start for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert kept >= P.data.nbytes + P.indices.nbytes + P.indptr.nbytes
+    assert peak <= 5 * kept, peak / kept
 
 
 def test_discarded_mesh_is_freed_without_gc(params):

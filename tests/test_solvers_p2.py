@@ -303,6 +303,14 @@ def test_nested_newton_orders_only_the_levels_it_factors(params, splu_sizes):
     assert splu_sizes and set(splu_sizes) == {coarsest[0].n_nodes}
 
 
+def test_an_odd_level_of_16_rings_or_more_is_cycled_not_factored(params, splu_sizes):
+    """66 rings halve to 33, and 33 to 16: every level of 16 rings or more cycles, and no factor is that large."""
+    mesh, prob = benchmark_p2(66)
+    rep = tb.solve_p2_newton(mesh, params, prob)
+    assert splu_sizes and len(splu_sizes) == rep.factorizations and rep.two_grid_cycles > 0
+    assert max(splu_sizes) < tb.build_mesh(16).n_nodes
+
+
 @pytest.mark.parametrize("options", [dict(tol_abs=math.nan), dict(tol_rel=math.nan), dict(tol_abs=math.inf),
                                      dict(tol_rel=-1e-10), dict(max_iter=-1), dict(max_descent_iter=-1),
                                      dict(max_monotone_iter=-1)])

@@ -19,6 +19,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import torusbvp as tb
 from torusbvp import solvers
@@ -149,6 +150,33 @@ def test_a_failed_coarse_level_leaves_the_level_above_direct(params, monkeypatch
     assert rep.two_grid_cycles >= fine >= 1
     ref = solve(mesh, params, prob, init=tb.DiskField.constant(mesh, 0.0))
     assert np.linalg.norm(rep.field.values - ref.field.values) <= 1e-9 * np.linalg.norm(ref.field.values)
+
+
+@pytest.mark.parametrize("case", ["p1 gamma=1.5 c=0.3", "p2 c=0.2"])
+def test_an_odd_ring_count_nests(params, newton_levels, case):
+    """33 rings solve on 2, 4, 8 and 16 rings first, and land on the single-level field from zero.
+
+    Each field meets its residual stop; to second order it lies its Newton
+    correction ``J^-1 F`` from the discrete solution, so the two fields
+    differ by at most twice the sum of those corrections, taken with ``J``
+    at the field from zero, plus the roundoff of the fields themselves.
+    """
+    mesh = tb.build_mesh(33)
+    solve, prob = CASES[case](mesh)
+    p1 = isinstance(prob, tb.ProblemP1)
+    nested = solve(mesh, params, prob)
+    assert [level[0] for level in newton_levels] == [unknowns(n, p1) for n in (2, 4, 8, 16, 33)]
+    assert nested.two_grid_cycles >= len(nested.trace) - 1 >= 1
+    single = solve(mesh, params, prob, init=tb.DiskField.constant(mesh, 0.0))
+    assert len(newton_levels) == 6 and single.two_grid_cycles == 0
+    eq = solvers._equation(mesh, params, prob.as_p2() if p1 else prob, p1)
+    free = slice(0, eq[0].shape[0])
+    lu = splu(sp.csc_matrix(solvers._shifted(eq, solvers._exp_terms(eq, single.field.values[free]))))
+    for rep, (_, residuals, tol) in ((nested, newton_levels[4]), (single, newton_levels[5])):
+        assert residuals[-1] <= tol
+    corrections = [np.max(np.abs(lu.solve(solvers._residual(eq, rep.field.values[free])))) for rep in (nested, single)]
+    gap = np.max(np.abs(nested.field.values - single.field.values))
+    assert gap <= 2.0 * sum(corrections) + 64 * np.finfo(float).eps * np.max(np.abs(single.field.values))
 
 
 def unknowns(n, p1):

@@ -1,11 +1,13 @@
 """Print the memory that the nested ring meshes take to build, assemble and hold, per ring count.
 
-For each ring count (default 64, 128 and 256) prints four lines:
+For each ring count (default 64, 128 and 256) prints five lines:
 
 - ``build_mesh``: the tracemalloc peak of ``mesh.build_mesh`` and the
   bytes still traced when it returns, the mesh it keeps;
 - ``assemble``: the same two figures for ``mesh._assemble_core`` at
   l, r = 2, 1 on that mesh;
+- ``transfer``: the same two figures for ``mesh.ring_interpolation``, the
+  level transfer to that mesh from its half-ring mesh;
 - ``cache``: the bytes that the mesh, its half-ring meshes and their
   caches hold after one ``solve_p1_newton`` and one ``solve_p2_newton`` on
   the data of the benchmark's ``newton`` workload (γ = 1.5, c = 0.1),
@@ -14,7 +16,7 @@ For each ring count (default 64, 128 and 256) prints four lines:
   one cold ``solve_p1_newton`` on that data.
 
 Sizes are in MiB (2^20 bytes), as the benchmark's ``peak_rss_mb``.  The
-first three lines repeat from run to run: tracemalloc's figures move by
+first four lines repeat from run to run: tracemalloc's figures move by
 some bytes of Python objects between calls, far below their 0.01 MiB.
 The ``rss`` line varies by a MiB or so.  Run from the root of each source
 checkout and compare the outputs::
@@ -98,12 +100,15 @@ def hierarchy_bytes(m) -> int:
 
 
 def tracemalloc_lines(rings: int) -> list:
-    """The ``build_mesh``, ``assemble`` and ``cache`` lines at ``rings`` rings."""
+    """The ``build_mesh``, ``assemble``, ``transfer`` and ``cache`` lines at ``rings`` rings."""
     mesh._assemble_core(mesh.build_mesh(4), 1.0, 0.0)  # first calls allocate lazily: make them untraced
+    mesh.ring_interpolation(4, 2)
     m, peak, kept = _traced(lambda: mesh.build_mesh(rings))
     lines = ["%d build_mesh peak %.2f MiB kept %.2f MiB" % (rings, peak / MIB, kept / MIB)]
     _, peak, kept = _traced(lambda: mesh._assemble_core(m, workloads.PARAMS.l, workloads.PARAMS.r))
     lines.append("%d assemble   peak %.2f MiB kept %.2f MiB" % (rings, peak / MIB, kept / MIB))
+    _, peak, kept = _traced(lambda: mesh.ring_interpolation(rings, rings // 2))
+    lines.append("%d transfer   peak %.2f MiB kept %.2f MiB" % (rings, peak / MIB, kept / MIB))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         workloads.p1_newton_op(m, GAMMA, C).run()
