@@ -309,10 +309,10 @@ def _cmd_scan_gamma(args, cfg, p) -> tuple:
     f = _coefficient(cfg, mesh, "f", default="1")
     opts = _solve_options(cfg)
     # worker threads share the mesh caches, so fill them first: every Newton
-    # level's operators, its interior stiffness and its interior transfer to
-    # the level below, which its cycles read from 16 rings on, odd ring
-    # counts included (each call makes its own transpose view, and each
-    # solve its own data restriction below an odd level: neither is cached)
+    # level's operators, its interior stiffness, the level below with the
+    # data restriction to it (coarse_mesh) and its interior transfer to that
+    # level, which its cycles read from 16 rings on, odd ring counts
+    # included (each call makes its own transpose view, which is not cached)
     level = (mesh,)
     while level is not None:
         assemble(level[0], p)

@@ -116,22 +116,18 @@ def _ring_layout(n_rings: int):
 
 
 def coarse_mesh(mesh: DiskMesh):
-    """The mesh with half the rings, rounded down, and the index here of each of its nodes when they nest (cached).
+    """The mesh with half the rings, rounded down, and the weights that sample a field of this mesh there (cached).
 
-    A mesh of 4 rings or more has ``build_mesh(n_rings // 2)`` below it.
-    When ``n_rings`` is even the rings nest: ring ``k`` of the coarse mesh
-    is ring ``2k`` here and its slot ``j`` is slot ``2j``, so
-    ``mesh.nodes[fine_index]`` equals ``coarse.nodes``.  When it is odd the
-    coarse nodes lie between this mesh's rings, and ``fine_index`` is None.
-    Returns ``(coarse, fine_index)``, or None below 4 rings.
+    A mesh of 4 rings or more has ``build_mesh(n_rings // 2)`` below it,
+    and ``sampling`` is ``ring_interpolation`` to that mesh from this one.
+    A coarse node at the place of a node here, every coarse node when
+    ``n_rings`` is even (ring ``k``, slot ``j`` is ring ``2k``, slot
+    ``2j`` here), has a row with the single weight 1.0 on that node.
+    Returns ``(coarse, sampling)``, or None below 4 rings.
     """
     if "coarse" not in mesh._cache:
-        n, fine_index = mesh.n_rings, None
-        if n % 2 == 0 and n >= 4:
-            ring, slot, _ = _ring_layout(n // 2)
-            fine_index = _ring_layout(n)[2][2 * ring] + 2 * slot
-            fine_index.setflags(write=False)
-        mesh._cache["coarse"] = (build_mesh(n // 2), fine_index) if n >= 4 else None
+        n = mesh.n_rings
+        mesh._cache["coarse"] = (build_mesh(n // 2), ring_interpolation(n // 2, n)) if n >= 4 else None
     return mesh._cache["coarse"]
 
 
@@ -141,7 +137,7 @@ def prolong(values, mesh: DiskMesh) -> np.ndarray:
     The weights are those of ``ring_interpolation`` to ``mesh`` from the
     half-ring mesh, the matrix of ``transfer_pair(mesh)``, whether the rings
     nest or not.  Linear functions are reproduced, smooth ones to O(h^2),
-    and where the rings nest a nested node gets its coarse value exactly.
+    and a node at the place of a coarse node gets its coarse value exactly.
     """
     matrix = _transfer(mesh)
     return matrix @ np.asarray(values, dtype=float)
@@ -151,17 +147,13 @@ def restrict(values, mesh: DiskMesh) -> np.ndarray:
     """Nodal values on ``mesh`` taken to its half-ring mesh (``coarse_mesh``): ``prolong``'s rule, downward.
 
     ``values`` holds one value per node, or a column of them per field.
-    Where the rings nest these are the values at the nested nodes;
-    otherwise ``ring_interpolation`` to the half-ring mesh from ``mesh``
-    interpolates them (built per call: one solve restricts its data once).
-    This samples a field; ``transfer_pair``'s ``R`` sums residuals.
+    The product with ``coarse_mesh``'s cached ``sampling`` interpolates
+    them, for any ring count; where the rings nest it reads the values at
+    the nested nodes (a -0.0 comes back as +0.0).  This samples a field;
+    ``transfer_pair``'s ``R`` sums residuals.
     """
-    coarse, fine_index = coarse_mesh(mesh)
-    values = np.asarray(values, dtype=float)
-    if fine_index is not None:
-        return values[fine_index]
-    matrix = ring_interpolation(coarse.n_rings, mesh.n_rings)
-    return matrix @ values
+    matrix = coarse_mesh(mesh)[1]
+    return matrix @ np.asarray(values, dtype=float)
 
 
 def transfer_pair(mesh: DiskMesh, interior: bool = False):

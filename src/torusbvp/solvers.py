@@ -70,6 +70,17 @@ class SolveOptions:
     ``max_iter`` caps the Newton steps of each nested level, not of the whole
     solve; ``max_descent_iter`` caps the constrained descent, which runs on
     the coarsest level only.
+
+    The tolerances mean one thing per route:
+
+    - Newton stops at the weighted residual ``tol_abs + tol_rel * |c +
+      w|``, the residual of the zero field; on an a = b = 0 Neumann record
+      that stop is capped at ``r0 * 1e-6``, ``r0 = |c + w|``
+      (``_newton_loop``).
+    - The constrained descent stops when its weighted direction norm times
+      the step taken is at most ``10 * tol_abs``; ``tol_rel`` plays no part.
+    - The monotone iteration stops when its sup-norm increment is at most
+      ``tol_abs + tol_rel * max(super - sub)``.
     """
 
     tol_abs: float = 1e-10
@@ -436,11 +447,12 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     Without ``init`` this is the nested iteration of full multigrid: each
     mesh of 4 rings or more has the half-ring mesh below it
     (``coarse_mesh``), so the problem, with its data restricted there
-    (``restrict``: the values at the nested nodes, interpolated where an
-    odd ring count does not nest), is solved on the coarsest mesh first and
-    then on each finer mesh from the solution below (``_fmg_start``),
-    relaxed on the new nodes, every node of a level that does not nest;
-    from ``init`` the finest level is the only one.  The coarsest
+    (``restrict``, one rule for every ring count), is solved on the
+    coarsest mesh first and then on each finer mesh from the solution below
+    (``_fmg_start``), relaxed on the new nodes: all but those whose row of
+    the level's prolongation ``transfer_pair(level_mesh)[0]`` is a single
+    weight, the nested nodes under an even ring count; from ``init`` the
+    finest level is the only one.  The coarsest
     level starts from zero or ``init``, or with ``descent`` (Neumann only;
     no level then has fewer than ``_DESCENT_MIN_RINGS`` rings but the mesh)
     where the constrained descent from there ends (``_descend``).  Residual
@@ -494,11 +506,8 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
         stop_fraction = _COARSE_STOP_FRACTION if level_mesh is not mesh and rings >= _TWO_GRID_MIN_RINGS else 0.0
         try:
             if v_2h is not None:
-                new, nested = np.ones(level_mesh.n_nodes, dtype=bool), coarse_mesh(level_mesh)[1]
-                if nested is not None:
-                    new[nested] = False
-                x0 = _relax_new_nodes(eq, _fmg_start(level_mesh, v_2h, v_4h)[free], np.flatnonzero(new[free]),
-                                      weights)
+                new = np.flatnonzero(np.diff(transfer_pair(level_mesh)[0].indptr)[free] > 1)
+                x0 = _relax_new_nodes(eq, _fmg_start(level_mesh, v_2h, v_4h)[free], new, weights)
             else:
                 x0 = (np.zeros(level_mesh.n_nodes) if init is None else init.values)[free]
                 if descent:
@@ -526,33 +535,35 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
 
 
 def _fmg_start(mesh, v_2h, v_4h):
-    """The half-ring solution ``v_2h`` prolonged to ``mesh``, Richardson-extrapolated first where the rings nest.
+    """The half-ring solution ``v_2h`` prolonged to ``mesh``, Richardson-extrapolated first when ``n_rings % 4 == 0``.
 
-    ``v_4h``, when given, is the solution of the level below ``v_2h``.  If
-    ``mesh`` nests over the level of ``v_2h`` and that level over the one
-    of ``v_4h``, each halves the mesh size, so the O(h^2) error of ``v_4h``
-    is four times that of ``v_2h``, and the extrapolated coarse solution is
-    ``v_2h + P (v_2h[idx] - v_4h) / 3``, with ``v_2h[idx]`` its values at
-    the nodes of that level and ``P`` the prolongation to it.  An odd ring
-    count halves to a ratio other than 2, so where either pair does not
-    nest ``v_2h`` is prolonged as it is.
+    ``v_4h``, when given, is the solution of the level below ``v_2h``.  When
+    four divides ``mesh.n_rings`` each of the two levels below halves the
+    mesh size exactly, so the O(h^2) error of ``v_4h`` is four times that of
+    ``v_2h``, and the extrapolated coarse solution is ``v_2h + P (r v_2h -
+    v_4h) / 3``, with ``r v_2h`` its values at the nodes of that level
+    (``restrict``) and ``P`` the prolongation to it.  Any other ring count
+    halves h by a ratio other than 2 on one of the pairs, and ``v_2h`` is
+    prolonged as it is.
     """
-    coarse, nested = coarse_mesh(mesh)
-    if v_4h is not None and nested is not None and (below := coarse_mesh(coarse)[1]) is not None:
-        v_2h = v_2h + prolong(v_2h[below] - v_4h, coarse) / 3.0
+    coarse = coarse_mesh(mesh)[0]
+    if v_4h is not None and mesh.n_rings % 4 == 0:
+        v_2h = v_2h + prolong(restrict(v_2h, coarse) - v_4h, coarse) / 3.0
     return prolong(v_2h, mesh)
 
 
 def _relax_new_nodes(eq, v0, new, weights):
     """``v0`` after nonlinear Jacobi sweeps on the unknowns ``new``, those the half-ring mesh lacks.
 
-    A prolonged start is exact to O(h^2) only at the nested nodes; its
-    interpolation error sits on the new ones.  ``_RELAX_SWEEPS`` undamped
-    sweeps there, with the nested nodes held, cut that error.  Where the
-    rings do not nest (an odd ring count) every node of a prolonged start is
-    interpolated, so ``new`` holds every unknown and all are relaxed.  The
-    relaxed start is kept only if it lowers the weighted residual, which a
-    start far from the solution need not.
+    A prolonged start is exact to O(h^2) only at the nodes that sit on a
+    coarse node, whose prolongation row is a single weight 1.0; its
+    interpolation error sits on the others, the new ones (``_solve_newton``).
+    ``_RELAX_SWEEPS`` undamped sweeps there, with the held nodes fixed, cut
+    that error.  Under an even ring count the held nodes are the nested
+    ones; under an odd one only the center and six boundary nodes sit on
+    coarse nodes, and every other node is new.  The relaxed start is kept
+    only if it lowers the weighted residual, which a start far from the
+    solution need not.
     """
     # the core equation's rows at the new nodes
     S, c, w, diagonal = eq

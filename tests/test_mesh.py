@@ -100,6 +100,20 @@ def prolongation_coo(mesh):
     return matrix
 
 
+def nested_index(mesh):
+    """The index in ``mesh``, of an even ring count, of each node of its half-ring mesh, in closed form: the reference.
+
+    Ring ``k``, slot ``j`` of the half-ring mesh is ring ``2k``, slot ``2j`` here.
+    """
+    ring, slot, _ = _ring_layout(mesh.n_rings // 2)
+    return _ring_layout(mesh.n_rings)[2][2 * ring] + 2 * slot
+
+
+def single_weight_rows(matrix):
+    """The rows of ``matrix`` that store one weight."""
+    return np.flatnonzero(np.diff(matrix.indptr) == 1)
+
+
 def triangle_geometry_gathered(mesh):
     """``_triangle_geometry`` from one (3, T, 2) gather of the corners: the reference."""
     x, y = mesh.nodes[mesh.triangles.T].transpose(2, 0, 1)
@@ -355,21 +369,23 @@ def test_field_validation(mesh16):
 @pytest.mark.parametrize("n", [4, 8, 64])
 def test_coarse_mesh_nodes_are_nested(n):
     m = tb.build_mesh(n)
-    coarse, fine_index = coarse_mesh(m)
-    assert np.array_equal(m.nodes[fine_index], coarse.nodes)
-    assert coarse_mesh(m)[0] is coarse
-    assert not fine_index.flags.writeable
+    coarse, sampling = coarse_mesh(m)
+    assert np.array_equal(m.nodes[nested_index(m)], coarse.nodes)
+    assert np.array_equal(restrict(m.nodes, m), coarse.nodes)
+    assert coarse_mesh(m)[0] is coarse and coarse_mesh(m)[1] is sampling
 
 
 @pytest.mark.parametrize("n", [2, 3, 7])
 def test_coarse_mesh_needs_four_rings_or_more(n):
     """2 and 3 rings have no level below; 7 rings have the 3-ring mesh, whose nodes do not nest."""
-    level = coarse_mesh(tb.build_mesh(n))
+    m = tb.build_mesh(n)
+    level = coarse_mesh(m)
     if n < 4:
         assert level is None
     else:
-        coarse, fine_index = level
-        assert coarse.n_rings == n // 2 and fine_index is None
+        coarse, sampling = level
+        assert coarse.n_rings == n // 2 and sampling.shape == (coarse.n_nodes, m.n_nodes)
+        assert single_weight_rows(sampling).size == 7  # the center and six boundary nodes
         assert coarse_mesh(coarse) is None
 
 
@@ -377,8 +393,8 @@ def test_coarse_mesh_needs_four_rings_or_more(n):
 def test_an_odd_ring_count_has_its_transfer_and_restriction(n):
     """An odd ring count prolongs from, and restricts to, ``n // 2`` rings by the one ring interpolation."""
     m = tb.build_mesh(n)
-    coarse, fine_index = coarse_mesh(m)
-    assert coarse.n_rings == n // 2 and fine_index is None
+    coarse, sampling = coarse_mesh(m)
+    assert coarse.n_rings == n // 2 and sampling.shape == (coarse.n_nodes, m.n_nodes)
     P = transfer_pair(m)[0]
     assert P.shape == (m.n_nodes, coarse.n_nodes)
     linear = lambda x: 0.7 - x[:, 0] + 0.3 * x[:, 1]
@@ -386,6 +402,45 @@ def test_an_odd_ring_count_has_its_transfer_and_restriction(n):
     assert np.max(np.abs(restrict(linear(m.nodes), m) - linear(coarse.nodes))) <= 1e-14
     both = np.stack([linear(m.nodes), 2.0 * linear(m.nodes)], axis=1)
     assert np.array_equal(restrict(both, m)[:, 0], restrict(both[:, 0], m))
+
+
+def test_the_restriction_reads_the_nested_nodes_bit_for_bit():
+    """Under an even ring count ``restrict`` returns the values at the nested nodes, the single-weight rows of ``P``.
+
+    ``V`` holds no -0.0: the product adds each value to a +0.0, so a -0.0
+    would come back as +0.0.
+    """
+    rng = np.random.default_rng(11)
+    for n in (*range(4, 67, 2), 128, 256):
+        m = tb.build_mesh(n)
+        index, V = nested_index(m), rng.standard_normal(m.n_nodes)
+        assert not np.any((V == 0.0) & np.signbit(V)), n
+        assert restrict(V, m).tobytes() == V[index].tobytes(), n
+        P = transfer_pair(m)[0]
+        single = single_weight_rows(P)
+        assert np.array_equal(single, index), n
+        assert np.all(P.data[P.indptr[single]] == 1.0), n
+
+
+@pytest.mark.parametrize("n", [5, 33, 65, 129])
+def test_an_odd_ring_count_holds_the_center_and_six_boundary_nodes(n):
+    """Under an odd ring count only node 0 and the boundary nodes at multiples of 60 degrees sit on coarse nodes.
+
+    Their rows of ``P`` are the single weight 1.0 on the coarse node at the
+    same ring fraction and angle, so they prolong its value bit for bit;
+    the two meshes round those angles apart, so the coordinates agree to
+    a few ulps.
+    """
+    m = tb.build_mesh(n)
+    coarse, P = coarse_mesh(m)[0], transfer_pair(m)[0]
+    single = single_weight_rows(P)
+    columns = P.indices[P.indptr[single]]
+    assert np.array_equal(single, [0, *(m.n_interior + n * np.arange(6))])
+    assert np.array_equal(columns, [0, *(coarse.n_interior + (n // 2) * np.arange(6))])
+    assert np.all(P.data[P.indptr[single]] == 1.0)
+    vals = np.random.default_rng(n).standard_normal(coarse.n_nodes)
+    assert prolong(vals, m)[single].tobytes() == vals[columns].tobytes()
+    assert np.max(np.abs(m.nodes[single] - coarse.nodes[columns])) <= 4 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("n_to, n_from", [(129, 64), (65, 32), (33, 16), (100, 37), (64, 129), (16, 33), (37, 100),
@@ -443,9 +498,9 @@ def test_prolong_exact_at_nested_nodes_and_second_order():
     errs = []
     for n in (8, 16, 32, 64):
         m = tb.build_mesh(n)
-        coarse, fine_index = coarse_mesh(m)
+        coarse = coarse_mesh(m)[0]
         vals = rng.standard_normal(coarse.n_nodes)
-        assert np.array_equal(prolong(vals, m)[fine_index], vals)
+        assert np.array_equal(prolong(vals, m)[nested_index(m)], vals)
         linear = lambda x: 0.7 - x[:, 0] + 0.3 * x[:, 1]
         assert np.max(np.abs(prolong(linear(coarse.nodes), m) - linear(m.nodes))) <= 1e-14
         smooth = lambda x: x[:, 0] ** 2 + 0.3 * x[:, 1]
@@ -459,19 +514,19 @@ def test_prolong_is_a_cached_sparse_operator():
     rng = np.random.default_rng(5)
     for n in (4, 8, 16, 32, 64):
         m = tb.build_mesh(n)
-        coarse, fine_index = coarse_mesh(m)
+        coarse, nested = coarse_mesh(m)[0], nested_index(m)
         vals = rng.standard_normal(coarse.n_nodes)
         out = prolong(vals, m)
         cached = set(m._cache)
         matrix = transfer_pair(m)[0]  # prolong's own: the call caches nothing new
         assert set(m._cache) == cached
-        assert np.array_equal(out[fine_index], vals)
+        assert np.array_equal(out[nested], vals)
         assert prolong(vals, m).tobytes() == out.tobytes()
         assert transfer_pair(m)[0] is matrix
         assert (matrix @ vals).tobytes() == out.tobytes()
         row_nnz = np.diff(matrix.indptr)
         assert np.all(row_nnz <= 4)
-        assert np.all(row_nnz[fine_index] == 1) and np.all(matrix[fine_index].data == 1.0)
+        assert np.all(row_nnz[nested] == 1) and np.all(matrix[nested].data == 1.0)
         linear = lambda x: 0.7 - x[:, 0] + 0.3 * x[:, 1]
         assert np.max(np.abs(prolong(linear(coarse.nodes), m) - linear(m.nodes))) <= 1e-15
 

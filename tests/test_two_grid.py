@@ -15,6 +15,7 @@ each mesh as it was built once, never a slice or a sum of it.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from scipy.sparse.linalg import splu
 
 import torusbvp as tb
 from torusbvp import solvers
-from torusbvp.mesh import coarse_mesh
+from torusbvp.mesh import coarse_mesh, transfer_pair
 
 
 def p1_case(mesh, gamma, c):
@@ -179,6 +180,28 @@ def test_an_odd_ring_count_nests(params, newton_levels, case):
     assert gap <= 2.0 * sum(corrections) + 64 * np.finfo(float).eps * np.max(np.abs(single.field.values))
 
 
+def test_an_odd_ring_count_builds_its_data_restriction_once(params, monkeypatch):
+    """The second solve on a 33-ring mesh builds no ring interpolation: the data restriction is cached with its level."""
+    built = []
+
+    def spy(n_to, n_from):
+        built.append((n_to, n_from))
+        return real(n_to, n_from)
+
+    real = tb.mesh.ring_interpolation
+    monkeypatch.setattr(tb.mesh, "ring_interpolation", spy)
+    mesh = tb.build_mesh(33)
+    solve, prob = p2_case(mesh, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", tb.ExistenceWindowWarning)  # R is outside the window at l, r = 2, 1
+        first = solve(mesh, params, prob)
+        assert (16, 33) in built
+        built.clear()
+        second = solve(mesh, params, prob)
+    assert built == []
+    assert np.array_equal(first.field.values, second.field.values)
+
+
 def unknowns(n, p1):
     mesh = tb.build_mesh(n)
     return mesh.n_interior if p1 else mesh.n_nodes
@@ -302,16 +325,14 @@ def sliced_relaxation(eq, v0, new, weights):
 @pytest.mark.parametrize("case", ["p1 gamma=1.5 c=0.3", "p2 c=0.2"])
 def test_relaxed_start_equals_the_sliced_rows(params, case):
     mesh = tb.build_mesh(32)
-    coarse, nested = coarse_mesh(mesh)
+    coarse = coarse_mesh(mesh)[0]
     solve, prob = CASES[case](mesh)
     half = solve(coarse, params, CASES[case](coarse)[1])
     p1 = isinstance(prob, tb.ProblemP1)
     eq = solvers._equation(mesh, params, prob.as_p2() if p1 else prob, p1)
     ops = tb.assemble(mesh, params)
     free = slice(0, mesh.n_interior if p1 else mesh.n_nodes)
-    new = np.ones(mesh.n_nodes, dtype=bool)
-    new[nested] = False
-    new = np.flatnonzero(new[free])
+    new = np.flatnonzero(np.diff(transfer_pair(mesh)[0].indptr)[free] > 1)  # all but the single-weight rows
     weights = (ops.volume_mass + ops.boundary_mass)[free]
     v0 = solvers._fmg_start(mesh, half.field.values, None)[free]
     relaxed = solvers._relax_new_nodes(eq, v0, new, weights)
