@@ -23,8 +23,8 @@ byte-identical across runs).
 
 Exit codes: 0 success; 1 a failed verify check, or a library error
 other than non-convergence (infeasible or out-of-domain data, a singular
-Jacobian, a broken sub/supersolution ordering); 2 solver non-convergence;
-3 configuration or usage error.
+Jacobian, a broken sub/supersolution ordering, an exponent past the cap);
+2 solver non-convergence; 3 configuration or usage error.
 """
 
 from __future__ import annotations
@@ -63,9 +63,8 @@ from .mesh import (
     assemble,
     build_mesh,
     coarse_mesh,
+    dirichlet_block,
     integrate_volume,
-    stiffness_block,
-    transfer_pair,
     weighted_sum,
 )
 from .solvers import (
@@ -308,19 +307,15 @@ def _cmd_scan_gamma(args, cfg, p) -> tuple:
     gammas = _get(cfg, "scan", "gammas", _float_list, required=True)
     f = _coefficient(cfg, mesh, "f", default="1")
     opts = _solve_options(cfg)
-    # worker threads share the mesh caches, so fill them first: every Newton
-    # level's operators, its interior stiffness, the level below with the
-    # data restriction to it (coarse_mesh) and its interior transfer to that
-    # level, which its cycles read from 16 rings on, odd ring counts
-    # included (each call makes its own transpose view, which is not cached)
+    # worker threads share the mesh caches, so fill them first, level by
+    # level: the operators and the Dirichlet block, which builds the level
+    # below with both its transfers (coarse_mesh).
+    # assemble is called here by name: perfbench/tracing.py patches cli.assemble
     level = (mesh,)
     while level is not None:
         assemble(level[0], p)
-        stiffness_block(level[0], p, interior=True)
-        below = coarse_mesh(level[0])
-        if below is not None:
-            transfer_pair(level[0], interior=True)
-        level = below
+        dirichlet_block(level[0], p)
+        level = coarse_mesh(level[0])
 
     def solve_one(gamma):
         prob = ProblemP1(gamma, f)
@@ -523,7 +518,7 @@ def main(argv=None) -> int:
     except NonConvergence as exc:
         print("solver did not converge: %s" % exc, file=sys.stderr)
         return 2
-    except TorusBVPError as exc:
+    except (TorusBVPError, OverflowError) as exc:  # an exponent past the cap is a library error too
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -169,6 +169,9 @@ def mt_scan(mesh: DiskMesh | None, p: TorusParams, fam_base: BlowupFamily, alpha
     otherwise the fields are sampled and integrated on the mesh.
     ``c_hat = exp(log_integral - mu*grad_energy - mean_term)`` is the
     empirical inequality constant at ``mu = mu_best(p, "interior_dirichlet")``.
+    A row with a value that is not finite, as the closed forms give once
+    ``delta^2 / alpha`` overflows, raises ``DomainError`` naming its alpha;
+    the mesh path's ``exp_capped`` raises ``OverflowError`` first.
     """
     alphas = [float(a) for a in alphas]
     if any(a <= 0.0 for a in alphas):
@@ -200,11 +203,10 @@ def mt_scan(mesh: DiskMesh | None, p: TorusParams, fam_base: BlowupFamily, alpha
             resolved = mesh.h <= math.sqrt(alpha) / (2.0 * p.r)
         denom = log_integral - mean_term
         ratio = grad_energy / denom
-        if prev is None:
-            slope = float("nan")
-        else:
-            slope = (grad_energy - prev[0]) / (denom - prev[1])
+        slope = float("nan") if prev is None else (grad_energy - prev[0]) / (denom - prev[1])
         c_hat = math.exp(log_integral - mu * grad_energy - mean_term)
+        if not all(map(math.isfinite, (grad_energy, log_integral, mean_term, ratio, c_hat))):
+            raise DomainError("the scan row at alpha %r is not finite" % alpha)
         rows.append(MTScanRow(alpha, grad_energy, log_integral, mean_term, ratio, slope, c_hat, resolved))
         prev = (grad_energy, denom)
     return rows

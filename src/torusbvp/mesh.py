@@ -116,73 +116,48 @@ def _ring_layout(n_rings: int):
 
 
 def coarse_mesh(mesh: DiskMesh):
-    """The mesh with half the rings, rounded down, and the weights that sample a field of this mesh there (cached).
+    """The level below ``mesh``: its half-ring mesh and the two transfers between them (cached).
 
-    A mesh of 4 rings or more has ``build_mesh(n_rings // 2)`` below it,
-    and ``sampling`` is ``ring_interpolation`` to that mesh from this one.
-    A coarse node at the place of a node here, every coarse node when
-    ``n_rings`` is even (ring ``k``, slot ``j`` is ring ``2k``, slot
-    ``2j`` here), has a row with the single weight 1.0 on that node.
-    Returns ``(coarse, sampling)``, or None below 4 rings.
+    A mesh of 4 rings or more has ``build_mesh(n_rings // 2)`` below it.
+    ``sampling`` is ``ring_interpolation`` to that mesh from this one and
+    ``prolongation`` the one back; both hold for any ring count, whether
+    the rings nest or not.  A node at the place of a node of the other
+    mesh, every coarse node when ``n_rings`` is even (ring ``k``, slot
+    ``j`` is ring ``2k``, slot ``2j`` here), has a row with the single
+    weight 1.0 on that node.  Returns ``(coarse, sampling, prolongation)``,
+    or None below 4 rings.
     """
     if "coarse" not in mesh._cache:
         n = mesh.n_rings
-        mesh._cache["coarse"] = (build_mesh(n // 2), ring_interpolation(n // 2, n)) if n >= 4 else None
+        mesh._cache["coarse"] = ((build_mesh(n // 2), ring_interpolation(n // 2, n), ring_interpolation(n, n // 2))
+                                 if n >= 4 else None)
     return mesh._cache["coarse"]
 
 
 def prolong(values, mesh: DiskMesh) -> np.ndarray:
-    """Nodal values on ``mesh``'s half-ring mesh (``coarse_mesh``) interpolated to ``mesh``.
+    """Nodal values on ``mesh``'s half-ring mesh interpolated to ``mesh`` by ``coarse_mesh``'s ``prolongation``.
 
-    The weights are those of ``ring_interpolation`` to ``mesh`` from the
-    half-ring mesh, the matrix of ``transfer_pair(mesh)``, whether the rings
-    nest or not.  Linear functions are reproduced, smooth ones to O(h^2),
-    and a node at the place of a coarse node gets its coarse value exactly.
+    Linear functions are reproduced, smooth ones to O(h^2), and a node at
+    the place of a coarse node gets its coarse value exactly.  A mesh of
+    fewer than 4 rings raises ``DomainError``.
     """
-    matrix = _transfer(mesh)
+    if (level := coarse_mesh(mesh)) is None:
+        raise DomainError("a mesh of %d rings has no half-ring mesh" % mesh.n_rings)
+    matrix = level[2]
     return matrix @ np.asarray(values, dtype=float)
 
 
 def restrict(values, mesh: DiskMesh) -> np.ndarray:
-    """Nodal values on ``mesh`` taken to its half-ring mesh (``coarse_mesh``): ``prolong``'s rule, downward.
+    """Nodal values on ``mesh`` sampled on its half-ring mesh by ``coarse_mesh``'s ``sampling``: ``prolong``, downward.
 
     ``values`` holds one value per node, or a column of them per field.
-    The product with ``coarse_mesh``'s cached ``sampling`` interpolates
-    them, for any ring count; where the rings nest it reads the values at
-    the nested nodes (a -0.0 comes back as +0.0).  This samples a field;
-    ``transfer_pair``'s ``R`` sums residuals.
+    The product interpolates them, for any ring count; where the rings
+    nest it reads the values at the nested nodes (a -0.0 comes back as
+    +0.0).  This samples a field; the transpose of the prolongation sums
+    residuals (``solvers._cycle``).
     """
     matrix = coarse_mesh(mesh)[1]
     return matrix @ np.asarray(values, dtype=float)
-
-
-def transfer_pair(mesh: DiskMesh, interior: bool = False):
-    """``prolong``'s matrix ``P`` to ``mesh`` from its half-ring mesh and its transpose ``R`` (``P`` cached on ``mesh``).
-
-    The rings need not nest: an odd ring count has a transfer like an even
-    one.  With ``interior`` both keep only the interior nodes, of ``mesh``
-    in the rows of ``P`` and of the half-ring mesh in its columns: the
-    unknowns of a Dirichlet problem, each mesh's leading ``n_interior``
-    nodes.  ``R`` is ``P.T``, a CSC view of ``P``'s arrays, so the
-    hierarchy holds each transfer once.  ``R @ x`` adds each output's terms
-    in the column order of a CSR copy of the transpose, so it has that
-    product's bits.
-    """
-    matrix = _transfer(mesh, interior)
-    return matrix, matrix.T
-
-
-def _transfer(mesh: DiskMesh, interior: bool = False) -> sp.csr_matrix:
-    """``P``, the cache entry of ``transfer_pair(mesh, interior)``, built once per mesh; the interior one slices the full one."""
-    key = ("transfer", interior)
-    if key not in mesh._cache:
-        level = coarse_mesh(mesh)
-        if level is None:
-            raise DomainError("a mesh of %d rings has no half-ring mesh" % mesh.n_rings)
-        coarse = level[0]
-        mesh._cache[key] = (_transfer(mesh)[:mesh.n_interior, :coarse.n_interior] if interior
-                            else ring_interpolation(mesh.n_rings, coarse.n_rings))
-    return mesh._cache[key]
 
 
 def ring_interpolation(n_to: int, n_from: int) -> sp.csr_matrix:
@@ -322,27 +297,45 @@ def assemble(mesh: DiskMesh, p: TorusParams) -> WeightedOperators:
     return ops
 
 
-def stiffness_block(mesh: DiskMesh, p: TorusParams, interior: bool = False):
-    """``assemble``'s stiffness and the index in its ``data`` of each diagonal entry (cached on ``mesh``).
-
-    With ``interior`` the stiffness keeps only its leading ``n_interior``
-    rows and columns, those of the interior nodes: the unknowns of a
-    Dirichlet problem.  Every row of the stiffness stores its diagonal
-    entry, so a Jacobian ``S + diag(d)`` is a copy of ``data`` with ``d``
-    added at those positions.
-    """
-    key = ("stiffness", p.l, p.r, interior)
+def stiffness_block(mesh: DiskMesh, p: TorusParams):
+    """``assemble``'s stiffness and the index in its ``data`` of each diagonal entry: a Neumann level's (cached)."""
+    key = ("stiffness", p.l, p.r)
     if key not in mesh._cache:
         matrix = assemble(mesh, p).stiffness
-        if interior:
-            matrix = matrix[:mesh.n_interior, :mesh.n_interior]
-        rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-        diagonal = np.flatnonzero(matrix.indices == rows)
-        if diagonal.size != matrix.shape[0]:
-            raise DomainError("the stiffness stores %d of its %d diagonal entries" % (diagonal.size, matrix.shape[0]))
-        diagonal.setflags(write=False)
-        mesh._cache[key] = (matrix, diagonal)
+        mesh._cache[key] = (matrix, _diagonal_index(matrix))
     return mesh._cache[key]
+
+
+def dirichlet_block(mesh: DiskMesh, p: TorusParams):
+    """``stiffness_block`` and the prolongation on a Dirichlet problem's unknowns, the interior nodes (cached).
+
+    The unknowns are each mesh's leading ``n_interior`` nodes.  Returns the
+    stiffness's leading ``n_interior`` rows and columns, the index of its
+    diagonal in its ``data``, and the rows of ``coarse_mesh``'s
+    ``prolongation`` at the interior nodes and its columns at the coarse
+    interior nodes, or None below 4 rings.
+    """
+    key = ("dirichlet", p.l, p.r)
+    if key not in mesh._cache:
+        k, level = mesh.n_interior, coarse_mesh(mesh)
+        matrix = assemble(mesh, p).stiffness[:k, :k]
+        mesh._cache[key] = (matrix, _diagonal_index(matrix),
+                            None if level is None else level[2][:k, :level[0].n_interior])
+    return mesh._cache[key]
+
+
+def _diagonal_index(matrix) -> np.ndarray:
+    """The index in ``matrix.data`` of each diagonal entry, read-only.
+
+    Every row of a stiffness stores its diagonal entry, so a Jacobian ``S +
+    diag(d)`` is a copy of ``data`` with ``d`` added at those positions.
+    """
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    diagonal = np.flatnonzero(matrix.indices == rows)
+    if diagonal.size != matrix.shape[0]:
+        raise DomainError("the stiffness stores %d of its %d diagonal entries" % (diagonal.size, matrix.shape[0]))
+    diagonal.setflags(write=False)
+    return diagonal
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ from .functionals import (
 )
 from .geometry import TorusParams
 from .inequalities import mu_best
-from .mesh import (DiskField, DiskMesh, assemble, coarse_mesh, prolong, restrict, stiffness_block, transfer_pair,
+from .mesh import (DiskField, DiskMesh, assemble, coarse_mesh, dirichlet_block, prolong, restrict, stiffness_block,
                    weighted_sum)
 
 
@@ -207,10 +207,11 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, 
     ``_STEPS``, 1, 1/2, ..., 2^-20, whose trial residual passes the Armijo
     test; a trial whose residual overflows to inf or nan fails it and is
     backtracked, and a step with no passing trial stalls the loop.  With
-    ``coarse``, the ``transfer_pair`` to the level below and that level's
-    coarse solve, conjugate gradients preconditioned by cycles on ``J``
-    (``_cycle``) solve ``J delta = -F`` (``_cycled_solve``), and ``J`` is
-    factored only if they miss their target.  ``v0``, ``weights`` and every
+    ``coarse``, the pair of the prolongation ``P`` on the unknowns from the
+    level below and that level's coarse solve, conjugate gradients
+    preconditioned by cycles on ``J`` (``_cycle``) solve ``J delta = -F``
+    (``_cycled_solve``), and ``J`` is factored only if they miss their
+    target.  ``v0``, ``weights`` and every
     update live on the unknowns of ``eq``, its rows.  Newton stops at the
     residual ``tol_abs + tol_rel * r0``, ``r0`` the residual of the zero
     field, ``c + w``.  That reference depends on the data alone, so no
@@ -283,22 +284,25 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, 
     return v, res, trace, lu
 
 
-def _cycle(matrix, diagonal, transfer, coarse_solve):
+def _cycle(matrix, diagonal, P, coarse_solve):
     """One cycle on ``matrix``: the map from a residual ``r`` to a correction ``x``.
 
     From ``x = 0``, ``_TWO_GRID_SWEEPS`` damped Jacobi sweeps, the coarse
-    correction ``x += P coarse_solve(R r)``, with ``(P, R)`` the ``transfer``
-    to the level below, and as many sweeps again, each on the residual ``r
-    - matrix x``.  The sweeps damp the error that oscillates on this mesh;
-    the rest is smooth, and the level below resolves it with the
-    ``coarse_solve`` it hands up (``_solve_newton``).  When that is itself
-    a cycle, the recursion is a V-cycle.  Jacobi reads the diagonal of
-    ``matrix`` at ``diagonal``, its index in ``matrix.data``.  ``R`` is
-    ``P``'s transpose, the sweeps after the correction mirror those before
-    it, and a symmetric ``matrix`` has a symmetric coarse solve, so the
-    cycle is a symmetric map: a preconditioner for conjugate gradients.
+    correction ``x += P coarse_solve(R r)``, with ``P`` the prolongation on
+    the unknowns from the level below and ``R = P.T``, and as many sweeps
+    again, each on the residual ``r - matrix x``.  The sweeps damp the
+    error that oscillates on this mesh; the rest is smooth, and the level
+    below resolves it with the ``coarse_solve`` it hands up
+    (``_solve_newton``).  When that is itself a cycle, the recursion is a
+    V-cycle.  Jacobi reads the diagonal of ``matrix`` at ``diagonal``, its
+    index in ``matrix.data``.  The sweeps after the correction mirror those
+    before it, and a symmetric ``matrix`` has a symmetric coarse solve, so
+    the cycle is a symmetric map: a preconditioner for conjugate gradients.
+    ``R`` is a CSC view of ``P``'s arrays, so the hierarchy holds each
+    transfer once, and ``R @ x`` adds each output's terms in the column
+    order of a CSR copy of the transpose, so it has that product's bits.
     """
-    P, R = transfer
+    R = P.T
     jacobi = _TWO_GRID_DAMPING / matrix.data[diagonal]
 
     def cycle(r):
@@ -369,9 +373,10 @@ def _equation(mesh, p, prob, dirichlet=False):
     leading ``n_interior``, and its record holds only their rows and
     columns; otherwise it holds every node.  ``S`` and ``diagonal``, the
     index of each diagonal entry in ``S.data``, depend on the mesh and the
-    geometry alone (``stiffness_block``).
+    geometry alone: the first two entries of ``dirichlet_block``, or the
+    Neumann pair of ``stiffness_block``.
     """
-    S, diagonal = stiffness_block(mesh, p, interior=dirichlet)
+    S, diagonal = (dirichlet_block if dirichlet else stiffness_block)(mesh, p)[:2]
     c, w = prob.terms(assemble(mesh, p))
     k = S.shape[0]
     return S, c[:k], w[:k], diagonal
@@ -450,7 +455,7 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     (``restrict``, one rule for every ring count), is solved on the
     coarsest mesh first and then on each finer mesh from the solution below
     (``_fmg_start``), relaxed on the new nodes: all but those whose row of
-    the level's prolongation ``transfer_pair(level_mesh)[0]`` is a single
+    the level's prolongation (``coarse_mesh(level_mesh)[2]``) is a single
     weight, the nested nodes under an even ring count; from ``init`` the
     finest level is the only one.  The coarsest
     level starts from zero or ``init``, or with ``descent`` (Neumann only;
@@ -465,9 +470,10 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     of its start's residual if that is above Newton's tolerance: the next
     level's start lies further off.  A level of ``_TWO_GRID_MIN_RINGS``
     rings or more with a coarse solve from below solves its Newton systems
-    by cycled conjugate gradients and hands up a cycle on its Jacobian
-    frozen at its solution; any other level factors each step and hands up
-    its last factor.
+    by cycled conjugate gradients, its prolongation that of
+    ``coarse_mesh`` or, on a Dirichlet level, of ``dirichlet_block``, and
+    hands up a cycle on its Jacobian frozen at its solution; any other
+    level factors each step and hands up its last factor.
 
     If the finest level fails the valley test or raises after starting from
     the field handed up from below, on an a = b = 0 route with ``descent``,
@@ -502,11 +508,11 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
         rings = level_mesh.n_rings
         coarse = None
         if coarse_solve is not None and rings >= _TWO_GRID_MIN_RINGS:
-            coarse = (transfer_pair(level_mesh, interior=dirichlet), coarse_solve)
+            coarse = (dirichlet_block(level_mesh, p)[2] if dirichlet else coarse_mesh(level_mesh)[2], coarse_solve)
         stop_fraction = _COARSE_STOP_FRACTION if level_mesh is not mesh and rings >= _TWO_GRID_MIN_RINGS else 0.0
         try:
             if v_2h is not None:
-                new = np.flatnonzero(np.diff(transfer_pair(level_mesh)[0].indptr)[free] > 1)
+                new = np.flatnonzero(np.diff(coarse_mesh(level_mesh)[2].indptr)[free] > 1)
                 x0 = _relax_new_nodes(eq, _fmg_start(level_mesh, v_2h, v_4h)[free], new, weights)
             else:
                 x0 = (np.zeros(level_mesh.n_nodes) if init is None else init.values)[free]

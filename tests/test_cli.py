@@ -495,6 +495,21 @@ def test_mt_scan_reports_the_limit_of_the_family_it_scans(tmp_path):
     assert limits == pytest.approx({"closed-form": 32.0 * math.pi**2, "mesh": 64.0 * math.pi**2}, rel=1e-15)
 
 
+@pytest.mark.parametrize("command, scan, message", [
+    ("mt-scan", "path = mesh\nalphas = 1e-2, 1e-300\n", "error: exponential argument exceeds cap 700"),
+    ("corollary", "rhos = 1e-300\nalpha_exps = 100\n", "error: plateau exponent 11993.5 exceeds cap 700"),
+    ("mt-scan", "alphas = 1e-2, 1e-320\n", "error: the scan row at alpha 1e-320 is not finite"),
+], ids=["mt-scan-mesh-cap", "corollary-cap", "mt-scan-closed-form-non-finite"])
+def test_a_scan_past_its_range_is_a_library_error(tmp_path, capsys, command, scan, message):
+    """An exponent past the cap, or a non-finite row, exits 1 with one error line and writes nothing."""
+    cfg = write_cfg(tmp_path, BASE.replace("n_rings = 10", "n_rings = 8") + "[scan]\n" + scan)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message] and captured.out == ""
+    assert not out.exists()
+
+
 def test_solution_csv_matches_cell_formatting(tmp_path):
     mesh = build_mesh(2)
     values = np.linspace(-1.0, 1.0, mesh.n_nodes) / 3.0  # 17 significant digits

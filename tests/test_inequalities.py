@@ -69,6 +69,14 @@ def test_mt_scan_validates_alphas(params):
         tb.mt_scan(None, params, fam, [1e-2, -1.0])
 
 
+def test_mt_scan_names_the_first_alpha_whose_row_is_not_finite(params):
+    """At alpha = 1e-320 the closed forms overflow to inf and the ratio to nan: no such row is returned."""
+    fam = tb.minimal_orbit_family(params, 1e-2, eps0=0.15)
+    assert len(tb.mt_scan(None, params, fam, [1e-2, 1e-300])) == 2
+    with pytest.raises(tb.DomainError, match="alpha 1e-320 is not finite"):
+        tb.mt_scan(None, params, fam, [1e-2, 1e-320, 1e-322])
+
+
 def test_mt_scan_closed_form_asymptotics(params):
     fam = tb.minimal_orbit_family(params, 1e-2, eps0=0.15)
     alphas = [10.0 ** (-k) for k in range(2, 19)]

@@ -8,8 +8,8 @@ import pytest
 import scipy.sparse as sp
 
 import torusbvp as tb
-from torusbvp.mesh import (TWO_PI, _assemble_core, _ring_layout, _triangle_geometry, coarse_mesh, prolong, restrict,
-                           ring_interpolation, stiffness_block, transfer_pair)
+from torusbvp.mesh import (TWO_PI, _assemble_core, _ring_layout, _triangle_geometry, coarse_mesh, dirichlet_block,
+                           prolong, restrict, ring_interpolation)
 from oracles import (
     SmoothFieldBasis,
     fit_order,
@@ -200,13 +200,12 @@ def test_a_numpy_integer_is_a_ring_count():
     assert tb.DiskMesh(m.nodes, m.triangles, np.int32(4)).n_rings == 4
 
 
-def test_a_mesh_without_a_half_ring_mesh_has_no_transfer():
-    """3 rings do not halve: there is no coarse mesh to prolong from."""
+def test_a_mesh_without_a_half_ring_mesh_has_no_transfer(params):
+    """3 rings do not halve: there is no coarse mesh to prolong from, and the Dirichlet block holds no prolongation."""
     m = tb.build_mesh(3)
-    for transfer in (lambda: prolong(np.zeros(19), m), lambda: transfer_pair(m),
-                     lambda: transfer_pair(m, interior=True)):
-        with pytest.raises(tb.DomainError, match="no half-ring mesh"):
-            transfer()
+    with pytest.raises(tb.DomainError, match="no half-ring mesh"):
+        prolong(np.zeros(19), m)
+    assert coarse_mesh(m) is None and dirichlet_block(m, params)[2] is None
 
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128])
@@ -221,8 +220,8 @@ def test_leading_blocks_equal_the_masked_interior(params, n):
         return np.nonzero(mask)[0]
 
     free, coarse_free = masked(m), masked(coarse)
-    pairs = [(tb.assemble(m, params).stiffness[free][:, free], stiffness_block(m, params, interior=True)[0]),
-             (prolongation_coo(m)[free][:, coarse_free], transfer_pair(m, interior=True)[0])]
+    S, _, P = dirichlet_block(m, params)
+    pairs = [(tb.assemble(m, params).stiffness[free][:, free], S), (prolongation_coo(m)[free][:, coarse_free], P)]
     for ref, block in pairs:
         assert block.shape == ref.shape
         for attr in ("data", "indices", "indptr"):
@@ -369,10 +368,11 @@ def test_field_validation(mesh16):
 @pytest.mark.parametrize("n", [4, 8, 64])
 def test_coarse_mesh_nodes_are_nested(n):
     m = tb.build_mesh(n)
-    coarse, sampling = coarse_mesh(m)
+    coarse, sampling, prolongation = coarse_mesh(m)
     assert np.array_equal(m.nodes[nested_index(m)], coarse.nodes)
     assert np.array_equal(restrict(m.nodes, m), coarse.nodes)
-    assert coarse_mesh(m)[0] is coarse and coarse_mesh(m)[1] is sampling
+    assert np.array_equal(prolong(coarse.nodes, m)[nested_index(m)], coarse.nodes)
+    assert all(a is b for a, b in zip(coarse_mesh(m), (coarse, sampling, prolongation)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 7])
@@ -383,9 +383,10 @@ def test_coarse_mesh_needs_four_rings_or_more(n):
     if n < 4:
         assert level is None
     else:
-        coarse, sampling = level
+        coarse, sampling, prolongation = level
         assert coarse.n_rings == n // 2 and sampling.shape == (coarse.n_nodes, m.n_nodes)
-        assert single_weight_rows(sampling).size == 7  # the center and six boundary nodes
+        assert prolongation.shape == (m.n_nodes, coarse.n_nodes)
+        assert single_weight_rows(sampling).size == single_weight_rows(prolongation).size == 7  # center and boundary
         assert coarse_mesh(coarse) is None
 
 
@@ -393,9 +394,8 @@ def test_coarse_mesh_needs_four_rings_or_more(n):
 def test_an_odd_ring_count_has_its_transfer_and_restriction(n):
     """An odd ring count prolongs from, and restricts to, ``n // 2`` rings by the one ring interpolation."""
     m = tb.build_mesh(n)
-    coarse, sampling = coarse_mesh(m)
+    coarse, sampling, P = coarse_mesh(m)
     assert coarse.n_rings == n // 2 and sampling.shape == (coarse.n_nodes, m.n_nodes)
-    P = transfer_pair(m)[0]
     assert P.shape == (m.n_nodes, coarse.n_nodes)
     linear = lambda x: 0.7 - x[:, 0] + 0.3 * x[:, 1]
     assert np.max(np.abs(prolong(linear(coarse.nodes), m) - linear(m.nodes))) <= 1e-14
@@ -416,7 +416,7 @@ def test_the_restriction_reads_the_nested_nodes_bit_for_bit():
         index, V = nested_index(m), rng.standard_normal(m.n_nodes)
         assert not np.any((V == 0.0) & np.signbit(V)), n
         assert restrict(V, m).tobytes() == V[index].tobytes(), n
-        P = transfer_pair(m)[0]
+        P = coarse_mesh(m)[2]
         single = single_weight_rows(P)
         assert np.array_equal(single, index), n
         assert np.all(P.data[P.indptr[single]] == 1.0), n
@@ -432,7 +432,7 @@ def test_an_odd_ring_count_holds_the_center_and_six_boundary_nodes(n):
     a few ulps.
     """
     m = tb.build_mesh(n)
-    coarse, P = coarse_mesh(m)[0], transfer_pair(m)[0]
+    coarse, _, P = coarse_mesh(m)
     single = single_weight_rows(P)
     columns = P.indices[P.indptr[single]]
     assert np.array_equal(single, [0, *(m.n_interior + n * np.arange(6))])
@@ -483,12 +483,11 @@ def _owner(array):
 
 
 @pytest.mark.parametrize("n", [4, 9, 64, 65])
-def test_every_cached_transfer_holds_exactly_its_nonzeros(n):
+def test_every_cached_transfer_holds_exactly_its_nonzeros(params, n):
     """No cached ``P``, full or interior, keeps a dead tail: its values and column indices own nnz entries each."""
     m = tb.build_mesh(n)
-    for interior in (False, True):
-        P = transfer_pair(m, interior)[0]
-        assert P is m._cache[("transfer", interior)]
+    for interior, P in ((False, coarse_mesh(m)[2]), (True, dirichlet_block(m, params)[2])):
+        assert P is (m._cache[("dirichlet", params.l, params.r)] if interior else m._cache["coarse"])[2]
         for part in (P.data, P.indices):
             assert part.size == _owner(part).size == P.nnz, (interior, part.size, _owner(part).size, P.nnz)
 
@@ -518,11 +517,11 @@ def test_prolong_is_a_cached_sparse_operator():
         vals = rng.standard_normal(coarse.n_nodes)
         out = prolong(vals, m)
         cached = set(m._cache)
-        matrix = transfer_pair(m)[0]  # prolong's own: the call caches nothing new
+        matrix = coarse_mesh(m)[2]  # prolong's own: the call caches nothing new
         assert set(m._cache) == cached
         assert np.array_equal(out[nested], vals)
         assert prolong(vals, m).tobytes() == out.tobytes()
-        assert transfer_pair(m)[0] is matrix
+        assert coarse_mesh(m)[2] is matrix
         assert (matrix @ vals).tobytes() == out.tobytes()
         row_nnz = np.diff(matrix.indptr)
         assert np.all(row_nnz <= 4)
@@ -532,14 +531,15 @@ def test_prolong_is_a_cached_sparse_operator():
 
 
 @pytest.mark.parametrize("interior", [False, True])
-def test_the_restriction_is_a_view_of_the_one_cached_prolongation(interior):
-    """``transfer_pair``'s ``R`` shares ``P``'s arrays, the cache holds ``P`` alone, and ``R @ x`` has a copy's bits."""
+def test_the_restriction_is_a_view_of_the_one_cached_prolongation(params, interior):
+    """The cycles' ``R = P.T`` shares ``P``'s arrays, the cache holds ``P`` alone, and ``R @ x`` has a copy's bits."""
     rng = np.random.default_rng(7)
     for n in (4, 8, 16, 32, 64, 128):
         m = tb.build_mesh(n)
-        P, R = transfer_pair(m, interior)
+        P = dirichlet_block(m, params)[2] if interior else coarse_mesh(m)[2]
+        R = P.T
         assert np.shares_memory(R.data, P.data) and np.shares_memory(R.indices, P.indices), n
-        assert m._cache[("transfer", interior)] is P, n
+        assert m._cache[("dirichlet", params.l, params.r) if interior else "coarse"][2] is P, n
         x = rng.standard_normal(R.shape[1])
         assert (R @ x).tobytes() == (P.T.tocsr() @ x).tobytes(), n
 

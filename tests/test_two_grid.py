@@ -24,7 +24,7 @@ from scipy.sparse.linalg import splu
 
 import torusbvp as tb
 from torusbvp import solvers
-from torusbvp.mesh import coarse_mesh, transfer_pair
+from torusbvp.mesh import coarse_mesh
 
 
 def p1_case(mesh, gamma, c):
@@ -322,6 +322,29 @@ def sliced_relaxation(eq, v0, new, weights):
     return v if solvers._weighted_norm(solvers._residual(eq, v), weights) < before else v0
 
 
+@pytest.mark.filterwarnings("ignore::torusbvp.errors.ExistenceWindowWarning")
+def test_every_level_caches_its_operators_two_blocks_and_its_link(params):
+    """After nested P1 and P2 solves each level holds at most four cache entries, and ``prolong`` reads the link's P."""
+    mesh = tb.build_mesh(32)
+    for solve, prob in (p1_case(mesh, 1.5, 0.1), p2_case(mesh, 0.1)):
+        solve(mesh, params, prob)
+    layout = {"coarse", ("ops", 2.0, 1.0), ("stiffness", 2.0, 1.0), ("dirichlet", 2.0, 1.0)}
+    level, rings = (mesh,), []
+    while level is not None:
+        assert set(level[0]._cache) <= layout, level[0].n_rings
+        rings.append(level[0].n_rings)
+        level = coarse_mesh(level[0])
+    assert rings == [32, 16, 8, 4, 2]
+
+    class Spy:
+        def __matmul__(self, values):
+            return "read"
+
+    coarse, sampling, _ = coarse_mesh(mesh)
+    mesh._cache["coarse"] = (coarse, sampling, Spy())
+    assert tb.mesh.prolong(np.zeros(coarse.n_nodes), mesh) == "read"
+
+
 @pytest.mark.parametrize("case", ["p1 gamma=1.5 c=0.3", "p2 c=0.2"])
 def test_relaxed_start_equals_the_sliced_rows(params, case):
     mesh = tb.build_mesh(32)
@@ -332,7 +355,7 @@ def test_relaxed_start_equals_the_sliced_rows(params, case):
     eq = solvers._equation(mesh, params, prob.as_p2() if p1 else prob, p1)
     ops = tb.assemble(mesh, params)
     free = slice(0, mesh.n_interior if p1 else mesh.n_nodes)
-    new = np.flatnonzero(np.diff(transfer_pair(mesh)[0].indptr)[free] > 1)  # all but the single-weight rows
+    new = np.flatnonzero(np.diff(coarse_mesh(mesh)[2].indptr)[free] > 1)  # all but the single-weight rows
     weights = (ops.volume_mass + ops.boundary_mass)[free]
     v0 = solvers._fmg_start(mesh, half.field.values, None)[free]
     relaxed = solvers._relax_new_nodes(eq, v0, new, weights)
