@@ -7,8 +7,11 @@ functionals read those two arrays, so they cannot drift apart.  The lint
 flags a product of ``volume_mass`` or ``boundary_mass`` with ``.a``, ``.b``,
 ``.f.values`` or ``.g.values`` (a ``*`` or a two-argument sum such as
 ``weighted_sum``) anywhere else; names bound directly to either side count
-as that side.  The last test checks that the constraint value is the sum of
-the equation's rows.
+as that side.  A second lint keeps ``solvers.py``'s reads of the raw fields
+``.f.values`` and ``.g.values`` to the three places that need data outside
+the record: the gate's boundary trace, the level walk's data restriction
+and the constant bracket.  The last test checks that the constraint value
+is the sum of the equation's rows.
 """
 
 import ast
@@ -110,6 +113,33 @@ def test_masses_meet_the_data_only_in_terms(path):
 ])
 def test_lint_flags_mass_data_products(module, source, flagged):
     assert bool(mass_data_products(ast.parse(source), module)) is flagged
+
+
+# the scopes of solvers.py that read the raw data fields: ``_admit`` picks
+# the window mode by g's boundary trace, ``_solve_newton`` restricts the data
+# to each level, ``find_constant_bracket`` reads the nodewise data signs
+RAW_DATA_READERS = {"_admit", "_solve_newton", "find_constant_bracket"}
+
+
+def raw_data_readers(tree):
+    """Names of the top-level scopes that read ``.f.values`` or ``.g.values``."""
+    return {name for name, scope in _scopes(tree)
+            if any(_is_data(node) and node.attr == "values" for node in ast.walk(scope))}
+
+
+def test_solvers_read_the_raw_data_only_to_gate_restrict_and_bracket():
+    assert raw_data_readers(ast.parse((SRC / "solvers.py").read_text())) <= RAW_DATA_READERS
+
+
+@pytest.mark.parametrize("source, readers", [
+    ("def solve_p2_monotone(prob):\n    f, g = prob.f.values, prob.g.values", {"solve_p2_monotone"}),
+    ("def _admit(mesh, prob):\n    return prob.g.values[mesh.boundary_nodes]", {"_admit"}),
+    ("class A:\n    def m(self, prob):\n        return prob.f.values", {"A.m"}),
+    ("def f(ops, prob):\n    c, w = prob.terms(ops)\n    return abs(c) + abs(w)", set()),
+    ("def f(field):\n    return field.values", set()),
+])
+def test_lint_finds_raw_data_readers(source, readers):
+    assert raw_data_readers(ast.parse(source)) == readers
 
 
 def _random_problems(rng, mesh):

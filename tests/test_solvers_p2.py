@@ -193,6 +193,13 @@ def test_nested_newton_still_fails_on_a_step_budget(params):
         tb.solve_p2_newton(mesh, params, prob, opts=tb.SolveOptions(max_iter=1))
 
 
+def test_newton_refuses_a_start_whose_residual_overflows(params):
+    """``e^800`` overflows float64, so the first residual is not finite and no step is tried."""
+    mesh, prob = benchmark_p2(16)
+    with pytest.raises(tb.DomainError, match="^initial iterate produces a non-finite residual$"):
+        tb.solve_p2_newton(mesh, params, prob, init=tb.DiskField.constant(mesh, 800.0))
+
+
 def test_nested_newton_tolerance_scales_with_the_zero_residual(params):
     """A prolonged start that meets tol_rel times the residual of zero takes no step.
 
