@@ -63,8 +63,8 @@ from .mesh import (
     assemble,
     build_mesh,
     coarse_mesh,
-    dirichlet_block,
     integrate_volume,
+    stiffness_block,
     weighted_sum,
 )
 from .solvers import (
@@ -308,13 +308,13 @@ def _cmd_scan_gamma(args, cfg, p) -> tuple:
     f = _coefficient(cfg, mesh, "f", default="1")
     opts = _solve_options(cfg)
     # worker threads share the mesh caches, so fill them first, level by
-    # level: the operators and the Dirichlet block, which builds the level
-    # below with both its transfers (coarse_mesh).
+    # level: the operators, the stiffness block that every Newton record
+    # reads, and the level below with both its transfers (coarse_mesh).
     # assemble is called here by name: perfbench/tracing.py patches cli.assemble
     level = (mesh,)
     while level is not None:
         assemble(level[0], p)
-        dirichlet_block(level[0], p)
+        stiffness_block(level[0], p)
         level = coarse_mesh(level[0])
 
     def solve_one(gamma):

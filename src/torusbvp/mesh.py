@@ -298,29 +298,16 @@ def assemble(mesh: DiskMesh, p: TorusParams) -> WeightedOperators:
 
 
 def stiffness_block(mesh: DiskMesh, p: TorusParams):
-    """``assemble``'s stiffness and the index in its ``data`` of each diagonal entry: a Neumann level's (cached)."""
+    """``assemble``'s stiffness and the index in its ``data`` of each diagonal entry (cached).
+
+    Every record of a Newton level reads this one pair: a Dirichlet record
+    pins the trailing boundary rows instead of slicing a copy of the
+    interior block (``solvers._equation``).
+    """
     key = ("stiffness", p.l, p.r)
     if key not in mesh._cache:
         matrix = assemble(mesh, p).stiffness
         mesh._cache[key] = (matrix, _diagonal_index(matrix))
-    return mesh._cache[key]
-
-
-def dirichlet_block(mesh: DiskMesh, p: TorusParams):
-    """``stiffness_block`` and the prolongation on a Dirichlet problem's unknowns, the interior nodes (cached).
-
-    The unknowns are each mesh's leading ``n_interior`` nodes.  Returns the
-    stiffness's leading ``n_interior`` rows and columns, the index of its
-    diagonal in its ``data``, and the rows of ``coarse_mesh``'s
-    ``prolongation`` at the interior nodes and its columns at the coarse
-    interior nodes, or None below 4 rings.
-    """
-    key = ("dirichlet", p.l, p.r)
-    if key not in mesh._cache:
-        k, level = mesh.n_interior, coarse_mesh(mesh)
-        matrix = assemble(mesh, p).stiffness[:k, :k]
-        mesh._cache[key] = (matrix, _diagonal_index(matrix),
-                            None if level is None else level[2][:k, :level[0].n_interior])
     return mesh._cache[key]
 
 

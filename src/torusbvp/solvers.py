@@ -7,13 +7,15 @@ volume and boundary masses.  P2 is this equation on all nodes.  P1
 (``Delta v + gamma = f e^v``) is its case ``a = gamma``, ``f -> -f``, ``b =
 g = 0``, restricted to the interior nodes for the Dirichlet problem.  Each
 solve, and each level of a nested Newton solve, builds the record ``(S, c,
-w)`` once (``_equation``), with the index of ``S``'s diagonal in its data; a
-Dirichlet level's record holds only the rows and columns of its interior
-nodes, its unknowns.  Every method reads it: Newton's residual ``F``,
-Jacobian ``S + diag(w e^v)`` and nested relaxation, the gradient ``S v +
-c`` and projection sum ``sum(w e^v)`` of the constrained descent that
-starts the coarsest level, and the monotone iteration's defect correction
-``v <- v - (S + diag(|w| e^super))^-1 F(v)``.  Every matrix a solver
+w)`` once (``_equation``), with the index of ``S``'s diagonal in its data
+and the pin row ``k``: the unknowns are the leading ``k`` nodes, a
+Dirichlet level's interior nodes or every node, and the trailing rows, a
+Dirichlet level's boundary, are pinned at zero.  Every method reads it:
+Newton's residual ``F``, Jacobian ``S + diag(w e^v)`` and nested
+relaxation, the gradient ``S v + c`` and projection sum ``sum(w e^v)`` of
+the constrained descent that starts the coarsest level, and the monotone
+iteration's defect correction ``v <- v - (S + diag(|w| e^super))^-1
+F(v)``.  Every matrix a solver
 factors is ``S`` plus a diagonal, built one way (``_shifted``).  Every
 public solver first admits its data (``_admit``), then maps them onto the
 equation and fills its report.
@@ -59,8 +61,7 @@ from .functionals import (
 )
 from .geometry import TorusParams
 from .inequalities import mu_best
-from .mesh import (DiskField, DiskMesh, assemble, coarse_mesh, dirichlet_block, prolong, restrict, stiffness_block,
-                   weighted_sum)
+from .mesh import DiskField, DiskMesh, assemble, coarse_mesh, prolong, restrict, stiffness_block, weighted_sum
 
 
 @dataclass
@@ -173,7 +174,12 @@ def _exp_unguarded(x):
 
 
 def _weighted_norm(res, weights):
-    """L2(T)-weighted norm of the nodal strong residual ``res_i = F_i / w_i``."""
+    """L2(T)-weighted norm of the nodal strong residual ``res_i = F_i / w_i`` on the leading rows, one per weight.
+
+    ``weights`` covers a record's unknowns; a pinned row, beyond them, has a
+    zero residual and is not read, so the sum keeps the unknowns' order.
+    """
+    res = res[:weights.size]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.sqrt(np.sum(res * res / weights))
     return float(out)
@@ -207,12 +213,13 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, 
     ``_STEPS``, 1, 1/2, ..., 2^-20, whose trial residual passes the Armijo
     test; a trial whose residual overflows to inf or nan fails it and is
     backtracked, and a step with no passing trial stalls the loop.  With
-    ``coarse``, the pair of the prolongation ``P`` on the unknowns from the
-    level below and that level's coarse solve, conjugate gradients
-    preconditioned by cycles on ``J`` (``_cycle``) solve ``J delta = -F``
-    (``_cycled_solve``), and ``J`` is factored only if they miss their
-    target.  ``v0``, ``weights`` and every
-    update live on the unknowns of ``eq``, its rows.  Newton stops at the
+    ``coarse``, the prolongation ``P`` from the level below, that level's
+    pin row and its coarse solve, conjugate gradients preconditioned by
+    cycles on ``J`` (``_cycle``) solve ``J delta = -F`` (``_cycled_solve``),
+    and ``J`` is factored only if they miss their target, on its leading
+    block ``J[:k, :k]``, the unknowns' rows and columns.  ``v0`` and every
+    update hold a value per node, zero on the pinned rows ``k:`` of ``eq``;
+    ``weights`` covers the unknowns.  Newton stops at the
     residual ``tol_abs + tol_rel * r0``, ``r0`` the residual of the zero
     field, ``c + w``.  That reference depends on the data alone, so no
     start moves the tolerance: a start far off cannot loosen it, and a
@@ -235,9 +242,9 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, 
 
     ``counts``, a ``Counter`` of ``SolveReport``'s count fields, gains the
     loop's.  A ``NonConvergence`` carries the loop's steps.  Returns ``(v,
-    res, trace, lu)``: ``trace`` one entry more than the steps taken,
-    ``lu`` the last step's factor, or None if that step cycled or no step
-    was taken.
+    res, trace, solve)``: ``trace`` one entry more than the steps taken,
+    ``solve`` the last step's factor as a ``_leading_solve``, or None if
+    that step cycled or no step was taken.
     """
     def residual(v):
         F = _residual(eq, v)
@@ -249,19 +256,20 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, 
         raise DomainError("initial iterate produces a non-finite residual")
     r0 = _weighted_norm(eq[1] + eq[2], weights)
     tol = max(min(opts.tol_abs + opts.tol_rel * r0, r0 / _VALLEY_RATIO**2 if valley else math.inf), stop_fraction * res)
-    lu = None
+    k = eq[4]
+    solve = None
     trace = [(res, 0.0)]  # one entry more than the steps taken
     while res > tol and len(trace) <= opts.max_iter:
-        lu = None  # freed before the next factor
+        solve = None  # freed before the next factor
         J = _shifted(eq, _exp_terms(eq, v))
         delta = None
         if coarse is not None:
-            delta, cycles = _cycled_solve(J, -F, _cycle(J, eq[3], *coarse), weights, _TWO_GRID_FRACTION * tol)
+            delta, cycles = _cycled_solve(J, -F, _cycle(J, eq, *coarse), weights, _TWO_GRID_FRACTION * tol)
             counts["two_grid_cycles"] += cycles
         if delta is None:
-            lu = _factorize(J)
+            solve = _leading_solve(_factorize(J[:k, :k]), k)
             counts["factorizations"] += 1
-            delta = -lu.solve(F)
+            delta = -solve(F)
         if not np.all(np.isfinite(delta)):
             raise SingularJacobian("Newton direction is non-finite")
         for step in _STEPS:
@@ -281,29 +289,46 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, 
         raise NonConvergence("Newton reached residual %g, but with a = b = 0 its exponential term w e^v "
                              "has collapsed to %g: a field down the constant valley, no solution"
                              % (res, wev), iterations=len(trace) - 1)
-    return v, res, trace, lu
+    return v, res, trace, solve
 
 
-def _cycle(matrix, diagonal, P, coarse_solve):
-    """One cycle on ``matrix``: the map from a residual ``r`` to a correction ``x``.
+def _leading_solve(lu, k):
+    """``lu``'s solve, a factor of a leading block ``[:k, :k]``, on a vector of every node: zero on rows ``k:``."""
+    def solve(r):
+        x = np.zeros_like(r)
+        x[:k] = lu.solve(r[:k])
+        return x
+
+    return solve
+
+
+def _cycle(matrix, eq, P, coarse_k, coarse_solve):
+    """One cycle on ``matrix``, a ``_shifted`` of ``eq``: the map from a residual ``r`` to a correction ``x``.
 
     From ``x = 0``, ``_TWO_GRID_SWEEPS`` damped Jacobi sweeps, the coarse
-    correction ``x += P coarse_solve(R r)``, with ``P`` the prolongation on
-    the unknowns from the level below and ``R = P.T``, and as many sweeps
-    again, each on the residual ``r - matrix x``.  The sweeps damp the
+    correction ``x += P coarse_solve(R r)``, with ``P`` the prolongation
+    from the level below and ``R = P.T``, and as many sweeps again, each on
+    the residual ``r - matrix x``.  A residual zero on ``eq``'s pinned rows
+    ``k:`` gets a correction zero there: ``R r`` is zeroed on the level
+    below's pinned rows ``coarse_k:`` and ``x`` on ``k:`` after the coarse
+    correction, and the unit rows of ``matrix`` keep the sweeps at zero
+    there.  On the unknowns
+    this is bit for bit the cycle on the leading blocks: a pinned entry
+    adds only zeros to the sparse products.  The sweeps damp the
     error that oscillates on this mesh; the rest is smooth, and the level
     below resolves it with the ``coarse_solve`` it hands up
     (``_solve_newton``).  When that is itself a cycle, the recursion is a
-    V-cycle.  Jacobi reads the diagonal of ``matrix`` at ``diagonal``, its
-    index in ``matrix.data``.  The sweeps after the correction mirror those
-    before it, and a symmetric ``matrix`` has a symmetric coarse solve, so
-    the cycle is a symmetric map: a preconditioner for conjugate gradients.
+    V-cycle.  Jacobi reads the diagonal of ``matrix`` at ``eq``'s index of
+    it in ``matrix.data``.  The sweeps after the correction mirror those
+    before it, and a ``matrix`` symmetric on the unknowns has a coarse
+    solve symmetric on the level below's, so the cycle is a symmetric map
+    on the unknowns: a preconditioner for conjugate gradients.
     ``R`` is a CSC view of ``P``'s arrays, so the hierarchy holds each
     transfer once, and ``R @ x`` adds each output's terms in the column
     order of a CSR copy of the transpose, so it has that product's bits.
     """
-    R = P.T
-    jacobi = _TWO_GRID_DAMPING / matrix.data[diagonal]
+    R, k = P.T, eq[4]
+    jacobi = _TWO_GRID_DAMPING / matrix.data[eq[3]]
 
     def cycle(r):
         x, res = np.zeros_like(r), r
@@ -311,7 +336,10 @@ def _cycle(matrix, diagonal, P, coarse_solve):
             if sweep:
                 res = r - matrix @ x
             if sweep == _TWO_GRID_SWEEPS:
-                x += _sparse_product(P, coarse_solve(_sparse_product(R, res)))
+                coarse_res = _sparse_product(R, res)
+                coarse_res[coarse_k:] = 0.0
+                x += _sparse_product(P, coarse_solve(coarse_res))
+                x[k:] = 0.0
             else:
                 x += jacobi * res
         return x
@@ -334,17 +362,20 @@ def _cycled_solve(matrix, rhs, cycle, weights, target):
     reference for a fraction of its start's residual (``_solve_newton``),
     the target is as loose: a linear solve finer than the Newton step
     needs would buy the level above nothing.  Inner products are
-    ``weighted_sum``s.  Returns ``(x, iterations)``, with ``x`` None on a
-    breakdown or if ``_TWO_GRID_MAX_CYCLES`` iterations miss the target.
+    ``weighted_sum``s over the unknowns, the entries that ``weights``
+    covers; the rest, a record's pinned rows, stay zero.  Returns ``(x,
+    iterations)``, with ``x`` None on a breakdown or if
+    ``_TWO_GRID_MAX_CYCLES`` iterations miss the target.
     """
     x, r = np.zeros_like(rhs), rhs
     d = rz = None
+    k = weights.size
     for iterations in range(1, _TWO_GRID_MAX_CYCLES + 1):
         z = cycle(r)
-        rz, rz_old = weighted_sum(r, z), rz
+        rz, rz_old = weighted_sum(r[:k], z[:k]), rz
         d = z if d is None else z + (rz / rz_old) * d
         q = matrix @ d
-        curvature = weighted_sum(d, q)
+        curvature = weighted_sum(d[:k], q[:k])
         if rz == 0.0 or curvature == 0.0 or not math.isfinite(curvature):
             return None, iterations
         alpha = rz / curvature
@@ -367,19 +398,20 @@ def _sparse_product(matrix, x):
 # ---------------------------------------------------------------------------
 
 def _equation(mesh, p, prob, dirichlet=False):
-    """``(S, c, w, diagonal)``: the stiffness and ``prob.terms`` on the unknowns, built once per nested level or solve.
+    """``(S, c, w, diagonal, k)``: the stiffness, ``prob.terms`` and the pin row, built once per nested level or solve.
 
-    A Dirichlet problem's unknowns are its interior nodes, the mesh's
-    leading ``n_interior``, and its record holds only their rows and
-    columns; otherwise it holds every node.  ``S`` and ``diagonal``, the
-    index of each diagonal entry in ``S.data``, depend on the mesh and the
-    geometry alone: the first two entries of ``dirichlet_block``, or the
-    Neumann pair of ``stiffness_block``.
+    ``S`` and ``diagonal``, the index of each diagonal entry in ``S.data``,
+    are ``stiffness_block``'s, cached once per mesh and geometry for every
+    record.  The unknowns are the leading ``k`` nodes: a Dirichlet
+    problem's interior nodes (``n_interior``), else every node.  The rows
+    ``k:``, the boundary's, come last and are pinned: ``_residual`` is zero
+    there and ``_shifted`` puts unit rows there, so a field zero on them
+    stays zero, and on the unknowns every product has the bits of the
+    leading block ``S[:k, :k]``.
     """
-    S, diagonal = (dirichlet_block if dirichlet else stiffness_block)(mesh, p)[:2]
+    S, diagonal = stiffness_block(mesh, p)
     c, w = prob.terms(assemble(mesh, p))
-    k = S.shape[0]
-    return S, c[:k], w[:k], diagonal
+    return S, c, w, diagonal, mesh.n_interior if dirichlet else mesh.n_nodes
 
 
 def _exp_terms(eq, v):
@@ -389,9 +421,11 @@ def _exp_terms(eq, v):
 
 
 def _residual(eq, v):
-    """``F(v) = S v + c + w e^v``."""
+    """``F(v) = S v + c + w e^v``, zero on the pinned rows ``k:``."""
     S, c = eq[:2]
-    return S @ v + c + _exp_terms(eq, v)
+    F = S @ v + c + _exp_terms(eq, v)
+    F[eq[4]:] = 0.0
+    return F
 
 
 def _shifted(eq, diagonal):
@@ -399,11 +433,15 @@ def _shifted(eq, diagonal):
 
     The one builder of every matrix the solvers factor: Newton's Jacobian
     (``w e^v``), the descent's preconditioner (its residual weights) and the
-    monotone shift (``|w| e^super``).  Bit for bit ``S + sp.diags(diagonal)``.
+    monotone shift (``|w| e^super``).  Bit for bit ``S + sp.diags(diagonal)``
+    on the rows of the unknowns; the pinned rows ``k:``, the trailing ones,
+    are unit rows.
     """
-    S, stored = eq[0], eq[3]
+    S, stored, k = eq[0], eq[3], eq[4]
     data = S.data.copy()
     data[stored] += diagonal
+    data[S.indptr[k]:] = 0.0
+    data[stored[k:]] = 1.0
     return sp.csr_matrix((data, S.indices, S.indptr), shape=S.shape)
 
 
@@ -449,6 +487,10 @@ def _admit(mesh, p, prob, dirichlet=False):
 def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     """Damped Newton on the core equation of ``prob``; its unknowns are the interior nodes if ``dirichlet``.
 
+    Every level's record (``_equation``) holds the stiffness of all its
+    nodes, as every level's field does; a Dirichlet record pins its
+    boundary rows, so each field stays zero there.
+
     Without ``init`` this is the nested iteration of full multigrid: each
     mesh of 4 rings or more has the half-ring mesh below it
     (``coarse_mesh``), so the problem, with its data restricted there
@@ -471,9 +513,9 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     level's start lies further off.  A level of ``_TWO_GRID_MIN_RINGS``
     rings or more with a coarse solve from below solves its Newton systems
     by cycled conjugate gradients, its prolongation that of
-    ``coarse_mesh`` or, on a Dirichlet level, of ``dirichlet_block``, and
-    hands up a cycle on its Jacobian frozen at its solution; any other
-    level factors each step and hands up its last factor.
+    ``coarse_mesh``, and hands up a cycle on its Jacobian frozen at its
+    solution; any other level factors each step and hands up its last
+    factor.  Either goes up with the level's pin row.
 
     If the finest level fails the valley test or raises after starting from
     the field handed up from below, on an a = b = 0 route with ``descent``,
@@ -500,30 +542,33 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
         levels.append((coarse, ProblemP2(prob.a, prob.b, DiskField(coarse, f), DiskField(coarse, g))))
     counts = Counter()
     v_2h = v_4h = None  # converged solutions of the two levels below
-    coarse_solve = None  # the level below's
+    below = None  # the level below's pin row and coarse solve
     iterations = 0
     schedule = levels[::-1]
     for level_mesh, level_prob in schedule:
         ops = assemble(level_mesh, p)
         eq = _equation(level_mesh, p, level_prob, dirichlet)
-        free = slice(0, eq[0].shape[0])
-        weights = (ops.volume_mass if p1 else ops.volume_mass + ops.boundary_mass)[free]
+        k = eq[4]
+        weights = (ops.volume_mass if p1 else ops.volume_mass + ops.boundary_mass)[:k]
         rings = level_mesh.n_rings
         coarse = None
-        if coarse_solve is not None and rings >= _TWO_GRID_MIN_RINGS:
-            coarse = (dirichlet_block(level_mesh, p)[2] if dirichlet else coarse_mesh(level_mesh)[2], coarse_solve)
+        if below is not None and rings >= _TWO_GRID_MIN_RINGS:
+            coarse = (coarse_mesh(level_mesh)[2], *below)
         stop_fraction = _COARSE_STOP_FRACTION if level_mesh is not mesh and rings >= _TWO_GRID_MIN_RINGS else 0.0
         try:
-            if v_2h is not None:
-                new = np.flatnonzero(np.diff(coarse_mesh(level_mesh)[2].indptr)[free] > 1)
-                x0 = _relax_new_nodes(eq, _fmg_start(level_mesh, v_2h, v_4h)[free], new, weights)
+            if v_2h is None:
+                x0 = np.zeros(level_mesh.n_nodes) if init is None else init.values.copy()
             else:
-                x0 = (np.zeros(level_mesh.n_nodes) if init is None else init.values)[free]
-                if descent:
-                    x0, descended = _descend(level_mesh, p, level_prob, eq, weights, x0, opts, counts)
-                    iterations += descended
-            x, res, trace, lu = _newton_loop(eq, x0, weights, opts, counts, coarse=coarse,
-                                             stop_fraction=stop_fraction, valley=valley)
+                x0 = _fmg_start(level_mesh, v_2h, v_4h)
+            x0[k:] = 0.0  # the pinned boundary
+            if v_2h is not None:
+                new = np.flatnonzero(np.diff(coarse_mesh(level_mesh)[2].indptr)[:k] > 1)
+                x0 = _relax_new_nodes(eq, x0, new, weights)
+            elif descent:
+                x0, descended = _descend(level_mesh, p, level_prob, eq, weights, x0, opts, counts)
+                iterations += descended
+            v, res, trace, solve = _newton_loop(eq, x0, weights, opts, counts, coarse=coarse,
+                                                stop_fraction=stop_fraction, valley=valley)
         except TorusBVPError as exc:
             if level_mesh is mesh:
                 if isinstance(exc, NonConvergence):
@@ -531,14 +576,12 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
                 if v_2h is None or not (descent and valley):
                     raise
                 schedule.append(schedule[-1])  # the finest level once more, started as the coarsest is
-            v = coarse_solve = None
+            v = below = None
         else:
             iterations += len(trace) - 1
-            v = np.zeros(level_mesh.n_nodes)
-            v[free] = x
-            coarse_solve = None if lu is None else lu.solve
+            below = None if solve is None else (k, solve)
             if coarse is not None and level_mesh is not mesh:  # the finest level's cycle would go unread
-                coarse_solve = _cycle(_shifted(eq, _exp_terms(eq, x)), eq[3], *coarse)
+                below = (k, _cycle(_shifted(eq, _exp_terms(eq, v)), eq, *coarse))
         v_2h, v_4h = v, v_2h
     return v, res, iterations, trace, counts
 
@@ -575,7 +618,7 @@ def _relax_new_nodes(eq, v0, new, weights):
     solution need not.
     """
     # the core equation's rows at the new nodes
-    S, c, w, diagonal = eq
+    S, c, w, diagonal = eq[:4]
     diag, c, w = S.data[diagonal][new], c[new], w[new]
     v = v0.copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -684,14 +727,12 @@ def p1_residual_norm(mesh: DiskMesh, p: TorusParams, prob: ProblemP1, field: Dis
                      natural: bool = False) -> float:
     """Weighted-L2 strong residual of the P1 equation.
 
-    With ``natural=False`` only interior rows count (Dirichlet boundary);
-    ``natural=True`` scores all rows (zero-flux stationarity of the
-    variational path).
+    With ``natural=False`` only interior rows count, the unknowns of the
+    Dirichlet record (its boundary rows are pinned); ``natural=True`` scores
+    all rows (zero-flux stationarity of the variational path).
     """
-    ops = assemble(mesh, p)
-    F = _residual(_equation(mesh, p, prob.as_p2()), field.values)
-    rows = slice(0, mesh.n_nodes if natural else mesh.n_interior)
-    return _weighted_norm(F[rows], ops.volume_mass[rows])
+    eq = _equation(mesh, p, prob.as_p2(), dirichlet=not natural)
+    return _weighted_norm(_residual(eq, field.values), assemble(mesh, p).volume_mass[:eq[4]])
 
 
 def solve_p1_newton(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,

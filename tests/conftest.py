@@ -42,7 +42,8 @@ def splu_sizes(monkeypatch):
 def newton_levels(monkeypatch):
     """``(unknowns, residuals, tol)`` of every Newton loop the solvers run from here on, in call order.
 
-    ``residuals`` are the loop's own, from its start to where it stopped,
+    ``unknowns`` is the record's pin row ``k``, the count of its leading,
+    unpinned rows.  ``residuals`` are the loop's own, from its start to where it stopped,
     and ``tol`` is Newton's tolerance on its record, ``tol_abs + tol_rel
     r0`` with ``r0`` the weighted residual of zero.
     """
@@ -53,7 +54,7 @@ def newton_levels(monkeypatch):
         out = real_loop(eq, v0, weights, opts, *args, **kwargs)
         r0 = solvers._weighted_norm(solvers._residual(eq, np.zeros_like(v0)), weights)
         residuals = [res for res, _ in out[2]]
-        levels.append((eq[0].shape[0], residuals, opts.tol_abs + opts.tol_rel * r0))
+        levels.append((eq[4], residuals, opts.tol_abs + opts.tol_rel * r0))
         return out
 
     monkeypatch.setattr(solvers, "_newton_loop", recording_loop)

@@ -8,8 +8,8 @@ import pytest
 import scipy.sparse as sp
 
 import torusbvp as tb
-from torusbvp.mesh import (TWO_PI, _assemble_core, _ring_layout, _triangle_geometry, coarse_mesh, dirichlet_block,
-                           prolong, restrict, ring_interpolation)
+from torusbvp.mesh import (TWO_PI, _assemble_core, _ring_layout, _triangle_geometry, coarse_mesh, prolong, restrict,
+                           ring_interpolation, stiffness_block)
 from oracles import (
     SmoothFieldBasis,
     fit_order,
@@ -201,16 +201,28 @@ def test_a_numpy_integer_is_a_ring_count():
 
 
 def test_a_mesh_without_a_half_ring_mesh_has_no_transfer(params):
-    """3 rings do not halve: there is no coarse mesh to prolong from, and the Dirichlet block holds no prolongation."""
+    """3 rings do not halve: there is no coarse mesh to prolong from, and a Dirichlet solve there caches no transfer.
+
+    Its one level factors every step and leaves the operators, the
+    stiffness block and the empty link in the cache.
+    """
     m = tb.build_mesh(3)
     with pytest.raises(tb.DomainError, match="no half-ring mesh"):
         prolong(np.zeros(19), m)
-    assert coarse_mesh(m) is None and dirichlet_block(m, params)[2] is None
+    assert coarse_mesh(m) is None
+    rep = tb.solve_p1_newton(m, params, tb.ProblemP1(1.5, tb.DiskField.constant(m, 1.0)))
+    assert rep.two_grid_cycles == 0 and rep.factorizations == rep.iterations >= 1
+    assert set(m._cache) == {"coarse", ("ops", params.l, params.r), ("stiffness", params.l, params.r)}
 
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128])
 def test_leading_blocks_equal_the_masked_interior(params, n):
-    """The Dirichlet stiffness block and interior transfer equal the node-mask restriction bit for bit."""
+    """The leading blocks of the cached stiffness and transfer equal the node-mask restriction bit for bit.
+
+    The boundary nodes are the trailing ones, so a Dirichlet record's
+    unknowns are the leading ``n_interior`` rows and columns (sliced here)
+    and its pinned rows are the boundary's.
+    """
     m = tb.build_mesh(n)
     coarse = coarse_mesh(m)[0]
 
@@ -220,7 +232,9 @@ def test_leading_blocks_equal_the_masked_interior(params, n):
         return np.nonzero(mask)[0]
 
     free, coarse_free = masked(m), masked(coarse)
-    S, _, P = dirichlet_block(m, params)
+    assert np.array_equal(free, np.arange(m.n_interior)) and np.array_equal(coarse_free, np.arange(coarse.n_interior))
+    S = stiffness_block(m, params)[0][:m.n_interior, :m.n_interior]
+    P = coarse_mesh(m)[2][:m.n_interior, :coarse.n_interior]
     pairs = [(tb.assemble(m, params).stiffness[free][:, free], S), (prolongation_coo(m)[free][:, coarse_free], P)]
     for ref, block in pairs:
         assert block.shape == ref.shape
@@ -484,12 +498,12 @@ def _owner(array):
 
 @pytest.mark.parametrize("n", [4, 9, 64, 65])
 def test_every_cached_transfer_holds_exactly_its_nonzeros(params, n):
-    """No cached ``P``, full or interior, keeps a dead tail: its values and column indices own nnz entries each."""
+    """The one cached ``P`` keeps no dead tail: its values and column indices own nnz entries each."""
     m = tb.build_mesh(n)
-    for interior, P in ((False, coarse_mesh(m)[2]), (True, dirichlet_block(m, params)[2])):
-        assert P is (m._cache[("dirichlet", params.l, params.r)] if interior else m._cache["coarse"])[2]
-        for part in (P.data, P.indices):
-            assert part.size == _owner(part).size == P.nnz, (interior, part.size, _owner(part).size, P.nnz)
+    P = coarse_mesh(m)[2]
+    assert P is m._cache["coarse"][2]
+    for part in (P.data, P.indices):
+        assert part.size == _owner(part).size == P.nnz, (part.size, _owner(part).size, P.nnz)
 
 
 def test_prolong_exact_at_nested_nodes_and_second_order():
@@ -532,16 +546,26 @@ def test_prolong_is_a_cached_sparse_operator():
 
 @pytest.mark.parametrize("interior", [False, True])
 def test_the_restriction_is_a_view_of_the_one_cached_prolongation(params, interior):
-    """The cycles' ``R = P.T`` shares ``P``'s arrays, the cache holds ``P`` alone, and ``R @ x`` has a copy's bits."""
+    """The cycles' ``R = P.T`` shares ``P``'s arrays, the cache holds ``P`` alone, and ``R @ x`` has a copy's bits.
+
+    With ``interior`` ``x`` is zero on the boundary, as a Dirichlet
+    residual is, and ``R @ x`` on the coarse interior has the bits of the
+    interior block ``P[:k, :kc]``'s transpose, sliced and copied here.
+    """
     rng = np.random.default_rng(7)
     for n in (4, 8, 16, 32, 64, 128):
         m = tb.build_mesh(n)
-        P = dirichlet_block(m, params)[2] if interior else coarse_mesh(m)[2]
+        coarse, _, P = coarse_mesh(m)
         R = P.T
         assert np.shares_memory(R.data, P.data) and np.shares_memory(R.indices, P.indices), n
-        assert m._cache[("dirichlet", params.l, params.r) if interior else "coarse"][2] is P, n
+        assert m._cache["coarse"][2] is P, n
         x = rng.standard_normal(R.shape[1])
-        assert (R @ x).tobytes() == (P.T.tocsr() @ x).tobytes(), n
+        if interior:
+            k, kc = m.n_interior, coarse.n_interior
+            x[k:] = 0.0
+            assert (R @ x)[:kc].tobytes() == (P[:k, :kc].T.tocsr() @ x[:k]).tobytes(), n
+        else:
+            assert (R @ x).tobytes() == (P.T.tocsr() @ x).tobytes(), n
 
 
 @pytest.mark.parametrize("n", [64, 128])

@@ -163,7 +163,7 @@ def test_constraint_is_the_sum_of_the_residual_rows(params, n_rings):
         for prob in _random_problems(rng, mesh):
             eq = solvers._equation(mesh, params, prob)
             rows = solvers._residual(eq, v.values)
-            S, c, w, _ = eq
+            S, c, w = eq[:3]
             scale = np.sum(abs(S) @ np.abs(v.values)) + np.sum(np.abs(c)) + np.sum(np.abs(w * np.exp(v.values)))
             assert abs(tb.constraint_K(mesh, params, v, prob) - np.sum(rows)) <= 1e-13 * scale
 
@@ -172,7 +172,11 @@ def test_constraint_is_the_sum_of_the_residual_rows(params, n_rings):
 @pytest.mark.parametrize("l, r", [(2.0, 1.0), (3.0, 0.5), (1.2, 1.0)])
 @pytest.mark.parametrize("n_rings", [8, 32, 128])
 def test_zero_field_residual_is_c_plus_w(l, r, n_rings):
-    """Newton's reference residual ``F(0)`` is ``c + w`` bit for bit, signed zeros included, on every record."""
+    """Newton's reference residual ``F(0)`` is ``c + w`` bit for bit, signed zeros included, on every record's unknowns.
+
+    A Dirichlet record's unknowns are the interior nodes, the leading
+    ``k``; its pinned boundary rows read +0.0.
+    """
     params, mesh = tb.TorusParams(l, r), tb.build_mesh(n_rings)
     f = tb.DiskField.from_function(mesh, lambda t, s: t + 0.55)
     zero = tb.DiskField.constant(mesh, 0.0)
@@ -182,5 +186,8 @@ def test_zero_field_residual_is_c_plus_w(l, r, n_rings):
                (tb.ProblemP2(0.0, 0.0, f, zero), False)]
     for prob, dirichlet in records:
         eq = solvers._equation(mesh, params, prob, dirichlet)
-        F0 = solvers._residual(eq, np.zeros(eq[0].shape[0]))
-        assert F0.tobytes() == (eq[1] + eq[2]).tobytes()
+        k = eq[4]
+        assert k == (mesh.n_interior if dirichlet else mesh.n_nodes)
+        F0 = solvers._residual(eq, np.zeros(mesh.n_nodes))
+        assert F0[:k].tobytes() == (eq[1] + eq[2])[:k].tobytes()
+        assert F0[k:].tobytes() == np.zeros(mesh.n_nodes - k).tobytes()

@@ -11,7 +11,10 @@ steps to the same field.  Below the finest, a level of
 ``_TWO_GRID_MIN_RINGS`` rings or more stops at 1e-3 of its start's residual
 on either path.  The Jacobian, the
 cycle's diagonal and the relaxation of a nested start read the stiffness of
-each mesh as it was built once, never a slice or a sum of it.
+each mesh as it was built once, never a slice or a sum of it: a Dirichlet
+record pins its trailing boundary rows (``solvers._equation``), and on its
+unknowns, the leading ``k`` rows, each of these has the bits of the leading
+block.
 """
 
 import math
@@ -139,7 +142,7 @@ def test_a_failed_coarse_level_leaves_the_level_above_direct(params, monkeypatch
     failing = tb.build_mesh(16).n_nodes
 
     def loop_failing_at_16_rings(eq, *args, **kwargs):
-        if eq[0].shape[0] == failing:
+        if eq[4] == failing:
             raise tb.NonConvergence("forced")
         return real_loop(eq, *args, **kwargs)
 
@@ -171,11 +174,11 @@ def test_an_odd_ring_count_nests(params, newton_levels, case):
     single = solve(mesh, params, prob, init=tb.DiskField.constant(mesh, 0.0))
     assert len(newton_levels) == 6 and single.two_grid_cycles == 0
     eq = solvers._equation(mesh, params, prob.as_p2() if p1 else prob, p1)
-    free = slice(0, eq[0].shape[0])
-    lu = splu(sp.csc_matrix(solvers._shifted(eq, solvers._exp_terms(eq, single.field.values[free]))))
+    k = eq[4]
+    lu = splu(sp.csc_matrix(solvers._shifted(eq, solvers._exp_terms(eq, single.field.values))[:k, :k]))
     for rep, (_, residuals, tol) in ((nested, newton_levels[4]), (single, newton_levels[5])):
         assert residuals[-1] <= tol
-    corrections = [np.max(np.abs(lu.solve(solvers._residual(eq, rep.field.values[free])))) for rep in (nested, single)]
+    corrections = [np.max(np.abs(lu.solve(solvers._residual(eq, rep.field.values)[:k]))) for rep in (nested, single)]
     gap = np.max(np.abs(nested.field.values - single.field.values))
     assert gap <= 2.0 * sum(corrections) + 64 * np.finfo(float).eps * np.max(np.abs(single.field.values))
 
@@ -230,12 +233,17 @@ def test_coarse_levels_from_16_rings_stop_early(params, monkeypatch, newton_leve
 
 @pytest.mark.parametrize("n", [16, 32, 64])
 def test_the_cycle_is_symmetric(params, monkeypatch, n):
-    """``u' B v = v' B u`` to roundoff for every cycle ``B`` that preconditions conjugate gradients."""
+    """``u' B v = v' B u`` to roundoff for every cycle ``B`` that preconditions conjugate gradients.
+
+    ``u`` and ``v`` are random on the system's unknowns, the entries that its
+    weights cover, and zero on a Dirichlet level's pinned boundary, where
+    ``B`` maps them to zero.
+    """
     real_solve, cycles = solvers._cycled_solve, []
 
-    def spy(matrix, rhs, cycle, *args):
-        cycles.append((matrix.shape[0], cycle))
-        return real_solve(matrix, rhs, cycle, *args)
+    def spy(matrix, rhs, cycle, weights, *args):
+        cycles.append((matrix.shape[0], weights.size, cycle))
+        return real_solve(matrix, rhs, cycle, weights, *args)
 
     monkeypatch.setattr(solvers, "_cycled_solve", spy)
     mesh = tb.build_mesh(n)
@@ -244,9 +252,12 @@ def test_the_cycle_is_symmetric(params, monkeypatch, n):
         solve(mesh, params, prob)
     assert cycles
     rng = np.random.default_rng(n)
-    for size, cycle in cycles:
-        u, v = rng.normal(size=size), rng.normal(size=size)
+    assert {size > k for size, k, _ in cycles} == {False, True}
+    for size, k, cycle in cycles:
+        u, v = np.zeros(size), np.zeros(size)
+        u[:k], v[:k] = rng.normal(size=k), rng.normal(size=k)
         Bu, Bv = cycle(u), cycle(v)
+        assert not np.any(Bu[k:]) and not np.any(Bv[k:])
         assert abs(np.sum(u * Bv) - np.sum(v * Bu)) <= 2e-15 * np.linalg.norm(u) * np.linalg.norm(Bv)
 
 
@@ -290,24 +301,29 @@ def test_a_negative_curvature_goes_on():
 
 @pytest.mark.parametrize("dirichlet", [True, False], ids=["dirichlet", "neumann"])
 def test_jacobian_adds_onto_the_stored_diagonal(params, dirichlet):
-    """``_shifted`` is ``(S + diag(d)).tocsr()`` bit for bit, on the record's stiffness, built once per mesh.
+    """``_shifted`` is ``(S + diag(d)).tocsr()`` bit for bit on the unknowns, on the stiffness built once per mesh.
 
-    ``d`` is Newton's ``w e^v`` and the descent's residual weights, at 8 to 64 rings.
+    ``d`` is Newton's ``w e^v`` and the descent's residual weights, at 8 to
+    64 rings.  The reference is the leading block ``[:k, :k]``, sliced
+    here; a Dirichlet record's pinned rows ``k:`` are unit rows.
     """
     for n in (8, 16, 32, 64):
         mesh = tb.build_mesh(n)
         prob = p1_case(mesh, 1.5, 0.3)[1].as_p2() if dirichlet else p2_case(mesh, 0.2)[1]
         eq = solvers._equation(mesh, params, prob, dirichlet)
         assert solvers._equation(mesh, params, prob, dirichlet)[0] is eq[0]
-        v = np.random.default_rng(n).normal(size=eq[0].shape[0])
+        k = eq[4]
+        assert k == (mesh.n_interior if dirichlet else mesh.n_nodes)
+        v = np.random.default_rng(n).normal(size=mesh.n_nodes)
         ops = tb.assemble(mesh, params)
-        weights = (ops.volume_mass if dirichlet else ops.volume_mass + ops.boundary_mass)[:eq[0].shape[0]]
+        weights = ops.volume_mass if dirichlet else ops.volume_mass + ops.boundary_mass
         for diagonal in (solvers._exp_terms(eq, v), weights):
             J = solvers._shifted(eq, diagonal)
-            ref = (eq[0] + sp.diags(diagonal)).tocsr()
+            ref = (eq[0][:k, :k] + sp.diags(diagonal[:k])).tocsr()
             for part in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(J, part), getattr(ref, part))
-            assert np.array_equal(J.data[eq[3]], ref.diagonal())
+                assert np.array_equal(getattr(J[:k, :k], part), getattr(ref, part))
+            assert np.array_equal(J.data[eq[3][:k]], ref.diagonal())
+            assert (J[k:] != sp.eye(mesh.n_nodes, format="csr")[k:]).nnz == 0
 
 
 def sliced_relaxation(eq, v0, new, weights):
@@ -323,12 +339,12 @@ def sliced_relaxation(eq, v0, new, weights):
 
 
 @pytest.mark.filterwarnings("ignore::torusbvp.errors.ExistenceWindowWarning")
-def test_every_level_caches_its_operators_two_blocks_and_its_link(params):
-    """After nested P1 and P2 solves each level holds at most four cache entries, and ``prolong`` reads the link's P."""
+def test_every_level_caches_its_operators_one_block_and_its_link(params):
+    """After nested P1 and P2 solves each level holds at most three cache entries; ``prolong`` reads the link's P."""
     mesh = tb.build_mesh(32)
     for solve, prob in (p1_case(mesh, 1.5, 0.1), p2_case(mesh, 0.1)):
         solve(mesh, params, prob)
-    layout = {"coarse", ("ops", 2.0, 1.0), ("stiffness", 2.0, 1.0), ("dirichlet", 2.0, 1.0)}
+    layout = {"coarse", ("ops", 2.0, 1.0), ("stiffness", 2.0, 1.0)}
     level, rings = (mesh,), []
     while level is not None:
         assert set(level[0]._cache) <= layout, level[0].n_rings
@@ -345,6 +361,23 @@ def test_every_level_caches_its_operators_two_blocks_and_its_link(params):
     assert tb.mesh.prolong(np.zeros(coarse.n_nodes), mesh) == "read"
 
 
+@pytest.mark.filterwarnings("ignore::torusbvp.errors.ExistenceWindowWarning")
+def test_a_p1_solve_after_a_p2_solve_caches_nothing(params):
+    """A Dirichlet level reads only what a Neumann level cached: P1 after P2 adds no key, and replaces no entry."""
+    mesh = tb.build_mesh(32)
+    solve, prob = p2_case(mesh, 0.1)
+    solve(mesh, params, prob)
+    levels, level = [], (mesh,)
+    while level is not None:
+        levels.append((level[0], dict(level[0]._cache)))
+        level = coarse_mesh(level[0])
+    solve, prob = p1_case(mesh, 1.5, 0.1)
+    assert solve(mesh, params, prob).two_grid_cycles > 0
+    for level_mesh, before in levels:
+        assert level_mesh._cache.keys() == before.keys(), level_mesh.n_rings
+        assert all(level_mesh._cache[key] is entry for key, entry in before.items()), level_mesh.n_rings
+
+
 @pytest.mark.parametrize("case", ["p1 gamma=1.5 c=0.3", "p2 c=0.2"])
 def test_relaxed_start_equals_the_sliced_rows(params, case):
     mesh = tb.build_mesh(32)
@@ -354,10 +387,11 @@ def test_relaxed_start_equals_the_sliced_rows(params, case):
     p1 = isinstance(prob, tb.ProblemP1)
     eq = solvers._equation(mesh, params, prob.as_p2() if p1 else prob, p1)
     ops = tb.assemble(mesh, params)
-    free = slice(0, mesh.n_interior if p1 else mesh.n_nodes)
-    new = np.flatnonzero(np.diff(coarse_mesh(mesh)[2].indptr)[free] > 1)  # all but the single-weight rows
-    weights = (ops.volume_mass + ops.boundary_mass)[free]
-    v0 = solvers._fmg_start(mesh, half.field.values, None)[free]
+    k = eq[4]
+    new = np.flatnonzero(np.diff(coarse_mesh(mesh)[2].indptr)[:k] > 1)  # all but the single-weight rows
+    weights = (ops.volume_mass + ops.boundary_mass)[:k]
+    v0 = solvers._fmg_start(mesh, half.field.values, None)
+    v0[k:] = 0.0  # a Dirichlet start's pinned boundary
     relaxed = solvers._relax_new_nodes(eq, v0, new, weights)
-    assert not np.array_equal(relaxed, v0)
+    assert not np.array_equal(relaxed, v0) and not np.any(relaxed[k:])
     assert np.array_equal(relaxed, sliced_relaxation(eq, v0, new, weights))

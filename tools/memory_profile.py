@@ -1,6 +1,6 @@
 """Print the memory that the nested ring meshes take to build, assemble and hold, per ring count.
 
-For each ring count (default 64, 128 and 256) prints five lines:
+For each ring count (default 64, 128 and 256) prints six lines:
 
 - ``build_mesh``: the tracemalloc peak of ``mesh.build_mesh`` and the
   bytes still traced when it returns, the mesh it keeps;
@@ -9,14 +9,17 @@ For each ring count (default 64, 128 and 256) prints five lines:
 - ``transfer``: the same two figures for ``mesh.ring_interpolation``, the
   level transfer to that mesh from its half-ring mesh;
 - ``cache``: the bytes that the mesh, its half-ring meshes and their
-  caches hold after one ``solve_p1_newton`` and one ``solve_p2_newton`` on
+  caches hold after one ``solve_p2_newton`` and one ``solve_p1_newton`` on
   the data of the benchmark's ``newton`` workload (γ = 1.5, c = 0.1),
   each array buffer counted once, however many views share it;
+- ``p1_adds``: the part of those bytes that the P1 solve added to what
+  the P2 solve had cached: whatever a Dirichlet level caches beyond a
+  Neumann level;
 - ``rss``: ``ru_maxrss`` of a fresh process that builds the mesh and runs
   one cold ``solve_p1_newton`` on that data.
 
 Sizes are in MiB (2^20 bytes), as the benchmark's ``peak_rss_mb``.  The
-first four lines repeat from run to run: tracemalloc's figures move by
+first five lines repeat from run to run: tracemalloc's figures move by
 some bytes of Python objects between calls, far below their 0.01 MiB.
 The ``rss`` line varies by a MiB or so.  Run from the root of each source
 checkout and compare the outputs::
@@ -100,7 +103,7 @@ def hierarchy_bytes(m) -> int:
 
 
 def tracemalloc_lines(rings: int) -> list:
-    """The ``build_mesh``, ``assemble``, ``transfer`` and ``cache`` lines at ``rings`` rings."""
+    """The ``build_mesh``, ``assemble``, ``transfer``, ``cache`` and ``p1_adds`` lines at ``rings`` rings."""
     mesh._assemble_core(mesh.build_mesh(4), 1.0, 0.0)  # first calls allocate lazily: make them untraced
     mesh.ring_interpolation(4, 2)
     m, peak, kept = _traced(lambda: mesh.build_mesh(rings))
@@ -111,9 +114,11 @@ def tracemalloc_lines(rings: int) -> list:
     lines.append("%d transfer   peak %.2f MiB kept %.2f MiB" % (rings, peak / MIB, kept / MIB))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        workloads.p1_newton_op(m, GAMMA, C).run()
         workloads.p2_newton_op(m, C).run()
+        neumann = hierarchy_bytes(m)
+        workloads.p1_newton_op(m, GAMMA, C).run()
     lines.append("%d cache      %.2f MiB" % (rings, hierarchy_bytes(m) / MIB))
+    lines.append("%d p1_adds    %.2f MiB" % (rings, (hierarchy_bytes(m) - neumann) / MIB))
     return lines
 
 
