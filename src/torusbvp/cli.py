@@ -45,7 +45,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, DomainError, ExistenceWindowWarning, NonConvergence, TorusBVPError
 from .expressions import compile_expression, excerpt
-from .functionals import ProblemP1, ProblemP2, identity_6_14_residual
+from .functionals import ProblemP1, ProblemP2, exp_capped, identity_6_14_residual
 from .geometry import TorusParams
 from .inequalities import (
     _gauss_legendre,
@@ -181,13 +181,12 @@ def _out_dir(cfg, args) -> str:
 # ---------------------------------------------------------------------------
 
 def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return "%.17g" % float(x)
+    """One CSV cell: a string as it is, any number with 17 significant digits (``%.17g``).
+
+    17 digits round-trip every float64.  A flag prints as 1 or 0, and an
+    integer below 10^17 (every count and index a CSV holds) as itself.
+    """
+    return x if isinstance(x, str) else "%.17g" % x
 
 
 def write_csv(path, header, rows) -> None:
@@ -396,7 +395,7 @@ def _cmd_verify(args, cfg, p) -> tuple:
     meshes = {k: chain.get(k) or build_mesh(k) for k in {*levels, 8, 16, 32, 64}}
 
     def exp_integral(k, fn):  # the weighted volume quadrature of exp(fn) on ring count k
-        return integrate_volume(meshes[k], p_assembly, DiskField.from_function(meshes[k], fn), np.exp)
+        return integrate_volume(meshes[k], p_assembly, DiskField.from_function(meshes[k], lambda t, s: exp_capped(fn(t, s))))
 
     checks = []
 

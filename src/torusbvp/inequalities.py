@@ -198,7 +198,7 @@ def mt_scan(mesh: DiskMesh | None, p: TorusParams, fam_base: BlowupFamily, alpha
         else:
             field = blowup_field(mesh, fam)
             grad_energy = dirichlet_energy(mesh, p, field)
-            log_integral = math.log(integrate_volume(mesh, p, field, exp_capped))
+            log_integral = math.log(integrate_volume(mesh, p, DiskField(mesh, exp_capped(field.values))))
             mean_term = mean_value(mesh, p, field)
             resolved = mesh.h <= math.sqrt(alpha) / (2.0 * p.r)
         denom = log_integral - mean_term

@@ -493,17 +493,24 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
 
     Without ``init`` this is the nested iteration of full multigrid: each
     mesh of 4 rings or more has the half-ring mesh below it
-    (``coarse_mesh``), so the problem, with its data restricted there
-    (``restrict``, one rule for every ring count), is solved on the
-    coarsest mesh first and then on each finer mesh from the solution below
-    (``_fmg_start``), relaxed on the new nodes: all but those whose row of
-    the level's prolongation (``coarse_mesh(level_mesh)[2]``) is a single
-    weight, the nested nodes under an even ring count; from ``init`` the
-    finest level is the only one.  The coarsest
-    level starts from zero or ``init``, or with ``descent`` (Neumann only;
-    no level then has fewer than ``_DESCENT_MIN_RINGS`` rings but the mesh)
-    where the constrained descent from there ends (``_descend``).  Residual
-    weights are ``M`` for P1, ``M + M_b`` for P2.  A level whose solve fails
+    (``coarse_mesh``), so the problem, with its data restricted there, is
+    solved on the coarsest mesh first and then on each finer mesh from the
+    solution below (``_fmg_start``), relaxed on the new nodes: all but
+    those whose row of the level's prolongation
+    (``coarse_mesh(level_mesh)[2]``) is a single weight, the nested nodes
+    under an even ring count; from ``init`` the finest level is the only
+    one.  A coarse level's data are read where its equation reads them, by
+    one rule for every ring count: ``f`` sampled (``restrict``); ``g`` zero
+    at the interior nodes and, at the boundary nodes, the trace of ``g``
+    above sampled and divided by the sampled boundary indicator, so ``g``'s
+    interior values, which no equation reads, reach no level (under an odd
+    ring count the sampling rows of coarse boundary nodes weight fine
+    interior nodes; under an even one the indicator samples to 1).  The
+    coarsest level starts from zero or ``init``, or with ``descent``
+    (Neumann only; no level then has fewer than ``_DESCENT_MIN_RINGS``
+    rings but the mesh) where the constrained descent from there ends
+    (``_descend``).  Residual weights are ``M`` for P1, ``M + M_b`` for
+    P2.  A level whose solve fails
     hands nothing up, and the next starts as the coarsest does.  On an a =
     b = 0 Neumann record every level passes ``valley`` to ``_newton_loop``,
     so a level whose field lies down the constant valley fails too, and no
@@ -538,7 +545,11 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     min_rings = _DESCENT_MIN_RINGS if descent else 0
     while init is None and (level := coarse_mesh(levels[-1][0])) is not None and level[0].n_rings >= min_rings:
         (fine, fine_prob), coarse = levels[-1], level[0]
-        f, g = restrict(np.stack([fine_prob.f.values, fine_prob.g.values], axis=1), fine).T
+        # f sampled; g read where the equation reads it: its boundary trace sampled, over the sampled indicator
+        on_boundary = np.arange(fine.n_nodes) >= fine.n_interior
+        f, g, share = restrict(np.stack([fine_prob.f.values, np.where(on_boundary, fine_prob.g.values, 0.0),
+                                         on_boundary], axis=1), fine).T
+        g[:coarse.n_interior], g[coarse.n_interior:] = 0.0, g[coarse.n_interior:] / share[coarse.n_interior:]
         levels.append((coarse, ProblemP2(prob.a, prob.b, DiskField(coarse, f), DiskField(coarse, g))))
     counts = Counter()
     v_2h = v_4h = None  # converged solutions of the two levels below
@@ -856,10 +867,13 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
     non-decreasing on the bracket, and ``S + W``, with ``S``'s nonpositive
     off-diagonal, has a nonnegative inverse.  The pair must meet the
     discrete inequalities ``F(sub) <= 0 <= F(super)`` nodewise, each row
-    scored as ``F_i / W_i``, ``W = M + M_b``, within ``1e-9 (1 + max_i
-    (|c_i| + |w_i| e^super_i) / W_i)``: a bound read from the record alone,
-    so data that leave the equation unchanged (``g`` at interior nodes) get
-    the same verdict.  Iterates from the subsolution
+    scored as ``F_i / W_i``, ``W = M + M_b``, and each inequality at its
+    own field: ``F(sub)`` within ``1e-9 (1 + max_i (|c_i| + |w_i| e^sub_i)
+    / W_i)``, ``F(super)`` within the same bound at ``super``.  A bound
+    read at ``e^super`` for both would admit a false subsolution under a
+    large supersolution.  Each bound is read from the record alone, so data
+    that leave the equation unchanged (``g`` at interior nodes) get the
+    same verdict.  Iterates from the subsolution
     are nodewise non-decreasing and stay below the supersolution (asserted
     every iteration).  Terminates when the sup-norm increment drops below
     tolerance.  The shift is factored once, at the first step whose
@@ -880,13 +894,13 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
 
     # discrete inequality check of the defining sub/supersolution conditions,
     # scored as nodewise strong residuals against the record's own scale
-    tol_ineq = 1e-9 * (1.0 + float(np.max((abs(eq[1]) + abs(_exp_terms(eq, hi))) / weights)))
+    tol_lo, tol_hi = (1e-9 * (1.0 + float(np.max((abs(eq[1]) + abs(_exp_terms(eq, x))) / weights))) for x in (lo, hi))
     F_lo = _residual(eq, lo) / weights
-    if np.any(F_lo > tol_ineq):
+    if np.any(F_lo > tol_lo):
         raise OrderingViolation("subsolution fails the discrete inequality (max violation %g)"
                                 % float(np.max(F_lo)))
     F_hi = _residual(eq, hi) / weights
-    if np.any(F_hi < -tol_ineq):
+    if np.any(F_hi < -tol_hi):
         raise OrderingViolation("supersolution fails the discrete inequality (min value %g)"
                                 % float(np.min(F_hi)))
 

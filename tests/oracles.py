@@ -94,10 +94,13 @@ def gauss_boundary_weighted(fn, l, r, n_ang=512):
     return float(np.sum(fn(tt, ss) * (l + r * tt)) * (2.0 * math.pi / n_ang))
 
 
-def integrate_boundary(mesh, p, field, transform=None):
-    """Boundary-torus integral of ``transform(v)`` on the mesh: the lumped boundary mass summed against the trace."""
-    values = field.values if transform is None else transform(field.values)
-    return weighted_sum(tb.assemble(mesh, p).boundary_mass, values)
+def integrate_boundary(mesh, p, field):
+    """Boundary-torus integral of ``field`` on the mesh: the lumped boundary mass summed against its trace.
+
+    Like ``integrate_volume`` it sums the values it is given; an integral of
+    ``e^v`` passes ``DiskField(mesh, exp_capped(v))``.
+    """
+    return weighted_sum(tb.assemble(mesh, p).boundary_mass, field.values)
 
 
 def inscribed_polygon_area(m_sides):
@@ -194,4 +197,5 @@ def corollary_check(mesh, p, field, alpha_exp):
     bound = TWO_PI * (p.l + p.r)
     if energy > bound * (1.0 + 1e-8):
         raise tb.DomainError("gradient energy %g exceeds the bound %g" % (energy, bound))
-    return tb.integrate_volume(mesh, p, field, lambda v: tb.exp_capped(alpha_exp * v * v))
+    v = field.values
+    return tb.integrate_volume(mesh, p, tb.DiskField(mesh, tb.exp_capped(alpha_exp * v * v)))

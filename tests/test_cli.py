@@ -523,6 +523,15 @@ def test_solution_csv_matches_cell_formatting(tmp_path):
     assert expected[1].endswith(",-0") and expected[2].endswith(",1e-300")
 
 
+@pytest.mark.parametrize("cell, text", [
+    (True, "1"), (np.False_, "0"), (0, "0"), (np.int64(7), "7"), (-3, "-3"),
+    (math.nan, "nan"), (2.5, "2.5"), (np.float64(1 / 3), "0.33333333333333331"), ("a b", "a b"),
+])
+def test_every_number_prints_with_17_significant_digits(cell, text):
+    """Flags, counts and floats take the one ``%.17g`` path, and print as they always have."""
+    assert _fmt(cell) == text
+
+
 @pytest.mark.parametrize("command, option", [
     ("solve-p1", "tol_abs = nan"),
     ("solve-p2", "tol_rel = nan"),

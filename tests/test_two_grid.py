@@ -205,6 +205,24 @@ def test_an_odd_ring_count_builds_its_data_restriction_once(params, monkeypatch)
     assert np.array_equal(first.field.values, second.field.values)
 
 
+def test_interior_g_moves_no_level_of_an_odd_ring_count(params):
+    """Raising ``g`` by 1e3 at the interior nodes, where no equation reads it, leaves a 33-ring solve as it was.
+
+    Under an odd ring count the sampling rows of coarse boundary nodes
+    weight fine interior nodes, so each coarse level takes ``g``'s boundary
+    trace alone: the same counts, and the same field bit for bit.
+    """
+    mesh = tb.build_mesh(33)
+    solve, prob = p2_case(mesh, 0.1)
+    bump = np.where(np.arange(mesh.n_nodes) < mesh.n_interior, 1e3, 0.0)
+    bumped = tb.ProblemP2(prob.a, prob.b, prob.f, tb.DiskField(mesh, prob.g.values + bump))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", tb.ExistenceWindowWarning)  # R is outside the window at l, r = 2, 1
+        plain, raised = (solve(mesh, params, q) for q in (prob, bumped))
+    assert [(r.iterations, r.factorizations, r.two_grid_cycles) for r in (plain, raised)] == [(13, 10, 16)] * 2
+    assert np.array_equal(plain.field.values, raised.field.values)
+
+
 def unknowns(n, p1):
     mesh = tb.build_mesh(n)
     return mesh.n_interior if p1 else mesh.n_nodes
