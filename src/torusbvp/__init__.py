@@ -30,7 +30,6 @@ from .mesh import (
     assemble,
     build_mesh,
     dirichlet_energy,
-    grad_energy_weighted,
     integrate_volume,
 )
 from .functionals import (
@@ -41,6 +40,7 @@ from .functionals import (
     exp_capped,
     functional_I_p1,
     functional_I_p2,
+    grad_energy_weighted,
     identity_6_14_residual,
     mean_value,
     multiplier_kappa,

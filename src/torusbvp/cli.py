@@ -77,7 +77,7 @@ from .solvers import (
     solve_p2_variational,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 OUT_ENV_VAR = "TORUSBVP_OUT"
 
 
@@ -180,22 +180,18 @@ def _out_dir(cfg, args) -> str:
 # report and CSV writers
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    """One CSV cell: a string as it is, any number with 17 significant digits (``%.17g``).
-
-    17 digits round-trip every float64.  A flag prints as 1 or 0, and an
-    integer below 10^17 (every count and index a CSV holds) as itself.
-    """
-    return x if isinstance(x, str) else "%.17g" % x
-
-
 def write_csv(path, header, rows) -> None:
     """CSV with one timestamp comment line; the body is deterministic.
 
-    A row that is a string is one preformatted line and is written as it is.
+    ``rows`` is a sequence of tuples with one type per column.  The first
+    row sets each column's format for every row: ``%s`` for a string,
+    ``%.17g`` for any number.  17 digits round-trip every float64; a flag
+    prints as 1 or 0, and an integer below 10^17 (every count and index a
+    CSV holds) as itself.
     """
+    row_format = ",".join("%s" if isinstance(x, str) else "%.17g" for x in next(iter(rows), ()))
     lines = ["# generated %s" % time.strftime("%Y-%m-%dT%H:%M:%S"), ",".join(header)]
-    lines += [row if isinstance(row, str) else ",".join(map(_fmt, row)) for row in rows]
+    lines += [row_format % row for row in rows]
     with open(path, "w", newline="") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -224,13 +220,6 @@ def write_report(path, command, cfg, p: TorusParams, body: dict) -> None:
     with open(path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def _solution_rows(mesh, values) -> list:
-    # one format per row over Python floats renders each value as _fmt does
-    columns = zip(range(mesh.n_nodes), mesh.nodes[:, 0].tolist(), mesh.nodes[:, 1].tolist(),
-                  np.asarray(values, dtype=float).tolist())
-    return ["%d,%.17g,%.17g,%.17g" % row for row in columns]
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +252,8 @@ def _cmd_solve(args, cfg, p) -> tuple:
     if not p1:
         body["identity_614_residual"] = identity_6_14_residual(mesh, p, rep.field, prob)
         line += ", K %.3e" % rep.constraint_value
-    return "solution.csv", ["node", "t", "s", "value"], _solution_rows(mesh, rep.field.values), body, line, 0
+    rows = list(zip(range(mesh.n_nodes), *mesh.nodes.T.tolist(), rep.field.values.tolist()))
+    return "solution.csv", ["node", "t", "s", "value"], rows, body, line, 0
 
 
 def _cmd_mt_scan(args, cfg, p) -> tuple:

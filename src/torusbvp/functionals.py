@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleError, NoRootError
 from .geometry import TorusParams
-from .mesh import (DiskField, DiskMesh, WeightedOperators, assemble, dirichlet_energy, grad_energy_weighted,
+from .mesh import (TWO_PI, DiskField, DiskMesh, WeightedOperators, _triangle_geometry, assemble, dirichlet_energy,
                    weighted_sum)
 
 EXP_ARG_CAP = 700.0
@@ -34,6 +34,22 @@ def exp_capped(x):
         raise OverflowError("exponential argument exceeds cap %g" % EXP_ARG_CAP)
     out = np.exp(x)
     return float(out) if out.ndim == 0 else out
+
+
+def grad_energy_weighted(mesh: DiskMesh, p: TorusParams, field: DiskField) -> float:
+    """Integral of ``|grad v|^2 e^{-v}``, with piecewise-constant gradients and e^{-v} at triangle centroids.
+
+    The gradient term of identity (6.14) and of the multiplier ``kappa``;
+    the unweighted integral is ``dirichlet_energy``.  A centroid value below
+    ``-EXP_ARG_CAP`` raises the cap's ``OverflowError``.
+    """
+    areas, gx, gy, t_cent = _triangle_geometry(mesh)
+    tri = mesh.triangles
+    v = field.values
+    vt = v[tri.T]
+    dx, dy = gx[0] * vt[0] + gx[1] * vt[1] + gx[2] * vt[2], gy[0] * vt[0] + gy[1] * vt[1] + gy[2] * vt[2]
+    weights = exp_capped(-v[tri].mean(axis=1))
+    return float(TWO_PI * np.sum(areas * (p.l + p.r * t_cent) * ((dx * dx + dy * dy) * weights)))
 
 
 @dataclass(frozen=True)
@@ -115,7 +131,7 @@ def identity_6_14_residual(mesh: DiskMesh, p: TorusParams, field: DiskField, pro
     of e^{-v}.
     """
     c, w = prob.terms(assemble(mesh, p))
-    grad_term = grad_energy_weighted(mesh, p, field, lambda vc: exp_capped(-vc))
+    grad_term = grad_energy_weighted(mesh, p, field)
     return weighted_sum(c, exp_capped(-field.values)) + float(np.sum(w)) - grad_term
 
 
@@ -140,7 +156,7 @@ def multiplier_kappa(mesh: DiskMesh, p: TorusParams, field: DiskField, prob: Pro
     denom = data_total(mesh, p, prob)
     if denom == 0.0:
         raise DomainError("multiplier undefined: int(f) + bint(g) vanishes")
-    num = grad_energy_weighted(mesh, p, field, lambda vc: exp_capped(-vc))
+    num = grad_energy_weighted(mesh, p, field)
     return num / denom
 
 

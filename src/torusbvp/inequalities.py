@@ -19,9 +19,7 @@ import numpy as np
 from .errors import DomainError
 from .functionals import EXP_ARG_CAP, exp_capped, mean_value
 from .geometry import TorusParams, orbit_distance_disk
-from .mesh import DiskField, DiskMesh, _assemble_core, dirichlet_energy, integrate_volume, weighted_sum
-
-TWO_PI = 2.0 * math.pi
+from .mesh import TWO_PI, DiskField, DiskMesh, _assemble_core, dirichlet_energy, integrate_volume, weighted_sum
 
 
 @lru_cache(maxsize=None)

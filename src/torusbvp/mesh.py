@@ -380,19 +380,3 @@ def dirichlet_energy(mesh: DiskMesh, p: TorusParams, field: DiskField) -> float:
     v = field.values
     return weighted_sum(v, ops.stiffness @ v)
 
-
-def grad_energy_weighted(mesh: DiskMesh, p: TorusParams, field: DiskField, centroid_transform) -> float:
-    """Integral of ``|grad v|^2 * w(v)`` with ``w = centroid_transform`` evaluated at triangle centroids.
-
-    Every caller weights by e^{-v}; the unweighted integral is ``dirichlet_energy``.
-    """
-    areas, gx, gy, t_cent = _triangle_geometry(mesh)
-    tri = mesh.triangles
-    v = field.values
-    vt = v[tri.T]
-    dx, dy = gx[0] * vt[0] + gx[1] * vt[1] + gx[2] * vt[2], gy[0] * vt[0] + gy[1] * vt[1] + gy[2] * vt[2]
-    weights = np.asarray(centroid_transform(v[tri].mean(axis=1)), dtype=float)
-    if not np.all(np.isfinite(weights)):
-        raise OverflowError("centroid transform produced non-finite values")
-    return float(TWO_PI * np.sum(areas * (p.l + p.r * t_cent) * ((dx * dx + dy * dy) * weights)))
-

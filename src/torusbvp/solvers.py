@@ -80,8 +80,8 @@ class SolveOptions:
       (``_newton_loop``).
     - The constrained descent stops when its weighted direction norm times
       the step taken is at most ``10 * tol_abs``; ``tol_rel`` plays no part.
-    - The monotone iteration stops when its sup-norm increment is at most
-      ``tol_abs + tol_rel * max(super - sub)``.
+    - The monotone iteration stops at Newton's stop, ``tol_abs + tol_rel *
+      |c + w|``, on the weighted residual of its latest iterate.
     """
 
     tol_abs: float = 1e-10
@@ -102,11 +102,13 @@ class SolveOptions:
 class SolveReport:
     """Converged field plus diagnostics.
 
-    ``residual_norm`` is the weighted-L2 norm of the discrete strong-form
-    residual of the returned field.  A Newton or variational solve without
-    ``init`` solves on the coarser meshes of the ring hierarchy first; the
-    variational solvers, and Newton on a = b = 0 data, start the coarsest
-    level (with ``init`` the only one) from a constrained descent.
+    Only a solve that meets its stop returns a report; every other exit
+    raises, so a report carries no success flag.  ``residual_norm`` is the
+    weighted-L2 norm of the discrete strong-form residual of the returned
+    field.  A Newton or variational solve without ``init`` solves on the
+    coarser meshes of the ring hierarchy first; the variational solvers,
+    and Newton on a = b = 0 data, start the coarsest level (with ``init``
+    the only one) from a constrained descent.
     ``iterations`` counts that descent's steps plus every converged level's
     Newton steps.  ``trace`` holds one ``(residual, step)`` pair per
     accepted step: the finest level's Newton residual norms
@@ -126,7 +128,6 @@ class SolveReport:
     """
 
     field: DiskField
-    converged: bool
     iterations: int
     residual_norm: float
     constraint_value: float
@@ -719,7 +720,6 @@ def _report(mesh, p, prob, v, iterations, res, multiplier, trace, counts):
     p1 = isinstance(prob, ProblemP1)
     return SolveReport(
         field=out,
-        converged=True,
         iterations=iterations,
         residual_norm=res,
         constraint_value=(constraint_A_p1 if p1 else constraint_K)(mesh, p, out, prob),
@@ -873,13 +873,16 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
     read at ``e^super`` for both would admit a false subsolution under a
     large supersolution.  Each bound is read from the record alone, so data
     that leave the equation unchanged (``g`` at interior nodes) get the
-    same verdict.  Iterates from the subsolution
-    are nodewise non-decreasing and stay below the supersolution (asserted
-    every iteration).  Terminates when the sup-norm increment drops below
-    tolerance.  The shift is factored once, at the first step whose
-    residual is not exactly zero: a subsolution that solves the discrete
-    equation exactly, as ``sub = super = 0`` does on ``a = b = -1``, ``f =
-    g = 1``, returns in one step without a factor.
+    same verdict.  Iterates from the subsolution are nodewise
+    non-decreasing and stay below the supersolution (asserted every
+    iteration).  Terminates when the weighted residual of the latest
+    iterate meets Newton's data-only stop, ``tol_abs + tol_rel * |c + w|``;
+    the trace holds each step's sup-norm increment.  A stop on the
+    increment would end early under a large shift, whose steps are small
+    far from the solution.  The shift is factored once, at the first step
+    whose residual is not exactly zero: a subsolution that solves the
+    discrete equation exactly, as ``sub = super = 0`` does on ``a = b =
+    -1``, ``f = g = 1``, returns in one step without a factor.
     """
     _admit(mesh, p, prob)
     opts = opts or SolveOptions()
@@ -906,10 +909,10 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
 
     lu = None  # factored at the first nonzero residual, so an exact fixed point factors nothing
     v = lo.copy()
+    F = _residual(eq, v)
     trace = []
-    tol = opts.tol_abs + opts.tol_rel * float(np.max(hi - lo))
+    tol = opts.tol_abs + opts.tol_rel * _weighted_norm(eq[1] + eq[2], weights)  # Newton's data-only stop
     for iterations in range(1, opts.max_monotone_iter + 1):
-        F = _residual(eq, v)
         if lu is None and np.any(F):
             lu = _factorize(_shifted(eq, abs(_exp_terms(eq, hi))))
         v_new = v if lu is None else v - lu.solve(F)
@@ -919,13 +922,13 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
         if np.any(v_new > hi + slack):
             raise OrderingViolation("iterate escaped above the supersolution at %d nodes"
                                     % int(np.sum(v_new > hi + slack)))
-        inc = float(np.max(np.abs(v_new - v)))
-        trace.append((inc, 1.0))
+        trace.append((float(np.max(np.abs(v_new - v))), 1.0))
         v = v_new
-        if inc <= tol:
+        F = _residual(eq, v)
+        res = _weighted_norm(F, weights)
+        if res <= tol:
             break
     else:
         raise NonConvergence("monotone iteration did not contract below %g in %d steps"
                              % (tol, opts.max_monotone_iter))
-    return _report(mesh, p, prob, v, iterations, _weighted_norm(_residual(eq, v), weights),
-                   None, trace, Counter(factorizations=int(lu is not None)))
+    return _report(mesh, p, prob, v, iterations, res, None, trace, Counter(factorizations=int(lu is not None)))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from torusbvp import build_mesh, cli
-from torusbvp.cli import _boundary_area_rule, _fmt, _rule_estimate, _solution_rows, _volume_rule, main, write_csv
+from torusbvp.cli import _boundary_area_rule, _rule_estimate, _volume_rule, main, write_csv
 from torusbvp.errors import ExistenceWindowWarning
 from torusbvp.geometry import TorusParams
 from torusbvp.mesh import coarse_mesh
@@ -48,8 +48,8 @@ def test_solve_p1_trivial(tmp_path):
     out = tmp_path / "out"
     assert main(["solve-p1", "--config", cfg, "--out", str(out)]) == 0
     rep = json.loads((out / "report.json").read_text())
-    assert rep["schema_version"] == 1
-    assert rep["report"]["converged"] is True
+    assert rep["schema_version"] == 2
+    assert "converged" not in rep["report"]  # a failed solve raises and writes nothing
     assert rep["report"]["residual_norm"] <= 1e-10
     assert rep["report"]["field_min"] == 0.0 and rep["report"]["field_max"] == 0.0
     assert rep["config"]["problem"]["gamma"] == "1.0"
@@ -511,25 +511,30 @@ def test_a_scan_past_its_range_is_a_library_error(tmp_path, capsys, command, sca
 
 
 def test_solution_csv_matches_cell_formatting(tmp_path):
+    """The solution table's rows, as ``_cmd_solve`` passes them, print every cell with ``%.17g`` and round-trip."""
     mesh = build_mesh(2)
     values = np.linspace(-1.0, 1.0, mesh.n_nodes) / 3.0  # 17 significant digits
     values[:3] = [-0.0, 1e-300, 2.0 / 3.0]
     path = tmp_path / "solution.csv"
-    write_csv(str(path), ["node", "t", "s", "value"], _solution_rows(mesh, values))
+    write_csv(str(path), ["node", "t", "s", "value"],
+              list(zip(range(mesh.n_nodes), mesh.nodes[:, 0].tolist(), mesh.nodes[:, 1].tolist(), values.tolist())))
     expected = ["node,t,s,value"] + [
-        ",".join(_fmt(x) for x in (i, mesh.nodes[i, 0], mesh.nodes[i, 1], values[i]))
+        ",".join("%.17g" % x for x in (i, mesh.nodes[i, 0], mesh.nodes[i, 1], values[i]))
         for i in range(mesh.n_nodes)]
     assert csv_body(path) == expected
     assert expected[1].endswith(",-0") and expected[2].endswith(",1e-300")
+    assert [float(line.split(",")[3]) for line in expected[1:]] == values.tolist()
 
 
 @pytest.mark.parametrize("cell, text", [
     (True, "1"), (np.False_, "0"), (0, "0"), (np.int64(7), "7"), (-3, "-3"),
     (math.nan, "nan"), (2.5, "2.5"), (np.float64(1 / 3), "0.33333333333333331"), ("a b", "a b"),
 ])
-def test_every_number_prints_with_17_significant_digits(cell, text):
-    """Flags, counts and floats take the one ``%.17g`` path, and print as they always have."""
-    assert _fmt(cell) == text
+def test_every_number_prints_with_17_significant_digits(tmp_path, cell, text):
+    """Flags, counts and floats take the one ``%.17g`` format, strings ``%s``, and print as they always have."""
+    path = tmp_path / "cells.csv"
+    write_csv(str(path), ["cell"], [(cell,), (cell,)])
+    assert csv_body(path) == ["cell", text, text]
 
 
 @pytest.mark.parametrize("command, option", [

@@ -273,8 +273,9 @@ def test_assembly_matches_the_element_loop_bit_for_bit(l, r, n):
     v = np.sin(m.nodes[:, 0] + 2.0 * m.nodes[:, 1])
     gvec = np.einsum("kid,ki->kd", grads, v[m.triangles])
     areas, _, _, t_cent = _triangle_geometry(m)
-    energy = float(2.0 * math.pi * np.sum(areas * (l + r * t_cent) * np.einsum("kd,kd->k", gvec, gvec)))
-    assert tb.grad_energy_weighted(m, params, tb.DiskField(m, v), np.ones_like) == energy
+    weight = np.exp(-v[m.triangles].mean(axis=1))  # e^{-v} at the centroids
+    energy = float(2.0 * math.pi * np.sum(areas * (l + r * t_cent) * (np.einsum("kd,kd->k", gvec, gvec) * weight)))
+    assert tb.grad_energy_weighted(m, params, tb.DiskField(m, v)) == energy
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
@@ -360,9 +361,14 @@ def test_quadrature_against_high_order_oracle(params):
 
 
 def test_grad_energy_weighted_matches_stiffness(params, mesh16):
+    """The e^{-v} weight lies between e^{-max v} and e^{-min v}, and a shift of v by c scales the integral by e^{-c}."""
     field = tb.DiskField.from_function(mesh16, SmoothFieldBasis(9))
-    assert tb.grad_energy_weighted(mesh16, params, field, np.ones_like) == pytest.approx(
-        tb.dirichlet_energy(mesh16, params, field), rel=1e-12)
+    energy = tb.dirichlet_energy(mesh16, params, field)
+    weighted = tb.grad_energy_weighted(mesh16, params, field)
+    assert math.exp(-field.values.max()) * energy * (1 - 1e-12) <= weighted
+    assert weighted <= math.exp(-field.values.min()) * energy * (1 + 1e-12)
+    shifted = tb.DiskField(mesh16, field.values + 0.7)
+    assert tb.grad_energy_weighted(mesh16, params, shifted) == pytest.approx(math.exp(-0.7) * weighted, rel=1e-14)
 
 
 def test_field_validation(mesh16):

@@ -3,9 +3,9 @@
 The subsolution's violation is bounded by ``1e-9 (1 + max_i (|c_i| + |w_i|
 e^sub_i) / W_i)`` and the supersolution's by the same at ``super``.  One
 bound read at ``e^super`` for both admits sub = 0.5, which is no
-subsolution, beside super = 30: the shift ``|w| e^30`` then makes the
-first increment fall below the stop, and the route would report a field
-with residual 7.06 as converged.
+subsolution, beside super = 30: the shift ``|w| e^30`` made the first
+increment fall below the increment stop the route then had, and it
+reported a field with residual 7.06 as converged.
 """
 
 import pytest

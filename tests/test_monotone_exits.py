@@ -46,3 +46,22 @@ def test_an_iteration_cap_below_the_steps_needed_is_non_convergence(params, mesh
     sub, sup = tb.find_constant_bracket(mesh16, params, prob)
     with pytest.raises(tb.NonConvergence, match=r"^monotone iteration did not contract below \S+ in 1 steps$"):
         tb.solve_p2_monotone(mesh16, params, prob, sub, sup, opts=tb.SolveOptions(max_monotone_iter=1))
+
+
+def test_a_large_shift_does_not_stop_on_its_small_first_step(params, mesh16):
+    """sub = -5 and super = 30 are a true bracket of v = 0, but the shift ``|w| e^30`` keeps every step tiny.
+
+    A stop on the increment returned the field after one step with residual 10.81.
+    """
+    with pytest.raises(tb.NonConvergence, match=r"^monotone iteration did not contract below 1e-10 in 500 steps$"):
+        tb.solve_p2_monotone(mesh16, params, _regime(mesh16), _constant(mesh16, -5.0), _constant(mesh16, 30.0))
+
+
+def test_a_wide_bracket_returns_only_below_the_newton_stop(params, mesh32):
+    """On 32 rings, f = 1 + t^2/2, g = 1, between -3 and 2, an increment stop returned at residual 4.0e-8."""
+    f = tb.DiskField.from_function(mesh32, lambda t, s: 1.0 + 0.5 * t * t)
+    prob = tb.ProblemP2(-1.0, -1.0, f, _constant(mesh32, 1.0))
+    rep = tb.solve_p2_monotone(mesh32, params, prob, _constant(mesh32, -3.0), _constant(mesh32, 2.0))
+    stop = 1e-10 + 1e-10 * tb.p2_residual_norm(mesh32, params, prob, _constant(mesh32, 0.0))  # Newton's, |c + w|
+    assert rep.residual_norm <= stop
+    assert rep.residual_norm == tb.p2_residual_norm(mesh32, params, prob, rep.field)
