@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import json
 import math
@@ -296,7 +297,7 @@ def _cmd_scan_gamma(args, cfg, p) -> tuple:
     gammas = _get(cfg, "scan", "gammas", _float_list, required=True)
     f = _coefficient(cfg, mesh, "f", default="1")
     opts = _solve_options(cfg)
-    # worker threads share the mesh caches, so fill them first, level by
+    # the solving threads share the mesh caches, so fill them first, level by
     # level: the operators, the stiffness block that every Newton record
     # reads, and the level below with both its transfers (coarse_mesh).
     # assemble is called here by name: perfbench/tracing.py patches cli.assemble
@@ -319,11 +320,13 @@ def _cmd_scan_gamma(args, cfg, p) -> tuple:
             return (gamma, False, math.nan if steps is None else steps,
                     math.nan, math.nan, math.nan, math.nan), failure
 
-    if args.threads == 1:  # on 2 cores a pool of 2 was slower (six gammas at n = 64: 0.22 s against 0.17 s)
-        rows, failures = zip(*map(solve_one, gammas))
-    else:
-        with ThreadPoolExecutor(max_workers=args.threads) as ex:
-            rows, failures = zip(*ex.map(solve_one, gammas))
+    # the calling thread is one of the n solving threads: it solves every n-th gamma and a
+    # pool of n - 1 threads the rest, so no thread waits idle and one thread builds no pool
+    n = args.threads
+    with ThreadPoolExecutor(max_workers=n - 1) if n > 1 else contextlib.nullcontext() as pool:
+        pooled = {i: pool.submit(solve_one, gamma) for i, gamma in enumerate(gammas) if i % n}
+        own = {i: solve_one(gamma) for i, gamma in enumerate(gammas) if i % n == 0}
+        rows, failures = zip(*(own[i] if i in own else pooled[i].result() for i in range(len(gammas))))
     failures = [f for f in failures if f is not None]
     window = 1.0 / (2.0 * mu_best(p, "interior_dirichlet")) / p.volume()  # _admit's P1 bound on R, as a gamma
     body = {"gamma_window_upper": window, "n_converged": len(rows) - len(failures), "failures": failures}
@@ -477,7 +480,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output directory (default: config, env %s, or ./out)" % OUT_ENV_VAR)
         sp.add_argument("--mesh", type=int, default=None, help="override mesh n_rings")
         sp.add_argument("--seed", type=int, default=0, help="seed of verify's random smooth test fields")
-        sp.add_argument("--threads", type=int, default=1, help="worker threads for the scan-gamma sweep")
+        sp.add_argument("--threads", type=int, default=1,
+                        help="threads that solve the scan-gamma sweep, the calling thread among them")
         if name == "verify":
             sp.add_argument("--debug-perturb-weight", action="store_true",
                             help="perturb the metric weight to force identity failures")

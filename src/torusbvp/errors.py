@@ -24,7 +24,7 @@ class NoBracket(TorusBVPError):
 class NonConvergence(TorusBVPError):
     """Iteration exhausted its budget without meeting the tolerance.
 
-    Carries the Newton steps taken (if counted) in ``iterations`` for
+    Carries the steps taken (if counted) in ``iterations`` for
     diagnostics.
     """
 

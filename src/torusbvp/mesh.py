@@ -222,15 +222,42 @@ def _triangle_geometry(mesh: DiskMesh):
     return 0.5 * det, gx, gy, (x[0] + x[1] + x[2]) / 3.0
 
 
+_PRODUCT = [0, 1, 2, 1, 3, 4, 2, 4, 5]  # the row of _assemble_core's products that holds entry (i, j)
+
+
+def _ring_blocks(n_rings: int):
+    """Blocks of whole rings of ``build_mesh(n_rings)``, about as many triangles each: ``(walks, lo, hi)``.
+
+    The walk between rings r and r + 1 fills triangle rows ``6 r^2`` to
+    ``6 (r + 1)^2``, so every triangle with a corner on rings k0 to k1 - 1,
+    nodes ``lo`` to ``hi``, lies in the rows ``walks`` of walks k0 - 1 to
+    k1 - 1.  Each conversion has a fixed cost, so a block holds some 4096
+    triangles or more, and there are at most eight.
+    """
+    def first(k):  # the first node of ring k; the node count at k = n_rings + 1
+        return 1 + 3 * k * (k - 1) if k else 0
+
+    blocks = min(8, max(1, 6 * n_rings**2 // 4096))
+    edges = sorted({round((n_rings + 1) * math.sqrt(k / blocks)) for k in range(blocks + 1)})
+    for k0, k1 in zip(edges, edges[1:]):
+        yield slice(6 * max(k0 - 1, 0) ** 2, 6 * k1**2), first(k0), first(k1)
+
+
 def _assemble_core(mesh: DiskMesh, w0: float, w1: float):
     """Raw operators for the affine weight ``w0 + w1 t`` (no 2*pi factors).
 
     Stiffness uses centroid quadrature, exact for constant gradients against
     an affine weight; masses are vertex-lumped.  The masses come first, and
-    the triangle geometry is dropped before scipy sums the nine entries of
-    each element matrix, held in one ``(9, T)`` array, into CSR: that
-    conversion, which holds the COO triplets and their CSR copy, sets the
-    peak memory.
+    the triangle geometry is dropped before scipy sums the element
+    matrices, whose six distinct products are held in one ``(6, T)``
+    array, into CSR a block of whole rings at a time (``_ring_blocks``).
+    scipy's COO to CSR conversion places each row's entries in input
+    order, then sorts and sums each row on its own, so a block that holds
+    every entry of its rows, in the order of one conversion of the whole
+    mesh, gives them that conversion's bits, and its transient is one
+    block's.  A mesh whose triangles are out of ``build_mesh``'s ring order,
+    so that a block would miss some entry of its rows, raises
+    ``DomainError``.
     """
     areas, gx, gy, t_cent = _triangle_geometry(mesh)
     tri = mesh.triangles
@@ -249,19 +276,28 @@ def _assemble_core(mesh: DiskMesh, w0: float, w1: float):
     np.add.at(bnd_mass, nxt, 0.5 * seg * (w0 + w1 * t_node[nxt]))
 
     weight = areas * (w0 + w1 * t_cent)
-    # the element matrix is symmetric: six distinct products, entry (i, j) in row 3 i + j
-    entries, product = np.empty((9, tri.shape[0])), np.empty(tri.shape[0])
-    for i in range(3):
-        for j in range(i, 3):
-            entry = np.multiply(gx[i], gx[j], out=entries[3 * i + j])
-            entry += np.multiply(gy[i], gy[j], out=product)
-            entry *= weight
-            entries[3 * j + i] = entry
-    del areas, gx, gy, t_cent, weight, product
-    index = tri.T
-    stiffness = sp.coo_matrix(
-        (entries.ravel(), (np.repeat(index, 3, axis=0).ravel(), np.tile(index, (3, 1)).ravel())), shape=(n, n)
-    ).tocsr()
+    # the element matrix is symmetric: row _PRODUCT[3 i + j] of its six distinct products holds entry (i, j)
+    products, product = np.empty((6, tri.shape[0])), np.empty(tri.shape[0])
+    for row, (i, j) in enumerate([(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]):
+        entry = np.multiply(gx[i], gx[j], out=products[row])
+        entry += np.multiply(gy[i], gy[j], out=product)
+        entry *= weight
+    del areas, gx, gy, t_cent, weight, product, entry
+    indptr, indices, data, corners = [np.zeros(1, dtype=np.int32)], [], [], 0
+    for walks, lo, hi in _ring_blocks(mesh.n_rings):
+        index = tri[walks].T
+        corners += np.count_nonzero((index >= lo) & (index < hi))
+        rows, cols = np.repeat(index, 3, axis=0).ravel(), np.tile(index, (3, 1)).ravel()
+        block = sp.coo_matrix((products[:, walks][_PRODUCT].ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        kept = block.indptr[lo:hi + 1]  # the rows whose every entry the block holds
+        indptr.append(kept[1:] + (indptr[-1][-1] - kept[0]))
+        indices.append(block.indices[kept[0]:kept[-1]])
+        data.append(block.data[kept[0]:kept[-1]])
+    if corners != tri.size:
+        raise DomainError("the triangles are not in build_mesh's ring order: %d of their %d corners fall outside "
+                          "the ring block of their node" % (tri.size - corners, tri.size))
+    del products, block, rows, cols, kept
+    stiffness = sp.csr_matrix((np.concatenate(data), np.concatenate(indices), np.concatenate(indptr)), shape=(n, n))
     return stiffness, vol_mass, bnd_mass
 
 

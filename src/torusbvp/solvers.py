@@ -930,5 +930,5 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
             break
     else:
         raise NonConvergence("monotone iteration did not contract below %g in %d steps"
-                             % (tol, opts.max_monotone_iter))
+                             % (tol, opts.max_monotone_iter), iterations=opts.max_monotone_iter)
     return _report(mesh, p, prob, v, iterations, res, None, trace, Counter(factorizations=int(lu is not None)))

@@ -402,6 +402,38 @@ def test_scan_gamma_failed_rows_count_the_steps_taken(tmp_path):
     assert "line search stalled" in failure["message"]
 
 
+def test_scan_gamma_writes_the_same_rows_and_failures_at_any_thread_count(tmp_path, monkeypatch):
+    """Five gammas, gamma = -40 failing: the CSV body and the failures are byte-identical at 1, 2 and 3 threads.
+
+    The calling thread solves every n-th gamma and a pool of n - 1 threads
+    the rest: at 2 threads the calling thread and one other thread solve.
+    """
+    real_solve, caller = cli.solve_p1_newton, threading.get_ident()
+    text = BASE.replace("n_rings = 10", "n_rings = 16").replace("f = 1\n", "f = 1 + 0.2*t\n")
+    cfg = write_cfg(tmp_path, text + "\n[scan]\ngammas = 0.5, -40, 1.0, 1.5, 2.0\n")
+    outputs, solvers = {}, {}
+    for threads in (1, 2, 3):
+        seen = solvers[threads] = []
+
+        def solve(*args, seen=seen, **kwargs):
+            seen.append(threading.get_ident())
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_p1_newton", solve)
+        out = tmp_path / ("threads%d" % threads)
+        assert main(["scan-gamma", "--config", cfg, "--out", str(out), "--threads", str(threads)]) == 2
+        failures = json.loads((out / "report.json").read_text())["failures"]
+        outputs[threads] = (csv_body(out / "gamma_scan.csv"), json.dumps(failures))
+    assert outputs[1] == outputs[2] == outputs[3]
+    body, failures = outputs[1]
+    assert [row.split(",")[:2] for row in body[1:]] == [["0.5", "1"], ["-40", "0"], ["1", "1"], ["1.5", "1"],
+                                                         ["2", "1"]]
+    assert [f["gamma"] for f in json.loads(failures)] == [-40]
+    assert solvers[1] == [caller] * 5
+    assert solvers[2].count(caller) == 3 and len(set(solvers[2])) == 2  # gammas 0.5, 1.0 and 2.0 in the caller
+    assert solvers[3].count(caller) == 2 and 2 <= len(set(solvers[3])) <= 3
+
+
 def test_output_dir_from_environment(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, BASE)
     env_out = tmp_path / "env_out"

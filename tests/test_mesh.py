@@ -278,6 +278,36 @@ def test_assembly_matches_the_element_loop_bit_for_bit(l, r, n):
     assert tb.grad_energy_weighted(m, params, tb.DiskField(m, v)) == energy
 
 
+def element_entries(mesh, w0, w1):
+    """The ``(9, T)`` element entries that ``_assemble_core`` sums, entry (i, j) of each triangle in row 3 i + j."""
+    areas, gx, gy, t_cent = _triangle_geometry(mesh)
+    weight = areas * (w0 + w1 * t_cent)
+    return np.stack([(gx[i] * gx[j] + gy[i] * gy[j]) * weight for i in range(3) for j in range(3)])
+
+
+@pytest.mark.parametrize("n", [*range(2, 67), 128])
+def test_ring_blocks_sum_the_entries_as_one_conversion_bit_for_bit(n):
+    """The stiffness summed a block of whole rings at a time equals one COO to CSR conversion of all its entries."""
+    m = tb.build_mesh(n)
+    index = m.triangles.T
+    entries = element_entries(m, 2.0, 1.0)
+    ref = sp.coo_matrix((entries.ravel(), (np.repeat(index, 3, axis=0).ravel(), np.tile(index, (3, 1)).ravel())),
+                        shape=(m.n_nodes, m.n_nodes)).tocsr()
+    stiffness = _assemble_core(m, 2.0, 1.0)[0]
+    for attr in ("indptr", "indices", "data"):
+        assert getattr(stiffness, attr).tobytes() == getattr(ref, attr).tobytes(), attr
+
+
+def test_triangles_out_of_ring_order_have_no_assembly(params):
+    """The blocks read each ring's triangles from the rows ``build_mesh`` gives them: another order raises.
+
+    At 40 rings the stiffness sums in two blocks; a mesh of one block sums all its entries at once.
+    """
+    m = tb.build_mesh(40)
+    with pytest.raises(tb.DomainError, match="ring order"):
+        tb.assemble(tb.DiskMesh(m.nodes, m.triangles[::-1], 40), params)
+
+
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_triangle_area_matches_polygon_oracle(n):
     m = tb.build_mesh(n)
@@ -570,12 +600,13 @@ def test_the_restriction_is_a_view_of_the_one_cached_prolongation(params, interi
 
 
 @pytest.mark.parametrize("n", [64, 128])
-def test_assembly_peaks_at_the_coo_to_csr_conversion(n):
-    """``_assemble_core`` traces at most five times its nine float64 entries per triangle.
+def test_assembly_peaks_below_three_times_its_entries(n):
+    """``_assemble_core`` traces at most three times its nine float64 entries per triangle.
 
-    scipy's COO to CSR conversion, which holds the triplets beside their
-    CSR copy, sets the peak at about 4.2 times; the triangle geometry is
-    gone by then.
+    The entries and the triangle geometry they are made from set the peak,
+    at about 2.2 to 2.4 times: the COO to CSR conversion, which holds a
+    block's triplets beside their CSR copy, runs a block of rings at a time
+    (one conversion of the whole mesh peaked at 4.2 times).
     """
     m = tb.build_mesh(n)
     tracemalloc.start()
@@ -586,7 +617,7 @@ def test_assembly_peaks_at_the_coo_to_csr_conversion(n):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 72 * m.triangles.shape[0], peak / (72 * m.triangles.shape[0])
+    assert peak <= 3 * 72 * m.triangles.shape[0], peak / (72 * m.triangles.shape[0])
 
 
 @pytest.mark.parametrize("n", [64, 128])

@@ -53,8 +53,10 @@ def test_a_large_shift_does_not_stop_on_its_small_first_step(params, mesh16):
 
     A stop on the increment returned the field after one step with residual 10.81.
     """
-    with pytest.raises(tb.NonConvergence, match=r"^monotone iteration did not contract below 1e-10 in 500 steps$"):
+    message = r"^monotone iteration did not contract below 1e-10 in 500 steps$"
+    with pytest.raises(tb.NonConvergence, match=message) as exc:
         tb.solve_p2_monotone(mesh16, params, _regime(mesh16), _constant(mesh16, -5.0), _constant(mesh16, 30.0))
+    assert exc.value.iterations == 500  # the steps taken, as a Newton NonConvergence counts them
 
 
 def test_a_wide_bracket_returns_only_below_the_newton_stop(params, mesh32):

@@ -1,6 +1,6 @@
 """Print the memory that the nested ring meshes take to build, assemble and hold, per ring count.
 
-For each ring count (default 64, 128 and 256) prints six lines:
+For each ring count (default 64, 128 and 256) prints seven lines:
 
 - ``build_mesh``: the tracemalloc peak of ``mesh.build_mesh`` and the
   bytes still traced when it returns, the mesh it keeps;
@@ -16,12 +16,16 @@ For each ring count (default 64, 128 and 256) prints six lines:
   the P2 solve had cached: whatever a Dirichlet level caches beyond a
   Neumann level;
 - ``rss``: ``ru_maxrss`` of a fresh process that builds the mesh and runs
-  one cold ``solve_p1_newton`` on that data.
+  one cold ``solve_p1_newton`` on that data;
+- ``scan_rss``: ``ru_maxrss`` of a fresh process that runs
+  ``cli.main(["scan-gamma", ..., "--threads", "2"])`` on that mesh, six
+  gammas from 2/3 to 7/3 and f = 1 + c t, the data of the benchmark's
+  ``cli`` workload.
 
 Sizes are in MiB (2^20 bytes), as the benchmark's ``peak_rss_mb``.  The
 first five lines repeat from run to run: tracemalloc's figures move by
 some bytes of Python objects between calls, far below their 0.01 MiB.
-The ``rss`` line varies by a MiB or so.  Run from the root of each source
+The two ``rss`` lines vary by a MiB or so.  Run from the root of each source
 checkout and compare the outputs::
 
     python tools/memory_profile.py [ring count ...]
@@ -58,6 +62,22 @@ warnings.simplefilter("ignore")
 workloads.p1_newton_op(mesh.build_mesh(%d), %r, %r).run()
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
+
+# the scan_rss process: scan six gammas on two threads through the CLI, then print the peak in KiB
+SCAN = """
+import os, resource, sys, tempfile, warnings
+sys.path[:0] = %r
+from torusbvp import cli
+warnings.simplefilter("ignore")
+with tempfile.TemporaryDirectory() as out:
+    config = os.path.join(out, "scan.ini")
+    with open(config, "w") as f:
+        f.write(%r)
+    cli.main(["scan-gamma", "--config", config, "--out", out, "--threads", "2"])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+SCAN_CONFIG = "[geometry]\nl = 2.0\nr = 1.0\n[mesh]\nn_rings = %d\n[problem]\nf = 1 + %r*t\n[scan]\ngammas = %s\n"
+SCAN_GAMMAS = ", ".join("%r" % (0.5 + (k + 0.5) / 3.0) for k in range(6))  # the midpoints of six strata of [0.5, 2.5]
 
 
 def _traced(fn):
@@ -122,11 +142,17 @@ def tracemalloc_lines(rings: int) -> list:
     return lines
 
 
-def rss_line(rings: int) -> str:
-    """The ``rss`` line at ``rings`` rings, from a fresh Python process."""
-    code = COLD_P1 % ([str(ROOT / "src"), str(ROOT / "perfbench")], rings, GAMMA, C)
+def _peak_mib(code: str) -> float:
+    """The peak in MiB that ``code``, run in a fresh Python process, prints on its last line in KiB."""
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    return "%d rss        %.1f MiB" % (rings, int(out.stdout.split()[-1]) / 1024.0)
+    return int(out.stdout.split()[-1]) / 1024.0
+
+
+def rss_lines(rings: int) -> list:
+    """The ``rss`` and ``scan_rss`` lines at ``rings`` rings, each from a fresh Python process."""
+    paths = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    return ["%d rss        %.1f MiB" % (rings, _peak_mib(COLD_P1 % (paths, rings, GAMMA, C))),
+            "%d scan_rss   %.1f MiB" % (rings, _peak_mib(SCAN % (paths[:1], SCAN_CONFIG % (rings, C, SCAN_GAMMAS))))]
 
 
 def main(argv=None) -> int:
@@ -134,9 +160,9 @@ def main(argv=None) -> int:
     rings_list = [int(a) for a in argv] or RINGS
     # Linux carries a process's peak RSS across fork and exec, so the fresh
     # processes run before this one grows
-    rss = [rss_line(rings) for rings in rings_list]
+    rss = [rss_lines(rings) for rings in rings_list]
     for rings, rss_of_rings in zip(rings_list, rss):
-        for line in tracemalloc_lines(rings) + [rss_of_rings]:
+        for line in tracemalloc_lines(rings) + rss_of_rings:
             print(line, flush=True)
     return 0
 
