@@ -65,7 +65,6 @@ from .mesh import (
     build_mesh,
     coarse_mesh,
     integrate_volume,
-    stiffness_block,
     weighted_sum,
 )
 from .solvers import (
@@ -298,13 +297,12 @@ def _cmd_scan_gamma(args, cfg, p) -> tuple:
     f = _coefficient(cfg, mesh, "f", default="1")
     opts = _solve_options(cfg)
     # the solving threads share the mesh caches, so fill them first, level by
-    # level: the operators, the stiffness block that every Newton record
-    # reads, and the level below with both its transfers (coarse_mesh).
+    # level: the operators that every Newton record reads, and the level below
+    # with both its transfers (coarse_mesh).
     # assemble is called here by name: perfbench/tracing.py patches cli.assemble
     level = (mesh,)
     while level is not None:
         assemble(level[0], p)
-        stiffness_block(level[0], p)
         level = coarse_mesh(level[0])
 
     def solve_one(gamma):

@@ -307,16 +307,21 @@ class WeightedOperators:
 
     ``stiffness`` is symmetric positive semidefinite with the constants as
     kernel; ``volume_mass`` and ``boundary_mass`` are lumped diagonals whose
-    sums approximate the torus volume and boundary area.
+    sums approximate the torus volume and boundary area.  ``diagonal`` is
+    the index in ``stiffness.data`` of each diagonal entry, read-only: every
+    record of a Newton level reads the stiffness with it, and a Dirichlet
+    record pins the trailing boundary rows instead of slicing a copy of the
+    interior block (``solvers._equation``).
     """
 
     stiffness: sp.csr_matrix
     volume_mass: np.ndarray
     boundary_mass: np.ndarray
+    diagonal: np.ndarray
 
 
 def assemble(mesh: DiskMesh, p: TorusParams) -> WeightedOperators:
-    """Weighted stiffness and lumped volume/boundary masses (memoized per mesh)."""
+    """Weighted stiffness, its diagonal index and lumped volume/boundary masses (memoized per mesh)."""
     key = ("ops", p.l, p.r)
     ops = mesh._cache.get(key)
     if ops is None:
@@ -326,6 +331,7 @@ def assemble(mesh: DiskMesh, p: TorusParams) -> WeightedOperators:
             stiffness=stiff,
             volume_mass=TWO_PI * p.r**2 * vol,
             boundary_mass=TWO_PI * p.r * bnd,
+            diagonal=_diagonal_index(stiff),
         )
         ops.volume_mass.setflags(write=False)
         ops.boundary_mass.setflags(write=False)
@@ -333,25 +339,12 @@ def assemble(mesh: DiskMesh, p: TorusParams) -> WeightedOperators:
     return ops
 
 
-def stiffness_block(mesh: DiskMesh, p: TorusParams):
-    """``assemble``'s stiffness and the index in its ``data`` of each diagonal entry (cached).
-
-    Every record of a Newton level reads this one pair: a Dirichlet record
-    pins the trailing boundary rows instead of slicing a copy of the
-    interior block (``solvers._equation``).
-    """
-    key = ("stiffness", p.l, p.r)
-    if key not in mesh._cache:
-        matrix = assemble(mesh, p).stiffness
-        mesh._cache[key] = (matrix, _diagonal_index(matrix))
-    return mesh._cache[key]
-
-
 def _diagonal_index(matrix) -> np.ndarray:
-    """The index in ``matrix.data`` of each diagonal entry, read-only.
+    """The index in ``matrix.data`` of each diagonal entry, read-only: ``assemble``'s ``diagonal``.
 
     Every row of a stiffness stores its diagonal entry, so a Jacobian ``S +
-    diag(d)`` is a copy of ``data`` with ``d`` added at those positions.
+    diag(d)`` is a copy of ``data`` with ``d`` added at those positions.  A
+    matrix that stores fewer raises ``DomainError``.
     """
     rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
     diagonal = np.flatnonzero(matrix.indices == rows)

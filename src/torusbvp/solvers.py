@@ -61,7 +61,7 @@ from .functionals import (
 )
 from .geometry import TorusParams
 from .inequalities import mu_best
-from .mesh import DiskField, DiskMesh, assemble, coarse_mesh, prolong, restrict, stiffness_block, weighted_sum
+from .mesh import DiskField, DiskMesh, assemble, coarse_mesh, prolong, restrict, weighted_sum
 
 
 @dataclass
@@ -402,17 +402,18 @@ def _equation(mesh, p, prob, dirichlet=False):
     """``(S, c, w, diagonal, k)``: the stiffness, ``prob.terms`` and the pin row, built once per nested level or solve.
 
     ``S`` and ``diagonal``, the index of each diagonal entry in ``S.data``,
-    are ``stiffness_block``'s, cached once per mesh and geometry for every
-    record.  The unknowns are the leading ``k`` nodes: a Dirichlet
-    problem's interior nodes (``n_interior``), else every node.  The rows
+    are ``assemble``'s, cached once per mesh and geometry for every record;
+    this is the one function of ``solvers`` that reads ``.stiffness``.  The
+    unknowns are the leading ``k`` nodes: a Dirichlet problem's interior
+    nodes (``n_interior``), else every node.  The rows
     ``k:``, the boundary's, come last and are pinned: ``_residual`` is zero
     there and ``_shifted`` puts unit rows there, so a field zero on them
     stays zero, and on the unknowns every product has the bits of the
     leading block ``S[:k, :k]``.
     """
-    S, diagonal = stiffness_block(mesh, p)
-    c, w = prob.terms(assemble(mesh, p))
-    return S, c, w, diagonal, mesh.n_interior if dirichlet else mesh.n_nodes
+    ops = assemble(mesh, p)
+    c, w = prob.terms(ops)
+    return ops.stiffness, c, w, ops.diagonal, mesh.n_interior if dirichlet else mesh.n_nodes
 
 
 def _exp_terms(eq, v):

@@ -1,18 +1,46 @@
-"""``tools/memory_profile.py`` prints the same tracemalloc lines for two runs at one ring count."""
+"""``tools/memory_profile.py`` counts every cached buffer and prints the same tracemalloc lines for two runs."""
 
+import dataclasses
 import importlib.util
 import re
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+import torusbvp as tb
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "memory_profile.py"
 
 
-def test_two_runs_print_the_same_tracemalloc_lines(monkeypatch):
+@pytest.fixture
+def memory_profile(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts src/ and perfbench/ first
     spec = importlib.util.spec_from_file_location("memory_profile", TOOL)
-    memory_profile = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(memory_profile)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_buffer_walk_finds_every_array_field_of_the_operators(memory_profile, params):
+    """``_buffers`` on one ``assemble`` result finds the buffer of each of its array fields, the stiffness's three."""
+    ops = tb.assemble(tb.build_mesh(4), params)
+    found = {}
+    memory_profile._buffers(ops, found)
+    S = ops.stiffness
+    arrays = [S.data, S.indices, S.indptr] + [getattr(ops, part.name) for part in dataclasses.fields(ops)
+                                              if isinstance(getattr(ops, part.name), np.ndarray)]
+    assert len(arrays) == 6
+    owners = set()
+    for a in arrays:
+        while a.base is not None:
+            a = a.base
+        owners.add(id(a))
+    assert owners == set(found)
+
+
+def test_two_runs_print_the_same_tracemalloc_lines(memory_profile):
     first, second = memory_profile.tracemalloc_lines(8), memory_profile.tracemalloc_lines(8)
     assert first == second
     names = [["8", "build_mesh"], ["8", "assemble"], ["8", "transfer"], ["8", "cache"], ["8", "p1_adds"]]

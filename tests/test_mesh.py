@@ -8,8 +8,8 @@ import pytest
 import scipy.sparse as sp
 
 import torusbvp as tb
-from torusbvp.mesh import (TWO_PI, _assemble_core, _ring_layout, _triangle_geometry, coarse_mesh, prolong, restrict,
-                           ring_interpolation, stiffness_block)
+from torusbvp.mesh import (TWO_PI, _assemble_core, _diagonal_index, _ring_layout, _triangle_geometry, coarse_mesh,
+                           prolong, restrict, ring_interpolation)
 from oracles import (
     SmoothFieldBasis,
     fit_order,
@@ -203,8 +203,8 @@ def test_a_numpy_integer_is_a_ring_count():
 def test_a_mesh_without_a_half_ring_mesh_has_no_transfer(params):
     """3 rings do not halve: there is no coarse mesh to prolong from, and a Dirichlet solve there caches no transfer.
 
-    Its one level factors every step and leaves the operators, the
-    stiffness block and the empty link in the cache.
+    Its one level factors every step and leaves two entries in the cache:
+    the empty link and the operators.
     """
     m = tb.build_mesh(3)
     with pytest.raises(tb.DomainError, match="no half-ring mesh"):
@@ -212,7 +212,7 @@ def test_a_mesh_without_a_half_ring_mesh_has_no_transfer(params):
     assert coarse_mesh(m) is None
     rep = tb.solve_p1_newton(m, params, tb.ProblemP1(1.5, tb.DiskField.constant(m, 1.0)))
     assert rep.two_grid_cycles == 0 and rep.factorizations == rep.iterations >= 1
-    assert set(m._cache) == {"coarse", ("ops", params.l, params.r), ("stiffness", params.l, params.r)}
+    assert set(m._cache) == {"coarse", ("ops", params.l, params.r)}
 
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128])
@@ -233,7 +233,7 @@ def test_leading_blocks_equal_the_masked_interior(params, n):
 
     free, coarse_free = masked(m), masked(coarse)
     assert np.array_equal(free, np.arange(m.n_interior)) and np.array_equal(coarse_free, np.arange(coarse.n_interior))
-    S = stiffness_block(m, params)[0][:m.n_interior, :m.n_interior]
+    S = tb.assemble(m, params).stiffness[:m.n_interior, :m.n_interior]
     P = coarse_mesh(m)[2][:m.n_interior, :coarse.n_interior]
     pairs = [(tb.assemble(m, params).stiffness[free][:, free], S), (prolongation_coo(m)[free][:, coarse_free], P)]
     for ref, block in pairs:
@@ -306,6 +306,20 @@ def test_triangles_out_of_ring_order_have_no_assembly(params):
     m = tb.build_mesh(40)
     with pytest.raises(tb.DomainError, match="ring order"):
         tb.assemble(tb.DiskMesh(m.nodes, m.triangles[::-1], 40), params)
+
+
+def test_the_diagonal_index_is_read_only_and_needs_every_diagonal_entry(params):
+    """``assemble``'s ``diagonal`` points at each stored diagonal entry, read-only; a stiffness short of one raises."""
+    m = tb.build_mesh(4)
+    ops = tb.assemble(m, params)
+    S = ops.stiffness
+    assert S.data[ops.diagonal].tobytes() == S.diagonal().tobytes()
+    assert not ops.diagonal.flags.writeable
+    pruned = S.copy()
+    pruned.data[ops.diagonal[5]] = 0.0
+    pruned.eliminate_zeros()
+    with pytest.raises(tb.DomainError, match="stores %d of its %d diagonal entries" % (m.n_nodes - 1, m.n_nodes)):
+        _diagonal_index(pruned)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])

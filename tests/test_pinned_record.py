@@ -51,7 +51,8 @@ def test_the_pinned_record_has_the_leading_blocks_bits(params, n):
     mesh = tb.build_mesh(n)
     eq = dirichlet_record(mesh, params)
     S, c, w, diagonal, k = eq
-    assert k == mesh.n_interior and S is tb.mesh.stiffness_block(mesh, params)[0]
+    ops = tb.assemble(mesh, params)
+    assert k == mesh.n_interior and S is ops.stiffness and diagonal is ops.diagonal
     v = boundary_zero_field(mesh)
     block = S[:k, :k]
 

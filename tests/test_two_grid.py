@@ -357,15 +357,15 @@ def sliced_relaxation(eq, v0, new, weights):
 
 
 @pytest.mark.filterwarnings("ignore::torusbvp.errors.ExistenceWindowWarning")
-def test_every_level_caches_its_operators_one_block_and_its_link(params):
-    """After nested P1 and P2 solves each level holds at most three cache entries; ``prolong`` reads the link's P."""
+def test_every_level_caches_its_operators_and_its_link(params):
+    """After nested P1 and P2 solves each level holds just its link and its operators; ``prolong`` reads the link's P."""
     mesh = tb.build_mesh(32)
     for solve, prob in (p1_case(mesh, 1.5, 0.1), p2_case(mesh, 0.1)):
         solve(mesh, params, prob)
-    layout = {"coarse", ("ops", 2.0, 1.0), ("stiffness", 2.0, 1.0)}
+    layout = {"coarse", ("ops", 2.0, 1.0)}
     level, rings = (mesh,), []
     while level is not None:
-        assert set(level[0]._cache) <= layout, level[0].n_rings
+        assert set(level[0]._cache) == layout, level[0].n_rings
         rings.append(level[0].n_rings)
         level = coarse_mesh(level[0])
     assert rings == [32, 16, 8, 4, 2]

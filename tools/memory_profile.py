@@ -33,6 +33,7 @@ checkout and compare the outputs::
 
 from __future__ import annotations
 
+import dataclasses
 import subprocess
 import sys
 import tracemalloc
@@ -104,8 +105,8 @@ def _buffers(obj, found):
         for part in (obj.nodes, obj.triangles, obj.boundary_nodes, obj._cache):
             _buffers(part, found)
     elif isinstance(obj, mesh.WeightedOperators):
-        for part in (obj.stiffness, obj.volume_mass, obj.boundary_mass):
-            _buffers(part, found)
+        for part in dataclasses.fields(obj):
+            _buffers(getattr(obj, part.name), found)
     elif isinstance(obj, dict):
         _buffers(list(obj.values()), found)
     elif isinstance(obj, (tuple, list)):
