@@ -6,9 +6,9 @@ Both model problems are one discrete equation, ``F(v) = S v + c + w e^v =
 volume and boundary masses.  P2 is this equation on all nodes.  P1
 (``Delta v + gamma = f e^v``) is its case ``a = gamma``, ``f -> -f``, ``b =
 g = 0``, restricted to the interior nodes for the Dirichlet problem.  Each
-solve, and each level of a nested Newton solve, builds the record ``(S, c,
-w)`` once (``_equation``), with the index of ``S``'s diagonal in its data
-and the pin row ``k``: the unknowns are the leading ``k`` nodes, a
+solve, and each level of a nested Newton solve, builds its ``Record`` once
+(``_equation``): ``S``, ``c`` and ``w``, the index ``diagonal`` of ``S``'s
+diagonal in its data and the pin row ``k``.  The unknowns are the leading ``k`` nodes, a
 Dirichlet level's interior nodes or every node, and the trailing rows, a
 Dirichlet level's boundary, are pinned at zero.  Every method reads it:
 Newton's residual ``F``, Jacobian ``S + diag(w e^v)`` and nested
@@ -32,6 +32,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -255,9 +256,9 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, 
     F, res = residual(v)
     if not math.isfinite(res):
         raise DomainError("initial iterate produces a non-finite residual")
-    r0 = _weighted_norm(eq[1] + eq[2], weights)
+    r0 = _weighted_norm(eq.c + eq.w, weights)
     tol = max(min(opts.tol_abs + opts.tol_rel * r0, r0 / _VALLEY_RATIO**2 if valley else math.inf), stop_fraction * res)
-    k = eq[4]
+    k = eq.k
     solve = None
     trace = [(res, 0.0)]  # one entry more than the steps taken
     while res > tol and len(trace) <= opts.max_iter:
@@ -328,8 +329,8 @@ def _cycle(matrix, eq, P, coarse_k, coarse_solve):
     transfer once, and ``R @ x`` adds each output's terms in the column
     order of a CSR copy of the transpose, so it has that product's bits.
     """
-    R, k = P.T, eq[4]
-    jacobi = _TWO_GRID_DAMPING / matrix.data[eq[3]]
+    R, k = P.T, eq.k
+    jacobi = _TWO_GRID_DAMPING / matrix.data[eq.diagonal]
 
     def cycle(r):
         x, res = np.zeros_like(r), r
@@ -398,8 +399,18 @@ def _sparse_product(matrix, x):
 # The core: S v + c + w e^v = 0
 # ---------------------------------------------------------------------------
 
+class Record(NamedTuple):
+    """The core equation of one level or solve: ``S v + c + w e^v = 0`` on the leading ``k`` rows (``_equation``)."""
+
+    S: sp.csr_matrix
+    c: np.ndarray
+    w: np.ndarray
+    diagonal: np.ndarray
+    k: int
+
+
 def _equation(mesh, p, prob, dirichlet=False):
-    """``(S, c, w, diagonal, k)``: the stiffness, ``prob.terms`` and the pin row, built once per nested level or solve.
+    """``Record(S, c, w, diagonal, k)``: the stiffness, ``prob.terms`` and the pin row, built once per nested level or solve.
 
     ``S`` and ``diagonal``, the index of each diagonal entry in ``S.data``,
     are ``assemble``'s, cached once per mesh and geometry for every record;
@@ -413,20 +424,19 @@ def _equation(mesh, p, prob, dirichlet=False):
     """
     ops = assemble(mesh, p)
     c, w = prob.terms(ops)
-    return ops.stiffness, c, w, ops.diagonal, mesh.n_interior if dirichlet else mesh.n_nodes
+    return Record(ops.stiffness, c, w, ops.diagonal, mesh.n_interior if dirichlet else mesh.n_nodes)
 
 
 def _exp_terms(eq, v):
     """``w e^v``: the Jacobian's diagonal and the constraint normal."""
     with np.errstate(invalid="ignore"):
-        return eq[2] * _exp_unguarded(v)
+        return eq.w * _exp_unguarded(v)
 
 
 def _residual(eq, v):
     """``F(v) = S v + c + w e^v``, zero on the pinned rows ``k:``."""
-    S, c = eq[:2]
-    F = S @ v + c + _exp_terms(eq, v)
-    F[eq[4]:] = 0.0
+    F = _sparse_product(eq.S, v) + eq.c + _exp_terms(eq, v)
+    F[eq.k:] = 0.0
     return F
 
 
@@ -439,7 +449,7 @@ def _shifted(eq, diagonal):
     on the rows of the unknowns; the pinned rows ``k:``, the trailing ones,
     are unit rows.
     """
-    S, stored, k = eq[0], eq[3], eq[4]
+    S, stored, k = eq.S, eq.diagonal, eq.k
     data = S.data.copy()
     data[stored] += diagonal
     data[S.indptr[k]:] = 0.0
@@ -561,7 +571,7 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     for level_mesh, level_prob in schedule:
         ops = assemble(level_mesh, p)
         eq = _equation(level_mesh, p, level_prob, dirichlet)
-        k = eq[4]
+        k = eq.k
         weights = (ops.volume_mass if p1 else ops.volume_mass + ops.boundary_mass)[:k]
         rings = level_mesh.n_rings
         coarse = None
@@ -631,8 +641,8 @@ def _relax_new_nodes(eq, v0, new, weights):
     solution need not.
     """
     # the core equation's rows at the new nodes
-    S, c, w, diagonal = eq[:4]
-    diag, c, w = S.data[diagonal][new], c[new], w[new]
+    S = eq.S
+    diag, c, w = S.data[eq.diagonal][new], eq.c[new], eq.w[new]
     v = v0.copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_RELAX_SWEEPS):
@@ -658,7 +668,7 @@ def _descend(mesh, p, prob, eq, weights, v, opts, counts):
     to zero, and the minimizer shifted by ``ln(kappa)`` solves the equation.
     Returns ``(v, iterations)``.
     """
-    S, c = eq[:2]
+    S, c = eq.S, eq.c
     m = assemble(mesh, p).volume_mass
     r_h = float(np.sum(c))
     case_zero = prob.a == 0.0 and prob.b == 0.0
@@ -744,7 +754,7 @@ def p1_residual_norm(mesh: DiskMesh, p: TorusParams, prob: ProblemP1, field: Dis
     all rows (zero-flux stationarity of the variational path).
     """
     eq = _equation(mesh, p, prob.as_p2(), dirichlet=not natural)
-    return _weighted_norm(_residual(eq, field.values), assemble(mesh, p).volume_mass[:eq[4]])
+    return _weighted_norm(_residual(eq, field.values), assemble(mesh, p).volume_mass[:eq.k])
 
 
 def solve_p1_newton(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
@@ -898,7 +908,7 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
 
     # discrete inequality check of the defining sub/supersolution conditions,
     # scored as nodewise strong residuals against the record's own scale
-    tol_lo, tol_hi = (1e-9 * (1.0 + float(np.max((abs(eq[1]) + abs(_exp_terms(eq, x))) / weights))) for x in (lo, hi))
+    tol_lo, tol_hi = (1e-9 * (1.0 + float(np.max((abs(eq.c) + abs(_exp_terms(eq, x))) / weights))) for x in (lo, hi))
     F_lo = _residual(eq, lo) / weights
     if np.any(F_lo > tol_lo):
         raise OrderingViolation("subsolution fails the discrete inequality (max violation %g)"
@@ -912,7 +922,7 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
     v = lo.copy()
     F = _residual(eq, v)
     trace = []
-    tol = opts.tol_abs + opts.tol_rel * _weighted_norm(eq[1] + eq[2], weights)  # Newton's data-only stop
+    tol = opts.tol_abs + opts.tol_rel * _weighted_norm(eq.c + eq.w, weights)  # Newton's data-only stop
     for iterations in range(1, opts.max_monotone_iter + 1):
         if lu is None and np.any(F):
             lu = _factorize(_shifted(eq, abs(_exp_terms(eq, hi))))
