@@ -7,11 +7,18 @@ code, and sha256 digests (first 16 hex digits) of the run's standard
 output, of its CSV body without the timestamp line and of its
 ``report.json``; ``-`` stands for a file the run did not write.  Standard
 error is not digested: a warning names the line of ``cli.py`` that raised
-it.
+it.  A header line first gives the numpy and scipy versions.
 
 Run from the root of each source checkout and compare the outputs::
 
     python tools/cli_digest.py > digest.txt
+
+``tests/golden/cli_digest.txt`` holds this output as committed, and
+Tier-1 compares every line after the header with it
+(``tests/test_cli_digest.py``).  A change that moves a line by design
+rewrites it::
+
+    python tools/cli_digest.py > tests/golden/cli_digest.txt
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -56,7 +64,13 @@ def digest_lines(seed: int, work: str, extra=()) -> list:
     return lines
 
 
+def versions() -> str:
+    """The header line: the numpy and scipy versions, which the digests of a run's numbers depend on."""
+    return "# numpy %s scipy %s" % (np.__version__, scipy.__version__)
+
+
 def main() -> int:
+    print(versions(), flush=True)
     with tempfile.TemporaryDirectory() as work:
         for seed in SEEDS:
             for line in digest_lines(seed, os.path.join(work, str(seed))):
