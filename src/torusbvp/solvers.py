@@ -8,16 +8,18 @@ volume and boundary masses.  P2 is this equation on all nodes.  P1
 g = 0``, restricted to the interior nodes for the Dirichlet problem.  Each
 solve, and each level of a nested Newton solve, builds its ``Record`` once
 (``_equation``): ``S``, ``c`` and ``w``, the index ``diagonal`` of ``S``'s
-diagonal in its data and the pin row ``k``.  The unknowns are the leading ``k`` nodes, a
-Dirichlet level's interior nodes or every node, and the trailing rows, a
-Dirichlet level's boundary, are pinned at zero.  Every method reads it:
-Newton's residual ``F``, Jacobian ``S + diag(w e^v)`` and nested
-relaxation, the gradient ``S v + c`` and projection sum ``sum(w e^v)`` of
-the constrained descent that starts the coarsest level, and the monotone
-iteration's defect correction ``v <- v - (S + diag(|w| e^super))^-1
-F(v)``.  Every matrix a solver
-factors is ``S`` plus a diagonal, built one way (``_shifted``).  Every
-public solver first admits its data (``_admit``), then maps them onto the
+diagonal in its data and the pin row ``k``.  The unknowns are the leading
+``k`` nodes, a Dirichlet level's interior nodes or every node, and the
+trailing rows, a Dirichlet level's boundary, are pinned at zero.  Every
+method reads the record: Newton's residual ``F``, Jacobian ``S + diag(w
+e^v)`` and nested relaxation, the gradient ``S v + c`` and projection sum
+``sum(w e^v)`` of the constrained descent that starts the coarsest level,
+and the monotone iteration's defect correction ``v <- v - (S + diag(|w|
+e^super))^-1 F(v)``.  Every matrix a solver factors is ``S`` plus a
+diagonal, built one way (``_shifted``), and only to be factored: a Newton
+step solved by cycles applies its Jacobian as an operator on the record
+(``_Jacobian``), ``S x + (w e^v) x``, and copies no matrix.  Every public
+solver first admits its data (``_admit``), then maps them onto the
 equation and fills its report.
 
 Sign convention: the problems are stated with the geometer's positive
@@ -211,16 +213,20 @@ def _factorize(matrix):
 def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, valley=False):
     """Damped Newton on the core equation ``eq``, Armijo backtracking on its weighted residual norm.
 
-    Each step solves ``J delta = -F`` and takes the first of the steps
-    ``_STEPS``, 1, 1/2, ..., 2^-20, whose trial residual passes the Armijo
-    test; a trial whose residual overflows to inf or nan fails it and is
-    backtracked, and a step with no passing trial stalls the loop.  With
-    ``coarse``, the prolongation ``P`` from the level below, that level's
-    pin row and its coarse solve, conjugate gradients preconditioned by
-    cycles on ``J`` (``_cycle``) solve ``J delta = -F`` (``_cycled_solve``),
-    and ``J`` is factored only if they miss their target, on its leading
+    Each step solves ``J delta = -F``, ``J = S + diag(w e^v)``, and takes
+    the first of the steps ``_STEPS``, 1, 1/2, ..., 2^-20, whose trial
+    residual passes the Armijo test; a trial whose residual overflows to
+    inf or nan fails it and is backtracked, and a step with no passing
+    trial stalls the loop.  It solves ``J x = F`` and negates ``x`` in
+    place, which is exact.  With ``coarse``, the prolongation ``P`` from the
+    level below, that level's pin row and its coarse solve, ``J`` is an
+    operator on the record (``_Jacobian``), no matrix: conjugate gradients
+    preconditioned by cycles on it (``_cycle``) solve the step
+    (``_cycled_solve``).  Only if they miss their target, or without
+    ``coarse``, is ``J`` built (``_shifted``) and factored, on its leading
     block ``J[:k, :k]``, the unknowns' rows and columns.  ``v0`` and every
     update hold a value per node, zero on the pinned rows ``k:`` of ``eq``;
+    ``v0`` is not written, and it is returned if no step is taken.
     ``weights`` covers the unknowns.  Newton stops at the
     residual ``tol_abs + tol_rel * r0``, ``r0`` the residual of the zero
     field, ``c + w``.  That reference depends on the data alone, so no
@@ -252,7 +258,7 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, 
         F = _residual(eq, v)
         return F, _weighted_norm(F, weights)
 
-    v = v0.copy()
+    v = v0  # rebound by each step, never written
     F, res = residual(v)
     if not math.isfinite(res):
         raise DomainError("initial iterate produces a non-finite residual")
@@ -263,15 +269,17 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, 
     trace = [(res, 0.0)]  # one entry more than the steps taken
     while res > tol and len(trace) <= opts.max_iter:
         solve = None  # freed before the next factor
-        J = _shifted(eq, _exp_terms(eq, v))
+        shift = _exp_terms(eq, v)
         delta = None
         if coarse is not None:
-            delta, cycles = _cycled_solve(J, -F, _cycle(J, eq, *coarse), weights, _TWO_GRID_FRACTION * tol)
+            J = _Jacobian(eq, shift)
+            delta, cycles = _cycled_solve(J, F, _cycle(J, *coarse), weights, _TWO_GRID_FRACTION * tol)
             counts["two_grid_cycles"] += cycles
         if delta is None:
-            solve = _leading_solve(_factorize(J[:k, :k]), k)
+            solve = _leading_solve(_factorize(_shifted(eq, shift)[:k, :k]), k)
             counts["factorizations"] += 1
-            delta = -solve(F)
+            delta = solve(F)
+        np.negative(delta, out=delta)  # J delta = -F, exactly
         if not np.all(np.isfinite(delta)):
             raise SingularJacobian("Newton direction is non-finite")
         for step in _STEPS:
@@ -304,60 +312,87 @@ def _leading_solve(lu, k):
     return solve
 
 
-def _cycle(matrix, eq, P, coarse_k, coarse_solve):
-    """One cycle on ``matrix``, a ``_shifted`` of ``eq``: the map from a residual ``r`` to a correction ``x``.
+class _Jacobian:
+    """Newton's ``J = S + diag(shift)``, ``shift = w e^v``, as an operator on a record: no matrix is built.
+
+    ``J x`` (``product``) is ``S x + shift * x`` on the unknowns, the
+    leading ``k`` rows, and ``x`` on the pinned rows ``k:``: the product of
+    ``_shifted(eq, shift)`` with ``x``, its terms summed in another order.
+    ``jacobi`` holds the damped Jacobi weights ``_TWO_GRID_DAMPING / (S_ii
+    + shift_i)`` on the unknowns and ``_TWO_GRID_DAMPING`` on the unit rows
+    ``k:``, with the bits they have on ``_shifted``'s diagonal.  So a cycled
+    Newton step, and the cycle a level hands up, hold two vectors beside
+    the record, not a copy of ``S.data``.
+    """
+
+    def __init__(self, eq, shift):
+        self.S, self.shift, self.k = eq.S, shift, eq.k
+        self.jacobi = eq.S.data[eq.diagonal]
+        self.jacobi += shift
+        self.jacobi[eq.k:] = 1.0
+        np.divide(_TWO_GRID_DAMPING, self.jacobi, out=self.jacobi)
+
+    def product(self, x, out):
+        """``J x`` written into ``out``, another vector than ``x``, and returned."""
+        np.multiply(self.shift, x, out=out)
+        out += _sparse_product(self.S, x)
+        out[self.k:] = x[self.k:]
+        return out
+
+
+def _cycle(J, P, coarse_k, coarse_solve):
+    """One cycle on ``J``, a ``_Jacobian``: the map from a residual ``r`` to a correction ``x``.
 
     From ``x = 0``, ``_TWO_GRID_SWEEPS`` damped Jacobi sweeps, the coarse
     correction ``x += P coarse_solve(R r)``, with ``P`` the prolongation
     from the level below and ``R = P.T``, and as many sweeps again, each on
-    the residual ``r - matrix x``.  A residual zero on ``eq``'s pinned rows
-    ``k:`` gets a correction zero there: ``R r`` is zeroed on the level
-    below's pinned rows ``coarse_k:`` and ``x`` on ``k:`` after the coarse
-    correction, and the unit rows of ``matrix`` keep the sweeps at zero
-    there.  On the unknowns
-    this is bit for bit the cycle on the leading blocks: a pinned entry
-    adds only zeros to the sparse products.  The sweeps damp the
+    the residual ``r - J x``.  A residual zero on ``J``'s pinned rows ``k:``
+    gets a correction zero there: ``R r`` is zeroed on the level below's
+    pinned rows ``coarse_k:`` and ``x`` on ``k:`` after the coarse
+    correction, and ``J``'s unit rows keep the sweeps at zero there.  On the
+    unknowns this is bit for bit the cycle on the leading blocks: a pinned
+    entry adds only zeros to the sparse products.  The sweeps damp the
     error that oscillates on this mesh; the rest is smooth, and the level
     below resolves it with the ``coarse_solve`` it hands up
     (``_solve_newton``).  When that is itself a cycle, the recursion is a
-    V-cycle.  Jacobi reads the diagonal of ``matrix`` at ``eq``'s index of
-    it in ``matrix.data``.  The sweeps after the correction mirror those
-    before it, and a ``matrix`` symmetric on the unknowns has a coarse
-    solve symmetric on the level below's, so the cycle is a symmetric map
-    on the unknowns: a preconditioner for conjugate gradients.
-    ``R`` is a CSC view of ``P``'s arrays, so the hierarchy holds each
-    transfer once, and ``R @ x`` adds each output's terms in the column
-    order of a CSR copy of the transpose, so it has that product's bits.
+    V-cycle.  The sweeps after the correction mirror those before it, and
+    ``J``, symmetric on the unknowns, has a coarse solve symmetric on the
+    level below's, so the cycle is a symmetric map on the unknowns: a
+    preconditioner for conjugate gradients.  ``R`` is a CSC view of ``P``'s
+    arrays, so the hierarchy holds each transfer once, and ``R @ x`` adds
+    each output's terms in the column order of a CSR copy of the transpose,
+    so it has that product's bits.  Each sweep writes its residual, and
+    then its Jacobi correction, into one vector.
     """
-    R, k = P.T, eq.k
-    jacobi = _TWO_GRID_DAMPING / matrix.data[eq.diagonal]
+    R, k = P.T, J.k
 
     def cycle(r):
-        x, res = np.zeros_like(r), r
+        x, res = np.zeros_like(r), r.copy()
         for sweep in range(2 * _TWO_GRID_SWEEPS + 1):
             if sweep:
-                res = r - matrix @ x
+                np.subtract(r, J.product(x, res), out=res)
             if sweep == _TWO_GRID_SWEEPS:
                 coarse_res = _sparse_product(R, res)
                 coarse_res[coarse_k:] = 0.0
                 x += _sparse_product(P, coarse_solve(coarse_res))
                 x[k:] = 0.0
             else:
-                x += jacobi * res
+                res *= J.jacobi
+                x += res
         return x
 
     return cycle
 
 
-def _cycled_solve(matrix, rhs, cycle, weights, target):
-    """``matrix x = rhs`` by conjugate gradients, preconditioned with one ``cycle`` per iteration.
+def _cycled_solve(J, rhs, cycle, weights, target):
+    """``J x = rhs`` by conjugate gradients, preconditioned with one ``cycle`` per iteration; ``J`` a ``_Jacobian``.
 
     A V-cycle preconditioning a Krylov method takes fewer cycles to a
     target than the cycles iterated alone.  The Newton Jacobian can be
-    indefinite (P2's is on some data), so a negative curvature ``d' matrix
-    d`` goes on; only a breakdown, a zero or non-finite curvature or a zero
+    indefinite (P2's is on some data), so a negative curvature ``d' J d``
+    goes on; only a breakdown, a zero or non-finite curvature or a zero
     ``r' cycle(r)``, gives up.  A result is accepted only once the true
-    residual ``rhs - matrix x`` meets the weighted ``target``; the
+    residual ``rhs - J x`` meets the weighted ``target``; the
     recursive one only says when to compute it, and it replaces the
     recursive one if it misses.  ``_newton_loop`` sets the target at a tenth
     of its own stop, so on a coarse level that has left the data-only
@@ -365,26 +400,33 @@ def _cycled_solve(matrix, rhs, cycle, weights, target):
     the target is as loose: a linear solve finer than the Newton step
     needs would buy the level above nothing.  Inner products are
     ``weighted_sum``s over the unknowns, the entries that ``weights``
-    covers; the rest, a record's pinned rows, stay zero.  Returns ``(x,
+    covers; the rest, a record's pinned rows, stay zero.  The residual
+    ``r``, the direction ``d`` and its product ``q = J d`` are updated in
+    place, and ``rhs`` is not written.  Returns ``(x,
     iterations)``, with ``x`` None on a breakdown or if
     ``_TWO_GRID_MAX_CYCLES`` iterations miss the target.
     """
-    x, r = np.zeros_like(rhs), rhs
+    x, r, q = np.zeros_like(rhs), rhs.copy(), np.empty_like(rhs)
     d = rz = None
     k = weights.size
     for iterations in range(1, _TWO_GRID_MAX_CYCLES + 1):
         z = cycle(r)
         rz, rz_old = weighted_sum(r[:k], z[:k]), rz
-        d = z if d is None else z + (rz / rz_old) * d
-        q = matrix @ d
+        if d is None:
+            d = z
+        else:  # d = z + (rz / rz_old) d
+            d *= rz / rz_old
+            d += z
+        del z  # freed before the next cycle
+        J.product(d, q)
         curvature = weighted_sum(d[:k], q[:k])
         if rz == 0.0 or curvature == 0.0 or not math.isfinite(curvature):
             return None, iterations
         alpha = rz / curvature
         x += alpha * d
-        r = r - alpha * q
+        r -= alpha * q
         if _weighted_norm(r, weights) <= target:
-            r = rhs - matrix @ x
+            np.subtract(rhs, J.product(x, r), out=r)
             if _weighted_norm(r, weights) <= target:
                 return x, iterations
     return None, _TWO_GRID_MAX_CYCLES
@@ -416,11 +458,11 @@ def _equation(mesh, p, prob, dirichlet=False):
     are ``assemble``'s, cached once per mesh and geometry for every record;
     this is the one function of ``solvers`` that reads ``.stiffness``.  The
     unknowns are the leading ``k`` nodes: a Dirichlet problem's interior
-    nodes (``n_interior``), else every node.  The rows
-    ``k:``, the boundary's, come last and are pinned: ``_residual`` is zero
-    there and ``_shifted`` puts unit rows there, so a field zero on them
-    stays zero, and on the unknowns every product has the bits of the
-    leading block ``S[:k, :k]``.
+    nodes (``n_interior``), else every node.  The rows ``k:``, the
+    boundary's, come last and are pinned: ``_residual`` is zero there, and
+    ``_shifted`` puts unit rows there as ``_Jacobian`` does, so a field zero
+    on them stays zero, and on the unknowns every product has the bits of
+    the leading block ``S[:k, :k]``.
     """
     ops = assemble(mesh, p)
     c, w = prob.terms(ops)
@@ -532,9 +574,11 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     level's start lies further off.  A level of ``_TWO_GRID_MIN_RINGS``
     rings or more with a coarse solve from below solves its Newton systems
     by cycled conjugate gradients, its prolongation that of
-    ``coarse_mesh``, and hands up a cycle on its Jacobian frozen at its
-    solution; any other level factors each step and hands up its last
-    factor.  Either goes up with the level's pin row.
+    ``coarse_mesh``, and hands up a cycle on its Jacobian at its solution:
+    an operator on the level's record that holds the shift ``w e^v`` of
+    that solution, not a matrix (``_Jacobian``).  Any other level factors
+    each step and hands up its last factor.  Either goes up with the
+    level's pin row.
 
     If the finest level fails the valley test or raises after starting from
     the field handed up from below, on an a = b = 0 route with ``descent``,
@@ -584,9 +628,9 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
             else:
                 x0 = _fmg_start(level_mesh, v_2h, v_4h)
             x0[k:] = 0.0  # the pinned boundary
-            if v_2h is not None:
-                new = np.flatnonzero(np.diff(coarse_mesh(level_mesh)[2].indptr)[:k] > 1)
-                x0 = _relax_new_nodes(eq, x0, new, weights)
+            if v_2h is not None:  # the new nodes' index is freed before the Newton loop
+                x0 = _relax_new_nodes(eq, x0, np.flatnonzero(np.diff(coarse_mesh(level_mesh)[2].indptr)[:k] > 1),
+                                      weights)
             elif descent:
                 x0, descended = _descend(level_mesh, p, level_prob, eq, weights, x0, opts, counts)
                 iterations += descended
@@ -604,7 +648,7 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
             iterations += len(trace) - 1
             below = None if solve is None else (k, solve)
             if coarse is not None and level_mesh is not mesh:  # the finest level's cycle would go unread
-                below = (k, _cycle(_shifted(eq, _exp_terms(eq, v)), eq, *coarse))
+                below = (k, _cycle(_Jacobian(eq, _exp_terms(eq, v)), *coarse))
         v_2h, v_4h = v, v_2h
     return v, res, iterations, trace, counts
 

@@ -5,7 +5,8 @@ its nodes and the pin row ``k = n_interior``; the boundary nodes are the
 trailing ones.  On a field zero on the boundary, each operator of the record
 must have the bits of the same operator on the leading blocks ``[:k, :k]``,
 sliced here as the oracle, and must keep the pinned rows ``k:`` at zero: the
-residual, the shifted matrix and a cycle on it.
+residual, the shifted matrix that a factor reads, the Jacobian operator that
+a cycled step applies, and a cycle on that operator.
 """
 
 import numpy as np
@@ -32,13 +33,13 @@ def boundary_zero_field(mesh):
     return v
 
 
-def leading_cycle(J, P, lu, r):
-    """One cycle on the leading blocks ``J[:k, :k]`` and ``P[:k, :kc]``, with ``lu`` the coarse block's factor."""
-    jacobi = solvers._TWO_GRID_DAMPING / J.diagonal()
+def leading_cycle(block, d, P, lu, r):
+    """One cycle on ``J x = block x + d x`` and ``P[:k, :kc]``, the leading blocks, with ``lu`` the coarse block's factor."""
+    jacobi = solvers._TWO_GRID_DAMPING / (block.diagonal() + d)
     x, res = np.zeros_like(r), r
     for sweep in range(2 * solvers._TWO_GRID_SWEEPS + 1):
         if sweep:
-            res = r - J @ x
+            res = r - (block @ x + d * x)
         if sweep == solvers._TWO_GRID_SWEEPS:
             x += P @ lu.solve(P.T.tocsr() @ res)
         else:
@@ -67,6 +68,13 @@ def test_the_pinned_record_has_the_leading_blocks_bits(params, n):
         assert np.array_equal(getattr(J[:k, :k], part), getattr(ref, part)), part
     assert (J[k:] != sp.eye(mesh.n_nodes, format="csr")[k:]).nnz == 0
 
+    operator = solvers._Jacobian(eq, d)
+    Jv = operator.product(v, np.empty_like(v))
+    assert Jv[:k].tobytes() == (block @ v[:k] + d[:k] * v[:k]).tobytes()
+    assert not np.any(Jv[k:])
+    u = np.random.default_rng(n).normal(size=mesh.n_nodes)  # nonzero on the pinned rows too
+    assert operator.product(u, np.empty_like(u))[k:].tobytes() == u[k:].tobytes()
+
     coarse, _, P = coarse_mesh(mesh)
     coarse_eq = dirichlet_record(coarse, params)
     kc = coarse_eq[4]
@@ -78,9 +86,9 @@ def test_the_pinned_record_has_the_leading_blocks_bits(params, n):
         assert not np.any(coarse_r[kc:])
         return leading(coarse_r)
 
-    cycle = solvers._cycle(J, eq, P, kc, coarse_solve)
+    cycle = solvers._cycle(operator, P, kc, coarse_solve)
     r = np.zeros(mesh.n_nodes)
     r[:k] = np.random.default_rng(n).normal(size=k)
     x = cycle(r)
     assert not np.any(x[k:])
-    assert x[:k].tobytes() == leading_cycle(ref, P[:k, :kc], lu, r[:k]).tobytes()
+    assert x[:k].tobytes() == leading_cycle(block, d[:k], P[:k, :kc], lu, r[:k]).tobytes()

@@ -4,8 +4,11 @@ From ``_TWO_GRID_MIN_RINGS`` rings on, each Newton system of a nested level
 is solved by conjugate gradients preconditioned with one cycle per
 iteration, to a tenth of the level's Newton tolerance.  A cycle is damped
 Jacobi sweeps around a coarse correction, which is one cycle on the Jacobian
-of the level below, frozen at its solution, down to the last factor of the
-finest level under the threshold.  A cycled solve that returns no step puts
+of the level below at its solution, down to the last factor of the finest
+level under the threshold.  A cycled step applies its Jacobian as an
+operator on the record (``solvers._Jacobian``): it builds no matrix, and
+the cycle a level hands up holds that level's shift ``w e^v``, not a copy of
+the stiffness.  A cycled solve that returns no step puts
 every step back on the factor, the direct path, which must take the same
 steps to the same field.  Below the finest, a level of
 ``_TWO_GRID_MIN_RINGS`` rings or more stops at 1e-3 of its start's residual
@@ -18,6 +21,7 @@ block.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -259,9 +263,9 @@ def test_the_cycle_is_symmetric(params, monkeypatch, n):
     """
     real_solve, cycles = solvers._cycled_solve, []
 
-    def spy(matrix, rhs, cycle, weights, *args):
-        cycles.append((matrix.shape[0], weights.size, cycle))
-        return real_solve(matrix, rhs, cycle, weights, *args)
+    def spy(J, rhs, cycle, weights, *args):
+        cycles.append((rhs.size, weights.size, cycle))
+        return real_solve(J, rhs, cycle, weights, *args)
 
     monkeypatch.setattr(solvers, "_cycled_solve", spy)
     mesh = tb.build_mesh(n)
@@ -283,9 +287,9 @@ def test_the_finest_level_hands_up_no_cycle(params, monkeypatch):
     """The finest level builds a cycle for each of its Newton steps and none on its solution: nothing reads it."""
     real_cycle, sizes = solvers._cycle, []
 
-    def spy(matrix, *args):
-        sizes.append(matrix.shape[0])
-        return real_cycle(matrix, *args)
+    def spy(J, *args):
+        sizes.append(J.shift.size)
+        return real_cycle(J, *args)
 
     monkeypatch.setattr(solvers, "_cycle", spy)
     mesh = tb.build_mesh(32)
@@ -293,6 +297,45 @@ def test_the_finest_level_hands_up_no_cycle(params, monkeypatch):
     rep = solve(mesh, params, prob)
     assert sizes.count(mesh.n_nodes) == len(rep.trace) - 1 >= 1
     assert sizes.count(coarse_mesh(mesh)[0].n_nodes) >= 1
+
+
+@pytest.mark.parametrize("case", ["p1 gamma=1.5 c=0.3", "p2 c=0.2"])
+def test_only_a_factor_builds_a_matrix(params, monkeypatch, case):
+    """``_shifted`` runs once per counted factor: a cycled step, and the cycle a level hands up, build no matrix."""
+    real_shifted, built = solvers._shifted, []
+
+    def spy(eq, diagonal):
+        built.append(diagonal.size)
+        return real_shifted(eq, diagonal)
+
+    monkeypatch.setattr(solvers, "_shifted", spy)
+    mesh = tb.build_mesh(32)
+    solve, prob = CASES[case](mesh)
+    rep = solve(mesh, params, prob)
+    assert rep.two_grid_cycles > 0 and len(built) == rep.factorizations
+    assert max(built) < tb.build_mesh(solvers._TWO_GRID_MIN_RINGS).n_nodes
+
+
+def test_a_warm_p1_solve_peaks_below_twenty_vectors(params):
+    """A warm 64-ring P1 solve on the benchmark's ``newton`` data peaks below 20 float64 vectors of its nodes.
+
+    The caches hold the hierarchy's operators, so the peak is the solve's
+    own: the finest level's record, field and residual, its Jacobian
+    operator's shift and Jacobi weights, the vectors of conjugate gradients
+    and of one cycle.  A copy of the stiffness's data per step, seven
+    vectors, would break it.
+    """
+    mesh = tb.build_mesh(64)
+    prob = tb.ProblemP1(1.5, tb.DiskField(mesh, 1.0 + 0.1 * mesh.nodes[:, 0]))
+    tb.solve_p1_newton(mesh, params, prob)  # fills the caches
+    tracemalloc.start()
+    try:
+        rep = tb.solve_p1_newton(mesh, params, prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.two_grid_cycles > 0
+    assert peak < 20 * mesh.n_nodes * 8
 
 
 @pytest.mark.parametrize("broken", [np.zeros_like, lambda r: np.full_like(r, np.nan)], ids=["zero", "nan"])
@@ -310,11 +353,16 @@ def test_a_conjugate_gradient_breakdown_falls_back_to_the_factor(params, monkeyp
 
 
 def test_a_negative_curvature_goes_on():
-    """On an indefinite matrix conjugate gradients carry on past ``d' A d < 0``; the exact inverse takes one step."""
-    matrix = sp.diags([2.0, -1.0, 3.0]).tocsr()
+    """On an indefinite operator conjugate gradients carry on past ``d' J d < 0``; the exact inverse takes one step.
+
+    ``J = diag(2, -1, 3)``, a diagonal "stiffness" plus the shift ``(0.5, 1, 0.5)``.
+    """
+    S, shift = sp.diags([1.5, -2.0, 2.5]).tocsr(), np.array([0.5, 1.0, 0.5])
+    J = solvers._Jacobian(solvers.Record(S, None, None, np.arange(3), 3), shift)
+    diagonal = np.array([2.0, -1.0, 3.0])
     rhs = np.array([1.0, 2.0, 0.5])
-    x, iterations = solvers._cycled_solve(matrix, rhs, lambda r: r / matrix.diagonal(), np.ones(3), 1e-12)
-    assert iterations == 1 and np.allclose(x, rhs / matrix.diagonal(), rtol=1e-15)
+    x, iterations = solvers._cycled_solve(J, rhs, lambda r: r / diagonal, np.ones(3), 1e-12)
+    assert iterations == 1 and np.allclose(x, rhs / diagonal, rtol=1e-15)
 
 
 @pytest.mark.parametrize("dirichlet", [True, False], ids=["dirichlet", "neumann"])

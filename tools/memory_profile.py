@@ -1,6 +1,6 @@
-"""Print the memory that the nested ring meshes take to build, assemble and hold, per ring count.
+"""Print the memory that the nested ring meshes take to build, assemble, hold and solve on, per ring count.
 
-For each ring count (default 64, 128 and 256) prints seven lines:
+For each ring count (default 64, 128 and 256) prints eight lines:
 
 - ``build_mesh``: the tracemalloc peak of ``mesh.build_mesh`` and the
   bytes still traced when it returns, the mesh it keeps;
@@ -15,6 +15,9 @@ For each ring count (default 64, 128 and 256) prints seven lines:
 - ``p1_adds``: the part of those bytes that the P1 solve added to what
   the P2 solve had cached: whatever a Dirichlet level caches beyond a
   Neumann level;
+- ``warm``: the tracemalloc peaks of one more ``solve_p1_newton`` and one
+  more ``solve_p2_newton`` on that data, with the caches filled: the
+  memory a solve takes beyond its mesh's operators;
 - ``rss``: ``ru_maxrss`` of a fresh process that builds the mesh and runs
   one cold ``solve_p1_newton`` on that data;
 - ``scan_rss``: ``ru_maxrss`` of a fresh process that runs
@@ -23,8 +26,10 @@ For each ring count (default 64, 128 and 256) prints seven lines:
   ``cli`` workload.
 
 Sizes are in MiB (2^20 bytes), as the benchmark's ``peak_rss_mb``.  The
-first five lines repeat from run to run: tracemalloc's figures move by
-some bytes of Python objects between calls, far below their 0.01 MiB.
+first six lines repeat from run to run: tracemalloc's figures move by
+some hundreds of bytes of Python objects between calls, below their 0.01
+MiB, so a figure prints two ways only when it lies that close to a
+rounding edge.
 The two ``rss`` lines vary by a MiB or so.  Run from the root of each source
 checkout and compare the outputs::
 
@@ -124,7 +129,7 @@ def hierarchy_bytes(m) -> int:
 
 
 def tracemalloc_lines(rings: int) -> list:
-    """The ``build_mesh``, ``assemble``, ``transfer``, ``cache`` and ``p1_adds`` lines at ``rings`` rings."""
+    """The ``build_mesh``, ``assemble``, ``transfer``, ``cache``, ``p1_adds`` and ``warm`` lines at ``rings`` rings."""
     mesh._assemble_core(mesh.build_mesh(4), 1.0, 0.0)  # first calls allocate lazily: make them untraced
     mesh.ring_interpolation(4, 2)
     m, peak, kept = _traced(lambda: mesh.build_mesh(rings))
@@ -133,13 +138,17 @@ def tracemalloc_lines(rings: int) -> list:
     lines.append("%d assemble   peak %.2f MiB kept %.2f MiB" % (rings, peak / MIB, kept / MIB))
     _, peak, kept = _traced(lambda: mesh.ring_interpolation(rings, rings // 2))
     lines.append("%d transfer   peak %.2f MiB kept %.2f MiB" % (rings, peak / MIB, kept / MIB))
+    p1, p2 = workloads.p1_newton_op(m, GAMMA, C), workloads.p2_newton_op(m, C)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        workloads.p2_newton_op(m, C).run()
+        p2.run()
         neumann = hierarchy_bytes(m)
-        workloads.p1_newton_op(m, GAMMA, C).run()
-    lines.append("%d cache      %.2f MiB" % (rings, hierarchy_bytes(m) / MIB))
-    lines.append("%d p1_adds    %.2f MiB" % (rings, (hierarchy_bytes(m) - neumann) / MIB))
+        p1.run()
+        cached = hierarchy_bytes(m)
+        warm = [_traced(op.run)[1] / MIB for op in (p1, p2)]
+    lines.append("%d cache      %.2f MiB" % (rings, cached / MIB))
+    lines.append("%d p1_adds    %.2f MiB" % (rings, (cached - neumann) / MIB))
+    lines.append("%d warm       p1 peak %.2f MiB p2 peak %.2f MiB" % (rings, *warm))
     return lines
 
 
