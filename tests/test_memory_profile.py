@@ -44,9 +44,9 @@ def test_two_runs_print_the_same_tracemalloc_lines(memory_profile):
     """Two calls at 10 rings print the same lines, whatever ran before them in the process.
 
     Two calls trace a few hundred bytes of Python objects apart, so a
-    figure within that of a rounding edge of its 0.01 MiB can print two
-    ways.  At 10 rings every figure lies at least 1.6 kB from an edge (at 8
-    rings the ``assemble`` peak lies 230 bytes from one).
+    figure that lies that close to a rounding edge of its 0.01 MiB can
+    print two ways.  At 10 rings every figure lies at least 1.6 kB from an
+    edge; at 8 rings the ``assemble`` peak lies 230 bytes from one.
     """
     first, second = memory_profile.tracemalloc_lines(10), memory_profile.tracemalloc_lines(10)
     assert first == second

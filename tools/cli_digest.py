@@ -64,13 +64,8 @@ def digest_lines(seed: int, work: str, extra=()) -> list:
     return lines
 
 
-def versions() -> str:
-    """The header line: the numpy and scipy versions, which the digests of a run's numbers depend on."""
-    return "# numpy %s scipy %s" % (np.__version__, scipy.__version__)
-
-
 def main() -> int:
-    print(versions(), flush=True)
+    print("# numpy %s scipy %s" % (np.__version__, scipy.__version__), flush=True)  # the bits depend on both
     with tempfile.TemporaryDirectory() as work:
         for seed in SEEDS:
             for line in digest_lines(seed, os.path.join(work, str(seed))):
