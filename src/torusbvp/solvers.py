@@ -452,7 +452,7 @@ class Record(NamedTuple):
 
 
 def _equation(mesh, p, prob, dirichlet=False):
-    """``Record(S, c, w, diagonal, k)``: the stiffness, ``prob.terms`` and the pin row, built once per nested level or solve.
+    """The ``Record``: the stiffness, ``prob.terms`` and the pin row, built once per nested level or solve.
 
     ``S`` and ``diagonal``, the index of each diagonal entry in ``S.data``,
     are ``assemble``'s, cached once per mesh and geometry for every record;

@@ -34,7 +34,7 @@ def boundary_zero_field(mesh):
 
 
 def leading_cycle(block, d, P, lu, r):
-    """One cycle on ``J x = block x + d x`` and ``P[:k, :kc]``, the leading blocks, with ``lu`` the coarse block's factor."""
+    """One cycle on the leading blocks, ``J x = block x + d x`` and ``P[:k, :kc]``, ``lu`` the coarse block's factor."""
     jacobi = solvers._TWO_GRID_DAMPING / (block.diagonal() + d)
     x, res = np.zeros_like(r), r
     for sweep in range(2 * solvers._TWO_GRID_SWEEPS + 1):
