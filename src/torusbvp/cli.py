@@ -171,8 +171,13 @@ def _solve_options(cfg) -> SolveOptions:
 
 
 def _out_dir(cfg, args) -> str:
+    # checked before the run and made after it, so a run that fails leaves no directory
     out = args.out or os.environ.get(OUT_ENV_VAR) or _get(cfg, "output", "dir", str, default="out")
-    os.makedirs(out, exist_ok=True)
+    existing = os.path.abspath(out)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError("cannot make output directory %s: Not a directory" % excerpt(out))
     return out
 
 
@@ -495,10 +500,14 @@ def main(argv=None) -> int:
             raise ConfigError("--seed must be nonnegative, got %d" % args.seed)
         cfg = _load_config(args.config)
         p = _geometry(cfg)
+        out = _out_dir(cfg, args)
         with warnings.catch_warnings():
             warnings.simplefilter("default")
             csv_name, header, rows, body, summary, status = _DISPATCH[args.command](args, cfg, p)
-        out = _out_dir(cfg, args)
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("cannot make output directory %s: %s" % (excerpt(out), exc.strerror)) from exc
         write_csv(os.path.join(out, csv_name), header, rows)
         write_report(os.path.join(out, "report.json"), args.command, cfg, p, body)
         print(summary)

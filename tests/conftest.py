@@ -1,3 +1,4 @@
+import difflib
 import sys
 from pathlib import Path
 
@@ -54,8 +55,26 @@ def newton_levels(monkeypatch):
         out = real_loop(eq, v0, weights, opts, *args, **kwargs)
         r0 = solvers._weighted_norm(solvers._residual(eq, np.zeros_like(v0)), weights)
         residuals = [res for res, _ in out[2]]
-        levels.append((eq[4], residuals, opts.tol_abs + opts.tol_rel * r0))
+        levels.append((eq.k, residuals, opts.tol_abs + opts.tol_rel * r0))
         return out
 
     monkeypatch.setattr(solvers, "_newton_loop", recording_loop)
     return levels
+
+
+@pytest.fixture
+def golden():
+    """``check(lines, name)``: fail unless ``lines``, a version header and rows, has the rows of ``golden/<name>``.
+
+    The golden file is a tool's output as committed: a numpy/scipy header,
+    then its rows.  On a mismatch the test fails with both headers and a
+    unified diff.
+    """
+    def check(lines, name):
+        header, *rows = lines
+        golden_header, *golden_rows = (Path(__file__).parent / "golden" / name).read_text().splitlines()
+        assert golden_header.startswith("# numpy ")
+        if rows != golden_rows:
+            diff = "\n".join(difflib.unified_diff(golden_rows, rows, "golden", "this run", lineterm=""))
+            pytest.fail("%s moved; committed at %s, run at %s\n%s" % (name, golden_header[2:], header[2:], diff))
+    return check

@@ -10,6 +10,7 @@ import pytest
 from torusbvp import build_mesh, cli
 from torusbvp.cli import _boundary_area_rule, _rule_estimate, _volume_rule, main, write_csv
 from torusbvp.errors import ExistenceWindowWarning
+from torusbvp.expressions import excerpt
 from torusbvp.geometry import TorusParams
 from torusbvp.mesh import coarse_mesh
 from torusbvp.solvers import SolveReport
@@ -440,6 +441,29 @@ def test_output_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("TORUSBVP_OUT", str(env_out))
     assert main(["solve-p1", "--config", cfg]) == 0
     assert (env_out / "report.json").exists()
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["a-file", "under-a-file"])
+def test_an_output_path_that_cannot_be_a_directory_is_a_config_error(tmp_path, capsys, monkeypatch, under):
+    """Exit 3 with one line naming the path, before any solve, and no directory made."""
+    cfg = write_cfg(tmp_path, BASE)
+    (tmp_path / "taken").write_text("")
+    calls = []
+    monkeypatch.setattr(cli, "solve_p1_newton", lambda *args, **kwargs: calls.append(args))
+    out = str(tmp_path / "taken" / under)
+    assert main(["solve-p1", "--config", cfg, "--out", out]) == 3
+    assert capsys.readouterr().err == "config error: cannot make output directory %s: Not a directory\n" % excerpt(out)
+    assert calls == [] and (tmp_path / "taken").read_text() == ""
+
+
+def test_an_output_directory_that_cannot_be_made_is_a_config_error(tmp_path, capsys, monkeypatch):
+    def refuse(path, exist_ok=False):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli.os, "makedirs", refuse)
+    out = str(tmp_path / "o")
+    assert main(["solve-p1", "--config", write_cfg(tmp_path, BASE), "--out", out]) == 3
+    assert capsys.readouterr().err == "config error: cannot make output directory %s: Permission denied\n" % excerpt(out)
 
 
 @pytest.mark.parametrize("section, option, value", [("output", "dir", "run%1"), ("problem", "note", "5% off")],

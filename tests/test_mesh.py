@@ -137,6 +137,22 @@ def test_build_mesh_matches_the_ring_loop_bit_for_bit():
             assert np.array_equal(part, ref), n
 
 
+def test_the_mirror_permutes_nodes_and_triangles():
+    """(t, s) -> (t, -s) sends ring k's slot j to slot (-j) mod 6k, and the triangles onto the triangles.
+
+    The torus weights depend on t alone, so the discrete problem commutes
+    with this node permutation.  Every ring count from 2 to 66.
+    """
+    for n in range(2, 67):
+        m = tb.build_mesh(n)
+        ring, slot, start = _ring_layout(n)
+        mirror = start[ring] + (-slot) % np.maximum(1, 6 * ring)
+        assert np.max(np.abs(m.nodes[mirror] - m.nodes * [1.0, -1.0])) <= 1e-14, n
+        keys = [np.sort(np.sort(tri, axis=1).astype(np.int64) @ [m.n_nodes**2, m.n_nodes, 1])
+                for tri in (m.triangles, mirror[m.triangles])]  # each triangle as its sorted vertex set
+        assert np.array_equal(*keys), n
+
+
 @pytest.mark.parametrize("l, r", [(2.0, 1.0), (1.2, 1.0), (3.0, 0.5)])
 def test_assembled_stiffness_is_the_scaled_raw_stiffness_bit_for_bit(l, r):
     """``assemble`` scales the raw stiffness in place: ``(2 pi * raw).tocsr()``, without the copy."""

@@ -163,7 +163,7 @@ def test_constraint_is_the_sum_of_the_residual_rows(params, n_rings):
         for prob in _random_problems(rng, mesh):
             eq = solvers._equation(mesh, params, prob)
             rows = solvers._residual(eq, v.values)
-            S, c, w = eq[:3]
+            S, c, w = eq.S, eq.c, eq.w
             scale = np.sum(abs(S) @ np.abs(v.values)) + np.sum(np.abs(c)) + np.sum(np.abs(w * np.exp(v.values)))
             assert abs(tb.constraint_K(mesh, params, v, prob) - np.sum(rows)) <= 1e-13 * scale
 
@@ -186,8 +186,8 @@ def test_zero_field_residual_is_c_plus_w(l, r, n_rings):
                (tb.ProblemP2(0.0, 0.0, f, zero), False)]
     for prob, dirichlet in records:
         eq = solvers._equation(mesh, params, prob, dirichlet)
-        k = eq[4]
+        k = eq.k
         assert k == (mesh.n_interior if dirichlet else mesh.n_nodes)
         F0 = solvers._residual(eq, np.zeros(mesh.n_nodes))
-        assert F0[:k].tobytes() == (eq[1] + eq[2])[:k].tobytes()
+        assert F0[:k].tobytes() == (eq.c + eq.w)[:k].tobytes()
         assert F0[k:].tobytes() == np.zeros(mesh.n_nodes - k).tobytes()

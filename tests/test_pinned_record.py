@@ -77,7 +77,7 @@ def test_the_pinned_record_has_the_leading_blocks_bits(params, n):
 
     coarse, _, P = coarse_mesh(mesh)
     coarse_eq = dirichlet_record(coarse, params)
-    kc = coarse_eq[4]
+    kc = coarse_eq.k
     coarse_J = solvers._shifted(coarse_eq, solvers._exp_terms(coarse_eq, boundary_zero_field(coarse)))
     lu = splu(sp.csc_matrix(coarse_J[:kc, :kc]))
     leading = solvers._leading_solve(lu, kc)

@@ -146,7 +146,7 @@ def test_a_failed_coarse_level_leaves_the_level_above_direct(params, monkeypatch
     failing = tb.build_mesh(16).n_nodes
 
     def loop_failing_at_16_rings(eq, *args, **kwargs):
-        if eq[4] == failing:
+        if eq.k == failing:
             raise tb.NonConvergence("forced")
         return real_loop(eq, *args, **kwargs)
 
@@ -178,7 +178,7 @@ def test_an_odd_ring_count_nests(params, newton_levels, case):
     single = solve(mesh, params, prob, init=tb.DiskField.constant(mesh, 0.0))
     assert len(newton_levels) == 6 and single.two_grid_cycles == 0
     eq = solvers._equation(mesh, params, prob.as_p2() if p1 else prob, p1)
-    k = eq[4]
+    k = eq.k
     lu = splu(sp.csc_matrix(solvers._shifted(eq, solvers._exp_terms(eq, single.field.values))[:k, :k]))
     for rep, (_, residuals, tol) in ((nested, newton_levels[4]), (single, newton_levels[5])):
         assert residuals[-1] <= tol
@@ -377,24 +377,24 @@ def test_jacobian_adds_onto_the_stored_diagonal(params, dirichlet):
         mesh = tb.build_mesh(n)
         prob = p1_case(mesh, 1.5, 0.3)[1].as_p2() if dirichlet else p2_case(mesh, 0.2)[1]
         eq = solvers._equation(mesh, params, prob, dirichlet)
-        assert solvers._equation(mesh, params, prob, dirichlet)[0] is eq[0]
-        k = eq[4]
+        assert solvers._equation(mesh, params, prob, dirichlet).S is eq.S
+        k = eq.k
         assert k == (mesh.n_interior if dirichlet else mesh.n_nodes)
         v = np.random.default_rng(n).normal(size=mesh.n_nodes)
         ops = tb.assemble(mesh, params)
         weights = ops.volume_mass if dirichlet else ops.volume_mass + ops.boundary_mass
         for diagonal in (solvers._exp_terms(eq, v), weights):
             J = solvers._shifted(eq, diagonal)
-            ref = (eq[0][:k, :k] + sp.diags(diagonal[:k])).tocsr()
+            ref = (eq.S[:k, :k] + sp.diags(diagonal[:k])).tocsr()
             for part in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(J[:k, :k], part), getattr(ref, part))
-            assert np.array_equal(J.data[eq[3][:k]], ref.diagonal())
+            assert np.array_equal(J.data[eq.diagonal[:k]], ref.diagonal())
             assert (J[k:] != sp.eye(mesh.n_nodes, format="csr")[k:]).nnz == 0
 
 
 def sliced_relaxation(eq, v0, new, weights):
     """The relaxation of a nested start on ``S``'s rows at the new nodes, sliced out: the reference."""
-    S, c, w = eq[:3]
+    S, c, w = eq.S, eq.c, eq.w
     stiffness, diag, c, w = S[new], S.diagonal()[new], c[new], w[new]
     v = v0.copy()
     for _ in range(solvers._RELAX_SWEEPS):
@@ -453,7 +453,7 @@ def test_relaxed_start_equals_the_sliced_rows(params, case):
     p1 = isinstance(prob, tb.ProblemP1)
     eq = solvers._equation(mesh, params, prob.as_p2() if p1 else prob, p1)
     ops = tb.assemble(mesh, params)
-    k = eq[4]
+    k = eq.k
     new = np.flatnonzero(np.diff(coarse_mesh(mesh)[2].indptr)[:k] > 1)  # all but the single-weight rows
     weights = (ops.volume_mass + ops.boundary_mass)[:k]
     v0 = solvers._fmg_start(mesh, half.field.values, None)
