@@ -77,14 +77,15 @@ class SolveOptions:
 
     The tolerances mean one thing per route:
 
-    - Newton stops at the weighted residual ``tol_abs + tol_rel * |c +
-      w|``, the residual of the zero field; on an a = b = 0 Neumann record
-      that stop is capped at ``r0 * 1e-6``, ``r0 = |c + w|``
-      (``_newton_loop``).
+    - Newton stops at the weighted residual ``tol_abs + tol_rel *
+      min(r0, ||c| + |w e^v0||)``: ``r0 = |c + w|``, the residual of the
+      zero field, or the size of the terms that must cancel at the
+      level's start ``v0`` if that is smaller; on an a = b = 0 Neumann
+      record that stop is capped at ``r0 * 1e-6`` (``_newton_loop``).
     - The constrained descent stops when its weighted direction norm times
       the step taken is at most ``10 * tol_abs``; ``tol_rel`` plays no part.
-    - The monotone iteration stops at Newton's stop, ``tol_abs + tol_rel *
-      |c + w|``, on the weighted residual of its latest iterate.
+    - The monotone iteration stops at the data-only stop, ``tol_abs +
+      tol_rel * r0``, on the weighted residual of its latest iterate.
     """
 
     tol_abs: float = 1e-10
@@ -228,13 +229,19 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, 
     update hold a value per node, zero on the pinned rows ``k:`` of ``eq``;
     ``v0`` is not written, and it is returned if no step is taken.
     ``weights`` covers the unknowns.  Newton stops at the
-    residual ``tol_abs + tol_rel * r0``, ``r0`` the residual of the zero
-    field, ``c + w``.  That reference depends on the data alone, so no
-    start moves the tolerance: a start far off cannot loosen it, and a
-    start near the solution cannot push it below the float64 floor of the
-    residual.  A coarse level of a nested solve (``_solve_newton``) passes
-    ``stop_fraction`` and stops at that fraction of its start's residual if
-    that is larger.
+    residual ``tol_abs + tol_rel * min(r0, ||c| + |w e^v0||)``, all norms
+    weighted: ``r0`` the residual of the zero field, ``c + w``, and the
+    other the size of the terms that must cancel at the start, read once.
+    Data ``lam (f, g)`` on a Neumann record have the field ``v - ln(lam)``,
+    whose terms are those of ``v``, so a start near the field stops where
+    the unscaled solve stops, while ``r0`` grows with ``lam``: a Newton
+    stop should not change when the problem is rescaled (Deuflhard,
+    *Newton Methods for Nonlinear Problems*, 2004, ch. 2).  The ``min``
+    keeps the stop never looser than the data-only one, so a start far
+    off cannot loosen it, and ``tol_rel`` times the terms lies far above
+    their float64 roundoff.  A coarse level of a nested solve
+    (``_solve_newton``) passes ``stop_fraction`` and stops at that
+    fraction of its start's residual if that is larger.
 
     ``valley`` marks an a = b = 0 Neumann record, where ``S v + w e^v``
     tends to zero along the constant fields ``v -> -inf`` and no solution
@@ -263,7 +270,9 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, 
     if not math.isfinite(res):
         raise DomainError("initial iterate produces a non-finite residual")
     r0 = _weighted_norm(eq.c + eq.w, weights)
-    tol = max(min(opts.tol_abs + opts.tol_rel * r0, r0 / _VALLEY_RATIO**2 if valley else math.inf), stop_fraction * res)
+    scale = min(r0, _weighted_norm(np.abs(eq.c) + np.abs(_exp_terms(eq, v)), weights))
+    tol = max(min(opts.tol_abs + opts.tol_rel * scale, r0 / _VALLEY_RATIO**2 if valley else math.inf),
+              stop_fraction * res)
     k = eq.k
     solve = None
     trace = [(res, 0.0)]  # one entry more than the steps taken
@@ -931,7 +940,7 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
     same verdict.  Iterates from the subsolution are nodewise
     non-decreasing and stay below the supersolution (asserted every
     iteration).  Terminates when the weighted residual of the latest
-    iterate meets Newton's data-only stop, ``tol_abs + tol_rel * |c + w|``;
+    iterate meets the data-only stop, ``tol_abs + tol_rel * |c + w|``;
     the trace holds each step's sup-norm increment.  A stop on the
     increment would end early under a large shift, whose steps are small
     far from the solution.  The shift is factored once, at the first step
@@ -966,7 +975,7 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
     v = lo.copy()
     F = _residual(eq, v)
     trace = []
-    tol = opts.tol_abs + opts.tol_rel * _weighted_norm(eq.c + eq.w, weights)  # Newton's data-only stop
+    tol = opts.tol_abs + opts.tol_rel * _weighted_norm(eq.c + eq.w, weights)  # the data-only stop
     for iterations in range(1, opts.max_monotone_iter + 1):
         if lu is None and np.any(F):
             lu = _factorize(_shifted(eq, abs(_exp_terms(eq, hi))))
