@@ -11,10 +11,10 @@ solve, and each level of a nested Newton solve, builds its ``Record`` once
 diagonal in its data and the pin row ``k``.  The unknowns are the leading
 ``k`` nodes, a Dirichlet level's interior nodes or every node, and the
 trailing rows, a Dirichlet level's boundary, are pinned at zero.  Every
-method reads the record: Newton's residual ``F``, Jacobian ``S + diag(w
-e^v)`` and nested relaxation, the gradient ``S v + c`` and projection sum
-``sum(w e^v)`` of the constrained descent that starts the coarsest level,
-and the monotone iteration's defect correction ``v <- v - (S + diag(|w|
+method reads the record: Newton's residual ``F`` and Jacobian ``S +
+diag(w e^v)``, the gradient ``S v + c`` and projection sum ``sum(w e^v)``
+of the constrained descent that starts the coarsest level, and the
+monotone iteration's defect correction ``v <- v - (S + diag(|w|
 e^super))^-1 F(v)``.  Every matrix a solver factors is ``S`` plus a
 diagonal, built one way (``_shifted``), and only to be factored: a Newton
 step solved by cycles applies its Jacobian as an operator on the record
@@ -142,8 +142,6 @@ class SolveReport:
     two_grid_cycles: int = 0
 
 
-# nonlinear Jacobi sweeps on the new nodes of each nested Newton start
-_RELAX_SWEEPS = 8
 # a descent starts on this many rings or more: beyond the existence window a
 # coarser minimizer can lead up to another, higher critical point
 _DESCENT_MIN_RINGS = 8
@@ -558,12 +556,12 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     mesh of 4 rings or more has the half-ring mesh below it
     (``coarse_mesh``), so the problem, with its data restricted there, is
     solved on the coarsest mesh first and then on each finer mesh from the
-    solution below (``_fmg_start``), relaxed on the new nodes: all but
-    those whose row of the level's prolongation
-    (``coarse_mesh(level_mesh)[2]``) is a single weight, the nested nodes
-    under an even ring count; from ``init`` the finest level is the only
-    one.  A coarse level's data are read where its equation reads them, by
-    one rule for every ring count: ``f`` sampled (``restrict``); ``g`` zero
+    solution below prolonged to it (``prolong``), as it is; from ``init``
+    the finest level is the only one.  Newton's stop reads the size of the
+    terms at that start (``_newton_loop``), so data scaled by ``lam`` stop
+    where the unscaled data do.  A coarse level's data are read where its
+    equation reads them, by one rule for every ring count: ``f`` sampled
+    (``restrict``); ``g`` zero
     at the interior nodes and, at the boundary nodes, the trace of ``g``
     above sampled and divided by the sampled boundary indicator, so ``g``'s
     interior values, which no equation reads, reach no level (under an odd
@@ -617,7 +615,7 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
         g[:coarse.n_interior], g[coarse.n_interior:] = 0.0, g[coarse.n_interior:] / share[coarse.n_interior:]
         levels.append((coarse, ProblemP2(prob.a, prob.b, DiskField(coarse, f), DiskField(coarse, g))))
     counts = Counter()
-    v_2h = v_4h = None  # converged solutions of the two levels below
+    v_2h = None  # the converged solution of the level below
     below = None  # the level below's pin row and coarse solve
     iterations = 0
     schedule = levels[::-1]
@@ -635,12 +633,9 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
             if v_2h is None:
                 x0 = np.zeros(level_mesh.n_nodes) if init is None else init.values.copy()
             else:
-                x0 = _fmg_start(level_mesh, v_2h, v_4h)
+                x0 = prolong(v_2h, level_mesh)
             x0[k:] = 0.0  # the pinned boundary
-            if v_2h is not None:  # the new nodes' index is freed before the Newton loop
-                x0 = _relax_new_nodes(eq, x0, np.flatnonzero(np.diff(coarse_mesh(level_mesh)[2].indptr)[:k] > 1),
-                                      weights)
-            elif descent:
+            if v_2h is None and descent:
                 x0, descended = _descend(level_mesh, p, level_prob, eq, weights, x0, opts, counts)
                 iterations += descended
             v, res, trace, solve = _newton_loop(eq, x0, weights, opts, counts, coarse=coarse,
@@ -658,51 +653,8 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
             below = None if solve is None else (k, solve)
             if coarse is not None and level_mesh is not mesh:  # the finest level's cycle would go unread
                 below = (k, _cycle(_Jacobian(eq, _exp_terms(eq, v)), *coarse))
-        v_2h, v_4h = v, v_2h
+        v_2h = v
     return v, res, iterations, trace, counts
-
-
-def _fmg_start(mesh, v_2h, v_4h):
-    """The half-ring solution ``v_2h`` prolonged to ``mesh``, Richardson-extrapolated first when ``n_rings % 4 == 0``.
-
-    ``v_4h``, when given, is the solution of the level below ``v_2h``.  When
-    four divides ``mesh.n_rings`` each of the two levels below halves the
-    mesh size exactly, so the O(h^2) error of ``v_4h`` is four times that of
-    ``v_2h``, and the extrapolated coarse solution is ``v_2h + P (r v_2h -
-    v_4h) / 3``, with ``r v_2h`` its values at the nodes of that level
-    (``restrict``) and ``P`` the prolongation to it.  Any other ring count
-    halves h by a ratio other than 2 on one of the pairs, and ``v_2h`` is
-    prolonged as it is.
-    """
-    coarse = coarse_mesh(mesh)[0]
-    if v_4h is not None and mesh.n_rings % 4 == 0:
-        v_2h = v_2h + prolong(restrict(v_2h, coarse) - v_4h, coarse) / 3.0
-    return prolong(v_2h, mesh)
-
-
-def _relax_new_nodes(eq, v0, new, weights):
-    """``v0`` after nonlinear Jacobi sweeps on the unknowns ``new``, those the half-ring mesh lacks.
-
-    A prolonged start is exact to O(h^2) only at the nodes that sit on a
-    coarse node, whose prolongation row is a single weight 1.0; its
-    interpolation error sits on the others, the new ones (``_solve_newton``).
-    ``_RELAX_SWEEPS`` undamped sweeps there, with the held nodes fixed, cut
-    that error.  Under an even ring count the held nodes are the nested
-    ones; under an odd one only the center and six boundary nodes sit on
-    coarse nodes, and every other node is new.  The relaxed start is kept
-    only if it lowers the weighted residual, which a start far from the
-    solution need not.
-    """
-    # the core equation's rows at the new nodes
-    S = eq.S
-    diag, c, w = S.data[eq.diagonal][new], eq.c[new], eq.w[new]
-    v = v0.copy()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_RELAX_SWEEPS):
-            wev = w * _exp_unguarded(v[new])
-            v[new] -= ((S @ v)[new] + c + wev) / (diag + wev)
-    before = _weighted_norm(_residual(eq, v0), weights)
-    return v if _weighted_norm(_residual(eq, v), weights) < before else v0
 
 
 def _descend(mesh, p, prob, eq, weights, v, opts, counts):

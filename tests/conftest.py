@@ -46,7 +46,8 @@ def newton_levels(monkeypatch):
     ``unknowns`` is the record's pin row ``k``, the count of its leading,
     unpinned rows.  ``residuals`` are the loop's own, from its start to where it stopped,
     and ``tol`` is Newton's tolerance on its record, ``tol_abs + tol_rel
-    r0`` with ``r0`` the weighted residual of zero.
+    min(r0, ||c| + |w e^v0||)`` with ``r0`` the weighted residual of zero
+    and ``v0`` the loop's start.
     """
     levels = []
     real_loop = solvers._newton_loop
@@ -54,8 +55,9 @@ def newton_levels(monkeypatch):
     def recording_loop(eq, v0, weights, opts, *args, **kwargs):
         out = real_loop(eq, v0, weights, opts, *args, **kwargs)
         r0 = solvers._weighted_norm(solvers._residual(eq, np.zeros_like(v0)), weights)
+        terms = solvers._weighted_norm(np.abs(eq.c) + np.abs(eq.w * np.exp(v0)), weights)
         residuals = [res for res, _ in out[2]]
-        levels.append((eq.k, residuals, opts.tol_abs + opts.tol_rel * r0))
+        levels.append((eq.k, residuals, opts.tol_abs + opts.tol_rel * min(r0, terms)))
         return out
 
     monkeypatch.setattr(solvers, "_newton_loop", recording_loop)

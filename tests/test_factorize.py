@@ -94,7 +94,7 @@ def test_benchmark_tracer_self_test():
 def test_nested_newton_factors_once_per_step_at_n32(params):
     """Every step of a level under 16 rings factors once; the levels of 16 and 32 rings factor nothing.
 
-    The nested start's extrapolation and relaxation factor and solve
+    The nested start, the field below prolonged, factors and solves
     nothing.  Traced with the benchmark's tracer, loaded read-only as above,
     a nested P1 Newton solve makes one factor per step of its levels under
     16 rings, which take the steps of the same solve on the 8-ring mesh, and

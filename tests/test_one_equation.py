@@ -2,7 +2,7 @@
 
 ``ProblemP2.terms`` is the only product of the lumped masses with the
 problem data: ``c = M a + M_b b`` and ``w = M f + M_b g`` of ``S v + c + w
-e^v = 0``.  Newton, relaxation, descent, monotone iteration and the
+e^v = 0``.  Newton, descent, monotone iteration and the
 functionals read those two arrays, so they cannot drift apart.  The lint
 flags a product of ``volume_mass`` or ``boundary_mass`` with ``.a``, ``.b``,
 ``.f.values`` or ``.g.values`` (a ``*`` or a two-argument sum such as

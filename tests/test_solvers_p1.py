@@ -224,11 +224,11 @@ def test_variational_overflowing_descent_trial_is_backtracked(params, n_rings):
     assert math.isfinite(rep.residual_norm)
 
 
-def test_nested_newton_takes_one_fine_step(params, splu_sizes, newton_levels):
-    """On the benchmark's P1 data the extrapolated, relaxed start needs one fine step.
+def test_nested_newton_takes_two_fine_steps(params, splu_sizes, newton_levels):
+    """On the benchmark's P1 data the prolonged start needs two fine steps.
 
-    Linear prolongation of the half-ring solution alone needs two.  The
-    fine step factors nothing (V-cycles solve it), nor does any step of the
+    The start is the linear prolongation of the half-ring solution.  The
+    fine steps factor nothing (V-cycles solve them), nor does any step of the
     levels of 16 and 32 rings; every step of a level under 16 rings factors
     once.  The reported count is the steps of every level of the same
     solve, and the levels under 16 rings take the steps of the solve on 8
@@ -243,8 +243,8 @@ def test_nested_newton_takes_one_fine_step(params, splu_sizes, newton_levels):
     steps = [len(residuals) - 1 for _, residuals, _ in newton_levels]  # 2, 4, 8, 16, 32 and 64 rings
     small = solve(8)
     assert not {tb.build_mesh(n).n_interior for n in (16, 32, 64)} & set(factored)
-    assert len(rep.trace) == 2 and len(steps) == 6
-    assert rep.iterations == sum(steps[:-1]) + 1 > small.iterations + 1
+    assert len(rep.trace) == 3 and len(steps) == 6
+    assert rep.iterations == sum(steps[:-1]) + 2 > small.iterations + 2
     assert sum(steps[:3]) == small.iterations
     assert len(factored) == rep.factorizations == small.iterations
 

@@ -12,12 +12,11 @@ the stiffness.  A cycled solve that returns no step puts
 every step back on the factor, the direct path, which must take the same
 steps to the same field.  Below the finest, a level of
 ``_TWO_GRID_MIN_RINGS`` rings or more stops at 1e-3 of its start's residual
-on either path.  The Jacobian, the
-cycle's diagonal and the relaxation of a nested start read the stiffness of
-each mesh as it was built once, never a slice or a sum of it: a Dirichlet
-record pins its trailing boundary rows (``solvers._equation``), and on its
-unknowns, the leading ``k`` rows, each of these has the bits of the leading
-block.
+on either path.  The Jacobian and the
+cycle's diagonal read the stiffness of each mesh as it was built once,
+never a slice or a sum of it: a Dirichlet record pins its trailing boundary
+rows (``solvers._equation``), and on its unknowns, the leading ``k`` rows,
+each of these has the bits of the leading block.
 """
 
 import math
@@ -223,7 +222,7 @@ def test_interior_g_moves_no_level_of_an_odd_ring_count(params):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", tb.ExistenceWindowWarning)  # R is outside the window at l, r = 2, 1
         plain, raised = (solve(mesh, params, q) for q in (prob, bumped))
-    assert [(r.iterations, r.factorizations, r.two_grid_cycles) for r in (plain, raised)] == [(13, 10, 16)] * 2
+    assert [(r.iterations, r.factorizations, r.two_grid_cycles) for r in (plain, raised)] == [(13, 10, 15)] * 2
     assert np.array_equal(plain.field.values, raised.field.values)
 
 
@@ -392,18 +391,6 @@ def test_jacobian_adds_onto_the_stored_diagonal(params, dirichlet):
             assert (J[k:] != sp.eye(mesh.n_nodes, format="csr")[k:]).nnz == 0
 
 
-def sliced_relaxation(eq, v0, new, weights):
-    """The relaxation of a nested start on ``S``'s rows at the new nodes, sliced out: the reference."""
-    S, c, w = eq.S, eq.c, eq.w
-    stiffness, diag, c, w = S[new], S.diagonal()[new], c[new], w[new]
-    v = v0.copy()
-    for _ in range(solvers._RELAX_SWEEPS):
-        wev = w * np.exp(v[new])
-        v[new] -= (stiffness @ v + c + wev) / (diag + wev)
-    before = solvers._weighted_norm(solvers._residual(eq, v0), weights)
-    return v if solvers._weighted_norm(solvers._residual(eq, v), weights) < before else v0
-
-
 @pytest.mark.filterwarnings("ignore::torusbvp.errors.ExistenceWindowWarning")
 def test_every_level_caches_its_operators_and_its_link(params):
     """After nested P1 and P2 solves each level holds just its link and its operators; ``prolong`` reads the link's P."""
@@ -442,22 +429,3 @@ def test_a_p1_solve_after_a_p2_solve_caches_nothing(params):
     for level_mesh, before in levels:
         assert level_mesh._cache.keys() == before.keys(), level_mesh.n_rings
         assert all(level_mesh._cache[key] is entry for key, entry in before.items()), level_mesh.n_rings
-
-
-@pytest.mark.parametrize("case", ["p1 gamma=1.5 c=0.3", "p2 c=0.2"])
-def test_relaxed_start_equals_the_sliced_rows(params, case):
-    mesh = tb.build_mesh(32)
-    coarse = coarse_mesh(mesh)[0]
-    solve, prob = CASES[case](mesh)
-    half = solve(coarse, params, CASES[case](coarse)[1])
-    p1 = isinstance(prob, tb.ProblemP1)
-    eq = solvers._equation(mesh, params, prob.as_p2() if p1 else prob, p1)
-    ops = tb.assemble(mesh, params)
-    k = eq.k
-    new = np.flatnonzero(np.diff(coarse_mesh(mesh)[2].indptr)[:k] > 1)  # all but the single-weight rows
-    weights = (ops.volume_mass + ops.boundary_mass)[:k]
-    v0 = solvers._fmg_start(mesh, half.field.values, None)
-    v0[k:] = 0.0  # a Dirichlet start's pinned boundary
-    relaxed = solvers._relax_new_nodes(eq, v0, new, weights)
-    assert not np.array_equal(relaxed, v0) and not np.any(relaxed[k:])
-    assert np.array_equal(relaxed, sliced_relaxation(eq, v0, new, weights))
