@@ -103,6 +103,20 @@ def integrate_boundary(mesh, p, field):
     return weighted_sum(tb.assemble(mesh, p).boundary_mass, field.values)
 
 
+def mirror_permutation(n_rings):
+    """The index of each node's image under the mirror (t, s) -> (t, -s) of ``build_mesh(n_rings)``.
+
+    The nodes are numbered ring by ring from the center, ring ``k`` holding
+    ``max(1, 6 k)`` of them counterclockwise from s = 0, so the mirror sends
+    ring ``k``'s slot ``j`` to its slot ``(-j) mod max(1, 6 k)``.
+    """
+    sizes = np.maximum(1, 6 * np.arange(n_rings + 1))
+    start = np.cumsum(sizes) - sizes
+    ring = np.repeat(np.arange(n_rings + 1), sizes)
+    slot = np.arange(sizes.sum()) - start[ring]
+    return start[ring] + (-slot) % sizes[ring]
+
+
 def inscribed_polygon_area(m_sides):
     return 0.5 * m_sides * math.sin(2.0 * math.pi / m_sides)
 

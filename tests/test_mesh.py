@@ -17,6 +17,7 @@ from oracles import (
     gauss_disk_weighted,
     inscribed_polygon_area,
     integrate_boundary,
+    mirror_permutation,
 )
 
 
@@ -145,8 +146,7 @@ def test_the_mirror_permutes_nodes_and_triangles():
     """
     for n in range(2, 67):
         m = tb.build_mesh(n)
-        ring, slot, start = _ring_layout(n)
-        mirror = start[ring] + (-slot) % np.maximum(1, 6 * ring)
+        mirror = mirror_permutation(n)
         assert np.max(np.abs(m.nodes[mirror] - m.nodes * [1.0, -1.0])) <= 1e-14, n
         keys = [np.sort(np.sort(tri, axis=1).astype(np.int64) @ [m.n_nodes**2, m.n_nodes, 1])
                 for tri in (m.triangles, mirror[m.triangles])]  # each triangle as its sorted vertex set
