@@ -508,8 +508,13 @@ def main(argv=None) -> int:
             os.makedirs(out, exist_ok=True)
         except OSError as exc:
             raise ConfigError("cannot make output directory %s: %s" % (excerpt(out), exc.strerror)) from exc
-        write_csv(os.path.join(out, csv_name), header, rows)
-        write_report(os.path.join(out, "report.json"), args.command, cfg, p, body)
+        path = os.path.join(out, csv_name)
+        try:
+            write_csv(path, header, rows)
+            path = os.path.join(out, "report.json")
+            write_report(path, args.command, cfg, p, body)
+        except OSError as exc:
+            raise ConfigError("cannot write output file %s: %s" % (excerpt(path), exc.strerror)) from exc
         print(summary)
         return status
     except ConfigError as exc:

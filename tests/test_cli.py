@@ -466,6 +466,18 @@ def test_an_output_directory_that_cannot_be_made_is_a_config_error(tmp_path, cap
     assert capsys.readouterr().err == "config error: cannot make output directory %s: Permission denied\n" % excerpt(out)
 
 
+@pytest.mark.parametrize("taken", ["solution.csv", "report.json"])
+def test_an_output_file_that_cannot_be_written_is_a_config_error(tmp_path, capsys, taken):
+    """Exit 3 with one line naming the file; a report that cannot be written leaves the CSV written before it."""
+    out = tmp_path / "o"
+    (out / taken).mkdir(parents=True)
+    assert main(["solve-p1", "--config", write_cfg(tmp_path, BASE), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "config error: cannot write output file %s: Is a directory\n" % excerpt(str(out / taken))
+    assert sorted(path.name for path in out.iterdir()) == sorted({"solution.csv", taken})
+    assert (out / "solution.csv").is_file() == (taken == "report.json")
+
+
 @pytest.mark.parametrize("section, option, value", [("output", "dir", "run%1"), ("problem", "note", "5% off")],
                          ids=["output-dir", "unused-note"])
 def test_percent_sign_in_a_config_value_is_kept_verbatim(tmp_path, monkeypatch, section, option, value):

@@ -2,8 +2,8 @@
 
 ``__init__.py`` re-exports by importing, and ``from __future__`` imports
 switch language features, so both are exempt.  Every private module-level
-function or class of the library is referenced somewhere in it, so a helper
-whose last caller goes is deleted with it.  Every name ``__init__.py``
+function, class or constant of the library is referenced somewhere in it, so
+a helper or a setting whose last reader goes is deleted with it.  Every name ``__init__.py``
 exports is referenced by another library module or by the benchmark in
 ``perfbench/``: a public name only the tests reach does not belong in the
 library.
@@ -37,13 +37,40 @@ def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text(), filename=str(path))) == []
 
 
+def unreferenced_private_names(trees):
+    """Private module-level defs, classes and constants of ``trees`` that no tree reads.
+
+    A def or class counts any name or attribute of its name as a reference.
+    A constant's own assignment target is a ``Name`` node too, so a
+    constant counts only ``Load`` reads.  Dunder names are not private.
+    """
+    helpers = {node.name for tree in trees for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    constants = {name.id for tree in trees for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for name in ast.walk(node) if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)}
+    names = [node for tree in trees for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
+    referenced = {node.id if isinstance(node, ast.Name) else node.attr for node in names}
+    read = {node.id if isinstance(node, ast.Name) else node.attr for node in names if isinstance(node.ctx, ast.Load)}
+    return sorted(name for name in helpers - referenced | constants - read
+                  if name.startswith("_") and not name.startswith("__"))
+
+
 def test_every_private_helper_is_referenced():
     trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))]
-    private = {node.name for tree in trees for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")}
-    referenced = {node.id if isinstance(node, ast.Name) else node.attr
-                  for tree in trees for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
-    assert sorted(private - referenced) == []
+    assert unreferenced_private_names(trees) == []
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("def _helper():\n    pass", ["_helper"]),
+    ("def _helper():\n    pass\nf = _helper", []),
+    ("_SWEEPS = 8", ["_SWEEPS"]),
+    ("_SWEEPS: int = 8", ["_SWEEPS"]),
+    ("_SWEEPS = 8\nfor _ in range(_SWEEPS):\n    pass", []),
+    ("_SWEEPS = 8\n_SWEEPS = 7", ["_SWEEPS"]),
+    ("SWEEPS = 8\n__version__ = '1'", []),
+    ("_LO, _HI = 0, 1\nx = _LO", ["_HI"]),
+])
+def test_lint_flags_private_names_without_a_reader(source, flagged):
+    assert unreferenced_private_names([ast.parse(source)]) == flagged
 
 
 def exports_without_caller(init, trees):
