@@ -561,31 +561,29 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     terms at that start (``_newton_loop``), so data scaled by ``lam`` stop
     where the unscaled data do.  A coarse level's data are read where its
     equation reads them, by one rule for every ring count: ``f`` sampled
-    (``restrict``); ``g`` zero
-    at the interior nodes and, at the boundary nodes, the trace of ``g``
-    above sampled and divided by the sampled boundary indicator, so ``g``'s
-    interior values, which no equation reads, reach no level (under an odd
-    ring count the sampling rows of coarse boundary nodes weight fine
-    interior nodes; under an even one the indicator samples to 1).  The
-    coarsest level starts from zero or ``init``, or with ``descent``
-    (Neumann only; no level then has fewer than ``_DESCENT_MIN_RINGS``
-    rings but the mesh) where the constrained descent from there ends
-    (``_descend``).  Residual weights are ``M`` for P1, ``M + M_b`` for
-    P2.  A level whose solve fails
-    hands nothing up, and the next starts as the coarsest does.  On an a =
-    b = 0 Neumann record every level passes ``valley`` to ``_newton_loop``,
-    so a level whose field lies down the constant valley fails too, and no
-    valley field is handed up.  A level below the finest with
-    ``_TWO_GRID_MIN_RINGS`` rings or more stops at ``_COARSE_STOP_FRACTION``
-    of its start's residual if that is above Newton's tolerance: the next
-    level's start lies further off.  A level of ``_TWO_GRID_MIN_RINGS``
-    rings or more with a coarse solve from below solves its Newton systems
-    by cycled conjugate gradients, its prolongation that of
-    ``coarse_mesh``, and hands up a cycle on its Jacobian at its solution:
-    an operator on the level's record that holds the shift ``w e^v`` of
-    that solution, not a matrix (``_Jacobian``).  Any other level factors
-    each step and hands up its last factor.  Either goes up with the
-    level's pin row.
+    (``restrict``); ``g`` zero at the interior nodes and, at the boundary
+    nodes, the trace of ``g`` above sampled and divided by the sampled
+    boundary indicator, so ``g``'s interior values, which no equation reads,
+    reach no level (under an odd ring count the sampling rows of coarse
+    boundary nodes weight fine interior nodes; under an even one the
+    indicator samples to 1).  The coarsest level starts from zero or
+    ``init``, or with ``descent`` (Neumann only; no level then has fewer
+    than ``_DESCENT_MIN_RINGS`` rings but the mesh) where the constrained
+    descent from there ends (``_descend``).  Residual weights are ``M`` for
+    P1, ``M + M_b`` for P2.  A level whose solve fails hands nothing up, and
+    the next starts as the coarsest does.  On an a = b = 0 Neumann record
+    every level passes ``valley`` to ``_newton_loop``, so a level whose
+    field lies down the constant valley fails too, and no valley field is
+    handed up.  A level below the finest with ``_TWO_GRID_MIN_RINGS`` rings
+    or more stops at ``_COARSE_STOP_FRACTION`` of its start's residual if
+    that is above Newton's tolerance: the next level's start lies further
+    off.  A level of ``_TWO_GRID_MIN_RINGS`` rings or more with a coarse
+    solve from below solves its Newton systems by cycled conjugate
+    gradients, its prolongation that of ``coarse_mesh``, and hands up a
+    cycle on its Jacobian at its solution: an operator on the level's record
+    that holds the shift ``w e^v`` of that solution, not a matrix
+    (``_Jacobian``).  Any other level factors each step and hands up its
+    last factor.  Either goes up with the level's pin row.
 
     If the finest level fails the valley test or raises after starting from
     the field handed up from below, on an a = b = 0 route with ``descent``,

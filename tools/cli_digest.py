@@ -56,7 +56,7 @@ def digest_lines(seed: int, work: str, extra=()) -> list:
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             status = cli.main(argv + list(extra) + ["--out", out])
-        written = os.path.isdir(out)  # main writes the CSV and report.json together, or neither
+        written = os.path.isdir(out)  # main makes the directory only to write the CSV and report.json
         csv = workloads._read_csv(out) if written else None
         report = Path(out, "report.json").read_bytes() if written else None
         lines.append("%d %-17s exit %d stdout %s csv %s report %s" % (
