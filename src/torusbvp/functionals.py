@@ -166,21 +166,19 @@ def mean_value(mesh: DiskMesh, p: TorusParams, field: DiskField) -> float:
     return weighted_sum(w, field.values) / float(np.sum(w))
 
 
-def reach_exponential_target(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
-                             base: np.ndarray, target: float) -> np.ndarray:
-    """``base - s d`` with ``sum(w e^v) = int(f e^v) + bint(g e^v) = target``, ``d`` the nodal density.
+def reach_exponential_target(w: np.ndarray, W: np.ndarray, base: np.ndarray, target: float) -> np.ndarray:
+    """``base - s d`` with ``sum(w e^v) = int(f e^v) + bint(g e^v) = target``, ``d = w / W`` the nodal density.
 
-    ``d = w / (M + M_b)``, with ``w`` the weights of ``prob.terms``, so the
-    value phi(s) of the shifted field has ``phi'(s) = -sum w^2 e^v / (M +
-    M_b) < 0``.  Its range is the real line when ``d`` changes sign and the
-    half line of ``d``'s sign otherwise; a target outside it raises ``InfeasibleError``.
-    With ``P`` and ``N`` the positive and negative parts of ``phi - target``,
-    ``log P - log N`` is strictly decreasing, finite at every ``s`` and
-    asymptotically linear, and safeguarded Newton finds its root.
+    ``w`` are the exponential weights of ``ProblemP2.terms`` and ``W = M +
+    M_b`` the masses, so the value phi(s) of the shifted field has
+    ``phi'(s) = -sum w^2 e^v / W < 0``.  Its range is the real line when
+    ``d`` changes sign and the half line of ``d``'s sign otherwise; a target
+    outside it raises ``InfeasibleError``.  With ``P`` and ``N`` the positive
+    and negative parts of ``phi - target``, ``log P - log N`` is strictly
+    decreasing, finite at every ``s`` and asymptotically linear, and
+    safeguarded Newton finds its root.
     """
-    ops = assemble(mesh, p)
-    _, w = prob.terms(ops)
-    d = w / (ops.volume_mass + ops.boundary_mass)
+    d = w / W
     parts = []  # (log of |term| at s = 0, density) of the positive, then the negative terms
     for sign in (1.0, -1.0):
         side = sign * w > 0.0

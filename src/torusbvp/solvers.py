@@ -634,7 +634,7 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
                 x0 = prolong(v_2h, level_mesh)
             x0[k:] = 0.0  # the pinned boundary
             if v_2h is None and descent:
-                x0, descended = _descend(level_mesh, p, level_prob, eq, weights, x0, opts, counts)
+                x0, descended = _descend(eq, ops, weights, x0, opts, counts, valley, level_mesh, p, level_prob)
                 iterations += descended
             v, res, trace, solve = _newton_loop(eq, x0, weights, opts, counts, coarse=coarse,
                                                 stop_fraction=stop_fraction, valley=valley)
@@ -655,7 +655,7 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     return v, res, iterations, trace, counts
 
 
-def _descend(mesh, p, prob, eq, weights, v, opts, counts):
+def _descend(eq, ops, weights, v, opts, counts, case_zero, mesh, p, prob):
     """The coarsest level's start: ``v`` moved onto {K = 0} and down the energy ``0.5 v'Sv + sum(c v)``.
 
     Projected descent, preconditioned by ``S + diag(weights)`` (one factor, ``_shifted``),
@@ -667,32 +667,34 @@ def _descend(mesh, p, prob, eq, weights, v, opts, counts):
     shift ``v + ln(-r_h / sum(w e^v))``.  The projection refuses a sum
     that is zero, not finite or of the sign of ``r_h``: such a trial is
     rejected, and a start takes ``reach_exponential_target``'s density shift.
-    With a = b = 0 every point takes the density shift, the mean is pinned
-    to zero, and the minimizer shifted by ``ln(kappa)`` solves the equation.
+    With a = b = 0 (``case_zero``) every point takes the density shift, the
+    mean is pinned to zero, and the minimizer shifted by ``ln(kappa)`` solves the equation.
     Returns ``(v, iterations)``.
     """
-    S, c = eq.S, eq.c
-    m = assemble(mesh, p).volume_mass
+    S, c, w = eq.S, eq.c, eq.w
+    m, W = ops.volume_mass, ops.volume_mass + ops.boundary_mass
     r_h = float(np.sum(c))
-    case_zero = prob.a == 0.0 and prob.b == 0.0
+
+    def energy(v):
+        return 0.5 * weighted_sum(v, _sparse_product(S, v)) + weighted_sum(c, v)
 
     def project(v):
         if case_zero:
-            return reach_exponential_target(mesh, p, prob, v, 0.0)
+            return reach_exponential_target(w, W, v, 0.0)
         e = float(np.sum(_exp_terms(eq, v)))
         if not math.isfinite(e) or e == 0.0 or np.sign(e) == np.sign(r_h):
             return None
         return v + math.log(-r_h / e)
 
     v_p = project(v)  # else no constant shift has the sign needed: shift along the density
-    v = reach_exponential_target(mesh, p, prob, v, -r_h) if v_p is None else v_p
+    v = reach_exponential_target(w, W, v, -r_h) if v_p is None else v_p
 
     precond = _factorize(_shifted(eq, weights))
     counts["factorizations"] += 1
-    merit = functional_I_p2(mesh, p, DiskField(mesh, v), prob)
+    merit = energy(v)
     iterations = 0
     for _ in range(opts.max_descent_iter):
-        grad = S @ v + c
+        grad = _sparse_product(S, v) + c
         normals = [_exp_terms(eq, v)]
         if case_zero:
             normals.append(m)  # shift gauge: pin the mean
@@ -709,8 +711,8 @@ def _descend(mesh, p, prob, eq, weights, v, opts, counts):
             v_t = project(v + step * d)
             if v_t is not None:
                 if case_zero:
-                    v_t = v_t - mean_value(mesh, p, DiskField(mesh, v_t))
-                merit_t = functional_I_p2(mesh, p, DiskField(mesh, v_t), prob)
+                    v_t = v_t - weighted_sum(m, v_t) / float(np.sum(m))
+                merit_t = energy(v_t)
                 # a trial energy of inf or nan fails the comparison
                 if merit_t <= merit + _ARMIJO_SLOPE * step * slope:
                     v, merit = v_t, merit_t

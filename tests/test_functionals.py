@@ -142,7 +142,10 @@ def test_exp_capped():
 
 def feasible_point(mesh, p, prob):
     """A point of {K = 0} for a = b = 0 data: zero moved by the density shift to the target 0."""
-    return tb.DiskField(mesh, reach_exponential_target(mesh, p, prob, np.zeros(mesh.n_nodes), 0.0))
+    ops = tb.assemble(mesh, p)
+    _, w = prob.terms(ops)
+    masses = ops.volume_mass + ops.boundary_mass
+    return tb.DiskField(mesh, reach_exponential_target(w, masses, np.zeros(mesh.n_nodes), 0.0))
 
 
 def test_construct_feasible_volume_case(params, mesh16):
