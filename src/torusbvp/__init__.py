@@ -43,7 +43,6 @@ from .functionals import (
     grad_energy_weighted,
     identity_6_14_residual,
     mean_value,
-    multiplier_kappa,
 )
 from .solvers import (
     SolveOptions,

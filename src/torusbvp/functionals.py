@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError, NoRootError
+from .errors import InfeasibleError, NoRootError
 from .geometry import TorusParams
 from .mesh import (TWO_PI, DiskField, DiskMesh, WeightedOperators, _triangle_geometry, assemble, dirichlet_energy,
                    weighted_sum)
@@ -39,9 +39,9 @@ def exp_capped(x):
 def grad_energy_weighted(mesh: DiskMesh, p: TorusParams, field: DiskField) -> float:
     """Integral of ``|grad v|^2 e^{-v}``, with piecewise-constant gradients and e^{-v} at triangle centroids.
 
-    The gradient term of identity (6.14) and of the multiplier ``kappa``;
-    the unweighted integral is ``dirichlet_energy``.  A centroid value below
-    ``-EXP_ARG_CAP`` raises the cap's ``OverflowError``.
+    The gradient term of identity (6.14); the unweighted integral is
+    ``dirichlet_energy``.  A centroid value below ``-EXP_ARG_CAP`` raises
+    the cap's ``OverflowError``.
     """
     areas, gx, gy, t_cent = _triangle_geometry(mesh)
     tri = mesh.triangles
@@ -133,31 +133,6 @@ def identity_6_14_residual(mesh: DiskMesh, p: TorusParams, field: DiskField, pro
     c, w = prob.terms(assemble(mesh, p))
     grad_term = grad_energy_weighted(mesh, p, field)
     return weighted_sum(c, exp_capped(-field.values)) + float(np.sum(w)) - grad_term
-
-
-def data_total(mesh: DiskMesh, p: TorusParams, prob: ProblemP2) -> float:
-    """``int(f) + bint(g)``, the sum of the weights ``w``, or 0.0 where roundoff alone could set its sign.
-
-    A total of at most ``8 eps sum(|w|)`` in size lies at the roundoff of
-    its own sum, so its sign means nothing and it counts as zero.
-    """
-    _, w = prob.terms(assemble(mesh, p))
-    total = float(np.sum(w))
-    return total if abs(total) > 8.0 * np.finfo(float).eps * float(np.sum(np.abs(w))) else 0.0
-
-
-def multiplier_kappa(mesh: DiskMesh, p: TorusParams, field: DiskField, prob: ProblemP2) -> float:
-    """Constraint multiplier of the a=b=0 minimization.
-
-    ``kappa = int(|grad v|^2 e^-v) / (int f + bint g)``; positive whenever the
-    data admit the problem.  The solution of the Neumann problem is the
-    shifted field ``v + ln(kappa)`` (calibrated against exact solutions).
-    """
-    denom = data_total(mesh, p, prob)
-    if denom == 0.0:
-        raise DomainError("multiplier undefined: int(f) + bint(g) vanishes")
-    num = grad_energy_weighted(mesh, p, field)
-    return num / denom
 
 
 def mean_value(mesh: DiskMesh, p: TorusParams, field: DiskField) -> float:

@@ -55,11 +55,9 @@ from .functionals import (
     ProblemP2,
     constraint_A_p1,
     constraint_K,
-    data_total,
     functional_I_p1,
     functional_I_p2,
     mean_value,
-    multiplier_kappa,
     reach_exponential_target,
 )
 from .geometry import TorusParams
@@ -535,7 +533,8 @@ def _admit(mesh, p, prob, dirichlet=False):
     r_h = float(np.sum(c))
     both_signs = w.min() < 0.0 < w.max()
     case_zero = prob.a == 0.0 and prob.b == 0.0
-    if case_zero and (not both_signs or data_total(mesh, p, prob) <= 0.0):
+    # a total within 8 eps sum(|w|) of zero lies at the roundoff of its own sum: its sign means nothing
+    if case_zero and (not both_signs or float(np.sum(w)) <= 8.0 * np.finfo(float).eps * float(np.sum(np.abs(w)))):
         raise InfeasibleError("a zero linear part needs exponential terms of both signs and positive total, "
                               "int(f) + bint(g) > 0 (for P1 with gamma = 0: int(f) < 0)")
     if not case_zero and not np.any(r_h * w < 0.0):
@@ -634,7 +633,7 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
                 x0 = prolong(v_2h, level_mesh)
             x0[k:] = 0.0  # the pinned boundary
             if v_2h is None and descent:
-                x0, descended = _descend(eq, ops, weights, x0, opts, counts, valley, level_mesh, p, level_prob)
+                x0, descended = _descend(eq, ops, weights, x0, opts, counts, valley)
                 iterations += descended
             v, res, trace, solve = _newton_loop(eq, x0, weights, opts, counts, coarse=coarse,
                                                 stop_fraction=stop_fraction, valley=valley)
@@ -655,7 +654,7 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     return v, res, iterations, trace, counts
 
 
-def _descend(eq, ops, weights, v, opts, counts, case_zero, mesh, p, prob):
+def _descend(eq, ops, weights, v, opts, counts, case_zero):
     """The coarsest level's start: ``v`` moved onto {K = 0} and down the energy ``0.5 v'Sv + sum(c v)``.
 
     Projected descent, preconditioned by ``S + diag(weights)`` (one factor, ``_shifted``),
@@ -722,8 +721,9 @@ def _descend(eq, ops, weights, v, opts, counts, case_zero, mesh, p, prob):
         iterations += 1
         if dnorm * step <= 10.0 * opts.tol_abs:
             break
-    if case_zero:  # the shifted minimizer solves the equation
-        kappa = multiplier_kappa(mesh, p, DiskField(mesh, v), prob)
+    if case_zero:  # F(v + ln kappa) = S v + kappa w e^v: the kappa of least residual in Newton's weights
+        e = _exp_terms(eq, v)
+        kappa = -weighted_sum(e / weights, _sparse_product(S, v)) / (weighted_sum(e / weights, e) or math.nan)
         if not kappa > 0.0:
             raise DomainError("multiplier %g is not positive: int(f) + bint(g) <= 0 on this level" % kappa)
         v = v + math.log(kappa)

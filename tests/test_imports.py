@@ -6,10 +6,14 @@ function, class or constant of the library is referenced somewhere in it, so
 a helper or a setting whose last reader goes is deleted with it.  Every name ``__init__.py``
 exports is referenced by another library module or by the benchmark in
 ``perfbench/``: a public name only the tests reach does not belong in the
-library.
+library.  Every public module-level function or class of the library is
+read there too, outside its own def, whether ``__init__.py`` exports it or
+not: an import is no read, so a public helper whose last caller goes is
+deleted with it.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -98,3 +102,44 @@ def test_every_export_has_a_caller():
 ])
 def test_lint_flags_exports_without_a_caller(init, sources, flagged):
     assert exports_without_caller(ast.parse(init), [ast.parse(source) for source in sources]) == flagged
+
+
+def name_reads(node):
+    """How often each name is read in ``node``, as a ``Name`` or as an attribute."""
+    return Counter(child.id if isinstance(child, ast.Name) else child.attr for child in ast.walk(node)
+                   if isinstance(child, (ast.Name, ast.Attribute)))
+
+
+def public_defs_without_reader(trees, readers):
+    """Public module-level defs and classes of ``trees`` that no tree of ``trees`` or ``readers`` reads.
+
+    A read is any name or attribute of the def's name outside the def
+    itself: its own def is no reader, and neither is an import.
+    """
+    reads = sum((name_reads(tree) for tree in [*trees, *readers]), Counter())
+    return sorted(node.name for tree in trees for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+                  and reads[node.name] == name_reads(node)[node.name])
+
+
+def test_every_public_def_has_a_reader():
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in MODULES]
+    readers = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(PERFBENCH.glob("*.py"))]
+    assert public_defs_without_reader(trees, readers) == []
+
+
+@pytest.mark.parametrize("sources, readers, flagged", [
+    (["def solve():\n    pass"], [], ["solve"]),
+    (["class Report:\n    pass"], [], ["Report"]),
+    (["def solve():\n    pass\nx = solve()"], [], []),
+    (["def solve():\n    pass", "def run():\n    return m.solve()"], [], ["run"]),
+    (["def solve():\n    pass", "from .m import solve"], [], ["solve"]),
+    (["def solve():\n    pass"], ["solvers.solve()"], []),
+    (["def solve(n):\n    return solve(n - 1)"], [], ["solve"]),
+    (["def solve():\n    pass\ndef total():\n    return solve()"], [], ["total"]),
+    (["def _helper():\n    pass"], [], []),
+    (["def outer():\n    def inner():\n        pass\n    return inner\nouter()"], [], []),
+])
+def test_lint_flags_public_defs_without_a_reader(sources, readers, flagged):
+    assert public_defs_without_reader([ast.parse(source) for source in sources],
+                                      [ast.parse(source) for source in readers]) == flagged

@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 import torusbvp as tb
-from torusbvp import cli
+from torusbvp import cli, solvers
 from test_solvers_p2 import id614_scale
 
 GEOMETRIES = [(2.0, 1.0), (3.0, 0.5), (1.2, 1.0)]
@@ -91,6 +91,34 @@ def test_newton_and_variational_agree(name, l, r, n):
     for rep in (newton, variational):
         res614 = tb.identity_6_14_residual(mesh, p, rep.field, prob)
         assert abs(res614) <= 10 * mesh.h**2 * id614_scale(mesh, p, prob, rep.field)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("l, r", GEOMETRIES, ids=["2-1", "3-0.5", "1.2-1"])
+@pytest.mark.parametrize("name", ["f_both_signs", "g_both_signs", "readme"])
+def test_the_descent_hands_newton_no_residual_along_its_exponential_term(monkeypatch, name, l, r, n):
+    """The coarsest level's start residual is orthogonal to ``w e^v0`` in Newton's weights.
+
+    ``F(v + ln kappa) = S v + kappa w e^v`` is linear in ``kappa``, and the
+    descent takes the ``kappa`` of least weighted residual, so what is left
+    has no part along ``w e^v0``.  With ``kappa`` from the continuum identity
+    ``int(|grad v|^2 e^-v) / (int f + bint g)`` the whole start residual lay
+    along it: the cosine read 1.000 in size.
+    """
+    starts = []
+    real_loop = solvers._newton_loop
+
+    def recording_loop(eq, v0, weights, *args, **kwargs):
+        starts.append((eq, v0.copy(), weights))
+        return real_loop(eq, v0, weights, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_newton_loop", recording_loop)
+    mesh = ring_mesh(n)
+    tb.solve_p2_newton(mesh, tb.TorusParams(l, r), zero_linear_part(mesh, name))
+    eq, v0, weights = starts[0]
+    F, e = solvers._residual(eq, v0), eq.w * np.exp(v0)
+    cosine = np.sum(F * e / weights) / math.sqrt(np.sum(F * F / weights) * np.sum(e * e / weights))
+    assert abs(cosine) <= 1e-5
 
 
 def test_readme_data_converge_by_newton_at_128_rings():
