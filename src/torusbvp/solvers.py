@@ -657,7 +657,12 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
 def _descend(eq, ops, weights, v, opts, counts, case_zero):
     """The coarsest level's start: ``v`` moved onto {K = 0} and down the energy ``0.5 v'Sv + sum(c v)``.
 
-    Projected descent, preconditioned by ``S + diag(weights)`` (one factor, ``_shifted``),
+    A function of the level's record ``eq``, its operators ``ops`` (the
+    masses ``M`` and ``M_b``) and Newton's residual ``weights``: the energy,
+    the constraint, the gauge, the density shift and ``kappa`` are read
+    from ``S``, ``c`` and ``w``.  ``case_zero`` marks an a = b = 0 record;
+    the descent runs on Neumann records only.  Projected descent,
+    preconditioned by ``S + diag(weights)`` (one factor, ``_shifted``),
     takes at most ``max_descent_iter`` steps, each the first of ``_STEPS``,
     1, 1/2, ..., 2^-20, whose projected trial passes the Armijo test on the
     energy; a trial energy of inf or nan fails it, and a step with no
@@ -665,9 +670,14 @@ def _descend(eq, ops, weights, v, opts, counts, case_zero):
     ``K(v) = r_h + sum(w e^v)``, ``r_h = sum(c)``: with (a, b) != 0 by the
     shift ``v + ln(-r_h / sum(w e^v))``.  The projection refuses a sum
     that is zero, not finite or of the sign of ``r_h``: such a trial is
-    rejected, and a start takes ``reach_exponential_target``'s density shift.
-    With a = b = 0 (``case_zero``) every point takes the density shift, the
-    mean is pinned to zero, and the minimizer shifted by ``ln(kappa)`` solves the equation.
+    rejected, and a start takes the density shift on ``w / (M + M_b)``
+    (``reach_exponential_target``).  With a = b = 0 every point takes the
+    density shift, the mean ``sum(M v) / sum(M)`` is pinned to zero, and
+    the minimizer ``v`` is shifted by ``ln(kappa)``.  ``F(v + ln kappa) = S
+    v + kappa w e^v`` is linear in ``kappa``, so ``kappa = -<S v, w e^v> /
+    <w e^v, w e^v>``, inner products weighted by ``1 / weights``, leaves
+    Newton the least residual, one with no part along ``w e^v``; a
+    ``kappa`` that is not positive raises ``DomainError``.
     Returns ``(v, iterations)``.
     """
     S, c, w = eq.S, eq.c, eq.w
@@ -721,7 +731,7 @@ def _descend(eq, ops, weights, v, opts, counts, case_zero):
         iterations += 1
         if dnorm * step <= 10.0 * opts.tol_abs:
             break
-    if case_zero:  # F(v + ln kappa) = S v + kappa w e^v: the kappa of least residual in Newton's weights
+    if case_zero:  # the kappa of least residual S v + kappa w e^v in Newton's weights
         e = _exp_terms(eq, v)
         kappa = -weighted_sum(e / weights, _sparse_product(S, v)) / (weighted_sum(e / weights, e) or math.nan)
         if not kappa > 0.0:
