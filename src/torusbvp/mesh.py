@@ -134,32 +134,6 @@ def coarse_mesh(mesh: DiskMesh):
     return mesh._cache["coarse"]
 
 
-def prolong(values, mesh: DiskMesh) -> np.ndarray:
-    """Nodal values on ``mesh``'s half-ring mesh interpolated to ``mesh`` by ``coarse_mesh``'s ``prolongation``.
-
-    Linear functions are reproduced, smooth ones to O(h^2), and a node at
-    the place of a coarse node gets its coarse value exactly.  A mesh of
-    fewer than 4 rings raises ``DomainError``.
-    """
-    if (level := coarse_mesh(mesh)) is None:
-        raise DomainError("a mesh of %d rings has no half-ring mesh" % mesh.n_rings)
-    matrix = level[2]
-    return matrix @ np.asarray(values, dtype=float)
-
-
-def restrict(values, mesh: DiskMesh) -> np.ndarray:
-    """Nodal values on ``mesh`` sampled on its half-ring mesh by ``coarse_mesh``'s ``sampling``: ``prolong``, downward.
-
-    ``values`` holds one value per node, or a column of them per field.
-    The product interpolates them, for any ring count; where the rings
-    nest it reads the values at the nested nodes (a -0.0 comes back as
-    +0.0).  This samples a field; the transpose of the prolongation sums
-    residuals (``solvers._cycle``).
-    """
-    matrix = coarse_mesh(mesh)[1]
-    return matrix @ np.asarray(values, dtype=float)
-
-
 def ring_interpolation(n_to: int, n_from: int) -> sp.csr_matrix:
     """The weights that interpolate nodal values on ``build_mesh(n_from)`` to the nodes of ``build_mesh(n_to)``.
 

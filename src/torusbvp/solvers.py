@@ -62,7 +62,7 @@ from .functionals import (
 )
 from .geometry import TorusParams
 from .inequalities import mu_best
-from .mesh import DiskField, DiskMesh, assemble, coarse_mesh, prolong, restrict, weighted_sum
+from .mesh import DiskField, DiskMesh, assemble, coarse_mesh, weighted_sum
 
 
 @dataclass
@@ -78,8 +78,7 @@ class SolveOptions:
     - Newton stops at the weighted residual ``tol_abs + tol_rel *
       min(r0, ||c| + |w e^v0||)``: ``r0 = |c + w|``, the residual of the
       zero field, or the size of the terms that must cancel at the
-      level's start ``v0`` if that is smaller; on an a = b = 0 Neumann
-      record that stop is capped at ``r0 * 1e-6`` (``_newton_loop``).
+      level's start ``v0`` if that is smaller (``_newton_loop``).
     - The constrained descent stops when its weighted direction norm times
       the step taken is at most ``10 * tol_abs``; ``tol_rel`` plays no part.
     - The monotone iteration stops at the data-only stop, ``tol_abs +
@@ -108,25 +107,27 @@ class SolveReport:
     raises, so a report carries no success flag.  ``residual_norm`` is the
     weighted-L2 norm of the discrete strong-form residual of the returned
     field.  A Newton or variational solve without ``init`` solves on the
-    coarser meshes of the ring hierarchy first; the variational solvers,
-    and Newton on a = b = 0 data, start the coarsest level (with ``init``
-    the only one) from a constrained descent.
-    ``iterations`` counts that descent's steps plus every converged level's
-    Newton steps.  ``trace`` holds one ``(residual, step)`` pair per
-    accepted step: the finest level's Newton residual norms
-    (non-increasing by the Armijo rule), or the monotone solver's sup-norm
-    increments.  ``factorizations`` counts the sparse LU factors (the
-    coarse levels' Jacobians and the descent's one preconditioner; the
+    coarser meshes of the ring hierarchy first; the variational solvers, and
+    Newton on a = b = 0 data, start the coarsest level (with ``init`` the
+    only one) from a constrained descent.  ``iterations`` counts that
+    descent's steps plus every converged level's Newton steps.  ``trace``
+    holds one ``(residual, step)`` pair per accepted step: the finest
+    level's Newton residual norms, or on an a = b = 0 Neumann level its
+    merit (non-increasing by the Armijo rule), or the monotone solver's
+    sup-norm increments.  ``factorizations`` counts the sparse LU factors
+    (the coarse levels' Jacobians and the descent's one preconditioner; the
     monotone shift, unless the subsolution is an exact fixed point) and
     ``two_grid_cycles`` the conjugate-gradient iterations that solve Newton
     systems, one V-cycle each, over every level (cycles within a cycle are
-    not counted again).  Every level of an a = b = 0 Neumann solve passes
-    the valley test (``_newton_loop``) or hands nothing up.  After a
-    restart of an a = b = 0 finest level from its own descent
-    (``_solve_newton``), ``iterations`` also counts the rejected attempt's
-    Newton steps (unless it raised without a count, as ``SingularJacobian``
-    does) and the second descent's steps, the counts include both
-    attempts' factors and cycles, and ``trace`` is the restart's.
+    not counted again).  On an a = b = 0 Neumann level Newton steps on a
+    bordered system (``_newton_loop``), whose merit adds a constraint row to
+    the residual; ``residual_norm`` is that of the returned field alone on
+    every route.  After a restart of an a = b = 0 finest level from its own
+    descent (``_solve_newton``), ``iterations`` also counts the rejected
+    attempt's Newton steps (unless it raised without a count, as
+    ``SingularJacobian`` does) and the second descent's steps, the counts
+    include both attempts' factors and cycles, and ``trace`` is the
+    restart's.
     """
 
     field: DiskField
@@ -161,11 +162,6 @@ _TWO_GRID_FRACTION = 0.1
 # sufficient-decrease slope and the steps tried, 1, 1/2, ..., 2^-20
 _ARMIJO_SLOPE = 1e-4
 _STEPS = tuple(0.5**k for k in range(21))
-# an a = b = 0 field, on every nested level, is accepted only if its
-# residual, relative to Newton's reference and stop, is at most this many
-# times its exponential term; its Newton stops at r0 / _VALLEY_RATIO**2 or
-# below, whatever the options
-_VALLEY_RATIO = 1e3
 
 
 def _exp_unguarded(x):
@@ -207,7 +203,7 @@ def _factorize(matrix):
         raise SingularJacobian("sparse factorization failed: %s" % exc) from exc
 
 
-def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, valley=False):
+def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, bordered=False):
     """Damped Newton on the core equation ``eq``, Armijo backtracking on its weighted residual norm.
 
     Each step solves ``J delta = -F``, ``J = S + diag(w e^v)``, and takes
@@ -215,95 +211,133 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, 
     residual passes the Armijo test; a trial whose residual overflows to
     inf or nan fails it and is backtracked, and a step with no passing
     trial stalls the loop.  It solves ``J x = F`` and negates ``x`` in
-    place, which is exact.  With ``coarse``, the prolongation ``P`` from the
-    level below, that level's pin row and its coarse solve, ``J`` is an
-    operator on the record (``_Jacobian``), no matrix: conjugate gradients
+    place, which is exact.  Every solve with ``J`` takes one path
+    (``linear``).  With ``coarse``, the prolongation ``P`` from the level
+    below, that level's pin row and its coarse solve, ``J`` is an operator
+    on the record (``_Jacobian``), no matrix: conjugate gradients
     preconditioned by cycles on it (``_cycle``) solve the step
-    (``_cycled_solve``).  Only if they miss their target, or without
+    (``_cycled_solve``).  Only once they miss their target, or without
     ``coarse``, is ``J`` built (``_shifted``) and factored, on its leading
-    block ``J[:k, :k]``, the unknowns' rows and columns.  ``v0`` and every
-    update hold a value per node, zero on the pinned rows ``k:`` of ``eq``;
-    ``v0`` is not written, and it is returned if no step is taken.
-    ``weights`` covers the unknowns.  Newton stops at the
-    residual ``tol_abs + tol_rel * min(r0, ||c| + |w e^v0||)``, all norms
-    weighted: ``r0`` the residual of the zero field, ``c + w``, and the
-    other the size of the terms that must cancel at the start, read once.
-    Data ``lam (f, g)`` on a Neumann record have the field ``v - ln(lam)``,
-    whose terms are those of ``v``, so a start near the field stops where
-    the unscaled solve stops, while ``r0`` grows with ``lam``: a Newton
-    stop should not change when the problem is rescaled (Deuflhard,
-    *Newton Methods for Nonlinear Problems*, 2004, ch. 2).  The ``min``
-    keeps the stop never looser than the data-only one, so a start far
-    off cannot loosen it, and ``tol_rel`` times the terms lies far above
-    their float64 roundoff.  A coarse level of a nested solve
-    (``_solve_newton``) passes ``stop_fraction`` and stops at that
-    fraction of its start's residual if that is larger.
+    block ``J[:k, :k]``, the unknowns' rows and columns, and the step's
+    other solves use that one factor.  ``v0`` and every update hold a
+    value per node, zero on the pinned rows ``k:`` of ``eq``; ``v0`` is not
+    written, and it is returned if no step is taken.  ``weights`` covers
+    the unknowns.  Newton stops at the residual ``tol_abs + tol_rel *
+    min(r0, ||c| + |w e^v0||)``, all norms weighted: ``r0`` the residual of
+    the zero field, ``c + w``, and the other the size of the terms that
+    must cancel at the start, read once.  Data ``lam (f, g)`` on a Neumann
+    record have the field ``v - ln(lam)``, whose terms are those of ``v``,
+    so a start near the field stops where the unscaled solve stops, while
+    ``r0`` grows with ``lam``: a Newton stop should not change when the
+    problem is rescaled (Deuflhard, *Newton Methods for Nonlinear
+    Problems*, 2004, ch. 2).  The ``min`` keeps the stop never looser than
+    the data-only one, so a start far off cannot loosen it, and ``tol_rel``
+    times the terms lies far above their float64 roundoff.  A coarse level
+    of a nested solve (``_solve_newton``) passes ``stop_fraction`` and
+    stops at that fraction of its start's residual if that is larger.
 
-    ``valley`` marks an a = b = 0 Neumann record, where ``S v + w e^v``
+    ``bordered`` marks an a = b = 0 Neumann record, where ``S v + w e^v``
     tends to zero along the constant fields ``v -> -inf`` and no solution
-    lies there.  Its stop is at most ``r0 / _VALLEY_RATIO**2``, however
-    loose the options (``stop_fraction`` can still raise it), and its field
-    ``v`` is returned only if ``res * r0 <= _VALLEY_RATIO * tol * |w
-    e^v|``, with ``tol`` the stop met and all norms weighted: a scale-free
-    test, as a true field has ``|w e^v| = |S v|`` of the order of ``r0``,
-    and a valley field has a collapsed exponential term.  On a constant
-    field ``res = |w e^v|``, so a valley field that meets the stop reads
-    ``r0 / tol >= _VALLEY_RATIO**2`` and fails; it raises
-    ``NonConvergence``.
+    lies there.  Newton then steps on the optimality system of the
+    descent's own problem, min ``0.5 u'Su`` on {``sum(w e^u) = 0``, ``W u
+    = 0``}, ``W`` the residual ``weights`` (Nocedal & Wright, *Numerical
+    Optimization*, 2006, ch. 18): ``S u + kappa w e^u + mu W = 0``,
+    ``sum(w e^u) = 0`` and ``W u = 0``, with ``v = u + ln(kappa)``.  So
+    ``u`` is ``v`` less its ``W``-mean, and the first rows read ``F(v) + mu
+    W``.  Summing them gives ``mu = 0`` at every root, and the valley, ``u
+    = 0`` and ``kappa -> 0``, is no root, as ``sum(w) > 0`` (``_admit``).
+    Block elimination solves the step through ``linear``.  ``J 1 = w e^v``
+    on a Neumann record, so beside ``J x = F`` only ``J y = W`` is solved,
+    and the new ``mu`` is the one whose step ``delta - mu y`` zeroes the
+    linearized constraint.  That ``mu`` is second order near a root, so
+    ``y`` is solved to a tenth of ``W``'s own norm.  The step's ``W``-mean
+    is ``kappa``'s relative step: ``kappa`` is multiplied by 1 plus the
+    step times it, so it stays positive, and ``mu`` is carried and moved
+    with the step.  The line search reads the merit ``hypot(|F + mu W|, s
+    sum(w e^u))``, norms weighted, with the row scale ``s = r0 mean(S_ii)
+    / sum(|w|)^2`` read from the record alone: the row is free of data
+    scaled by ``lam``, it scales as ``|F|`` does under the dilation of the
+    torus, and it reads nothing of the start.  The stop on ``|F|`` is the
+    one above, and the constraint row must also fall to half its value at
+    zero, the valley's, whatever the options.  The rows of ``F`` sum to
+    the constraint in ``v``, so the residual stop sets the accuracy, and
+    the half keeps a field near the valley, whose ``u`` is near zero, from
+    stopping there.  ``trace`` then holds the merit.
 
     ``counts``, a ``Counter`` of ``SolveReport``'s count fields, gains the
     loop's.  A ``NonConvergence`` carries the loop's steps.  Returns ``(v,
-    res, trace, solve)``: ``trace`` one entry more than the steps taken,
-    ``solve`` the last step's factor as a ``_leading_solve``, or None if
-    that step cycled or no step was taken.
+    res, trace, solve)``: ``res`` the weighted norm of ``F(v)`` on every
+    route, ``trace`` one entry more than the steps taken, ``solve`` the
+    last step's factor as a ``_leading_solve``, or None if that step
+    cycled or no step was taken.
     """
-    def residual(v):
-        F = _residual(eq, v)
-        return F, _weighted_norm(F, weights)
+    total, k, r0 = float(np.sum(weights)), eq.k, _weighted_norm(eq.c + eq.w, weights)
+    # the constraint row's scale: r0 times mean(S_ii) / sum|w|, a multiplier read from the record, over sum|w|
+    row_scale = r0 * float(np.mean(eq.S.data[eq.diagonal])) / float(np.sum(np.abs(eq.w))) ** 2 if bordered else 0.0
 
-    v = v0  # rebound by each step, never written
-    F, res = residual(v)
-    if not math.isfinite(res):
+    def residual(v, mu):
+        F = _residual(eq, v)
+        res = _weighted_norm(F, weights)
+        if not bordered:
+            return F, res, res, 0.0
+        constraint = float(np.sum(_exp_terms(eq, v - weighted_sum(weights, v) / total)))  # sum(w e^u)
+        return F, res, math.hypot(_weighted_norm(F + mu * weights, weights), row_scale * constraint), constraint
+
+    v, mu = v0, 0.0  # rebound by each step, never written
+    F, res, merit, constraint = residual(v, mu)
+    if not math.isfinite(merit):
         raise DomainError("initial iterate produces a non-finite residual")
-    r0 = _weighted_norm(eq.c + eq.w, weights)
     scale = min(r0, _weighted_norm(np.abs(eq.c) + np.abs(_exp_terms(eq, v)), weights))
-    tol = max(min(opts.tol_abs + opts.tol_rel * scale, r0 / _VALLEY_RATIO**2 if valley else math.inf),
-              stop_fraction * res)
-    k = eq.k
+    tol = max(opts.tol_abs + opts.tol_rel * scale, stop_fraction * res)
+    # the constraint row stops at half its value at zero, the valley's: its roots are F's, whose stop sets the accuracy
+    tol_constraint = 0.5 * abs(float(np.sum(eq.w)))
     solve = None
-    trace = [(res, 0.0)]  # one entry more than the steps taken
-    while res > tol and len(trace) <= opts.max_iter:
+    trace = [(merit, 0.0)]  # one entry more than the steps taken
+    while not (done := res <= tol and abs(constraint) <= tol_constraint) and len(trace) <= opts.max_iter:
         solve = None  # freed before the next factor
         shift = _exp_terms(eq, v)
-        delta = None
-        if coarse is not None:
-            J = _Jacobian(eq, shift)
-            delta, cycles = _cycled_solve(J, F, _cycle(J, *coarse), weights, _TWO_GRID_FRACTION * tol)
-            counts["two_grid_cycles"] += cycles
-        if delta is None:
-            solve = _leading_solve(_factorize(_shifted(eq, shift)[:k, :k]), k)
-            counts["factorizations"] += 1
-            delta = solve(F)
+        cycle = None if coarse is None else _cycle(J := _Jacobian(eq, shift), *coarse)
+
+        def linear(rhs, target):
+            """``J x = rhs``: by cycles to ``target``, or else by the step's one factor."""
+            nonlocal solve
+            if solve is None and cycle is not None:
+                x, cycles = _cycled_solve(J, rhs, cycle, weights, target)
+                counts["two_grid_cycles"] += cycles
+                if x is not None:
+                    return x
+            if solve is None:
+                solve = _leading_solve(_factorize(_shifted(eq, shift)[:k, :k]), k)
+                counts["factorizations"] += 1
+            return solve(rhs)
+
+        delta = linear(F, _TWO_GRID_FRACTION * tol)
         np.negative(delta, out=delta)  # J delta = -F, exactly
+        mu_new, kappa_step = mu, 0.0
+        if bordered:  # delta - mu' y, J y = W, with the mu' that zeroes the linearized constraint
+            y = linear(weights, _TWO_GRID_FRACTION * math.sqrt(total))
+            g = float(np.sum(shift))
+            mu_new = ((g + weighted_sum(shift, delta) - g * weighted_sum(weights, delta) / total)
+                      / (weighted_sum(shift, y) - g * weighted_sum(weights, y) / total))
+            delta -= mu_new * y
+            kappa_step = weighted_sum(weights, delta) / total  # kappa's relative step
         if not np.all(np.isfinite(delta)):
             raise SingularJacobian("Newton direction is non-finite")
-        for step in _STEPS:
-            v_trial = v + step * delta
-            F_trial, res_trial = residual(v_trial)
+        for step in (t for t in _STEPS if t * kappa_step > -1.0):  # kappa stays positive
+            v_trial, mu_trial = v + step * delta, mu + step * (mu_new - mu)
+            if bordered:  # kappa times 1 + step * kappa_step, not plus
+                v_trial += math.log1p(step * kappa_step) - step * kappa_step
+            F_trial, res_trial, merit_trial, constraint_trial = residual(v_trial, mu_trial)
             # a trial residual of inf or nan fails the comparison
-            if res_trial <= (1.0 - _ARMIJO_SLOPE * step) * res:
+            if merit_trial <= (1.0 - _ARMIJO_SLOPE * step) * merit:
                 break
         else:
-            raise NonConvergence("Newton line search stalled at residual %g" % res, iterations=len(trace) - 1)
-        v, F, res = v_trial, F_trial, res_trial
-        trace.append((res, step))
-    if res > tol:
+            raise NonConvergence("Newton line search stalled at residual %g" % merit, iterations=len(trace) - 1)
+        v, mu, F, res, merit, constraint = v_trial, mu_trial, F_trial, res_trial, merit_trial, constraint_trial
+        trace.append((merit, step))
+    if not done:
         raise NonConvergence("Newton did not reach tolerance %g in %d iterations (residual %g)"
                              % (tol, opts.max_iter, res), iterations=len(trace) - 1)
-    if valley and not res * r0 <= _VALLEY_RATIO * tol * (wev := _weighted_norm(_exp_terms(eq, v), weights)):
-        raise NonConvergence("Newton reached residual %g, but with a = b = 0 its exponential term w e^v "
-                             "has collapsed to %g: a field down the constant valley, no solution"
-                             % (res, wev), iterations=len(trace) - 1)
     return v, res, trace, solve
 
 
@@ -555,41 +589,40 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     mesh of 4 rings or more has the half-ring mesh below it
     (``coarse_mesh``), so the problem, with its data restricted there, is
     solved on the coarsest mesh first and then on each finer mesh from the
-    solution below prolonged to it (``prolong``), as it is; from ``init``
-    the finest level is the only one.  Newton's stop reads the size of the
-    terms at that start (``_newton_loop``), so data scaled by ``lam`` stop
-    where the unscaled data do.  A coarse level's data are read where its
-    equation reads them, by one rule for every ring count: ``f`` sampled
-    (``restrict``); ``g`` zero at the interior nodes and, at the boundary
-    nodes, the trace of ``g`` above sampled and divided by the sampled
-    boundary indicator, so ``g``'s interior values, which no equation reads,
-    reach no level (under an odd ring count the sampling rows of coarse
-    boundary nodes weight fine interior nodes; under an even one the
-    indicator samples to 1).  The coarsest level starts from zero or
-    ``init``, or with ``descent`` (Neumann only; no level then has fewer
-    than ``_DESCENT_MIN_RINGS`` rings but the mesh) where the constrained
-    descent from there ends (``_descend``).  Residual weights are ``M`` for
-    P1, ``M + M_b`` for P2.  A level whose solve fails hands nothing up, and
-    the next starts as the coarsest does.  On an a = b = 0 Neumann record
-    every level passes ``valley`` to ``_newton_loop``, so a level whose
-    field lies down the constant valley fails too, and no valley field is
-    handed up.  A level below the finest with ``_TWO_GRID_MIN_RINGS`` rings
-    or more stops at ``_COARSE_STOP_FRACTION`` of its start's residual if
-    that is above Newton's tolerance: the next level's start lies further
-    off.  A level of ``_TWO_GRID_MIN_RINGS`` rings or more with a coarse
-    solve from below solves its Newton systems by cycled conjugate
-    gradients, its prolongation that of ``coarse_mesh``, and hands up a
-    cycle on its Jacobian at its solution: an operator on the level's record
-    that holds the shift ``w e^v`` of that solution, not a matrix
-    (``_Jacobian``).  Any other level factors each step and hands up its
-    last factor.  Either goes up with the level's pin row.
+    solution below prolonged to it by ``coarse_mesh``'s prolongation, as it
+    is; from ``init`` the finest level is the only one.  Newton's stop reads
+    the size of the terms at that start (``_newton_loop``), so data scaled
+    by ``lam`` stop where the unscaled data do.  A coarse level's data are
+    read where its equation reads them, by one rule for every ring count:
+    ``f`` sampled (``coarse_mesh``'s sampling); ``g`` zero at the interior
+    nodes and, at the boundary nodes, the trace of ``g`` above sampled and
+    divided by the sampled boundary indicator, so ``g``'s interior values,
+    which no equation reads, reach no level (under an odd ring count the
+    sampling rows of coarse boundary nodes weight fine interior nodes; under
+    an even one the indicator samples to 1).  The coarsest level starts from
+    zero or ``init``, or with ``descent`` (Neumann only; no level then has
+    fewer than ``_DESCENT_MIN_RINGS`` rings but the mesh) where the
+    constrained descent from there ends (``_descend``).  Residual weights are
+    ``M`` for P1, ``M + M_b`` for P2.  A level whose solve fails hands
+    nothing up, and the next starts as the coarsest does.  On an a = b = 0
+    Neumann record every level passes ``bordered`` to ``_newton_loop``,
+    whose system has no root down the constant valley.  A level below the
+    finest with ``_TWO_GRID_MIN_RINGS`` rings or more stops at
+    ``_COARSE_STOP_FRACTION`` of its start's residual if that is above
+    Newton's tolerance: the next level's start lies further off.  A level of
+    ``_TWO_GRID_MIN_RINGS`` rings or more with a coarse solve from below
+    solves its Newton systems by cycled conjugate gradients, its
+    prolongation that of ``coarse_mesh``, and hands up a cycle on its
+    Jacobian at its solution: an operator on the level's record that holds
+    the shift ``w e^v`` of that solution, not a matrix (``_Jacobian``).  Any
+    other level factors each step and hands up its last factor.  Either goes
+    up with the level's pin row.
 
-    If the finest level fails the valley test or raises after starting from
-    the field handed up from below, on an a = b = 0 route with ``descent``,
-    it runs once more as the coarsest level runs: from zero, through the
-    descent, factoring each step.  Any other failure of the finest level is
-    raised, a ``NonConvergence`` with the steps of every level and attempt.
-    Returns
+    If the finest level raises after starting from the field handed up from
+    below, on an a = b = 0 route with ``descent``, it runs once more as the
+    coarsest level runs: from zero, through the descent, factoring each
+    step.  Any other failure of the finest level is raised, a
+    ``NonConvergence`` with the steps of every level and attempt.  Returns
     ``(v, residual_norm, iterations, trace, counts)``: the descents' and
     every converged level's steps, and after a restart the rejected
     attempt's too; the finest level's trace; every level's and attempt's
@@ -600,20 +633,19 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     assemble(mesh, p)
     p1 = isinstance(prob, ProblemP1)
     prob = prob.as_p2() if p1 else prob
-    valley = not dirichlet and prob.a == prob.b == 0.0
+    bordered = not dirichlet and prob.a == prob.b == 0.0
     levels = [(mesh, prob)]
     min_rings = _DESCENT_MIN_RINGS if descent else 0
     while init is None and (level := coarse_mesh(levels[-1][0])) is not None and level[0].n_rings >= min_rings:
         (fine, fine_prob), coarse = levels[-1], level[0]
         # f sampled; g read where the equation reads it: its boundary trace sampled, over the sampled indicator
         on_boundary = np.arange(fine.n_nodes) >= fine.n_interior
-        f, g, share = restrict(np.stack([fine_prob.f.values, np.where(on_boundary, fine_prob.g.values, 0.0),
-                                         on_boundary], axis=1), fine).T
+        f, g, share = _sparse_product(level[1], np.stack([fine_prob.f.values, np.where(
+            on_boundary, fine_prob.g.values, 0.0), on_boundary], axis=1)).T
         g[:coarse.n_interior], g[coarse.n_interior:] = 0.0, g[coarse.n_interior:] / share[coarse.n_interior:]
         levels.append((coarse, ProblemP2(prob.a, prob.b, DiskField(coarse, f), DiskField(coarse, g))))
     counts = Counter()
-    v_2h = None  # the converged solution of the level below
-    below = None  # the level below's pin row and coarse solve
+    v_2h = below = None  # the converged solution of the level below; its pin row and coarse solve
     iterations = 0
     schedule = levels[::-1]
     for level_mesh, level_prob in schedule:
@@ -622,26 +654,22 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
         k = eq.k
         weights = (ops.volume_mass if p1 else ops.volume_mass + ops.boundary_mass)[:k]
         rings = level_mesh.n_rings
-        coarse = None
-        if below is not None and rings >= _TWO_GRID_MIN_RINGS:
-            coarse = (coarse_mesh(level_mesh)[2], *below)
+        coarse = (coarse_mesh(level_mesh)[2], *below) if below is not None and rings >= _TWO_GRID_MIN_RINGS else None
         stop_fraction = _COARSE_STOP_FRACTION if level_mesh is not mesh and rings >= _TWO_GRID_MIN_RINGS else 0.0
         try:
-            if v_2h is None:
-                x0 = np.zeros(level_mesh.n_nodes) if init is None else init.values.copy()
-            else:
-                x0 = prolong(v_2h, level_mesh)
+            x0 = (_sparse_product(coarse_mesh(level_mesh)[2], v_2h) if v_2h is not None
+                  else np.zeros(level_mesh.n_nodes) if init is None else init.values.copy())
             x0[k:] = 0.0  # the pinned boundary
             if v_2h is None and descent:
-                x0, descended = _descend(eq, ops, weights, x0, opts, counts, valley)
+                x0, descended = _descend(eq, ops, weights, x0, opts, counts, bordered)
                 iterations += descended
             v, res, trace, solve = _newton_loop(eq, x0, weights, opts, counts, coarse=coarse,
-                                                stop_fraction=stop_fraction, valley=valley)
+                                                stop_fraction=stop_fraction, bordered=bordered)
         except TorusBVPError as exc:
             if level_mesh is mesh:
                 if isinstance(exc, NonConvergence):
                     iterations = exc.iterations = exc.iterations + iterations
-                if v_2h is None or not (descent and valley):
+                if v_2h is None or not (descent and bordered):
                     raise
                 schedule.append(schedule[-1])  # the finest level once more, started as the coarsest is
             v = below = None
@@ -815,15 +843,13 @@ def solve_p2_newton(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
                     init: DiskField | None = None, opts: SolveOptions | None = None) -> SolveReport:
     """Damped Newton on the nonlinear Neumann weak form of the P2 problem.
 
-    With a = b = 0 and no ``init`` the coarsest level starts from the
-    descent: from zero it would walk down the constant valley to ``v = -23``.
-    With a = b = 0 the field of every nested level must also pass the
-    valley test of ``_newton_loop``, a residual small against its own
-    exponential term.  A coarse level that fails it hands nothing up, so
-    the next level starts from its own descent; a finest level that fails
-    it from the field handed up from below is solved once more from its own
-    descent, and a field from ``init`` that fails it raises
-    ``NonConvergence``.
+    With a = b = 0 every level steps on the bordered system of
+    ``_newton_loop``, the optimality system of the descent's problem, which
+    has no root down the constant valley ``v -> -inf``, and with no
+    ``init`` the coarsest level starts from the descent.  A coarse level
+    that fails hands nothing up, so the next level starts from its own
+    descent; a finest level that fails from the field handed up from below
+    is solved once more from its own descent.
     """
     _admit(mesh, p, prob)
     v, res, iterations, trace, counts = _solve_newton(mesh, p, prob, init, opts or SolveOptions(),

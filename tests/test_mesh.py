@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 import torusbvp as tb
 from torusbvp.mesh import (TWO_PI, _assemble_core, _diagonal_index, _ring_layout, _triangle_geometry, coarse_mesh,
-                           prolong, restrict, ring_interpolation)
+                           ring_interpolation)
 from oracles import (
     SmoothFieldBasis,
     fit_order,
@@ -72,7 +72,7 @@ def build_mesh_loop(n_rings):
 
 
 def prolongation_coo(mesh):
-    """The weights of ``prolong`` to ``mesh`` from its half-ring mesh, summed by scipy from COO: the 2:1 reference."""
+    """The weights of the prolongation to ``mesh`` from its half-ring mesh, summed by scipy from COO: the 2:1 reference."""
     n, n_fine = mesh.n_rings // 2, mesh.n_nodes
     ring, slot, _ = _ring_layout(2 * n)
     start = _ring_layout(n)[2]
@@ -223,8 +223,6 @@ def test_a_mesh_without_a_half_ring_mesh_has_no_transfer(params):
     the empty link and the operators.
     """
     m = tb.build_mesh(3)
-    with pytest.raises(tb.DomainError, match="no half-ring mesh"):
-        prolong(np.zeros(19), m)
     assert coarse_mesh(m) is None
     rep = tb.solve_p1_newton(m, params, tb.ProblemP1(1.5, tb.DiskField.constant(m, 1.0)))
     assert rep.two_grid_cycles == 0 and rep.factorizations == rep.iterations >= 1
@@ -445,8 +443,8 @@ def test_coarse_mesh_nodes_are_nested(n):
     m = tb.build_mesh(n)
     coarse, sampling, prolongation = coarse_mesh(m)
     assert np.array_equal(m.nodes[nested_index(m)], coarse.nodes)
-    assert np.array_equal(restrict(m.nodes, m), coarse.nodes)
-    assert np.array_equal(prolong(coarse.nodes, m)[nested_index(m)], coarse.nodes)
+    assert np.array_equal(sampling @ m.nodes, coarse.nodes)
+    assert np.array_equal((prolongation @ coarse.nodes)[nested_index(m)], coarse.nodes)
     assert all(a is b for a, b in zip(coarse_mesh(m), (coarse, sampling, prolongation)))
 
 
@@ -473,14 +471,14 @@ def test_an_odd_ring_count_has_its_transfer_and_restriction(n):
     assert coarse.n_rings == n // 2 and sampling.shape == (coarse.n_nodes, m.n_nodes)
     assert P.shape == (m.n_nodes, coarse.n_nodes)
     linear = lambda x: 0.7 - x[:, 0] + 0.3 * x[:, 1]
-    assert np.max(np.abs(prolong(linear(coarse.nodes), m) - linear(m.nodes))) <= 1e-14
-    assert np.max(np.abs(restrict(linear(m.nodes), m) - linear(coarse.nodes))) <= 1e-14
+    assert np.max(np.abs(P @ linear(coarse.nodes) - linear(m.nodes))) <= 1e-14
+    assert np.max(np.abs(sampling @ linear(m.nodes) - linear(coarse.nodes))) <= 1e-14
     both = np.stack([linear(m.nodes), 2.0 * linear(m.nodes)], axis=1)
-    assert np.array_equal(restrict(both, m)[:, 0], restrict(both[:, 0], m))
+    assert np.array_equal((sampling @ both)[:, 0], sampling @ both[:, 0])
 
 
 def test_the_restriction_reads_the_nested_nodes_bit_for_bit():
-    """Under an even ring count ``restrict`` returns the values at the nested nodes, the single-weight rows of ``P``.
+    """Under an even ring count the sampling returns the values at the nested nodes, the single-weight rows of ``P``.
 
     ``V`` holds no -0.0: the product adds each value to a +0.0, so a -0.0
     would come back as +0.0.
@@ -490,7 +488,7 @@ def test_the_restriction_reads_the_nested_nodes_bit_for_bit():
         m = tb.build_mesh(n)
         index, V = nested_index(m), rng.standard_normal(m.n_nodes)
         assert not np.any((V == 0.0) & np.signbit(V)), n
-        assert restrict(V, m).tobytes() == V[index].tobytes(), n
+        assert (coarse_mesh(m)[1] @ V).tobytes() == V[index].tobytes(), n
         P = coarse_mesh(m)[2]
         single = single_weight_rows(P)
         assert np.array_equal(single, index), n
@@ -514,7 +512,7 @@ def test_an_odd_ring_count_holds_the_center_and_six_boundary_nodes(n):
     assert np.array_equal(columns, [0, *(coarse.n_interior + (n // 2) * np.arange(6))])
     assert np.all(P.data[P.indptr[single]] == 1.0)
     vals = np.random.default_rng(n).standard_normal(coarse.n_nodes)
-    assert prolong(vals, m)[single].tobytes() == vals[columns].tobytes()
+    assert (P @ vals)[single].tobytes() == vals[columns].tobytes()
     assert np.max(np.abs(m.nodes[single] - coarse.nodes[columns])) <= 4 * np.finfo(float).eps
 
 
@@ -572,37 +570,41 @@ def test_prolong_exact_at_nested_nodes_and_second_order():
     errs = []
     for n in (8, 16, 32, 64):
         m = tb.build_mesh(n)
-        coarse = coarse_mesh(m)[0]
+        coarse, _, P = coarse_mesh(m)
         vals = rng.standard_normal(coarse.n_nodes)
-        assert np.array_equal(prolong(vals, m)[nested_index(m)], vals)
+        assert np.array_equal((P @ vals)[nested_index(m)], vals)
         linear = lambda x: 0.7 - x[:, 0] + 0.3 * x[:, 1]
-        assert np.max(np.abs(prolong(linear(coarse.nodes), m) - linear(m.nodes))) <= 1e-14
+        assert np.max(np.abs(P @ linear(coarse.nodes) - linear(m.nodes))) <= 1e-14
         smooth = lambda x: x[:, 0] ** 2 + 0.3 * x[:, 1]
-        errs.append(np.max(np.abs(prolong(smooth(coarse.nodes), m) - smooth(m.nodes))))
+        errs.append(np.max(np.abs(P @ smooth(coarse.nodes) - smooth(m.nodes))))
         assert errs[-1] <= 1.2 * m.h**2
     assert 1.9 <= fit_order(errs) <= 2.1
 
 
 def test_prolong_is_a_cached_sparse_operator():
-    """One matrix per mesh: a nested node's row is a single 1.0, other rows have four entries."""
+    """One matrix per mesh: a nested node's row is a single 1.0, other rows have four entries.
+
+    The level walk prolongs each level's field by ``coarse_mesh``'s third
+    entry; a second read of the link caches nothing new and returns the
+    same matrix.
+    """
     rng = np.random.default_rng(5)
     for n in (4, 8, 16, 32, 64):
         m = tb.build_mesh(n)
         coarse, nested = coarse_mesh(m)[0], nested_index(m)
         vals = rng.standard_normal(coarse.n_nodes)
-        out = prolong(vals, m)
+        matrix = coarse_mesh(m)[2]
+        out = matrix @ vals
         cached = set(m._cache)
-        matrix = coarse_mesh(m)[2]  # prolong's own: the call caches nothing new
+        assert coarse_mesh(m)[2] is matrix
         assert set(m._cache) == cached
         assert np.array_equal(out[nested], vals)
-        assert prolong(vals, m).tobytes() == out.tobytes()
-        assert coarse_mesh(m)[2] is matrix
-        assert (matrix @ vals).tobytes() == out.tobytes()
+        assert (coarse_mesh(m)[2] @ vals).tobytes() == out.tobytes()
         row_nnz = np.diff(matrix.indptr)
         assert np.all(row_nnz <= 4)
         assert np.all(row_nnz[nested] == 1) and np.all(matrix[nested].data == 1.0)
         linear = lambda x: 0.7 - x[:, 0] + 0.3 * x[:, 1]
-        assert np.max(np.abs(prolong(linear(coarse.nodes), m) - linear(m.nodes))) <= 1e-15
+        assert np.max(np.abs(matrix @ linear(coarse.nodes) - linear(m.nodes))) <= 1e-15
 
 
 @pytest.mark.parametrize("interior", [False, True])

@@ -393,7 +393,7 @@ def test_jacobian_adds_onto_the_stored_diagonal(params, dirichlet):
 
 @pytest.mark.filterwarnings("ignore::torusbvp.errors.ExistenceWindowWarning")
 def test_every_level_caches_its_operators_and_its_link(params):
-    """After nested P1 and P2 solves each level holds just its link and its operators; ``prolong`` reads the link's P."""
+    """After nested P1 and P2 solves each level holds just its link and its operators; the level walk reads the link's P."""
     mesh = tb.build_mesh(32)
     for solve, prob in (p1_case(mesh, 1.5, 0.1), p2_case(mesh, 0.1)):
         solve(mesh, params, prob)
@@ -405,13 +405,20 @@ def test_every_level_caches_its_operators_and_its_link(params):
         level = coarse_mesh(level[0])
     assert rings == [32, 16, 8, 4, 2]
 
-    class Spy:
-        def __matmul__(self, values):
-            return "read"
+    coarse, sampling, P = coarse_mesh(mesh)
+    reads = []
 
-    coarse, sampling, _ = coarse_mesh(mesh)
+    class Spy:
+        T = P.T
+
+        def __matmul__(self, values):
+            reads.append(values.shape)
+            return P @ values
+
     mesh._cache["coarse"] = (coarse, sampling, Spy())
-    assert tb.mesh.prolong(np.zeros(coarse.n_nodes), mesh) == "read"
+    solve, prob = p2_case(mesh, 0.1)
+    solve(mesh, params, prob)
+    assert reads[0] == (coarse.n_nodes,)  # the 16-ring field prolonged, the first read of the finest level
 
 
 @pytest.mark.filterwarnings("ignore::torusbvp.errors.ExistenceWindowWarning")

@@ -4,8 +4,9 @@ Both grids run three geometries (l, r = 2, 1 / 3, 0.5 / 1.2, 1).
 
 - ``zero_linear``, at 16, 32 and 64 rings: P2's Nirenberg-type case a = b
   = 0, whose discrete residual ``S v + w e^v`` tends to zero along the
-  constant fields ``v -> -inf``, so these are the solves that the valley
-  test of ``solvers._newton_loop`` decides.  Four data (g = 0 unless given)
+  constant fields ``v -> -inf``, so these are the solves that run the
+  bordered Newton of ``solvers._newton_loop``, whose system has no root
+  down that valley.  Four data (g = 0 unless given)
 
   - ``readme``: f = t + 0.55, the README's example;
   - ``f_both_signs``: f = t^2 + s^2 - 0.2;
