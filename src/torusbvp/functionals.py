@@ -144,8 +144,9 @@ def mean_value(mesh: DiskMesh, p: TorusParams, field: DiskField) -> float:
 def reach_exponential_target(w: np.ndarray, W: np.ndarray, base: np.ndarray, target: float) -> np.ndarray:
     """``base - s d`` with ``sum(w e^v) = int(f e^v) + bint(g e^v) = target``, ``d = w / W`` the nodal density.
 
-    ``w`` are the exponential weights of ``ProblemP2.terms`` and ``W = M +
-    M_b`` the masses, so the value phi(s) of the shifted field has
+    ``w`` are the exponential weights of ``ProblemP2.terms`` and ``W`` are
+    positive nodal weights (the solvers pass Newton's, ``M + M_b``, or
+    ``M`` for P1), so the value phi(s) of the shifted field has
     ``phi'(s) = -sum w^2 e^v / W < 0``.  Its range is the real line when
     ``d`` changes sign and the half line of ``d``'s sign otherwise; a target
     outside it raises ``InfeasibleError``.  With ``P`` and ``N`` the positive

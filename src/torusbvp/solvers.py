@@ -6,9 +6,10 @@ Both model problems are one discrete equation, ``F(v) = S v + c + w e^v =
 volume and boundary masses.  P2 is this equation on all nodes.  P1
 (``Delta v + gamma = f e^v``) is its case ``a = gamma``, ``f -> -f``, ``b =
 g = 0``, restricted to the interior nodes for the Dirichlet problem.  Each
-solve, and each level of a nested Newton solve, builds its ``Record`` once
-(``_equation``): ``S``, ``c`` and ``w``, the index ``diagonal`` of ``S``'s
-diagonal in its data and the pin row ``k``.  The unknowns are the leading
+solve builds its finest ``Record`` once, in its gate, and each coarser
+level of a nested Newton solve builds its own (``_equation``): ``S``, ``c``
+and ``w``, the index ``diagonal`` of ``S``'s diagonal in its data and the
+pin row ``k``.  The unknowns are the leading
 ``k`` nodes, a Dirichlet level's interior nodes or every node, and the
 trailing rows, a Dirichlet level's boundary, are pinned at zero.  Every
 method reads the record: Newton's residual ``F`` and Jacobian ``S +
@@ -19,8 +20,8 @@ e^super))^-1 F(v)``.  Every matrix a solver factors is ``S`` plus a
 diagonal, built one way (``_shifted``), and only to be factored: a Newton
 step solved by cycles applies its Jacobian as an operator on the record
 (``_Jacobian``), ``S x + (w e^v) x``, and copies no matrix.  Every public
-solver first admits its data (``_admit``), then maps them onto the
-equation and fills its report.
+solver first admits its data (``_admit``), which returns the finest record;
+the solve and its report read that record.
 
 Sign convention: the problems are stated with the geometer's positive
 Laplacian (``Delta v = -div grad v``), so weak forms use the positive
@@ -53,8 +54,7 @@ from .errors import (
 from .functionals import (
     ProblemP1,
     ProblemP2,
-    constraint_A_p1,
-    constraint_K,
+    exp_capped,
     functional_I_p1,
     functional_I_p2,
     mean_value,
@@ -119,15 +119,18 @@ class SolveReport:
     monotone shift, unless the subsolution is an exact fixed point) and
     ``two_grid_cycles`` the conjugate-gradient iterations that solve Newton
     systems, one V-cycle each, over every level (cycles within a cycle are
-    not counted again).  On an a = b = 0 Neumann level Newton steps on a
-    bordered system (``_newton_loop``), whose merit adds a constraint row to
-    the residual; ``residual_norm`` is that of the returned field alone on
-    every route.  After a restart of an a = b = 0 finest level from its own
-    descent (``_solve_newton``), ``iterations`` also counts the rejected
-    attempt's Newton steps (unless it raised without a count, as
-    ``SingularJacobian`` does) and the second descent's steps, the counts
-    include both attempts' factors and cycles, and ``trace`` is the
-    restart's.
+    not counted again).  ``constraint_value`` is ``constraint_K`` of the
+    field, ``constraint_A_p1`` for P1, bit for bit, read from the solve's
+    record, and ``functional_value`` its energy, ``functional_I_p2`` or
+    ``functional_I_p1`` (``_report``).  On an a = b = 0 Neumann level Newton
+    steps on a bordered system (``_newton_loop``), whose merit adds a
+    constraint row to the residual; ``residual_norm`` is that of the
+    returned field alone on every route.  After a restart of an a = b = 0
+    finest level from its own descent (``_solve_newton``), ``iterations``
+    also counts the rejected attempt's Newton steps (unless it raised
+    without a count, as ``SingularJacobian`` does) and the second descent's
+    steps, the counts include both attempts' factors and cycles, and
+    ``trace`` is the restart's.
     """
 
     field: DiskField
@@ -221,7 +224,10 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, 
     block ``J[:k, :k]``, the unknowns' rows and columns, and the step's
     other solves use that one factor.  ``v0`` and every update hold a
     value per node, zero on the pinned rows ``k:`` of ``eq``; ``v0`` is not
-    written, and it is returned if no step is taken.  ``weights`` covers
+    written, and it is returned if no step is taken.  The loop keeps no
+    name for ``v0`` beside ``v``, so its first step frees the start unless
+    the caller holds it, nor for a step's direction while it solves the
+    next.  ``weights`` covers
     the unknowns.  Newton stops at the residual ``tol_abs + tol_rel *
     min(r0, ||c| + |w e^v0||)``, all norms weighted: ``r0`` the residual of
     the zero field, ``c + w``, and the other the size of the terms that
@@ -283,7 +289,7 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, 
         constraint = float(np.sum(_exp_terms(eq, v - weighted_sum(weights, v) / total)))  # sum(w e^u)
         return F, res, math.hypot(_weighted_norm(F + mu * weights, weights), row_scale * constraint), constraint
 
-    v, mu = v0, 0.0  # rebound by each step, never written
+    v, mu, v0 = v0, 0.0, None  # v rebound by each step, never written; v0 unbound, so a step frees the start
     F, res, merit, constraint = residual(v, mu)
     if not math.isfinite(merit):
         raise DomainError("initial iterate produces a non-finite residual")
@@ -294,7 +300,7 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, 
     solve = None
     trace = [(merit, 0.0)]  # one entry more than the steps taken
     while not (done := res <= tol and abs(constraint) <= tol_constraint) and len(trace) <= opts.max_iter:
-        solve = None  # freed before the next factor
+        solve = delta = None  # freed before the next factor and the next solve
         shift = _exp_terms(eq, v)
         cycle = None if coarse is None else _cycle(J := _Jacobian(eq, shift), *coarse)
 
@@ -539,11 +545,15 @@ def _shifted(eq, diagonal):
 
 
 def _admit(mesh, p, prob, dirichlet=False):
-    """Decide the data of a public solve once: warn outside the existence window, raise if no field exists.
+    """Decide the data of a public solve once and build its record: warn outside the window, raise if no field exists.
 
-    P1 enters as ``prob.as_p2()``.  For a, b >= 0, not both zero, a field
-    exists if ``0 < R < 1 / (2 mu_best)`` in the mode of the problem the
-    method solves: ``interior_dirichlet`` if ``dirichlet`` (P1 Newton),
+    P1 enters as ``prob.as_p2()``.  Returns the finest ``Record``
+    (``_equation``), a Dirichlet one if ``dirichlet``: the one record of the
+    solve, which the Newton walk takes as its finest level and the monotone
+    route and the report read.  It is built before anything else, so on a
+    cold mesh the finest assembly's peak sits on no level link or coarse
+    operator yet.  For a, b >= 0, not both zero, a field exists if ``0 < R
+    < 1 / (2 mu_best)`` in the mode of the problem the method solves: ``interior_dirichlet`` if ``dirichlet`` (P1 Newton),
     else ``interior_full`` with zero boundary data (P2 so, and P1 solved
     over every node by the variational route) or ``boundary_trace``.  A
     Neumann record's rows sum to ``K(v) = r_h + sum(w e^v)``, ``r_h =
@@ -554,6 +564,7 @@ def _admit(mesh, p, prob, dirichlet=False):
     Dirichlet record has no row-sum condition.
     """
     prob = prob.as_p2() if isinstance(prob, ProblemP1) else prob
+    eq = _equation(mesh, p, prob, dirichlet)
     if prob.a >= 0.0 and prob.b >= 0.0 and (prob.a, prob.b) != (0.0, 0.0):
         mode = "interior_dirichlet" if dirichlet else (
             "interior_full" if np.all(prob.g.values[mesh.boundary_nodes] == 0.0) else "boundary_trace")
@@ -562,8 +573,8 @@ def _admit(mesh, p, prob, dirichlet=False):
             warnings.warn("R=%g outside the sufficient existence window (0, %g) of the a, b >= 0 regime"
                           % (prob.R(p), bound), ExistenceWindowWarning, stacklevel=3)
     if dirichlet:
-        return
-    c, w = prob.terms(assemble(mesh, p))
+        return eq
+    c, w = eq.c, eq.w
     r_h = float(np.sum(c))
     both_signs = w.min() < 0.0 < w.max()
     case_zero = prob.a == 0.0 and prob.b == 0.0
@@ -576,13 +587,16 @@ def _admit(mesh, p, prob, dirichlet=False):
     if r_h < 0.0 and both_signs:
         warnings.warn("linear part %g < 0 and exponential terms of both signs: the energy is unbounded below "
                       "on {K = 0}, so it has no global minimum" % r_h, ExistenceWindowWarning, stacklevel=3)
+    return eq
 
 
-def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
-    """Damped Newton on the core equation of ``prob``; its unknowns are the interior nodes if ``dirichlet``.
+def _solve_newton(mesh, p, prob, finest, init, opts, descent=False):
+    """Damped Newton on the core equation of ``prob``, whose record on ``mesh`` is the gate's ``finest``.
 
-    Every level's record (``_equation``) holds the stiffness of all its
-    nodes, as every level's field does; a Dirichlet record pins its
+    The finest level reads ``finest``, and each coarser level builds its
+    own record (``_equation``), of the same kind.  Every record holds the
+    stiffness of all its level's nodes, as every level's field does; a
+    Dirichlet record, whose unknowns ``k`` are the interior nodes, pins its
     boundary rows, so each field stays zero there.
 
     Without ``init`` this is the nested iteration of full multigrid: each
@@ -603,7 +617,9 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     zero or ``init``, or with ``descent`` (Neumann only; no level then has
     fewer than ``_DESCENT_MIN_RINGS`` rings but the mesh) where the
     constrained descent from there ends (``_descend``).  Residual weights are
-    ``M`` for P1, ``M + M_b`` for P2.  A level whose solve fails hands
+    ``M`` for P1, ``M + M_b`` for P2, and the descent reads the same.  Each
+    level hands its start to ``_newton_loop`` and keeps no name for it, so
+    the loop's first step frees it.  A level whose solve fails hands
     nothing up, and the next starts as the coarsest does.  On an a = b = 0
     Neumann record every level passes ``bordered`` to ``_newton_loop``,
     whose system has no root down the constant valley.  A level below the
@@ -628,10 +644,7 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     attempt's too; the finest level's trace; every level's and attempt's
     counts.
     """
-    # assembled before the level walk, so the finest assembly's COO->CSR peak sits on no level link or
-    # coarse operator yet (a cache hit where _admit has assembled already)
-    assemble(mesh, p)
-    p1 = isinstance(prob, ProblemP1)
+    p1, dirichlet = isinstance(prob, ProblemP1), finest.k < mesh.n_nodes
     prob = prob.as_p2() if p1 else prob
     bordered = not dirichlet and prob.a == prob.b == 0.0
     levels = [(mesh, prob)]
@@ -650,7 +663,7 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     schedule = levels[::-1]
     for level_mesh, level_prob in schedule:
         ops = assemble(level_mesh, p)
-        eq = _equation(level_mesh, p, level_prob, dirichlet)
+        eq = finest if level_mesh is mesh else _equation(level_mesh, p, level_prob, dirichlet)
         k = eq.k
         weights = (ops.volume_mass if p1 else ops.volume_mass + ops.boundary_mass)[:k]
         rings = level_mesh.n_rings
@@ -661,9 +674,10 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
                   else np.zeros(level_mesh.n_nodes) if init is None else init.values.copy())
             x0[k:] = 0.0  # the pinned boundary
             if v_2h is None and descent:
-                x0, descended = _descend(eq, ops, weights, x0, opts, counts, bordered)
+                x0, descended = _descend(eq, weights, x0, opts, counts, bordered)
                 iterations += descended
-            v, res, trace, solve = _newton_loop(eq, x0, weights, opts, counts, coarse=coarse,
+            # the start handed over, x0 unbound: the loop holds it alone, and its first step frees it
+            v, res, trace, solve = _newton_loop(eq, (x0, x0 := None)[0], weights, opts, counts, coarse=coarse,
                                                 stop_fraction=stop_fraction, bordered=bordered)
         except TorusBVPError as exc:
             if level_mesh is mesh:
@@ -682,15 +696,15 @@ def _solve_newton(mesh, p, prob, init, opts, dirichlet=False, descent=False):
     return v, res, iterations, trace, counts
 
 
-def _descend(eq, ops, weights, v, opts, counts, case_zero):
+def _descend(eq, weights, v, opts, counts, case_zero):
     """The coarsest level's start: ``v`` moved onto {K = 0} and down the energy ``0.5 v'Sv + sum(c v)``.
 
-    A function of the level's record ``eq``, its operators ``ops`` (the
-    masses ``M`` and ``M_b``) and Newton's residual ``weights``: the energy,
-    the constraint, the gauge, the density shift and ``kappa`` are read
-    from ``S``, ``c`` and ``w``.  ``case_zero`` marks an a = b = 0 record;
+    A function of the level's record ``eq`` and Newton's residual
+    ``weights`` ``W`` alone, ``M + M_b``, or ``M`` for P1: the energy, the
+    constraint, the gauge, the density shift and ``kappa`` are read from
+    ``S``, ``c``, ``w`` and ``W``.  ``case_zero`` marks an a = b = 0 record;
     the descent runs on Neumann records only.  Projected descent,
-    preconditioned by ``S + diag(weights)`` (one factor, ``_shifted``),
+    preconditioned by ``S + diag(W)`` (one factor, ``_shifted``),
     takes at most ``max_descent_iter`` steps, each the first of ``_STEPS``,
     1, 1/2, ..., 2^-20, whose projected trial passes the Armijo test on the
     energy; a trial energy of inf or nan fails it, and a step with no
@@ -698,10 +712,11 @@ def _descend(eq, ops, weights, v, opts, counts, case_zero):
     ``K(v) = r_h + sum(w e^v)``, ``r_h = sum(c)``: with (a, b) != 0 by the
     shift ``v + ln(-r_h / sum(w e^v))``.  The projection refuses a sum
     that is zero, not finite or of the sign of ``r_h``: such a trial is
-    rejected, and a start takes the density shift on ``w / (M + M_b)``
+    rejected, and a start takes the density shift on ``d = w / W``
     (``reach_exponential_target``).  With a = b = 0 every point takes the
-    density shift, the mean ``sum(M v) / sum(M)`` is pinned to zero, and
-    the minimizer ``v`` is shifted by ``ln(kappa)``.  ``F(v + ln kappa) = S
+    density shift, the ``W``-mean ``sum(W v) / sum(W)`` is pinned to zero,
+    the gauge of the bordered Newton that follows (``u``, ``_newton_loop``),
+    and the minimizer ``v`` is shifted by ``ln(kappa)``.  ``F(v + ln kappa) = S
     v + kappa w e^v`` is linear in ``kappa``, so ``kappa = -<S v, w e^v> /
     <w e^v, w e^v>``, inner products weighted by ``1 / weights``, leaves
     Newton the least residual, one with no part along ``w e^v``; a
@@ -709,22 +724,21 @@ def _descend(eq, ops, weights, v, opts, counts, case_zero):
     Returns ``(v, iterations)``.
     """
     S, c, w = eq.S, eq.c, eq.w
-    m, W = ops.volume_mass, ops.volume_mass + ops.boundary_mass
-    r_h = float(np.sum(c))
+    r_h, total = float(np.sum(c)), float(np.sum(weights))
 
     def energy(v):
         return 0.5 * weighted_sum(v, _sparse_product(S, v)) + weighted_sum(c, v)
 
     def project(v):
         if case_zero:
-            return reach_exponential_target(w, W, v, 0.0)
+            return reach_exponential_target(w, weights, v, 0.0)
         e = float(np.sum(_exp_terms(eq, v)))
         if not math.isfinite(e) or e == 0.0 or np.sign(e) == np.sign(r_h):
             return None
         return v + math.log(-r_h / e)
 
     v_p = project(v)  # else no constant shift has the sign needed: shift along the density
-    v = reach_exponential_target(w, W, v, -r_h) if v_p is None else v_p
+    v = reach_exponential_target(w, weights, v, -r_h) if v_p is None else v_p
 
     precond = _factorize(_shifted(eq, weights))
     counts["factorizations"] += 1
@@ -734,7 +748,7 @@ def _descend(eq, ops, weights, v, opts, counts, case_zero):
         grad = _sparse_product(S, v) + c
         normals = [_exp_terms(eq, v)]
         if case_zero:
-            normals.append(m)  # shift gauge: pin the mean
+            normals.append(weights)  # shift gauge: pin the weighted mean
         # preconditioned steepest descent made tangent to every normal x: x'd = 0
         pg, px = precond.solve(grad), [precond.solve(x) for x in normals]
         mu = np.linalg.solve(np.array([[weighted_sum(x, y) for y in px] for x in normals]),
@@ -748,7 +762,7 @@ def _descend(eq, ops, weights, v, opts, counts, case_zero):
             v_t = project(v + step * d)
             if v_t is not None:
                 if case_zero:
-                    v_t = v_t - weighted_sum(m, v_t) / float(np.sum(m))
+                    v_t = v_t - weighted_sum(weights, v_t) / total
                 merit_t = energy(v_t)
                 # a trial energy of inf or nan fails the comparison
                 if merit_t <= merit + _ARMIJO_SLOPE * step * slope:
@@ -768,15 +782,24 @@ def _descend(eq, ops, weights, v, opts, counts, case_zero):
     return v, iterations
 
 
-def _report(mesh, p, prob, v, iterations, res, multiplier, trace, counts):
-    """A converged field with the constraint value and energy of its own problem."""
+def _report(mesh, p, prob, eq, v, iterations, res, multiplier, trace, counts):
+    """A converged field with the constraint value and energy of its own problem.
+
+    The constraint is the sum of the rows of the solve's record ``eq``,
+    ``sum(c) + sum(w e^v)``, negated for P1: the sums of ``constraint_K``
+    and ``constraint_A_p1``, with their ``exp_capped``, whose
+    ``OverflowError`` above an exponent of 700 the report raises as they
+    do.  The energy is ``functional_I_p1`` or ``functional_I_p2`` of the
+    field.
+    """
     out = DiskField(mesh, v)
     p1 = isinstance(prob, ProblemP1)
+    constraint = float(np.sum(eq.c)) + weighted_sum(eq.w, exp_capped(v))  # the sum of the record's rows
     return SolveReport(
         field=out,
         iterations=iterations,
         residual_norm=res,
-        constraint_value=(constraint_A_p1 if p1 else constraint_K)(mesh, p, out, prob),
+        constraint_value=-constraint if p1 else constraint,
         multiplier=multiplier,
         functional_value=(functional_I_p1 if p1 else functional_I_p2)(mesh, p, out, prob),
         trace=trace,
@@ -803,9 +826,9 @@ def p1_residual_norm(mesh: DiskMesh, p: TorusParams, prob: ProblemP1, field: Dis
 def solve_p1_newton(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
                     init: DiskField | None = None, opts: SolveOptions | None = None) -> SolveReport:
     """Damped Newton on the Dirichlet weak form of the P1 problem."""
-    _admit(mesh, p, prob, dirichlet=True)
-    v, res, iterations, trace, counts = _solve_newton(mesh, p, prob, init, opts or SolveOptions(), dirichlet=True)
-    return _report(mesh, p, prob, v, iterations, res, None, trace, counts)
+    eq = _admit(mesh, p, prob, dirichlet=True)
+    v, res, iterations, trace, counts = _solve_newton(mesh, p, prob, eq, init, opts or SolveOptions())
+    return _report(mesh, p, prob, eq, v, iterations, res, None, trace, counts)
 
 
 def solve_p1_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
@@ -821,11 +844,11 @@ def solve_p1_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
     ``kappa``, ``exp`` of the returned field's mean; otherwise the
     multiplier of ``f e^v`` is exactly 1.
     """
-    _admit(mesh, p, prob)
-    v, res, iterations, trace, counts = _solve_newton(mesh, p, prob, init, opts or SolveOptions(), descent=True)
+    eq = _admit(mesh, p, prob)
+    v, res, iterations, trace, counts = _solve_newton(mesh, p, prob, eq, init, opts or SolveOptions(), descent=True)
     # kappa, or the core's -1 times the sign of -f e^v
     multiplier = math.exp(mean_value(mesh, p, DiskField(mesh, v))) if prob.gamma == 0.0 else 1.0
-    return _report(mesh, p, prob, v, iterations, res, multiplier, trace, counts)
+    return _report(mesh, p, prob, eq, v, iterations, res, multiplier, trace, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -851,10 +874,10 @@ def solve_p2_newton(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
     descent; a finest level that fails from the field handed up from below
     is solved once more from its own descent.
     """
-    _admit(mesh, p, prob)
-    v, res, iterations, trace, counts = _solve_newton(mesh, p, prob, init, opts or SolveOptions(),
+    eq = _admit(mesh, p, prob)
+    v, res, iterations, trace, counts = _solve_newton(mesh, p, prob, eq, init, opts or SolveOptions(),
                                                       descent=init is None and prob.a == prob.b == 0.0)
-    return _report(mesh, p, prob, v, iterations, res, None, trace, counts)
+    return _report(mesh, p, prob, eq, v, iterations, res, None, trace, counts)
 
 
 def solve_p2_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
@@ -862,16 +885,17 @@ def solve_p2_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
     """Constrained minimization of the P2 energy over {K = 0}.
 
     The coarsest level's minimizer (``_descend``) starts nested Newton on
-    the P2 equation.  For a = b = 0 it is gauge-fixed to zero mean and
-    shifted by ``ln(kappa)``, and ``kappa``, ``exp`` of the returned
-    field's volume mean, is reported (as for P1 with gamma = 0).  With (a,
+    the P2 equation.  For a = b = 0 it is gauge-fixed to zero mean in
+    Newton's weights ``M + M_b`` and shifted by ``ln(kappa)``, and
+    ``kappa``, ``exp`` of the returned field's volume mean, is reported (as
+    for P1 with gamma = 0).  With (a,
     b) != 0 the stationary point of the constrained problem satisfies the
     P2 weak form directly, and the multiplier reported is exactly -1.
     """
-    _admit(mesh, p, prob)
-    v, res, iterations, trace, counts = _solve_newton(mesh, p, prob, init, opts or SolveOptions(), descent=True)
+    eq = _admit(mesh, p, prob)
+    v, res, iterations, trace, counts = _solve_newton(mesh, p, prob, eq, init, opts or SolveOptions(), descent=True)
     multiplier = math.exp(mean_value(mesh, p, DiskField(mesh, v))) if prob.a == prob.b == 0.0 else -1.0
-    return _report(mesh, p, prob, v, iterations, res, multiplier, trace, counts)
+    return _report(mesh, p, prob, eq, v, iterations, res, multiplier, trace, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -936,10 +960,9 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
     discrete equation exactly, as ``sub = super = 0`` does on ``a = b =
     -1``, ``f = g = 1``, returns in one step without a factor.
     """
-    _admit(mesh, p, prob)
+    eq = _admit(mesh, p, prob)
     opts = opts or SolveOptions()
     ops = assemble(mesh, p)
-    eq = _equation(mesh, p, prob)
     weights = ops.volume_mass + ops.boundary_mass
     lo, hi = sub.values, super.values
     slack = 1e-12 * (1.0 + float(np.max(np.abs(hi))) + float(np.max(np.abs(lo))))
@@ -983,4 +1006,4 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
     else:
         raise NonConvergence("monotone iteration did not contract below %g in %d steps"
                              % (tol, opts.max_monotone_iter), iterations=opts.max_monotone_iter)
-    return _report(mesh, p, prob, v, iterations, res, None, trace, Counter(factorizations=int(lu is not None)))
+    return _report(mesh, p, prob, eq, v, iterations, res, None, trace, Counter(factorizations=int(lu is not None)))

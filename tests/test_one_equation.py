@@ -10,11 +10,14 @@ flags a product of ``volume_mass`` or ``boundary_mass`` with ``.a``, ``.b``,
 as that side.  A second lint keeps ``solvers.py``'s reads of the raw fields
 ``.f.values`` and ``.g.values`` to the three places that need data outside
 the record: the gate's boundary trace, the level walk's data restriction
-and the constant bracket.  The last test checks that the constraint value
-is the sum of the equation's rows.
+and the constant bracket.  A spy then counts the terms each public solve
+builds on its finest mesh: the gate's record, which the solve and its
+report read, and the energy's.  The last tests check that the constraint
+value is the sum of the equation's rows.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +143,67 @@ def test_solvers_read_the_raw_data_only_to_gate_restrict_and_bracket():
 ])
 def test_lint_finds_raw_data_readers(source, readers):
     assert raw_data_readers(ast.parse(source)) == readers
+
+
+def _p2(a, f, g):
+    return lambda mesh: tb.ProblemP2(a, a, tb.DiskField.from_function(mesh, f), tb.DiskField.from_function(mesh, g))
+
+
+def _p1(gamma, f):
+    return lambda mesh: tb.ProblemP1(gamma, tb.DiskField.from_function(mesh, f))
+
+
+def _monotone(mesh, p, prob):
+    return tb.solve_p2_monotone(mesh, p, prob, tb.DiskField.constant(mesh, -math.log1p(0.5)),
+                                tb.DiskField.constant(mesh, 0.0))
+
+
+def _benchmark_data(t, s):
+    return -0.5 * math.exp(-1.0) * (1.0 + 0.1 * t)
+
+
+def _readme_data(t, s):
+    return t + 0.55
+
+
+def _zero(t, s):
+    return 0.0 * t
+
+
+PUBLIC_SOLVES = {  # name: (solver, problem on a mesh)
+    "p1_newton": (tb.solve_p1_newton, _p1(1.5, lambda t, s: 1.0 + 0.2 * t)),
+    "p1_variational": (tb.solve_p1_variational, _p1(1.5, lambda t, s: 1.0 + 0.2 * t)),
+    "p1_variational_gamma0": (tb.solve_p1_variational, _p1(0.0, lambda t, s: -(t + 0.55))),
+    "p2_newton": (tb.solve_p2_newton, _p2(0.5, _benchmark_data, _benchmark_data)),
+    "p2_newton_zero_linear": (tb.solve_p2_newton, _p2(0.0, _readme_data, _zero)),
+    "p2_variational_zero_linear": (tb.solve_p2_variational, _p2(0.0, _readme_data, _zero)),
+    "p2_monotone": (_monotone, _p2(-1.0, lambda t, s: 1.0 + 0.5 * t * t, lambda t, s: 1.0 + 0.0 * t)),
+}
+
+
+@pytest.mark.filterwarnings("ignore::torusbvp.errors.ExistenceWindowWarning")
+@pytest.mark.parametrize("route", sorted(PUBLIC_SOLVES))
+def test_a_public_solve_builds_its_finest_terms_twice(monkeypatch, params, mesh32, route):
+    """At most two ``ProblemP2.terms`` on the finest mesh's operators: the gate's record and the energy's.
+
+    The gate (``_admit``) builds the one record that Newton's finest level,
+    the monotone route and the report's constraint read;
+    ``functional_I_p1`` or ``functional_I_p2`` builds the terms once more
+    for the energy.  Coarse levels build their own terms, on their own
+    operators, and are not counted.
+    """
+    solve, problem = PUBLIC_SOLVES[route]
+    prob, finest = problem(mesh32), tb.assemble(mesh32, params)
+    solve(mesh32, params, prob)  # warm: the level hierarchy built
+    real_terms, calls = tb.ProblemP2.terms, []
+
+    def spy(self, ops):
+        calls.append(ops is finest)
+        return real_terms(self, ops)
+
+    monkeypatch.setattr(tb.ProblemP2, "terms", spy)
+    solve(mesh32, params, prob)
+    assert 1 <= sum(calls) <= 2
 
 
 def _random_problems(rng, mesh):
