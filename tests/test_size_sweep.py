@@ -23,5 +23,5 @@ def test_two_runs_print_the_same_lines(monkeypatch, n):
     grid, = (grid for grid in sweep.GRIDS if grid.name == "size")
     first, second = ([line.split("\t")[0] for line in sweep.sweep_lines(grid, n)] for _ in range(2))
     assert first == second
-    assert len(first) == 12  # three geometries, four routes
+    assert len(first) == 18  # three geometries, six routes
     assert all(row.split()[1] == str(n) and row.split()[4] in ("field", "raises") for row in first)

@@ -17,9 +17,12 @@ Both grids run three geometries (l, r = 2, 1 / 3, 0.5 / 1.2, 1).
   (``solve_p2_variational``) and ``variational_zero``, the single-level
   route from ``init = zero``.  108 rows.
 - ``size``, at 64, 65, 128, 129, 256 and 258 rings (odd counts and a
-  count that is not a power of two beside the powers of two), four routes
+  count that is not a power of two beside the powers of two), six routes
 
   - ``p1_newton``: ``solve_p1_newton``, gamma = 1.5, f = 1 + 0.2 t;
+  - ``p1_variational``: ``solve_p1_variational`` on the same data;
+  - ``p1_variational_gamma0``: ``solve_p1_variational``, gamma = 0, f =
+    -(t + 0.55), the README's example as a P1 problem;
   - ``p2_newton``: ``solve_p2_newton`` on the benchmark's data, a = b =
     0.5, f = g = -0.5 e^-1 (1 + 0.1 t);
   - ``readme_variational``: ``solve_p2_variational`` on the README's
@@ -28,7 +31,7 @@ Both grids run three geometries (l, r = 2, 1 / 3, 0.5 / 1.2, 1).
     data, a = b = -1, f = 1 + 0.5 t^2, g = 1, between the constant
     subsolution -ln(1.5) and the supersolution 0, a nonzero residual.
 
-  72 rows.
+  108 rows.
 
 Each case is solved twice on a fresh mesh per ring count and geometry, and
 its row reports the second, warm solve (its level hierarchy built); a
@@ -43,9 +46,9 @@ without the times::
 
     python tools/solve_sweep.py | cut -f1 > rows.txt
 
-``tests/golden/solve_sweep.txt`` holds the rows, times cut, at each grid's
-``pinned`` ring counts, which fit Tier-1, and ``tests/test_solve_sweep.py``
-compares them.  A change that moves a row by design rewrites it::
+``tests/golden/solve_sweep.txt`` holds the 144 rows, times cut, at each
+grid's ``pinned`` ring counts, which fit Tier-1, and
+``tests/test_solve_sweep.py`` compares them.  A change that moves a row by design rewrites it::
 
     PYTHONPATH=tools python -c "import solve_sweep as s; print(*s.rows((g, g.pinned) for g in s.GRIDS), sep='\\n')" \\
         | cut -f1 > tests/golden/solve_sweep.txt
@@ -100,6 +103,10 @@ ZERO_LINEAR_ROUTES = {
 }
 
 
+def _p1_data(mesh):
+    return tb.ProblemP1(1.5, tb.DiskField(mesh, 1.0 + 0.2 * mesh.nodes[:, 0]))
+
+
 def _p2_data(mesh):
     data = tb.DiskField(mesh, -0.5 * math.exp(-1.0) * (1.0 + 0.1 * mesh.nodes[:, 0]))
     return tb.ProblemP2(0.5, 0.5, data, data)
@@ -117,8 +124,10 @@ GRIDS = (
         "%s/%s" % (data, route): _zero_linear(f, g, solve)
         for data, (f, g) in ZERO_LINEAR_DATA.items() for route, solve in ZERO_LINEAR_ROUTES.items()}),
     Grid("size", (64, 65, 128, 129, 256, 258), (8, 9, 16, 17), {
-        "p1_newton": lambda mesh, p: tb.solve_p1_newton(
-            mesh, p, tb.ProblemP1(1.5, tb.DiskField(mesh, 1.0 + 0.2 * mesh.nodes[:, 0]))),
+        "p1_newton": lambda mesh, p: tb.solve_p1_newton(mesh, p, _p1_data(mesh)),
+        "p1_variational": lambda mesh, p: tb.solve_p1_variational(mesh, p, _p1_data(mesh)),
+        "p1_variational_gamma0": lambda mesh, p: tb.solve_p1_variational(
+            mesh, p, tb.ProblemP1(0.0, tb.DiskField(mesh, -(mesh.nodes[:, 0] + 0.55)))),
         "p2_newton": lambda mesh, p: tb.solve_p2_newton(mesh, p, _p2_data(mesh)),
         "readme_variational": lambda mesh, p: tb.solve_p2_variational(mesh, p, tb.ProblemP2(
             0.0, 0.0, tb.DiskField(mesh, mesh.nodes[:, 0] + 0.55), tb.DiskField.constant(mesh, 0.0))),
