@@ -7,16 +7,18 @@ volume and boundary masses.  P2 is this equation on all nodes.  P1
 (``Delta v + gamma = f e^v``) is its case ``a = gamma``, ``f -> -f``, ``b =
 g = 0``, restricted to the interior nodes for the Dirichlet problem.  Each
 solve builds its finest ``Record`` once, in its gate, and each coarser
-level of a nested Newton solve builds its own (``_equation``): ``S``, ``c``
-and ``w``, the index ``diagonal`` of ``S``'s diagonal in its data and the
-pin row ``k``.  The unknowns are the leading
-``k`` nodes, a Dirichlet level's interior nodes or every node, and the
-trailing rows, a Dirichlet level's boundary, are pinned at zero.  Every
-method reads the record: Newton's residual ``F`` and Jacobian ``S +
-diag(w e^v)``, the gradient ``S v + c`` and projection sum ``sum(w e^v)``
-of the constrained descent that starts the coarsest level, and the
-monotone iteration's defect correction ``v <- v - (S + diag(|w|
-e^super))^-1 F(v)``.  Every matrix a solver factors is ``S`` plus a
+level of a nested Newton solve builds its own (``_equation``) from the
+public problem, P1 or P2: ``S``, ``c`` and ``w``, the residual weights
+``W`` (``M`` for P1, ``M + M_b`` for P2), the index ``diagonal`` of
+``S``'s diagonal in its data and the pin row ``k``.  The unknowns are the
+leading ``k`` nodes, a Dirichlet level's interior nodes or every node, and
+the trailing rows, a Dirichlet level's boundary, are pinned at zero.  Every
+method reads the record, and only the record: Newton's residual ``F``, its
+norm in ``W`` and its Jacobian ``S + diag(w e^v)``, the gradient ``S v +
+c`` and projection sum ``sum(w e^v)`` of the constrained descent that
+starts the coarsest level, and the monotone iteration's defect correction
+``v <- v - (S + diag(|w| e^super))^-1 F(v)``.  A record with ``c`` all
+zero and no pinned row is the a = b = 0 case (``Record.zero_linear``).  Every matrix a solver factors is ``S`` plus a
 diagonal, built one way (``_shifted``), and only to be factored: a Newton
 step solved by cycles applies its Jacobian as an operator on the record
 (``_Jacobian``), ``S x + (w e^v) x``, and copies no matrix.  Every public
@@ -167,12 +169,6 @@ _ARMIJO_SLOPE = 1e-4
 _STEPS = tuple(0.5**k for k in range(21))
 
 
-def _exp_unguarded(x):
-    # line-search internals want inf (step rejected), not an exception
-    with np.errstate(over="ignore"):
-        return np.exp(x)
-
-
 def _weighted_norm(res, weights):
     """L2(T)-weighted norm of the nodal strong residual ``res_i = F_i / w_i`` on the leading rows, one per weight.
 
@@ -206,7 +202,7 @@ def _factorize(matrix):
         raise SingularJacobian("sparse factorization failed: %s" % exc) from exc
 
 
-def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, bordered=False):
+def _newton_loop(eq, v0, opts, counts, coarse=None, stop_fraction=0.0):
     """Damped Newton on the core equation ``eq``, Armijo backtracking on its weighted residual norm.
 
     Each step solves ``J delta = -F``, ``J = S + diag(w e^v)``, and takes
@@ -227,9 +223,9 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, 
     written, and it is returned if no step is taken.  The loop keeps no
     name for ``v0`` beside ``v``, so its first step frees the start unless
     the caller holds it, nor for a step's direction while it solves the
-    next.  ``weights`` covers
-    the unknowns.  Newton stops at the residual ``tol_abs + tol_rel *
-    min(r0, ||c| + |w e^v0||)``, all norms weighted: ``r0`` the residual of
+    next.  Every norm is weighted by the record's ``W``, which covers the
+    unknowns.  Newton stops at the residual ``tol_abs + tol_rel *
+    min(r0, ||c| + |w e^v0||)``: ``r0`` the residual of
     the zero field, ``c + w``, and the other the size of the terms that
     must cancel at the start, read once.  Data ``lam (f, g)`` on a Neumann
     record have the field ``v - ln(lam)``, whose terms are those of ``v``,
@@ -242,11 +238,11 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, 
     of a nested solve (``_solve_newton``) passes ``stop_fraction`` and
     stops at that fraction of its start's residual if that is larger.
 
-    ``bordered`` marks an a = b = 0 Neumann record, where ``S v + w e^v``
-    tends to zero along the constant fields ``v -> -inf`` and no solution
-    lies there.  Newton then steps on the optimality system of the
-    descent's own problem, min ``0.5 u'Su`` on {``sum(w e^u) = 0``, ``W u
-    = 0``}, ``W`` the residual ``weights`` (Nocedal & Wright, *Numerical
+    On an a = b = 0 record (``Record.zero_linear``: ``c`` all zero and no
+    pinned row), ``S v + w e^v`` tends to zero along the constant fields
+    ``v -> -inf`` and no solution lies there.  Newton then steps on the
+    optimality system of the descent's own problem, min ``0.5 u'Su`` on
+    {``sum(w e^u) = 0``, ``W u = 0``} (Nocedal & Wright, *Numerical
     Optimization*, 2006, ch. 18): ``S u + kappa w e^u + mu W = 0``,
     ``sum(w e^u) = 0`` and ``W u = 0``, with ``v = u + ln(kappa)``.  So
     ``u`` is ``v`` less its ``W``-mean, and the first rows read ``F(v) + mu
@@ -277,7 +273,8 @@ def _newton_loop(eq, v0, weights, opts, counts, coarse=None, stop_fraction=0.0, 
     last step's factor as a ``_leading_solve``, or None if that step
     cycled or no step was taken.
     """
-    total, k, r0 = float(np.sum(weights)), eq.k, _weighted_norm(eq.c + eq.w, weights)
+    weights, k, bordered = eq.W, eq.k, eq.zero_linear
+    total, r0 = float(np.sum(weights)), _weighted_norm(eq.c + eq.w, weights)
     # the constraint row's scale: r0 times mean(S_ii) / sum|w|, a multiplier read from the record, over sum|w|
     row_scale = r0 * float(np.mean(eq.S.data[eq.diagonal])) / float(np.sum(np.abs(eq.w))) ** 2 if bordered else 0.0
 
@@ -487,37 +484,57 @@ def _sparse_product(matrix, x):
 # ---------------------------------------------------------------------------
 
 class Record(NamedTuple):
-    """The core equation of one level or solve: ``S v + c + w e^v = 0`` on the leading ``k`` rows (``_equation``)."""
+    """The core equation of one level or solve: ``S v + c + w e^v = 0`` on the leading ``k`` rows (``_equation``).
+
+    ``W`` holds the residual weights of the ``k`` unknowns: a residual
+    ``F`` has the norm ``sqrt(sum(F_i^2 / W_i))`` (``_weighted_norm``).
+    Newton's stop and line search, the descent's preconditioner, gauge and
+    density shift, the monotone route's scores and both residual norms read
+    it.
+    """
 
     S: sp.csr_matrix
     c: np.ndarray
     w: np.ndarray
+    W: np.ndarray
     diagonal: np.ndarray
     k: int
 
+    @property
+    def zero_linear(self):
+        """a = b = 0 on a Neumann record: ``c`` all zero and no pinned row."""
+        return self.k == self.c.size and not np.any(self.c)
+
 
 def _equation(mesh, p, prob, dirichlet=False):
-    """The ``Record``: the stiffness, ``prob.terms`` and the pin row, built once per nested level or solve.
+    """The ``Record`` of the public problem ``prob``: stiffness, terms, weights and pin row, once per level or solve.
 
     ``S`` and ``diagonal``, the index of each diagonal entry in ``S.data``,
     are ``assemble``'s, cached once per mesh and geometry for every record;
-    this is the one function of ``solvers`` that reads ``.stiffness``.  The
-    unknowns are the leading ``k`` nodes: a Dirichlet problem's interior
-    nodes (``n_interior``), else every node.  The rows ``k:``, the
+    this is the one function of ``solvers`` that reads ``.stiffness`` and
+    the masses.  A ``ProblemP1`` enters as ``prob.as_p2()``, its terms
+    built from that copy, which the record does not keep, and is weighed by
+    the volume mass ``M``; a ``ProblemP2`` is weighed by ``M + M_b``.  P1
+    over every node (the variational route) keeps ``M``: its descent's
+    preconditioner ``S + diag(W)`` is built on it.  The unknowns are the
+    leading ``k`` nodes: a Dirichlet problem's interior nodes
+    (``n_interior``), else every node, and ``W`` covers them.  The rows ``k:``, the
     boundary's, come last and are pinned: ``_residual`` is zero there, and
     ``_shifted`` puts unit rows there as ``_Jacobian`` does, so a field zero
     on them stays zero, and on the unknowns every product has the bits of
     the leading block ``S[:k, :k]``.
     """
-    ops = assemble(mesh, p)
-    c, w = prob.terms(ops)
-    return Record(ops.stiffness, c, w, ops.diagonal, mesh.n_interior if dirichlet else mesh.n_nodes)
+    ops, p1, k = assemble(mesh, p), isinstance(prob, ProblemP1), mesh.n_interior if dirichlet else mesh.n_nodes
+    c, w = (prob.as_p2() if p1 else prob).terms(ops)
+    W = ops.volume_mass if p1 else ops.volume_mass + ops.boundary_mass
+    return Record(ops.stiffness, c, w, W[:k], ops.diagonal, k)
 
 
 def _exp_terms(eq, v):
     """``w e^v``: the Jacobian's diagonal and the constraint normal."""
-    with np.errstate(invalid="ignore"):
-        return eq.w * _exp_unguarded(v)
+    # line-search internals want inf (step rejected), not an exception
+    with np.errstate(over="ignore", invalid="ignore"):
+        return eq.w * np.exp(v)
 
 
 def _residual(eq, v):
@@ -547,24 +564,27 @@ def _shifted(eq, diagonal):
 def _admit(mesh, p, prob, dirichlet=False):
     """Decide the data of a public solve once and build its record: warn outside the window, raise if no field exists.
 
-    P1 enters as ``prob.as_p2()``.  Returns the finest ``Record``
+    Returns the finest ``Record`` of the public problem ``prob``
     (``_equation``), a Dirichlet one if ``dirichlet``: the one record of the
     solve, which the Newton walk takes as its finest level and the monotone
     route and the report read.  It is built before anything else, so on a
     cold mesh the finest assembly's peak sits on no level link or coarse
-    operator yet.  For a, b >= 0, not both zero, a field exists if ``0 < R
-    < 1 / (2 mu_best)`` in the mode of the problem the method solves: ``interior_dirichlet`` if ``dirichlet`` (P1 Newton),
-    else ``interior_full`` with zero boundary data (P2 so, and P1 solved
-    over every node by the variational route) or ``boundary_trace``.  A
-    Neumann record's rows sum to ``K(v) = r_h + sum(w e^v)``, ``r_h =
-    sum(c)``, so some ``w_i`` must have the sign opposite to ``r_h``; with a
-    = b = 0, ``w`` needs both signs and ``sum(w) = int(f) + bint(g) > 0``,
-    its value ``int(e^-v |grad v|^2)`` at every solution.  With ``r_h < 0``
+    operator yet.  The window reads P1's data as ``prob.as_p2()``, a = gamma
+    and b = 0.  For a, b >= 0, not both zero, a field exists if ``0 < R < 1
+    / (2 mu_best)`` in the mode of the problem the method solves:
+    ``interior_dirichlet`` if ``dirichlet`` (P1 Newton), else
+    ``interior_full`` with zero boundary data (P2 so, and P1 solved over
+    every node by the variational route) or ``boundary_trace``.  A Neumann
+    record's rows sum to ``K(v) = r_h + sum(w e^v)``, ``r_h = sum(c)``, so
+    some ``w_i`` must have the sign opposite to ``r_h``; on an a = b = 0
+    record (``Record.zero_linear``, as the solve reads it), ``w`` needs both
+    signs and ``sum(w) = int(f) + bint(g) > 0``, its value ``int(e^-v
+    |grad v|^2)`` at every solution.  With ``r_h < 0``
     and ``w`` of both signs the energy is unbounded below on {K = 0}.  A
     Dirichlet record has no row-sum condition.
     """
-    prob = prob.as_p2() if isinstance(prob, ProblemP1) else prob
     eq = _equation(mesh, p, prob, dirichlet)
+    prob = prob.as_p2() if isinstance(prob, ProblemP1) else prob
     if prob.a >= 0.0 and prob.b >= 0.0 and (prob.a, prob.b) != (0.0, 0.0):
         mode = "interior_dirichlet" if dirichlet else (
             "interior_full" if np.all(prob.g.values[mesh.boundary_nodes] == 0.0) else "boundary_trace")
@@ -577,12 +597,11 @@ def _admit(mesh, p, prob, dirichlet=False):
     c, w = eq.c, eq.w
     r_h = float(np.sum(c))
     both_signs = w.min() < 0.0 < w.max()
-    case_zero = prob.a == 0.0 and prob.b == 0.0
     # a total within 8 eps sum(|w|) of zero lies at the roundoff of its own sum: its sign means nothing
-    if case_zero and (not both_signs or float(np.sum(w)) <= 8.0 * np.finfo(float).eps * float(np.sum(np.abs(w)))):
+    if eq.zero_linear and (not both_signs or float(np.sum(w)) <= 8.0 * np.finfo(float).eps * float(np.sum(np.abs(w)))):
         raise InfeasibleError("a zero linear part needs exponential terms of both signs and positive total, "
                               "int(f) + bint(g) > 0 (for P1 with gamma = 0: int(f) < 0)")
-    if not case_zero and not np.any(r_h * w < 0.0):
+    if not eq.zero_linear and not np.any(r_h * w < 0.0):
         raise InfeasibleError("a linear part of %g needs exponential terms of the opposite sign" % r_h)
     if r_h < 0.0 and both_signs:
         warnings.warn("linear part %g < 0 and exponential terms of both signs: the energy is unbounded below "
@@ -591,10 +610,11 @@ def _admit(mesh, p, prob, dirichlet=False):
 
 
 def _solve_newton(mesh, p, prob, finest, init, opts, descent=False):
-    """Damped Newton on the core equation of ``prob``, whose record on ``mesh`` is the gate's ``finest``.
+    """Damped Newton on the core equation of the public ``prob``, whose record on ``mesh`` is the gate's ``finest``.
 
     The finest level reads ``finest``, and each coarser level builds its
-    own record (``_equation``), of the same kind.  Every record holds the
+    own record (``_equation``) of ``prob`` restricted there, of the same
+    kind, with its own residual weights; the walk reads no mass.  Every record holds the
     stiffness of all its level's nodes, as every level's field does; a
     Dirichlet record, whose unknowns ``k`` are the interior nodes, pins its
     boundary rows, so each field stays zero there.
@@ -606,24 +626,26 @@ def _solve_newton(mesh, p, prob, finest, init, opts, descent=False):
     solution below prolonged to it by ``coarse_mesh``'s prolongation, as it
     is; from ``init`` the finest level is the only one.  Newton's stop reads
     the size of the terms at that start (``_newton_loop``), so data scaled
-    by ``lam`` stop where the unscaled data do.  A coarse level's data are
-    read where its equation reads them, by one rule for every ring count:
-    ``f`` sampled (``coarse_mesh``'s sampling); ``g`` zero at the interior
-    nodes and, at the boundary nodes, the trace of ``g`` above sampled and
-    divided by the sampled boundary indicator, so ``g``'s interior values,
-    which no equation reads, reach no level (under an odd ring count the
-    sampling rows of coarse boundary nodes weight fine interior nodes; under
-    an even one the indicator samples to 1).  The coarsest level starts from
-    zero or ``init``, or with ``descent`` (Neumann only; no level then has
-    fewer than ``_DESCENT_MIN_RINGS`` rings but the mesh) where the
-    constrained descent from there ends (``_descend``).  Residual weights are
-    ``M`` for P1, ``M + M_b`` for P2, and the descent reads the same.  Each
-    level hands its start to ``_newton_loop`` and keeps no name for it, so
-    the loop's first step frees it.  A level whose solve fails hands
-    nothing up, and the next starts as the coarsest does.  On an a = b = 0
-    Neumann record every level passes ``bordered`` to ``_newton_loop``,
-    whose system has no root down the constant valley.  A level below the
-    finest with ``_TWO_GRID_MIN_RINGS`` rings or more stops at
+    by ``lam`` stop where the unscaled data do.  A P1 problem stays a
+    ``ProblemP1`` on every level, its ``gamma`` with ``f`` sampled
+    (``coarse_mesh``'s sampling), and only its record reads it as
+    ``as_p2()``.  A P2 problem's data are read where its equation reads
+    them, by one rule for every ring count: ``f`` sampled; ``g`` zero at the
+    interior nodes and, at the boundary nodes, the trace of ``g`` above
+    sampled and divided by the sampled boundary indicator, so ``g``'s
+    interior values, which no equation reads, reach no level (under an odd
+    ring count the sampling rows of coarse boundary nodes weight fine
+    interior nodes; under an even one the indicator samples to 1).  The
+    coarsest level starts from zero or ``init``, or with ``descent``
+    (Neumann only; no level then has fewer than ``_DESCENT_MIN_RINGS`` rings
+    but the mesh) where the constrained descent from there ends
+    (``_descend``).  Each level hands its start to ``_newton_loop`` and
+    keeps no name for it, so the loop's first step frees it.  A level whose
+    solve fails hands nothing up, and the next starts as the coarsest does.
+    On an a = b = 0 Neumann record (``Record.zero_linear``) every level's
+    ``_newton_loop`` steps on its bordered system, which has no root down
+    the constant valley.  A level below the finest with
+    ``_TWO_GRID_MIN_RINGS`` rings or more stops at
     ``_COARSE_STOP_FRACTION`` of its start's residual if that is above
     Newton's tolerance: the next level's start lies further off.  A level of
     ``_TWO_GRID_MIN_RINGS`` rings or more with a coarse solve from below
@@ -635,7 +657,7 @@ def _solve_newton(mesh, p, prob, finest, init, opts, descent=False):
     up with the level's pin row.
 
     If the finest level raises after starting from the field handed up from
-    below, on an a = b = 0 route with ``descent``, it runs once more as the
+    below, on an a = b = 0 record with ``descent``, it runs once more as the
     coarsest level runs: from zero, through the descent, factoring each
     step.  Any other failure of the finest level is raised, a
     ``NonConvergence`` with the steps of every level and attempt.  Returns
@@ -644,17 +666,18 @@ def _solve_newton(mesh, p, prob, finest, init, opts, descent=False):
     attempt's too; the finest level's trace; every level's and attempt's
     counts.
     """
-    p1, dirichlet = isinstance(prob, ProblemP1), finest.k < mesh.n_nodes
-    prob = prob.as_p2() if p1 else prob
-    bordered = not dirichlet and prob.a == prob.b == 0.0
+    dirichlet = finest.k < mesh.n_nodes
     levels = [(mesh, prob)]
     min_rings = _DESCENT_MIN_RINGS if descent else 0
     while init is None and (level := coarse_mesh(levels[-1][0])) is not None and level[0].n_rings >= min_rings:
-        (fine, fine_prob), coarse = levels[-1], level[0]
+        (fine, data), (coarse, sample, _) = levels[-1], level
+        if isinstance(prob, ProblemP1):  # f sampled
+            levels.append((coarse, ProblemP1(prob.gamma, DiskField(coarse, _sparse_product(sample, data.f.values)))))
+            continue
         # f sampled; g read where the equation reads it: its boundary trace sampled, over the sampled indicator
         on_boundary = np.arange(fine.n_nodes) >= fine.n_interior
-        f, g, share = _sparse_product(level[1], np.stack([fine_prob.f.values, np.where(
-            on_boundary, fine_prob.g.values, 0.0), on_boundary], axis=1)).T
+        f, g, share = _sparse_product(sample, np.stack([data.f.values, np.where(
+            on_boundary, data.g.values, 0.0), on_boundary], axis=1)).T
         g[:coarse.n_interior], g[coarse.n_interior:] = 0.0, g[coarse.n_interior:] / share[coarse.n_interior:]
         levels.append((coarse, ProblemP2(prob.a, prob.b, DiskField(coarse, f), DiskField(coarse, g))))
     counts = Counter()
@@ -662,48 +685,46 @@ def _solve_newton(mesh, p, prob, finest, init, opts, descent=False):
     iterations = 0
     schedule = levels[::-1]
     for level_mesh, level_prob in schedule:
-        ops = assemble(level_mesh, p)
         eq = finest if level_mesh is mesh else _equation(level_mesh, p, level_prob, dirichlet)
-        k = eq.k
-        weights = (ops.volume_mass if p1 else ops.volume_mass + ops.boundary_mass)[:k]
         rings = level_mesh.n_rings
         coarse = (coarse_mesh(level_mesh)[2], *below) if below is not None and rings >= _TWO_GRID_MIN_RINGS else None
         stop_fraction = _COARSE_STOP_FRACTION if level_mesh is not mesh and rings >= _TWO_GRID_MIN_RINGS else 0.0
         try:
             x0 = (_sparse_product(coarse_mesh(level_mesh)[2], v_2h) if v_2h is not None
                   else np.zeros(level_mesh.n_nodes) if init is None else init.values.copy())
-            x0[k:] = 0.0  # the pinned boundary
+            x0[eq.k:] = 0.0  # the pinned boundary
             if v_2h is None and descent:
-                x0, descended = _descend(eq, weights, x0, opts, counts, bordered)
+                x0, descended = _descend(eq, x0, opts, counts)
                 iterations += descended
             # the start handed over, x0 unbound: the loop holds it alone, and its first step frees it
-            v, res, trace, solve = _newton_loop(eq, (x0, x0 := None)[0], weights, opts, counts, coarse=coarse,
-                                                stop_fraction=stop_fraction, bordered=bordered)
+            v, res, trace, solve = _newton_loop(eq, (x0, x0 := None)[0], opts, counts, coarse=coarse,
+                                                stop_fraction=stop_fraction)
         except TorusBVPError as exc:
             if level_mesh is mesh:
                 if isinstance(exc, NonConvergence):
                     iterations = exc.iterations = exc.iterations + iterations
-                if v_2h is None or not (descent and bordered):
+                if v_2h is None or not (descent and eq.zero_linear):
                     raise
                 schedule.append(schedule[-1])  # the finest level once more, started as the coarsest is
             v = below = None
         else:
             iterations += len(trace) - 1
-            below = None if solve is None else (k, solve)
+            below = None if solve is None else (eq.k, solve)
             if coarse is not None and level_mesh is not mesh:  # the finest level's cycle would go unread
-                below = (k, _cycle(_Jacobian(eq, _exp_terms(eq, v)), *coarse))
+                below = (eq.k, _cycle(_Jacobian(eq, _exp_terms(eq, v)), *coarse))
         v_2h = v
     return v, res, iterations, trace, counts
 
 
-def _descend(eq, weights, v, opts, counts, case_zero):
+def _descend(eq, v, opts, counts):
     """The coarsest level's start: ``v`` moved onto {K = 0} and down the energy ``0.5 v'Sv + sum(c v)``.
 
-    A function of the level's record ``eq`` and Newton's residual
-    ``weights`` ``W`` alone, ``M + M_b``, or ``M`` for P1: the energy, the
+    A function of the level's record ``eq`` alone: the energy, the
     constraint, the gauge, the density shift and ``kappa`` are read from
-    ``S``, ``c``, ``w`` and ``W``.  ``case_zero`` marks an a = b = 0 record;
-    the descent runs on Neumann records only.  Projected descent,
+    ``S``, ``c``, ``w`` and Newton's residual weights ``W``, ``M + M_b``,
+    or ``M`` for P1.  The a = b = 0 case is the record's
+    (``Record.zero_linear``); the descent runs on Neumann records only.
+    Projected descent,
     preconditioned by ``S + diag(W)`` (one factor, ``_shifted``),
     takes at most ``max_descent_iter`` steps, each the first of ``_STEPS``,
     1, 1/2, ..., 2^-20, whose projected trial passes the Armijo test on the
@@ -718,12 +739,12 @@ def _descend(eq, weights, v, opts, counts, case_zero):
     the gauge of the bordered Newton that follows (``u``, ``_newton_loop``),
     and the minimizer ``v`` is shifted by ``ln(kappa)``.  ``F(v + ln kappa) = S
     v + kappa w e^v`` is linear in ``kappa``, so ``kappa = -<S v, w e^v> /
-    <w e^v, w e^v>``, inner products weighted by ``1 / weights``, leaves
+    <w e^v, w e^v>``, inner products weighted by ``1 / W``, leaves
     Newton the least residual, one with no part along ``w e^v``; a
     ``kappa`` that is not positive raises ``DomainError``.
     Returns ``(v, iterations)``.
     """
-    S, c, w = eq.S, eq.c, eq.w
+    S, c, w, weights, case_zero = eq.S, eq.c, eq.w, eq.W, eq.zero_linear
     r_h, total = float(np.sum(c)), float(np.sum(weights))
 
     def energy(v):
@@ -819,8 +840,8 @@ def p1_residual_norm(mesh: DiskMesh, p: TorusParams, prob: ProblemP1, field: Dis
     Dirichlet record (its boundary rows are pinned); ``natural=True`` scores
     all rows (zero-flux stationarity of the variational path).
     """
-    eq = _equation(mesh, p, prob.as_p2(), dirichlet=not natural)
-    return _weighted_norm(_residual(eq, field.values), assemble(mesh, p).volume_mass[:eq.k])
+    eq = _equation(mesh, p, prob, dirichlet=not natural)
+    return _weighted_norm(_residual(eq, field.values), eq.W)
 
 
 def solve_p1_newton(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
@@ -857,9 +878,8 @@ def solve_p1_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
 
 def p2_residual_norm(mesh: DiskMesh, p: TorusParams, prob: ProblemP2, field: DiskField) -> float:
     """Weighted-L2 strong residual of both P2 equations (all rows)."""
-    ops = assemble(mesh, p)
-    F = _residual(_equation(mesh, p, prob), field.values)
-    return _weighted_norm(F, ops.volume_mass + ops.boundary_mass)
+    eq = _equation(mesh, p, prob)
+    return _weighted_norm(_residual(eq, field.values), eq.W)
 
 
 def solve_p2_newton(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
@@ -961,9 +981,7 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
     -1``, ``f = g = 1``, returns in one step without a factor.
     """
     eq = _admit(mesh, p, prob)
-    opts = opts or SolveOptions()
-    ops = assemble(mesh, p)
-    weights = ops.volume_mass + ops.boundary_mass
+    opts, weights = opts or SolveOptions(), eq.W
     lo, hi = sub.values, super.values
     slack = 1e-12 * (1.0 + float(np.max(np.abs(hi))) + float(np.max(np.abs(lo))))
     if np.any(lo > hi + slack):

@@ -52,10 +52,10 @@ def newton_levels(monkeypatch):
     levels = []
     real_loop = solvers._newton_loop
 
-    def recording_loop(eq, v0, weights, opts, *args, **kwargs):
-        out = real_loop(eq, v0, weights, opts, *args, **kwargs)
-        r0 = solvers._weighted_norm(solvers._residual(eq, np.zeros_like(v0)), weights)
-        terms = solvers._weighted_norm(np.abs(eq.c) + np.abs(eq.w * np.exp(v0)), weights)
+    def recording_loop(eq, v0, opts, *args, **kwargs):
+        out = real_loop(eq, v0, opts, *args, **kwargs)
+        r0 = solvers._weighted_norm(solvers._residual(eq, np.zeros_like(v0)), eq.W)
+        terms = solvers._weighted_norm(np.abs(eq.c) + np.abs(eq.w * np.exp(v0)), eq.W)
         residuals = [res for res, _ in out[2]]
         levels.append((eq.k, residuals, opts.tol_abs + opts.tol_rel * min(r0, terms)))
         return out

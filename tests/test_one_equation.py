@@ -10,10 +10,13 @@ flags a product of ``volume_mass`` or ``boundary_mass`` with ``.a``, ``.b``,
 as that side.  A second lint keeps ``solvers.py``'s reads of the raw fields
 ``.f.values`` and ``.g.values`` to the three places that need data outside
 the record: the gate's boundary trace, the level walk's data restriction
-and the constant bracket.  A spy then counts the terms each public solve
-builds on its finest mesh: the gate's record, which the solve and its
-report read, and the energy's.  The last tests check that the constraint
-value is the sum of the equation's rows.
+and the constant bracket.  A third keeps its reads of the masses to
+``_equation``, which weighs each record's residual once (``Record.W``).  A
+spy then counts the terms each public solve builds on its finest mesh: the
+gate's record, which the solve and its report read, and the energy's;
+another pins each route's residual weights and the residual norms read
+from them.  The last tests check that the constraint value is the sum of
+the equation's rows.
 """
 
 import ast
@@ -145,6 +148,30 @@ def test_lint_finds_raw_data_readers(source, readers):
     assert raw_data_readers(ast.parse(source)) == readers
 
 
+# the one scope of solvers.py that reads the masses: ``_equation`` weighs
+# every record's residual, ``M`` for P1 and ``M + M_b`` for P2
+MASS_READERS = {"_equation"}
+
+
+def mass_readers(tree):
+    """Names of the top-level scopes that read ``volume_mass`` or ``boundary_mass``."""
+    return {name for name, scope in _scopes(tree) if any(_is_mass(node) for node in ast.walk(scope))}
+
+
+def test_solvers_read_the_masses_only_to_build_the_record():
+    assert mass_readers(ast.parse((SRC / "solvers.py").read_text())) <= MASS_READERS
+
+
+@pytest.mark.parametrize("source, readers", [
+    ("def p2_residual_norm(ops):\n    return ops.volume_mass + ops.boundary_mass", {"p2_residual_norm"}),
+    ("def _solve_newton(ops, k):\n    weights = ops.volume_mass[:k]", {"_solve_newton"}),
+    ("class A:\n    def m(self, ops):\n        return ops.boundary_mass", {"A.m"}),
+    ("def _newton_loop(eq):\n    return eq.W", set()),
+])
+def test_lint_finds_mass_readers(source, readers):
+    assert mass_readers(ast.parse(source)) == readers
+
+
 def _p2(a, f, g):
     return lambda mesh: tb.ProblemP2(a, a, tb.DiskField.from_function(mesh, f), tb.DiskField.from_function(mesh, g))
 
@@ -204,6 +231,44 @@ def test_a_public_solve_builds_its_finest_terms_twice(monkeypatch, params, mesh3
     monkeypatch.setattr(tb.ProblemP2, "terms", spy)
     solve(mesh32, params, prob)
     assert 1 <= sum(calls) <= 2
+
+
+@pytest.mark.filterwarnings("ignore::torusbvp.errors.ExistenceWindowWarning")
+@pytest.mark.parametrize("n_rings", [8, 16, 33])
+@pytest.mark.parametrize("route", sorted(PUBLIC_SOLVES))
+def test_each_route_weighs_its_residual_by_its_own_masses(monkeypatch, params, route, n_rings):
+    """The gate's ``Record.W`` is ``M + M_b`` for P2, ``M`` for P1 over every node, ``M[:n_interior]`` for P1 Newton.
+
+    Bit for bit, as are the residual norms read from it: ``p1_residual_norm``
+    and ``p2_residual_norm`` against their formulas from the masses.
+    """
+    solve, problem = PUBLIC_SOLVES[route]
+    mesh = tb.build_mesh(n_rings)
+    prob, ops = problem(mesh), tb.assemble(mesh, params)
+    real_admit, records = solvers._admit, []
+
+    def spy(*args, **kwargs):
+        records.append(real_admit(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(solvers, "_admit", spy)
+    solve(mesh, params, prob)
+    eq, = records
+    p1 = isinstance(prob, tb.ProblemP1)
+    if not p1:
+        masses = ops.volume_mass + ops.boundary_mass
+    else:
+        masses = ops.volume_mass[:mesh.n_interior] if route == "p1_newton" else ops.volume_mass
+    assert eq.W.dtype == masses.dtype and eq.W.tobytes() == masses.tobytes()
+    v = tb.DiskField(mesh, np.random.default_rng(n_rings).normal(size=mesh.n_nodes))
+    if p1:
+        for natural in (False, True):
+            core = solvers._equation(mesh, params, prob.as_p2(), dirichlet=not natural)
+            norm = solvers._weighted_norm(solvers._residual(core, v.values), ops.volume_mass[:core.k])
+            assert tb.p1_residual_norm(mesh, params, prob, v, natural=natural) == norm
+    else:
+        norm = solvers._weighted_norm(solvers._residual(solvers._equation(mesh, params, prob), v.values), masses)
+        assert tb.p2_residual_norm(mesh, params, prob, v) == norm
 
 
 def _random_problems(rng, mesh):

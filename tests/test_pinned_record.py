@@ -21,7 +21,7 @@ from torusbvp.mesh import coarse_mesh
 
 def dirichlet_record(mesh, params):
     t = mesh.nodes[:, 0]
-    prob = tb.ProblemP1(1.5, tb.DiskField(mesh, 1.0 + 0.2 * t)).as_p2()
+    prob = tb.ProblemP1(1.5, tb.DiskField(mesh, 1.0 + 0.2 * t))
     return solvers._equation(mesh, params, prob, dirichlet=True)
 
 
@@ -51,7 +51,7 @@ def leading_cycle(block, d, P, lu, r):
 def test_the_pinned_record_has_the_leading_blocks_bits(params, n):
     mesh = tb.build_mesh(n)
     eq = dirichlet_record(mesh, params)
-    S, c, w, diagonal, k = eq
+    S, c, w, W, diagonal, k = eq
     ops = tb.assemble(mesh, params)
     assert k == mesh.n_interior and S is ops.stiffness and diagonal is ops.diagonal
     v = boundary_zero_field(mesh)

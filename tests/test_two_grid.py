@@ -176,7 +176,7 @@ def test_an_odd_ring_count_nests(params, newton_levels, case):
     assert nested.two_grid_cycles >= len(nested.trace) - 1 >= 1
     single = solve(mesh, params, prob, init=tb.DiskField.constant(mesh, 0.0))
     assert len(newton_levels) == 6 and single.two_grid_cycles == 0
-    eq = solvers._equation(mesh, params, prob.as_p2() if p1 else prob, p1)
+    eq = solvers._equation(mesh, params, prob, p1)
     k = eq.k
     lu = splu(sp.csc_matrix(solvers._shifted(eq, solvers._exp_terms(eq, single.field.values))[:k, :k]))
     for rep, (_, residuals, tol) in ((nested, newton_levels[4]), (single, newton_levels[5])):
@@ -357,7 +357,7 @@ def test_a_negative_curvature_goes_on():
     ``J = diag(2, -1, 3)``, a diagonal "stiffness" plus the shift ``(0.5, 1, 0.5)``.
     """
     S, shift = sp.diags([1.5, -2.0, 2.5]).tocsr(), np.array([0.5, 1.0, 0.5])
-    J = solvers._Jacobian(solvers.Record(S, None, None, np.arange(3), 3), shift)
+    J = solvers._Jacobian(solvers.Record(S, None, None, None, np.arange(3), 3), shift)
     diagonal = np.array([2.0, -1.0, 3.0])
     rhs = np.array([1.0, 2.0, 0.5])
     x, iterations = solvers._cycled_solve(J, rhs, lambda r: r / diagonal, np.ones(3), 1e-12)
@@ -374,7 +374,7 @@ def test_jacobian_adds_onto_the_stored_diagonal(params, dirichlet):
     """
     for n in (8, 16, 32, 64):
         mesh = tb.build_mesh(n)
-        prob = p1_case(mesh, 1.5, 0.3)[1].as_p2() if dirichlet else p2_case(mesh, 0.2)[1]
+        prob = p1_case(mesh, 1.5, 0.3)[1] if dirichlet else p2_case(mesh, 0.2)[1]
         eq = solvers._equation(mesh, params, prob, dirichlet)
         assert solvers._equation(mesh, params, prob, dirichlet).S is eq.S
         k = eq.k

@@ -114,9 +114,9 @@ def test_the_descent_hands_newton_no_residual_along_its_exponential_term(monkeyp
     starts = []
     real_loop = solvers._newton_loop
 
-    def recording_loop(eq, v0, weights, *args, **kwargs):
-        starts.append((eq, v0.copy(), weights))
-        return real_loop(eq, v0, weights, *args, **kwargs)
+    def recording_loop(eq, v0, *args, **kwargs):
+        starts.append((eq, v0.copy(), eq.W))
+        return real_loop(eq, v0, *args, **kwargs)
 
     monkeypatch.setattr(solvers, "_newton_loop", recording_loop)
     mesh = ring_mesh(n)

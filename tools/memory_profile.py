@@ -26,10 +26,10 @@ For each ring count (default 64, 128 and 256) prints eight lines:
   ``cli`` workload.
 
 Sizes are in MiB (2^20 bytes), as the benchmark's ``peak_rss_mb``.  The
-first six lines repeat from run to run: tracemalloc's figures move by
-some hundreds of bytes of Python objects between calls, below their 0.01
-MiB, so a figure prints two ways only when it lies that close to a
-rounding edge.
+first six lines come from ``tracemalloc_bytes``, which returns their
+figures in bytes.  tracemalloc's figures move by up to some kB of Python
+objects between calls, below the printed 0.01 MiB (about 10.5 kB), so a
+printed figure moves only when it lies that close to a rounding edge.
 The two ``rss`` lines vary by a MiB or so.  Run from the root of each source
 checkout and compare the outputs::
 
@@ -128,16 +128,25 @@ def hierarchy_bytes(m) -> int:
     return sum(array.nbytes for array in found.values())
 
 
-def tracemalloc_lines(rings: int) -> list:
-    """The ``build_mesh``, ``assemble``, ``transfer``, ``cache``, ``p1_adds`` and ``warm`` lines at ``rings`` rings."""
+# the six tracemalloc lines: name -> the format of their figures, in MiB
+TRACEMALLOC_LINES = {
+    "build_mesh": "peak %.2f MiB kept %.2f MiB",
+    "assemble": "peak %.2f MiB kept %.2f MiB",
+    "transfer": "peak %.2f MiB kept %.2f MiB",
+    "cache": "%.2f MiB",
+    "p1_adds": "%.2f MiB",
+    "warm": "p1 peak %.2f MiB p2 peak %.2f MiB",
+}
+
+
+def tracemalloc_bytes(rings: int) -> dict:
+    """The figures of the ``TRACEMALLOC_LINES`` at ``rings`` rings, in bytes: name -> tuple of figures."""
     mesh._assemble_core(mesh.build_mesh(4), 1.0, 0.0)  # first calls allocate lazily: make them untraced
     mesh.ring_interpolation(4, 2)
     m, peak, kept = _traced(lambda: mesh.build_mesh(rings))
-    lines = ["%d build_mesh peak %.2f MiB kept %.2f MiB" % (rings, peak / MIB, kept / MIB)]
-    _, peak, kept = _traced(lambda: mesh._assemble_core(m, workloads.PARAMS.l, workloads.PARAMS.r))
-    lines.append("%d assemble   peak %.2f MiB kept %.2f MiB" % (rings, peak / MIB, kept / MIB))
-    _, peak, kept = _traced(lambda: mesh.ring_interpolation(rings, rings // 2))
-    lines.append("%d transfer   peak %.2f MiB kept %.2f MiB" % (rings, peak / MIB, kept / MIB))
+    out = {"build_mesh": (peak, kept)}
+    out["assemble"] = _traced(lambda: mesh._assemble_core(m, workloads.PARAMS.l, workloads.PARAMS.r))[1:]
+    out["transfer"] = _traced(lambda: mesh.ring_interpolation(rings, rings // 2))[1:]
     p1, p2 = workloads.p1_newton_op(m, GAMMA, C), workloads.p2_newton_op(m, C)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -145,11 +154,15 @@ def tracemalloc_lines(rings: int) -> list:
         neumann = hierarchy_bytes(m)
         p1.run()
         cached = hierarchy_bytes(m)
-        warm = [_traced(op.run)[1] / MIB for op in (p1, p2)]
-    lines.append("%d cache      %.2f MiB" % (rings, cached / MIB))
-    lines.append("%d p1_adds    %.2f MiB" % (rings, (cached - neumann) / MIB))
-    lines.append("%d warm       p1 peak %.2f MiB p2 peak %.2f MiB" % (rings, *warm))
-    return lines
+        out["warm"] = tuple(_traced(op.run)[1] for op in (p1, p2))
+    out["cache"], out["p1_adds"] = (cached,), (cached - neumann,)
+    return out
+
+
+def tracemalloc_lines(rings: int, figures: dict) -> list:
+    """The ``TRACEMALLOC_LINES`` at ``rings`` rings, of ``figures`` in bytes (``tracemalloc_bytes``), in order."""
+    return ["%d %-10s %s" % (rings, name, fmt % tuple(x / MIB for x in figures[name]))
+            for name, fmt in TRACEMALLOC_LINES.items()]
 
 
 def _peak_mib(code: str) -> float:
@@ -172,7 +185,7 @@ def main(argv=None) -> int:
     # processes run before this one grows
     rss = [rss_lines(rings) for rings in rings_list]
     for rings, rss_of_rings in zip(rings_list, rss):
-        for line in tracemalloc_lines(rings) + rss_of_rings:
+        for line in tracemalloc_lines(rings, tracemalloc_bytes(rings)) + rss_of_rings:
             print(line, flush=True)
     return 0
 
