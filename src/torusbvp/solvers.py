@@ -18,10 +18,11 @@ norm in ``W`` and its Jacobian ``S + diag(w e^v)``, the gradient ``S v +
 c`` and projection sum ``sum(w e^v)`` of the constrained descent that
 starts the coarsest level, and the monotone iteration's defect correction
 ``v <- v - (S + diag(|w| e^super))^-1 F(v)``.  A record with ``c`` all
-zero and no pinned row is the a = b = 0 case (``Record.zero_linear``).  Every matrix a solver factors is ``S`` plus a
-diagonal, built one way (``_shifted``), and only to be factored: a Newton
-step solved by cycles applies its Jacobian as an operator on the record
-(``_Jacobian``), ``S x + (w e^v) x``, and copies no matrix.  Every public
+zero and no pinned row is the a = b = 0 case (``Record.zero_linear``).
+Every matrix a solver factors is ``S`` plus a diagonal, built one way
+(``_shifted``), and only to be factored: a Newton step solved by cycles
+applies its Jacobian as an operator on the record (``_Jacobian``), ``S x
++ (w e^v) x``, and copies no matrix.  Every public
 solver first admits its data (``_admit``), which returns the finest record;
 the solve and its report read that record.
 
@@ -518,11 +519,11 @@ def _equation(mesh, p, prob, dirichlet=False):
     over every node (the variational route) keeps ``M``: its descent's
     preconditioner ``S + diag(W)`` is built on it.  The unknowns are the
     leading ``k`` nodes: a Dirichlet problem's interior nodes
-    (``n_interior``), else every node, and ``W`` covers them.  The rows ``k:``, the
-    boundary's, come last and are pinned: ``_residual`` is zero there, and
-    ``_shifted`` puts unit rows there as ``_Jacobian`` does, so a field zero
-    on them stays zero, and on the unknowns every product has the bits of
-    the leading block ``S[:k, :k]``.
+    (``n_interior``), else every node, and ``W`` covers them.  The rows
+    ``k:``, the boundary's, come last and are pinned: ``_residual`` is zero
+    there, and ``_shifted`` puts unit rows there as ``_Jacobian`` does, so a
+    field zero on them stays zero, and on the unknowns every product has
+    the bits of the leading block ``S[:k, :k]``.
     """
     ops, p1, k = assemble(mesh, p), isinstance(prob, ProblemP1), mesh.n_interior if dirichlet else mesh.n_nodes
     c, w = (prob.as_p2() if p1 else prob).terms(ops)
@@ -579,9 +580,9 @@ def _admit(mesh, p, prob, dirichlet=False):
     some ``w_i`` must have the sign opposite to ``r_h``; on an a = b = 0
     record (``Record.zero_linear``, as the solve reads it), ``w`` needs both
     signs and ``sum(w) = int(f) + bint(g) > 0``, its value ``int(e^-v
-    |grad v|^2)`` at every solution.  With ``r_h < 0``
-    and ``w`` of both signs the energy is unbounded below on {K = 0}.  A
-    Dirichlet record has no row-sum condition.
+    |grad v|^2)`` at every solution.  With ``r_h < 0`` and ``w`` of both
+    signs the energy is unbounded below on {K = 0}.  A Dirichlet record has
+    no row-sum condition.
     """
     eq = _equation(mesh, p, prob, dirichlet)
     prob = prob.as_p2() if isinstance(prob, ProblemP1) else prob
@@ -614,10 +615,10 @@ def _solve_newton(mesh, p, prob, finest, init, opts, descent=False):
 
     The finest level reads ``finest``, and each coarser level builds its
     own record (``_equation``) of ``prob`` restricted there, of the same
-    kind, with its own residual weights; the walk reads no mass.  Every record holds the
-    stiffness of all its level's nodes, as every level's field does; a
-    Dirichlet record, whose unknowns ``k`` are the interior nodes, pins its
-    boundary rows, so each field stays zero there.
+    kind, with its own residual weights; the walk reads no mass.  Every
+    record holds the stiffness of all its level's nodes, as every level's
+    field does; a Dirichlet record, whose unknowns ``k`` are the interior
+    nodes, pins its boundary rows, so each field stays zero there.
 
     Without ``init`` this is the nested iteration of full multigrid: each
     mesh of 4 rings or more has the half-ring mesh below it
@@ -724,11 +725,10 @@ def _descend(eq, v, opts, counts):
     ``S``, ``c``, ``w`` and Newton's residual weights ``W``, ``M + M_b``,
     or ``M`` for P1.  The a = b = 0 case is the record's
     (``Record.zero_linear``); the descent runs on Neumann records only.
-    Projected descent,
-    preconditioned by ``S + diag(W)`` (one factor, ``_shifted``),
-    takes at most ``max_descent_iter`` steps, each the first of ``_STEPS``,
-    1, 1/2, ..., 2^-20, whose projected trial passes the Armijo test on the
-    energy; a trial energy of inf or nan fails it, and a step with no
+    Projected descent, preconditioned by ``S + diag(W)`` (one factor,
+    ``_shifted``), takes at most ``max_descent_iter`` steps, each the first
+    of ``_STEPS``, 1, 1/2, ..., 2^-20, whose projected trial passes the
+    Armijo test on the energy; a trial energy of inf or nan fails it, and a step with no
     passing trial ends the descent.  Iterates stay on {K = 0},
     ``K(v) = r_h + sum(w e^v)``, ``r_h = sum(c)``: with (a, b) != 0 by the
     shift ``v + ln(-r_h / sum(w e^v))``.  The projection refuses a sum

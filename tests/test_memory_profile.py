@@ -43,9 +43,9 @@ def test_the_buffer_walk_finds_every_array_field_of_the_operators(memory_profile
 def test_two_runs_trace_the_same_bytes(memory_profile):
     """Two calls at 11 rings trace each figure within 2 kB, whatever ran before them in the process.
 
-    Calls trace up to some hundreds of bytes of Python objects apart: at 11
-    rings the warm peaks move by up to 0.3 kB from call to call, and by up
-    to 1.4 kB at 18 rings; every other figure moves by tens of bytes.  The
+    Calls trace Python objects a little apart: at 11 rings the warm peaks
+    move by up to 0.3 kB from call to call, and by up to 1.4 kB at 18
+    rings; every other figure moves by tens of bytes.  The
     bytes are compared, not the printed lines: a figure printed to 0.01 MiB,
     about 10.5 kB, can print two ways when it lies near a rounding edge, so
     the comparison is both tighter than the print and free of those edges.
