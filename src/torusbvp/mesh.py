@@ -277,15 +277,16 @@ def _assemble_core(mesh: DiskMesh, w0: float, w1: float):
 
 @dataclass(frozen=True)
 class WeightedOperators:
-    """Assembled torus-weighted operators on a disk mesh.
+    """Assembled torus-weighted operators on a disk mesh, every array read-only.
 
     ``stiffness`` is symmetric positive semidefinite with the constants as
     kernel; ``volume_mass`` and ``boundary_mass`` are lumped diagonals whose
-    sums approximate the torus volume and boundary area.  ``diagonal`` is
-    the index in ``stiffness.data`` of each diagonal entry, read-only: every
-    record of a Newton level reads the stiffness with it, and a Dirichlet
-    record pins the trailing boundary rows instead of slicing a copy of the
-    interior block (``solvers._equation``).
+    sums approximate the torus volume and boundary area.  ``diagonal`` holds
+    the stiffness's diagonal values, each positive: every record reads them
+    (``solvers._equation``), and a factored matrix sets them, plus its
+    shift, on a copy of the stiffness (``solvers._factorize``).  The cache
+    is shared by every solve on the mesh, the scan's threads among them, so
+    none may write it.
     """
 
     stiffness: sp.csr_matrix
@@ -295,37 +296,27 @@ class WeightedOperators:
 
 
 def assemble(mesh: DiskMesh, p: TorusParams) -> WeightedOperators:
-    """Weighted stiffness, its diagonal index and lumped volume/boundary masses (memoized per mesh)."""
+    """Weighted stiffness, its diagonal and lumped volume/boundary masses (memoized per mesh), read-only.
+
+    A node on no triangle has no stiffness row: its diagonal value is zero,
+    and it raises ``DomainError``.
+    """
     key = ("ops", p.l, p.r)
     ops = mesh._cache.get(key)
     if ops is None:
         stiff, vol, bnd = _assemble_core(mesh, p.l, p.r)
         stiff.data *= TWO_PI
-        ops = WeightedOperators(
-            stiffness=stiff,
-            volume_mass=TWO_PI * p.r**2 * vol,
-            boundary_mass=TWO_PI * p.r * bnd,
-            diagonal=_diagonal_index(stiff),
-        )
-        ops.volume_mass.setflags(write=False)
-        ops.boundary_mass.setflags(write=False)
+        diagonal = stiff.diagonal()
+        orphans = np.count_nonzero(diagonal <= 0.0)
+        if orphans:
+            raise DomainError("%d of %d nodes lie on no triangle: their stiffness diagonal is not positive"
+                              % (orphans, diagonal.size))
+        ops = WeightedOperators(stiffness=stiff, volume_mass=TWO_PI * p.r**2 * vol,
+                                boundary_mass=TWO_PI * p.r * bnd, diagonal=diagonal)
+        for a in (stiff.data, stiff.indices, stiff.indptr, ops.volume_mass, ops.boundary_mass, diagonal):
+            a.setflags(write=False)
         mesh._cache[key] = ops
     return ops
-
-
-def _diagonal_index(matrix) -> np.ndarray:
-    """The index in ``matrix.data`` of each diagonal entry, read-only: ``assemble``'s ``diagonal``.
-
-    Every row of a stiffness stores its diagonal entry, so a Jacobian ``S +
-    diag(d)`` is a copy of ``data`` with ``d`` added at those positions.  A
-    matrix that stores fewer raises ``DomainError``.
-    """
-    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    diagonal = np.flatnonzero(matrix.indices == rows)
-    if diagonal.size != matrix.shape[0]:
-        raise DomainError("the stiffness stores %d of its %d diagonal entries" % (diagonal.size, matrix.shape[0]))
-    diagonal.setflags(write=False)
-    return diagonal
 
 
 @dataclass(frozen=True)

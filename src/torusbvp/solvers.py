@@ -9,20 +9,20 @@ g = 0``, restricted to the interior nodes for the Dirichlet problem.  Each
 solve builds its finest ``Record`` once, in its gate, and each coarser
 level of a nested Newton solve builds its own (``_equation``) from the
 public problem, P1 or P2: ``S``, ``c`` and ``w``, the residual weights
-``W`` (``M`` for P1, ``M + M_b`` for P2), the index ``diagonal`` of
-``S``'s diagonal in its data and the pin row ``k``.  The unknowns are the
-leading ``k`` nodes, a Dirichlet level's interior nodes or every node, and
-the trailing rows, a Dirichlet level's boundary, are pinned at zero.  Every
+``W`` (``M`` for P1, ``M + M_b`` for P2), ``S``'s diagonal values
+``diagonal`` and the pin row ``k``.  The unknowns are the leading ``k``
+nodes, a Dirichlet level's interior nodes or every node, and the trailing
+rows, a Dirichlet level's boundary, are pinned at zero.  Every
 method reads the record, and only the record: Newton's residual ``F``, its
 norm in ``W`` and its Jacobian ``S + diag(w e^v)``, the gradient ``S v +
 c`` and projection sum ``sum(w e^v)`` of the constrained descent that
 starts the coarsest level, and the monotone iteration's defect correction
 ``v <- v - (S + diag(|w| e^super))^-1 F(v)``.  A record with ``c`` all
 zero and no pinned row is the a = b = 0 case (``Record.zero_linear``).
-Every matrix a solver factors is ``S`` plus a diagonal, built one way
-(``_shifted``), and only to be factored: a Newton step solved by cycles
-applies its Jacobian as an operator on the record (``_Jacobian``), ``S x
-+ (w e^v) x``, and copies no matrix.  Every public
+Every matrix a solver factors is ``S`` plus a diagonal on the unknowns,
+built and factored in one place (``_factorize``): a Newton step solved by
+cycles applies its Jacobian as an operator on the record (``_Jacobian``),
+``S x + (w e^v) x``, and copies no matrix.  Every public
 solver first admits its data (``_admit``), which returns the finest record;
 the solve and its report read that record.
 
@@ -182,22 +182,29 @@ def _weighted_norm(res, weights):
     return float(out)
 
 
-def _factorize(matrix):
-    """SuperLU factor of a structurally symmetric matrix.
+def _factorize(eq, diagonal):
+    """SuperLU factor of ``S + diag(diagonal)`` on the record's unknowns, the leading block ``[:k, :k]``.
 
-    Every matrix the solvers factor is a record's stiffness plus a diagonal
-    (``_shifted``: Newton Jacobians, the descent preconditioner, the
-    monotone shift), so its pattern is symmetric: the graph of the mesh
-    nodes.  SuperLU orders such a pattern by minimum degree on ``A + A^T``
-    (``MMD_AT_PLUS_A``), which leaves about two thirds of the fill of its
-    default COLAMD, an order for the columns of an unsymmetric matrix.
-    ``SymmetricMode`` applies that one order to the rows and the columns,
-    and a diagonal pivot threshold of 0.01 keeps the diagonal as the pivot
-    unless it is below 1% of the largest entry in its column, so the
-    elimination follows the order chosen.
+    The one builder of every matrix the solvers factor: Newton's Jacobian
+    (``w e^v``), the descent's preconditioner (its residual weights) and the
+    monotone shift (``|w| e^super``).  scipy slices ``S[:k, :k]`` to a copy,
+    the whole matrix on a Neumann record, whose diagonal is set to
+    ``eq.diagonal + diagonal`` in place: the cached stiffness is never
+    written, and the block has the bits of ``S[:k, :k] + diag(diagonal)``.
+    Its pattern is symmetric, the graph of the mesh nodes.  SuperLU orders
+    such a pattern by minimum degree on ``A + A^T`` (``MMD_AT_PLUS_A``),
+    which leaves about two thirds of the fill of its default COLAMD, an
+    order for the columns of an unsymmetric matrix.  ``SymmetricMode``
+    applies that one order to the rows and the columns, and a diagonal
+    pivot threshold of 0.01 keeps the diagonal as the pivot unless it is
+    below 1% of the largest entry in its column, so the elimination follows
+    the order chosen.  A factor that fails raises ``SingularJacobian``.
     """
+    k = eq.k
+    block = eq.S[:k, :k]
+    block.setdiag(eq.diagonal[:k] + diagonal[:k])
     try:
-        return splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+        return splu(block.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
                     options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularJacobian("sparse factorization failed: %s" % exc) from exc
@@ -217,8 +224,8 @@ def _newton_loop(eq, v0, opts, counts, coarse=None, stop_fraction=0.0):
     on the record (``_Jacobian``), no matrix: conjugate gradients
     preconditioned by cycles on it (``_cycle``) solve the step
     (``_cycled_solve``).  Only once they miss their target, or without
-    ``coarse``, is ``J`` built (``_shifted``) and factored, on its leading
-    block ``J[:k, :k]``, the unknowns' rows and columns, and the step's
+    ``coarse``, is ``J`` built and factored on its leading block ``J[:k,
+    :k]``, the unknowns' rows and columns (``_factorize``), and the step's
     other solves use that one factor.  ``v0`` and every update hold a
     value per node, zero on the pinned rows ``k:`` of ``eq``; ``v0`` is not
     written, and it is returned if no step is taken.  The loop keeps no
@@ -258,9 +265,9 @@ def _newton_loop(eq, v0, opts, counts, coarse=None, stop_fraction=0.0):
     step times it, so it stays positive, and ``mu`` is carried and moved
     with the step.  The line search reads the merit ``hypot(|F + mu W|, s
     sum(w e^u))``, norms weighted, with the row scale ``s = r0 mean(S_ii)
-    / sum(|w|)^2`` read from the record alone: the row is free of data
-    scaled by ``lam``, it scales as ``|F|`` does under the dilation of the
-    torus, and it reads nothing of the start.  The stop on ``|F|`` is the
+    / sum(|w|)^2`` read from the record alone, ``S_ii`` its ``diagonal``:
+    the row is free of data scaled by ``lam``, it scales as ``|F|`` does
+    under the dilation of the torus, and it reads nothing of the start.  The stop on ``|F|`` is the
     one above, and the constraint row must also fall to half its value at
     zero, the valley's, whatever the options.  The rows of ``F`` sum to
     the constraint in ``v``, so the residual stop sets the accuracy, and
@@ -277,7 +284,7 @@ def _newton_loop(eq, v0, opts, counts, coarse=None, stop_fraction=0.0):
     weights, k, bordered = eq.W, eq.k, eq.zero_linear
     total, r0 = float(np.sum(weights)), _weighted_norm(eq.c + eq.w, weights)
     # the constraint row's scale: r0 times mean(S_ii) / sum|w|, a multiplier read from the record, over sum|w|
-    row_scale = r0 * float(np.mean(eq.S.data[eq.diagonal])) / float(np.sum(np.abs(eq.w))) ** 2 if bordered else 0.0
+    row_scale = r0 * float(np.mean(eq.diagonal)) / float(np.sum(np.abs(eq.w))) ** 2 if bordered else 0.0
 
     def residual(v, mu):
         F = _residual(eq, v)
@@ -311,7 +318,7 @@ def _newton_loop(eq, v0, opts, counts, coarse=None, stop_fraction=0.0):
                 if x is not None:
                     return x
             if solve is None:
-                solve = _leading_solve(_factorize(_shifted(eq, shift)[:k, :k]), k)
+                solve = _leading_solve(_factorize(eq, shift), k)
                 counts["factorizations"] += 1
             return solve(rhs)
 
@@ -359,19 +366,17 @@ class _Jacobian:
     """Newton's ``J = S + diag(shift)``, ``shift = w e^v``, as an operator on a record: no matrix is built.
 
     ``J x`` (``product``) is ``S x + shift * x`` on the unknowns, the
-    leading ``k`` rows, and ``x`` on the pinned rows ``k:``: the product of
-    ``_shifted(eq, shift)`` with ``x``, its terms summed in another order.
-    ``jacobi`` holds the damped Jacobi weights ``_TWO_GRID_DAMPING / (S_ii
-    + shift_i)`` on the unknowns and ``_TWO_GRID_DAMPING`` on the unit rows
-    ``k:``, with the bits they have on ``_shifted``'s diagonal.  So a cycled
-    Newton step, and the cycle a level hands up, hold two vectors beside
-    the record, not a copy of ``S.data``.
+    leading ``k`` rows, and ``x`` on the pinned rows ``k:``, where ``J`` is
+    the identity.  ``jacobi`` holds the damped Jacobi weights
+    ``_TWO_GRID_DAMPING / (S_ii + shift_i)``, ``S_ii`` the record's
+    ``diagonal``, on the unknowns and ``_TWO_GRID_DAMPING`` on the pinned
+    rows.  So a cycled Newton step, and the cycle a level hands up, hold two
+    vectors beside the record, not a copy of ``S.data``.
     """
 
     def __init__(self, eq, shift):
         self.S, self.shift, self.k = eq.S, shift, eq.k
-        self.jacobi = eq.S.data[eq.diagonal]
-        self.jacobi += shift
+        self.jacobi = eq.diagonal + shift
         self.jacobi[eq.k:] = 1.0
         np.divide(_TWO_GRID_DAMPING, self.jacobi, out=self.jacobi)
 
@@ -392,9 +397,9 @@ def _cycle(J, P, coarse_k, coarse_solve):
     the residual ``r - J x``.  A residual zero on ``J``'s pinned rows ``k:``
     gets a correction zero there: ``R r`` is zeroed on the level below's
     pinned rows ``coarse_k:`` and ``x`` on ``k:`` after the coarse
-    correction, and ``J``'s unit rows keep the sweeps at zero there.  On the
-    unknowns this is bit for bit the cycle on the leading blocks: a pinned
-    entry adds only zeros to the sparse products.  The sweeps damp the
+    correction, and ``J``, the identity on ``k:``, keeps the sweeps at zero
+    there.  On the unknowns this is bit for bit the cycle on the leading
+    blocks: a pinned entry adds only zeros to the sparse products.  The sweeps damp the
     error that oscillates on this mesh; the rest is smooth, and the level
     below resolves it with the ``coarse_solve`` it hands up
     (``_solve_newton``).  When that is itself a cycle, the recursion is a
@@ -491,7 +496,10 @@ class Record(NamedTuple):
     ``F`` has the norm ``sqrt(sum(F_i^2 / W_i))`` (``_weighted_norm``).
     Newton's stop and line search, the descent's preconditioner, gauge and
     density shift, the monotone route's scores and both residual norms read
-    it.
+    it.  ``diagonal`` holds ``S``'s diagonal values, read-only: every
+    factored matrix sets it, plus its shift, on a copy of ``S``
+    (``_factorize``), and the cycles' Jacobi weights and the bordered row
+    scale read it.
     """
 
     S: sp.csr_matrix
@@ -510,8 +518,8 @@ class Record(NamedTuple):
 def _equation(mesh, p, prob, dirichlet=False):
     """The ``Record`` of the public problem ``prob``: stiffness, terms, weights and pin row, once per level or solve.
 
-    ``S`` and ``diagonal``, the index of each diagonal entry in ``S.data``,
-    are ``assemble``'s, cached once per mesh and geometry for every record;
+    ``S`` and ``diagonal``, ``S``'s diagonal values, are ``assemble``'s,
+    cached read-only once per mesh and geometry for every record;
     this is the one function of ``solvers`` that reads ``.stiffness`` and
     the masses.  A ``ProblemP1`` enters as ``prob.as_p2()``, its terms
     built from that copy, which the record does not keep, and is weighed by
@@ -521,9 +529,9 @@ def _equation(mesh, p, prob, dirichlet=False):
     leading ``k`` nodes: a Dirichlet problem's interior nodes
     (``n_interior``), else every node, and ``W`` covers them.  The rows
     ``k:``, the boundary's, come last and are pinned: ``_residual`` is zero
-    there, and ``_shifted`` puts unit rows there as ``_Jacobian`` does, so a
-    field zero on them stays zero, and on the unknowns every product has
-    the bits of the leading block ``S[:k, :k]``.
+    there, ``_Jacobian`` keeps them as they are and ``_factorize`` leaves
+    them out, so a field zero on them stays zero, and on the unknowns every
+    product has the bits of the leading block ``S[:k, :k]``.
     """
     ops, p1, k = assemble(mesh, p), isinstance(prob, ProblemP1), mesh.n_interior if dirichlet else mesh.n_nodes
     c, w = (prob.as_p2() if p1 else prob).terms(ops)
@@ -543,23 +551,6 @@ def _residual(eq, v):
     F = _sparse_product(eq.S, v) + eq.c + _exp_terms(eq, v)
     F[eq.k:] = 0.0
     return F
-
-
-def _shifted(eq, diagonal):
-    """``S + diag(diagonal)``: ``S``'s data with ``diagonal`` added at its stored diagonal, on ``S``'s structure.
-
-    The one builder of every matrix the solvers factor: Newton's Jacobian
-    (``w e^v``), the descent's preconditioner (its residual weights) and the
-    monotone shift (``|w| e^super``).  Bit for bit ``S + sp.diags(diagonal)``
-    on the rows of the unknowns; the pinned rows ``k:``, the trailing ones,
-    are unit rows.
-    """
-    S, stored, k = eq.S, eq.diagonal, eq.k
-    data = S.data.copy()
-    data[stored] += diagonal
-    data[S.indptr[k]:] = 0.0
-    data[stored[k:]] = 1.0
-    return sp.csr_matrix((data, S.indices, S.indptr), shape=S.shape)
 
 
 def _admit(mesh, p, prob, dirichlet=False):
@@ -726,7 +717,7 @@ def _descend(eq, v, opts, counts):
     or ``M`` for P1.  The a = b = 0 case is the record's
     (``Record.zero_linear``); the descent runs on Neumann records only.
     Projected descent, preconditioned by ``S + diag(W)`` (one factor,
-    ``_shifted``), takes at most ``max_descent_iter`` steps, each the first
+    ``_factorize``), takes at most ``max_descent_iter`` steps, each the first
     of ``_STEPS``, 1, 1/2, ..., 2^-20, whose projected trial passes the
     Armijo test on the energy; a trial energy of inf or nan fails it, and a step with no
     passing trial ends the descent.  Iterates stay on {K = 0},
@@ -761,7 +752,7 @@ def _descend(eq, v, opts, counts):
     v_p = project(v)  # else no constant shift has the sign needed: shift along the density
     v = reach_exponential_target(w, weights, v, -r_h) if v_p is None else v_p
 
-    precond = _factorize(_shifted(eq, weights))
+    precond = _factorize(eq, weights)
     counts["factorizations"] += 1
     merit = energy(v)
     iterations = 0
@@ -868,7 +859,7 @@ def solve_p1_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP1,
     eq = _admit(mesh, p, prob)
     v, res, iterations, trace, counts = _solve_newton(mesh, p, prob, eq, init, opts or SolveOptions(), descent=True)
     # kappa, or the core's -1 times the sign of -f e^v
-    multiplier = math.exp(mean_value(mesh, p, DiskField(mesh, v))) if prob.gamma == 0.0 else 1.0
+    multiplier = math.exp(mean_value(mesh, p, DiskField(mesh, v))) if eq.zero_linear else 1.0
     return _report(mesh, p, prob, eq, v, iterations, res, multiplier, trace, counts)
 
 
@@ -896,7 +887,7 @@ def solve_p2_newton(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
     """
     eq = _admit(mesh, p, prob)
     v, res, iterations, trace, counts = _solve_newton(mesh, p, prob, eq, init, opts or SolveOptions(),
-                                                      descent=init is None and prob.a == prob.b == 0.0)
+                                                      descent=init is None and eq.zero_linear)
     return _report(mesh, p, prob, eq, v, iterations, res, None, trace, counts)
 
 
@@ -914,7 +905,7 @@ def solve_p2_variational(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
     """
     eq = _admit(mesh, p, prob)
     v, res, iterations, trace, counts = _solve_newton(mesh, p, prob, eq, init, opts or SolveOptions(), descent=True)
-    multiplier = math.exp(mean_value(mesh, p, DiskField(mesh, v))) if prob.a == prob.b == 0.0 else -1.0
+    multiplier = math.exp(mean_value(mesh, p, DiskField(mesh, v))) if eq.zero_linear else -1.0
     return _report(mesh, p, prob, eq, v, iterations, res, multiplier, trace, counts)
 
 
@@ -991,7 +982,8 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
     # discrete inequality check of the defining sub/supersolution conditions,
     # scored as nodewise strong residuals against the record's own scale
     tol_lo, tol_hi = (1e-9 * (1.0 + float(np.max((abs(eq.c) + abs(_exp_terms(eq, x))) / weights))) for x in (lo, hi))
-    F_lo = _residual(eq, lo) / weights
+    F = _residual(eq, lo)  # also the first iterate's residual
+    F_lo = F / weights
     if np.any(F_lo > tol_lo):
         raise OrderingViolation("subsolution fails the discrete inequality (max violation %g)"
                                 % float(np.max(F_lo)))
@@ -1001,13 +993,12 @@ def solve_p2_monotone(mesh: DiskMesh, p: TorusParams, prob: ProblemP2,
                                 % float(np.min(F_hi)))
 
     lu = None  # factored at the first nonzero residual, so an exact fixed point factors nothing
-    v = lo.copy()
-    F = _residual(eq, v)
+    v = lo  # rebound by each step, never written
     trace = []
     tol = opts.tol_abs + opts.tol_rel * _weighted_norm(eq.c + eq.w, weights)  # the data-only stop
     for iterations in range(1, opts.max_monotone_iter + 1):
         if lu is None and np.any(F):
-            lu = _factorize(_shifted(eq, abs(_exp_terms(eq, hi))))
+            lu = _factorize(eq, abs(_exp_terms(eq, hi)))
         v_new = v if lu is None else v - lu.solve(F)
         if np.any(v_new < v - slack):
             raise OrderingViolation("iterate decreased at %d nodes (shift too small?)"

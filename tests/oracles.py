@@ -10,6 +10,8 @@ independent route to the semi-analytic ``corollary_scan``.
 import math
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import torusbvp as tb
 from torusbvp.inequalities import default_moser_orbit
@@ -213,3 +215,18 @@ def corollary_check(mesh, p, field, alpha_exp):
         raise tb.DomainError("gradient energy %g exceeds the bound %g" % (energy, bound))
     v = field.values
     return tb.integrate_volume(mesh, p, tb.DiskField(mesh, tb.exp_capped(alpha_exp * v * v)))
+
+
+def shifted_block_factor(S, d, k):
+    """SuperLU factor of ``S[:k, :k] + diag(d[:k])``, summed by scipy, with the solvers' factor options."""
+    return splu((S[:k, :k] + sp.diags(d[:k])).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+                options=dict(SymmetricMode=True))
+
+
+def assert_same_factor(lu, ref):
+    """``lu`` and ``ref`` have the same ``L``, ``U``, ``perm_r`` and ``perm_c``, bit for bit."""
+    for name in ("L", "U"):
+        for part in ("indptr", "indices", "data"):
+            assert getattr(getattr(lu, name), part).tobytes() == getattr(getattr(ref, name), part).tobytes(), name
+    for name in ("perm_r", "perm_c"):
+        assert np.array_equal(getattr(lu, name), getattr(ref, name)), name

@@ -8,8 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 import torusbvp as tb
-from torusbvp.mesh import (TWO_PI, _assemble_core, _diagonal_index, _ring_layout, _triangle_geometry, coarse_mesh,
-                           ring_interpolation)
+from torusbvp.mesh import TWO_PI, _assemble_core, _ring_layout, _triangle_geometry, coarse_mesh, ring_interpolation
 from oracles import (
     SmoothFieldBasis,
     fit_order,
@@ -322,18 +321,27 @@ def test_triangles_out_of_ring_order_have_no_assembly(params):
         tb.assemble(tb.DiskMesh(m.nodes, m.triangles[::-1], 40), params)
 
 
-def test_the_diagonal_index_is_read_only_and_needs_every_diagonal_entry(params):
-    """``assemble``'s ``diagonal`` points at each stored diagonal entry, read-only; a stiffness short of one raises."""
-    m = tb.build_mesh(4)
-    ops = tb.assemble(m, params)
-    S = ops.stiffness
-    assert S.data[ops.diagonal].tobytes() == S.diagonal().tobytes()
+@pytest.mark.parametrize("n", [4, 33])
+def test_the_diagonal_holds_the_stiffness_diagonal_read_only(params, n):
+    """``assemble``'s ``diagonal`` is ``stiffness.diagonal()`` bit for bit, read-only."""
+    ops = tb.assemble(tb.build_mesh(n), params)
+    assert ops.diagonal.tobytes() == ops.stiffness.diagonal().tobytes()
     assert not ops.diagonal.flags.writeable
-    pruned = S.copy()
-    pruned.data[ops.diagonal[5]] = 0.0
-    pruned.eliminate_zeros()
-    with pytest.raises(tb.DomainError, match="stores %d of its %d diagonal entries" % (m.n_nodes - 1, m.n_nodes)):
-        _diagonal_index(pruned)
+
+
+@pytest.mark.parametrize("n", [4, 33])
+def test_the_cached_stiffness_is_read_only(params, n):
+    """Every solve on a mesh, the scan's threads among them, shares the cached stiffness: none may write it."""
+    S = tb.assemble(tb.build_mesh(n), params).stiffness
+    for part in ("data", "indices", "indptr"):
+        assert not getattr(S, part).flags.writeable, part
+
+
+def test_a_node_on_no_triangle_has_no_assembly(params):
+    """Without the center's six triangles, the center node has no stiffness row: ``assemble`` raises."""
+    m = tb.build_mesh(4)
+    with pytest.raises(tb.DomainError, match="1 of %d nodes lie on no triangle" % m.n_nodes):
+        tb.assemble(tb.DiskMesh(m.nodes, m.triangles[6:], 4), params)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])

@@ -5,18 +5,19 @@ its nodes and the pin row ``k = n_interior``; the boundary nodes are the
 trailing ones.  On a field zero on the boundary, each operator of the record
 must have the bits of the same operator on the leading blocks ``[:k, :k]``,
 sliced here as the oracle, and must keep the pinned rows ``k:`` at zero: the
-residual, the shifted matrix that a factor reads, the Jacobian operator that
-a cycled step applies, and a cycle on that operator.
+residual, the Jacobian operator that a cycled step applies, and a cycle on
+that operator.  A factor is of the leading block alone: its ``L``, ``U`` and
+permutations are those of SuperLU on ``S[:k, :k] + diag(d[:k])``.
 """
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 import torusbvp as tb
 from torusbvp import solvers
 from torusbvp.mesh import coarse_mesh
+
+from oracles import assert_same_factor, shifted_block_factor
 
 
 def dirichlet_record(mesh, params):
@@ -62,11 +63,7 @@ def test_the_pinned_record_has_the_leading_blocks_bits(params, n):
     assert F[k:].tobytes() == np.zeros(mesh.n_nodes - k).tobytes()
 
     d = solvers._exp_terms(eq, v)
-    J = solvers._shifted(eq, d)
-    ref = (block + sp.diags(d[:k])).tocsr()
-    for part in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(J[:k, :k], part), getattr(ref, part)), part
-    assert (J[k:] != sp.eye(mesh.n_nodes, format="csr")[k:]).nnz == 0
+    assert_same_factor(solvers._factorize(eq, d), shifted_block_factor(S, d, k))
 
     operator = solvers._Jacobian(eq, d)
     Jv = operator.product(v, np.empty_like(v))
@@ -78,8 +75,7 @@ def test_the_pinned_record_has_the_leading_blocks_bits(params, n):
     coarse, _, P = coarse_mesh(mesh)
     coarse_eq = dirichlet_record(coarse, params)
     kc = coarse_eq.k
-    coarse_J = solvers._shifted(coarse_eq, solvers._exp_terms(coarse_eq, boundary_zero_field(coarse)))
-    lu = splu(sp.csc_matrix(coarse_J[:kc, :kc]))
+    lu = solvers._factorize(coarse_eq, solvers._exp_terms(coarse_eq, boundary_zero_field(coarse)))
     leading = solvers._leading_solve(lu, kc)
 
     def coarse_solve(coarse_r):  # a coarse cycle would read the pinned entries too: they must be zero

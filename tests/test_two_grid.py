@@ -12,11 +12,13 @@ the stiffness.  A cycled solve that returns no step puts
 every step back on the factor, the direct path, which must take the same
 steps to the same field.  Below the finest, a level of
 ``_TWO_GRID_MIN_RINGS`` rings or more stops at 1e-3 of its start's residual
-on either path.  The Jacobian and the
+on either path.  The Jacobian operator and the
 cycle's diagonal read the stiffness of each mesh as it was built once,
 never a slice or a sum of it: a Dirichlet record pins its trailing boundary
 rows (``solvers._equation``), and on its unknowns, the leading ``k`` rows,
-each of these has the bits of the leading block.
+each of these has the bits of the leading block.  A factor is of a copy of
+that block with its diagonal set (``solvers._factorize``), and has the bits
+of SuperLU on the block plus the diagonal.
 """
 
 import math
@@ -26,11 +28,12 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 import torusbvp as tb
 from torusbvp import solvers
 from torusbvp.mesh import coarse_mesh
+
+from oracles import assert_same_factor, shifted_block_factor
 
 
 def p1_case(mesh, gamma, c):
@@ -178,7 +181,7 @@ def test_an_odd_ring_count_nests(params, newton_levels, case):
     assert len(newton_levels) == 6 and single.two_grid_cycles == 0
     eq = solvers._equation(mesh, params, prob, p1)
     k = eq.k
-    lu = splu(sp.csc_matrix(solvers._shifted(eq, solvers._exp_terms(eq, single.field.values))[:k, :k]))
+    lu = solvers._factorize(eq, solvers._exp_terms(eq, single.field.values))
     for rep, (_, residuals, tol) in ((nested, newton_levels[4]), (single, newton_levels[5])):
         assert residuals[-1] <= tol
     corrections = [np.max(np.abs(lu.solve(solvers._residual(eq, rep.field.values)[:k]))) for rep in (nested, single)]
@@ -300,14 +303,14 @@ def test_the_finest_level_hands_up_no_cycle(params, monkeypatch):
 
 @pytest.mark.parametrize("case", ["p1 gamma=1.5 c=0.3", "p2 c=0.2"])
 def test_only_a_factor_builds_a_matrix(params, monkeypatch, case):
-    """``_shifted`` runs once per counted factor: a cycled step, and the cycle a level hands up, build no matrix."""
-    real_shifted, built = solvers._shifted, []
+    """``_factorize`` runs once per counted factor: a cycled step, and the cycle a level hands up, build no matrix."""
+    real_factorize, built = solvers._factorize, []
 
     def spy(eq, diagonal):
         built.append(diagonal.size)
-        return real_shifted(eq, diagonal)
+        return real_factorize(eq, diagonal)
 
-    monkeypatch.setattr(solvers, "_shifted", spy)
+    monkeypatch.setattr(solvers, "_factorize", spy)
     mesh = tb.build_mesh(32)
     solve, prob = CASES[case](mesh)
     rep = solve(mesh, params, prob)
@@ -357,7 +360,7 @@ def test_a_negative_curvature_goes_on():
     ``J = diag(2, -1, 3)``, a diagonal "stiffness" plus the shift ``(0.5, 1, 0.5)``.
     """
     S, shift = sp.diags([1.5, -2.0, 2.5]).tocsr(), np.array([0.5, 1.0, 0.5])
-    J = solvers._Jacobian(solvers.Record(S, None, None, None, np.arange(3), 3), shift)
+    J = solvers._Jacobian(solvers.Record(S, None, None, None, S.diagonal(), 3), shift)
     diagonal = np.array([2.0, -1.0, 3.0])
     rhs = np.array([1.0, 2.0, 0.5])
     x, iterations = solvers._cycled_solve(J, rhs, lambda r: r / diagonal, np.ones(3), 1e-12)
@@ -366,11 +369,12 @@ def test_a_negative_curvature_goes_on():
 
 @pytest.mark.parametrize("dirichlet", [True, False], ids=["dirichlet", "neumann"])
 def test_jacobian_adds_onto_the_stored_diagonal(params, dirichlet):
-    """``_shifted`` is ``(S + diag(d)).tocsr()`` bit for bit on the unknowns, on the stiffness built once per mesh.
+    """``_factorize`` factors ``S[:k, :k] + diag(d[:k])`` bit for bit, on the stiffness built once per mesh.
 
     ``d`` is Newton's ``w e^v`` and the descent's residual weights, at 8 to
-    64 rings.  The reference is the leading block ``[:k, :k]``, sliced
-    here; a Dirichlet record's pinned rows ``k:`` are unit rows.
+    64 rings.  The reference is SuperLU, with the solvers' options, on the
+    leading block ``[:k, :k]`` plus the diagonal, summed by scipy here; the
+    factor's ``L``, ``U``, ``perm_r`` and ``perm_c`` must be its own.
     """
     for n in (8, 16, 32, 64):
         mesh = tb.build_mesh(n)
@@ -383,12 +387,7 @@ def test_jacobian_adds_onto_the_stored_diagonal(params, dirichlet):
         ops = tb.assemble(mesh, params)
         weights = ops.volume_mass if dirichlet else ops.volume_mass + ops.boundary_mass
         for diagonal in (solvers._exp_terms(eq, v), weights):
-            J = solvers._shifted(eq, diagonal)
-            ref = (eq.S[:k, :k] + sp.diags(diagonal[:k])).tocsr()
-            for part in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(J[:k, :k], part), getattr(ref, part))
-            assert np.array_equal(J.data[eq.diagonal[:k]], ref.diagonal())
-            assert (J[k:] != sp.eye(mesh.n_nodes, format="csr")[k:]).nnz == 0
+            assert_same_factor(solvers._factorize(eq, diagonal), shifted_block_factor(eq.S, diagonal, k))
 
 
 @pytest.mark.filterwarnings("ignore::torusbvp.errors.ExistenceWindowWarning")
