@@ -33,6 +33,7 @@ import argparse
 import configparser
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -61,6 +62,7 @@ from .inequalities import (
 from .mesh import (
     DiskField,
     DiskMesh,
+    _ring_blocks,
     assemble,
     build_mesh,
     coarse_mesh,
@@ -79,6 +81,7 @@ from .solvers import (
 
 SCHEMA_VERSION = 2
 OUT_ENV_VAR = "TORUSBVP_OUT"
+_ROWS_PER_WRITE = 1024  # write_csv formats, joins and writes this many rows at a time: some 70 kB of text
 
 
 # ---------------------------------------------------------------------------
@@ -188,17 +191,22 @@ def _out_dir(cfg, args) -> str:
 def write_csv(path, header, rows) -> None:
     """CSV with one timestamp comment line; the body is deterministic.
 
-    ``rows`` is a sequence of tuples with one type per column.  The first
-    row sets each column's format for every row: ``%s`` for a string,
-    ``%.17g`` for any number.  17 digits round-trip every float64; a flag
-    prints as 1 or 0, and an integer below 10^17 (every count and index a
-    CSV holds) as itself.
+    ``rows`` is any iterable of tuples with one type per column, a one-shot
+    generator among them.  The first row sets each column's format for
+    every row: ``%s`` for a string, ``%.17g`` for any number.  17 digits
+    round-trip every float64; a flag prints as 1 or 0, and an integer below
+    10^17 (every count and index a CSV holds) as itself.  The rows are
+    formatted, joined and written ``_ROWS_PER_WRITE`` at a time, so the
+    text of one block at most is held.
     """
-    row_format = ",".join("%s" if isinstance(x, str) else "%.17g" for x in next(iter(rows), ()))
-    lines = ["# generated %s" % time.strftime("%Y-%m-%dT%H:%M:%S"), ",".join(header)]
-    lines += [row_format % row for row in rows]
+    rows = iter(rows)
+    first = next(rows, None)
+    row_format = ",".join("%s" if isinstance(x, str) else "%.17g" for x in first or ())
     with open(path, "w", newline="") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("# generated %s\n%s\n" % (time.strftime("%Y-%m-%dT%H:%M:%S"), ",".join(header)))
+        rows = itertools.chain([first], rows) if first is not None else rows
+        while lines := [row_format % row for row in itertools.islice(rows, _ROWS_PER_WRITE)]:
+            f.write("\n".join(lines) + "\n")
 
 
 def _report_dict(rep, mesh: DiskMesh, opts: SolveOptions) -> dict:
@@ -257,8 +265,13 @@ def _cmd_solve(args, cfg, p) -> tuple:
     if not p1:
         body["identity_614_residual"] = identity_6_14_residual(mesh, p, rep.field, prob)
         line += ", K %.3e" % rep.constraint_value
-    rows = list(zip(range(mesh.n_nodes), *mesh.nodes.T.tolist(), rep.field.values.tolist()))
-    return "solution.csv", ["node", "t", "s", "value"], rows, body, line, 0
+    return "solution.csv", ["node", "t", "s", "value"], _node_rows(mesh, rep.field.values), body, line, 0
+
+
+def _node_rows(mesh, values):
+    """The rows ``(node, t, s, value)`` of the solution table, made a ring block of nodes at a time (``_ring_blocks``)."""
+    for _, lo, hi in _ring_blocks(mesh.n_rings):
+        yield from zip(range(lo, hi), *mesh.nodes[lo:hi].T.tolist(), values[lo:hi].tolist())
 
 
 def _cmd_mt_scan(args, cfg, p) -> tuple:

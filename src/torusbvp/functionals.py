@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import InfeasibleError, NoRootError
 from .geometry import TorusParams
-from .mesh import (TWO_PI, DiskField, DiskMesh, WeightedOperators, _triangle_geometry, assemble, dirichlet_energy,
-                   weighted_sum)
+from .mesh import (TWO_PI, DiskField, DiskMesh, WeightedOperators, _ring_blocks, _triangle_geometry, assemble,
+                   dirichlet_energy, weighted_sum)
 
 EXP_ARG_CAP = 700.0
 
@@ -40,16 +40,24 @@ def grad_energy_weighted(mesh: DiskMesh, p: TorusParams, field: DiskField) -> fl
     """Integral of ``|grad v|^2 e^{-v}``, with piecewise-constant gradients and e^{-v} at triangle centroids.
 
     The gradient term of identity (6.14); the unweighted integral is
-    ``dirichlet_energy``.  A centroid value below ``-EXP_ARG_CAP`` raises
-    the cap's ``OverflowError``.
+    ``dirichlet_energy``.  The integrand goes into one vector of a value
+    per triangle, a block of whole rings at a time (``_ring_blocks``), so no
+    other whole-mesh array is held, and the vector is summed once, with
+    the bits of one pass over the whole mesh.  A centroid value below
+    ``-EXP_ARG_CAP`` raises the cap's ``OverflowError``.
     """
-    areas, gx, gy, t_cent = _triangle_geometry(mesh)
-    tri = mesh.triangles
     v = field.values
-    vt = v[tri.T]
-    dx, dy = gx[0] * vt[0] + gx[1] * vt[1] + gx[2] * vt[2], gy[0] * vt[0] + gy[1] * vt[1] + gy[2] * vt[2]
-    weights = exp_capped(-v[tri].mean(axis=1))
-    return float(TWO_PI * np.sum(areas * (p.l + p.r * t_cent) * ((dx * dx + dy * dy) * weights)))
+    integrand = np.empty(mesh.triangles.shape[0])
+    for walks, _, _ in _ring_blocks(mesh.n_rings):
+        areas, gx, gy, t_cent = _triangle_geometry(mesh, walks)
+        tri = mesh.triangles[walks]
+        vt = v[tri.T]
+        dx, dy = gx[0] * vt[0] + gx[1] * vt[1] + gx[2] * vt[2], gy[0] * vt[0] + gy[1] * vt[1] + gy[2] * vt[2]
+        del gx, gy, vt  # before the weights
+        weights = exp_capped(-v[tri].mean(axis=1))
+        integrand[walks] = areas * (p.l + p.r * t_cent) * ((dx * dx + dy * dy) * weights)
+        del areas, t_cent, dx, dy, weights  # before the next block's geometry
+    return float(TWO_PI * np.sum(integrand))
 
 
 @dataclass(frozen=True)

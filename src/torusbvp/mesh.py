@@ -180,20 +180,31 @@ def ring_interpolation(n_to: int, n_from: int) -> sp.csr_matrix:
     return matrix
 
 
-def _triangle_geometry(mesh: DiskMesh):
-    """Per-triangle areas, the x and y parts of the P1 basis gradients, and the centroid t-coordinate.
+def _triangle_geometry(mesh: DiskMesh, rows=slice(None)):
+    """Areas, the x and y parts of the P1 basis gradients, and the centroid t-coordinate of the triangles ``rows``.
 
-    Row ``i`` of each gradient part, shape ``(3, n_triangles)``, belongs to
-    the triangle's vertex ``i``.  Every area must be positive.
+    ``rows`` is a slice of the triangles, all of them by default; each
+    figure of a triangle has the same bits in any slice that holds it.
+    Row ``i`` of each gradient part, shape ``(3, len(rows))``, belongs to
+    the triangle's vertex ``i``.  Every area must be positive.  The results
+    are written in place, so the peak is the corners' coordinates and the
+    results: 112 bytes per triangle.
     """
-    corners = mesh.triangles.T
-    x, y = mesh.nodes[:, 0][corners], mesh.nodes[:, 1][corners]  # (3, n_triangles) each
+    corners = mesh.triangles[rows].T
+    x, y = mesh.nodes[:, 0][corners], mesh.nodes[:, 1][corners]  # (3, len(rows)) each
     det = (x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0])
     if np.any(det <= 0.0):
         raise DomainError("mesh construction produced a non-positively-oriented triangle")
-    gx = np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]]) / det
-    gy = np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]]) / det
-    return 0.5 * det, gx, gy, (x[0] + x[1] + x[2]) / 3.0
+    t_cent = (x[0] + x[1] + x[2]) / 3.0
+    # gx = (y1 - y2, y2 - y0, y0 - y1) / det and gy = (x2 - x1, x0 - x2, x1 - x0) / det, each row written in place
+    gx, gy = np.empty((3, det.size)), np.empty((3, det.size))
+    for i in range(3):
+        np.subtract(y[i - 2], y[i - 1], out=gx[i])
+        np.subtract(x[i - 1], x[i - 2], out=gy[i])
+    gx /= det
+    gy /= det
+    det *= 0.5  # the areas
+    return det, gx, gy, t_cent
 
 
 _PRODUCT = [0, 1, 2, 1, 3, 4, 2, 4, 5]  # the row of _assemble_core's products that holds entry (i, j)
@@ -206,7 +217,8 @@ def _ring_blocks(n_rings: int):
     ``6 (r + 1)^2``, so every triangle with a corner on rings k0 to k1 - 1,
     nodes ``lo`` to ``hi``, lies in the rows ``walks`` of walks k0 - 1 to
     k1 - 1.  Each conversion has a fixed cost, so a block holds some 4096
-    triangles or more, and there are at most eight.
+    triangles or more, and there are at most eight.  The last block runs to
+    the last triangle.
     """
     def first(k):  # the first node of ring k; the node count at k = n_rings + 1
         return 1 + 3 * k * (k - 1) if k else 0
@@ -214,33 +226,63 @@ def _ring_blocks(n_rings: int):
     blocks = min(8, max(1, 6 * n_rings**2 // 4096))
     edges = sorted({round((n_rings + 1) * math.sqrt(k / blocks)) for k in range(blocks + 1)})
     for k0, k1 in zip(edges, edges[1:]):
-        yield slice(6 * max(k0 - 1, 0) ** 2, 6 * k1**2), first(k0), first(k1)
+        yield slice(6 * max(k0 - 1, 0) ** 2, 6 * k1**2 if k1 <= n_rings else None), first(k0), first(k1)
 
 
 def _assemble_core(mesh: DiskMesh, w0: float, w1: float):
     """Raw operators for the affine weight ``w0 + w1 t`` (no 2*pi factors).
 
     Stiffness uses centroid quadrature, exact for constant gradients against
-    an affine weight; masses are vertex-lumped.  The masses come first, and
-    the triangle geometry is dropped before scipy sums the element
-    matrices, whose six distinct products are held in one ``(6, T)``
-    array, into CSR a block of whole rings at a time (``_ring_blocks``).
-    scipy's COO to CSR conversion places each row's entries in input
-    order, then sorts and sums each row on its own, so a block that holds
-    every entry of its rows, in the order of one conversion of the whole
-    mesh, gives them that conversion's bits, and its transient is one
-    block's.  A mesh whose triangles are out of ``build_mesh``'s ring order,
-    so that a block would miss some entry of its rows, raises
-    ``DomainError``.
+    an affine weight; masses are vertex-lumped.  The stiffness is built a
+    block of whole rings at a time (``_ring_blocks``): the block's triangle
+    geometry, the six distinct products of its element matrices, and their
+    nine entries, which scipy sums into CSR once the geometry and the
+    products are dropped.  scipy's COO to CSR conversion places each row's
+    entries in input order, then sorts and sums each row on its own, so a
+    block that holds every entry of its rows, in the order of one
+    conversion of the whole mesh, gives them that conversion's bits.  A
+    mesh whose triangles are out of ``build_mesh``'s ring order, so that a
+    block would miss some entry of its rows, raises ``DomainError``.  Only
+    the areas outlive their block: the blocks write them into one vector,
+    from which the lumped masses sum in triangle order, as from one
+    geometry of the whole mesh.  The peak is then the blocks' CSR pieces
+    beside the stiffness they are joined into, each list of pieces freed as
+    it is joined.
     """
-    areas, gx, gy, t_cent = _triangle_geometry(mesh)
     tri = mesh.triangles
     n = mesh.n_nodes
+    areas = np.empty(tri.shape[0])
+    indptr, indices, data, corners = [np.zeros(1, dtype=np.int32)], [], [], 0
+    for walks, lo, hi in _ring_blocks(mesh.n_rings):
+        areas[walks], gx, gy, t_cent = _triangle_geometry(mesh, walks)
+        weight = areas[walks] * (w0 + w1 * t_cent)
+        # the element matrix is symmetric: row _PRODUCT[3 i + j] of its six distinct products holds entry (i, j)
+        products, product = np.empty((6, weight.size)), np.empty(weight.size)
+        for row, (i, j) in enumerate([(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]):
+            entry = np.multiply(gx[i], gx[j], out=products[row])
+            entry += np.multiply(gy[i], gy[j], out=product)
+            entry *= weight
+        del gx, gy, t_cent, weight, product, entry
+        index = tri[walks].T
+        corners += np.count_nonzero((index >= lo) & (index < hi))
+        rows, cols = np.repeat(index, 3, axis=0).ravel(), np.tile(index, (3, 1)).ravel()
+        entries = products[_PRODUCT].ravel()
+        del products  # before the conversion, which holds the triplets beside their CSR copy
+        block = sp.coo_matrix((entries, (rows, cols)), shape=(n, n)).tocsr()
+        kept = block.indptr[lo:hi + 1]  # the rows whose every entry the block holds
+        indptr.append(kept[1:] + (indptr[-1][-1] - kept[0]))
+        indices.append(block.indices[kept[0]:kept[-1]])
+        data.append(block.data[kept[0]:kept[-1]])
+        del entries, rows, cols, block, kept
+    if corners != tri.size:
+        raise DomainError("the triangles are not in build_mesh's ring order: %d of their %d corners fall outside "
+                          "the ring block of their node" % (tri.size - corners, tri.size))
 
     vol_mass = np.zeros(n)
     t_node = mesh.nodes[:, 0]
     for i in range(3):
         np.add.at(vol_mass, tri[:, i], (areas / 3.0) * (w0 + w1 * t_node[tri[:, i]]))
+    del areas
 
     bnd_mass = np.zeros(n)
     b = mesh.boundary_nodes
@@ -249,30 +291,9 @@ def _assemble_core(mesh: DiskMesh, w0: float, w1: float):
     np.add.at(bnd_mass, b, 0.5 * seg * (w0 + w1 * t_node[b]))
     np.add.at(bnd_mass, nxt, 0.5 * seg * (w0 + w1 * t_node[nxt]))
 
-    weight = areas * (w0 + w1 * t_cent)
-    # the element matrix is symmetric: row _PRODUCT[3 i + j] of its six distinct products holds entry (i, j)
-    products, product = np.empty((6, tri.shape[0])), np.empty(tri.shape[0])
-    for row, (i, j) in enumerate([(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]):
-        entry = np.multiply(gx[i], gx[j], out=products[row])
-        entry += np.multiply(gy[i], gy[j], out=product)
-        entry *= weight
-    del areas, gx, gy, t_cent, weight, product, entry
-    indptr, indices, data, corners = [np.zeros(1, dtype=np.int32)], [], [], 0
-    for walks, lo, hi in _ring_blocks(mesh.n_rings):
-        index = tri[walks].T
-        corners += np.count_nonzero((index >= lo) & (index < hi))
-        rows, cols = np.repeat(index, 3, axis=0).ravel(), np.tile(index, (3, 1)).ravel()
-        block = sp.coo_matrix((products[:, walks][_PRODUCT].ravel(), (rows, cols)), shape=(n, n)).tocsr()
-        kept = block.indptr[lo:hi + 1]  # the rows whose every entry the block holds
-        indptr.append(kept[1:] + (indptr[-1][-1] - kept[0]))
-        indices.append(block.indices[kept[0]:kept[-1]])
-        data.append(block.data[kept[0]:kept[-1]])
-    if corners != tri.size:
-        raise DomainError("the triangles are not in build_mesh's ring order: %d of their %d corners fall outside "
-                          "the ring block of their node" % (tri.size - corners, tri.size))
-    del products, block, rows, cols, kept
-    stiffness = sp.csr_matrix((np.concatenate(data), np.concatenate(indices), np.concatenate(indptr)), shape=(n, n))
-    return stiffness, vol_mass, bnd_mass
+    data = np.concatenate(data)  # each list's blocks go as it is joined
+    indices = np.concatenate(indices)
+    return sp.csr_matrix((data, indices, np.concatenate(indptr)), shape=(n, n)), vol_mass, bnd_mass
 
 
 @dataclass(frozen=True)

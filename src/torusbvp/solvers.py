@@ -561,29 +561,32 @@ def _admit(mesh, p, prob, dirichlet=False):
     solve, which the Newton walk takes as its finest level and the monotone
     route and the report read.  It is built before anything else, so on a
     cold mesh the finest assembly's peak sits on no level link or coarse
-    operator yet.  The window reads P1's data as ``prob.as_p2()``, a = gamma
-    and b = 0.  For a, b >= 0, not both zero, a field exists if ``0 < R < 1
-    / (2 mu_best)`` in the mode of the problem the method solves:
-    ``interior_dirichlet`` if ``dirichlet`` (P1 Newton), else
-    ``interior_full`` with zero boundary data (P2 so, and P1 solved over
-    every node by the variational route) or ``boundary_trace``.  A Neumann
-    record's rows sum to ``K(v) = r_h + sum(w e^v)``, ``r_h = sum(c)``, so
-    some ``w_i`` must have the sign opposite to ``r_h``; on an a = b = 0
-    record (``Record.zero_linear``, as the solve reads it), ``w`` needs both
-    signs and ``sum(w) = int(f) + bint(g) > 0``, its value ``int(e^-v
-    |grad v|^2)`` at every solution.  With ``r_h < 0`` and ``w`` of both
-    signs the energy is unbounded below on {K = 0}.  A Dirichlet record has
-    no row-sum condition.
+    operator yet.  The window reads P1's data as ``prob.as_p2()`` gives
+    them, a = gamma, b = 0, a zero boundary trace and R = gamma Vol, but
+    from ``gamma`` alone, with no field built.  For a, b >= 0, not both
+    zero, a field exists if ``0 < R < 1 / (2 mu_best)`` in the mode of the
+    problem the method solves: ``interior_dirichlet`` if ``dirichlet`` (P1
+    Newton), else ``interior_full`` with zero boundary data (P2 so, and P1
+    solved over every node by the variational route) or ``boundary_trace``.
+    A Neumann record's rows sum to ``K(v) = r_h + sum(w e^v)``, ``r_h =
+    sum(c)``, so some ``w_i`` must have the sign opposite to ``r_h``; on an
+    a = b = 0 record (``Record.zero_linear``, as the solve reads it), ``w``
+    needs both signs and ``sum(w) = int(f) + bint(g) > 0``, its value
+    ``int(e^-v |grad v|^2)`` at every solution.  With ``r_h < 0`` and ``w``
+    of both signs the energy is unbounded below on {K = 0}.  A Dirichlet
+    record has no row-sum condition.
     """
     eq = _equation(mesh, p, prob, dirichlet)
-    prob = prob.as_p2() if isinstance(prob, ProblemP1) else prob
-    if prob.a >= 0.0 and prob.b >= 0.0 and (prob.a, prob.b) != (0.0, 0.0):
-        mode = "interior_dirichlet" if dirichlet else (
-            "interior_full" if np.all(prob.g.values[mesh.boundary_nodes] == 0.0) else "boundary_trace")
+    if isinstance(prob, ProblemP1):
+        a, b, zero_trace, R = prob.gamma, 0.0, True, prob.gamma * p.volume()
+    else:
+        a, b, zero_trace, R = prob.a, prob.b, np.all(prob.g.values[mesh.boundary_nodes] == 0.0), prob.R(p)
+    if a >= 0.0 and b >= 0.0 and (a, b) != (0.0, 0.0):
+        mode = "interior_dirichlet" if dirichlet else ("interior_full" if zero_trace else "boundary_trace")
         bound = 1.0 / (2.0 * mu_best(p, mode))
-        if not 0.0 < prob.R(p) < bound:
+        if not 0.0 < R < bound:
             warnings.warn("R=%g outside the sufficient existence window (0, %g) of the a, b >= 0 regime"
-                          % (prob.R(p), bound), ExistenceWindowWarning, stacklevel=3)
+                          % (R, bound), ExistenceWindowWarning, stacklevel=3)
     if dirichlet:
         return eq
     c, w = eq.c, eq.w

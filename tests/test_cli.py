@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -593,6 +594,52 @@ def test_solution_csv_matches_cell_formatting(tmp_path):
     assert csv_body(path) == expected
     assert expected[1].endswith(",-0") and expected[2].endswith(",1e-300")
     assert [float(line.split(",")[3]) for line in expected[1:]] == values.tolist()
+
+
+@pytest.mark.parametrize("n_rows", [1, cli._ROWS_PER_WRITE, 2 * cli._ROWS_PER_WRITE + 5])
+def test_write_csv_writes_a_one_shot_generator_as_its_list(tmp_path, monkeypatch, n_rows):
+    """Rows from a generator, read once, give the bytes of the same rows in a list, over whole and partial blocks."""
+    monkeypatch.setattr(cli.time, "strftime", lambda fmt: "2000-01-01T00:00:00")
+    rows = [(i, i / 7.0, "r%d" % i, i % 2 == 0) for i in range(n_rows)]
+    listed, streamed = tmp_path / "listed.csv", tmp_path / "streamed.csv"
+    write_csv(str(listed), ["i", "x", "name", "even"], rows)
+    write_csv(str(streamed), ["i", "x", "name", "even"], (row for row in rows))
+    assert streamed.read_bytes() == listed.read_bytes()
+    assert len(csv_body(streamed)) == n_rows + 1 and csv_body(streamed)[-1].startswith("%d," % (n_rows - 1))
+
+
+@pytest.mark.parametrize("rows", [[], iter(())], ids=["list", "iterator"])
+def test_write_csv_of_no_rows_writes_the_stamp_and_the_header(tmp_path, monkeypatch, rows):
+    monkeypatch.setattr(cli.time, "strftime", lambda fmt: "2000-01-01T00:00:00")
+    path = tmp_path / "empty.csv"
+    write_csv(str(path), ["alpha", "value"], rows)
+    assert path.read_text() == "# generated 2000-01-01T00:00:00\nalpha,value\n"
+
+
+def test_the_solution_table_is_written_a_block_at_a_time(tmp_path, monkeypatch):
+    """At 128 rings ``write_csv`` traces at most 1 MiB to write ``solve-p1``'s table of 49,537 rows.
+
+    ``_cmd_solve`` hands it a generator that makes its rows a ring block
+    of nodes at a time, and the writer formats and joins
+    ``_ROWS_PER_WRITE`` rows at a time, so no list of the table's rows,
+    lines or text is held.
+    """
+    real, peaks = cli.write_csv, []
+
+    def traced(path, header, rows):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            real(path, header, rows)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "write_csv", traced)
+    out = tmp_path / "out"
+    assert main(["solve-p1", "--config", write_cfg(tmp_path, BASE), "--out", str(out), "--mesh", "128"]) == 0
+    assert len(peaks) == 1 and peaks[0] <= 2**20, [peak / 2**20 for peak in peaks]
+    assert len(csv_body(out / "solution.csv")) == 1 + build_mesh(128).n_nodes
 
 
 @pytest.mark.parametrize("cell, text", [

@@ -56,7 +56,8 @@ def test_two_runs_trace_the_same_bytes(memory_profile):
         assert len(first[name]) == len(second[name])
         assert all(abs(x - y) <= 2048 for x, y in zip(first[name], second[name])), name
     lines = memory_profile.tracemalloc_lines(11, first)
-    names = [["11", name] for name in ("build_mesh", "assemble", "transfer", "cache", "p1_adds", "warm")]
+    names = [["11", name] for name in ("build_mesh", "assemble", "transfer", "cache", "p1_adds", "warm", "write",
+                                       "identity")]
     assert [line.split()[:2] for line in lines] == names
     for name, figures in first.items():  # every figure is a positive size, the P1 solve's addition nonnegative
         assert all(x >= 0 if name == "p1_adds" else x > 0 for x in figures), name

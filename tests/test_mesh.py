@@ -640,13 +640,16 @@ def test_the_restriction_is_a_view_of_the_one_cached_prolongation(params, interi
 
 
 @pytest.mark.parametrize("n", [64, 128])
-def test_assembly_peaks_below_three_times_its_entries(n):
-    """``_assemble_core`` traces at most three times its nine float64 entries per triangle.
+def test_assembly_peaks_below_1_6_times_its_entries(n):
+    """``_assemble_core`` traces at most 1.6 times its nine float64 entries per triangle.
 
-    The entries and the triangle geometry they are made from set the peak,
-    at about 2.2 to 2.4 times: the COO to CSR conversion, which holds a
-    block's triplets beside their CSR copy, runs a block of rings at a time
-    (one conversion of the whole mesh peaked at 4.2 times).
+    Every per-triangle array, the geometry, the products and the COO to
+    CSR conversion that holds a block's triplets beside their CSR copy,
+    lives for one block of rings at a time, so the blocks' CSR pieces and
+    the stiffness they are joined into set the peak: 1.47 times at 64
+    rings, 1.24 at 128.  With the geometry and the products of the whole
+    mesh made before the blocks it was 2.2 to 2.4 times, and one conversion
+    of the whole mesh peaked at 4.2 times.
     """
     m = tb.build_mesh(n)
     tracemalloc.start()
@@ -657,7 +660,7 @@ def test_assembly_peaks_below_three_times_its_entries(n):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 72 * m.triangles.shape[0], peak / (72 * m.triangles.shape[0])
+    assert peak <= 1.6 * 72 * m.triangles.shape[0], peak / (72 * m.triangles.shape[0])
 
 
 @pytest.mark.parametrize("n", [64, 128])

@@ -154,3 +154,25 @@ def test_p1_variational_warns_in_the_window_of_the_problem_it_solves(params, mes
         warned = [w for w in caught if issubclass(w.category, tb.ExistenceWindowWarning)
                   and "existence window" in str(w.message)]
         assert len(warned) == (solve is not tb.solve_p1_newton), solve.__name__
+
+
+def test_the_gate_reads_p1_data_from_gamma(monkeypatch, params, mesh16):
+    """A warm P1 Newton solve calls ``as_p2`` on its problem twice, for its record and its energy, not for the gate.
+
+    The gate reads P1's window from ``gamma`` as ``as_p2`` gives it: its
+    warning quotes the R of ``prob.as_p2()``.
+    """
+    prob = tb.ProblemP1(3.0, tb.DiskField.constant(mesh16, 1.0))
+    with pytest.warns(tb.ExistenceWindowWarning, match="R=%g outside" % prob.as_p2().R(params)):
+        tb.solve_p1_variational(mesh16, params, prob)
+    prob = tb.ProblemP1(1.5, tb.DiskField.from_function(mesh16, lambda t, s: 1.0 + 0.2 * t))
+    tb.solve_p1_newton(mesh16, params, prob)  # warm: the level hierarchy built
+    real_as_p2, calls = tb.ProblemP1.as_p2, []
+
+    def spy(self):
+        calls.append(self is prob)
+        return real_as_p2(self)
+
+    monkeypatch.setattr(tb.ProblemP1, "as_p2", spy)
+    tb.solve_p1_newton(mesh16, params, prob)
+    assert sum(calls) == 2

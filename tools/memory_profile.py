@@ -1,6 +1,6 @@
 """Print the memory that the nested ring meshes take to build, assemble, hold and solve on, per ring count.
 
-For each ring count (default 64, 128 and 256) prints eight lines:
+For each ring count (default 64, 128 and 256) prints ten lines:
 
 - ``build_mesh``: the tracemalloc peak of ``mesh.build_mesh`` and the
   bytes still traced when it returns, the mesh it keeps;
@@ -18,6 +18,11 @@ For each ring count (default 64, 128 and 256) prints eight lines:
 - ``warm``: the tracemalloc peaks of one more ``solve_p1_newton`` and one
   more ``solve_p2_newton`` on that data, with the caches filled: the
   memory a solve takes beyond its mesh's operators;
+- ``write``: the tracemalloc peak of the solution table of that P2
+  solve, its rows made as ``cli._cmd_solve`` makes them and written by
+  ``cli.write_csv`` (to the null device);
+- ``identity``: the tracemalloc peak of ``grad_energy_weighted``, the
+  gradient term of identity (6.14), on that P2 solve's field;
 - ``rss``: ``ru_maxrss`` of a fresh process that builds the mesh and runs
   one cold ``solve_p1_newton`` on that data;
 - ``scan_rss``: ``ru_maxrss`` of a fresh process that runs
@@ -26,7 +31,7 @@ For each ring count (default 64, 128 and 256) prints eight lines:
   ``cli`` workload.
 
 Sizes are in MiB (2^20 bytes), as the benchmark's ``peak_rss_mb``.  The
-first six lines come from ``tracemalloc_bytes``, which returns their
+first eight lines come from ``tracemalloc_bytes``, which returns their
 figures in bytes.  tracemalloc's figures move by up to some kB of Python
 objects between calls, below the printed 0.01 MiB (about 10.5 kB), so a
 printed figure moves only when it lies that close to a rounding edge.
@@ -39,6 +44,7 @@ checkout and compare the outputs::
 from __future__ import annotations
 
 import dataclasses
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -52,7 +58,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # perfbench/workloads.py
-from torusbvp import mesh
+from torusbvp import cli, functionals, mesh
 
 RINGS = (64, 128, 256)
 GAMMA, C = 1.5, 0.1
@@ -128,7 +134,7 @@ def hierarchy_bytes(m) -> int:
     return sum(array.nbytes for array in found.values())
 
 
-# the six tracemalloc lines: name -> the format of their figures, in MiB
+# the eight tracemalloc lines: name -> the format of their figures, in MiB
 TRACEMALLOC_LINES = {
     "build_mesh": "peak %.2f MiB kept %.2f MiB",
     "assemble": "peak %.2f MiB kept %.2f MiB",
@@ -136,6 +142,8 @@ TRACEMALLOC_LINES = {
     "cache": "%.2f MiB",
     "p1_adds": "%.2f MiB",
     "warm": "p1 peak %.2f MiB p2 peak %.2f MiB",
+    "write": "peak %.2f MiB",
+    "identity": "peak %.2f MiB",
 }
 
 
@@ -143,6 +151,7 @@ def tracemalloc_bytes(rings: int) -> dict:
     """The figures of the ``TRACEMALLOC_LINES`` at ``rings`` rings, in bytes: name -> tuple of figures."""
     mesh._assemble_core(mesh.build_mesh(4), 1.0, 0.0)  # first calls allocate lazily: make them untraced
     mesh.ring_interpolation(4, 2)
+    cli.write_csv(os.devnull, ["value"], [(0.5,)])
     m, peak, kept = _traced(lambda: mesh.build_mesh(rings))
     out = {"build_mesh": (peak, kept)}
     out["assemble"] = _traced(lambda: mesh._assemble_core(m, workloads.PARAMS.l, workloads.PARAMS.r))[1:]
@@ -150,11 +159,14 @@ def tracemalloc_bytes(rings: int) -> dict:
     p1, p2 = workloads.p1_newton_op(m, GAMMA, C), workloads.p2_newton_op(m, C)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        p2.run()
+        field = p2.run().field
         neumann = hierarchy_bytes(m)
         p1.run()
         cached = hierarchy_bytes(m)
         out["warm"] = tuple(_traced(op.run)[1] for op in (p1, p2))
+    header = ["node", "t", "s", "value"]
+    out["write"] = _traced(lambda: cli.write_csv(os.devnull, header, cli._node_rows(m, field.values)))[1:2]
+    out["identity"] = _traced(lambda: functionals.grad_energy_weighted(m, workloads.PARAMS, field))[1:2]
     out["cache"], out["p1_adds"] = (cached,), (cached - neumann,)
     return out
 
